@@ -32,15 +32,15 @@ for imp in impulsive.impulses:
 print(f"  bare cost: {impulsive.cost:.7f} (= coth 1)\n")
 
 window = np.linspace(0.1, 0.9, 161)
+grid = np.linspace(0, 1, 401)
+arc = impulsive.trajectory.table(grid)["x"]
 print(f"{'lam':>8} {'cost C_R':>10} {'bare':>10} {'max|dx| vs arc':>15} {'field fit dev':>14} {'max|p_y+p_z|':>13}")
 for lam in (1e-3, 1e-4, 1e-5, 1e-6):
     sol = regular_order1_analytic(lam)
-    dx = max(
-        abs(sol.trajectory.sample(t).x - impulsive.trajectory.sample(t).x)
-        for t in np.linspace(0, 1, 401)
-    )
-    _, dev = fit_exponential_arc(window, [sol.trajectory.sample(t).v for t in window])
-    psum = max(abs(sum(sol.trajectory.sample(t).p)) for t in window)
+    dx = np.abs(sol.trajectory.table(grid)["x"] - arc).max()
+    inner = sol.trajectory.table(window)
+    _, dev = fit_exponential_arc(window, inner["v"])
+    psum = np.abs(inner["py"] + inner["pz"]).max()
     print(
         f"{lam:>8.0e} {sol.cost:>10.6f} {sol.cost_breakdown.bare:>10.6f} "
         f"{dx:>15.2e} {dev:>14.2e} {psum:>13.2e}"

@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from lincontrol import build_lq, hamiltonian_flow, solve_regular, verify_boundaries, write_csv
+from lincontrol import PontryaginFlow, build_lq, solve_regular, verify_boundaries, write_csv
 from lincontrol.oct import fit_exponential_arc
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
@@ -29,7 +29,7 @@ CASES = ((1, 1e-5), (2, 5e-7), (3, 5e-9))
 
 for n, lam in CASES:
     lq = build_lq(n, lam)
-    spec = hamiltonian_flow(lq).spectrum()
+    spec = PontryaginFlow(lq).spectrum()
     sol = solve_regular(lq)
     report = verify_boundaries(sol, tol=1e-6)
 
@@ -39,7 +39,7 @@ for n, lam in CASES:
     print(f"  boundary residuals: max {report.max_residual:.2e} ({'ok' if report.passed else 'FAIL'})")
 
     ts = np.linspace(0.2, 0.8, 121)
-    Z, dev = fit_exponential_arc(ts, [sol.trajectory.sample(t).u for t in ts])
+    Z, dev = fit_exponential_arc(ts, sol.trajectory.table(ts)["u"])
     print(f"  interior control fit u ~ Z e^t: Z={Z:.5f}, max rel deviation {dev:.4f}")
     print(f"  cost: {sol.cost:.6f} (bare {sol.cost_breakdown.bare:.6f})\n")
 

@@ -52,7 +52,6 @@ from .oct import (
     ShootingSingular,
     build_lq,
     equivalence_sta_regular,
-    hamiltonian_flow,
     regular_cost_analytic,
     regular_order1_analytic,
     shoot_adjoint_block,
@@ -106,7 +105,6 @@ __all__ = [
     "csv_text",
     "eigendecompose",
     "equivalence_sta_regular",
-    "hamiltonian_flow",
     "integrate",
     "mat_exp",
     "minimize_quadratic",

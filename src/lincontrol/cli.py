@@ -32,10 +32,10 @@ from .model import ControlProblem, InvalidOrder, csv_text, verify_boundaries, wr
 from .numerics import NumericsError
 from .oct import (
     LambdaOutOfRange,
+    PontryaginFlow,
     ShootingSingular,
     build_lq,
     equivalence_sta_regular,
-    hamiltonian_flow,
     regular_order1_analytic,
     singular_consistency_check,
     singular_solution,
@@ -292,7 +292,7 @@ def run_validation():
 
     for n in (1, 2, 3):
         lam = 1e-4
-        spec = hamiltonian_flow(build_lq(n, lam)).spectrum()
+        spec = PontryaginFlow(build_lq(n, lam)).spectrum()
         w = spec.eigenvalues
         resid = max(min(abs(mu + nu) for nu in w) for mu in w)
         add(f"spectral-pairing-n{n}", resid <= 1e-9, resid, 1e-9)

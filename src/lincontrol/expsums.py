@@ -47,11 +47,21 @@ class ExpSum:
         return ExpSum(g, self.rates, self.shifts)
 
     def value(self, t):
-        """Evaluate at scalar or array ``t``; complex parts are kept."""
+        """Evaluate at scalar or array ``t``; complex parts are kept.
+
+        Complex products are written out in real arithmetic so that a value
+        rounds the same for scalar and array ``t``: numpy's vectorised
+        complex multiply may fuse multiply-adds.
+        """
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
+        re = im = np.zeros(t.shape)
         for gamma, rate, shift in zip(self.gammas, self.rates, self.shifts):
-            out = out + gamma * np.exp(rate * (t - shift))
+            g = complex(gamma)
+            e = np.exp(rate * (t - shift))
+            re = re + (g.real * e.real - g.imag * e.imag)
+            im = im + (g.real * e.imag + g.imag * e.real)
+        out = np.empty(t.shape, dtype=complex)
+        out.real, out.imag = re, im
         return out
 
     def real_value(self, t):

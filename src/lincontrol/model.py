@@ -8,8 +8,8 @@ pinned to zero at both endpoints.  Solutions are scored by the running cost
     C_R = C + lambda * int_0^T v^2 dt        (regularized cost)
 
 where ``v`` is the auxiliary control (``v = udot`` for ``n = 1`` and
-``v = u^(n)`` in general).  Trajectories are closed-form evaluators, never
-stored arrays; sampling them is a view, so no interpolation error enters
+``v = u^(n)`` in general).  Trajectories are closed-form series, never
+stored arrays; tabulating them is exact, so no interpolation error enters
 any downstream check.  Impulsive controls are represented symbolically by
 :class:`Impulse` records and excluded from all integrals.
 """
@@ -17,6 +17,7 @@ any downstream check.  Impulsive controls are represented symbolically by
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -48,12 +49,12 @@ class ControlProblem:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"horizon must be positive, got {self.T}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"horizon must be finite and positive, got {self.T}")
         if self.n < 1 or int(self.n) != self.n:
             raise InvalidOrder(f"derivative order must be an integer >= 1, got {self.n}")
-        if self.lam < 0:
-            raise ValueError(f"regularization weight must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"regularization weight must be finite and >= 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -86,24 +87,67 @@ class StateSample:
     p: Optional[tuple] = None
 
 
+def adjoint_names(n):
+    """Names of the adjoint columns at boundary order ``n``, in chain order."""
+    if n == 1:
+        return ["py", "pz"]
+    return [f"px{n}"] + [f"pz{k}" for k in range(n - 1, -1, -1)]
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Closed-form evaluator ``t -> StateSample`` on ``[0, T]``."""
+    """Closed-form trajectory on ``[0, T]`` as array-valued series.
 
-    evaluator: Callable[[float], StateSample]
+    ``x(ts)`` is the stack ``(x, x', .., x^(n))``; ``controls(ts, xs)`` turns
+    that stack into ``(z, v)``: the augmented coordinates ``z_0 .. z_{n-1}``
+    (``z_0 = u``) and the auxiliary control.  ``p`` holds the adjoint series
+    of optimal-control solutions, else ``None``.  :meth:`table` evaluates
+    every named column on a whole grid in one call.
+    """
+
     T: float
-    grid_points: int = 1001
+    n: int
+    x: Callable
+    controls: Callable
+    p: Optional[tuple] = None
+
+    def csv_columns(self):
+        """The columns a CSV table shows, in order: ``t, x, xdot, u, v``, ``y``
+        (first order only), ``z0..``, then the adjoints when present."""
+        n = self.n
+        names = ["t", "x", "xdot", "u", "v"] + (["y"] if n == 1 else [])
+        names += [f"z{k}" for k in range(n)]
+        return names + (adjoint_names(n) if self.p is not None else [])
+
+    def table(self, ts):
+        """Every named column evaluated at the times ``ts`` (array or scalar).
+
+        Besides the :meth:`csv_columns` the table holds ``y`` at every order
+        and the derivatives ``x^(1) .. x^(n)`` under those names.
+        """
+        ts = np.asarray(ts, dtype=float)
+        xs = self.x(ts)
+        z, v = self.controls(ts, xs)
+        cols = {"t": ts, "x": xs[0], "xdot": xs[1], "u": z[0], "v": v, "y": xs[1]}
+        cols.update((f"z{k}", zk) for k, zk in enumerate(z))
+        cols.update((f"x^({j})", d) for j, d in enumerate(xs[1:], 1))
+        if self.p is not None:
+            cols.update(zip(adjoint_names(self.n), (f(ts) for f in self.p)))
+        return cols
 
     def sample(self, t):
-        return self.evaluator(float(t))
+        """All quantities at one instant, as a :meth:`table` at a scalar time."""
+        cols = {k: float(v) for k, v in self.table(float(t)).items()}
+        n = self.n
+        return StateSample(
+            t=cols["t"], x=cols["x"], xdot=cols["xdot"], u=cols["u"], v=cols["v"], y=cols["y"],
+            z=tuple(cols[f"z{k}"] for k in range(n)),
+            x_derivatives=tuple(cols[f"x^({j})"] for j in range(1, n + 1)),
+            p=None if self.p is None else tuple(cols[k] for k in adjoint_names(n)),
+        )
 
-    def grid(self, points=None):
-        return np.linspace(0.0, self.T, points or self.grid_points)
-
-    def samples(self, ts=None):
-        if ts is None:
-            ts = self.grid()
-        return [self.evaluator(float(t)) for t in np.asarray(ts).ravel()]
+    def grid(self, points):
+        return np.linspace(0.0, self.T, points)
 
 
 @dataclass(frozen=True)
@@ -165,13 +209,17 @@ def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
     """
     if T is None:
         T = traj.T
+    names = ["x", "xdot", "v"] if lam > 0 else ["x", "xdot"]
+    weights = np.array([1.0, 1.0, lam])[: len(names)]
+
+    def integrand(ts):
+        cols = traj.table(ts)
+        return [cols[k] ** 2 for k in names]
+
     edges = np.linspace(0.0, T, panels + 1)
     parts = np.zeros(3)
     for a, b in zip(edges[:-1], edges[1:]):
-        parts[0] += integrate(lambda t: traj.sample(t).x ** 2, a, b, nodes)
-        parts[1] += integrate(lambda t: traj.sample(t).xdot ** 2, a, b, nodes)
-        if lam > 0:
-            parts[2] += lam * integrate(lambda t: traj.sample(t).v ** 2, a, b, nodes)
+        parts[: len(names)] += weights * integrate(integrand, a, b, nodes)
     breakdown = CostBreakdown(parts[0], parts[1], parts[2])
     return breakdown.total, breakdown
 
@@ -195,24 +243,24 @@ class BoundaryReport:
 def verify_boundaries(sol, tol=1e-8):
     """Residuals of ``x`` and its first ``n`` derivatives at both endpoints.
 
-    Derivatives come from the trajectory's analytic ``x_derivatives``.  For
+    Derivatives come from the trajectory's analytic ``x`` stack.  For
     impulsive solutions the first-derivative conditions hold across the
     bangs: the kick area is removed from the arc value before comparing,
     since a bang of area ``A`` shifts ``xdot`` by ``A`` instantaneously.
     """
     n = sol.problem.n
     T = sol.problem.T
-    s0 = sol.trajectory.sample(0.0)
-    sT = sol.trajectory.sample(T)
+    traj = sol.trajectory
+    ends = np.array([0.0, T])
+    x, *derivs = traj.x(ends)
     jump0 = sum(i.area for i in sol.impulses if i.time == 0.0)
     jumpT = sum(i.area for i in sol.impulses if i.time == T)
     residuals = {
-        "x(0)": s0.x,
-        "x(T)-1": sT.x - 1.0,
+        "x(0)": float(x[0]),
+        "x(T)-1": float(x[1]) - 1.0,
     }
     for j in range(1, n + 1):
-        r0 = s0.x_derivatives[j - 1]
-        rT = sT.x_derivatives[j - 1]
+        r0, rT = (float(v) for v in derivs[j - 1])
         if j == 1:
             r0 -= jump0
             rT += jumpT
@@ -221,39 +269,17 @@ def verify_boundaries(sol, tol=1e-8):
     return BoundaryReport(residuals=residuals, tol=tol)
 
 
-def _adjoint_names(n):
-    if n == 1:
-        return ["py", "pz"]
-    return [f"px{n}"] + [f"pz{k}" for k in range(n - 1, -1, -1)]
-
-
 def sample_table(sol, points):
     """Tabulate the trajectory: header row plus ``points`` sample rows.
 
-    Columns are ``t, x, xdot, u, v``, then ``y`` (first order only), the
-    augmented coordinates ``z0..``, and the adjoint columns when present.
+    The header is the trajectory's :meth:`Trajectory.csv_columns`.
     """
     if points < 2:
         raise ValueError(f"need at least 2 points, got {points}")
-    n = sol.problem.n
-    first = sol.trajectory.sample(0.0)
-    header = ["t", "x", "xdot", "u", "v"]
-    if n == 1:
-        header.append("y")
-    header += [f"z{k}" for k in range(n)]
-    if first.p is not None:
-        header += _adjoint_names(n)
-    rows = []
-    for t in sol.trajectory.grid(points):
-        s = sol.trajectory.sample(t)
-        row = [s.t, s.x, s.xdot, s.u, s.v]
-        if n == 1:
-            row.append(s.y)
-        row.extend(s.z)
-        if s.p is not None:
-            row.extend(s.p)
-        rows.append(row)
-    return header, rows
+    traj = sol.trajectory
+    header = traj.csv_columns()
+    cols = traj.table(traj.grid(points))
+    return header, np.column_stack([cols[name] for name in header]).tolist()
 
 
 def _format_number(x):

@@ -200,7 +200,9 @@ def integrate(f, a, b, nodes=64):
     """Integrate ``f`` over ``[a, b]`` with an ``nodes``-point Gauss rule.
 
     Exact (to roundoff) for polynomials of degree up to ``2 * nodes - 1``.
-    ``f`` may accept arrays; scalar-only callables are looped over.
+    ``f`` may accept arrays; scalar-only callables are looped over.  An
+    array-valued ``f`` may also return a stack of integrands along a leading
+    axis; they are integrated row by row and returned as an array.
 
     Raises
     ------
@@ -212,13 +214,14 @@ def integrate(f, a, b, nodes=64):
     x, w = gauss_legendre(nodes, a, b)
     try:
         y = np.asarray(f(x), dtype=float)
-        if y.shape != x.shape:
+        if y.shape[-1:] != x.shape:
             raise TypeError
     except (TypeError, ValueError):
         y = np.array([float(f(xi)) for xi in x])
     if not np.all(np.isfinite(y)):
         raise NonFiniteSample("integrand returned NaN/Inf")
-    return float(w @ y)
+    # one dot product per row, so each integral rounds as it would alone
+    return float(w @ y) if y.ndim == 1 else np.array([w @ row for row in y])
 
 
 def minimize_quadratic(Q, g):

@@ -38,8 +38,8 @@ from .model import (
     Impulse,
     InvalidOrder,
     ProtocolSolution,
-    StateSample,
     Trajectory,
+    adjoint_names,
 )
 from .numerics import ComplexSpectrum, eigendecompose, mat_exp, solve_linear
 
@@ -136,7 +136,6 @@ class PontryaginFlow:
         H[ns:, ns:] = -lq.A.T
         self.lq = lq
         self.H = H
-        self.p0 = None
         self._spectrum = None
 
     def propagator(self, t):
@@ -157,11 +156,6 @@ class PontryaginFlow:
                 eigenvalues=spec.eigenvalues, eigenvectors=V, residuals=residuals
             )
         return self._spectrum
-
-
-def hamiltonian_flow(lq):
-    """Build the :class:`PontryaginFlow` for a problem."""
-    return PontryaginFlow(lq)
 
 
 def shoot_adjoint_block(flow, horizon=None):
@@ -186,9 +180,7 @@ def shoot_adjoint_block(flow, horizon=None):
         raise ShootingSingular(
             f"terminal block determinant {det:.3e} below 1e-12 of scale {scale:.3e}"
         )
-    p0 = solve_linear(block, lq.xf - N[:ns, :ns] @ lq.x0)
-    flow.p0 = p0
-    return p0
+    return solve_linear(block, lq.xf - N[:ns, :ns] @ lq.x0)
 
 
 def _modal_amplitudes(flow):
@@ -260,29 +252,22 @@ def _chain_solution(problem, kind, state_sums, p_sums, v_sum, impulses=(), cost_
     for j in range(1, n):
         xderiv_sums.append(_combine([z_sums[j], xderiv_sums[-1]], [1.0, -1.0]))
     x = _combine([z_sums[0], x1], [1.0, -1.0])
-
-    def evaluator(t):
-        xval = x.real_value(t)
-        derivs = tuple(s.real_value(t) for s in xderiv_sums)
-        z = tuple(s.real_value(t) for s in z_sums)
-        p = tuple(s.real_value(t) for s in p_sums)
-        return StateSample(
-            t=float(t), x=xval, xdot=derivs[0], u=z[0], v=v_sum.real_value(t),
-            y=derivs[0], z=z, x_derivatives=derivs, p=p,
-        )
-
+    trajectory = Trajectory(
+        T=problem.T, n=n, p=tuple(s.real_value for s in p_sums),
+        x=lambda ts: [s.real_value(ts) for s in [x] + xderiv_sums],
+        controls=lambda ts, xs: ([s.real_value(ts) for s in z_sums], v_sum.real_value(ts)),
+    )
     state_part = square_integral(x, problem.T)
     deriv_part = square_integral(x1, problem.T)
     ctrl_part = problem.lam * square_integral(v_sum, problem.T) if problem.lam else 0.0
     breakdown = CostBreakdown(state_part, deriv_part, ctrl_part)
     cost = breakdown.total if cost_override is None else cost_override
-    names = ["py", "pz"] if n == 1 else [f"px{n}"] + [f"pz{k}" for k in range(n - 1, -1, -1)]
-    coefficients = {f"p0_{nm}": p_sums[i].real_value(0.0) for i, nm in enumerate(names)}
+    coefficients = {f"p0_{nm}": s.real_value(0.0) for nm, s in zip(adjoint_names(n), p_sums)}
     return ProtocolSolution(
         problem=problem,
         kind=kind,
         coefficients=coefficients,
-        trajectory=Trajectory(evaluator=evaluator, T=problem.T),
+        trajectory=trajectory,
         impulses=tuple(impulses),
         cost=cost,
         cost_breakdown=breakdown,
@@ -358,9 +343,7 @@ def solve_regular(lq):
     series = _series_from_modes(flow)
     problem = ControlProblem(T=lq.T, n=n, lam=lq.U)
     kind = "oct-regular" if n == 1 else "oct-higher"
-    sol = _chain_solution(problem, kind, series["state"], series["p"], series["v"])
-    flow.p0 = np.array([s.real_value(0.0) for s in series["p"]])
-    return sol
+    return _chain_solution(problem, kind, series["state"], series["p"], series["v"])
 
 
 def _order1_scaled(lam, T):
@@ -501,8 +484,7 @@ def singular_consistency_check(sol, window=None, points=161, profile="auto"):
     if profile == "auto":
         profile = "v" if sol.problem.n == 1 else "u"
     ts = np.linspace(ta, tb, points)
-    vals = np.array([getattr(sol.trajectory.sample(t), profile) for t in ts])
-    _, dev = fit_exponential_arc(ts, vals)
+    _, dev = fit_exponential_arc(ts, sol.trajectory.table(ts)[profile])
     return dev
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expsums import ExpSum, square_integral
-from .model import ControlProblem, InvalidOrder, ProtocolSolution, CostBreakdown, StateSample, Trajectory
+from .model import ControlProblem, InvalidOrder, ProtocolSolution, CostBreakdown, Trajectory
 from .numerics import SingularMatrix, minimize_quadratic, solve_linear
 
 
@@ -290,11 +290,11 @@ class ExponentialAnsatz(AnsatzFamily):
     """x(t) = a e^t + b e^{-t} + c e^{kt} + d e^{-kt}, fully determined.
 
     The four boundary conditions consume all four coefficients, so there is
-    no free parameter.  Coefficients come from the closed-form cofactor
-    expressions of the boundary matrix with the common ``e^k`` factor
-    divided out of numerator and denominator, which keeps every intermediate
-    bounded for arbitrarily large ``k``; the growing term is stored in
-    anchored form ``c_scaled * e^{k (t - T)}`` with ``c_scaled = c e^{kT}``.
+    no free parameter.  Coefficients come from
+    :func:`exponential_coefficients_by_solve`, whose rescaled boundary
+    system keeps every intermediate bounded for arbitrarily large ``k``; the
+    growing term is stored in anchored form ``c_scaled * e^{k (t - T)}``
+    with ``c_scaled = c e^{kT}``.
     The family is symmetric under ``k -> -k`` (``c`` and ``d`` swap), so
     ``k`` is normalised to its absolute value.
     """
@@ -305,10 +305,7 @@ class ExponentialAnsatz(AnsatzFamily):
         k = abs(float(k))
         if not np.isfinite(k) or k == 0.0:
             raise ValueError(f"k must be finite and nonzero, got {k}")
-        if T == 1.0:
-            a, b, c_scaled, d = _exponential_cofactors(k)
-        else:
-            a, b, c_scaled, d = exponential_coefficients_by_solve(k, T)
+        a, b, c_scaled, d = exponential_coefficients_by_solve(k, T)
         self.k = k
         self.c_scaled = c_scaled
         c = c_scaled * np.exp(-k * T) if k * T < 700 else c_scaled * 0.0
@@ -349,38 +346,17 @@ class ExponentialAnsatz(AnsatzFamily):
         )
 
 
-def _exponential_cofactors(k):
-    """Boundary coefficients at T = 1, everything pre-divided by e^k."""
-    e = np.e
-    terms = (
-        -((1 - k) ** 2) * np.exp(-1.0 - 2.0 * k),
-        -((1 - k) ** 2) * e,
-        (1 + k) ** 2 / e,
-        (1 + k) ** 2 * np.exp(1.0 - 2.0 * k),
-        -8.0 * k * np.exp(-k),
-    )
-    det_scaled = sum(terms)
-    scale = max(abs(t) for t in terms)
-    if abs(det_scaled) < 1e-12 * scale:
-        raise DegenerateBasis(f"boundary matrix is singular at k={k}")
-    a_num = -2.0 * np.exp(-1.0 - k) + (1 + k) * np.exp(-2.0 * k) + (1 - k)
-    b_num = -2.0 * np.exp(1.0 - k) + (1 - k) * np.exp(-2.0 * k) + (1 + k)
-    c_num = ((1 + 1 / k) / e + (1 - 1 / k) * e) - 2.0 * np.exp(-k)
-    d_num = ((1 - 1 / k) / e + (1 + 1 / k) * e) * np.exp(-k) - 2.0
-    a = k * a_num / det_scaled
-    b = k * b_num / det_scaled
-    c_scaled = k * c_num / det_scaled
-    d = k * d_num / det_scaled
-    return a, b, c_scaled, d
-
-
 def exponential_coefficients_by_solve(k, T=1.0):
     """(a, b, c_scaled, d) by a direct linear solve of the boundary system.
 
     The column multiplying ``c`` is rescaled by ``e^{-kT}`` so the system
     stays representable at large ``k``; the solved unknown is therefore
-    ``c_scaled = c e^{kT}`` directly.  Serves as the independent cross-check
-    of the cofactor path.
+    ``c_scaled = c e^{kT}`` directly.
+
+    Near ``k = 1`` the basis is nearly dependent and the coefficients grow
+    like ``1 / |k - 1|``.  :class:`DegenerateBasis` is raised once a boundary
+    sum cancels terms above ``1e7``, where rounding alone moves it by about
+    ``1e-9``; at ``T = 1`` that is ``|k - 1|`` below about ``1.5e-6``.
     """
     k = abs(float(k))
     ekT = np.exp(-k * T)
@@ -396,6 +372,11 @@ def exponential_coefficients_by_solve(k, T=1.0):
         sol = solve_linear(B, np.array([0.0, 1.0, 0.0, 0.0]))
     except SingularMatrix as exc:
         raise DegenerateBasis(f"boundary system singular at k={k}: {exc}") from exc
+    cancellation = np.abs(B * sol).sum(axis=1).max()
+    if not cancellation <= 1e7:
+        raise DegenerateBasis(
+            f"boundary system near-singular at k={k}, T={T}: terms of {cancellation:.3g} cancel"
+        )
     return tuple(sol)
 
 
@@ -432,7 +413,9 @@ def solve_sta(family, problem=None):
     """Minimise the cost over the family and package the optimal protocol.
 
     The minimiser is the exact solution of ``Q p = -g`` on the Gram form; no
-    iteration is involved, so repeated runs are bit-identical.
+    iteration is involved, so repeated runs are bit-identical.  The one
+    Cholesky factorisation of ``Q`` raises ``NotPositiveDefinite`` when the
+    Gram form is not positive definite.
     """
     if problem is None:
         problem = ControlProblem(T=family.T, n=1, lam=0.0)
@@ -440,22 +423,16 @@ def solve_sta(family, problem=None):
         raise InvalidOrder("basis families implement first-order boundary conditions only")
     if problem.T != family.T:
         raise ValueError(f"family horizon {family.T} != problem horizon {problem.T}")
-    gram = assemble_gram(family, problem.lam)
+    gram = family.gram(problem.lam)
     params = minimize_quadratic(gram.Q, gram.g)
     coeffs = family.coefficient_vector(params)
     state, deriv, ctrl = family.cost_parts(coeffs)
     breakdown = CostBreakdown(state, deriv, problem.lam * ctrl)
     cost = gram.value(params)
 
-    def evaluator(t):
-        x = float(family.x_value(coeffs, t, 0))
-        xd = float(family.x_value(coeffs, t, 1))
-        xdd = float(family.x_value(coeffs, t, 2))
-        u = xd + x
-        return StateSample(
-            t=float(t), x=x, xdot=xd, u=u, v=xdd + xd, y=xd,
-            z=(u,), x_derivatives=(xd,), p=None,
-        )
+    def controls(ts, xs):
+        # the dynamics give u = xdot + x, and v = udot at first order
+        return (xs[1] + xs[0],), family.x_value(coeffs, ts, 2) + xs[1]
 
     coefficients = dict(zip(family.param_names, params))
     if family.kind == "polynomial":
@@ -469,7 +446,10 @@ def solve_sta(family, problem=None):
         problem=problem,
         kind=_KIND_TAGS[family.kind],
         coefficients=coefficients,
-        trajectory=Trajectory(evaluator=evaluator, T=problem.T),
+        trajectory=Trajectory(
+            T=problem.T, n=1, controls=controls,
+            x=lambda ts: [family.x_value(coeffs, ts, j) for j in range(2)],
+        ),
         impulses=(),
         cost=cost,
         cost_breakdown=breakdown,

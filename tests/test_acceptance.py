@@ -28,9 +28,9 @@ from lincontrol.cli import main, sweep_lambda, table1_report, table2_report
 from lincontrol.model import cost_functional, csv_text, verify_boundaries
 from lincontrol.numerics import integrate
 from lincontrol.oct import (
+    PontryaginFlow,
     build_lq,
     equivalence_sta_regular,
-    hamiltonian_flow,
     regular_cost_analytic,
     regular_order1_analytic,
     singular_consistency_check,
@@ -146,7 +146,7 @@ def test_criterion_8_oracle_equivalences():
 
     # matrix exponential vs eigenbasis reconstruction at first order
     for lam_e, t in ((1e-2, 0.3), (1e-4, 1.0)):
-        flow = hamiltonian_flow(build_lq(1, lam_e))
+        flow = PontryaginFlow(build_lq(1, lam_e))
         E = flow.propagator(t)
         spec = flow.spectrum()
         V = spec.eigenvectors
@@ -176,7 +176,7 @@ def test_criterion_9_property_suites(capsys, tmp_path):
     # Hamiltonian spectral pairing for orders 1..3
     for n in (1, 2, 3):
         for lam in (1e-3, 1e-4, 1e-5):
-            w = hamiltonian_flow(build_lq(n, lam)).spectrum().eigenvalues
+            w = PontryaginFlow(build_lq(n, lam)).spectrum().eigenvalues
             ok &= all(min(abs(mu + nu) for nu in w) <= 1e-9 for mu in w)
 
     # global lower bound over every admissible solution produced here

@@ -39,6 +39,12 @@ class TestStaCommand:
         doc = json.loads(err)
         assert doc["error"] == "InvalidOrder"
 
+    def test_near_unit_exp_rate_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sta", "exp", "--k", "1.00000001")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "DegenerateBasis"
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "sta", "trig", "--order", "5", "--format", "csv", "--points", "11")
         assert code == 0

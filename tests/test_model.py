@@ -6,8 +6,8 @@ import pytest
 from lincontrol.model import (
     ControlProblem,
     InvalidOrder,
-    StateSample,
     Trajectory,
+    adjoint_names,
     cost_functional,
     csv_text,
     sample_table,
@@ -22,14 +22,10 @@ COTH1 = 1.0 / np.tanh(1.0)
 
 def linear_ramp_trajectory():
     """x(t) = t, ignoring boundary validity; for cost arithmetic only."""
-
-    def evaluator(t):
-        return StateSample(
-            t=t, x=t, xdot=1.0, u=1.0 + t, v=1.0, y=1.0,
-            z=(1.0 + t,), x_derivatives=(1.0,), p=None,
-        )
-
-    return Trajectory(evaluator=evaluator, T=1.0)
+    return Trajectory(
+        T=1.0, n=1, x=lambda ts: (ts, np.ones_like(ts)),
+        controls=lambda ts, xs: ((1.0 + ts,), np.ones_like(ts)),
+    )
 
 
 class TestControlProblem:
@@ -37,7 +33,10 @@ class TestControlProblem:
         p = ControlProblem()
         assert (p.T, p.n, p.lam) == (1.0, 1, 0.0)
 
-    @pytest.mark.parametrize("kwargs", [{"T": 0.0}, {"T": -1.0}, {"lam": -0.5}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"T": 0.0}, {"T": -1.0}, {"lam": -0.5}, {"lam": float("nan")}, {"T": float("inf")}],
+    )
     def test_invalid_values(self, kwargs):
         with pytest.raises(ValueError):
             ControlProblem(**kwargs)
@@ -107,16 +106,13 @@ class TestVerifyBoundaries:
         assert report.max_residual == 0.0
 
     def test_constant_trajectory_fails(self):
-        def evaluator(t):
-            return StateSample(
-                t=t, x=0.0, xdot=0.0, u=0.0, v=0.0, y=0.0,
-                z=(0.0,), x_derivatives=(0.0,), p=None,
-            )
+        def zero(ts):
+            return np.zeros_like(ts), np.zeros_like(ts)
 
         sol_like = solve_sta(build_polynomial(3))
         bad = type(sol_like)(
             problem=sol_like.problem, kind="sta-poly", coefficients={},
-            trajectory=Trajectory(evaluator=evaluator, T=1.0),
+            trajectory=Trajectory(T=1.0, n=1, x=zero, controls=lambda ts, xs: ((xs[0],), xs[0])),
             impulses=(), cost=0.0, cost_breakdown=sol_like.cost_breakdown,
         )
         report = verify_boundaries(bad, tol=1e-10)
@@ -159,6 +155,10 @@ class TestSampling:
         header, _ = sample_table(solve_sta(build_polynomial(4)), points=2)
         assert header == ["t", "x", "xdot", "u", "v", "y", "z0"]
 
+    def test_header_order2(self):
+        header, _ = sample_table(solve_regular(build_lq(2, 5e-7)), points=2)
+        assert header == ["t", "x", "xdot", "u", "v", "z0", "z1", "px2", "pz1", "pz0"]
+
     def test_header_order3(self):
         sol = solve_regular(build_lq(3, 5e-9))
         header, _ = sample_table(sol, points=2)
@@ -192,6 +192,36 @@ class TestSampling:
     def test_byte_identical_reruns(self):
         sol = solve_sta(build_trigonometric(6))
         assert csv_text(sol, points=64) == csv_text(sol, points=64)
+
+
+TABLE_KINDS = {
+    "poly4": lambda: solve_sta(build_polynomial(4)),
+    "trig6": lambda: solve_sta(build_trigonometric(6)),
+    "exp100": lambda: solve_sta(build_exponential(100.0)),
+    "singular": lambda: singular_solution(1.0),
+    "first-order-1e-4": lambda: regular_order1_analytic(1e-4),
+    "n2": lambda: solve_regular(build_lq(2, 5e-7)),
+    "n3-5e-9": lambda: solve_regular(build_lq(3, 5e-9)),
+}
+
+
+class TestTable:
+    @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
+    def test_rows_match_samples(self, make):
+        traj = make().trajectory
+        grid = traj.grid(101)
+        cols = traj.table(grid)
+        for i, t in enumerate(grid):
+            s = traj.sample(t)
+            values = {"t": s.t, "x": s.x, "xdot": s.xdot, "u": s.u, "v": s.v, "y": s.y}
+            values.update({f"z{k}": zk for k, zk in enumerate(s.z)})
+            values.update({f"x^({j})": d for j, d in enumerate(s.x_derivatives, 1)})
+            if s.p is not None:
+                values.update(zip(adjoint_names(traj.n), s.p))
+            assert values.keys() == cols.keys()
+            for name, value in values.items():
+                scale = np.abs(cols[name]).max()
+                assert abs(cols[name][i] - value) <= 1e-12 * scale
 
 
 class TestFirstOrderIdentities:

@@ -15,12 +15,12 @@ from lincontrol.numerics import (
     minimize_quadratic,
     solve_linear,
 )
-from lincontrol.oct import build_lq, hamiltonian_flow
-from lincontrol.sta import _exponential_cofactors
+from lincontrol.oct import PontryaginFlow, build_lq
+from oracles import exponential_cofactors
 
 
 def order1_flow_matrix(lam):
-    return hamiltonian_flow(build_lq(1, lam)).H
+    return PontryaginFlow(build_lq(1, lam)).H
 
 
 def exp_boundary_matrix(k, T=1.0):
@@ -46,7 +46,7 @@ class TestSolveLinear:
     def test_exponential_boundary_system_matches_cofactors(self):
         # independent oracle: explicit cofactor formulas for the solution
         k = 100.0
-        a, b, c_scaled, d = _exponential_cofactors(k)
+        a, b, c_scaled, d = exponential_cofactors(k)
         expected = np.array([a, b, c_scaled * np.exp(-k), d])
         h = solve_linear(exp_boundary_matrix(k), [0.0, 1.0, 0.0, 0.0])
         assert np.abs(h - expected).max() < 1e-10
@@ -84,7 +84,7 @@ class TestEigendecompose:
     def test_order2_flow_has_complex_pairs(self):
         # oracle: roots of (mu^2 - 1)(lam (-1)^(n+1) mu^(2n) - 1) for n = 2
         lam = 5e-7
-        spec = hamiltonian_flow(build_lq(2, lam)).spectrum()
+        spec = PontryaginFlow(build_lq(2, lam)).spectrum()
         w = np.sort_complex(spec.eigenvalues)
         assert np.abs(w.imag).max() > 1.0
         coeffs = np.zeros(7)
@@ -195,6 +195,10 @@ class TestIntegrate:
         for degree in range(0, 2 * nodes, max(1, nodes // 2)):
             val = integrate(lambda t, d=degree: t**d, 0.0, 1.0, nodes=nodes)
             assert val == pytest.approx(1.0 / (degree + 1), rel=1e-13)
+
+    def test_stacked_integrands(self):
+        vals = integrate(lambda t: [np.ones_like(t), t, t**2], 0.0, 1.0)
+        assert vals == pytest.approx([1.0, 0.5, 1.0 / 3.0], rel=1e-14)
 
     def test_scalar_only_callable(self):
         import math

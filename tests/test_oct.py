@@ -9,11 +9,11 @@ from lincontrol.numerics import Overflow
 from lincontrol.oct import (
     LambdaOutOfRange,
     LqProblem,
+    PontryaginFlow,
     ShootingSingular,
     build_lq,
     equivalence_sta_regular,
     fit_exponential_arc,
-    hamiltonian_flow,
     regular_cost_analytic,
     regular_order1_analytic,
     shoot_adjoint_block,
@@ -67,12 +67,12 @@ class TestBuildLq:
 
 class TestFlowSpectrum:
     def test_quarter_weight_eigenvalues(self):
-        spec = hamiltonian_flow(build_lq(1, 0.25)).spectrum()
+        spec = PontryaginFlow(build_lq(1, 0.25)).spectrum()
         assert np.allclose(np.sort(spec.eigenvalues.real), [-2, -1, 1, 2], atol=1e-12)
 
     def test_first_order_fast_rate(self):
         for lam in (1e-2, 1e-4):
-            spec = hamiltonian_flow(build_lq(1, lam)).spectrum()
+            spec = PontryaginFlow(build_lq(1, lam)).spectrum()
             got = np.sort(spec.eigenvalues.real)
             kap = 1.0 / np.sqrt(lam)
             assert np.allclose(got, [-kap, -1.0, 1.0, kap], rtol=1e-10)
@@ -80,7 +80,7 @@ class TestFlowSpectrum:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("lam", [1e-3, 1e-4, 1e-5])
     def test_spectral_pairing(self, n, lam):
-        w = hamiltonian_flow(build_lq(n, lam)).spectrum().eigenvalues
+        w = PontryaginFlow(build_lq(n, lam)).spectrum().eigenvalues
         for mu in w:
             assert min(abs(mu + nu) for nu in w) <= 1e-9
 
@@ -88,19 +88,19 @@ class TestFlowSpectrum:
         # at the smallest tabulated weights the absolute pairing residual
         # tracks eps * |mu|, so the bound is scaled by the eigenvalue size
         for n, lam in ((2, 5e-7), (3, 5e-9)):
-            w = hamiltonian_flow(build_lq(n, lam)).spectrum().eigenvalues
+            w = PontryaginFlow(build_lq(n, lam)).spectrum().eigenvalues
             for mu in w:
                 assert min(abs(mu + nu) for nu in w) <= 1e-9 * (1 + abs(mu))
 
     def test_eigen_residual_bound_at_use_sites(self):
         for n in (1, 2, 3):
-            spec = hamiltonian_flow(build_lq(n, 1e-4)).spectrum()
+            spec = PontryaginFlow(build_lq(n, 1e-4)).spectrum()
             assert np.all(spec.residuals <= spec.residual_bounds())
 
     def test_propagator_matches_eigenbasis(self):
         # exp(H t) against V exp(D t) V^-1 for the first-order flow
         for lam, t in ((1e-2, 0.3), (1e-4, 1.0)):
-            flow = hamiltonian_flow(build_lq(1, lam))
+            flow = PontryaginFlow(build_lq(1, lam))
             E = flow.propagator(t)
             spec = flow.spectrum()
             V = spec.eigenvectors
@@ -109,18 +109,17 @@ class TestFlowSpectrum:
 
     def test_propagator_overflow_guidance(self):
         with pytest.raises(Overflow):
-            hamiltonian_flow(build_lq(1, 1e-8)).propagator(1.0)
+            PontryaginFlow(build_lq(1, 1e-8)).propagator(1.0)
 
 
 class TestShootAdjointBlock:
     def test_matches_closed_form_at_moderate_weight(self):
         lam = 1e-2
-        flow = hamiltonian_flow(build_lq(1, lam))
+        flow = PontryaginFlow(build_lq(1, lam))
         p0 = shoot_adjoint_block(flow)
         sol = regular_order1_analytic(lam)
         want = np.array([sol.coefficients["p0_py"], sol.coefficients["p0_pz"]])
         assert np.abs(p0 - want).max() <= 1e-9 * np.abs(want).max()
-        assert flow.p0 is not None
 
     def test_singular_block_raises(self):
         ns = 2
@@ -129,7 +128,7 @@ class TestShootAdjointBlock:
             W=np.eye(ns), U=1.0, x0=np.zeros(ns), xf=np.array([0.0, 1.0]), T=1.0,
         )
         with pytest.raises(ShootingSingular):
-            shoot_adjoint_block(hamiltonian_flow(lq))
+            shoot_adjoint_block(PontryaginFlow(lq))
 
 
 class TestSingularSolution:
@@ -204,7 +203,7 @@ class TestSolveRegular:
         # independent check: integrate the flow from (0, p0) with tight
         # tolerances at a moderate weight and compare x(t) pointwise
         lam = 1e-2
-        flow = hamiltonian_flow(build_lq(1, lam))
+        flow = PontryaginFlow(build_lq(1, lam))
         sol = solve_regular(build_lq(1, lam))
         p0 = [sol.coefficients["p0_py"], sol.coefficients["p0_pz"]]
         ivp = solve_ivp(

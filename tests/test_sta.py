@@ -11,9 +11,9 @@ from lincontrol.sta import (
     build_exponential,
     build_polynomial,
     build_trigonometric,
-    exponential_coefficients_by_solve,
     solve_sta,
 )
+from oracles import exponential_cofactors
 
 FAMILIES = {
     "poly4": lambda: build_polynomial(4),
@@ -95,7 +95,7 @@ class TestConstraintElimination:
             assert abs(xd0) <= 1e-10
             assert abs(xdT) <= 1e-10
 
-    @pytest.mark.parametrize("k", [0.5, 3.0, 10.0, 100.0, 450.0, 800.0])
+    @pytest.mark.parametrize("k", [0.5, 3.0, 10.0, 100.0, 450.0, 800.0, 1.0 + 1e-4, 1.0 - 1e-4])
     def test_exponential_boundary_residuals(self, k):
         fam = build_exponential(k)
         x0, xT, xd0, xdT = fam.boundary_values(fam.offset)
@@ -106,7 +106,7 @@ class TestExponentialFamily:
     @pytest.mark.parametrize("k", [0.5, 3.0, 31.6227766, 100.0, 300.0, 650.0])
     def test_cofactors_match_direct_solve(self, k):
         fam = build_exponential(k)
-        a, b, c_scaled, d = exponential_coefficients_by_solve(k, 1.0)
+        a, b, c_scaled, d = exponential_cofactors(k)
         got = np.array([fam.offset[0], fam.offset[1], fam.c_scaled, fam.offset[3]])
         want = np.array([a, b, c_scaled, d])
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(np.abs(want), 1e-30))
@@ -114,6 +114,14 @@ class TestExponentialFamily:
     def test_degenerate_at_unit_rate(self):
         with pytest.raises(DegenerateBasis):
             build_exponential(1.0)
+
+    @pytest.mark.parametrize(
+        "k, T", [(1.0 + 1e-8, 1.0), (1.0 - 1e-8, 1.0), (1.0 + 1e-12, 1.0), (1.0 + 1e-8, 2.5)]
+    )
+    def test_degenerate_near_unit_rate(self, k, T):
+        # the coefficients would cancel to boundary residuals of 1e-8 and worse
+        with pytest.raises(DegenerateBasis):
+            build_exponential(k, T)
 
     def test_large_rate_no_overflow(self):
         fam = build_exponential(1200.0)
