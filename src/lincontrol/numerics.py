@@ -2,9 +2,11 @@
 
 All kernels operate on plain NumPy arrays and are pure functions of their
 inputs, so they are safe to call concurrently.  LAPACK does the heavy
-lifting through ``numpy.linalg``/``scipy.linalg``; these wrappers pin down
-input validation, deterministic ordering, and failure behaviour so that
-results are reproducible byte-for-byte.
+lifting through ``numpy.linalg`` (``scipy.linalg`` only inside
+:func:`mat_exp` and :func:`minimize_quadratic`, so importing the package
+does not load scipy); these wrappers pin down input validation,
+deterministic ordering, and failure behaviour so that results are
+reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 
 class NumericsError(Exception):
@@ -21,7 +22,7 @@ class NumericsError(Exception):
 
 
 class SingularMatrix(NumericsError):
-    """A pivot collapsed below the singularity threshold."""
+    """A linear system is too ill-conditioned to solve."""
 
 
 class NoConvergence(NumericsError):
@@ -44,36 +45,29 @@ class NotPositiveDefinite(NumericsError):
     """A Cholesky pivot was not strictly positive."""
 
 
-#: pivot threshold for :func:`solve_linear`, relative to ``max|A|``
-PIVOT_RTOL = 1e-14
+#: conditioning cap on the column-scaled matrix in :func:`solve_linear`
+SOLVE_COND_CAP = 1e14
 
 #: conditioning cap on the eigenvector matrix in :func:`eigendecompose`
 EIGVEC_COND_CAP = 1e12
 
 
-def _as_matrix(A, name="A"):
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-        raise ValueError(f"{name} must be a 2-D matrix, got shape {A.shape}")
+def _as_square(A, name="A"):
+    A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
+    if A.ndim != 2 or A.shape[0] < 1 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"{name} must be a non-empty square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
     return A
 
 
-def _as_square(A, name="A"):
-    A = _as_matrix(A, name)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {A.shape}")
-    return A
-
-
 def solve_linear(A, b):
-    """Solve ``A x = b`` for a dense square system by partial-pivot LU.
+    """Solve ``A x = b`` for a dense square system behind a conditioning gate.
 
     Parameters
     ----------
     A : (m, m) array_like
-        Square coefficient matrix with finite entries.
+        Square coefficient matrix with finite entries, real or complex.
     b : (m,) or (m, k) array_like
         Right-hand side(s).
 
@@ -85,24 +79,23 @@ def solve_linear(A, b):
     Raises
     ------
     SingularMatrix
-        If any LU pivot magnitude falls to ``PIVOT_RTOL`` of its column's
-        magnitude or below.  The scale is per column, not ``max|A|``:
+        If a column of ``A`` is zero, or if the 2-norm condition number of
+        ``A`` with every column scaled to unit max-magnitude is
+        ``SOLVE_COND_CAP`` or above.  The scaling is per column because
         boundary systems mix column scales across hundreds of orders of
         magnitude and are still perfectly solvable.
     """
     A = _as_square(A)
-    b = np.asarray(b, dtype=float)
+    b = np.asarray(b)
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"b has length {b.shape[0]}, expected {A.shape[0]}")
-    lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    floor = PIVOT_RTOL * np.abs(A).max(axis=0)
-    if np.any(pivots <= floor):
-        j = int(np.argmax(pivots <= floor))
-        raise SingularMatrix(
-            f"pivot {pivots[j]:.3e} below threshold {floor[j]:.3e} in column {j}"
-        )
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    scale = np.abs(A).max(axis=0)
+    if not np.all(scale > 0):
+        raise SingularMatrix(f"column {int(np.argmin(scale))} is zero")
+    cond = np.linalg.cond(A / scale)
+    if not cond < SOLVE_COND_CAP:
+        raise SingularMatrix(f"column-scaled condition number {cond:.3e} >= {SOLVE_COND_CAP:.0e}")
+    return np.linalg.solve(A, b)
 
 
 @dataclass(frozen=True)
@@ -171,6 +164,8 @@ def mat_exp(A, t=1.0):
         hitting this at small regularization weights should switch to a
         rescaled closed-form path instead of retrying.
     """
+    import scipy.linalg
+
     A = _as_square(A)
     if t == 0.0:
         return np.eye(A.shape[0])
@@ -235,6 +230,8 @@ def minimize_quadratic(Q, g):
     NotPositiveDefinite
         If any Cholesky pivot is non-positive.
     """
+    import scipy.linalg
+
     Q = np.asarray(Q, dtype=float)
     g = np.asarray(g, dtype=float).reshape(-1)
     if Q.size == 0:

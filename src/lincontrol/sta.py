@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,10 +77,6 @@ class AnsatzFamily:
     def free_dim(self):
         return self.free_map.shape[1]
 
-    @property
-    def n_basis(self):
-        return len(self.offset)
-
     def coefficient_vector(self, params=()):
         p = np.asarray(params, dtype=float).reshape(-1)
         if p.size != self.free_dim:
@@ -96,12 +93,13 @@ class AnsatzFamily:
             out = out + c * self.basis_value(j, t, order)
         return float(out) if out.ndim == 0 else out
 
-    def _part_matrices(self):
-        """Full-basis pair integrals for the state, derivative, and v parts."""
+    @cached_property
+    def _pairs(self):
+        """Full-basis pair integrals for the state, derivative, and v parts (built once)."""
         raise NotImplementedError
 
     def gram(self, lam=0.0):
-        Gs, Gd, Gc = self._part_matrices()
+        Gs, Gd, Gc = self._pairs
         G = Gs + Gd + lam * Gc
         M = self.free_map
         Q = M.T @ G @ M
@@ -111,7 +109,7 @@ class AnsatzFamily:
 
     def cost_parts(self, coeffs):
         """(state, derivative, unweighted control-energy) integrals."""
-        Gs, Gd, Gc = self._part_matrices()
+        Gs, Gd, Gc = self._pairs
         a = np.asarray(coeffs, dtype=float)
         return float(a @ Gs @ a), float(a @ Gd @ a), float(a @ Gc @ a)
 
@@ -166,7 +164,8 @@ class PolynomialAnsatz(AnsatzFamily):
         factor = math.perm(k, order)
         return factor * np.asarray(t, dtype=float) ** (k - order)
 
-    def _part_matrices(self):
+    @cached_property
+    def _pairs(self):
         T = self.T
         ks = self.powers
         nb = len(ks)
@@ -245,7 +244,8 @@ class TrigonometricAnsatz(AnsatzFamily):
         trig = (np.sin, np.cos, lambda s: -np.sin(s), lambda s: -np.cos(s))[phase]
         return w**order * trig(w * t)
 
-    def _part_matrices(self):
+    @cached_property
+    def _pairs(self):
         T = self.T
         w = self.omegas
         nb = len(w)
@@ -321,15 +321,17 @@ class ExponentialAnsatz(AnsatzFamily):
         # the anchored sum so large k cannot overflow
         return self._x.derivative(order).real_value(t) if order else self._x.real_value(t)
 
-    def basis_value(self, j, t, order=0):
-        rate = (1.0, -1.0, self.k, -self.k)[j]
-        return rate**order * np.exp(rate * np.asarray(t, dtype=float))
-
     def gram(self, lam=0.0):
-        state, deriv, ctrl = self.cost_parts(self.offset)
+        state, deriv, ctrl = self._squares
         return GramForm(Q=np.zeros((0, 0)), g=np.zeros(0), c0=state + deriv + lam * ctrl)
 
     def cost_parts(self, coeffs):
+        # coeffs is always the stored vector (free_dim = 0)
+        return self._squares
+
+    @cached_property
+    def _squares(self):
+        """Exact (state, derivative, unweighted control-energy) integrals (built once)."""
         x = self._x
         xd = x.derivative(1)
         v = ExpSum(

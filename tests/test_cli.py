@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface and its JSON/CSV output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lincontrol
 from lincontrol.cli import main, run_validation, sweep_lambda, table1_report, table2_report
 
 COTH1 = 1.0 / np.tanh(1.0)
@@ -45,6 +49,18 @@ class TestStaCommand:
         assert out == ""
         assert json.loads(err)["error"] == "DegenerateBasis"
 
+    def test_unit_exp_rate_stderr_is_one_json_error(self):
+        # a fresh process, so any warning printed to stderr would show up
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lincontrol.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lincontrol", "sta", "exp", "--k", "1"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        # json.loads rejects any text before or after the one document
+        assert json.loads(proc.stderr)["error"] == "DegenerateBasis"
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "sta", "trig", "--order", "5", "--format", "csv", "--points", "11")
         assert code == 0
@@ -76,6 +92,17 @@ class TestOctCommand:
         doc = json.loads(out)
         assert doc["lambda"] == pytest.approx(5e-9)
         assert max(abs(v) for v in doc["boundary_residuals"].values()) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "argv", [("--n", "8", "--lambda", "1e-3"), ("--n", "3", "--lambda", "1e-4", "--T", "1e-3")]
+    )
+    def test_short_horizon_modal_system_exits_2(self, capsys, argv):
+        # the flow modes are nearly dependent on [0, T], so the modal system
+        # fails the conditioning gate instead of giving a residual of order 1
+        code, out, err = run_cli(capsys, "oct", "higher", *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ShootingSingular"
 
     def test_adjoint_columns_in_csv(self, capsys):
         code, out, _ = run_cli(

@@ -1,8 +1,14 @@
 """Contract tests for the dense-algebra and quadrature kernels."""
 
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
+import lincontrol
 from lincontrol.numerics import (
     DefectiveMatrix,
     NonFiniteSample,
@@ -51,10 +57,30 @@ class TestSolveLinear:
         h = solve_linear(exp_boundary_matrix(k), [0.0, 1.0, 0.0, 0.0])
         assert np.abs(h - expected).max() < 1e-10
 
-    @pytest.mark.filterwarnings("ignore:Diagonal number")
     def test_singular_raises(self):
-        with pytest.raises(SingularMatrix):
-            solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix):
+                solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+
+    def test_near_singular_raises(self):
+        with pytest.raises(SingularMatrix, match="condition number"):
+            solve_linear([[1.0, 1.0], [1.0, 1.0 + 1e-15]], [1.0, 1.0])
+
+    def test_zero_column_raises(self):
+        with pytest.raises(SingularMatrix, match="column 1 is zero"):
+            solve_linear([[1.0, 0.0], [2.0, 0.0]], [1.0, 1.0])
+
+    def test_column_scales_do_not_count_as_conditioning(self):
+        x = solve_linear([[1.0, 1e300], [1.0, -1e300]], [2.0, 0.0])
+        assert np.allclose(x, [1.0, 1e-300], rtol=1e-15, atol=0)
+
+    def test_complex_system(self):
+        A = np.array([[2.0 + 1.0j, 1.0], [1.0j, 3.0 - 2.0j]])
+        want = np.array([1.0 - 1.0j, 0.5j])
+        x = solve_linear(A, A @ want)
+        assert x.dtype == complex
+        assert np.abs(x - want).max() <= 1e-15
 
     def test_residual_property_random_systems(self):
         rng = np.random.default_rng(1234)
@@ -245,3 +271,11 @@ class TestMinimizeQuadratic:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             minimize_quadratic(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lincontrol.__file__)))
+    code = "import sys, lincontrol; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
