@@ -8,8 +8,9 @@ against each other:
   the boundary conditions exactly, and minimise the running cost as an
   explicit quadratic form;
 * Pontryagin optimal control (:mod:`lincontrol.oct`): the impulsive global
-  optimum, the energy-regularized linear-quadratic solver at any boundary
-  order, and the overflow-safe closed form of the first-order solution.
+  optimum and the energy-regularized linear-quadratic solver at any
+  boundary order; at first order the regularized optimum is the
+  exponential basis family at rate ``1/sqrt(lambda)``.
 """
 
 __version__ = "0.1.0"
@@ -52,7 +53,6 @@ from .oct import (
     ShootingSingular,
     build_lq,
     equivalence_sta_regular,
-    regular_cost_analytic,
     regular_order1_analytic,
     shoot_adjoint_block,
     singular_consistency_check,
@@ -108,7 +108,6 @@ __all__ = [
     "integrate",
     "mat_exp",
     "minimize_quadratic",
-    "regular_cost_analytic",
     "regular_order1_analytic",
     "sample_table",
     "shoot_adjoint_block",

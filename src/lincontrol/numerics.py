@@ -161,8 +161,9 @@ def mat_exp(A, t=1.0):
     ------
     Overflow
         If any entry of the result leaves the representable range.  Callers
-        hitting this at small regularization weights should switch to a
-        rescaled closed-form path instead of retrying.
+        hitting this at small regularization weights should switch to an
+        anchored path (the modal solver or the exponential family) instead
+        of retrying.
     """
     import scipy.linalg
 

@@ -11,8 +11,10 @@ lifted to the state chain ``(x_n, z_{n-1}, ..., z_1, z_0)`` where
 * the generic linear-quadratic solver for any order ``n`` and energy
   weight ``lam > 0``, built on the flow matrix
   ``[[A, B U^-1 B^T], [W, -A^T]]``;
-* the closed-form first-order solution, valid down to ``lam ~ 1e-12``
-  because every ``exp(T/sqrt(lam))`` factor is cancelled analytically.
+* the first-order optimum for ``0 < lam < 1``, which is the exponential
+  basis family of :mod:`lincontrol.sta` at rate ``k = 1/sqrt(lam)``; its
+  growing term is anchored at ``T``, so it stays valid down to
+  ``lam ~ 1e-12``, and its controls and adjoints are algebraic in ``x``.
 
 The flow has modes ``exp(+-mu t)`` with ``|mu| = lam^(-1/2n)``, so the
 terminal propagator mixes scales ``exp(+-|mu| T)``.  Solving the shooting
@@ -306,8 +308,9 @@ def singular_solution(T=1.0):
     )
 
 
-#: below this weight the first-order flow matrix is refused; use the
-#: closed-form path instead
+#: below this weight the generic path refuses first-order problems: its
+#: modal solve drifts from an extended-precision oracle (3.4e-8 relative at
+#: 1e-8, 3e-4 at 1e-12); the exponential-family path stays accurate there
 ORDER1_GENERIC_FLOOR = 1e-6
 
 #: fast modes above this rate-times-horizon product are refused outright
@@ -328,7 +331,8 @@ def solve_regular(lq):
         if lq.U < ORDER1_GENERIC_FLOOR:
             raise LambdaOutOfRange(
                 f"generic path refuses weights below {ORDER1_GENERIC_FLOOR}; "
-                "use regular_order1_analytic, which is rescaled for small weights"
+                "use regular_order1_analytic, the exponential family, which stays "
+                "accurate at small weights"
             )
     else:
         fast_rate = lq.U ** (-1.0 / (2 * n))
@@ -344,113 +348,44 @@ def solve_regular(lq):
     return _chain_solution(problem, kind, series["state"], series["p"], series["v"])
 
 
-def _order1_scaled(lam, T):
-    """Closed-form first-order solution data, pre-divided by exp(T/sqrt(lam)).
+def regular_order1_analytic(lam, T=1.0):
+    """First-order optimal protocol: the exponential basis family at ``k = 1/sqrt(lam)``.
 
-    Returns the rescaled column coefficients ``(y1, y2, y3)`` (each divided
-    by the growing factor), the unscaled fourth column ``y4`` (its growing
-    exponential is anchored at ``T`` instead), and the rescaled prefactor.
+    For ``0 < lam < 1`` the optimum is ``x = a e^t + b e^-t + c e^{kt} +
+    d e^-kt``, the member of :func:`lincontrol.sta.build_exponential` that
+    meets the four boundary conditions.  Its growing term is anchored at
+    ``T``, so the evaluation stays in range down to ``lam ~ 1e-12`` where
+    the generic matrix route has long overflowed.  Controls and adjoints are
+    algebraic in ``x``: ``y = x'``, ``z = x + x'``, ``v = x'' + x'``, and the
+    flow (``p_y + p_z = lam v``, ``p_y' = p_y + 2y - z``, ``p_z' = z - y``)
+    gives ``p_y = lam (x''' + x'') - x'`` and ``p_z = lam v - p_y``.
     """
+    from .sta import build_exponential
+
     if not 0.0 < lam < 1.0:
         raise LambdaOutOfRange(f"analytic path needs 0 < weight < 1, got {lam}")
-    s = np.sqrt(lam)
-    kap = 1.0 / s
-    y1 = -2.0 * np.exp((1 - kap) * T) + (1 - kap) * np.exp(-2 * kap * T) + (1 + kap)
-    y2 = 2.0 * np.exp(-(1 + kap) * T) - (1 + kap) * np.exp(-2 * kap * T) - (1 - kap)
-    y3 = -(1 - kap) * np.exp(-(1 + kap) * T) + (1 + kap) * np.exp((1 - kap) * T) - 2.0 * kap
-    y4 = -(1 + kap) * np.exp(-T) + (1 - kap) * np.exp(T) + 2.0 * kap * np.exp(-kap * T)
-    denom = (
-        (1 - s) ** 2 * np.exp(-(1 + 2 * kap) * T)
-        - (1 + s) ** 2 * np.exp(-T)
-        - (1 + s) ** 2 * np.exp((1 - 2 * kap) * T)
-        + (1 - s) ** 2 * np.exp(T)
-        + 8.0 * s * np.exp(-kap * T)
-    )
-    prefactor = s / denom
-    return y1, y2, y3, y4, prefactor, s, kap
-
-
-_ORDER1_ROWS = {
-    # column multipliers on (y1, y2, y3, y4) for each trajectory quantity
-    "y": lambda s, lam, kap: (1.0, 1.0, 1.0, 1.0),
-    "z": lambda s, lam, kap: (0.0, 2.0, 1.0 - s, 1.0 + s),
-    "py": lambda s, lam, kap: (-1.0, -(1.0 - 2.0 * lam), -s, s),
-    "pz": lambda s, lam, kap: (1.0, 1.0, lam, lam),
-    "v": lambda s, lam, kap: (0.0, 2.0, 1.0 - kap, 1.0 + kap),
-}
-
-
-def _order1_series(lam, T):
-    """Anchored exponential sums for every first-order trajectory quantity."""
-    y1, y2, y3, y4, pref, s, kap = _order1_scaled(lam, T)
-    rates = (-1.0, 1.0, -kap, kap)
-    cols = np.array([y1, y2, y3, y4])
-    out = {}
-    for key, row in _ORDER1_ROWS.items():
-        gammas = pref * np.asarray(row(s, lam, kap)) * cols
-        out[key] = ExpSum(tuple(gammas), rates, (0.0, 0.0, 0.0, T))
-    return out
-
-
-def regular_order1_analytic(lam, T=1.0):
-    """First-order optimal protocol from the rescaled closed form.
-
-    Valid for ``0 < lam < 1``; because the growing factor is cancelled
-    analytically between the prefactor and the coefficient table, the
-    evaluation stays in range down to ``lam ~ 1e-12`` where the generic
-    matrix route has long overflowed.  The attached cost is the closed-form
-    value of :func:`regular_cost_analytic`.
-    """
-    series = _order1_series(lam, T)
     problem = ControlProblem(T=T, n=1, lam=lam)
-    sol = _chain_solution(
-        problem,
-        "oct-regular",
-        state_sums=[series["y"], series["z"]],
-        p_sums=[series["py"], series["pz"]],
-        v_sum=series["v"],
-        cost_override=regular_cost_analytic(lam, T),
-    )
-    x = _combine([series["z"], series["y"]], [1.0, -1.0])
-    extras = {
-        "rate_fast": 1.0 / np.sqrt(lam),
-        "x_coef_slow_neg": float(np.real(x.gammas[0])),
-        "x_coef_slow_pos": float(np.real(x.gammas[1])),
-        "x_coef_fast_neg": float(np.real(x.gammas[2])),
-        "x_coef_fast_pos_anchored": float(np.real(x.gammas[3])),
-    }
-    coefficients = {**sol.coefficients, **extras}
-    return ProtocolSolution(
-        problem=sol.problem, kind=sol.kind, coefficients=coefficients,
-        trajectory=sol.trajectory, impulses=sol.impulses,
-        cost=sol.cost, cost_breakdown=sol.cost_breakdown,
-    )
+    family = build_exponential(1.0 / np.sqrt(lam), T)
+    x = family.x
 
+    def term_wise(factors):
+        # x with each term scaled by a polynomial in its rate
+        return ExpSum(tuple(g * f for g, f in zip(x.gammas, factors)), x.rates, x.shifts)
 
-def regular_cost_analytic(lam, T=1.0):
-    """Closed-form regularized cost of the first-order optimal protocol.
-
-    The integrand collapses to eight exponential terms whose coefficients
-    are quadratic in the solution columns; the antiderivative is evaluated
-    with the growing factor cancelled against the squared prefactor, so the
-    formula is overflow-safe at any weight in ``(0, 1)``.
-    """
-    y1, y2, y3, y4, pref, s, kap = _order1_scaled(lam, T)
-    g1 = 2.0 * y1 * y1
-    g2 = 2.0 * (1.0 + 2.0 * lam) * y2 * y2
-    g3 = 2.0 * (1.0 - s + lam) * y3 * y3
-    g13 = (1.0 + s) * y1 * y3
-    g23 = (1.0 - s) * (1.0 - 2.0 * s) * y2 * y3
-    s4 = (1.0 - np.exp(-2.0 * kap * T)) * 2.0 * (1.0 + s + lam) * y4 * y4
-    s24 = (1.0 + s) * (1.0 + 2.0 * s) * y2 * y4 * (np.exp(T) - np.exp(-kap * T))
-    s14 = (1.0 - s) * y1 * y4 * (np.exp(-T) - np.exp(-kap * T))
-    total = (
-        0.5 * (-(np.exp(-2.0 * T) - 1.0) * g1 + (np.exp(2.0 * T) - 1.0) * g2)
-        - 0.5 * s * ((np.exp(-2.0 * kap * T) - 1.0) * g3 - s4)
-        - 2.0 * s / (1.0 + s) * ((np.exp(-(1.0 + kap) * T) - 1.0) * g13 - s24)
-        + 2.0 * s / (1.0 - s) * (s14 - (np.exp((1.0 - kap) * T) - 1.0) * g23)
+    r = np.array(x.rates)
+    py_factors = lam * (r * r * r + r * r) - r
+    y, z, v = term_wise(r), term_wise(1.0 + r), term_wise(r * r + r)
+    py, pz = term_wise(py_factors), term_wise(lam * (r * r + r) - py_factors)
+    sol = _chain_solution(problem, "oct-regular", state_sums=[y, z], p_sums=[py, pz], v_sum=v)
+    a, b, c_scaled, d = map(float, x.gammas)
+    sol.coefficients.update(
+        rate_fast=family.k,
+        x_coef_slow_neg=b,
+        x_coef_slow_pos=a,
+        x_coef_fast_neg=d,
+        x_coef_fast_pos_anchored=c_scaled,
     )
-    return float(pref * pref * total)
+    return sol
 
 
 def fit_exponential_arc(ts, values):
@@ -501,14 +436,15 @@ class EquivalenceReport:
 
 
 def equivalence_sta_regular(lam, T=1.0, points=1001):
-    """Compare the exponential-basis protocol with the optimal one.
+    """Compare the exponential-basis protocol with the modal optimal one.
 
     At rate ``k = 1/sqrt(lam)`` the two trajectories are the same function:
-    the basis coefficients equal the optimal solution's exponential-sum
-    coefficients term by term.  Returns the max pointwise trajectory gap and
-    the relative residual of each coefficient identity (the growing-term
-    identity is checked in anchored form so it stays meaningful at large
-    ``k``).
+    the basis coefficients equal the exponential-sum coefficients of the
+    generic modal solver's ``x = z - y`` term by term.  Returns the max
+    pointwise trajectory gap and the relative residual of each coefficient
+    identity.  Both routes anchor ``e^{kt}`` at ``T``, so that identity stays
+    meaningful at large ``k``; the modal route also anchors ``e^t`` there,
+    so its coefficient is multiplied by ``e^-T`` before comparing with ``a``.
     """
     from .sta import build_exponential
 
@@ -516,22 +452,17 @@ def equivalence_sta_regular(lam, T=1.0, points=1001):
         raise LambdaOutOfRange(f"equivalence check needs 0 < weight < 1, got {lam}")
     k = 1.0 / np.sqrt(lam)
     family = build_exponential(k, T)
-    series = _order1_series(lam, T)
-    x = _combine([series["z"], series["y"]], [1.0, -1.0])
+    y, z = _series_from_modes(PontryaginFlow(build_lq(1, lam, T)))["state"]
+    x = _combine([z, y], [1.0, -1.0])
     ts = np.linspace(0.0, T, points)
-    gap = float(np.abs(family.x_value(family.offset, ts) - x.real_value(ts)).max())
-    sta = {
-        "a": family.offset[0],
-        "b": family.offset[1],
-        "c": family.c_scaled,
-        "d": family.offset[3],
-    }
-    reg = {
-        "a": float(np.real(x.gammas[1])),
-        "b": float(np.real(x.gammas[0])),
-        "c": float(np.real(x.gammas[3])),
-        "d": float(np.real(x.gammas[2])),
-    }
+    gap = float(np.abs(family.x.real_value(ts) - x.real_value(ts)).max())
+    modal_rates = np.asarray(x.rates)
+    sta, reg = {}, {}
+    for name, gamma, rate in zip("abcd", family.x.gammas, family.x.rates):
+        mode = int(np.argmin(np.abs(modal_rates - rate)))
+        sta[name] = float(gamma)
+        reg[name] = float(np.real(x.gammas[mode]))
+    reg["a"] *= float(np.exp(-T))
     residuals = {
         name: abs(sta[name] - reg[name]) / max(abs(reg[name]), 1e-300)
         for name in ("a", "b", "c", "d")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .expsums import ExpSum, square_integral
 from .model import ControlProblem, InvalidOrder, ProtocolSolution, CostBreakdown, Trajectory
-from .numerics import SingularMatrix, minimize_quadratic, solve_linear
+from .numerics import Overflow, SingularMatrix, minimize_quadratic, solve_linear
 
 
 class DegenerateBasis(ValueError):
@@ -294,7 +294,10 @@ class ExponentialAnsatz(AnsatzFamily):
     :func:`exponential_coefficients_by_solve`, whose rescaled boundary
     system keeps every intermediate bounded for arbitrarily large ``k``; the
     growing term is stored in anchored form ``c_scaled * e^{k (t - T)}``
-    with ``c_scaled = c e^{kT}``.
+    with ``c_scaled = c e^{kT}``.  The attribute :attr:`x` is that anchored
+    :class:`~lincontrol.expsums.ExpSum`: gammas ``(a, b, c_scaled, d)`` on
+    rates ``(1, -1, k, -k)``; every derivative of ``x`` is a term-wise
+    rescaling of it.
     The family is symmetric under ``k -> -k`` (``c`` and ``d`` swap), so
     ``k`` is normalised to its absolute value.
     """
@@ -310,7 +313,7 @@ class ExponentialAnsatz(AnsatzFamily):
         self.c_scaled = c_scaled
         c = c_scaled * np.exp(-k * T) if k * T < 700 else c_scaled * 0.0
         super().__init__(T, np.array([a, b, c, d]), np.zeros((4, 0)), ())
-        self._x = ExpSum(
+        self.x = ExpSum(
             gammas=(a, b, c_scaled, d),
             rates=(1.0, -1.0, k, -k),
             shifts=(0.0, 0.0, T, 0.0),
@@ -319,7 +322,7 @@ class ExponentialAnsatz(AnsatzFamily):
     def x_value(self, coeffs, t, order=0):
         # coeffs is always the stored vector (free_dim = 0); evaluate through
         # the anchored sum so large k cannot overflow
-        return self._x.derivative(order).real_value(t) if order else self._x.real_value(t)
+        return self.x.derivative(order).real_value(t) if order else self.x.real_value(t)
 
     def gram(self, lam=0.0):
         state, deriv, ctrl = self._squares
@@ -332,7 +335,7 @@ class ExponentialAnsatz(AnsatzFamily):
     @cached_property
     def _squares(self):
         """Exact (state, derivative, unweighted control-energy) integrals (built once)."""
-        x = self._x
+        x = self.x
         xd = x.derivative(1)
         v = ExpSum(
             gammas=tuple(
@@ -359,15 +362,21 @@ def exponential_coefficients_by_solve(k, T=1.0):
     like ``1 / |k - 1|``.  :class:`DegenerateBasis` is raised once a boundary
     sum cancels terms above ``1e7``, where rounding alone moves it by about
     ``1e-9``; at ``T = 1`` that is ``|k - 1|`` below about ``1.5e-6``.
+    :class:`~lincontrol.numerics.Overflow` is raised when ``e^T`` itself is
+    not representable (``T`` above about 709).
     """
     k = abs(float(k))
+    with np.errstate(over="ignore"):
+        eT = np.exp(T)
+    if not np.isfinite(eT):
+        raise Overflow(f"e^T overflows for horizon T={T}")
     ekT = np.exp(-k * T)
     B = np.array(
         [
             [1.0, 1.0, ekT, 1.0],
-            [np.exp(T), np.exp(-T), 1.0, ekT],
+            [eT, np.exp(-T), 1.0, ekT],
             [1.0, -1.0, k * ekT, -k],
-            [np.exp(T), -np.exp(-T), k, -k * ekT],
+            [eT, -np.exp(-T), k, -k * ekT],
         ]
     )
     try:

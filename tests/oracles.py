@@ -1,5 +1,6 @@
 """Independent closed forms that the tests compare the package against."""
 
+import mpmath
 import numpy as np
 
 from lincontrol.sta import DegenerateBasis
@@ -34,3 +35,32 @@ def exponential_cofactors(k):
     c_scaled = k * c_num / det_scaled
     d = k * d_num / det_scaled
     return a, b, c_scaled, d
+
+
+def order1_optimum_mp(lam, T, dps=80):
+    """First-order optimal cost at ``dps`` significant digits.
+
+    The optimum is the exponential family ``x = a e^t + b e^-t +
+    c e^{k (t - T)} + d e^-kt`` at ``k = 1/sqrt(lam)``, with its growing term
+    anchored at ``T``.  The four boundary conditions are solved as a 4x4
+    system, and ``x^2 + x'^2 + lam (x'' + x')^2`` is integrated exactly, one
+    pair of terms at a time.
+    """
+    with mpmath.workdps(dps):
+        lam, T = mpmath.mpf(lam), mpmath.mpf(T)
+        k = 1 / mpmath.sqrt(lam)
+        rates = (1, -1, k, -k)
+        shifts = (0, 0, T, 0)
+        rows = [
+            [r**order * mpmath.exp(r * (t - s)) for r, s in zip(rates, shifts)]
+            for t, order in ((0, 0), (T, 0), (0, 1), (T, 1))
+        ]
+        coef = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix([0, 1, 0, 0]))
+        cost = mpmath.mpf(0)
+        for ci, ri, si in zip(coef, rates, shifts):
+            for cj, rj, sj in zip(coef, rates, shifts):
+                weight = 1 + ri * rj + lam * (ri * ri + ri) * (rj * rj + rj)
+                S, P = ri + rj, ri * si + rj * sj
+                pair = T * mpmath.exp(-P) if S == 0 else (mpmath.exp(S * T - P) - mpmath.exp(-P)) / S
+                cost += ci * cj * weight * pair
+        return float(cost)

@@ -31,7 +31,6 @@ from lincontrol.oct import (
     PontryaginFlow,
     build_lq,
     equivalence_sta_regular,
-    regular_cost_analytic,
     regular_order1_analytic,
     singular_consistency_check,
     singular_solution,

@@ -104,6 +104,26 @@ class TestOctCommand:
         assert out == ""
         assert json.loads(err)["error"] == "ShootingSingular"
 
+    def test_long_horizon_first_order_stderr_is_one_json_error(self):
+        # e^T is not representable at T = 800; a fresh process, so a numpy
+        # overflow warning printed to stderr would show up
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lincontrol.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lincontrol", "oct", "regular", "--lambda", "1e-4", "--T", "800"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "Overflow"
+
+    def test_near_unit_first_order_weight_exits_2(self, capsys):
+        # k = 1/sqrt(lambda) sits next to the slow rate 1, where the
+        # exponential family degenerates
+        code, out, err = run_cli(capsys, "oct", "regular", "--lambda", "0.999999")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "DegenerateBasis"
+
     def test_adjoint_columns_in_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "oct", "regular", "--lambda", "1e-3", "--format", "csv", "--points", "5"

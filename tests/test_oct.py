@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from lincontrol.model import InvalidOrder, cost_functional, verify_boundaries
-from lincontrol.numerics import Overflow
+from lincontrol.numerics import NumericsError, Overflow
 from lincontrol.oct import (
     LambdaOutOfRange,
     LqProblem,
@@ -14,13 +16,14 @@ from lincontrol.oct import (
     build_lq,
     equivalence_sta_regular,
     fit_exponential_arc,
-    regular_cost_analytic,
     regular_order1_analytic,
     shoot_adjoint_block,
     singular_consistency_check,
     singular_solution,
     solve_regular,
 )
+from lincontrol.sta import DegenerateBasis
+from oracles import order1_optimum_mp
 
 COTH1 = 1.0 / np.tanh(1.0)
 
@@ -330,6 +333,53 @@ class TestOrder1Analytic:
         assert maxima[0] > maxima[1] > maxima[2]
 
 
+    def test_exponential_family_coefficients(self):
+        from lincontrol.sta import build_exponential
+
+        sol = regular_order1_analytic(1e-4, 2.0)
+        family = build_exponential(100.0, 2.0)
+        a, b, c_scaled, d = family.x.gammas
+        assert sol.coefficients["rate_fast"] == family.k
+        assert sol.coefficients["x_coef_slow_pos"] == a
+        assert sol.coefficients["x_coef_slow_neg"] == b
+        assert sol.coefficients["x_coef_fast_pos_anchored"] == c_scaled
+        assert sol.coefficients["x_coef_fast_neg"] == d
+
+    def test_near_unit_weight_raises(self):
+        # k = 1/sqrt(lam) next to the slow rate: the basis degenerates
+        with pytest.raises(DegenerateBasis):
+            regular_order1_analytic(0.999999)
+
+    def test_long_horizon_raises(self):
+        with pytest.raises(Overflow):
+            regular_order1_analytic(1e-4, 800.0)
+
+    @pytest.mark.parametrize("T", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("lam", [1e-1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_cost_matches_extended_precision_oracle(self, lam, T):
+        want = order1_optimum_mp(lam, T)
+        assert regular_order1_analytic(lam, T).cost == pytest.approx(want, rel=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(
+        log_lam=st.floats(np.log(1e-12), np.log(0.99)),
+        T=st.floats(0.1, 10.0),
+    )
+    @example(log_lam=np.log(0.988), T=0.177)
+    def test_typed_error_or_certified_solution(self, log_lam, T):
+        lam = float(np.exp(log_lam))
+        try:
+            sol = regular_order1_analytic(lam, T)
+        except (DegenerateBasis, NumericsError):
+            return
+        assert verify_boundaries(sol, tol=1e-8).passed
+        assert sol.cost == pytest.approx(sol.cost_breakdown.total, rel=1e-9)
+        assert sol.cost_breakdown.bare >= 1.0 / np.tanh(T) - 1e-6
+        values = [sol.cost, *sol.cost_breakdown.as_dict().values(), *sol.coefficients.values()]
+        values += list(sol.trajectory.table(np.linspace(0.0, T, 201)).values())
+        assert all(np.all(np.isfinite(v)) for v in values)
+
+
 class TestRegularCostAnalytic:
     def test_matches_quadrature(self):
         for lam, T in ((1e-2, 1.0), (1e-4, 1.0), (1e-2, 1.5)):
@@ -337,24 +387,24 @@ class TestRegularCostAnalytic:
             total, _ = cost_functional(
                 sol.trajectory, lam=lam, T=T, panels=max(4, int(1 / np.sqrt(lam) / 12))
             )
-            assert regular_cost_analytic(lam, T) == pytest.approx(total, abs=1e-8)
+            assert regular_order1_analytic(lam, T).cost == pytest.approx(total, abs=1e-8)
 
     def test_tiny_weight_stays_finite(self):
         # the gap tracks 2.45 sqrt(weight), so 3.5e-3 here
-        value = regular_cost_analytic(2e-6)
+        value = regular_order1_analytic(2e-6).cost
         assert np.isfinite(value)
         assert COTH1 < value <= COTH1 + 5e-3
 
     def test_square_root_scaling(self):
         lams = np.array([1e-4, 5e-5, 2e-5, 1e-5, 5e-6, 2e-6])
-        gaps = np.array([regular_cost_analytic(l) - COTH1 for l in lams])
+        gaps = np.array([regular_order1_analytic(l).cost - COTH1 for l in lams])
         assert np.all(np.diff(gaps) < 0) and np.all(gaps > 0)
         design = np.vstack([np.ones_like(lams), np.log(lams)]).T
         (_, q), *_ = np.linalg.lstsq(design, np.log(gaps), rcond=None)
         assert 0.45 <= q <= 0.55
 
     def test_monotone_decrease_to_limit(self):
-        costs = [regular_cost_analytic(l) for l in (1e-3, 1e-4, 1e-5, 1e-6, 1e-8)]
+        costs = [regular_order1_analytic(l).cost for l in (1e-3, 1e-4, 1e-5, 1e-6, 1e-8)]
         assert all(c1 > c2 > COTH1 for c1, c2 in zip(costs, costs[1:]))
 
 

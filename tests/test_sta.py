@@ -1,10 +1,12 @@
 """Tests for the basis families, constraint elimination, and Gram minimisation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from lincontrol.model import ControlProblem, InvalidOrder, cost_functional
-from lincontrol.numerics import NotPositiveDefinite
+from lincontrol.numerics import NotPositiveDefinite, Overflow
 from lincontrol.sta import (
     DegenerateBasis,
     assemble_gram,
@@ -122,6 +124,13 @@ class TestExponentialFamily:
         # the coefficients would cancel to boundary residuals of 1e-8 and worse
         with pytest.raises(DegenerateBasis):
             build_exponential(k, T)
+
+    def test_long_horizon_raises_overflow_without_warning(self):
+        # e^T leaves the float range; a numpy RuntimeWarning would fail here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow, match="T=800"):
+                build_exponential(100.0, 800.0)
 
     def test_large_rate_no_overflow(self):
         fam = build_exponential(1200.0)
