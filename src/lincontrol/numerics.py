@@ -3,8 +3,8 @@
 All kernels operate on plain NumPy arrays and are pure functions of their
 inputs, so they are safe to call concurrently.  LAPACK does the heavy
 lifting through ``numpy.linalg`` (``scipy.linalg`` only inside
-:func:`mat_exp` and :func:`minimize_quadratic`, so importing the package
-does not load scipy); these wrappers pin down input validation,
+:func:`mat_exp`, so importing the package and solving does not load
+scipy); these wrappers pin down input validation,
 deterministic ordering, and failure behaviour so that results are
 reproducible byte-for-byte.
 """
@@ -223,16 +223,18 @@ def integrate(f, a, b, nodes=64):
 def minimize_quadratic(Q, g):
     """Minimise ``p^T Q p + 2 g^T p`` for symmetric positive definite ``Q``.
 
-    The minimiser solves ``Q p = -g`` by Cholesky factorisation.  A
-    zero-dimensional ``Q`` (no free parameters) returns an empty vector.
+    A Cholesky factorisation confirms positive definiteness; the minimiser
+    then solves ``Q p = -g`` through :func:`solve_linear` and its
+    conditioning gate.  A zero-dimensional ``Q`` (no free parameters)
+    returns an empty vector.
 
     Raises
     ------
     NotPositiveDefinite
         If any Cholesky pivot is non-positive.
+    SingularMatrix
+        If ``Q`` is positive definite but too ill-conditioned to solve.
     """
-    import scipy.linalg
-
     Q = np.asarray(Q, dtype=float)
     g = np.asarray(g, dtype=float).reshape(-1)
     if Q.size == 0:
@@ -243,7 +245,7 @@ def minimize_quadratic(Q, g):
     if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(Q).max())):
         raise ValueError("Q must be symmetric")
     try:
-        cho = scipy.linalg.cho_factor(Q, check_finite=False)
+        np.linalg.cholesky(Q)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    return scipy.linalg.cho_solve(cho, -g, check_finite=False)
+    return solve_linear(Q, -g)

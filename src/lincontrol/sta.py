@@ -1,13 +1,17 @@
 """Inverse-engineered transfer protocols over three basis families.
 
 The trajectory ``x(t)`` is postulated inside a finite function family
-(powers of ``t``, quarter-wave sines, or real exponentials), the four
-first-order boundary conditions are eliminated exactly, and the remaining
-free parameters are fixed by minimising the running cost.  Because ``x``
-is affine in the free parameters the cost is an exact quadratic form, so
-the minimisation is a single Cholesky solve on the Gram form rather than
-an iterative search; tabulated coefficients are reproduced to all printed
-digits.
+(shifted Legendre polynomials, quarter-wave sines, or real exponentials),
+the four first-order boundary conditions are eliminated exactly, and the
+remaining free parameters are fixed by minimising the running cost.  A
+polynomial or sine family supplies only the table of its basis functions'
+derivatives; :class:`AnsatzFamily` builds from it the boundary rows, whose
+null space carries the free parameters, and the cost as a sum of squares on
+a fixed Gauss-Legendre rule, which is exact for the polynomials and exact
+to roundoff for the sines.  Because ``x`` is affine in the free parameters
+the cost is a quadratic form, so the minimisation is one linear solve
+rather than an iterative search; tabulated coefficients are reproduced to
+all printed digits, reported under the paper's names.
 
 The control is always recovered analytically as ``u = xdot + x``; each
 family knows the derivatives of its own basis functions.
@@ -24,7 +28,14 @@ import numpy as np
 
 from .expsums import ExpSum, square_integral
 from .model import ControlProblem, InvalidOrder, ProtocolSolution, CostBreakdown, Trajectory
-from .numerics import Overflow, SingularMatrix, minimize_quadratic, solve_linear
+from .numerics import (
+    SOLVE_COND_CAP,
+    Overflow,
+    SingularMatrix,
+    gauss_legendre,
+    minimize_quadratic,
+    solve_linear,
+)
 
 
 class DegenerateBasis(ValueError):
@@ -37,41 +48,73 @@ _KIND_TAGS = {
     "exponential": "sta-exp",
 }
 
+#: Gauss-Legendre nodes of the cost rule: exact for polynomial families up to
+#: N = 47, exact to roundoff for the sines up to N = 20; a different rule from
+#: the 64-node quadrature that checks the cost
+COST_NODES = 48
+
 
 @dataclass(frozen=True)
 class GramForm:
-    """Cost as an explicit quadratic ``C(p) = p^T Q p + 2 g^T p + c0``."""
+    """Cost as a sum of squares ``C(p) = |A p + b|^2 + c0``.
 
-    Q: np.ndarray
-    g: np.ndarray
+    The same cost is the quadratic ``p^T Q p + 2 g^T p + |b|^2 + c0`` with
+    ``Q = A^T A`` and ``g = A^T b``; :meth:`value` sums the squares, which
+    keeps the digits that quadratic loses to cancellation near its minimum.
+    """
+
+    A: np.ndarray
+    b: np.ndarray
     c0: float
 
     @property
+    def Q(self):
+        return self.A.T @ self.A
+
+    @property
+    def g(self):
+        return self.A.T @ self.b
+
+    @property
     def free_dim(self):
-        return self.Q.shape[0] if self.Q.size else len(self.g)
+        return self.A.shape[1]
 
     def value(self, p):
-        p = np.asarray(p, dtype=float).reshape(-1)
-        if p.size == 0:
-            return self.c0
-        return float(p @ self.Q @ p + 2.0 * self.g @ p + self.c0)
+        r = self.A @ np.asarray(p, dtype=float).reshape(-1) + self.b
+        return float(r @ r + self.c0)
 
 
 class AnsatzFamily:
-    """A basis plus an affine map from free parameters to coefficients.
+    """A basis table plus an affine map from free parameters to coefficients.
 
-    ``coefficient_vector(p) = offset + free_map @ p`` satisfies all four
-    boundary conditions for every ``p``; the constraints are eliminated once
-    at construction time.
+    A family supplies :meth:`basis`, the ``order``-th derivatives of its basis
+    functions at times ``ts`` shaped (basis, times), and
+    :meth:`paper_coefficients`.  The boundary rows ``x(0), x(T), x'(0),
+    x'(T)`` come from that table; rows that vanish identically are dropped
+    and the rest eliminated by one SVD: ``offset`` is their minimum-norm
+    solution and ``free_map`` an orthonormal basis of their null space, so
+    ``coefficient_vector(p) = offset + free_map @ p`` meets all four
+    boundary conditions for every ``p``.
+
+    Raises
+    ------
+    SingularMatrix
+        If the boundary rows have condition number ``SOLVE_COND_CAP`` or
+        above.
     """
 
     kind = "abstract"
 
-    def __init__(self, T, offset, free_map, param_names):
+    def __init__(self, T):
         self.T = float(T)
-        self.offset = np.asarray(offset, dtype=float)
-        self.free_map = np.asarray(free_map, dtype=float).reshape(len(offset), -1)
-        self.param_names = tuple(param_names)
+        rows = np.hstack([self.basis(np.array([0.0, self.T]), k) for k in range(2)]).T
+        rhs = np.array([0.0, 1.0, 0.0, 0.0])
+        live = np.any(rows != 0.0, axis=1)
+        U, s, Vt = np.linalg.svd(rows[live])
+        if not s[0] < SOLVE_COND_CAP * s[-1]:
+            raise SingularMatrix(f"boundary rows have condition number >= {SOLVE_COND_CAP:.0e}")
+        self.offset = Vt[: len(s)].T @ ((U.T @ rhs[live]) / s)
+        self.free_map = Vt[len(s):].T
 
     @property
     def free_dim(self):
@@ -83,44 +126,38 @@ class AnsatzFamily:
             raise ValueError(f"expected {self.free_dim} free parameters, got {p.size}")
         return self.offset + self.free_map @ p
 
-    def basis_value(self, j, t, order=0):
+    def basis(self, ts, order=0):
+        """The ``order``-th derivative of every basis function at ``ts``, shaped (basis,) + ts.shape."""
+        raise NotImplementedError
+
+    def paper_coefficients(self, coeffs):
+        """The coefficient vector under the paper's names, for reporting."""
         raise NotImplementedError
 
     def x_value(self, coeffs, t, order=0):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        for j, c in enumerate(coeffs):
-            out = out + c * self.basis_value(j, t, order)
-        return float(out) if out.ndim == 0 else out
+        return coeffs @ self.basis(t, order)
 
     @cached_property
-    def _pairs(self):
-        """Full-basis pair integrals for the state, derivative, and v parts (built once)."""
-        raise NotImplementedError
+    def _cost_tables(self):
+        """The basis tables of x, x' and v = x'' + x' on the cost rule, times sqrt(weight) (built once)."""
+        ts, ws = gauss_legendre(COST_NODES, 0.0, self.T)
+        x, xd, xdd = (self.basis(ts, k) * np.sqrt(ws) for k in range(3))
+        return x, xd, xdd + xd
 
     def gram(self, lam=0.0):
-        Gs, Gd, Gc = self._pairs
-        G = Gs + Gd + lam * Gc
-        M = self.free_map
-        Q = M.T @ G @ M
-        g = M.T @ G @ self.offset
-        c0 = float(self.offset @ G @ self.offset)
-        return GramForm(Q=Q, g=np.asarray(g).reshape(-1), c0=c0)
+        x, xd, v = self._cost_tables
+        rows = np.hstack([x, xd, math.sqrt(lam) * v]).T
+        return GramForm(A=rows @ self.free_map, b=rows @ self.offset, c0=0.0)
 
     def cost_parts(self, coeffs):
         """(state, derivative, unweighted control-energy) integrals."""
-        Gs, Gd, Gc = self._pairs
         a = np.asarray(coeffs, dtype=float)
-        return float(a @ Gs @ a), float(a @ Gd @ a), float(a @ Gc @ a)
+        return tuple(float(r @ r) for r in (a @ table for table in self._cost_tables))
 
     def boundary_values(self, coeffs):
         """(x(0), x(T), x'(0), x'(T)) for a coefficient vector."""
-        return (
-            self.x_value(coeffs, 0.0, 0),
-            self.x_value(coeffs, self.T, 0),
-            self.x_value(coeffs, 0.0, 1),
-            self.x_value(coeffs, self.T, 1),
-        )
+        ends = np.array([0.0, self.T])
+        return (*self.x_value(coeffs, ends, 0), *self.x_value(coeffs, ends, 1))
 
 
 def _free_names(count):
@@ -130,11 +167,13 @@ def _free_names(count):
 
 
 class PolynomialAnsatz(AnsatzFamily):
-    """x(t) = sum_{k=2}^N a_k t^k with a_2, a_3 eliminated.
+    """x(t) = sum_{j=0}^N c_j P_j(2t/T - 1) in shifted Legendre polynomials.
 
-    ``x(0) = x'(0) = 0`` force the two lowest powers out; the endpoint pair
-    ``x(T) = 1``, ``x'(T) = 0`` determines ``a_2, a_3`` from the free tail
-    ``a_4 .. a_N``.
+    This spans the same space as the paper's ``sum_k a_k t^k``, so the
+    optimum is the same, without the monomials' Hilbert-like conditioning.
+    :meth:`paper_coefficients` converts to the monomials ``a2 .. aN``
+    (``a0 = a1 = 0`` by the conditions at ``t = 0``) and names the free tail
+    ``a4, a5, ..`` as ``a, b, ..``.
     """
 
     kind = "polynomial"
@@ -143,67 +182,45 @@ class PolynomialAnsatz(AnsatzFamily):
         if N < 3:
             raise InvalidOrder(f"polynomial family needs N >= 3, got {N}")
         self.N = int(N)
-        powers = list(range(2, N + 1))
-        M2 = np.array([[T**2, T**3], [2 * T, 3 * T**2]])
-        dep0 = solve_linear(M2, np.array([1.0, 0.0]))
-        offset = np.concatenate([dep0, np.zeros(N - 3)])
-        cols = []
-        for k in range(4, N + 1):
-            dep = solve_linear(M2, np.array([-(T**k), -k * T ** (k - 1)]))
-            unit = np.zeros(N - 3)
-            unit[k - 4] = 1.0
-            cols.append(np.concatenate([dep, unit]))
-        free_map = np.array(cols).T if cols else np.zeros((N - 1, 0))
-        super().__init__(T, offset, free_map, _free_names(N - 3))
-        self.powers = powers
+        super().__init__(T)
 
-    def basis_value(self, j, t, order=0):
-        k = self.powers[j]
-        if order > k:
-            return np.zeros(np.shape(t))
-        factor = math.perm(k, order)
-        return factor * np.asarray(t, dtype=float) ** (k - order)
+    def basis(self, ts, order=0):
+        s = 2.0 * np.asarray(ts, dtype=float) / self.T - 1.0
+        P = np.empty((self.N + 1,) + s.shape)
+        P[0], P[1] = 1.0, s
+        for j in range(1, self.N):  # Bonnet's three-term recurrence
+            P[j + 1] = ((2 * j + 1) * s * P[j] - j * P[j - 1]) / (j + 1)
+        if not order:
+            return P
+        return np.tensordot(np.linalg.matrix_power(self._derivative, order), P, axes=(0, 0))
 
     @cached_property
-    def _pairs(self):
-        T = self.T
-        ks = self.powers
-        nb = len(ks)
+    def _derivative(self):
+        """``D[i, j]``: d/dt P_j(2t/T - 1) = (2/T) sum of (2i + 1) P_i over i < j with j - i odd."""
+        i, j = np.ogrid[: self.N + 1, : self.N + 1]
+        return np.where((j > i) & ((j - i) % 2 == 1), (2.0 * i + 1.0) * (2.0 / self.T), 0.0)
 
-        def moment(m):
-            return T ** (m + 1) / (m + 1)
-
-        Gs = np.array([[moment(ki + kj) for kj in ks] for ki in ks])
-        Gd = np.array([[ki * kj * moment(ki + kj - 2) for kj in ks] for ki in ks])
-        # v = x'' + x': two monomial terms per basis function
-        terms = [((k * (k - 1), k - 2), (k, k - 1)) for k in ks]
-        Gc = np.zeros((nb, nb))
-        for i in range(nb):
-            for j in range(nb):
-                acc = 0.0
-                for ci, pi in terms[i]:
-                    for cj, pj in terms[j]:
-                        if ci and cj:
-                            acc += ci * cj * moment(pi + pj)
-                Gc[i, j] = acc
-        return Gs, Gd, Gc
-
-
-def _quarter_sin(k):
-    return (0, 1, 0, -1)[k % 4]
-
-
-def _quarter_cos(k):
-    return (1, 0, -1, 0)[k % 4]
+    def paper_coefficients(self, coeffs):
+        # the t^k coefficient of P_j(2t/T - 1) is (-1)^(j+k) C(j,k) C(j+k,k) / T^k
+        N, T = self.N, self.T
+        to_monomial = np.array(
+            [[(-1) ** (j + k) * math.comb(j, k) * math.comb(j + k, k) / T**k for j in range(N + 1)]
+             for k in range(N + 1)]
+        )
+        a = (to_monomial @ coeffs).tolist()
+        names = dict(zip(_free_names(N - 3), a[4:]))
+        names.update((f"a{k}", a[k]) for k in range(2, N + 1))
+        return names
 
 
 class TrigonometricAnsatz(AnsatzFamily):
-    """x(t) = sum_{k=1}^N a_k sin(k pi t / (2T)) with a_1..a_3 eliminated.
+    """x(t) = sum_{k=1}^N a_k sin(k pi t / (2T)).
 
-    ``x(0) = 0`` holds identically; the three remaining boundary conditions
-    fix ``a_1, a_2, a_3`` in terms of the tail.  The two-parameter family
-    (N = 5) is parametrised as ``a_4 = a - b``, ``a_5 = b`` so the free
-    parameters carry the conventional names.
+    ``x(0) = 0`` holds identically, so its row is dropped and the three
+    remaining boundary conditions are eliminated.  The free tail ``a_4 ..
+    a_N`` is named ``a, b, ..``, except that the two-parameter family
+    (N = 5) is reported as ``a_4 = a - b``, ``a_5 = b``, the conventional
+    names.
     """
 
     kind = "trigonometric"
@@ -212,78 +229,24 @@ class TrigonometricAnsatz(AnsatzFamily):
         if N < 3:
             raise InvalidOrder(f"trigonometric family needs N >= 3, got {N}")
         self.N = int(N)
-        # rows: x'(0) = 0, x(T) = 1, x'(T) = 0  (common pi/2T factors dropped)
-        M3 = np.array(
-            [
-                [1.0, 2.0, 3.0],
-                [float(_quarter_sin(1)), float(_quarter_sin(2)), float(_quarter_sin(3))],
-                [1.0 * _quarter_cos(1), 2.0 * _quarter_cos(2), 3.0 * _quarter_cos(3)],
-            ]
-        )
-        dep0 = solve_linear(M3, np.array([0.0, 1.0, 0.0]))
-        offset = np.concatenate([dep0, np.zeros(N - 3)])
-        tail_cols = []
-        for k in range(4, N + 1):
-            rhs = -np.array([float(k), float(_quarter_sin(k)), float(k * _quarter_cos(k))])
-            dep = solve_linear(M3, rhs)
-            unit = np.zeros(N - 3)
-            unit[k - 4] = 1.0
-            tail_cols.append(np.concatenate([dep, unit]))
-        cols = list(tail_cols)
-        if N == 5:
-            # free parameters (a, b) enter the tail as a4 = a - b, a5 = b
-            cols = [tail_cols[0], tail_cols[1] - tail_cols[0]]
-        free_map = np.array(cols).T if cols else np.zeros((N, 0))
-        super().__init__(T, offset, free_map, _free_names(N - 3))
-        self.omegas = [k * np.pi / (2.0 * T) for k in range(1, N + 1)]
+        self.omegas = np.arange(1, N + 1) * np.pi / (2.0 * T)
+        super().__init__(T)
 
-    def basis_value(self, j, t, order=0):
-        w = self.omegas[j]
-        t = np.asarray(t, dtype=float)
-        phase = order % 4
-        trig = (np.sin, np.cos, lambda s: -np.sin(s), lambda s: -np.cos(s))[phase]
-        return w**order * trig(w * t)
+    def basis(self, ts, order=0):
+        ts = np.asarray(ts, dtype=float)
+        w = self.omegas.reshape((-1,) + (1,) * ts.ndim)
+        trig = np.cos if order % 2 else np.sin
+        sign = -1.0 if order % 4 >= 2 else 1.0
+        return sign * w**order * trig(w * ts)
 
-    @cached_property
-    def _pairs(self):
-        T = self.T
-        w = self.omegas
-        nb = len(w)
-
-        def ss(wi, wj):
-            if wi == wj:
-                return T / 2.0 - np.sin(2 * wi * T) / (4 * wi)
-            return np.sin((wi - wj) * T) / (2 * (wi - wj)) - np.sin((wi + wj) * T) / (
-                2 * (wi + wj)
-            )
-
-        def cc(wi, wj):
-            if wi == wj:
-                return T / 2.0 + np.sin(2 * wi * T) / (4 * wi)
-            return np.sin((wi - wj) * T) / (2 * (wi - wj)) + np.sin((wi + wj) * T) / (
-                2 * (wi + wj)
-            )
-
-        def sc(wi, wj):
-            # int sin(wi t) cos(wj t) dt on [0, T]
-            out = (1 - np.cos((wi + wj) * T)) / (2 * (wi + wj))
-            if wi != wj:
-                out += (1 - np.cos((wi - wj) * T)) / (2 * (wi - wj))
-            return out
-
-        Gs = np.array([[ss(wi, wj) for wj in w] for wi in w])
-        Gd = np.array([[wi * wj * cc(wi, wj) for wj in w] for wi in w])
-        Gc = np.zeros((nb, nb))
-        for i, wi in enumerate(w):
-            for j, wj in enumerate(w):
-                # v_i = -wi^2 sin(wi t) + wi cos(wi t)
-                Gc[i, j] = (
-                    wi**2 * wj**2 * ss(wi, wj)
-                    - wi**2 * wj * sc(wi, wj)
-                    - wj**2 * wi * sc(wj, wi)
-                    + wi * wj * cc(wi, wj)
-                )
-        return Gs, Gd, Gc
+    def paper_coefficients(self, coeffs):
+        a = [float(c) for c in coeffs]
+        tail = a[3:]
+        if self.N == 5:
+            tail[0] = a[3] + a[4]
+        names = dict(zip(_free_names(self.N - 3), tail))
+        names.update((f"a{k}", c) for k, c in enumerate(a, 1))
+        return names
 
 
 class ExponentialAnsatz(AnsatzFamily):
@@ -299,7 +262,9 @@ class ExponentialAnsatz(AnsatzFamily):
     rates ``(1, -1, k, -k)``; every derivative of ``x`` is a term-wise
     rescaling of it.
     The family is symmetric under ``k -> -k`` (``c`` and ``d`` swap), so
-    ``k`` is normalised to its absolute value.
+    ``k`` is normalised to its absolute value.  Evaluation and the cost go
+    through that sum and its exact square integrals, not a basis table,
+    because ``e^{kt}`` alone overflows at large ``k``.
     """
 
     kind = "exponential"
@@ -312,7 +277,9 @@ class ExponentialAnsatz(AnsatzFamily):
         self.k = k
         self.c_scaled = c_scaled
         c = c_scaled * np.exp(-k * T) if k * T < 700 else c_scaled * 0.0
-        super().__init__(T, np.array([a, b, c, d]), np.zeros((4, 0)), ())
+        self.T = float(T)
+        self.offset = np.array([a, b, c, d])
+        self.free_map = np.zeros((4, 0))
         self.x = ExpSum(
             gammas=(a, b, c_scaled, d),
             rates=(1.0, -1.0, k, -k),
@@ -324,9 +291,12 @@ class ExponentialAnsatz(AnsatzFamily):
         # the anchored sum so large k cannot overflow
         return self.x.derivative(order).real_value(t) if order else self.x.real_value(t)
 
+    def paper_coefficients(self, coeffs):
+        return {**dict(zip("abcd", map(float, coeffs))), "k": self.k}
+
     def gram(self, lam=0.0):
         state, deriv, ctrl = self._squares
-        return GramForm(Q=np.zeros((0, 0)), g=np.zeros(0), c0=state + deriv + lam * ctrl)
+        return GramForm(A=np.zeros((0, 0)), b=np.zeros(0), c0=state + deriv + lam * ctrl)
 
     def cost_parts(self, coeffs):
         # coeffs is always the stored vector (free_dim = 0)
@@ -407,16 +377,17 @@ def build_exponential(k, T=1.0):
 
 
 def assemble_gram(family, lam=0.0):
-    """Exact Gram form of the cost over the family's free parameters.
+    """Gram form of the cost over the family's free parameters.
 
-    Pair integrals are evaluated in closed form per family (monomial
-    moments, product-to-sum for the sines, exponential antiderivatives) and
-    pulled back through the affine constraint map.  Positive definiteness is
-    verified by attempting the Cholesky solve at assembly.
+    For the polynomial and sine families it is the sum of squares of the
+    basis tables on the cost rule, pulled back through the affine
+    constraint map; the exponential family integrates its squares in closed
+    form.  Positive definiteness and the conditioning of ``Q`` are checked
+    by :func:`~lincontrol.numerics.minimize_quadratic` at assembly.
     """
     form = family.gram(lam)
     if form.free_dim:
-        minimize_quadratic(form.Q, np.zeros(form.free_dim))  # PD check
+        minimize_quadratic(form.Q, np.zeros(form.free_dim))  # PD and conditioning check
     return form
 
 
@@ -424,9 +395,10 @@ def solve_sta(family, problem=None):
     """Minimise the cost over the family and package the optimal protocol.
 
     The minimiser is the exact solution of ``Q p = -g`` on the Gram form; no
-    iteration is involved, so repeated runs are bit-identical.  The one
-    Cholesky factorisation of ``Q`` raises ``NotPositiveDefinite`` when the
-    Gram form is not positive definite.
+    iteration is involved, so repeated runs are bit-identical.  It raises
+    ``NotPositiveDefinite`` when the Gram form is not positive definite and
+    ``SingularMatrix`` when ``Q`` is too ill-conditioned to solve (the sine
+    family from N = 13).
     """
     if problem is None:
         problem = ControlProblem(T=family.T, n=1, lam=0.0)
@@ -445,18 +417,10 @@ def solve_sta(family, problem=None):
         # the dynamics give u = xdot + x, and v = udot at first order
         return (xs[1] + xs[0],), family.x_value(coeffs, ts, 2) + xs[1]
 
-    coefficients = dict(zip(family.param_names, params))
-    if family.kind == "polynomial":
-        coefficients.update({f"a{k}": float(c) for k, c in zip(family.powers, coeffs)})
-    elif family.kind == "trigonometric":
-        coefficients.update({f"a{k+1}": float(c) for k, c in enumerate(coeffs)})
-    else:
-        coefficients.update(dict(zip(("a", "b", "c", "d"), map(float, coeffs))))
-        coefficients["k"] = family.k
     return ProtocolSolution(
         problem=problem,
         kind=_KIND_TAGS[family.kind],
-        coefficients=coefficients,
+        coefficients=family.paper_coefficients(coeffs),
         trajectory=Trajectory(
             T=problem.T, n=1, controls=controls,
             x=lambda ts: [family.x_value(coeffs, ts, j) for j in range(2)],

@@ -64,3 +64,40 @@ def order1_optimum_mp(lam, T, dps=80):
                 pair = T * mpmath.exp(-P) if S == 0 else (mpmath.exp(S * T - P) - mpmath.exp(-P)) / S
                 cost += ci * cj * weight * pair
         return float(cost)
+
+
+def sta_optimum_mp(kind, N, T, dps=60):
+    """Bare optimal cost of the ``"polynomial"`` or ``"trigonometric"`` family at ``dps`` digits.
+
+    Works in the paper's own coordinates, the monomials ``t^k`` (k = 0..N) or
+    the sines ``sin(k pi t / 2T)`` (k = 1..N), with exact pair integrals of
+    ``x^2 + x'^2``, and solves the KKT system of ``min c^T G c`` subject to
+    the boundary rows ``B c = (0, 1, 0, 0)``.
+    """
+    with mpmath.workdps(dps):
+        T = mpmath.mpf(T)
+        if kind == "polynomial":
+            ks = range(N + 1)
+
+            def moment(m):
+                return T ** (m + 1) / (m + 1)
+
+            G = [[moment(i + j) + (i * j * moment(i + j - 2) if i and j else 0) for j in ks] for i in ks]
+            B = [[int(k == 0) for k in ks], [T**k for k in ks],
+                 [int(k == 1) for k in ks], [k * T ** (k - 1) for k in ks]]
+        else:
+            w = [k * mpmath.pi / (2 * T) for k in range(1, N + 1)]
+
+            def pair(wi, wj, sign):
+                # int_0^T of sin*sin (sign = -1) or cos*cos (sign = +1)
+                d = T / 2 if wi == wj else mpmath.sin((wi - wj) * T) / (2 * (wi - wj))
+                return d + sign * mpmath.sin((wi + wj) * T) / (2 * (wi + wj))
+
+            G = [[pair(wi, wj, -1) + wi * wj * pair(wi, wj, 1) for wj in w] for wi in w]
+            # x(0) = 0 holds identically, so only x(T), x'(0), x'(T) constrain
+            B = [[mpmath.sin(v * T) for v in w], w, [v * mpmath.cos(v * T) for v in w]]
+        n, rhs = len(G), [0, 1, 0, 0][-len(B):]
+        kkt = [[2 * g for g in row] + [b[i] for b in B] for i, row in enumerate(G)]
+        kkt += [list(b) + [0] * len(B) for b in B]
+        c = mpmath.lu_solve(mpmath.matrix(kkt), mpmath.matrix([0] * n + rhs))[:n]
+        return float(sum(c[i] * G[i][j] * c[j] for i in range(n) for j in range(n)))

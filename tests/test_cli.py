@@ -10,6 +10,7 @@ import pytest
 
 import lincontrol
 from lincontrol.cli import main, run_validation, sweep_lambda, table1_report, table2_report
+from oracles import sta_optimum_mp
 
 COTH1 = 1.0 / np.tanh(1.0)
 
@@ -60,6 +61,28 @@ class TestStaCommand:
         assert proc.stdout == ""
         # json.loads rejects any text before or after the one document
         assert json.loads(proc.stderr)["error"] == "DegenerateBasis"
+
+    def test_poly_order12_long_horizon_matches_oracle(self, capsys):
+        code, out, _ = run_cli(capsys, "sta", "poly", "--order", "12", "--T", "6.31")
+        assert code == 0
+        want = sta_optimum_mp("polynomial", 12, 6.31)
+        assert json.loads(out)["cost"] == pytest.approx(want, rel=1e-12)
+
+    def test_poly_order20_solves(self, capsys):
+        code, out, _ = run_cli(capsys, "sta", "poly", "--order", "20", "--T", "10")
+        assert code == 0
+        assert max(abs(v) for v in json.loads(out)["boundary_residuals"].values()) <= 1e-8
+
+    def test_trig_order13_stderr_is_one_json_error(self):
+        # the sines' reduced Gram form fails the conditioning gate from N = 13
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lincontrol.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lincontrol", "sta", "trig", "--order", "13"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "SingularMatrix"
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "sta", "trig", "--order", "5", "--format", "csv", "--points", "11")

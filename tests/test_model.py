@@ -103,7 +103,8 @@ class TestVerifyBoundaries:
     def test_cubic_polynomial_exact(self):
         report = verify_boundaries(solve_sta(build_polynomial(3)), tol=1e-12)
         assert report.passed
-        assert report.max_residual == 0.0
+        # the Legendre coefficients meet the conditions to roundoff (about 2.7e-15)
+        assert report.max_residual <= 1e-14
 
     def test_constant_trajectory_fails(self):
         def zero(ts):

@@ -256,10 +256,11 @@ class TestMinimizeQuadratic:
     def test_trigonometric_two_parameter_problem(self):
         from lincontrol.sta import assemble_gram, build_trigonometric
 
-        form = assemble_gram(build_trigonometric(5))
-        p = minimize_quadratic(form.Q, form.g)
-        assert p[0] == pytest.approx(0.785988, abs=1e-4)
-        assert p[1] == pytest.approx(-0.356639, abs=1e-4)
+        fam = build_trigonometric(5)
+        form = assemble_gram(fam)
+        names = fam.paper_coefficients(fam.coefficient_vector(minimize_quadratic(form.Q, form.g)))
+        assert names["a"] == pytest.approx(0.785988, abs=1e-4)
+        assert names["b"] == pytest.approx(-0.356639, abs=1e-4)
 
     def test_empty_problem(self):
         assert minimize_quadratic(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
@@ -268,14 +269,30 @@ class TestMinimizeQuadratic:
         with pytest.raises(NotPositiveDefinite):
             minimize_quadratic(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
 
+    def test_ill_conditioned_refused(self):
+        # positive definite, but its condition number 2e15 fails solve_linear's gate
+        Q = np.array([[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]])
+        with pytest.raises(SingularMatrix):
+            minimize_quadratic(Q, np.ones(2))
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             minimize_quadratic(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
 
 
 def test_import_leaves_scipy_unloaded():
+    # neither importing the package nor the sta solves, tables and validation load scipy
     src = os.path.dirname(os.path.dirname(os.path.abspath(lincontrol.__file__)))
-    code = "import sys, lincontrol; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import contextlib, io, sys, lincontrol\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        "from lincontrol import cli\n"
+        "for argv in (['sta', 'poly'], ['table1'], ['table2'], ['validate']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(loaded())\n"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    assert out.stdout == "[]\n[]\n"

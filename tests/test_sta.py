@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lincontrol.model import ControlProblem, InvalidOrder, cost_functional
-from lincontrol.numerics import NotPositiveDefinite, Overflow
+from lincontrol.model import ControlProblem, InvalidOrder, cost_functional, verify_boundaries
+from lincontrol.numerics import NotPositiveDefinite, NumericsError, Overflow, minimize_quadratic
 from lincontrol.sta import (
     DegenerateBasis,
     assemble_gram,
@@ -15,7 +17,7 @@ from lincontrol.sta import (
     build_trigonometric,
     solve_sta,
 )
-from oracles import exponential_cofactors
+from oracles import exponential_cofactors, sta_optimum_mp
 
 FAMILIES = {
     "poly4": lambda: build_polynomial(4),
@@ -25,25 +27,36 @@ FAMILIES = {
 }
 
 
+def paper_names(fam, params):
+    """The reported coefficients of the family member at free parameters ``params``."""
+    return fam.paper_coefficients(fam.coefficient_vector(params))
+
+
+def monomials(names, N):
+    return [names[f"a{k}"] for k in range(2, N + 1)]
+
+
 class TestPolynomialFamily:
     def test_unique_cubic(self):
         fam = build_polynomial(3)
         assert fam.free_dim == 0
-        assert np.allclose(fam.coefficient_vector(()), [3.0, -2.0], atol=1e-13)
+        assert np.allclose(monomials(paper_names(fam, ()), 3), [3.0, -2.0], atol=1e-13)
 
     def test_quartic_parametrisation(self):
-        # coefficients (3 + a, -(2 + 2a), a)
+        # monomials (a2, a3, a4) = (3 + a, -(2 + 2a), a)
         fam = build_polynomial(4)
-        for a in (-0.8076923, 0.0, 2.5):
-            coeffs = fam.coefficient_vector([a])
-            assert np.allclose(coeffs, [3 + a, -(2 + 2 * a), a], atol=1e-12)
+        for p in (-0.8076923, 0.0, 2.5):
+            names = paper_names(fam, [p])
+            a = names["a"]
+            assert np.allclose(monomials(names, 4), [3 + a, -(2 + 2 * a), a], atol=1e-12)
 
     def test_quintic_parametrisation(self):
-        # coefficients (3 + a + 2b, -(2 + 2a + 3b), a, b)
+        # monomials (a2 .. a5) = (3 + a + 2b, -(2 + 2a + 3b), a, b)
         fam = build_polynomial(5)
-        a, b = 1.25, -0.5
-        coeffs = fam.coefficient_vector([a, b])
-        assert np.allclose(coeffs, [3 + a + 2 * b, -(2 + 2 * a + 3 * b), a, b], atol=1e-12)
+        names = paper_names(fam, [1.25, -0.5])
+        a, b = names["a"], names["b"]
+        expected = [3 + a + 2 * b, -(2 + 2 * a + 3 * b), a, b]
+        assert np.allclose(monomials(names, 5), expected, atol=1e-12)
 
     def test_free_dim_rule(self):
         for N in range(3, 9):
@@ -61,25 +74,28 @@ class TestTrigonometricFamily:
         assert np.allclose(fam.coefficient_vector(()), [0.75, 0.0, -0.25], atol=1e-13)
 
     def test_n4_parametrisation(self):
+        # sine coefficients (a1 .. a4) = (0.75 - 2a, 2a, -(0.25 + 2a), a)
         fam = build_trigonometric(4)
-        a = 0.0202
-        coeffs = fam.coefficient_vector([a])
+        names = paper_names(fam, [0.0202])
+        a = names["a"]
+        coeffs = [names[f"a{k}"] for k in range(1, 5)]
         assert np.allclose(coeffs, [0.75 - 2 * a, 2 * a, -(0.25 + 2 * a), a], atol=1e-12)
 
     def test_n6_parametrisation(self):
         fam = build_trigonometric(6)
-        a, b, c = 0.3, -0.2, 0.1
-        coeffs = fam.coefficient_vector([a, b, c])
+        names = paper_names(fam, [0.3, -0.2, 0.1])
+        a, b, c = names["a"], names["b"], names["c"]
+        coeffs = [names[f"a{k}"] for k in range(1, 7)]
         expected = [0.75 - 2 * a - 2 * b, 2 * a - 3 * c, -(0.25 + 2 * a + b), a, b, c]
         assert np.allclose(coeffs, expected, atol=1e-12)
 
     def test_n5_naming_convention(self):
         # (a, b) enter the tail as a4 = a - b, a5 = b
         fam = build_trigonometric(5)
-        a, b = 0.785988, -0.356639
-        coeffs = fam.coefficient_vector([a, b])
-        assert coeffs[3] == pytest.approx(a - b, abs=1e-12)
-        assert coeffs[4] == pytest.approx(b, abs=1e-12)
+        names = paper_names(fam, [0.785988, -0.356639])
+        a, b = names["a"], names["b"]
+        assert names["a4"] == pytest.approx(a - b, abs=1e-12)
+        assert names["a5"] == pytest.approx(b, abs=1e-12)
 
 
 class TestConstraintElimination:
@@ -149,17 +165,18 @@ class TestExponentialFamily:
 
 class TestAssembleGram:
     def test_quartic_coefficients(self):
-        # C(a) = (13/630) a^2 + 2 (1/60) a + 11/7
-        form = assemble_gram(build_polynomial(4))
-        assert form.Q[0, 0] == pytest.approx(2 * (1 / 1260 + 1 / 105), rel=1e-12)
-        assert form.Q[0, 0] == pytest.approx(13.0 / 630.0, rel=1e-12)
-        assert form.g[0] == pytest.approx(1.0 / 60.0, rel=1e-12)
-        assert form.c0 == pytest.approx(2 * 11.0 / 14.0, rel=1e-12)
+        # C(a) = (13/630) a^2 + 2 (1/60) a + 11/7 in the paper's free coefficient a = a4
+        fam = build_polynomial(4)
+        form = assemble_gram(fam)
+        for p in (-3.0, -0.5, 0.0, 0.7, 4.0):
+            a = paper_names(fam, [p])["a"]
+            expected = 13.0 / 630.0 * a * a + 2.0 / 60.0 * a + 2 * 11.0 / 14.0
+            assert form.value([p]) == pytest.approx(expected, rel=1e-12)
 
     def test_cubic_constant(self):
         form = assemble_gram(build_polynomial(3))
         assert form.free_dim == 0
-        assert form.c0 == pytest.approx(1.57143, rel=5e-5)
+        assert form.value(()) == pytest.approx(1.57143, rel=5e-5)
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     @pytest.mark.parametrize("lam", [0.0, 1e-3])
@@ -237,8 +254,9 @@ class TestSolveSta:
             fam = FAMILIES[name]()
             form = assemble_gram(fam)
             sol = solve_sta(fam)
-            p_opt = np.array([sol.coefficients[n] for n in fam.param_names])
+            p_opt = minimize_quadratic(form.Q, form.g)
             base = form.value(p_opt)
+            assert base == sol.cost
             for i in range(fam.free_dim):
                 for delta in (-1e-3, 1e-3):
                     p = p_opt.copy()
@@ -262,3 +280,48 @@ class TestSolveSta:
         sol = solve_sta(build_polynomial(5), ControlProblem(lam=1e-3))
         assert sol.cost_breakdown.control_energy > 0
         assert sol.cost == pytest.approx(sol.cost_breakdown.total, abs=1e-12)
+
+
+ORACLE_HORIZONS = [0.1, 1.0, 6.31, 10.0]
+
+
+class TestExtendedPrecisionOracle:
+    @pytest.mark.parametrize("T", ORACLE_HORIZONS)
+    @pytest.mark.parametrize("N", range(3, 21))
+    def test_polynomial_cost(self, N, T):
+        want = sta_optimum_mp("polynomial", N, T)
+        assert solve_sta(build_polynomial(N, T)).cost == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("T", ORACLE_HORIZONS)
+    @pytest.mark.parametrize("N", range(3, 11))
+    def test_trigonometric_cost(self, N, T):
+        want = sta_optimum_mp("trigonometric", N, T)
+        assert solve_sta(build_trigonometric(N, T)).cost == pytest.approx(want, rel=1e-10)
+
+
+class TestCertificate:
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(
+        family=st.one_of(
+            st.tuples(st.just(build_polynomial), st.integers(3, 20)),
+            st.tuples(st.just(build_trigonometric), st.integers(3, 19)),
+        ),
+        log_T=st.floats(np.log(0.1), np.log(10.0)),
+    )
+    def test_typed_error_or_certified_solution(self, family, log_T):
+        # the sines' reduced Gram form fails the conditioning gate from N = 13 at every horizon
+        builder, N = family
+        T = float(np.exp(log_T))
+        refuses = builder is build_trigonometric and N >= 13
+        try:
+            sol = solve_sta(builder(N, T))
+        except NumericsError:
+            assert refuses or N > 12
+            return
+        assert not refuses
+        assert verify_boundaries(sol, tol=1e-8).passed
+        assert sol.cost == pytest.approx(sol.cost_breakdown.total, rel=1e-9)
+        assert sol.cost_breakdown.bare >= 1.0 / np.tanh(T) - 1e-6
+        values = [sol.cost, *sol.cost_breakdown.as_dict().values(), *sol.coefficients.values()]
+        values += list(sol.trajectory.table(np.linspace(0.0, T, 201)).values())
+        assert all(np.all(np.isfinite(v)) for v in values)
