@@ -47,26 +47,31 @@ class ExpSum:
         return ExpSum(g, self.rates, self.shifts)
 
     def value(self, t):
-        """Evaluate at scalar or array ``t``; complex parts are kept.
+        """Real part at scalar ``t`` (a float) or array ``t`` (an array)."""
+        v = real_values([self], t)[0]
+        return float(v) if v.ndim == 0 else v
 
-        Complex products are written out in real arithmetic so that a value
-        rounds the same for scalar and array ``t``: numpy's vectorised
-        complex multiply may fuse multiply-adds.
-        """
-        t = np.asarray(t, dtype=float)
-        re = im = np.zeros(t.shape)
-        for gamma, rate, shift in zip(self.gammas, self.rates, self.shifts):
-            g = complex(gamma)
-            e = np.exp(rate * (t - shift))
-            re = re + (g.real * e.real - g.imag * e.imag)
-            im = im + (g.real * e.imag + g.imag * e.real)
-        out = np.empty(t.shape, dtype=complex)
-        out.real, out.imag = re, im
-        return out
 
-    def real_value(self, t):
-        v = self.value(t)
-        return float(v.real) if v.ndim == 0 else v.real
+def real_values(sums, t):
+    """Real parts of several sums at ``t``, stacked as ``(len(sums),) + t.shape``.
+
+    The sums must share their ``rates`` and ``shifts``, so each term's
+    exponential is computed once for all of them.  Complex products are
+    written out in real arithmetic so that a value rounds the same for
+    scalar and array ``t``: numpy's vectorised complex multiply may fuse
+    multiply-adds.
+    """
+    rates, shifts = sums[0].rates, sums[0].shifts
+    if any(s.rates != rates or s.shifts != shifts for s in sums):
+        raise ValueError("stacked sums must share rates and shifts")
+    t = np.asarray(t, dtype=float)
+    out = np.zeros((len(sums),) + t.shape)
+    for i, (rate, shift) in enumerate(zip(rates, shifts)):
+        e = np.exp(rate * (t - shift))
+        for j, s in enumerate(sums):
+            g = complex(s.gammas[i])
+            out[j] += g.real * e.real - g.imag * e.imag
+    return out
 
 
 def _pair_integral(gi, si, taui, gj, sj, tauj, T):

@@ -16,7 +16,6 @@ any downstream check.  Impulsive controls are represented symbolically by
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -100,16 +99,17 @@ class Trajectory:
 
     ``x(ts)`` is the stack ``(x, x', .., x^(n))``; ``controls(ts, xs)`` turns
     that stack into ``(z, v)``: the augmented coordinates ``z_0 .. z_{n-1}``
-    (``z_0 = u``) and the auxiliary control.  ``p`` holds the adjoint series
-    of optimal-control solutions, else ``None``.  :meth:`table` evaluates
-    every named column on a whole grid in one call.
+    (``z_0 = u``) and the auxiliary control.  For optimal-control solutions
+    ``p(ts)`` is the stack of adjoints in :func:`adjoint_names` order; ``p``
+    is ``None`` otherwise.  :meth:`table` evaluates every named column on a
+    whole grid in one call.
     """
 
     T: float
     n: int
     x: Callable
     controls: Callable
-    p: Optional[tuple] = None
+    p: Optional[Callable] = None
 
     def csv_columns(self):
         """The columns a CSV table shows, in order: ``t, x, xdot, u, v``, ``y``
@@ -132,7 +132,7 @@ class Trajectory:
         cols.update((f"z{k}", zk) for k, zk in enumerate(z))
         cols.update((f"x^({j})", d) for j, d in enumerate(xs[1:], 1))
         if self.p is not None:
-            cols.update(zip(adjoint_names(self.n), (f(ts) for f in self.p)))
+            cols.update(zip(adjoint_names(self.n), self.p(ts)))
         return cols
 
     def sample(self, t):
@@ -282,18 +282,11 @@ def sample_table(sol, points):
     return header, np.column_stack([cols[name] for name in header]).tolist()
 
 
-def _format_number(x):
-    return format(float(x), ".17g")
-
-
 def csv_text(sol, points=1001):
     """Render the sample table as CSV: 17 significant digits, LF endings."""
     header, rows = sample_table(sol, points)
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_format_number(x) for x in row) + "\n")
-    return buf.getvalue()
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join([row % tuple(r) for r in rows])
 
 
 def write_csv(sol, path, points=1001):

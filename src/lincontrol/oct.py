@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expsums import ExpSum, square_integral
+from .expsums import ExpSum, real_values, square_integral
 from .model import (
     ControlProblem,
     CostBreakdown,
@@ -252,17 +252,22 @@ def _chain_solution(problem, kind, state_sums, p_sums, v_sum, impulses=(), cost_
     for j in range(1, n):
         xderiv_sums.append(_combine([z_sums[j], xderiv_sums[-1]], [1.0, -1.0]))
     x = _combine([z_sums[0], x1], [1.0, -1.0])
+
+    def controls(ts, xs):
+        *z, v = real_values(z_sums + [v_sum], ts)
+        return z, v
+
     trajectory = Trajectory(
-        T=problem.T, n=n, p=tuple(s.real_value for s in p_sums),
-        x=lambda ts: [s.real_value(ts) for s in [x] + xderiv_sums],
-        controls=lambda ts, xs: ([s.real_value(ts) for s in z_sums], v_sum.real_value(ts)),
+        T=problem.T, n=n, p=lambda ts: real_values(p_sums, ts),
+        x=lambda ts: real_values([x] + xderiv_sums, ts),
+        controls=controls,
     )
     state_part = square_integral(x, problem.T)
     deriv_part = square_integral(x1, problem.T)
     ctrl_part = problem.lam * square_integral(v_sum, problem.T) if problem.lam else 0.0
     breakdown = CostBreakdown(state_part, deriv_part, ctrl_part)
     cost = breakdown.total if cost_override is None else cost_override
-    coefficients = {f"p0_{nm}": s.real_value(0.0) for nm, s in zip(adjoint_names(n), p_sums)}
+    coefficients = {f"p0_{nm}": s.value(0.0) for nm, s in zip(adjoint_names(n), p_sums)}
     return ProtocolSolution(
         problem=problem,
         kind=kind,
@@ -287,7 +292,9 @@ def singular_solution(T=1.0):
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
     problem = ControlProblem(T=T, n=1, lam=0.0)
-    a1 = float(1.0 / np.sinh(T))
+    with np.errstate(over="ignore"):
+        # sinh overflows to inf beyond T ~ 710, where 1/sinh(T) correctly rounds to 0
+        a1 = float(1.0 / np.sinh(T))
     a2 = float(-1.0 / np.tanh(T))
     grow = float(1.0 / -np.expm1(-2.0 * T))  # e^T / (2 sinh T), overflow-safe
     decay = grow * np.exp(-T)  # = 1/(2 sinh T); this form cancels exactly in x(0)
@@ -455,7 +462,7 @@ def equivalence_sta_regular(lam, T=1.0, points=1001):
     y, z = _series_from_modes(PontryaginFlow(build_lq(1, lam, T)))["state"]
     x = _combine([z, y], [1.0, -1.0])
     ts = np.linspace(0.0, T, points)
-    gap = float(np.abs(family.x.real_value(ts) - x.real_value(ts)).max())
+    gap = float(np.abs(family.x.value(ts) - x.value(ts)).max())
     modal_rates = np.asarray(x.rates)
     sta, reg = {}, {}
     for name, gamma, rate in zip("abcd", family.x.gammas, family.x.rates):

@@ -289,7 +289,7 @@ class ExponentialAnsatz(AnsatzFamily):
     def x_value(self, coeffs, t, order=0):
         # coeffs is always the stored vector (free_dim = 0); evaluate through
         # the anchored sum so large k cannot overflow
-        return self.x.derivative(order).real_value(t) if order else self.x.real_value(t)
+        return self.x.derivative(order).value(t) if order else self.x.value(t)
 
     def paper_coefficients(self, coeffs):
         return {**dict(zip("abcd", map(float, coeffs))), "k": self.k}

@@ -139,6 +139,17 @@ class TestOctCommand:
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "Overflow"
 
+    def test_long_horizon_singular_prints_no_warning(self):
+        # sinh(800) overflows to inf and the kick area 1/sinh(800) rounds to
+        # 0 correctly; -W error turns any numpy warning into a failed exit
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lincontrol.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lincontrol", "oct", "singular", "--T", "800"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
     def test_near_unit_first_order_weight_exits_2(self, capsys):
         # k = 1/sqrt(lambda) sits next to the slow rate 1, where the
         # exponential family degenerates

@@ -5,7 +5,9 @@ import pytest
 
 from lincontrol.model import (
     ControlProblem,
+    CostBreakdown,
     InvalidOrder,
+    ProtocolSolution,
     Trajectory,
     adjoint_names,
     cost_functional,
@@ -223,6 +225,40 @@ class TestTable:
             for name, value in values.items():
                 scale = np.abs(cols[name]).max()
                 assert abs(cols[name][i] - value) <= 1e-12 * scale
+
+
+def per_cell_csv(sol, points):
+    """The CSV text built one cell at a time, as the reference for the bytes."""
+    header, rows = sample_table(sol, points)
+    lines = [",".join(header)] + [",".join(format(float(x), ".17g") for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+#: cells whose 17-digit rendering is easy to get wrong
+SPECIAL_CELLS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1])
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize("points", [1001, 2001])
+    @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
+    def test_matches_per_cell_formatting(self, make, points):
+        sol = make()
+        assert csv_text(sol, points) == per_cell_csv(sol, points)
+
+    def test_special_values(self):
+        def x(ts):
+            cells = np.resize(SPECIAL_CELLS, ts.shape)
+            return cells, -cells
+
+        traj = Trajectory(T=1.0, n=1, x=x, controls=lambda ts, xs: ((xs[1],), xs[0]))
+        sol = ProtocolSolution(
+            problem=ControlProblem(), kind="hand-built", coefficients={}, trajectory=traj,
+            impulses=(), cost=0.0, cost_breakdown=CostBreakdown(0.0, 0.0, 0.0),
+        )
+        text = csv_text(sol, len(SPECIAL_CELLS))
+        assert text == per_cell_csv(sol, len(SPECIAL_CELLS))
+        cells = {c for line in text.split("\n")[1:] for c in line.split(",")}
+        assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324"} <= cells
 
 
 class TestFirstOrderIdentities:

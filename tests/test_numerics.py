@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import lincontrol
+from lincontrol import oct as octmod
+from lincontrol.expsums import ExpSum, real_values
 from lincontrol.numerics import (
     DefectiveMatrix,
     NonFiniteSample,
@@ -278,6 +280,57 @@ class TestMinimizeQuadratic:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             minimize_quadratic(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+
+
+#: solvers whose series share one rates/shifts tuple per solution
+STACKED_SOLVERS = {
+    "singular": lambda: octmod.singular_solution(1.0),
+    "first-order": lambda: octmod.regular_order1_analytic(1e-4),
+    "n2": lambda: octmod.solve_regular(build_lq(2, 5e-7)),
+    "n3": lambda: octmod.solve_regular(build_lq(3, 5e-9)),
+}
+
+
+def packaged_series(monkeypatch, solve):
+    """Every exponential sum a solver hands to the packaging step."""
+    seen = []
+    package = octmod._chain_solution
+
+    def spy(problem, kind, state_sums, p_sums, v_sum, **kwargs):
+        seen.extend([*state_sums, *p_sums, v_sum])
+        return package(problem, kind, state_sums, p_sums, v_sum, **kwargs)
+
+    monkeypatch.setattr(octmod, "_chain_solution", spy)
+    solve()
+    return seen
+
+
+class TestRealValues:
+    @pytest.mark.parametrize("solve", STACKED_SOLVERS.values(), ids=STACKED_SOLVERS.keys())
+    def test_rows_match_each_sum(self, monkeypatch, solve):
+        sums = packaged_series(monkeypatch, solve)
+        ts = np.linspace(0.0, 1.0, 101)
+        stack = real_values(sums, ts)
+        assert stack.shape == (len(sums), ts.size)
+        for s, row in zip(sums, stack):
+            assert row.tobytes() == s.value(ts).tobytes()
+            assert all(np.float64(s.value(float(t))).tobytes() == v.tobytes() for t, v in zip(ts, row))
+            naive = np.real(sum(
+                g * np.exp(r * (ts - sh)) for g, r, sh in zip(s.gammas, s.rates, s.shifts)
+            ))
+            assert np.abs(row - naive).max() <= 1e-14 * np.abs(naive).max()
+
+    def test_scalar_value_is_a_float(self):
+        s = ExpSum((1.0, 2.0 + 1.0j), (1.0, -1.0j), (0.0, 0.0))
+        assert type(s.value(0.5)) is float
+        assert real_values([s, s], 0.5).shape == (2,)
+
+    def test_different_rates_or_shifts_raise(self):
+        a = ExpSum((1.0,), (1.0,), (0.0,))
+        with pytest.raises(ValueError):
+            real_values([a, ExpSum((1.0,), (2.0,), (0.0,))], 0.5)
+        with pytest.raises(ValueError):
+            real_values([a, ExpSum((1.0,), (1.0,), (1.0,))], 0.5)
 
 
 def test_import_leaves_scipy_unloaded():
