@@ -35,7 +35,6 @@ from .numerics import (
     DefectiveMatrix,
     NoConvergence,
     NonFiniteSample,
-    NotPositiveDefinite,
     NumericsError,
     Overflow,
     SingularMatrix,
@@ -87,7 +86,6 @@ __all__ = [
     "LqProblem",
     "NoConvergence",
     "NonFiniteSample",
-    "NotPositiveDefinite",
     "NumericsError",
     "Overflow",
     "PontryaginFlow",

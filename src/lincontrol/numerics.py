@@ -41,15 +41,15 @@ class NonFiniteSample(NumericsError):
     """An integrand returned NaN or infinity."""
 
 
-class NotPositiveDefinite(NumericsError):
-    """A Cholesky pivot was not strictly positive."""
-
-
 #: conditioning cap on the column-scaled matrix in :func:`solve_linear`
 SOLVE_COND_CAP = 1e14
 
 #: conditioning cap on the eigenvector matrix in :func:`eigendecompose`
 EIGVEC_COND_CAP = 1e12
+
+#: cap on cond(A) in :func:`minimize_quadratic`; the least-squares error is
+#: about 1e-17 cond(A), so the minimiser keeps at least eight digits below it
+LSQ_COND_CAP = 1e8
 
 
 def _as_square(A, name="A"):
@@ -220,32 +220,32 @@ def integrate(f, a, b, nodes=64):
     return float(w @ y) if y.ndim == 1 else np.array([w @ row for row in y])
 
 
-def minimize_quadratic(Q, g):
-    """Minimise ``p^T Q p + 2 g^T p`` for symmetric positive definite ``Q``.
+def minimize_quadratic(A, b):
+    """Minimise the sum of squares ``|A p + b|^2`` by one thin SVD of ``A``.
 
-    A Cholesky factorisation confirms positive definiteness; the minimiser
-    then solves ``Q p = -g`` through :func:`solve_linear` and its
-    conditioning gate.  A zero-dimensional ``Q`` (no free parameters)
-    returns an empty vector.
+    The minimiser ``p = -V ((U^T b) / s)`` never forms ``A^T A``, so it loses
+    digits to cond(A), not to its square.  An ``A`` with no columns (no free
+    parameters) returns an empty vector.
 
     Raises
     ------
-    NotPositiveDefinite
-        If any Cholesky pivot is non-positive.
     SingularMatrix
-        If ``Q`` is positive definite but too ill-conditioned to solve.
+        If ``A`` has fewer rows than columns, its smallest singular value is
+        zero, or cond(A) is ``LSQ_COND_CAP`` or above.
     """
-    Q = np.asarray(Q, dtype=float)
-    g = np.asarray(g, dtype=float).reshape(-1)
-    if Q.size == 0:
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if A.ndim != 2:
+        raise ValueError(f"A must be a matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
+        raise ValueError("A and b must be finite")
+    if b.shape[0] != A.shape[0]:
+        raise ValueError(f"b has length {b.shape[0]}, expected {A.shape[0]}")
+    if A.shape[1] == 0:
         return np.zeros(0)
-    Q = _as_square(Q, "Q")
-    if g.shape[0] != Q.shape[0]:
-        raise ValueError(f"g has length {g.shape[0]}, expected {Q.shape[0]}")
-    if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(Q).max())):
-        raise ValueError("Q must be symmetric")
-    try:
-        np.linalg.cholesky(Q)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    return solve_linear(Q, -g)
+    if A.shape[0] < A.shape[1]:
+        raise SingularMatrix(f"{A.shape[0]} rows cannot fix {A.shape[1]} parameters")
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    if not s[0] < LSQ_COND_CAP * s[-1]:
+        raise SingularMatrix(f"condition number of A >= {LSQ_COND_CAP:.0e}")
+    return -Vt.T @ ((U.T @ b) / s)

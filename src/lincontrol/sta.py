@@ -9,7 +9,7 @@ derivatives; :class:`AnsatzFamily` builds from it the boundary rows, whose
 null space carries the free parameters, and the cost as a sum of squares on
 a fixed Gauss-Legendre rule, which is exact for the polynomials and exact
 to roundoff for the sines.  Because ``x`` is affine in the free parameters
-the cost is a quadratic form, so the minimisation is one linear solve
+the cost is a linear least-squares problem, so the minimisation is one SVD
 rather than an iterative search; tabulated coefficients are reproduced to
 all printed digits, reported under the paper's names.
 
@@ -58,22 +58,14 @@ COST_NODES = 48
 class GramForm:
     """Cost as a sum of squares ``C(p) = |A p + b|^2 + c0``.
 
-    The same cost is the quadratic ``p^T Q p + 2 g^T p + |b|^2 + c0`` with
-    ``Q = A^T A`` and ``g = A^T b``; :meth:`value` sums the squares, which
-    keeps the digits that quadratic loses to cancellation near its minimum.
+    :meth:`value` sums the squares, and
+    :func:`~lincontrol.numerics.minimize_quadratic` minimises them from ``A``
+    and ``b`` directly.
     """
 
     A: np.ndarray
     b: np.ndarray
     c0: float
-
-    @property
-    def Q(self):
-        return self.A.T @ self.A
-
-    @property
-    def g(self):
-        return self.A.T @ self.b
 
     @property
     def free_dim(self):
@@ -160,12 +152,6 @@ class AnsatzFamily:
         return (*self.x_value(coeffs, ends, 0), *self.x_value(coeffs, ends, 1))
 
 
-def _free_names(count):
-    if count > len(string.ascii_lowercase):
-        raise ValueError("too many free parameters to name")
-    return tuple(string.ascii_lowercase[:count])
-
-
 class PolynomialAnsatz(AnsatzFamily):
     """x(t) = sum_{j=0}^N c_j P_j(2t/T - 1) in shifted Legendre polynomials.
 
@@ -173,14 +159,15 @@ class PolynomialAnsatz(AnsatzFamily):
     optimum is the same, without the monomials' Hilbert-like conditioning.
     :meth:`paper_coefficients` converts to the monomials ``a2 .. aN``
     (``a0 = a1 = 0`` by the conditions at ``t = 0``) and names the free tail
-    ``a4, a5, ..`` as ``a, b, ..``.
+    ``a4, a5, ..`` as ``a, b, .. z``.  ``N`` stops at 47, the last order for
+    which the cost rule is exact.
     """
 
     kind = "polynomial"
 
     def __init__(self, N, T=1.0):
-        if N < 3:
-            raise InvalidOrder(f"polynomial family needs N >= 3, got {N}")
+        if not 3 <= N < COST_NODES:
+            raise InvalidOrder(f"polynomial family needs 3 <= N <= {COST_NODES - 1}, got {N}")
         self.N = int(N)
         super().__init__(T)
 
@@ -208,7 +195,7 @@ class PolynomialAnsatz(AnsatzFamily):
              for k in range(N + 1)]
         )
         a = (to_monomial @ coeffs).tolist()
-        names = dict(zip(_free_names(N - 3), a[4:]))
+        names = dict(zip(string.ascii_lowercase, a[4:]))
         names.update((f"a{k}", a[k]) for k in range(2, N + 1))
         return names
 
@@ -244,7 +231,7 @@ class TrigonometricAnsatz(AnsatzFamily):
         tail = a[3:]
         if self.N == 5:
             tail[0] = a[3] + a[4]
-        names = dict(zip(_free_names(self.N - 3), tail))
+        names = dict(zip(string.ascii_lowercase, tail))
         names.update((f"a{k}", c) for k, c in enumerate(a, 1))
         return names
 
@@ -382,23 +369,21 @@ def assemble_gram(family, lam=0.0):
     For the polynomial and sine families it is the sum of squares of the
     basis tables on the cost rule, pulled back through the affine
     constraint map; the exponential family integrates its squares in closed
-    form.  Positive definiteness and the conditioning of ``Q`` are checked
-    by :func:`~lincontrol.numerics.minimize_quadratic` at assembly.
+    form.  The conditioning gate of
+    :func:`~lincontrol.numerics.minimize_quadratic` is applied at assembly.
     """
     form = family.gram(lam)
-    if form.free_dim:
-        minimize_quadratic(form.Q, np.zeros(form.free_dim))  # PD and conditioning check
+    minimize_quadratic(form.A, np.zeros(len(form.b)))  # conditioning check
     return form
 
 
 def solve_sta(family, problem=None):
     """Minimise the cost over the family and package the optimal protocol.
 
-    The minimiser is the exact solution of ``Q p = -g`` on the Gram form; no
-    iteration is involved, so repeated runs are bit-identical.  It raises
-    ``NotPositiveDefinite`` when the Gram form is not positive definite and
-    ``SingularMatrix`` when ``Q`` is too ill-conditioned to solve (the sine
-    family from N = 13).
+    The minimiser is the least-squares solution of ``A p = -b`` on the Gram
+    form, by one SVD; no iteration is involved, so repeated runs are
+    bit-identical.  It raises ``SingularMatrix`` when cond(A) reaches
+    :data:`~lincontrol.numerics.LSQ_COND_CAP` (the sine family from N = 14).
     """
     if problem is None:
         problem = ControlProblem(T=family.T, n=1, lam=0.0)
@@ -407,7 +392,7 @@ def solve_sta(family, problem=None):
     if problem.T != family.T:
         raise ValueError(f"family horizon {family.T} != problem horizon {problem.T}")
     gram = family.gram(problem.lam)
-    params = minimize_quadratic(gram.Q, gram.g)
+    params = minimize_quadratic(gram.A, gram.b)
     coeffs = family.coefficient_vector(params)
     state, deriv, ctrl = family.cost_parts(coeffs)
     breakdown = CostBreakdown(state, deriv, problem.lam * ctrl)

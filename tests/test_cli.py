@@ -73,11 +73,11 @@ class TestStaCommand:
         assert code == 0
         assert max(abs(v) for v in json.loads(out)["boundary_residuals"].values()) <= 1e-8
 
-    def test_trig_order13_stderr_is_one_json_error(self):
-        # the sines' reduced Gram form fails the conditioning gate from N = 13
+    def test_trig_order14_stderr_is_one_json_error(self):
+        # the sines' reduced Gram form fails the conditioning gate from N = 14
         src = os.path.dirname(os.path.dirname(os.path.abspath(lincontrol.__file__)))
         proc = subprocess.run(
-            [sys.executable, "-m", "lincontrol", "sta", "trig", "--order", "13"],
+            [sys.executable, "-m", "lincontrol", "sta", "trig", "--order", "14"],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         )
         assert proc.returncode == 2

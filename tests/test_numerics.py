@@ -14,7 +14,6 @@ from lincontrol.expsums import ExpSum, real_values
 from lincontrol.numerics import (
     DefectiveMatrix,
     NonFiniteSample,
-    NotPositiveDefinite,
     Overflow,
     SingularMatrix,
     eigendecompose,
@@ -248,10 +247,9 @@ class TestMinimizeQuadratic:
         assert np.allclose(minimize_quadratic(np.eye(3), np.zeros(3)), np.zeros(3))
 
     def test_quartic_family_coefficient(self):
-        # one-parameter reduction: C(a)/2 = (13/1260) a^2 + (1/60) a + const
-        Q = np.array([[2 * 13.0 / 1260.0]])
-        g = np.array([1.0 / 60.0])
-        a = minimize_quadratic(Q, g)
+        # one-parameter reduction: C(a) = (13/630) a^2 + (1/30) a + const = (r a + b)^2 + const'
+        r = np.sqrt(13.0 / 630.0)
+        a = minimize_quadratic(np.array([[r]]), np.array([1.0 / (60.0 * r)]))
         assert a[0] == pytest.approx(-21.0 / 26.0, rel=1e-12)
         assert a[0] == pytest.approx(-0.8076923, abs=1e-7)
 
@@ -260,26 +258,41 @@ class TestMinimizeQuadratic:
 
         fam = build_trigonometric(5)
         form = assemble_gram(fam)
-        names = fam.paper_coefficients(fam.coefficient_vector(minimize_quadratic(form.Q, form.g)))
+        names = fam.paper_coefficients(fam.coefficient_vector(minimize_quadratic(form.A, form.b)))
         assert names["a"] == pytest.approx(0.785988, abs=1e-4)
         assert names["b"] == pytest.approx(-0.356639, abs=1e-4)
 
     def test_empty_problem(self):
         assert minimize_quadratic(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
-
-    def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
-            minimize_quadratic(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
+        assert minimize_quadratic(np.zeros((3, 0)), np.ones(3)).shape == (0,)
 
     def test_ill_conditioned_refused(self):
-        # positive definite, but its condition number 2e15 fails solve_linear's gate
-        Q = np.array([[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]])
+        # full column rank, but cond(A) = 1e8 reaches the gate
+        A = np.diag([1.0, 1e-8])
         with pytest.raises(SingularMatrix):
-            minimize_quadratic(Q, np.ones(2))
+            minimize_quadratic(A, np.ones(2))
+        assert np.all(np.isfinite(minimize_quadratic(np.diag([1.0, 2e-8]), np.ones(2))))
 
-    def test_asymmetric_rejected(self):
+    def test_rank_deficient_refused(self):
+        with pytest.raises(SingularMatrix):
+            minimize_quadratic(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]), np.ones(3))
+
+    def test_underdetermined_refused(self):
+        with pytest.raises(SingularMatrix):
+            minimize_quadratic(np.array([[1.0, 2.0]]), np.ones(1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
-            minimize_quadratic(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+            minimize_quadratic(np.array([[1.0], [bad]]), np.ones(2))
+        with pytest.raises(ValueError):
+            minimize_quadratic(np.eye(2), np.array([1.0, bad]))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            minimize_quadratic(np.ones(3), np.ones(3))
+        with pytest.raises(ValueError):
+            minimize_quadratic(np.eye(2), np.ones(3))
 
 
 #: solvers whose series share one rates/shifts tuple per solution
