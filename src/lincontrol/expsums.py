@@ -5,8 +5,12 @@ complex) exponentials.  Terms whose rate has positive real part are anchored
 at the far end of the horizon, ``gamma * exp(s * (t - tau))`` with
 ``tau = T``, so that no intermediate quantity ever reaches ``exp(s * T)``
 even when ``s`` is of order ``1/sqrt(lambda)``.  Products of two sums have
-elementary antiderivatives, which gives exact costs and Gram entries without
-quadrature.
+elementary antiderivatives, which gives exact costs without quadrature: the
+integrals of every term pair form one kernel matrix ``K`` per set of rates
+and shifts, and each integral is the quadratic form ``gamma_f K gamma_g``,
+so sums that share their terms (a trajectory's ``x``, ``x'`` and ``v``)
+share one ``K``, as they share one exponential per term in
+:func:`real_values`.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ class ExpSum:
         coefficient multiplying ``exp(rate * (t - horizon))`` for growing
         rates and ``exp(rate * t)`` for the rest.
         """
-        shifts = tuple(horizon if np.real(r) > 0 else 0.0 for r in rates)
-        return ExpSum(tuple(gammas), tuple(rates), shifts)
+        shifts = np.where(np.real(rates) > 0, float(horizon), 0.0)
+        return ExpSum(tuple(gammas), tuple(rates), tuple(shifts.tolist()))
 
     def derivative(self, order=1):
         """Term-by-term derivative of the given order."""
@@ -52,6 +56,13 @@ class ExpSum:
         return float(v) if v.ndim == 0 else v
 
 
+def _shared_terms(sums):
+    rates, shifts = sums[0].rates, sums[0].shifts
+    if any(s.rates != rates or s.shifts != shifts for s in sums):
+        raise ValueError("stacked sums must share rates and shifts")
+    return rates, shifts
+
+
 def real_values(sums, t):
     """Real parts of several sums at ``t``, stacked as ``(len(sums),) + t.shape``.
 
@@ -61,43 +72,62 @@ def real_values(sums, t):
     scalar and array ``t``: numpy's vectorised complex multiply may fuse
     multiply-adds.
     """
-    rates, shifts = sums[0].rates, sums[0].shifts
-    if any(s.rates != rates or s.shifts != shifts for s in sums):
-        raise ValueError("stacked sums must share rates and shifts")
+    rates, shifts = _shared_terms(sums)
     t = np.asarray(t, dtype=float)
+    g = np.array([s.gammas for s in sums], dtype=complex).reshape((len(sums), -1) + (1,) * t.ndim)
     out = np.zeros((len(sums),) + t.shape)
     for i, (rate, shift) in enumerate(zip(rates, shifts)):
         e = np.exp(rate * (t - shift))
-        for j, s in enumerate(sums):
-            g = complex(s.gammas[i])
-            out[j] += g.real * e.real - g.imag * e.imag
+        out += g.real[:, i] * e.real - g.imag[:, i] * e.imag
     return out
 
 
-def _pair_integral(gi, si, taui, gj, sj, tauj, T):
-    # \int_0^T gi gj exp(si (t-taui)) exp(sj (t-tauj)) dt.  The combined
-    # exponents S*T - P and -P (P = si*taui + sj*tauj) stay bounded because
-    # growing rates always carry tau = T.
+def _pair_kernel(f, g, T):
+    # K[i, j] = \int_0^T exp(si (t - taui)) exp(sj (t - tauj)) dt over the
+    # terms of f and g.  The combined exponents S T - P and -P
+    # (P = si taui + sj tauj) stay bounded because growing rates always
+    # carry tau = T.
+    si = np.asarray(f.rates)[:, None]
+    sj = np.asarray(g.rates)[None, :]
     S = si + sj
-    P = si * taui + sj * tauj
-    if abs(S) * T < 1e-8:
-        # near-cancelling rate pair: series for (exp(S T) - 1)/S
-        ST = S * T
-        base = np.exp(-P) * T * (1.0 + ST / 2.0 + ST * ST / 6.0)
-    else:
-        base = (np.exp(S * T - P) - np.exp(-P)) / S
-    return gi * gj * base
+    P = si * np.asarray(f.shifts)[:, None] + sj * np.asarray(g.shifts)[None, :]
+    ST = S * T
+    near = np.abs(S) * T < 1e-8
+    decay = np.exp(-P)
+    # near-cancelling rate pairs take the series for (exp(S T) - 1)/S; the
+    # divisor of the other branch is made safe there
+    series = decay * T * (1.0 + ST / 2.0 + ST * ST / 6.0)
+    exact = (np.exp(ST - P) - decay) / np.where(near, 1.0, S)
+    return np.where(near, series, exact)
 
 
 def product_integral(f, g, T):
-    """Exact ``\\int_0^T f(t) g(t) dt`` for two exponential sums."""
-    total = 0.0 + 0.0j
-    for gi, si, taui in zip(f.gammas, f.rates, f.shifts):
-        for gj, sj, tauj in zip(g.gammas, g.rates, g.shifts):
-            total += _pair_integral(gi, si, taui, gj, sj, tauj, T)
-    return total
+    """Exact ``\\int_0^T f(t) g(t) dt`` for two exponential sums.
+
+    ``f`` and ``g`` may instead be equal-length lists of sums, each list
+    sharing one set of ``rates`` and ``shifts`` (else ``ValueError``); the
+    result is then the array of row-wise integrals ``\\int f[a] g[a]``, all
+    from one pair kernel.  Each integral is the quadratic form
+    ``gamma_f K gamma_g`` on that kernel.
+    """
+    stacked = not isinstance(f, ExpSum)
+    fs, gs = (f, g) if stacked else ([f], [g])
+    if len(fs) != len(gs):
+        raise ValueError(f"stacks of {len(fs)} and {len(gs)} sums")
+    _shared_terms(fs)
+    _shared_terms(gs)
+    K = _pair_kernel(fs[0], gs[0], T)
+    gf = np.array([s.gammas for s in fs])
+    gg = np.array([s.gammas for s in gs])
+    out = ((gf @ K) * gg).sum(axis=1)
+    return out if stacked else out[0]
 
 
-def square_integral(f, T):
-    """Exact ``\\int_0^T f(t)^2 dt`` returned as a real number."""
-    return float(np.real(product_integral(f, f, T)))
+def square_integrals(sums, T):
+    """Exact ``\\int_0^T f(t)^2 dt`` of each sum, as a tuple of floats.
+
+    The sums must share their ``rates`` and ``shifts``; one pair kernel
+    serves them all.
+    """
+    return tuple(np.real(product_integral(sums, sums, T)).tolist())
+

@@ -97,9 +97,10 @@ def adjoint_names(n):
 class Trajectory:
     """Closed-form trajectory on ``[0, T]`` as array-valued series.
 
-    ``x(ts)`` is the stack ``(x, x', .., x^(n))``; ``controls(ts, xs)`` turns
-    that stack into ``(z, v)``: the augmented coordinates ``z_0 .. z_{n-1}``
-    (``z_0 = u``) and the auxiliary control.  For optimal-control solutions
+    ``x(ts)`` is the stack ``(x, x', .., x^(n))``, which may carry further
+    derivatives for ``controls``; ``controls(ts, xs)`` turns that stack into
+    ``(z, v)``: the augmented coordinates ``z_0 .. z_{n-1}`` (``z_0 = u``)
+    and the auxiliary control.  For optimal-control solutions
     ``p(ts)`` is the stack of adjoints in :func:`adjoint_names` order; ``p``
     is ``None`` otherwise.  :meth:`table` evaluates every named column on a
     whole grid in one call.
@@ -130,7 +131,7 @@ class Trajectory:
         z, v = self.controls(ts, xs)
         cols = {"t": ts, "x": xs[0], "xdot": xs[1], "u": z[0], "v": v, "y": xs[1]}
         cols.update((f"z{k}", zk) for k, zk in enumerate(z))
-        cols.update((f"x^({j})", d) for j, d in enumerate(xs[1:], 1))
+        cols.update((f"x^({j})", d) for j, d in enumerate(xs[1 : self.n + 1], 1))
         if self.p is not None:
             cols.update(zip(adjoint_names(self.n), self.p(ts)))
         return cols

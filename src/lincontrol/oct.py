@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expsums import ExpSum, real_values, square_integral
+from .expsums import ExpSum, real_values, square_integrals
 from .model import (
     ControlProblem,
     CostBreakdown,
@@ -262,12 +262,11 @@ def _chain_solution(problem, kind, state_sums, p_sums, v_sum, impulses=(), cost_
         x=lambda ts: real_values([x] + xderiv_sums, ts),
         controls=controls,
     )
-    state_part = square_integral(x, problem.T)
-    deriv_part = square_integral(x1, problem.T)
-    ctrl_part = problem.lam * square_integral(v_sum, problem.T) if problem.lam else 0.0
-    breakdown = CostBreakdown(state_part, deriv_part, ctrl_part)
+    state_part, deriv_part, ctrl = square_integrals([x, x1, v_sum], problem.T)
+    breakdown = CostBreakdown(state_part, deriv_part, problem.lam * ctrl if problem.lam else 0.0)
     cost = breakdown.total if cost_override is None else cost_override
-    coefficients = {f"p0_{nm}": s.value(0.0) for nm, s in zip(adjoint_names(n), p_sums)}
+    p0 = real_values(p_sums, 0.0).tolist()
+    coefficients = {f"p0_{nm}": p for nm, p in zip(adjoint_names(n), p0)}
     return ProtocolSolution(
         problem=problem,
         kind=kind,

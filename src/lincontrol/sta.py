@@ -5,13 +5,19 @@ The trajectory ``x(t)`` is postulated inside a finite function family
 the four first-order boundary conditions are eliminated exactly, and the
 remaining free parameters are fixed by minimising the running cost.  A
 polynomial or sine family supplies only the table of its basis functions'
-derivatives; :class:`AnsatzFamily` builds from it the boundary rows, whose
-null space carries the free parameters, and the cost as a sum of squares on
-a fixed Gauss-Legendre rule, which is exact for the polynomials and exact
-to roundoff for the sines.  Because ``x`` is affine in the free parameters
-the cost is a linear least-squares problem, so the minimisation is one SVD
-rather than an iterative search; tabulated coefficients are reproduced to
-all printed digits, reported under the paper's names.
+derivatives on the horizon-2 reference interval; :class:`AnsatzFamily`
+builds from it the boundary rows, whose null space carries the free
+parameters, and the cost as a sum of squares on a fixed Gauss-Legendre
+rule, which is exact for the polynomials and exact to roundoff for the
+sines.  Both families are dilations of their horizon-2 member,
+``basis_T(t, k) = (2/T)^k basis_2(2t/T, k)``, so the reference tables on
+the rule's nodes and at the endpoints are built once per family and order
+(an ``lru_cache``) and each horizon only rescales them; the boundary SVD and
+the least-squares solve stay per horizon.  Because ``x`` is affine in the
+free parameters the cost is a linear least-squares problem, so the
+minimisation is one SVD rather than an iterative search; tabulated
+coefficients are reproduced to all printed digits, reported under the
+paper's names.
 
 The control is always recovered analytically as ``u = xdot + x``; each
 family knows the derivatives of its own basis functions.
@@ -22,11 +28,11 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .expsums import ExpSum, square_integral
+from .expsums import ExpSum, real_values, square_integrals
 from .model import ControlProblem, InvalidOrder, ProtocolSolution, CostBreakdown, Trajectory
 from .numerics import (
     SOLVE_COND_CAP,
@@ -79,14 +85,16 @@ class GramForm:
 class AnsatzFamily:
     """A basis table plus an affine map from free parameters to coefficients.
 
-    A family supplies :meth:`basis`, the ``order``-th derivatives of its basis
-    functions at times ``ts`` shaped (basis, times), and
-    :meth:`paper_coefficients`.  The boundary rows ``x(0), x(T), x'(0),
-    x'(T)`` come from that table; rows that vanish identically are dropped
-    and the rest eliminated by one SVD: ``offset`` is their minimum-norm
-    solution and ``free_map`` an orthonormal basis of their null space, so
-    ``coefficient_vector(p) = offset + free_map @ p`` meets all four
-    boundary conditions for every ``p``.
+    A family of order ``N`` supplies :meth:`reference_basis`, its basis on
+    the horizon-2 reference interval, and :meth:`paper_coefficients`.  The
+    basis at horizon ``T`` is that table rescaled, ``basis_T(t, k) = (2/T)^k
+    basis_2(2t/T, k)``, so the boundary rows and the cost tables of every
+    horizon come from one set of horizon-2 tables per ``(family, N)``.  The
+    boundary rows ``x(0), x(T), x'(0), x'(T)`` that vanish identically are
+    dropped and the rest eliminated by one SVD: ``offset`` is their
+    minimum-norm solution and ``free_map`` an orthonormal basis of their
+    null space, so ``coefficient_vector(p) = offset + free_map @ p`` meets
+    all four boundary conditions for every ``p``.
 
     Raises
     ------
@@ -99,7 +107,8 @@ class AnsatzFamily:
 
     def __init__(self, T):
         self.T = float(T)
-        rows = np.hstack([self.basis(np.array([0.0, self.T]), k) for k in range(2)]).T
+        _, ends = _reference_tables(type(self), self.N)
+        rows = np.vstack([ends[0].T, (2.0 / self.T) * ends[1].T])
         rhs = np.array([0.0, 1.0, 0.0, 0.0])
         live = np.any(rows != 0.0, axis=1)
         U, s, Vt = np.linalg.svd(rows[live])
@@ -118,22 +127,38 @@ class AnsatzFamily:
             raise ValueError(f"expected {self.free_dim} free parameters, got {p.size}")
         return self.offset + self.free_map @ p
 
-    def basis(self, ts, order=0):
-        """The ``order``-th derivative of every basis function at ``ts``, shaped (basis,) + ts.shape."""
+    @staticmethod
+    def reference_basis(N, u, order):
+        """Derivatives of orders ``0 .. order`` of every basis function of the
+        horizon-2 family at the array ``u``, shaped (order + 1, basis) + u.shape."""
         raise NotImplementedError
+
+    def basis(self, ts, order):
+        """Derivatives of orders ``0 .. order`` of every basis function at ``ts``,
+        shaped (order + 1, basis) + ts.shape."""
+        ts = np.asarray(ts, dtype=float)
+        table = self.reference_basis(self.N, 2.0 * ts / self.T, order)
+        table *= ((2.0 / self.T) ** np.arange(order + 1)).reshape((-1, 1) + (1,) * ts.ndim)
+        return table
 
     def paper_coefficients(self, coeffs):
         """The coefficient vector under the paper's names, for reporting."""
         raise NotImplementedError
 
-    def x_value(self, coeffs, t, order=0):
-        return coeffs @ self.basis(t, order)
+    def x_stack(self, coeffs, t, order=2):
+        """``(x, x', .., x^(order))`` at ``t``, stacked along a leading axis."""
+        return np.array([coeffs @ table for table in self.basis(t, order)])
 
     @cached_property
     def _cost_tables(self):
-        """The basis tables of x, x' and v = x'' + x' on the cost rule, times sqrt(weight) (built once)."""
-        ts, ws = gauss_legendre(COST_NODES, 0.0, self.T)
-        x, xd, xdd = (self.basis(ts, k) * np.sqrt(ws) for k in range(3))
+        """The basis tables of x, x' and v = x'' + x' on the cost rule, times sqrt(weight) (built once).
+
+        The rule on ``[0, T]`` is the horizon-2 rule stretched by ``T/2``, so
+        each table is the cached horizon-2 one times ``(2/T)^k sqrt(T/2)``.
+        """
+        cost, _ = _reference_tables(type(self), self.N)
+        scale = (2.0 / self.T) ** np.arange(3) * math.sqrt(self.T / 2.0)
+        x, xd, xdd = cost * scale[:, None, None]
         return x, xd, xdd + xd
 
     def gram(self, lam=0.0):
@@ -148,8 +173,44 @@ class AnsatzFamily:
 
     def boundary_values(self, coeffs):
         """(x(0), x(T), x'(0), x'(T)) for a coefficient vector."""
-        ends = np.array([0.0, self.T])
-        return (*self.x_value(coeffs, ends, 0), *self.x_value(coeffs, ends, 1))
+        x, xd = self.x_stack(coeffs, np.array([0.0, self.T]), 1)
+        return (*x, *xd)
+
+
+@lru_cache(maxsize=64)
+def _reference_tables(family, N):
+    """Horizon-2 basis tables of ``family`` at order ``N``, shared read-only.
+
+    Returns ``(cost, ends)``: orders 0-2 on the cost rule of ``[0, 2]``, each
+    node times sqrt(weight), shaped (order, basis, node); and orders 0-1 at
+    ``u = 0`` and ``u = 2``, shaped (order, basis, 2).
+    """
+    u, w = gauss_legendre(COST_NODES, 0.0, 2.0)
+    cost = family.reference_basis(N, u, 2) * np.sqrt(w)
+    ends = family.reference_basis(N, np.array([0.0, 2.0]), 1)
+    cost.setflags(write=False)
+    ends.setflags(write=False)
+    return cost, ends
+
+
+@lru_cache(maxsize=64)
+def _legendre_derivative(N):
+    """``D[i, j]``: d/du P_j(u - 1) = sum of (2i + 1) P_i over i < j with j - i odd."""
+    i, j = np.ogrid[: N + 1, : N + 1]
+    D = np.where((j > i) & ((j - i) % 2 == 1), 2.0 * i + 1.0, 0.0)
+    D.setflags(write=False)
+    return D
+
+
+@lru_cache(maxsize=64)
+def _monomial_matrix(N):
+    """``M[k, j] = (-1)^(j+k) C(j,k) C(j+k,k)``, the t^k coefficient of P_j(2t - 1)."""
+    M = np.array(
+        [[float((-1) ** (j + k) * math.comb(j, k) * math.comb(j + k, k)) for j in range(N + 1)]
+         for k in range(N + 1)]
+    )
+    M.setflags(write=False)
+    return M
 
 
 class PolynomialAnsatz(AnsatzFamily):
@@ -171,29 +232,22 @@ class PolynomialAnsatz(AnsatzFamily):
         self.N = int(N)
         super().__init__(T)
 
-    def basis(self, ts, order=0):
-        s = 2.0 * np.asarray(ts, dtype=float) / self.T - 1.0
-        P = np.empty((self.N + 1,) + s.shape)
+    @staticmethod
+    def reference_basis(N, u, order):
+        s = u - 1.0
+        out = np.empty((order + 1, N + 1) + s.shape)
+        P = out[0]
         P[0], P[1] = 1.0, s
-        for j in range(1, self.N):  # Bonnet's three-term recurrence
+        for j in range(1, N):  # Bonnet's three-term recurrence
             P[j + 1] = ((2 * j + 1) * s * P[j] - j * P[j - 1]) / (j + 1)
-        if not order:
-            return P
-        return np.tensordot(np.linalg.matrix_power(self._derivative, order), P, axes=(0, 0))
-
-    @cached_property
-    def _derivative(self):
-        """``D[i, j]``: d/dt P_j(2t/T - 1) = (2/T) sum of (2i + 1) P_i over i < j with j - i odd."""
-        i, j = np.ogrid[: self.N + 1, : self.N + 1]
-        return np.where((j > i) & ((j - i) % 2 == 1), (2.0 * i + 1.0) * (2.0 / self.T), 0.0)
+        for k in range(1, order + 1):
+            out[k] = np.tensordot(_legendre_derivative(N), out[k - 1], axes=(0, 0))
+        return out
 
     def paper_coefficients(self, coeffs):
         # the t^k coefficient of P_j(2t/T - 1) is (-1)^(j+k) C(j,k) C(j+k,k) / T^k
-        N, T = self.N, self.T
-        to_monomial = np.array(
-            [[(-1) ** (j + k) * math.comb(j, k) * math.comb(j + k, k) / T**k for j in range(N + 1)]
-             for k in range(N + 1)]
-        )
+        N = self.N
+        to_monomial = _monomial_matrix(N) / self.T ** np.arange(N + 1)[:, None]
         a = (to_monomial @ coeffs).tolist()
         names = dict(zip(string.ascii_lowercase, a[4:]))
         names.update((f"a{k}", a[k]) for k in range(2, N + 1))
@@ -216,15 +270,18 @@ class TrigonometricAnsatz(AnsatzFamily):
         if N < 3:
             raise InvalidOrder(f"trigonometric family needs N >= 3, got {N}")
         self.N = int(N)
-        self.omegas = np.arange(1, N + 1) * np.pi / (2.0 * T)
         super().__init__(T)
 
-    def basis(self, ts, order=0):
-        ts = np.asarray(ts, dtype=float)
-        w = self.omegas.reshape((-1,) + (1,) * ts.ndim)
-        trig = np.cos if order % 2 else np.sin
-        sign = -1.0 if order % 4 >= 2 else 1.0
-        return sign * w**order * trig(w * ts)
+    @staticmethod
+    def reference_basis(N, u, order):
+        # sin(k pi u / 4) on the horizon-2 interval; derivatives cycle sin, cos, -sin, -cos
+        w = (np.arange(1, N + 1) * (np.pi / 4.0)).reshape((-1,) + (1,) * u.ndim)
+        out = np.empty((order + 1, N) + u.shape)
+        out[0::2] = np.sin(w * u)
+        out[1::2] = np.cos(w * u)
+        k = np.arange(order + 1).reshape((-1, 1) + (1,) * u.ndim)
+        out *= (-1.0) ** (k // 2) * w**k
+        return out
 
     def paper_coefficients(self, coeffs):
         a = [float(c) for c in coeffs]
@@ -273,10 +330,11 @@ class ExponentialAnsatz(AnsatzFamily):
             shifts=(0.0, 0.0, T, 0.0),
         )
 
-    def x_value(self, coeffs, t, order=0):
+    def x_stack(self, coeffs, t, order=2):
         # coeffs is always the stored vector (free_dim = 0); evaluate through
-        # the anchored sum so large k cannot overflow
-        return self.x.derivative(order).value(t) if order else self.x.value(t)
+        # the anchored sum so large k cannot overflow, one exponential per term
+        x = self.x
+        return real_values([x] + [x.derivative(k) for k in range(1, order + 1)], t)
 
     def paper_coefficients(self, coeffs):
         return {**dict(zip("abcd", map(float, coeffs))), "k": self.k}
@@ -293,7 +351,6 @@ class ExponentialAnsatz(AnsatzFamily):
     def _squares(self):
         """Exact (state, derivative, unweighted control-energy) integrals (built once)."""
         x = self.x
-        xd = x.derivative(1)
         v = ExpSum(
             gammas=tuple(
                 g * (r * r + r) for g, r in zip(x.gammas, x.rates)
@@ -301,11 +358,7 @@ class ExponentialAnsatz(AnsatzFamily):
             rates=x.rates,
             shifts=x.shifts,
         )
-        return (
-            square_integral(x, self.T),
-            square_integral(xd, self.T),
-            square_integral(v, self.T),
-        )
+        return square_integrals([x, x.derivative(1), v], self.T)
 
 
 def exponential_coefficients_by_solve(k, T=1.0):
@@ -400,15 +453,14 @@ def solve_sta(family, problem=None):
 
     def controls(ts, xs):
         # the dynamics give u = xdot + x, and v = udot at first order
-        return (xs[1] + xs[0],), family.x_value(coeffs, ts, 2) + xs[1]
+        return (xs[1] + xs[0],), xs[2] + xs[1]
 
     return ProtocolSolution(
         problem=problem,
         kind=_KIND_TAGS[family.kind],
         coefficients=family.paper_coefficients(coeffs),
         trajectory=Trajectory(
-            T=problem.T, n=1, controls=controls,
-            x=lambda ts: [family.x_value(coeffs, ts, j) for j in range(2)],
+            T=problem.T, n=1, controls=controls, x=lambda ts: family.x_stack(coeffs, ts),
         ),
         impulses=(),
         cost=cost,

@@ -101,3 +101,21 @@ def sta_optimum_mp(kind, N, T, dps=60):
         kkt += [list(b) + [0] * len(B) for b in B]
         c = mpmath.lu_solve(mpmath.matrix(kkt), mpmath.matrix([0] * n + rhs))[:n]
         return float(sum(c[i] * G[i][j] * c[j] for i in range(n) for j in range(n)))
+
+
+def product_integral_mp(f, g, T, dps=50):
+    """``int_0^T f g dt`` of two exponential sums at ``dps`` digits, one term pair at a time.
+
+    The float gammas, rates and shifts are taken as exact, so the result is
+    the integral of the very sums the package integrates.
+    """
+    with mpmath.workdps(dps):
+        T = mpmath.mpf(T)
+        total = mpmath.mpc(0)
+        for gi, si, ti in zip(f.gammas, f.rates, f.shifts):
+            for gj, sj, tj in zip(g.gammas, g.rates, g.shifts):
+                S = mpmath.mpc(si) + mpmath.mpc(sj)
+                P = mpmath.mpc(si) * mpmath.mpf(ti) + mpmath.mpc(sj) * mpmath.mpf(tj)
+                pair = T * mpmath.exp(-P) if S == 0 else (mpmath.exp(S * T - P) - mpmath.exp(-P)) / S
+                total += mpmath.mpc(gi) * mpmath.mpc(gj) * pair
+        return complex(total)

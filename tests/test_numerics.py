@@ -10,7 +10,7 @@ import pytest
 
 import lincontrol
 from lincontrol import oct as octmod
-from lincontrol.expsums import ExpSum, real_values
+from lincontrol.expsums import ExpSum, product_integral, real_values, square_integrals
 from lincontrol.numerics import (
     DefectiveMatrix,
     NonFiniteSample,
@@ -23,7 +23,7 @@ from lincontrol.numerics import (
     solve_linear,
 )
 from lincontrol.oct import PontryaginFlow, build_lq
-from oracles import exponential_cofactors
+from oracles import exponential_cofactors, product_integral_mp
 
 
 def order1_flow_matrix(lam):
@@ -344,6 +344,75 @@ class TestRealValues:
             real_values([a, ExpSum((1.0,), (2.0,), (0.0,))], 0.5)
         with pytest.raises(ValueError):
             real_values([a, ExpSum((1.0,), (1.0,), (1.0,))], 0.5)
+
+
+#: stacks of sums sharing rates and shifts, each exercising one branch of the pair kernel
+KERNEL_STACKS = {
+    # (1, -1 + 1e-10) and (1, -1) pairs take the near-cancelling series
+    "near-cancelling": (1.0, [
+        ExpSum((0.7, -1.3, 0.4), (1.0, -1.0 + 1e-10, -1.0), (0.0, 0.0, 0.0)),
+        ExpSum((0.2, 0.9, -0.5), (1.0, -1.0 + 1e-10, -1.0), (0.0, 0.0, 0.0)),
+    ]),
+    # conjugate pairs of gammas on conjugate rates: real-valued sums
+    "complex-conjugate": (2.0, [
+        ExpSum.anchored((0.3 + 0.4j, 0.3 - 0.4j, 1.1, -0.6), (-0.5 + 3j, -0.5 - 3j, 2.0, -2.0), 2.0),
+        ExpSum.anchored((-1.2 + 0.1j, -1.2 - 0.1j, 0.5, 0.8), (-0.5 + 3j, -0.5 - 3j, 2.0, -2.0), 2.0),
+    ]),
+    # growing rates anchored at T, |s| T = 700: e^{700} itself is never formed
+    "anchored-fast": (0.5, [
+        ExpSum.anchored((0.25, -0.5, 1.5, 2.0), (1400.0, -1400.0, 1.0, -1.0), 0.5),
+        ExpSum.anchored((1.0, 1.0, -0.75, 0.5), (1400.0, -1400.0, 1.0, -1.0), 0.5),
+    ]),
+    "anchored-fast-complex": (1.0, [
+        ExpSum.anchored((0.5 + 0.5j, 0.5 - 0.5j, 0.3 - 0.2j, 0.3 + 0.2j),
+                        (600.0 + 360.0j, 600.0 - 360.0j, -600.0 + 360.0j, -600.0 - 360.0j), 1.0),
+        ExpSum.anchored((1.0j, -1.0j, 2.0, 2.0),
+                        (600.0 + 360.0j, 600.0 - 360.0j, -600.0 + 360.0j, -600.0 - 360.0j), 1.0),
+    ]),
+}
+
+
+class TestPairKernel:
+    @pytest.mark.parametrize("T, sums", KERNEL_STACKS.values(), ids=KERNEL_STACKS.keys())
+    def test_matches_extended_precision(self, T, sums):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in sums:
+                for g in sums:
+                    got = complex(product_integral(f, g, T))
+                    want = product_integral_mp(f, g, T)
+                    assert abs(got - want) <= 1e-13 * abs(want)
+            squares = square_integrals(sums, T)
+        for f, got in zip(sums, squares):
+            want = product_integral_mp(f, f, T).real
+            assert type(got) is float and abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("T, sums", KERNEL_STACKS.values(), ids=KERNEL_STACKS.keys())
+    def test_stacked_rows_match_single_sums(self, T, sums):
+        g = sums[::-1]
+        stacked = product_integral(sums, g, T)
+        assert stacked.shape == (len(sums),)
+        for a, b, row in zip(sums, g, stacked):
+            single = product_integral(a, b, T)
+            assert abs(row - single) <= 1e-15 * abs(single)
+        for s, sq in zip(sums, square_integrals(sums, T)):
+            assert sq == pytest.approx(square_integrals([s], T)[0], rel=1e-15)
+
+    @pytest.mark.parametrize("solve", STACKED_SOLVERS.values(), ids=STACKED_SOLVERS.keys())
+    def test_solution_integrals_match_extended_precision(self, monkeypatch, solve):
+        # the state, adjoint and control sums of real solutions, stacked as packaged
+        sums = packaged_series(monkeypatch, solve)
+        for s, got in zip(sums, square_integrals(sums, 1.0)):
+            want = product_integral_mp(s, s, 1.0).real
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_mismatched_stacks_raise(self):
+        a = ExpSum((1.0,), (1.0,), (0.0,))
+        b = ExpSum((1.0,), (2.0,), (0.0,))
+        with pytest.raises(ValueError):
+            product_integral([a, b], [a, a], 1.0)
+        with pytest.raises(ValueError):
+            product_integral([a, a], [a], 1.0)
 
 
 def test_import_leaves_scipy_unloaded():

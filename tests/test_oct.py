@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from lincontrol.model import InvalidOrder, cost_functional, verify_boundaries
+from lincontrol import oct as octmod
+from lincontrol.model import InvalidOrder, adjoint_names, cost_functional, verify_boundaries
 from lincontrol.numerics import NumericsError, Overflow
 from lincontrol.oct import (
     LambdaOutOfRange,
@@ -250,6 +251,23 @@ class TestSolveRegular:
     def test_higher_order_kind_tag(self):
         assert solve_regular(build_lq(2, 1e-4)).kind == "oct-higher"
         assert solve_regular(build_lq(1, 1e-4)).kind == "oct-regular"
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_initial_adjoints_bitwise_per_sum(self, monkeypatch, n):
+        # p0_* come from one stacked evaluation; each must round as its own sum's value(0)
+        seen = []
+        package = octmod._chain_solution
+
+        def spy(problem, kind, state_sums, p_sums, v_sum, **kwargs):
+            seen.append(p_sums)
+            return package(problem, kind, state_sums, p_sums, v_sum, **kwargs)
+
+        monkeypatch.setattr(octmod, "_chain_solution", spy)
+        sol = solve_regular(build_lq(n, 10.0 ** (-2 * n)))
+        (p_sums,) = seen
+        got = [sol.coefficients[f"p0_{name}"] for name in adjoint_names(n)]
+        assert all(type(p) is float for p in got)
+        assert np.array(got).tobytes() == np.array([s.value(0.0) for s in p_sums]).tobytes()
 
     def test_control_identity_u_equals_z0(self):
         for sol in (

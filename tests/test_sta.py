@@ -5,12 +5,17 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from numpy.polynomial import Legendre
 from hypothesis import strategies as st
 
 from lincontrol.model import ControlProblem, InvalidOrder, cost_functional, verify_boundaries
-from lincontrol.numerics import NumericsError, Overflow, SingularMatrix, minimize_quadratic
+from lincontrol.numerics import NumericsError, Overflow, SingularMatrix, gauss_legendre, minimize_quadratic
 from lincontrol.sta import (
+    COST_NODES,
     DegenerateBasis,
+    PolynomialAnsatz,
+    TrigonometricAnsatz,
+    _reference_tables,
     assemble_gram,
     build_exponential,
     build_polynomial,
@@ -169,6 +174,16 @@ class TestExponentialFamily:
     def test_negative_rate_normalised(self):
         assert build_exponential(-100.0).k == 100.0
 
+    @pytest.mark.parametrize("k", [3.0, 1200.0])
+    def test_trajectory_stack_rows_are_each_derivative(self, k):
+        # one stacked evaluation, each row bitwise the derivative's own value
+        fam = build_exponential(k)
+        ts = np.linspace(0.0, 1.0, 101)
+        xs = solve_sta(fam).trajectory.x(ts)
+        assert xs.shape == (3, ts.size)
+        for order, row in enumerate(xs):
+            assert row.tobytes() == fam.x.derivative(order).value(ts).tobytes()
+
     def test_rate_100_cost(self):
         sol = solve_sta(build_exponential(100.0))
         assert sol.cost == pytest.approx(1.325271, rel=5e-5)
@@ -201,9 +216,7 @@ class TestAssembleGram:
             coeffs = fam.coefficient_vector(p)
 
             def f(t):
-                x = fam.x_value(coeffs, t, 0)
-                xd = fam.x_value(coeffs, t, 1)
-                xdd = fam.x_value(coeffs, t, 2)
+                x, xd, xdd = fam.x_stack(coeffs, t)
                 return x * x + xd * xd + lam * (xdd + xd) ** 2
 
             from lincontrol.numerics import integrate
@@ -293,6 +306,53 @@ class TestSolveSta:
 
 
 ORACLE_HORIZONS = [0.1, 1.0, 6.31, 10.0]
+
+
+def direct_basis(family, N, T, ts, k):
+    """The k-th derivative of every basis function at horizon T, from its own definition."""
+    if family is PolynomialAnsatz:
+        return np.array([Legendre.basis(j, domain=[0.0, T]).deriv(k)(ts) for j in range(N + 1)])
+    w = np.arange(1, N + 1)[:, None] * np.pi / (2.0 * T)
+    return (-1.0) ** (k // 2) * w**k * (np.cos if k % 2 else np.sin)(w * ts)
+
+
+TABLE_ORDERS = [(PolynomialAnsatz, N) for N in (3, 12, 20, 47)] + [
+    (TrigonometricAnsatz, N) for N in (3, 8, 13)
+]
+
+
+class TestReferenceTables:
+    """The horizon-2 tables, rescaled, against each basis evaluated directly at horizon T."""
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("T", ORACLE_HORIZONS)
+    @pytest.mark.parametrize("family, N", TABLE_ORDERS, ids=lambda v: getattr(v, "kind", v))
+    def test_cost_tables(self, family, N, T):
+        ts, ws = gauss_legendre(COST_NODES, 0.0, T)
+        x, xd, xdd = (direct_basis(family, N, T, ts, k) * np.sqrt(ws) for k in range(3))
+        for got, want in zip(family(N, T)._cost_tables, (x, xd, xdd + xd)):
+            self.assert_close(got, want)
+
+    @pytest.mark.parametrize("T", ORACLE_HORIZONS)
+    @pytest.mark.parametrize("family, N", TABLE_ORDERS, ids=lambda v: getattr(v, "kind", v))
+    def test_boundary_rows_and_basis(self, family, N, T):
+        _, ends = _reference_tables(family, N)
+        for k in range(2):
+            self.assert_close((2.0 / T) ** k * ends[k], direct_basis(family, N, T, np.array([0.0, T]), k))
+        ts = np.linspace(0.0, T, 7)
+        for k, got in enumerate(family(N, T).basis(ts, 2)):
+            self.assert_close(got, direct_basis(family, N, T, ts, k))
+
+    def test_tables_are_shared_read_only(self):
+        cost, ends = _reference_tables(PolynomialAnsatz, 5)
+        assert _reference_tables(PolynomialAnsatz, 5)[0] is cost
+        with pytest.raises(ValueError):
+            cost[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ends[0, 0, 0] = 1.0
 
 
 class TestExtendedPrecisionOracle:
