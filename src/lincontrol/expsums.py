@@ -66,19 +66,23 @@ def _shared_terms(sums):
 def real_values(sums, t):
     """Real parts of several sums at ``t``, stacked as ``(len(sums),) + t.shape``.
 
-    The sums must share their ``rates`` and ``shifts``, so each term's
-    exponential is computed once for all of them.  Complex products are
-    written out in real arithmetic so that a value rounds the same for
+    The sums must share their ``rates`` and ``shifts``, so every term's
+    exponential is computed for all of them in one ``np.exp`` call over a
+    ``(terms,) + t.shape`` array (real when every rate is real).  The terms
+    are then accumulated one at a time, so a row's bits do not depend on how
+    many rows are stacked with it or on the shape of ``t``.  Complex products
+    are written out in real arithmetic so that a value rounds the same for
     scalar and array ``t``: numpy's vectorised complex multiply may fuse
     multiply-adds.
     """
     rates, shifts = _shared_terms(sums)
     t = np.asarray(t, dtype=float)
-    g = np.array([s.gammas for s in sums], dtype=complex).reshape((len(sums), -1) + (1,) * t.ndim)
+    per_term = (-1,) + (1,) * t.ndim
+    g = np.array([s.gammas for s in sums], dtype=complex).reshape((len(sums),) + per_term)
+    e = np.exp(np.asarray(rates).reshape(per_term) * (t - np.asarray(shifts).reshape(per_term)))
     out = np.zeros((len(sums),) + t.shape)
-    for i, (rate, shift) in enumerate(zip(rates, shifts)):
-        e = np.exp(rate * (t - shift))
-        out += g.real[:, i] * e.real - g.imag[:, i] * e.imag
+    for i in range(len(rates)):
+        out += g.real[:, i] * e.real[i] - g.imag[:, i] * e.imag[i]
     return out
 
 

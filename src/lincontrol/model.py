@@ -98,9 +98,12 @@ class Trajectory:
     """Closed-form trajectory on ``[0, T]`` as array-valued series.
 
     ``x(ts)`` is the stack ``(x, x', .., x^(n))``, which may carry further
-    derivatives for ``controls``; ``controls(ts, xs)`` turns that stack into
+    rows for ``controls``: the basis families add ``x''``, and the
+    optimal-control solutions append ``z_0 .. z_{n-1}, v`` themselves, so
+    one evaluation serves both.  ``controls(ts, xs)`` turns that stack into
     ``(z, v)``: the augmented coordinates ``z_0 .. z_{n-1}`` (``z_0 = u``)
-    and the auxiliary control.  For optimal-control solutions
+    and the auxiliary control.  Any shape of ``ts`` is accepted; every row
+    has that shape.  For optimal-control solutions
     ``p(ts)`` is the stack of adjoints in :func:`adjoint_names` order; ``p``
     is ``None`` otherwise.  :meth:`table` evaluates every named column on a
     whole grid in one call.
@@ -201,26 +204,39 @@ def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
     The integral is split into ``panels`` equal panels, each integrated with
     an ``nodes``-point Gauss-Legendre rule, so boundary layers of width
     ``1/rate`` are resolved by choosing ``panels ~ rate * T / 16``.  Endpoint
-    impulses never contribute: quadrature nodes are interior points.
+    impulses never contribute: quadrature nodes are interior points.  The
+    trajectory is evaluated once, on every panel's nodes together, and only
+    ``x``, ``xdot`` and (for ``lam > 0``) ``v`` are read from it; the panel
+    integrals are summed in panel order.
 
     Returns
     -------
     (float, CostBreakdown)
         Total cost and its (state, derivative, control-energy) parts.
+
+    Raises
+    ------
+    ValueError
+        If ``panels`` is not an integer ``>= 1``.
     """
+    if not isinstance(panels, (int, np.integer)) or panels < 1:
+        raise ValueError(f"panels must be an integer >= 1, got {panels!r}")
     if T is None:
         T = traj.T
-    names = ["x", "xdot", "v"] if lam > 0 else ["x", "xdot"]
-    weights = np.array([1.0, 1.0, lam])[: len(names)]
+    weights = np.array([1.0, 1.0, lam])[: 3 if lam > 0 else 2]
 
     def integrand(ts):
-        cols = traj.table(ts)
-        return [cols[k] ** 2 for k in names]
+        xs = traj.x(ts)
+        rows = [xs[0], xs[1]]
+        if lam > 0:
+            rows.append(traj.controls(ts, xs)[1])
+        return [r**2 for r in rows]
 
     edges = np.linspace(0.0, T, panels + 1)
+    per_panel = integrate(integrand, edges[:-1], edges[1:], nodes)
     parts = np.zeros(3)
-    for a, b in zip(edges[:-1], edges[1:]):
-        parts[: len(names)] += weights * integrate(integrand, a, b, nodes)
+    for panel in per_panel.T:
+        parts[: len(weights)] += weights * panel
     breakdown = CostBreakdown(parts[0], parts[1], parts[2])
     return breakdown.total, breakdown
 

@@ -200,24 +200,39 @@ def integrate(f, a, b, nodes=64):
     array-valued ``f`` may also return a stack of integrands along a leading
     axis; they are integrated row by row and returned as an array.
 
+    ``a`` and ``b`` may instead be equal-length 1-D arrays of panel ends.
+    ``f`` is then called once, on the flat array of every panel's nodes, and
+    the result gains a trailing panel axis: ``(panels,)``, or ``(rows,
+    panels)`` for a stack.  Each panel's integral is its own dot product, so
+    it rounds exactly as a call on that panel alone.
+
     Raises
     ------
+    ValueError
+        If ``a < b`` fails on some panel, or the panel arrays are empty or
+        differ in shape.
     NonFiniteSample
         If ``f`` returns NaN or infinity at any node.
     """
-    if not a < b:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim > 1 or a.size == 0:
+        raise ValueError(f"need scalar or equal-length 1-D panel ends, got shapes {a.shape} and {b.shape}")
+    if not np.all(a < b):
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    x, w = gauss_legendre(nodes, a, b)
+    x, w = gauss_legendre(nodes, a[..., None], b[..., None])
     try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape[-1:] != x.shape:
+        y = np.asarray(f(x.ravel()), dtype=float)
+        if y.shape[-1:] != (x.size,):
             raise TypeError
     except (TypeError, ValueError):
-        y = np.array([float(f(xi)) for xi in x])
+        y = np.array([float(f(xi)) for xi in x.ravel()])
     if not np.all(np.isfinite(y)):
         raise NonFiniteSample("integrand returned NaN/Inf")
-    # one dot product per row, so each integral rounds as it would alone
-    return float(w @ y) if y.ndim == 1 else np.array([w @ row for row in y])
+    # one dot product per row and panel, so each integral rounds as it would alone
+    w = w.reshape(-1, w.shape[-1])
+    vals = np.array([[wp @ yp for wp, yp in zip(w, row)] for row in y.reshape((-1,) + w.shape)])
+    vals = vals.reshape(y.shape[:-1] + a.shape)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def minimize_quadratic(A, b):

@@ -252,15 +252,13 @@ def _chain_solution(problem, kind, state_sums, p_sums, v_sum, impulses=(), cost_
     for j in range(1, n):
         xderiv_sums.append(_combine([z_sums[j], xderiv_sums[-1]], [1.0, -1.0]))
     x = _combine([z_sums[0], x1], [1.0, -1.0])
-
-    def controls(ts, xs):
-        *z, v = real_values(z_sums + [v_sum], ts)
-        return z, v
-
+    # one stack [x, x', .., x^(n), z_0 .. z_{n-1}, v], so each term's
+    # exponential is computed once for the state and the controls
+    stack = [x] + xderiv_sums + z_sums + [v_sum]
     trajectory = Trajectory(
         T=problem.T, n=n, p=lambda ts: real_values(p_sums, ts),
-        x=lambda ts: real_values([x] + xderiv_sums, ts),
-        controls=controls,
+        x=lambda ts: real_values(stack, ts),
+        controls=lambda ts, xs: (xs[n + 1 : 2 * n + 1], xs[2 * n + 1]),
     )
     state_part, deriv_part, ctrl = square_integrals([x, x1, v_sum], problem.T)
     breakdown = CostBreakdown(state_part, deriv_part, problem.lam * ctrl if problem.lam else 0.0)
@@ -413,6 +411,8 @@ def singular_consistency_check(sol, window=None, points=161, profile="auto"):
     itself is fitted; at higher orders it carries enormous oscillatory
     boundary layers (they deliver the extra derivative conditions), so the
     physical control ``u = z_0`` is the meaningful interior representative.
+    Only ``x`` and the controls are evaluated, on ``points >= 2`` evenly
+    spaced times of the window.
     """
     T = sol.problem.T
     if window is None:
@@ -420,10 +420,16 @@ def singular_consistency_check(sol, window=None, points=161, profile="auto"):
     ta, tb = window
     if not 0.0 < ta < tb < T:
         raise ValueError(f"window {window} must lie inside (0, {T})")
+    if points < 2:
+        raise ValueError(f"need at least 2 points, got {points}")
     if profile == "auto":
         profile = "v" if sol.problem.n == 1 else "u"
+    if profile not in ("u", "v"):
+        raise ValueError(f"profile must be 'auto', 'u' or 'v', got {profile!r}")
     ts = np.linspace(ta, tb, points)
-    _, dev = fit_exponential_arc(ts, sol.trajectory.table(ts)[profile])
+    traj = sol.trajectory
+    z, v = traj.controls(ts, traj.x(ts))
+    _, dev = fit_exponential_arc(ts, v if profile == "v" else z[0])
     return dev
 
 

@@ -146,8 +146,14 @@ class AnsatzFamily:
         raise NotImplementedError
 
     def x_stack(self, coeffs, t, order=2):
-        """``(x, x', .., x^(order))`` at ``t``, stacked along a leading axis."""
-        return np.array([coeffs @ table for table in self.basis(t, order)])
+        """``(x, x', .., x^(order))`` at ``t``, stacked along a leading axis.
+
+        A ``t`` of two or more dimensions is evaluated flattened, so the basis
+        axis is the one contracted, and reshaped back.
+        """
+        t = np.asarray(t, dtype=float)
+        tables = self.basis(t.ravel() if t.ndim > 1 else t, order)
+        return np.array([coeffs @ table for table in tables]).reshape((order + 1,) + t.shape)
 
     @cached_property
     def _cost_tables(self):

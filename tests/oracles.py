@@ -3,6 +3,9 @@
 import mpmath
 import numpy as np
 
+from lincontrol.model import CostBreakdown
+from lincontrol.numerics import integrate
+from lincontrol.oct import fit_exponential_arc
 from lincontrol.sta import DegenerateBasis
 
 
@@ -119,3 +122,38 @@ def product_integral_mp(f, g, T, dps=50):
                 pair = T * mpmath.exp(-P) if S == 0 else (mpmath.exp(S * T - P) - mpmath.exp(-P)) / S
                 total += mpmath.mpc(gi) * mpmath.mpc(gj) * pair
         return complex(total)
+
+
+def cost_functional_per_panel(traj, lam=0.0, T=None, nodes=64, panels=1):
+    """The running-cost quadrature one panel at a time, from the full column table.
+
+    This is the straightforward form of :func:`lincontrol.model.cost_functional`:
+    one scalar-interval :func:`~lincontrol.numerics.integrate` call per panel,
+    each evaluating every column of :meth:`~lincontrol.model.Trajectory.table`,
+    accumulated in panel order.  The package must match it bit for bit.
+    """
+    if T is None:
+        T = traj.T
+    names = ["x", "xdot", "v"] if lam > 0 else ["x", "xdot"]
+    weights = np.array([1.0, 1.0, lam])[: len(names)]
+
+    def integrand(ts):
+        cols = traj.table(ts)
+        return [cols[k] ** 2 for k in names]
+
+    edges = np.linspace(0.0, T, panels + 1)
+    parts = np.zeros(3)
+    for a, b in zip(edges[:-1], edges[1:]):
+        parts[: len(names)] += weights * integrate(integrand, a, b, nodes)
+    breakdown = CostBreakdown(parts[0], parts[1], parts[2])
+    return breakdown.total, breakdown
+
+
+def singular_consistency_from_table(sol, window=None, points=161, profile="auto"):
+    """:func:`lincontrol.oct.singular_consistency_check` read off the full column table."""
+    T = sol.problem.T
+    ta, tb = (0.1 * T, 0.9 * T) if window is None else window
+    if profile == "auto":
+        profile = "v" if sol.problem.n == 1 else "u"
+    ts = np.linspace(ta, tb, points)
+    return fit_exponential_arc(ts, sol.trajectory.table(ts)[profile])[1]

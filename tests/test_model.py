@@ -16,8 +16,15 @@ from lincontrol.model import (
     verify_boundaries,
     write_csv,
 )
-from lincontrol.oct import regular_order1_analytic, singular_solution, solve_regular, build_lq
+from lincontrol.oct import (
+    build_lq,
+    regular_order1_analytic,
+    singular_consistency_check,
+    singular_solution,
+    solve_regular,
+)
 from lincontrol.sta import build_exponential, build_polynomial, build_trigonometric, solve_sta
+from oracles import cost_functional_per_panel, singular_consistency_from_table
 
 COTH1 = 1.0 / np.tanh(1.0)
 
@@ -99,6 +106,64 @@ class TestCostFunctional:
         ]
         for sol in solutions:
             assert sol.cost_breakdown.bare >= COTH1 - 1e-6
+
+    @pytest.mark.parametrize("panels", [0, -1, 1.5, 2.0, "2"])
+    def test_bad_panel_counts_raise(self, panels):
+        # zero panels used to return a silent cost of 0.0
+        with pytest.raises(ValueError):
+            cost_functional(singular_solution(1.0).trajectory, panels=panels)
+
+    def test_numpy_integer_panels(self):
+        traj = singular_solution(1.0).trajectory
+        assert cost_functional(traj, panels=np.int64(3)) == cost_functional(traj, panels=3)
+
+
+#: one solver of every kind, first-order optima included, and the chain at n = 2..8
+SOLVER_KINDS = {
+    "poly5": lambda: solve_sta(build_polynomial(5)),
+    "poly12-T2": lambda: solve_sta(build_polynomial(12, 2.0), ControlProblem(T=2.0, lam=1e-3)),
+    "trig6": lambda: solve_sta(build_trigonometric(6)),
+    "exp100": lambda: solve_sta(build_exponential(100.0)),
+    "singular": lambda: singular_solution(1.0),
+    "first-order": lambda: regular_order1_analytic(1e-4),
+    **{f"n{n}": (lambda n=n: solve_regular(build_lq(n, 10.0 ** (-2 * n)))) for n in range(2, 9)},
+}
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("make", SOLVER_KINDS.values(), ids=SOLVER_KINDS.keys())
+    def test_cost_functional_matches_per_panel_reference(self, make):
+        sol = make()
+        for lam in sorted({0.0, sol.problem.lam}):
+            for panels in range(1, 9):
+                got, want = (
+                    np.array([total, *parts.as_dict().values()])
+                    for total, parts in (
+                        cost_functional(sol.trajectory, lam=lam, panels=panels),
+                        cost_functional_per_panel(sol.trajectory, lam=lam, panels=panels),
+                    )
+                )
+                assert got.tobytes() == want.tobytes(), (lam, panels)
+
+    @pytest.mark.parametrize("make", SOLVER_KINDS.values(), ids=SOLVER_KINDS.keys())
+    def test_table_at_2d_times_is_flattened_table(self, make):
+        traj = make().trajectory
+        ts = np.linspace(0.0, traj.T, 24).reshape(4, 6)
+        got = traj.table(ts)
+        flat = traj.table(ts.ravel())
+        assert got.keys() == flat.keys()
+        for name, col in got.items():
+            assert np.shape(col) == ts.shape, name
+            assert np.asarray(col).tobytes() == np.asarray(flat[name]).reshape(ts.shape).tobytes(), name
+
+    @pytest.mark.parametrize("make", SOLVER_KINDS.values(), ids=SOLVER_KINDS.keys())
+    def test_consistency_check_matches_table_reference(self, make):
+        sol = make()
+        for points in (2, 161):
+            for profile in ("auto", "u", "v"):
+                got = singular_consistency_check(sol, points=points, profile=profile)
+                want = singular_consistency_from_table(sol, points=points, profile=profile)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestVerifyBoundaries:

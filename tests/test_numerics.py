@@ -241,6 +241,49 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda t: t, 1.0, 0.0)
 
+    @pytest.mark.parametrize("panels", [1, 2, 3, 8])
+    def test_panels_match_one_call_per_panel(self, panels):
+        def stacked(t):
+            return [np.exp(t) * np.sin(3.0 * t), t**7, np.cosh(t)]
+
+        def single(t):
+            return np.exp(-t) * t**3
+
+        edges = np.linspace(0.0, 2.5, panels + 1)
+        got = integrate(stacked, edges[:-1], edges[1:], nodes=16)
+        one = integrate(single, edges[:-1], edges[1:], nodes=16)
+        assert got.shape == (3, panels) and one.shape == (panels,)
+        for p, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            assert got[:, p].tobytes() == integrate(stacked, a, b, nodes=16).tobytes()
+            assert one[p].tobytes() == np.float64(integrate(single, a, b, nodes=16)).tobytes()
+
+    def test_panels_evaluate_f_once(self):
+        calls = []
+
+        def f(t):
+            calls.append(t.shape)
+            return t
+
+        vals = integrate(f, [0.0, 1.0, 2.0], [1.0, 2.0, 4.0], nodes=5)
+        assert calls == [(15,)]
+        assert vals == pytest.approx([0.5, 1.5, 6.0], rel=1e-14)
+
+    def test_scalar_only_callable_on_panels(self):
+        import math
+
+        vals = integrate(lambda t: math.exp(t), [0.0, 0.5], [0.5, 1.0])
+        assert vals.shape == (2,)
+        assert vals.sum() == pytest.approx(np.e - 1, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [([], []), ([0.0, 1.0], [1.0]), ([0.0], 1.0), ([[0.0]], [[1.0]]), ([0.0, 1.0], [1.0, 1.0])],
+        ids=["no-panels", "lengths", "shapes", "two-dimensional", "empty-panel"],
+    )
+    def test_bad_panels_raise(self, a, b):
+        with pytest.raises(ValueError):
+            integrate(lambda t: t, a, b)
+
 
 class TestMinimizeQuadratic:
     def test_identity_zero(self):
@@ -304,18 +347,31 @@ STACKED_SOLVERS = {
 }
 
 
-def packaged_series(monkeypatch, solve):
-    """Every exponential sum a solver hands to the packaging step."""
-    seen = []
+#: the oct solvers at every order the chain packaging serves
+OCT_SOLVERS = {
+    "singular": STACKED_SOLVERS["singular"],
+    "first-order": STACKED_SOLVERS["first-order"],
+    **{f"n{n}": (lambda n=n: octmod.solve_regular(build_lq(n, 10.0 ** (-2 * n)))) for n in range(2, 9)},
+}
+
+
+def packaged(monkeypatch, solve):
+    """A solver's solution and the series it hands to the packaging step."""
+    seen = {}
     package = octmod._chain_solution
 
     def spy(problem, kind, state_sums, p_sums, v_sum, **kwargs):
-        seen.extend([*state_sums, *p_sums, v_sum])
+        seen.update(state=state_sums, p=p_sums, v=v_sum)
         return package(problem, kind, state_sums, p_sums, v_sum, **kwargs)
 
     monkeypatch.setattr(octmod, "_chain_solution", spy)
-    solve()
-    return seen
+    return solve(), seen
+
+
+def packaged_series(monkeypatch, solve):
+    """Every exponential sum a solver hands to the packaging step."""
+    _, seen = packaged(monkeypatch, solve)
+    return [*seen["state"], *seen["p"], seen["v"]]
 
 
 class TestRealValues:
@@ -332,6 +388,29 @@ class TestRealValues:
                 g * np.exp(r * (ts - sh)) for g, r, sh in zip(s.gammas, s.rates, s.shifts)
             ))
             assert np.abs(row - naive).max() <= 1e-14 * np.abs(naive).max()
+
+    @pytest.mark.parametrize("solve", STACKED_SOLVERS.values(), ids=STACKED_SOLVERS.keys())
+    def test_2d_times_match_flattened(self, monkeypatch, solve):
+        sums = packaged_series(monkeypatch, solve)
+        grid = np.linspace(0.0, 1.0, 60).reshape(4, 15)
+        for ts in (grid, grid.T):
+            got = real_values(sums, ts)
+            assert got.shape == (len(sums),) + ts.shape
+            assert got.tobytes() == real_values(sums, ts.ravel()).reshape(got.shape).tobytes()
+
+    @pytest.mark.parametrize("solve", OCT_SOLVERS.values(), ids=OCT_SOLVERS.keys())
+    def test_trajectory_control_rows_match_each_sum(self, monkeypatch, solve):
+        # the oct x stack carries z_0 .. z_{n-1} and v; each row rounds as its own sum's value
+        sol, seen = packaged(monkeypatch, solve)
+        n, traj = sol.problem.n, sol.trajectory
+        sums = [seen["state"][n - k] for k in range(n)] + [seen["v"]]
+        for ts in (np.linspace(0.0, sol.problem.T, 101), 0.37):
+            xs = traj.x(ts)
+            assert len(xs) == 2 * n + 2
+            z, v = traj.controls(ts, xs)
+            assert len(z) == n
+            for row, s in zip([*z, v], sums):
+                assert np.asarray(row).tobytes() == np.asarray(s.value(ts)).tobytes()
 
     def test_scalar_value_is_a_float(self):
         s = ExpSum((1.0, 2.0 + 1.0j), (1.0, -1.0j), (0.0, 0.0))

@@ -455,6 +455,16 @@ class TestSingularConsistency:
         with pytest.raises(ValueError):
             singular_consistency_check(singular_solution(1.0), window=(0.5, 1.5))
 
+    @pytest.mark.parametrize("points", [1, 0])
+    def test_fewer_than_two_points_raise(self, points):
+        # one point always fits its own arc exactly, which would read as a pass
+        with pytest.raises(ValueError):
+            singular_consistency_check(regular_order1_analytic(1e-2), points=points)
+
+    def test_unknown_profile_raises(self):
+        with pytest.raises(ValueError):
+            singular_consistency_check(singular_solution(1.0), profile="x")
+
 
 class TestEquivalence:
     @pytest.mark.parametrize("lam", [1e-2, 1e-4])
