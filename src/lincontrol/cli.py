@@ -81,13 +81,18 @@ def _format(x):
 
 
 def _json(obj, indent=0):
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON with floats at 17 significant digits.
+
+    A ``float`` (``np.float64`` included) that is a dict value is formatted
+    in place rather than through a recursive call; it is the commonest leaf.
+    """
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = ",\n".join(
-            f'{pad}  "{k}": {_json(v, indent + 1)}' for k, v in obj.items()
+            f'{pad}  "{k}": {format(v, ".17g") if isinstance(v, float) else _json(v, indent + 1)}'
+            for k, v in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):

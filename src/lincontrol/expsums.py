@@ -22,7 +22,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ExpSum:
-    """Sum of ``gammas[i] * exp(rates[i] * (t - shifts[i]))``."""
+    """Sum of ``gammas[i] * exp(rates[i] * (t - shifts[i]))``.
+
+    ``gammas`` is a tuple or a 1-D array; ``rates`` and ``shifts`` are
+    tuples, which sums that share their terms compare equal on.  The
+    package's sums shift each growing rate to the horizon and the rest to 0.
+    """
 
     gammas: tuple
     rates: tuple
@@ -31,17 +36,6 @@ class ExpSum:
     def __post_init__(self):
         if not len(self.gammas) == len(self.rates) == len(self.shifts):
             raise ValueError("gammas, rates, shifts must have equal length")
-
-    @staticmethod
-    def anchored(gammas, rates, horizon):
-        """Build a sum whose growing terms are anchored at ``t = horizon``.
-
-        ``gammas`` must already be expressed relative to the anchor, i.e. the
-        coefficient multiplying ``exp(rate * (t - horizon))`` for growing
-        rates and ``exp(rate * t)`` for the rest.
-        """
-        shifts = np.where(np.real(rates) > 0, float(horizon), 0.0)
-        return ExpSum(tuple(gammas), tuple(rates), tuple(shifts.tolist()))
 
     def derivative(self, order=1):
         """Term-by-term derivative of the given order."""
@@ -63,26 +57,45 @@ def _shared_terms(sums):
     return rates, shifts
 
 
+#: :func:`real_values` forms every product of a call at once for at most
+#: this many times; larger tables accumulate one term at a time, which keeps
+#: their memory at one table
+FEW_POINTS = 8
+
+
 def real_values(sums, t):
     """Real parts of several sums at ``t``, stacked as ``(len(sums),) + t.shape``.
 
     The sums must share their ``rates`` and ``shifts``, so every term's
     exponential is computed for all of them in one ``np.exp`` call over a
     ``(terms,) + t.shape`` array (real when every rate is real).  The terms
-    are then accumulated one at a time, so a row's bits do not depend on how
-    many rows are stacked with it or on the shape of ``t``.  Complex products
-    are written out in real arithmetic so that a value rounds the same for
-    scalar and array ``t``: numpy's vectorised complex multiply may fuse
-    multiply-adds.
+    are then added one at a time, in term order and from ``+0.0``, so a
+    row's bits do not depend on how many rows are stacked with it or on the
+    shape of ``t``.  For at most :data:`FEW_POINTS` times the products form
+    one ``(terms, rows) + t.shape`` array whose running sum
+    (``np.add.accumulate``, never a pairwise reduction) adds them in that
+    same order.  Complex products are written out in real arithmetic so that
+    a value rounds the same for scalar and array ``t``: numpy's vectorised
+    complex multiply may fuse multiply-adds.  When every rate and gamma is
+    real the imaginary products, all exact zeros, are skipped; that leaves
+    every bit alone because ``x - 0.0 == x`` and the sum never becomes
+    ``-0.0``.
     """
     rates, shifts = _shared_terms(sums)
     t = np.asarray(t, dtype=float)
     per_term = (-1,) + (1,) * t.ndim
     g = np.array([s.gammas for s in sums], dtype=complex).reshape((len(sums),) + per_term)
     e = np.exp(np.asarray(rates).reshape(per_term) * (t - np.asarray(shifts).reshape(per_term)))
+    real = not np.iscomplexobj(e) and not g.imag.any()
+    if t.size <= FEW_POINTS:
+        g = g.swapaxes(0, 1)
+        e = e[:, None]
+        terms = g.real * e if real else g.real * e.real - g.imag * e.imag
+        terms[0] += 0.0
+        return np.add.accumulate(terms)[-1]
     out = np.zeros((len(sums),) + t.shape)
     for i in range(len(rates)):
-        out += g.real[:, i] * e.real[i] - g.imag[:, i] * e.imag[i]
+        out += g.real[:, i] * e[i] if real else g.real[:, i] * e.real[i] - g.imag[:, i] * e.imag[i]
     return out
 
 

@@ -11,6 +11,7 @@ reproducible byte-for-byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,6 +62,17 @@ def _as_square(A, name="A"):
     return A
 
 
+def _cond(A):
+    """2-norm condition number ``s_max/s_min`` of a finite, non-zero matrix.
+
+    The value ``np.linalg.cond`` returns, from the singular values alone and
+    in Python floats, so a zero ``s_min`` or an overflowing ratio reads as
+    ``inf`` without a warning.
+    """
+    s_max, s_min = np.linalg.svd(A, compute_uv=False)[[0, -1]].tolist()
+    return s_max / s_min if s_min > 0 else math.inf
+
+
 def solve_linear(A, b):
     """Solve ``A x = b`` for a dense square system behind a conditioning gate.
 
@@ -83,7 +95,9 @@ def solve_linear(A, b):
         ``A`` with every column scaled to unit max-magnitude is
         ``SOLVE_COND_CAP`` or above.  The scaling is per column because
         boundary systems mix column scales across hundreds of orders of
-        magnitude and are still perfectly solvable.
+        magnitude and are still perfectly solvable.  The condition number
+        is ``s[0]/s[-1]`` from one singular-value-only SVD (the value of
+        ``np.linalg.cond``); a zero ``s[-1]`` reads as ``inf``.
     """
     A = _as_square(A)
     b = np.asarray(b)
@@ -92,7 +106,7 @@ def solve_linear(A, b):
     scale = np.abs(A).max(axis=0)
     if not np.all(scale > 0):
         raise SingularMatrix(f"column {int(np.argmin(scale))} is zero")
-    cond = np.linalg.cond(A / scale)
+    cond = _cond(A / scale)
     if not cond < SOLVE_COND_CAP:
         raise SingularMatrix(f"column-scaled condition number {cond:.3e} >= {SOLVE_COND_CAP:.0e}")
     return np.linalg.solve(A, b)
@@ -147,7 +161,7 @@ def eigendecompose(A):
     V = V[:, order]
     scale = np.abs(V).max(axis=0)
     V = V / scale
-    cond = np.linalg.cond(V)
+    cond = _cond(V)
     if not np.isfinite(cond) or cond > EIGVEC_COND_CAP:
         raise DefectiveMatrix(f"eigenvector condition number {cond:.3e}")
     residuals = np.linalg.norm(A @ V - V * w, axis=0)

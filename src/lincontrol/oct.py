@@ -43,6 +43,7 @@ from .model import (
     ProtocolSolution,
     Trajectory,
     adjoint_names,
+    check_horizon,
 )
 from .numerics import ComplexSpectrum, SingularMatrix, eigendecompose, mat_exp, solve_linear
 
@@ -95,12 +96,14 @@ def build_lq(n, lam, T=1.0):
 
     The state cost matrix is ``W = r0^T r0 + r1^T r1`` with ``r1`` the row
     realising ``x'`` and ``r0 = e_{z0} - r1``, so that
-    ``s^T W s = (z_0 - x')^2 + x'^2 = x^2 + xdot^2``.
+    ``s^T W s = (z_0 - x')^2 + x'^2 = x^2 + xdot^2``.  A horizon that is not
+    finite and positive raises ``ValueError``, as in :class:`ControlProblem`.
     """
     if n < 1 or int(n) != n:
         raise InvalidOrder(f"derivative order must be an integer >= 1, got {n}")
     if not lam > 0:
         raise LambdaOutOfRange(f"energy weight must be positive, got {lam}")
+    check_horizon(T)
     ns = n + 1
     A = np.zeros((ns, ns))
     A[0, 0] = -1.0
@@ -198,11 +201,10 @@ def _modal_amplitudes(flow):
     spec = flow.spectrum()
     w = spec.eigenvalues
     V = spec.eigenvectors
-    M = np.zeros((2 * ns, 2 * ns), dtype=complex)
-    for i in range(2 * ns):
-        grow = w[i].real > 0
-        M[:ns, i] = V[:ns, i] * (np.exp(-w[i] * T) if grow else 1.0)
-        M[ns:, i] = V[:ns, i] * (1.0 if grow else np.exp(w[i] * T))
+    # growing modes carry exp(-w T) at t = 0, the rest exp(w T) at t = T
+    grow = w.real > 0
+    ends = np.exp(np.where(grow, -w, w) * T)
+    M = np.vstack([V[:ns] * np.where(grow, ends, 1.0), V[:ns] * np.where(grow, 1.0, ends)])
     rhs = np.concatenate([lq.x0, lq.xf]).astype(complex)
     try:
         c = solve_linear(M, rhs)
@@ -223,44 +225,42 @@ def _series_from_modes(flow):
     ns = lq.dim
     w, V, c = _modal_amplitudes(flow)
     rates = tuple(w)
-
-    def series(row_gammas):
-        return ExpSum.anchored(tuple(row_gammas), rates, lq.T)
-
-    state = [series(c * V[j]) for j in range(ns)]
-    adjoint = [series(c * V[ns + j]) for j in range(ns)]
-    v = series(c * w * V[1])
+    shifts = tuple(np.where(w.real > 0, lq.T, 0.0).tolist())
+    state = [ExpSum(c * V[j], rates, shifts) for j in range(ns)]
+    adjoint = [ExpSum(c * V[ns + j], rates, shifts) for j in range(ns)]
+    v = ExpSum(c * w * V[1], rates, shifts)
     return {"state": state, "p": adjoint, "v": v}
 
 
-def _combine(sums, weights):
-    """Pointwise linear combination of exponential sums on a shared grid of terms."""
-    gammas = np.zeros(len(sums[0].gammas), dtype=complex)
-    for s, wt in zip(sums, weights):
-        if wt:
-            gammas = gammas + wt * np.asarray(s.gammas)
-    return ExpSum(tuple(gammas), sums[0].rates, sums[0].shifts)
-
-
 def _chain_solution(problem, kind, state_sums, p_sums, v_sum, impulses=(), cost_override=None):
-    """Package chain-coordinate series into a :class:`ProtocolSolution`."""
+    """Package chain-coordinate series into a :class:`ProtocolSolution`.
+
+    The gammas of ``x' = r1 . state`` (see :func:`_x1_row`), ``x^(j+1) =
+    z_j - x^(j)`` and ``x = z_0 - x'`` come from one complex matrix of state
+    gammas, each sum started from a complex zero and taken in chain order.
+    """
     n = problem.n
-    r1 = _x1_row(n)
-    z_sums = [state_sums[n - k] for k in range(n)]  # z_0 .. z_{n-1}
-    x1 = _combine(state_sums, r1)
-    xderiv_sums = [x1]
+    rates, shifts = state_sums[0].rates, state_sums[0].shifts
+    G = np.array([s.gammas for s in state_sums], dtype=complex)  # rows x_n, z_{n-1} .. z_0
+    zero = np.zeros(G.shape[1], dtype=complex)
+    x1 = zero
+    for wt, row in zip(_x1_row(n), G):
+        if wt:
+            x1 = x1 + wt * row
+    gammas = [(zero + G[n]) - x1, x1]
     for j in range(1, n):
-        xderiv_sums.append(_combine([z_sums[j], xderiv_sums[-1]], [1.0, -1.0]))
-    x = _combine([z_sums[0], x1], [1.0, -1.0])
+        gammas.append((zero + G[n - j]) - gammas[-1])
+    x_sums = [ExpSum(g, rates, shifts) for g in gammas]  # x, x', .., x^(n)
+    z_sums = [state_sums[n - k] for k in range(n)]  # z_0 .. z_{n-1}
     # one stack [x, x', .., x^(n), z_0 .. z_{n-1}, v], so each term's
     # exponential is computed once for the state and the controls
-    stack = [x] + xderiv_sums + z_sums + [v_sum]
+    stack = x_sums + z_sums + [v_sum]
     trajectory = Trajectory(
         T=problem.T, n=n, p=lambda ts: real_values(p_sums, ts),
         x=lambda ts: real_values(stack, ts),
         controls=lambda ts, xs: (xs[n + 1 : 2 * n + 1], xs[2 * n + 1]),
     )
-    state_part, deriv_part, ctrl = square_integrals([x, x1, v_sum], problem.T)
+    state_part, deriv_part, ctrl = square_integrals([x_sums[0], x_sums[1], v_sum], problem.T)
     breakdown = CostBreakdown(state_part, deriv_part, problem.lam * ctrl if problem.lam else 0.0)
     cost = breakdown.total if cost_override is None else cost_override
     p0 = real_values(p_sums, 0.0).tolist()
@@ -465,7 +465,7 @@ def equivalence_sta_regular(lam, T=1.0, points=1001):
     k = 1.0 / np.sqrt(lam)
     family = build_exponential(k, T)
     y, z = _series_from_modes(PontryaginFlow(build_lq(1, lam, T)))["state"]
-    x = _combine([z, y], [1.0, -1.0])
+    x = ExpSum((0.0 + z.gammas) - y.gammas, z.rates, z.shifts)
     ts = np.linspace(0.0, T, points)
     gap = float(np.abs(family.x.value(ts) - x.value(ts)).max())
     modal_rates = np.asarray(x.rates)

@@ -135,10 +135,20 @@ class AnsatzFamily:
 
     def basis(self, ts, order):
         """Derivatives of orders ``0 .. order`` of every basis function at ``ts``,
-        shaped (order + 1, basis) + ts.shape."""
+        shaped (order + 1, basis) + ts.shape.
+
+        The horizon-2 table at ``u = 2 ts / T`` is rescaled by ``(2/T)^k``.
+        When ``u`` is exactly ``(0, 2)``, as it is for ``ts = (0, T)``, and
+        ``order <= 2``, the cached endpoint table stands in for a new one; it
+        holds the same bits.
+        """
         ts = np.asarray(ts, dtype=float)
-        table = self.reference_basis(self.N, 2.0 * ts / self.T, order)
-        table *= ((2.0 / self.T) ** np.arange(order + 1)).reshape((-1, 1) + (1,) * ts.ndim)
+        u = 2.0 * ts / self.T
+        scale = ((2.0 / self.T) ** np.arange(order + 1)).reshape((-1, 1) + (1,) * ts.ndim)
+        if order <= 2 and u.shape == _ENDS.shape and u.tobytes() == _ENDS.tobytes():
+            return _reference_tables(type(self), self.N)[1][: order + 1] * scale
+        table = self.reference_basis(self.N, u, order)
+        table *= scale
         return table
 
     def paper_coefficients(self, coeffs):
@@ -183,17 +193,22 @@ class AnsatzFamily:
         return (*x, *xd)
 
 
+#: the ends of the horizon-2 reference interval
+_ENDS = np.array([0.0, 2.0])
+_ENDS.setflags(write=False)
+
+
 @lru_cache(maxsize=64)
 def _reference_tables(family, N):
     """Horizon-2 basis tables of ``family`` at order ``N``, shared read-only.
 
     Returns ``(cost, ends)``: orders 0-2 on the cost rule of ``[0, 2]``, each
-    node times sqrt(weight), shaped (order, basis, node); and orders 0-1 at
+    node times sqrt(weight), shaped (order, basis, node); and orders 0-2 at
     ``u = 0`` and ``u = 2``, shaped (order, basis, 2).
     """
     u, w = gauss_legendre(COST_NODES, 0.0, 2.0)
     cost = family.reference_basis(N, u, 2) * np.sqrt(w)
-    ends = family.reference_basis(N, np.array([0.0, 2.0]), 1)
+    ends = family.reference_basis(N, _ENDS, 2)
     cost.setflags(write=False)
     ends.setflags(write=False)
     return cost, ends

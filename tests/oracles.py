@@ -157,3 +157,50 @@ def singular_consistency_from_table(sol, window=None, points=161, profile="auto"
         profile = "v" if sol.problem.n == 1 else "u"
     ts = np.linspace(ta, tb, points)
     return fit_exponential_arc(ts, sol.trajectory.table(ts)[profile])[1]
+
+
+def real_values_per_term(sums, t):
+    """Real parts of stacked exponential sums, accumulated one term at a time.
+
+    This is the straightforward form of :func:`lincontrol.expsums.real_values`:
+    every term's product is written out in real arithmetic, with its
+    imaginary product even when that is an exact zero, and added to a
+    ``+0.0`` start in term order.  The package must match it bit for bit.
+    """
+    rates, shifts = sums[0].rates, sums[0].shifts
+    t = np.asarray(t, dtype=float)
+    per_term = (-1,) + (1,) * t.ndim
+    g = np.array([s.gammas for s in sums], dtype=complex).reshape((len(sums),) + per_term)
+    e = np.exp(np.asarray(rates).reshape(per_term) * (t - np.asarray(shifts).reshape(per_term)))
+    out = np.zeros((len(sums),) + t.shape)
+    for i in range(len(rates)):
+        out += g.real[:, i] * e.real[i] - g.imag[:, i] * e.imag[i]
+    return out
+
+
+def json_reference(obj, indent=0):
+    """Deterministic JSON with floats at 17 significant digits, one recursive call per value.
+
+    This is the straightforward form of :func:`lincontrol.cli._json`; the
+    package must print the same bytes.
+    """
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(f'{pad}  "{k}": {json_reference(v, indent + 1)}' for k, v in obj.items())
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(f"{pad}  {json_reference(v, indent + 1)}" for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'

@@ -9,8 +9,17 @@ import numpy as np
 import pytest
 
 import lincontrol
-from lincontrol.cli import main, run_validation, sweep_lambda, table1_report, table2_report
-from oracles import sta_optimum_mp
+from lincontrol import oct as octmod, sta
+from lincontrol.cli import (
+    _json,
+    main,
+    run_validation,
+    solution_summary,
+    sweep_lambda,
+    table1_report,
+    table2_report,
+)
+from oracles import json_reference, sta_optimum_mp
 
 COTH1 = 1.0 / np.tanh(1.0)
 
@@ -126,6 +135,15 @@ class TestOctCommand:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "ShootingSingular"
+
+    @pytest.mark.parametrize("T", ["0", "-1", "inf", "nan"])
+    def test_bad_horizon_exits_2_with_value_error(self, capsys, T):
+        code, out, err = run_cli(capsys, "oct", "higher", "--n", "2", "--T", T)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError"
+        assert doc["message"].startswith("horizon must be finite and positive")
 
     def test_long_horizon_first_order_stderr_is_one_json_error(self):
         # e^T is not representable at T = 800; a fresh process, so a numpy
@@ -286,3 +304,50 @@ class TestDeterminism:
         doc = json.loads(out)
         # 17 significant digits round-trip exactly
         assert doc["cost"] == 1.0 / np.tanh(1.0)
+
+
+#: one solution of every solver kind
+SUMMARY_SOLVERS = {
+    "sta-poly": lambda: sta.solve_sta(sta.build_polynomial(6, 2.5)),
+    "sta-trig": lambda: sta.solve_sta(sta.build_trigonometric(5)),
+    "sta-exp": lambda: sta.solve_sta(sta.build_exponential(100.0, 0.3)),
+    "oct-singular": lambda: octmod.singular_solution(1.0),
+    "oct-regular-analytic": lambda: octmod.regular_order1_analytic(1e-4),
+    "oct-regular-modal": lambda: octmod.solve_regular(octmod.build_lq(1, 1e-3)),
+    "oct-higher": lambda: octmod.solve_regular(octmod.build_lq(3, 5e-9)),
+}
+
+
+class TestJsonRendering:
+    """``_json`` against the one-call-per-value renderer, byte for byte."""
+
+    @pytest.mark.parametrize("solve", SUMMARY_SOLVERS.values(), ids=SUMMARY_SOLVERS.keys())
+    def test_solution_summaries(self, solve):
+        doc = solution_summary(solve())
+        assert _json(doc) == json_reference(doc)
+
+    def test_table_and_validation_documents(self):
+        docs = [table1_report().as_dict(), table2_report().as_dict()]
+        docs.append({"passed": True, "checks": run_validation()})
+        for doc in docs:
+            assert _json(doc) == json_reference(doc)
+
+    def test_cli_error_document(self, capsys):
+        code, _, err = run_cli(capsys, "oct", "higher", "--n", "8", "--lambda", "1e-3")
+        assert code == 2
+        doc = json.loads(err)
+        assert err == json_reference(doc) + "\n"
+
+    def test_hand_built_leaves_and_containers(self):
+        doc = {
+            "f64": np.float64(0.1), "f32": np.float32(0.1), "float": 1.0 / 3.0,
+            "nan": float("nan"), "inf": np.inf, "-inf": np.float64(-np.inf),
+            "-0": -0.0, "np-0": np.float64(-0.0), "tiny": 5e-324, "huge": 1.7976931348623157e308,
+            "int": 7, "np-int": np.int64(-3), "true": True, "false": False, "none": None,
+            "str": 'quote " and \\ backslash', "empty-dict": {}, "empty-list": [], "empty-tuple": (),
+            "list": [np.float64(2.5), -0.0, None, True, [], {"x": np.float32(1e-8)}],
+            "nested": {"a": {"b": {"c": [1, (2.0, np.nan)], "d": {}}}},
+        }
+        for obj in (doc, [doc, doc["list"]], np.float64(1e300), np.float32(3.0), -0.0, {}, [], None):
+            assert _json(obj) == json_reference(obj)
+        assert _json(doc, indent=3) == json_reference(doc, indent=3)

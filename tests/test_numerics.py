@@ -10,7 +10,7 @@ import pytest
 
 import lincontrol
 from lincontrol import oct as octmod
-from lincontrol.expsums import ExpSum, product_integral, real_values, square_integrals
+from lincontrol.expsums import FEW_POINTS, ExpSum, product_integral, real_values, square_integrals
 from lincontrol.numerics import (
     DefectiveMatrix,
     NonFiniteSample,
@@ -23,7 +23,7 @@ from lincontrol.numerics import (
     solve_linear,
 )
 from lincontrol.oct import PontryaginFlow, build_lq
-from oracles import exponential_cofactors, product_integral_mp
+from oracles import exponential_cofactors, product_integral_mp, real_values_per_term
 
 
 def order1_flow_matrix(lam):
@@ -425,6 +425,78 @@ class TestRealValues:
             real_values([a, ExpSum((1.0,), (1.0,), (1.0,))], 0.5)
 
 
+#: evaluation times on both sides of FEW_POINTS, as a scalar, 1-D and 2-D arrays
+BITWISE_TIMES = {
+    "scalar": 0.37,
+    **{f"{m}-points": np.linspace(0.0, 1.0, m) for m in (1, 2, FEW_POINTS, FEW_POINTS + 1, 101)},
+    "2d-few": np.linspace(0.0, 1.0, 6).reshape(2, 3),
+    "2d-many": np.linspace(0.0, 1.0, 60).reshape(4, 15).T,
+}
+
+
+def _real_sums(monkeypatch):
+    return packaged_series(monkeypatch, STACKED_SOLVERS["first-order"])
+
+
+def _complex_sums(monkeypatch):
+    # order 8: 18 complex rates and 2 x 9 state and adjoint rows
+    _, seen = packaged(monkeypatch, OCT_SOLVERS["n8"])
+    return [*seen["state"], *seen["p"]]
+
+
+#: stacks of sums sharing rates and shifts: real and complex, one row and many
+BITWISE_STACKS = {
+    "real-one-row": lambda mp: _real_sums(mp)[:1],
+    "real-stack": _real_sums,
+    "complex-one-row": lambda mp: _complex_sums(mp)[:1],
+    "complex-18-rows": _complex_sums,
+}
+
+
+class TestRealValuesBitwise:
+    """``real_values`` against the per-term loop, byte for byte."""
+
+    @pytest.mark.parametrize("t", BITWISE_TIMES.values(), ids=BITWISE_TIMES.keys())
+    @pytest.mark.parametrize("stack", BITWISE_STACKS.values(), ids=BITWISE_STACKS.keys())
+    def test_matches_per_term_loop(self, monkeypatch, stack, t):
+        sums = stack(monkeypatch)
+        got, want = real_values(sums, t), real_values_per_term(sums, t)
+        assert got.shape == want.shape == (len(sums),) + np.shape(t)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_stacks_cover_both_kinds_and_18_rows(self, monkeypatch):
+        real, complex_ = _real_sums(monkeypatch), _complex_sums(monkeypatch)
+        assert all(np.isrealobj(s.rates) and not np.imag(s.gammas).any() for s in real)
+        assert len(complex_) == 18 and np.iscomplexobj(complex_[0].rates)
+
+    @pytest.mark.parametrize("t", [0.3, np.array([0.3])], ids=["scalar", "one-point"])
+    def test_single_row_sums_terms_in_order(self, t):
+        # twelve terms whose sum depends on the order of addition: in term
+        # order each 1 is lost against 1e16 (sum 0), a pairwise reduction keeps 8
+        gammas = (1e16,) + (1.0,) * 10 + (-1e16,)
+        s = ExpSum(gammas, (0.0,) * 12, (0.0,) * 12)
+        want = real_values_per_term([s], t)
+        assert not want.any() and np.add.reduce(np.array(gammas)[:, None])[0] == 8.0
+        assert real_values([s], t).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", [0.5, np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 50)],
+                             ids=["scalar", "few", "many"])
+    def test_negative_zero_gammas_give_positive_zero(self, t):
+        rates, shifts = (1.0, -1.0, 2.0 + 1.0j, 2.0 - 1.0j), (1.0, 0.0, 1.0, 1.0)
+        zero_row = ExpSum((-0.0, -0.0, -0.0, -0.0), rates, shifts)
+        real_rates = ExpSum((-0.0, -0.0), (1.0, -1.0), (1.0, 0.0))
+        for sums in ([zero_row, ExpSum((1.0, 2.0, 1j, -1j), rates, shifts)], [real_rates]):
+            got = real_values(sums, t)
+            assert got.tobytes() == real_values_per_term(sums, t).tobytes()
+            assert not np.signbit(got[0]).any() and not got[0].any()
+
+
+def _anchored(gammas, rates, horizon):
+    """A sum whose growing terms are anchored at ``t = horizon``."""
+    return ExpSum(gammas, rates, tuple(horizon if np.real(r) > 0 else 0.0 for r in rates))
+
+
 #: stacks of sums sharing rates and shifts, each exercising one branch of the pair kernel
 KERNEL_STACKS = {
     # (1, -1 + 1e-10) and (1, -1) pairs take the near-cancelling series
@@ -434,19 +506,19 @@ KERNEL_STACKS = {
     ]),
     # conjugate pairs of gammas on conjugate rates: real-valued sums
     "complex-conjugate": (2.0, [
-        ExpSum.anchored((0.3 + 0.4j, 0.3 - 0.4j, 1.1, -0.6), (-0.5 + 3j, -0.5 - 3j, 2.0, -2.0), 2.0),
-        ExpSum.anchored((-1.2 + 0.1j, -1.2 - 0.1j, 0.5, 0.8), (-0.5 + 3j, -0.5 - 3j, 2.0, -2.0), 2.0),
+        _anchored((0.3 + 0.4j, 0.3 - 0.4j, 1.1, -0.6), (-0.5 + 3j, -0.5 - 3j, 2.0, -2.0), 2.0),
+        _anchored((-1.2 + 0.1j, -1.2 - 0.1j, 0.5, 0.8), (-0.5 + 3j, -0.5 - 3j, 2.0, -2.0), 2.0),
     ]),
     # growing rates anchored at T, |s| T = 700: e^{700} itself is never formed
     "anchored-fast": (0.5, [
-        ExpSum.anchored((0.25, -0.5, 1.5, 2.0), (1400.0, -1400.0, 1.0, -1.0), 0.5),
-        ExpSum.anchored((1.0, 1.0, -0.75, 0.5), (1400.0, -1400.0, 1.0, -1.0), 0.5),
+        _anchored((0.25, -0.5, 1.5, 2.0), (1400.0, -1400.0, 1.0, -1.0), 0.5),
+        _anchored((1.0, 1.0, -0.75, 0.5), (1400.0, -1400.0, 1.0, -1.0), 0.5),
     ]),
     "anchored-fast-complex": (1.0, [
-        ExpSum.anchored((0.5 + 0.5j, 0.5 - 0.5j, 0.3 - 0.2j, 0.3 + 0.2j),
-                        (600.0 + 360.0j, 600.0 - 360.0j, -600.0 + 360.0j, -600.0 - 360.0j), 1.0),
-        ExpSum.anchored((1.0j, -1.0j, 2.0, 2.0),
-                        (600.0 + 360.0j, 600.0 - 360.0j, -600.0 + 360.0j, -600.0 - 360.0j), 1.0),
+        _anchored((0.5 + 0.5j, 0.5 - 0.5j, 0.3 - 0.2j, 0.3 + 0.2j),
+                  (600.0 + 360.0j, 600.0 - 360.0j, -600.0 + 360.0j, -600.0 - 360.0j), 1.0),
+        _anchored((1.0j, -1.0j, 2.0, 2.0),
+                  (600.0 + 360.0j, 600.0 - 360.0j, -600.0 + 360.0j, -600.0 - 360.0j), 1.0),
     ]),
 }
 

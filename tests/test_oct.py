@@ -68,6 +68,13 @@ class TestBuildLq:
         with pytest.raises(LambdaOutOfRange):
             build_lq(1, 0.0)
 
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
+    def test_horizon_must_be_finite_and_positive(self, T):
+        # refused before the eigen-solve, with ControlProblem's error and message
+        with pytest.raises(ValueError, match="horizon must be finite and positive") as info:
+            build_lq(2, 1e-3, T)
+        assert type(info.value) is ValueError
+
 
 class TestFlowSpectrum:
     def test_quarter_weight_eigenvalues(self):

@@ -340,19 +340,45 @@ class TestReferenceTables:
     @pytest.mark.parametrize("family, N", TABLE_ORDERS, ids=lambda v: getattr(v, "kind", v))
     def test_boundary_rows_and_basis(self, family, N, T):
         _, ends = _reference_tables(family, N)
-        for k in range(2):
+        for k in range(3):
             self.assert_close((2.0 / T) ** k * ends[k], direct_basis(family, N, T, np.array([0.0, T]), k))
         ts = np.linspace(0.0, T, 7)
         for k, got in enumerate(family(N, T).basis(ts, 2)):
             self.assert_close(got, direct_basis(family, N, T, ts, k))
 
+    @pytest.mark.parametrize("T", ORACLE_HORIZONS)
+    @pytest.mark.parametrize("family, N", TABLE_ORDERS, ids=lambda v: getattr(v, "kind", v))
+    def test_endpoint_path_matches_a_new_table(self, monkeypatch, family, N, T):
+        # at ts = (0, T) the cached endpoint table stands in for reference_basis, bit for bit
+        fam = family(N, T)
+        coeffs = fam.coefficient_vector(np.linspace(-1.0, 1.0, fam.free_dim))
+        ends = np.array([0.0, T])
+        tables = [fam.reference_basis(N, 2.0 * ends / T, k) for k in range(3)]
+
+        def unused(*args):
+            raise AssertionError("the endpoint path builds no new table")
+
+        monkeypatch.setattr(family, "reference_basis", staticmethod(unused))
+        for k, table in enumerate(tables):
+            table *= ((2.0 / T) ** np.arange(k + 1)).reshape(-1, 1, 1)
+            assert fam.basis(ends, k).tobytes() == table.tobytes()
+            want = np.array([coeffs @ rows for rows in table])
+            assert fam.x_stack(coeffs, ends, k).tobytes() == want.tobytes()
+
     def test_tables_are_shared_read_only(self):
         cost, ends = _reference_tables(PolynomialAnsatz, 5)
         assert _reference_tables(PolynomialAnsatz, 5)[0] is cost
+        assert ends.shape == (3, 6, 2)
         with pytest.raises(ValueError):
             cost[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             ends[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ends[2, 0, 0] = 1.0
+        # the endpoint path hands out a scaled copy, never the cached table
+        table = PolynomialAnsatz(5, 1.0).basis(np.array([0.0, 1.0]), 2)
+        table[...] = 0.0
+        assert ends.any()
 
 
 class TestExtendedPrecisionOracle:
