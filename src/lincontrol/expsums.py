@@ -16,6 +16,7 @@ share one ``K``, as they share one exponential per term in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,11 +51,30 @@ class ExpSum:
         return float(v) if v.ndim == 0 else v
 
 
-def _shared_terms(sums):
+class SumStack(NamedTuple):
+    """Several exponential sums on one set of terms, one sum per matrix row.
+
+    Row ``a`` of ``gammas``, shaped ``(rows, terms)``, holds the gammas of sum
+    ``a`` on the shared ``rates`` and ``shifts`` (tuples or 1-D arrays).  It
+    is the matrix form of a list of :class:`ExpSum` that share their terms,
+    and :func:`real_values` and :func:`product_integral` take either; a
+    stack needs no object per row.
+    """
+
+    gammas: np.ndarray
+    rates: tuple
+    shifts: tuple
+
+
+def _stacked(sums, dtype=None):
+    """``sums`` as a :class:`SumStack`: a stack as it is, a list of sums after
+    checking that they share their terms (gammas of ``dtype``)."""
+    if isinstance(sums, SumStack):
+        return sums
     rates, shifts = sums[0].rates, sums[0].shifts
     if any(s.rates != rates or s.shifts != shifts for s in sums):
         raise ValueError("stacked sums must share rates and shifts")
-    return rates, shifts
+    return SumStack(np.array([s.gammas for s in sums], dtype=dtype), rates, shifts)
 
 
 #: :func:`real_values` forms every product of a call at once for at most
@@ -64,10 +84,11 @@ FEW_POINTS = 8
 
 
 def real_values(sums, t):
-    """Real parts of several sums at ``t``, stacked as ``(len(sums),) + t.shape``.
+    """Real parts of several sums at ``t``, stacked as ``(rows,) + t.shape``.
 
-    The sums must share their ``rates`` and ``shifts``, so every term's
-    exponential is computed for all of them in one ``np.exp`` call over a
+    ``sums`` is a list of sums that share their ``rates`` and ``shifts``, or
+    a :class:`SumStack`, whose gamma rows are evaluated directly.  Every
+    term's exponential is computed for all rows in one ``np.exp`` call over a
     ``(terms,) + t.shape`` array (real when every rate is real).  The terms
     are then added one at a time, in term order and from ``+0.0``, so a
     row's bits do not depend on how many rows are stacked with it or on the
@@ -81,10 +102,11 @@ def real_values(sums, t):
     every bit alone because ``x - 0.0 == x`` and the sum never becomes
     ``-0.0``.
     """
-    rates, shifts = _shared_terms(sums)
+    gammas, rates, shifts = _stacked(sums, complex)
     t = np.asarray(t, dtype=float)
     per_term = (-1,) + (1,) * t.ndim
-    g = np.array([s.gammas for s in sums], dtype=complex).reshape((len(sums),) + per_term)
+    rows = len(gammas)
+    g = np.asarray(gammas, dtype=complex).reshape((rows,) + per_term)
     e = np.exp(np.asarray(rates).reshape(per_term) * (t - np.asarray(shifts).reshape(per_term)))
     real = not np.iscomplexobj(e) and not g.imag.any()
     if t.size <= FEW_POINTS:
@@ -93,7 +115,7 @@ def real_values(sums, t):
         terms = g.real * e if real else g.real * e.real - g.imag * e.imag
         terms[0] += 0.0
         return np.add.accumulate(terms)[-1]
-    out = np.zeros((len(sums),) + t.shape)
+    out = np.zeros((rows,) + t.shape)
     for i in range(len(rates)):
         out += g.real[:, i] * e[i] if real else g.real[:, i] * e.real[i] - g.imag[:, i] * e.imag[i]
     return out
@@ -121,30 +143,25 @@ def _pair_kernel(f, g, T):
 def product_integral(f, g, T):
     """Exact ``\\int_0^T f(t) g(t) dt`` for two exponential sums.
 
-    ``f`` and ``g`` may instead be equal-length lists of sums, each list
-    sharing one set of ``rates`` and ``shifts`` (else ``ValueError``); the
-    result is then the array of row-wise integrals ``\\int f[a] g[a]``, all
-    from one pair kernel.  Each integral is the quadratic form
-    ``gamma_f K gamma_g`` on that kernel.
+    ``f`` and ``g`` may instead be stacks of equally many sums, each a list
+    of sums sharing one set of ``rates`` and ``shifts`` (else
+    ``ValueError``) or a :class:`SumStack`; the result is then the array of
+    row-wise integrals ``\\int f[a] g[a]``, all from one pair kernel.  Each
+    integral is the quadratic form ``gamma_f K gamma_g`` on that kernel.
     """
     stacked = not isinstance(f, ExpSum)
-    fs, gs = (f, g) if stacked else ([f], [g])
-    if len(fs) != len(gs):
-        raise ValueError(f"stacks of {len(fs)} and {len(gs)} sums")
-    _shared_terms(fs)
-    _shared_terms(gs)
-    K = _pair_kernel(fs[0], gs[0], T)
-    gf = np.array([s.gammas for s in fs])
-    gg = np.array([s.gammas for s in gs])
-    out = ((gf @ K) * gg).sum(axis=1)
+    fs, gs = (_stacked(f), _stacked(g)) if stacked else (_stacked([f]), _stacked([g]))
+    if len(fs.gammas) != len(gs.gammas):
+        raise ValueError(f"stacks of {len(fs.gammas)} and {len(gs.gammas)} sums")
+    K = _pair_kernel(fs, gs, T)
+    out = ((fs.gammas @ K) * gs.gammas).sum(axis=1)
     return out if stacked else out[0]
 
 
 def square_integrals(sums, T):
     """Exact ``\\int_0^T f(t)^2 dt`` of each sum, as a tuple of floats.
 
-    The sums must share their ``rates`` and ``shifts``; one pair kernel
-    serves them all.
+    ``sums`` is a list of sums that share their ``rates`` and ``shifts``, or
+    a :class:`SumStack`; one pair kernel serves them all.
     """
     return tuple(np.real(product_integral(sums, sums, T)).tolist())
-

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import integrate
+from .numerics import Overflow, integrate
 
 
 class InvalidOrder(ValueError):
@@ -107,8 +107,10 @@ class Trajectory:
     optimal-control solutions append ``z_0 .. z_{n-1}, v`` themselves, so
     one evaluation serves both.  ``controls(ts, xs)`` turns that stack into
     ``(z, v)``: the augmented coordinates ``z_0 .. z_{n-1}`` (``z_0 = u``)
-    and the auxiliary control.  Any shape of ``ts`` is accepted; every row
-    has that shape.  For optimal-control solutions
+    and the auxiliary control.  ``cost_rows(ts)`` gives ``(x, xdot, v)``
+    alone, bitwise the rows that ``x`` and ``controls`` give, so the cost
+    quadrature evaluates no other row.  Any shape of ``ts`` is accepted;
+    every row has that shape.  For optimal-control solutions
     ``p(ts)`` is the stack of adjoints in :func:`adjoint_names` order; ``p``
     is ``None`` otherwise.  :meth:`table` evaluates every named column on a
     whole grid in one call.
@@ -118,6 +120,7 @@ class Trajectory:
     n: int
     x: Callable
     controls: Callable
+    cost_rows: Callable
     p: Optional[Callable] = None
 
     def csv_columns(self):
@@ -191,7 +194,9 @@ class ProtocolSolution:
     ``oct-singular``, ``oct-regular``, ``oct-higher``.  ``cost`` always
     matches the quadrature of the running cost over ``(0, T)`` (impulses
     excluded); ``cost_breakdown.bare`` is the cost without the
-    control-energy term.
+    control-energy term.  A ``cost``, cost part or coefficient that is not
+    finite raises :class:`~lincontrol.numerics.Overflow` naming it, so no
+    solver returns a NaN or infinite number.
     """
 
     problem: ControlProblem
@@ -202,6 +207,18 @@ class ProtocolSolution:
     cost: float
     cost_breakdown: CostBreakdown
 
+    def __post_init__(self):
+        parts = self.cost_breakdown
+        # a NaN or an infinity anywhere makes the sum non-finite; when only
+        # the sum overflows, the loop below finds nothing to refuse
+        values = (self.cost, parts.state, parts.derivative, parts.control_energy, *self.coefficients.values())
+        if math.isfinite(sum(values)):
+            return
+        named = {"cost": self.cost, **{f"cost part {k}": v for k, v in parts.as_dict().items()}}
+        for name, value in {**named, **self.coefficients}.items():
+            if not math.isfinite(value):
+                raise Overflow(f"{self.kind} solution has a non-finite {name}: {value}")
+
 
 def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
     """Quadrature of the running cost along a trajectory.
@@ -210,9 +227,9 @@ def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
     an ``nodes``-point Gauss-Legendre rule, so boundary layers of width
     ``1/rate`` are resolved by choosing ``panels ~ rate * T / 16``.  Endpoint
     impulses never contribute: quadrature nodes are interior points.  The
-    trajectory is evaluated once, on every panel's nodes together, and only
-    ``x``, ``xdot`` and (for ``lam > 0``) ``v`` are read from it; the panel
-    integrals are summed in panel order.
+    trajectory's :attr:`~Trajectory.cost_rows` are evaluated once, on every
+    panel's nodes together, and ``v`` is integrated only for ``lam > 0``;
+    the panel integrals are summed in panel order.
 
     Returns
     -------
@@ -231,11 +248,7 @@ def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
     weights = np.array([1.0, 1.0, lam])[: 3 if lam > 0 else 2]
 
     def integrand(ts):
-        xs = traj.x(ts)
-        rows = [xs[0], xs[1]]
-        if lam > 0:
-            rows.append(traj.controls(ts, xs)[1])
-        return [r**2 for r in rows]
+        return [r**2 for r in traj.cost_rows(ts)[: len(weights)]]
 
     edges = np.linspace(0.0, T, panels + 1)
     per_panel = integrate(integrand, edges[:-1], edges[1:], nodes)

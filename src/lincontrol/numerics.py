@@ -12,8 +12,8 @@ reproducible byte-for-byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -117,15 +117,23 @@ class ComplexSpectrum:
     """Eigen-decomposition with deterministic ordering.
 
     ``eigenvalues[i]`` pairs with column ``eigenvectors[:, i]``; columns are
-    normalised to unit infinity-norm.  ``residuals[i]`` stores
-    ``|A v - mu v|`` for the pair as computed at construction time, so the
-    quality of each pair can be asserted against the tolerance
-    ``1e-10 * (1 + |mu|) * |v|`` where the caller needs it.
+    normalised to unit infinity-norm.  ``matrix`` is the matrix the pairs
+    belong to; it takes no part in comparisons or the repr.
+    :attr:`residuals` computes ``|A v - mu v|`` for each pair on first read,
+    so the quality of each pair can be asserted against the tolerance
+    ``1e-10 * (1 + |mu|) * |v|`` where the caller needs it, and a solve
+    that never reads them does not pay for them.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    residuals: np.ndarray
+    matrix: np.ndarray = field(compare=False, repr=False)
+
+    @cached_property
+    def residuals(self):
+        """Per-pair residuals ``|A v - mu v|`` (2-norm over each column)."""
+        V = self.eigenvectors
+        return np.linalg.norm(self.matrix @ V - V * self.eigenvalues, axis=0)
 
     def reconstruct(self):
         """Return ``V diag(mu) V^-1``, which approximates the original matrix."""
@@ -164,8 +172,7 @@ def eigendecompose(A):
     cond = _cond(V)
     if not np.isfinite(cond) or cond > EIGVEC_COND_CAP:
         raise DefectiveMatrix(f"eigenvector condition number {cond:.3e}")
-    residuals = np.linalg.norm(A @ V - V * w, axis=0)
-    return ComplexSpectrum(eigenvalues=w, eigenvectors=V, residuals=residuals)
+    return ComplexSpectrum(eigenvalues=w, eigenvectors=V, matrix=A)
 
 
 def mat_exp(A, t=1.0):

@@ -31,10 +31,11 @@ regime.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .expsums import ExpSum, real_values, square_integrals
+from .expsums import SumStack, real_values, square_integrals
 from .model import (
     ControlProblem,
     CostBreakdown,
@@ -91,19 +92,14 @@ def _x1_row(n):
     return r1
 
 
-def build_lq(n, lam, T=1.0):
-    """Assemble the order-``n`` transfer problem as linear-quadratic data.
+@lru_cache(maxsize=64)
+def _chain_structure(n):
+    """Read-only ``(A, B, W, x0, xf)`` of the order-``n`` chain, built once per order.
 
     The state cost matrix is ``W = r0^T r0 + r1^T r1`` with ``r1`` the row
     realising ``x'`` and ``r0 = e_{z0} - r1``, so that
-    ``s^T W s = (z_0 - x')^2 + x'^2 = x^2 + xdot^2``.  A horizon that is not
-    finite and positive raises ``ValueError``, as in :class:`ControlProblem`.
+    ``s^T W s = (z_0 - x')^2 + x'^2 = x^2 + xdot^2``.
     """
-    if n < 1 or int(n) != n:
-        raise InvalidOrder(f"derivative order must be an integer >= 1, got {n}")
-    if not lam > 0:
-        raise LambdaOutOfRange(f"energy weight must be positive, got {lam}")
-    check_horizon(T)
     ns = n + 1
     A = np.zeros((ns, ns))
     A[0, 0] = -1.0
@@ -118,10 +114,26 @@ def build_lq(n, lam, T=1.0):
     W = np.outer(r0, r0) + np.outer(r1, r1)
     xf = np.zeros(ns)
     xf[ns - 1] = 1.0
-    return LqProblem(
-        order=int(n), A=A, B=B, W=W, U=float(lam),
-        x0=np.zeros(ns), xf=xf, T=float(T),
-    )
+    arrays = (A, B, W, np.zeros(ns), xf)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def build_lq(n, lam, T=1.0):
+    """Assemble the order-``n`` transfer problem as linear-quadratic data.
+
+    The matrices come from a per-order cache of read-only arrays, shared by
+    every problem of that order.  A horizon that is not finite and positive
+    raises ``ValueError``, as in :class:`ControlProblem`.
+    """
+    if n < 1 or int(n) != n:
+        raise InvalidOrder(f"derivative order must be an integer >= 1, got {n}")
+    if not lam > 0:
+        raise LambdaOutOfRange(f"energy weight must be positive, got {lam}")
+    check_horizon(T)
+    A, B, W, x0, xf = _chain_structure(int(n))
+    return LqProblem(order=int(n), A=A, B=B, W=W, U=float(lam), x0=x0, xf=xf, T=float(T))
 
 
 class PontryaginFlow:
@@ -157,10 +169,7 @@ class PontryaginFlow:
             spec = eigendecompose(balanced)
             V = spec.eigenvectors * d[:, None]
             V = V / np.abs(V).max(axis=0)
-            residuals = np.linalg.norm(self.H @ V - V * spec.eigenvalues, axis=0)
-            self._spectrum = ComplexSpectrum(
-                eigenvalues=spec.eigenvalues, eigenvectors=V, residuals=residuals
-            )
+            self._spectrum = ComplexSpectrum(eigenvalues=spec.eigenvalues, eigenvectors=V, matrix=self.H)
         return self._spectrum
 
 
@@ -214,57 +223,62 @@ def _modal_amplitudes(flow):
 
 
 def _series_from_modes(flow):
-    """Exponential-sum series for every trajectory quantity.
+    """Gamma matrices of every trajectory quantity on the flow modes.
 
-    Returns a dict with keys ``state`` (list over chain coordinates),
-    ``p`` (list over adjoints), and ``v``.  The ``v`` series uses the exact
-    mode identity ``v_i = mu_i * (z_{n-1} component)`` from
+    Returns ``(state, adjoints, control, rates, shifts)``: row ``j`` of
+    ``state`` holds the gammas of chain coordinate ``j``, row ``j`` of
+    ``adjoints`` those of adjoint ``j``, and ``control`` those of ``v``, all
+    on the mode ``rates`` with growing modes shifted to ``T``.  The control
+    uses the exact mode identity ``v_i = mu_i * (z_{n-1} component)`` from
     ``zdot_{n-1} = v``, avoiding the ``(p_a + p_b)/lam`` cancellation.
     """
-    lq = flow.lq
-    ns = lq.dim
+    ns = flow.lq.dim
     w, V, c = _modal_amplitudes(flow)
-    rates = tuple(w)
-    shifts = tuple(np.where(w.real > 0, lq.T, 0.0).tolist())
-    state = [ExpSum(c * V[j], rates, shifts) for j in range(ns)]
-    adjoint = [ExpSum(c * V[ns + j], rates, shifts) for j in range(ns)]
-    v = ExpSum(c * w * V[1], rates, shifts)
-    return {"state": state, "p": adjoint, "v": v}
+    shifts = np.where(w.real > 0, flow.lq.T, 0.0)
+    return c * V[:ns], c * V[ns:], c * w * V[1], w, shifts
 
 
-def _chain_solution(problem, kind, state_sums, p_sums, v_sum, impulses=(), cost_override=None):
-    """Package chain-coordinate series into a :class:`ProtocolSolution`.
+def _chain_solution(problem, kind, state, adjoints, control, rates, shifts, impulses=(), cost_override=None):
+    """Package chain-coordinate gamma matrices into a :class:`ProtocolSolution`.
 
-    The gammas of ``x' = r1 . state`` (see :func:`_x1_row`), ``x^(j+1) =
-    z_j - x^(j)`` and ``x = z_0 - x'`` come from one complex matrix of state
-    gammas, each sum started from a complex zero and taken in chain order.
+    ``state`` has one row per chain coordinate ``x_n, z_{n-1} .. z_0``,
+    ``adjoints`` one per adjoint and ``control`` is the row of ``v``, all on
+    the terms ``rates`` and ``shifts``.  The gammas of ``x' = r1 . state``
+    (see :func:`_x1_row`), ``x^(j+1) = z_j - x^(j)`` and ``x = z_0 - x'``
+    come from the complex state matrix, each row started from a complex
+    zero and taken in chain order.
+
+    A gamma outside the float range turns the cost or a coefficient into
+    NaN or infinity without a warning here, and :class:`ProtocolSolution`
+    refuses it with :class:`~lincontrol.numerics.Overflow`.
     """
     n = problem.n
-    rates, shifts = state_sums[0].rates, state_sums[0].shifts
-    G = np.array([s.gammas for s in state_sums], dtype=complex)  # rows x_n, z_{n-1} .. z_0
-    zero = np.zeros(G.shape[1], dtype=complex)
-    x1 = zero
-    for wt, row in zip(_x1_row(n), G):
-        if wt:
-            x1 = x1 + wt * row
-    gammas = [(zero + G[n]) - x1, x1]
-    for j in range(1, n):
-        gammas.append((zero + G[n - j]) - gammas[-1])
-    x_sums = [ExpSum(g, rates, shifts) for g in gammas]  # x, x', .., x^(n)
-    z_sums = [state_sums[n - k] for k in range(n)]  # z_0 .. z_{n-1}
-    # one stack [x, x', .., x^(n), z_0 .. z_{n-1}, v], so each term's
-    # exponential is computed once for the state and the controls
-    stack = x_sums + z_sums + [v_sum]
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = np.asarray(state, dtype=complex)
+        zero = np.zeros(G.shape[1], dtype=complex)
+        x1 = zero
+        for wt, row in zip(_x1_row(n), G):
+            if wt:
+                x1 = x1 + wt * row
+        rows = [(zero + G[n]) - x1, x1]
+        for j in range(1, n):
+            rows.append((zero + G[n - j]) - rows[-1])
+        # one stack [x, x', .., x^(n), z_0 .. z_{n-1}, v], so each term's
+        # exponential is computed once for the state and the controls
+        X = np.vstack(rows + [G[n:0:-1], control])
+        x = SumStack(X, rates, shifts)
+        cost_rows = SumStack(X[[0, 1, -1]], rates, shifts)  # x, x', v
+        p = SumStack(np.asarray(adjoints, dtype=complex), rates, shifts)
+        state_part, deriv_part, ctrl = square_integrals(cost_rows, problem.T)
+        p0 = real_values(p, 0.0).tolist()
     trajectory = Trajectory(
-        T=problem.T, n=n, p=lambda ts: real_values(p_sums, ts),
-        x=lambda ts: real_values(stack, ts),
+        T=problem.T, n=n, p=partial(real_values, p), x=partial(real_values, x),
         controls=lambda ts, xs: (xs[n + 1 : 2 * n + 1], xs[2 * n + 1]),
+        cost_rows=partial(real_values, cost_rows),
     )
-    state_part, deriv_part, ctrl = square_integrals([x_sums[0], x_sums[1], v_sum], problem.T)
     breakdown = CostBreakdown(state_part, deriv_part, problem.lam * ctrl if problem.lam else 0.0)
     cost = breakdown.total if cost_override is None else cost_override
-    p0 = real_values(p_sums, 0.0).tolist()
-    coefficients = {f"p0_{nm}": p for nm, p in zip(adjoint_names(n), p0)}
+    coefficients = {f"p0_{nm}": value for nm, value in zip(adjoint_names(n), p0)}
     return ProtocolSolution(
         problem=problem,
         kind=kind,
@@ -290,25 +304,19 @@ def singular_solution(T=1.0):
         raise ValueError(f"horizon must be positive, got {T}")
     problem = ControlProblem(T=T, n=1, lam=0.0)
     with np.errstate(over="ignore"):
-        # sinh overflows to inf beyond T ~ 710, where 1/sinh(T) correctly rounds to 0
+        # sinh overflows to inf beyond T ~ 710, where 1/sinh(T) correctly rounds
+        # to 0; below T ~ 1e-308 the kicks and the cost overflow, and the
+        # packaged solution is refused as non-finite
         a1 = float(1.0 / np.sinh(T))
-    a2 = float(-1.0 / np.tanh(T))
-    grow = float(1.0 / -np.expm1(-2.0 * T))  # e^T / (2 sinh T), overflow-safe
+        coth = float(1.0 / np.tanh(T))
+        grow = float(1.0 / -np.expm1(-2.0 * T))  # e^T / (2 sinh T), overflow-safe
     decay = grow * np.exp(-T)  # = 1/(2 sinh T); this form cancels exactly in x(0)
-    rates = (1.0, -1.0)
-    shifts = (T, 0.0)
-    y = ExpSum((grow, decay), rates, shifts)
-    z = ExpSum((2.0 * grow, 0.0), rates, shifts)
-    py = ExpSum((-grow, -decay), rates, shifts)
-    pz = ExpSum((grow, decay), rates, shifts)
+    state = np.array([[grow, decay], [2.0 * grow, 0.0]])  # y, z
+    adjoints = np.array([[-grow, -decay], [grow, decay]])  # p_y, p_z
     return _chain_solution(
-        problem,
-        "oct-singular",
-        state_sums=[y, z],
-        p_sums=[py, pz],
-        v_sum=z,
-        impulses=(Impulse(0.0, a1), Impulse(T, a2)),
-        cost_override=float(1.0 / np.tanh(T)),
+        problem, "oct-singular", state, adjoints, state[1], rates=(1.0, -1.0), shifts=(T, 0.0),
+        impulses=(Impulse(0.0, a1), Impulse(T, -coth)),
+        cost_override=coth,
     )
 
 
@@ -345,11 +353,9 @@ def solve_regular(lq):
                 f"fast-mode rate {fast_rate:.3g} over horizon {lq.T} exceeds the "
                 f"representable range; increase the weight"
             )
-    flow = PontryaginFlow(lq)
-    series = _series_from_modes(flow)
+    series = _series_from_modes(PontryaginFlow(lq))
     problem = ControlProblem(T=lq.T, n=n, lam=lq.U)
-    kind = "oct-regular" if n == 1 else "oct-higher"
-    return _chain_solution(problem, kind, series["state"], series["p"], series["v"])
+    return _chain_solution(problem, "oct-regular" if n == 1 else "oct-higher", *series)
 
 
 def regular_order1_analytic(lam, T=1.0):
@@ -371,16 +377,14 @@ def regular_order1_analytic(lam, T=1.0):
     problem = ControlProblem(T=T, n=1, lam=lam)
     family = build_exponential(1.0 / np.sqrt(lam), T)
     x = family.x
-
-    def term_wise(factors):
-        # x with each term scaled by a polynomial in its rate
-        return ExpSum(tuple(g * f for g, f in zip(x.gammas, factors)), x.rates, x.shifts)
-
-    r = np.array(x.rates)
-    py_factors = lam * (r * r * r + r * r) - r
-    y, z, v = term_wise(r), term_wise(1.0 + r), term_wise(r * r + r)
-    py, pz = term_wise(py_factors), term_wise(lam * (r * r + r) - py_factors)
-    sol = _chain_solution(problem, "oct-regular", state_sums=[y, z], p_sums=[py, pz], v_sum=v)
+    # each quantity is x with every term scaled by a polynomial in its rate
+    g, r = np.array(x.gammas), np.array(x.rates)
+    with np.errstate(over="ignore"):
+        # r^3 overflows for weights below about 1e-206; the packaged p_y is then refused
+        py_factors = lam * (r * r * r + r * r) - r
+    state = g * np.array([r, 1.0 + r])  # y, z
+    adjoints = g * np.array([py_factors, lam * (r * r + r) - py_factors])  # p_y, p_z
+    sol = _chain_solution(problem, "oct-regular", state, adjoints, g * (r * r + r), x.rates, x.shifts)
     a, b, c_scaled, d = map(float, x.gammas)
     sol.coefficients.update(
         rate_fast=family.k,
@@ -464,16 +468,15 @@ def equivalence_sta_regular(lam, T=1.0, points=1001):
         raise LambdaOutOfRange(f"equivalence check needs 0 < weight < 1, got {lam}")
     k = 1.0 / np.sqrt(lam)
     family = build_exponential(k, T)
-    y, z = _series_from_modes(PontryaginFlow(build_lq(1, lam, T)))["state"]
-    x = ExpSum((0.0 + z.gammas) - y.gammas, z.rates, z.shifts)
+    (y, z), _, _, rates, shifts = _series_from_modes(PontryaginFlow(build_lq(1, lam, T)))
+    x = (0.0 + z) - y
     ts = np.linspace(0.0, T, points)
-    gap = float(np.abs(family.x.value(ts) - x.value(ts)).max())
-    modal_rates = np.asarray(x.rates)
+    gap = float(np.abs(family.x.value(ts) - real_values(SumStack(x[None], rates, shifts), ts)[0]).max())
     sta, reg = {}, {}
     for name, gamma, rate in zip("abcd", family.x.gammas, family.x.rates):
-        mode = int(np.argmin(np.abs(modal_rates - rate)))
+        mode = int(np.argmin(np.abs(rates - rate)))
         sta[name] = float(gamma)
-        reg[name] = float(np.real(x.gammas[mode]))
+        reg[name] = float(np.real(x[mode]))
     reg["a"] *= float(np.exp(-T))
     residuals = {
         name: abs(sta[name] - reg[name]) / max(abs(reg[name]), 1e-300)

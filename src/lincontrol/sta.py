@@ -338,6 +338,9 @@ class ExponentialAnsatz(AnsatzFamily):
         k = abs(float(k))
         if not np.isfinite(k) or k == 0.0:
             raise ValueError(f"k must be finite and nonzero, got {k}")
+        if not math.isfinite(k * k):
+            # derivatives scale terms by powers of k; x'' must stay representable
+            raise Overflow(f"rate k={k} is too large: k^2 overflows")
         a, b, c_scaled, d = exponential_coefficients_by_solve(k, T)
         self.k = k
         self.c_scaled = c_scaled
@@ -476,12 +479,17 @@ def solve_sta(family, problem=None):
         # the dynamics give u = xdot + x, and v = udot at first order
         return (xs[1] + xs[0],), xs[2] + xs[1]
 
+    def cost_rows(ts):
+        x, xdot, xddot = family.x_stack(coeffs, ts)
+        return x, xdot, xddot + xdot
+
     return ProtocolSolution(
         problem=problem,
         kind=_KIND_TAGS[family.kind],
         coefficients=family.paper_coefficients(coeffs),
         trajectory=Trajectory(
             T=problem.T, n=1, controls=controls, x=lambda ts: family.x_stack(coeffs, ts),
+            cost_rows=cost_rows,
         ),
         impulses=(),
         cost=cost,

@@ -3,9 +3,10 @@
 import mpmath
 import numpy as np
 
-from lincontrol.model import CostBreakdown
+from lincontrol.expsums import ExpSum, real_values, square_integrals
+from lincontrol.model import CostBreakdown, ProtocolSolution, Trajectory, adjoint_names
 from lincontrol.numerics import integrate
-from lincontrol.oct import fit_exponential_arc
+from lincontrol.oct import _x1_row, fit_exponential_arc
 from lincontrol.sta import DegenerateBasis
 
 
@@ -176,6 +177,47 @@ def real_values_per_term(sums, t):
     for i in range(len(rates)):
         out += g.real[:, i] * e.real[i] - g.imag[:, i] * e.imag[i]
     return out
+
+
+def chain_solution_per_sum(problem, kind, state_sums, p_sums, v_sum, impulses=(), cost_override=None):
+    """:func:`lincontrol.oct._chain_solution` on one :class:`ExpSum` per row.
+
+    This is the straightforward form of the optimal-control packaging: every
+    chain coordinate, adjoint and the control is its own sum, the ``x``
+    stack and its derivatives are built sum by sum, the trajectory evaluates
+    lists of sums, and the cost quadrature reads ``x``, ``xdot`` and ``v``
+    off the full stack.  The package must match it bit for bit.
+    """
+    n = problem.n
+    rates, shifts = state_sums[0].rates, state_sums[0].shifts
+    G = np.array([s.gammas for s in state_sums], dtype=complex)  # rows x_n, z_{n-1} .. z_0
+    zero = np.zeros(G.shape[1], dtype=complex)
+    x1 = zero
+    for wt, row in zip(_x1_row(n), G):
+        if wt:
+            x1 = x1 + wt * row
+    gammas = [(zero + G[n]) - x1, x1]
+    for j in range(1, n):
+        gammas.append((zero + G[n - j]) - gammas[-1])
+    x_sums = [ExpSum(g, rates, shifts) for g in gammas]  # x, x', .., x^(n)
+    stack = x_sums + [state_sums[n - k] for k in range(n)] + [v_sum]
+
+    def cost_rows(ts):
+        xs = real_values(stack, ts)
+        return xs[0], xs[1], xs[2 * n + 1]
+
+    trajectory = Trajectory(
+        T=problem.T, n=n, p=lambda ts: real_values(p_sums, ts), x=lambda ts: real_values(stack, ts),
+        controls=lambda ts, xs: (xs[n + 1 : 2 * n + 1], xs[2 * n + 1]), cost_rows=cost_rows,
+    )
+    state_part, deriv_part, ctrl = square_integrals([x_sums[0], x_sums[1], v_sum], problem.T)
+    breakdown = CostBreakdown(state_part, deriv_part, problem.lam * ctrl if problem.lam else 0.0)
+    cost = breakdown.total if cost_override is None else cost_override
+    p0 = real_values(p_sums, 0.0).tolist()
+    return ProtocolSolution(
+        problem=problem, kind=kind, coefficients={f"p0_{nm}": p for nm, p in zip(adjoint_names(n), p0)},
+        trajectory=trajectory, impulses=tuple(impulses), cost=cost, cost_breakdown=breakdown,
+    )
 
 
 def json_reference(obj, indent=0):

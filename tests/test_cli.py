@@ -53,6 +53,15 @@ class TestStaCommand:
         doc = json.loads(err)
         assert doc["error"] == "InvalidOrder"
 
+    def test_rate_with_overflowing_square_exits_2(self, capsys):
+        # x'' scales a term by k^2, which is not representable at k = 1e308
+        code, out, err = run_cli(capsys, "sta", "exp", "--k", "1e308", "--T", "5")
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "Overflow"
+        assert "k^2 overflows" in doc["message"]
+
     def test_near_unit_exp_rate_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "sta", "exp", "--k", "1.00000001")
         assert code == 2
@@ -167,6 +176,23 @@ class TestOctCommand:
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("regular", "--lambda", "1e-300"), "non-finite p0_py: nan"),
+            (("regular", "--lambda", "1e-320"), "k^2 overflows"),
+            (("singular", "--T", "1e-320"), "non-finite cost: inf"),
+        ],
+    )
+    def test_non_finite_solution_exits_2(self, capsys, argv, message):
+        # a value outside the float range is a typed error, never a printed nan or inf
+        code, out, err = run_cli(capsys, "oct", *argv)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "Overflow"
+        assert message in doc["message"]
 
     def test_near_unit_first_order_weight_exits_2(self, capsys):
         # k = 1/sqrt(lambda) sits next to the slow rate 1, where the

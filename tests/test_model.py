@@ -16,6 +16,7 @@ from lincontrol.model import (
     verify_boundaries,
     write_csv,
 )
+from lincontrol.numerics import Overflow
 from lincontrol.oct import (
     build_lq,
     regular_order1_analytic,
@@ -34,6 +35,7 @@ def linear_ramp_trajectory():
     return Trajectory(
         T=1.0, n=1, x=lambda ts: (ts, np.ones_like(ts)),
         controls=lambda ts, xs: ((1.0 + ts,), np.ones_like(ts)),
+        cost_rows=lambda ts: (ts, np.ones_like(ts), np.ones_like(ts)),
     )
 
 
@@ -53,6 +55,32 @@ class TestControlProblem:
     def test_invalid_order(self):
         with pytest.raises(InvalidOrder):
             ControlProblem(n=0)
+
+
+class TestProtocolSolution:
+    @pytest.mark.parametrize(
+        "field,kwargs",
+        [
+            ("cost", {"cost": np.inf}),
+            ("cost part derivative", {"cost_breakdown": CostBreakdown(1.0, np.nan, 0.0)}),
+            ("p0_py", {"coefficients": {"p0_py": np.nan, "p0_pz": 1.0}}),
+        ],
+    )
+    def test_non_finite_value_is_refused_by_name(self, field, kwargs):
+        fields = dict(
+            problem=ControlProblem(), kind="hand-built", coefficients={}, trajectory=linear_ramp_trajectory(),
+            impulses=(), cost=1.0, cost_breakdown=CostBreakdown(1.0, 0.0, 0.0),
+        )
+        with pytest.raises(Overflow, match=f"hand-built solution has a non-finite {field}: "):
+            ProtocolSolution(**{**fields, **kwargs})
+
+    def test_finite_values_whose_sum_overflows_pass(self):
+        sol = ProtocolSolution(
+            problem=ControlProblem(), kind="hand-built", coefficients={"a": 1e308, "b": 1e308},
+            trajectory=linear_ramp_trajectory(), impulses=(), cost=1e308,
+            cost_breakdown=CostBreakdown(1e308, 0.0, 0.0),
+        )
+        assert sol.coefficients == {"a": 1e308, "b": 1e308}
 
 
 class TestCostFunctional:
@@ -180,7 +208,10 @@ class TestVerifyBoundaries:
         sol_like = solve_sta(build_polynomial(3))
         bad = type(sol_like)(
             problem=sol_like.problem, kind="sta-poly", coefficients={},
-            trajectory=Trajectory(T=1.0, n=1, x=zero, controls=lambda ts, xs: ((xs[0],), xs[0])),
+            trajectory=Trajectory(
+                T=1.0, n=1, x=zero, controls=lambda ts, xs: ((xs[0],), xs[0]),
+                cost_rows=lambda ts: (*zero(ts), zero(ts)[0]),
+            ),
             impulses=(), cost=0.0, cost_breakdown=sol_like.cost_breakdown,
         )
         report = verify_boundaries(bad, tol=1e-10)
@@ -315,7 +346,10 @@ class TestCsvBytes:
             cells = np.resize(SPECIAL_CELLS, ts.shape)
             return cells, -cells
 
-        traj = Trajectory(T=1.0, n=1, x=x, controls=lambda ts, xs: ((xs[1],), xs[0]))
+        traj = Trajectory(
+            T=1.0, n=1, x=x, controls=lambda ts, xs: ((xs[1],), xs[0]),
+            cost_rows=lambda ts: (*x(ts), x(ts)[0]),
+        )
         sol = ProtocolSolution(
             problem=ControlProblem(), kind="hand-built", coefficients={}, trajectory=traj,
             impulses=(), cost=0.0, cost_breakdown=CostBreakdown(0.0, 0.0, 0.0),

@@ -132,6 +132,13 @@ class TestEigendecompose:
             spec = eigendecompose(A)
             assert np.all(spec.residuals <= spec.residual_bounds())
 
+    def test_lazy_residuals_match_eager_formula(self):
+        for A in (order1_flow_matrix(0.25), order1_flow_matrix(1e-2), np.diag([3.0, 5.0])):
+            spec = eigendecompose(A)
+            assert "residuals" not in vars(spec)  # computed on first read only
+            V, w = spec.eigenvectors, spec.eigenvalues
+            assert spec.residuals.tobytes() == np.linalg.norm(A @ V - V * w, axis=0).tobytes()
+
     def test_reconstruction_property(self):
         for lam in (0.25, 1e-2, 1e-4):
             A = order1_flow_matrix(lam)
@@ -356,13 +363,23 @@ OCT_SOLVERS = {
 
 
 def packaged(monkeypatch, solve):
-    """A solver's solution and the series it hands to the packaging step."""
+    """A solver's solution and the series it hands to the packaging step.
+
+    The packaging takes gamma matrices; each row is returned as its own
+    :class:`ExpSum` (keys ``state``, ``p``, and ``v``), so that the rows can be
+    checked one sum at a time.
+    """
     seen = {}
     package = octmod._chain_solution
 
-    def spy(problem, kind, state_sums, p_sums, v_sum, **kwargs):
-        seen.update(state=state_sums, p=p_sums, v=v_sum)
-        return package(problem, kind, state_sums, p_sums, v_sum, **kwargs)
+    def spy(problem, kind, state, adjoints, control, rates, shifts, **kwargs):
+        terms = tuple(rates), tuple(np.asarray(shifts, dtype=float).tolist())
+        seen.update(
+            state=[ExpSum(row, *terms) for row in state],
+            p=[ExpSum(row, *terms) for row in adjoints],
+            v=ExpSum(control, *terms),
+        )
+        return package(problem, kind, state, adjoints, control, rates, shifts, **kwargs)
 
     monkeypatch.setattr(octmod, "_chain_solution", spy)
     return solve(), seen

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from lincontrol import oct as octmod
+from lincontrol.expsums import ExpSum
 from lincontrol.model import InvalidOrder, adjoint_names, cost_functional, verify_boundaries
 from lincontrol.numerics import NumericsError, Overflow
 from lincontrol.oct import (
@@ -23,8 +24,8 @@ from lincontrol.oct import (
     singular_solution,
     solve_regular,
 )
-from lincontrol.sta import DegenerateBasis
-from oracles import order1_optimum_mp
+from lincontrol.sta import DegenerateBasis, build_exponential
+from oracles import chain_solution_per_sum, order1_optimum_mp
 
 COTH1 = 1.0 / np.tanh(1.0)
 
@@ -68,6 +69,12 @@ class TestBuildLq:
         with pytest.raises(LambdaOutOfRange):
             build_lq(1, 0.0)
 
+    def test_structure_is_shared_and_read_only(self):
+        a, b = build_lq(3, 1e-4), build_lq(3, 1e-2, 2.0)
+        for name in ("A", "B", "W", "x0", "xf"):
+            assert getattr(a, name) is getattr(b, name)
+            assert not getattr(a, name).flags.writeable
+
     @pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
     def test_horizon_must_be_finite_and_positive(self, T):
         # refused before the eigen-solve, with ControlProblem's error and message
@@ -107,6 +114,15 @@ class TestFlowSpectrum:
         for n in (1, 2, 3):
             spec = PontryaginFlow(build_lq(n, 1e-4)).spectrum()
             assert np.all(spec.residuals <= spec.residual_bounds())
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lazy_residuals_match_eager_formula(self, n):
+        flow = PontryaginFlow(build_lq(n, 10.0 ** (-2 * n)))
+        spec = flow.spectrum()
+        assert "residuals" not in vars(spec)  # computed on first read only
+        V, w = spec.eigenvectors, spec.eigenvalues
+        eager = np.linalg.norm(flow.H @ V - V * w, axis=0)
+        assert spec.residuals.tobytes() == eager.tobytes()
 
     def test_propagator_matches_eigenbasis(self):
         # exp(H t) against V exp(D t) V^-1 for the first-order flow
@@ -171,6 +187,12 @@ class TestSingularSolution:
         areas = {i.time: i.area for i in sol.impulses}
         assert areas[0.0] == pytest.approx(1.0 / np.sinh(2.0), abs=1e-14)
         assert areas[2.0] == pytest.approx(-1.0 / np.tanh(2.0), abs=1e-14)
+
+    @pytest.mark.parametrize("T", [1e-320, 3e-309])
+    def test_overflowing_cost_is_refused(self, T):
+        # coth(T) is not representable, and the kicks and arc overflow with it
+        with pytest.raises(Overflow, match="non-finite cost: inf"):
+            singular_solution(T)
 
     def test_adjoints_on_singular_set(self):
         # p_y + p_z = 0 and p_y = -xdot hold identically on the arc
@@ -265,9 +287,9 @@ class TestSolveRegular:
         seen = []
         package = octmod._chain_solution
 
-        def spy(problem, kind, state_sums, p_sums, v_sum, **kwargs):
-            seen.append(p_sums)
-            return package(problem, kind, state_sums, p_sums, v_sum, **kwargs)
+        def spy(problem, kind, state, adjoints, control, rates, shifts, **kwargs):
+            seen.append([ExpSum(row, tuple(rates), tuple(shifts)) for row in adjoints])
+            return package(problem, kind, state, adjoints, control, rates, shifts, **kwargs)
 
         monkeypatch.setattr(octmod, "_chain_solution", spy)
         sol = solve_regular(build_lq(n, 10.0 ** (-2 * n)))
@@ -289,6 +311,12 @@ class TestSolveRegular:
 
 
 class TestOrder1Analytic:
+    @pytest.mark.parametrize("lam", [1e-250, 1e-300])
+    def test_overflowing_adjoint_is_refused(self, lam):
+        # p_y carries k^3 = lam^-1.5, which leaves the float range
+        with pytest.raises(Overflow, match="non-finite p0_py"):
+            regular_order1_analytic(lam)
+
     @pytest.mark.parametrize("lam", [1e-2, 1e-4, 1e-8, 1e-12])
     def test_boundary_residuals_tiny(self, lam):
         report = verify_boundaries(regular_order1_analytic(lam), tol=1e-9)
@@ -487,3 +515,99 @@ class TestEquivalence:
     def test_weight_domain(self):
         with pytest.raises(LambdaOutOfRange):
             equivalence_sta_regular(1.5)
+
+
+#: every solver that hands gamma matrices to the chain packaging
+PACKAGED_SOLVERS = {
+    "singular": lambda: singular_solution(1.0),
+    "first-order": lambda: regular_order1_analytic(1e-4),
+    **{f"n{n}": (lambda n=n: solve_regular(build_lq(n, 10.0 ** (-2 * n)))) for n in range(1, 9)},
+}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestPackagingBitwise:
+    """The gamma-matrix packaging against one exponential sum per row, byte for byte."""
+
+    @staticmethod
+    def packaged_with_reference(monkeypatch, solve):
+        refs = []
+        package = octmod._chain_solution
+
+        def spy(problem, kind, state, adjoints, control, rates, shifts, impulses=(), cost_override=None):
+            terms = tuple(rates), tuple(np.asarray(shifts, dtype=float).tolist())
+            refs.append(chain_solution_per_sum(
+                problem, kind, [ExpSum(row, *terms) for row in state],
+                [ExpSum(row, *terms) for row in adjoints], ExpSum(control, *terms),
+                impulses=impulses, cost_override=cost_override,
+            ))
+            return package(problem, kind, state, adjoints, control, rates, shifts,
+                           impulses=impulses, cost_override=cost_override)
+
+        monkeypatch.setattr(octmod, "_chain_solution", spy)
+        sol = solve()
+        (ref,) = refs
+        return sol, ref
+
+    @pytest.mark.parametrize("solve", PACKAGED_SOLVERS.values(), ids=PACKAGED_SOLVERS.keys())
+    def test_coefficients_and_costs(self, monkeypatch, solve):
+        sol, ref = self.packaged_with_reference(monkeypatch, solve)
+        # the first-order path adds its exponential coefficients after packaging
+        assert _bits([sol.coefficients[k] for k in ref.coefficients]) == _bits(list(ref.coefficients.values()))
+        assert _bits([sol.cost, *sol.cost_breakdown.as_dict().values()]) == _bits(
+            [ref.cost, *ref.cost_breakdown.as_dict().values()]
+        )
+
+    @pytest.mark.parametrize("solve", PACKAGED_SOLVERS.values(), ids=PACKAGED_SOLVERS.keys())
+    def test_trajectory_rows(self, monkeypatch, solve):
+        sol, ref = self.packaged_with_reference(monkeypatch, solve)
+        T = sol.problem.T
+        grid = np.linspace(0.0, T, 1001)
+        for ts in (0.37 * T, np.array([0.0, T]), grid, grid[:1000].reshape(40, 25)):
+            xs, want = sol.trajectory.x(ts), ref.trajectory.x(ts)
+            assert xs.tobytes() == want.tobytes()
+            (z, v), (z_ref, v_ref) = sol.trajectory.controls(ts, xs), ref.trajectory.controls(ts, want)
+            assert _bits(z) == _bits(z_ref) and _bits(v) == _bits(v_ref)
+            assert sol.trajectory.p(ts).tobytes() == ref.trajectory.p(ts).tobytes()
+            assert _bits(sol.trajectory.cost_rows(ts)) == _bits([want[0], want[1], v_ref])
+
+    @pytest.mark.parametrize("solve", PACKAGED_SOLVERS.values(), ids=PACKAGED_SOLVERS.keys())
+    def test_cost_functional(self, monkeypatch, solve):
+        sol, ref = self.packaged_with_reference(monkeypatch, solve)
+        for lam, panels in ((0.0, 1), (sol.problem.lam, 3)):
+            got, got_parts = cost_functional(sol.trajectory, lam=lam, panels=panels)
+            want, want_parts = cost_functional(ref.trajectory, lam=lam, panels=panels)
+            assert _bits([got, *got_parts.as_dict().values()]) == _bits([want, *want_parts.as_dict().values()])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_modal_matrices_match_per_row_products(self, n):
+        flow = PontryaginFlow(build_lq(n, 10.0 ** (-2 * n)))
+        state, adjoints, control, rates, shifts = octmod._series_from_modes(flow)
+        w, V, c = octmod._modal_amplitudes(flow)
+        assert state.tobytes() == np.array([c * V[j] for j in range(n + 1)]).tobytes()
+        assert adjoints.tobytes() == np.array([c * V[n + 1 + j] for j in range(n + 1)]).tobytes()
+        assert control.tobytes() == (c * w * V[1]).tobytes()
+        assert rates.tobytes() == w.tobytes()
+        assert shifts.tolist() == [1.0 if r.real > 0 else 0.0 for r in w]
+
+    def test_first_order_matrices_match_term_wise_products(self, monkeypatch):
+        lam = 1e-4
+        seen = []
+        package = octmod._chain_solution
+
+        def spy(problem, kind, state, adjoints, control, rates, shifts, **kwargs):
+            seen.append((state, adjoints, control))
+            return package(problem, kind, state, adjoints, control, rates, shifts, **kwargs)
+
+        monkeypatch.setattr(octmod, "_chain_solution", spy)
+        regular_order1_analytic(lam)
+        x = build_exponential(1.0 / np.sqrt(lam)).x
+        r = np.array(x.rates)
+        py = lam * (r * r * r + r * r) - r
+        factors = [r, 1.0 + r, py, lam * (r * r + r) - py, r * r + r]
+        want = [[g * f for g, f in zip(x.gammas, row)] for row in factors]
+        ((state, adjoints, control),) = seen
+        assert _bits([*state, *adjoints, control]) == _bits(want)

@@ -164,6 +164,12 @@ class TestExponentialFamily:
             with pytest.raises(Overflow, match="T=800"):
                 build_exponential(100.0, 800.0)
 
+    @pytest.mark.parametrize("k", [1e308, -1e308, 1.35e154])
+    def test_rate_with_overflowing_square_raises_overflow(self, k):
+        # x'' scales a term by k^2, which leaves the float range
+        with pytest.raises(Overflow, match="k\\^2 overflows"):
+            build_exponential(k, 5.0)
+
     def test_large_rate_no_overflow(self):
         fam = build_exponential(1200.0)
         assert np.isfinite(fam.c_scaled)
