@@ -50,6 +50,7 @@ from .oct import (
     LqProblem,
     PontryaginFlow,
     ShootingSingular,
+    ShortHorizon,
     build_lq,
     equivalence_sta_regular,
     regular_order1_analytic,
@@ -91,6 +92,7 @@ __all__ = [
     "PontryaginFlow",
     "ProtocolSolution",
     "ShootingSingular",
+    "ShortHorizon",
     "SingularMatrix",
     "StateSample",
     "Trajectory",

@@ -297,10 +297,14 @@ def run_validation():
 
     for n in (1, 2, 3):
         lam = 1e-4
-        spec = PontryaginFlow(build_lq(n, lam)).spectrum()
-        w = spec.eigenvalues
+        flow = PontryaginFlow(build_lq(n, lam))
+        w = flow.spectrum().eigenvalues
         resid = max(min(abs(mu + nu) for nu in w) for mu in w)
         add(f"spectral-pairing-n{n}", resid <= 1e-9, resid, 1e-9)
+        # the closed-form rates against the eigensolver's, relative to 1 + |mu|
+        numerical = flow.numerical_spectrum().eigenvalues
+        gap = max(min(abs(mu - nu) for nu in numerical) / (1 + abs(mu)) for mu in w)
+        add(f"spectrum-agreement-n{n}", gap <= 1e-9, gap, 1e-9)
 
     dev = singular_consistency_check(regular_order1_analytic(1e-5))
     add("singular-consistency", dev <= 0.05, dev, 0.05)

@@ -16,16 +16,22 @@ lifted to the state chain ``(x_n, z_{n-1}, ..., z_1, z_0)`` where
   growing term is anchored at ``T``, so it stays valid down to
   ``lam ~ 1e-12``, and its controls and adjoints are algebraic in ``x``.
 
-The flow has modes ``exp(+-mu t)`` with ``|mu| = lam^(-1/2n)``, so the
-terminal propagator mixes scales ``exp(+-|mu| T)``.  Solving the shooting
-system directly on that propagator erases the sub-dominant information in
-float64 once ``|mu| T`` exceeds roughly 30; the solver therefore expands
-the two-point problem in the flow's eigenmodes, with growing modes
-anchored at ``t = T``, which keeps the linear system's entries O(1); it
-raises :class:`ShootingSingular` where small ``|mu| T`` makes the modes
-nearly dependent on ``[0, T]``.  The literal propagator-block shoot is
-kept as :func:`shoot_adjoint_block` for cross-validation in its sound
-regime.
+The flow's modes are known in closed form: the Euler-Lagrange operator of
+``int x^2 + xdot^2 + lam (x^(n+1) + x^(n))^2`` is
+``(1 - D^2)(1 + lam (-1)^n D^(2n))``, so the rates are ``+-1`` and the
+``2n`` roots of ``s^(2n) = (-1)^(n+1)/lam``, of modulus
+``|mu| = lam^(-1/2n)``, and each eigenvector is read off the mode
+``x = e^(st)``; no eigensolver runs in a solve.  The terminal propagator
+mixes scales ``exp(+-|mu| T)``.  Solving the shooting system directly on
+that propagator erases the sub-dominant information in float64 once
+``|mu| T`` exceeds roughly 30; the solver therefore expands the two-point
+problem in these modes, with growing modes anchored at ``t = T``, which
+keeps the linear system's entries O(1); it raises
+:class:`ShootingSingular` where the modes are nearly dependent on
+``[0, T]``: at small ``|mu| T``, and where rates coincide (``lam = 1`` at
+odd ``n``).  The literal propagator-block shoot is kept as
+:func:`shoot_adjoint_block`, and the eigensolver's spectrum as
+:meth:`PontryaginFlow.numerical_spectrum`, for cross-validation.
 """
 
 from __future__ import annotations
@@ -55,6 +61,10 @@ class LambdaOutOfRange(ValueError):
 
 class ShootingSingular(RuntimeError):
     """The terminal shooting system is numerically singular."""
+
+
+class ShortHorizon(ValueError):
+    """The horizon is too short for the impulsive arc to meet its endpoints in float64."""
 
 
 @dataclass(frozen=True)
@@ -120,6 +130,47 @@ def _chain_structure(n):
     return arrays
 
 
+@lru_cache(maxsize=64)
+def _mode_tables(n):
+    """Read-only tables of the order-``n`` flow's exact modes, built once per order.
+
+    Returns ``(fast, j, unit, unit_inv, adjoint)``.  Mode ``i`` has the rate
+    ``s_i = rho_i e^(i theta_i)``: ``rho_i = 1`` for the slow rates ``-1``
+    and ``1`` (the first two), and ``rho_i = U^(-1/2n)`` where ``fast[i]``,
+    whose angles give the ``2n`` roots of ``s^(2n) = (-1)^(n+1)/U``.  Each
+    complex pair is built with ``conj``, and the real roots of odd ``n`` are
+    exactly real.  ``unit[j, i] = e^(i j theta_i)`` for the column ``j =
+    0..n`` and ``unit_inv`` is its conjugate, so ``s^(+-j) = rho^(+-j)
+    unit(_inv)[j]``.
+
+    ``adjoint[i - 1, m]`` is the coefficient of ``s^-m`` in the adjoint
+    ``p_i`` (i = 1..n) of the mode ``x = e^(st)``: rows ``n`` down to 1 of
+    ``(s I + A^T) p = W s_vec``, back-substituted through the bidiagonal
+    ``A^T``.  The mode has ``x = 1`` and ``x' = s``, so ``W s_vec = r0 + s
+    r1`` exactly, with the rows ``r0`` and ``r1`` that build ``W``.
+    """
+    A = _chain_structure(n)[0]
+    j = np.arange(n + 1)[:, None]
+    upper = np.exp(1j * j * (np.pi / (2 * n) * np.arange(1 + n % 2, 2 * n, 2)))
+    real = np.array([-1.0, 1.0, -1.0, 1.0] if n % 2 else [-1.0, 1.0])
+    unit = np.hstack([real**j, upper, upper.conj()])
+    fast = np.arange(unit.shape[1]) >= 2
+    r1 = _x1_row(n)
+    r0 = -r1
+    r0[n] += 1.0
+    adjoint = np.zeros((n + 1, n + 1))  # row i: p_i, row 0 unused
+    for i in range(n, 0, -1):
+        # p_i = ((W s_vec)_i - A[i + 1, i] p_(i+1)) / s
+        adjoint[i, 0] = r1[i]
+        adjoint[i, 1] = r0[i]
+        if i < n:
+            adjoint[i, 1:] -= A[i + 1, i] * adjoint[i + 1, :-1]
+    arrays = (fast, j, unit, unit.conj(), adjoint[1:])
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def build_lq(n, lam, T=1.0):
     """Assemble the order-``n`` transfer problem as linear-quadratic data.
 
@@ -139,10 +190,13 @@ def build_lq(n, lam, T=1.0):
 class PontryaginFlow:
     """The coupled state-adjoint flow ``d/dt (s, p) = H (s, p)``.
 
-    ``H = [[A, B U^-1 B^T], [W, -A^T]]``.  The spectrum is computed on the
-    similarity-balanced matrix (adjoint block scaled by ``sqrt(U)``), which
-    leaves the eigenvalues untouched while shrinking the matrix norm from
-    ``1/U`` to ``1/sqrt(U)``; eigenvectors are mapped back afterwards.
+    ``H = [[A, B U^-1 B^T], [W, -A^T]]``.  Its eigenpairs are known in
+    closed form: eliminating the adjoint gives the Euler-Lagrange operator
+    ``(1 - D^2)(1 + U (-1)^n D^(2n))`` on ``x``, so the rates are ``+-1``
+    and the ``2n`` roots of ``s^(2n) = (-1)^(n+1)/U``, and each eigenvector
+    is read off the mode ``x = e^(st)`` (see :meth:`spectrum`); this holds
+    for the chain problems of :func:`build_lq`.  :meth:`numerical_spectrum` runs the eigensolver on the
+    similarity-balanced ``H`` instead and is kept as the cross-check.
     """
 
     def __init__(self, lq):
@@ -161,16 +215,52 @@ class PontryaginFlow:
         return mat_exp(self.H, t)
 
     def spectrum(self):
+        """Exact eigenpairs of ``H``, sorted by real part, then imaginary part.
+
+        Mode ``i`` is ``x = e^(s_i t)`` at the rates of :func:`_mode_tables`,
+        with ``s^(+-j) = rho^(+-j) e^(+-i j theta)``.  Its state column is
+        ``(s^n, s^(n-1) (1 + s), .., 1 + s)``, its adjoints ``p_1 .. p_n`` are
+        the table's back-substituted coefficients on ``s^0 .. s^-n``, and
+        ``p_0`` closes the first row through the state equation ``p_0 + p_1
+        = U s^n (1 + s)``, which stays well-defined at ``s = 1``, where the
+        first adjoint row is singular.  Columns are scaled to unit
+        max-magnitude.  Coincident rates (``U = 1`` at odd ``n``) give
+        repeated columns, which the modal solve refuses.
+        """
         if self._spectrum is None:
-            ns = self.lq.dim
-            d = np.ones(2 * ns)
-            d[ns:] = np.sqrt(self.lq.U)
-            balanced = (self.H / d[:, None]) * d[None, :]
-            spec = eigendecompose(balanced)
-            V = spec.eigenvectors * d[:, None]
-            V = V / np.abs(V).max(axis=0)
-            self._spectrum = ComplexSpectrum(eigenvalues=spec.eigenvalues, eigenvectors=V, matrix=self.H)
+            lq = self.lq
+            n, ns, U = lq.order, lq.dim, lq.U
+            fast, j, unit, unit_inv, adjoint = _mode_tables(n)
+            rho = np.where(fast, U ** (-1.0 / (2 * n)), 1.0)
+            w = rho * unit[1]
+            order = np.lexsort((w.imag, w.real))
+            w, rho, unit, unit_inv = w[order], rho[order], unit[:, order], unit_inv[:, order]
+            rho_j, w1 = rho**j, 1.0 + w
+            V = np.empty((2 * ns, 2 * ns), dtype=complex)
+            V[:ns] = (rho_j * unit)[::-1]  # s^n, s^(n-1), .., 1
+            V[1:ns] *= w1
+            V[ns + 1 :] = adjoint @ (unit_inv / rho_j)
+            V[ns] = U * V[0] * w1 - V[ns + 1]
+            V /= np.abs(V).max(axis=0)
+            self._spectrum = ComplexSpectrum(eigenvalues=w, eigenvectors=V, matrix=self.H)
         return self._spectrum
+
+    def numerical_spectrum(self):
+        """Eigenpairs from the eigensolver, the cross-check of :meth:`spectrum`.
+
+        The decomposition runs on the similarity-balanced matrix (adjoint
+        block scaled by ``sqrt(U)``), which leaves the eigenvalues untouched
+        while shrinking the matrix norm from ``1/U`` to ``1/sqrt(U)``; the
+        eigenvectors are mapped back and scaled to unit max-magnitude.
+        """
+        ns = self.lq.dim
+        d = np.ones(2 * ns)
+        d[ns:] = np.sqrt(self.lq.U)
+        balanced = (self.H / d[:, None]) * d[None, :]
+        spec = eigendecompose(balanced)
+        V = spec.eigenvectors * d[:, None]
+        V = V / np.abs(V).max(axis=0)
+        return ComplexSpectrum(eigenvalues=spec.eigenvalues, eigenvectors=V, matrix=self.H)
 
 
 def shoot_adjoint_block(flow, horizon=None):
@@ -290,6 +380,10 @@ def _chain_solution(problem, kind, state, adjoints, control, rates, shifts, impu
     )
 
 
+#: largest endpoint residual :func:`singular_solution` returns, the CLI's boundary tolerance
+SINGULAR_ENDPOINT_TOL = 1e-8
+
+
 def singular_solution(T=1.0):
     """Impulsive global optimum: kick, exponential arc, kick.
 
@@ -299,6 +393,12 @@ def singular_solution(T=1.0):
     endpoint conditions on ``xdot``.  On the arc the adjoints obey
     ``p_y = -xdot`` and ``p_z = +xdot``.  The bare cost is exactly
     ``coth(T)``; impulses are excluded from the integral.
+
+    A non-finite cost or coefficient raises
+    :class:`~lincontrol.numerics.Overflow`.  Otherwise, when ``x(T) - 1`` or
+    ``x'`` against the kicks, evaluated from the arc's two gammas, is off by
+    more than ``SINGULAR_ENDPOINT_TOL`` (horizons of about ``1e-8`` and
+    below), it raises :class:`ShortHorizon`.
     """
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
@@ -313,16 +413,29 @@ def singular_solution(T=1.0):
     decay = grow * np.exp(-T)  # = 1/(2 sinh T); this form cancels exactly in x(0)
     state = np.array([[grow, decay], [2.0 * grow, 0.0]])  # y, z
     adjoints = np.array([[-grow, -decay], [grow, decay]])  # p_y, p_z
-    return _chain_solution(
+    sol = _chain_solution(
         problem, "oct-singular", state, adjoints, state[1], rates=(1.0, -1.0), shifts=(T, 0.0),
         impulses=(Impulse(0.0, a1), Impulse(T, -coth)),
         cost_override=coth,
     )
+    # x = grow e^(t-T) - decay e^-t and x' = grow e^(t-T) + decay e^-t; the
+    # gammas grow like 1/(2T), so x(T) - 1 and the kicked x' lose digits at
+    # short horizons (x(0) = 0 holds exactly)
+    e = np.exp(-T)
+    residual = max(abs(grow - decay * e - 1.0), abs(2.0 * decay - a1), abs(grow + decay * e - coth))
+    if not residual <= SINGULAR_ENDPOINT_TOL:
+        raise ShortHorizon(
+            f"impulsive arc misses its endpoints by {residual:.3g} at horizon {T:g} "
+            f"(tolerance {SINGULAR_ENDPOINT_TOL:g})"
+        )
+    return sol
 
 
-#: below this weight the generic path refuses first-order problems: its
-#: modal solve drifts from an extended-precision oracle (3.4e-8 relative at
-#: 1e-8, 3e-4 at 1e-12); the exponential-family path stays accurate there
+#: below this weight the generic path refuses first-order problems and points
+#: to the exponential family, which owns them.  With numerically computed
+#: rates the modal solve drifted from the 80-digit oracle (3.4e-8 relative at
+#: 1e-8, 3e-4 at 1e-12, T = 1); with the exact rates it is within 2e-16 from
+#: 1e-4 down to 1e-12, and the floor is kept only because it routes requests
 ORDER1_GENERIC_FLOOR = 1e-6
 
 #: fast modes above this rate-times-horizon product are refused outright

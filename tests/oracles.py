@@ -70,6 +70,41 @@ def order1_optimum_mp(lam, T, dps=80):
         return float(cost)
 
 
+def order_n_optimum_mp(n, lam, T, dps=80):
+    """Order-``n`` optimal cost at ``dps`` significant digits, from the exact rates.
+
+    The Euler-Lagrange equation of ``int x^2 + x'^2 + lam (x^(n+1) + x^(n))^2``
+    is ``(1 - D^2)(1 + lam (-1)^n D^(2n)) x = 0``, so the optimum is
+    ``x = sum c_i e^{s_i (t - tau_i)}`` over the rates ``+-1`` and the ``2n``
+    roots of ``s^(2n) = (-1)^(n+1)/lam``, with every growing term anchored
+    at ``tau_i = T``.  The ``2n + 2`` boundary rows ``x^(j)(0) = 0`` and
+    ``x^(j)(T) = delta_j0`` (j = 0..n) are solved with ``lu_solve``, and the
+    cost is integrated exactly, one pair of terms at a time.  Coincident
+    rates (``lam = 1`` at odd ``n``) make the rows singular.
+    """
+    with mpmath.workdps(dps):
+        lam, T = mpmath.mpf(lam), mpmath.mpf(T)
+        r = lam ** (-mpmath.mpf(1) / (2 * n))
+        rates = [mpmath.mpf(1), mpmath.mpf(-1)]
+        rates += [r * mpmath.expjpi(mpmath.mpf(n + 1 + 2 * k) / (2 * n)) for k in range(2 * n)]
+        shifts = [T if mpmath.re(s) > 0 else mpmath.mpf(0) for s in rates]
+        rows = [
+            [s**j * mpmath.exp(s * (t - tau)) for s, tau in zip(rates, shifts)]
+            for t in (0, T) for j in range(n + 1)
+        ]
+        rhs = [0] * (n + 1) + [1] + [0] * n
+        coef = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
+        ctrl = [s**n * (s + 1) for s in rates]  # x^(n+1) + x^(n) per unit term
+        cost = mpmath.mpc(0)
+        for ci, si, ti, vi in zip(coef, rates, shifts, ctrl):
+            for cj, sj, tj, vj in zip(coef, rates, shifts, ctrl):
+                S, P = si + sj, si * ti + sj * tj
+                # expm1 keeps the pairs whose rates cancel to rounding (S ~ 10^-dps)
+                pair = T * mpmath.exp(-P) if S == 0 else mpmath.exp(-P) * mpmath.expm1(S * T) / S
+                cost += ci * cj * (1 + si * sj + lam * vi * vj) * pair
+        return float(mpmath.re(cost))
+
+
 def sta_optimum_mp(kind, N, T, dps=60):
     """Bare optimal cost of the ``"polynomial"`` or ``"trigonometric"`` family at ``dps`` digits.
 

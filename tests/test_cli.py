@@ -145,6 +145,22 @@ class TestOctCommand:
         assert out == ""
         assert json.loads(err)["error"] == "ShootingSingular"
 
+    @pytest.mark.parametrize("n", ["1", "3"])
+    def test_unit_weight_odd_order_exits_2(self, capsys, n):
+        # at weight 1 and odd n a fast rate coincides with each slow rate +-1,
+        # so the modal system is singular; it used to print a wrong cost
+        code, out, err = run_cli(capsys, "oct", "higher", "--n", n, "--lambda", "1")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ShootingSingular"
+
+    def test_vanishing_horizon_singular_exits_2(self, capsys):
+        # x(T) - 1 = -1 in float64; it used to exit 0
+        code, out, err = run_cli(capsys, "oct", "singular", "--T", "1e-200")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ShortHorizon"
+
     @pytest.mark.parametrize("T", ["0", "-1", "inf", "nan"])
     def test_bad_horizon_exits_2_with_value_error(self, capsys, T):
         code, out, err = run_cli(capsys, "oct", "higher", "--n", "2", "--T", T)

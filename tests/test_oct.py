@@ -15,6 +15,7 @@ from lincontrol.oct import (
     LqProblem,
     PontryaginFlow,
     ShootingSingular,
+    ShortHorizon,
     build_lq,
     equivalence_sta_regular,
     fit_exponential_arc,
@@ -25,7 +26,7 @@ from lincontrol.oct import (
     solve_regular,
 )
 from lincontrol.sta import DegenerateBasis, build_exponential
-from oracles import chain_solution_per_sum, order1_optimum_mp
+from oracles import chain_solution_per_sum, order1_optimum_mp, order_n_optimum_mp
 
 COTH1 = 1.0 / np.tanh(1.0)
 
@@ -139,6 +140,84 @@ class TestFlowSpectrum:
             PontryaginFlow(build_lq(1, 1e-8)).propagator(1.0)
 
 
+class TestExactSpectrum:
+    """The closed-form eigenpairs of :meth:`PontryaginFlow.spectrum`."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("lam", [1e-1, 1e-2, 1e-4])
+    def test_matches_numerical_spectrum(self, n, lam):
+        flow = PontryaginFlow(build_lq(n, lam))
+        exact, numerical = flow.spectrum().eigenvalues, flow.numerical_spectrum().eigenvalues
+        gap = np.abs(exact[:, None] - numerical[None, :])
+        assert np.all(gap.min(axis=1) <= 1e-9 * (1 + np.abs(exact)))
+        assert np.all(gap.min(axis=0) <= 1e-9 * (1 + np.abs(numerical)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("lam", [10.0, 1e-1, 1e-4, 1e-8, 1e-12])
+    def test_rates_are_euler_lagrange_roots(self, n, lam):
+        # (1 - s^2)(1 + lam (-1)^n s^(2n)) = 0, relative to the size of its terms
+        w = PontryaginFlow(build_lq(n, lam)).spectrum().eigenvalues
+        assert len(w) == 2 * n + 2
+        value = (1 - w**2) * (1 + lam * (-1) ** n * w ** (2 * n))
+        scale = (1 + np.abs(w) ** 2) * (1 + lam * np.abs(w) ** (2 * n))
+        assert np.all(np.abs(value) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_conjugate_pairs_are_exact(self, n):
+        spec = PontryaginFlow(build_lq(n, 3e-5)).spectrum()
+        w, V = spec.eigenvalues, spec.eigenvectors
+        for i in np.flatnonzero(w.imag != 0):
+            (k,) = np.flatnonzero(w == w[i].conj())
+            assert V[:, k].tobytes() == V[:, i].conj().tobytes()
+        real = np.flatnonzero(w.imag == 0)
+        assert len(real) == (4 if n % 2 else 2)
+        assert np.all(V[:, real].imag == 0)
+        assert np.array_equal(np.lexsort((w.imag, w.real)), np.arange(len(w)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("lam", [10.0, 1e-2, 1e-4])
+    def test_eigenvectors_match_numerical_directions(self, n, lam):
+        flow = PontryaginFlow(build_lq(n, lam))
+        exact, numerical = flow.spectrum(), flow.numerical_spectrum()
+        for i, mu in enumerate(exact.eigenvalues):
+            u = exact.eigenvectors[:, i]
+            v = numerical.eigenvectors[:, np.argmin(np.abs(numerical.eigenvalues - mu))]
+            cos = abs(np.vdot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
+            assert 1 - cos <= 1e-12
+            assert abs(np.abs(u).max() - 1.0) <= 4 * np.finfo(float).eps  # complex division rounds
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7])
+    def test_coincident_rates_at_unit_weight_raise(self, n):
+        # s^(2n) = 1 has the roots +-1 at odd n, so two modes coincide with the slow ones
+        w = PontryaginFlow(build_lq(n, 1.0)).spectrum().eigenvalues
+        assert np.sum(w == 1.0) == 2 and np.sum(w == -1.0) == 2
+        with pytest.raises(ShootingSingular):
+            solve_regular(build_lq(n, 1.0))
+
+
+class TestExactRateOracle:
+    @pytest.mark.parametrize("lam,T", [(1e-2, 1.0), (1e-4, 0.3), (0.25, 5.0), (0.999999, 1.0)])
+    def test_order1_agrees_with_first_order_oracle(self, lam, T):
+        assert order_n_optimum_mp(1, lam, T) == pytest.approx(order1_optimum_mp(lam, T), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "n,T",
+        [
+            (2, 0.17782794100389232),
+            (2, 0.5623413251903493),
+            (4, 0.5623413251903493),
+            (4, 5.623413251903493),
+            (6, 1.778279410038924),
+            (6, 5.623413251903493),
+        ],
+    )
+    def test_small_weight_solves_within_1e9(self, n, T):
+        # the eigensolver's rates left these 1e-5 to 3e-5 off with every check passing
+        lam = 2.37137370566166e-11
+        cost = solve_regular(build_lq(n, lam, T)).cost
+        assert cost == pytest.approx(order_n_optimum_mp(n, lam, T), rel=1e-9)
+
+
 class TestShootAdjointBlock:
     def test_matches_closed_form_at_moderate_weight(self):
         lam = 1e-2
@@ -193,6 +272,22 @@ class TestSingularSolution:
         # coth(T) is not representable, and the kicks and arc overflow with it
         with pytest.raises(Overflow, match="non-finite cost: inf"):
             singular_solution(T)
+
+    @pytest.mark.parametrize("k", range(21))
+    def test_short_horizon_meets_endpoints_or_raises(self, k):
+        # the gammas grow like 1/(2T), so the arc loses its endpoints in float64
+        T = 10.0**-k
+        try:
+            sol = singular_solution(T)
+        except ShortHorizon:
+            assert k >= 8
+            return
+        assert verify_boundaries(sol, tol=1e-8).passed
+
+    def test_vanishing_horizon_raises_short_horizon(self):
+        with pytest.raises(ShortHorizon, match="misses its endpoints by 1"):
+            singular_solution(1e-200)
+        assert issubclass(ShortHorizon, ValueError)
 
     def test_adjoints_on_singular_set(self):
         # p_y + p_z = 0 and p_y = -xdot hold identically on the arc
