@@ -448,9 +448,11 @@ _SOLVER_ERRORS = (
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    # an OSError is output the command could not write, such as an --out
+    # path in a missing directory
     try:
         return args.fn(args)
-    except _SOLVER_ERRORS as exc:
+    except (*_SOLVER_ERRORS, OSError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(_json(err) + "\n")
         return 2

@@ -118,7 +118,9 @@ class ComplexSpectrum:
 
     ``eigenvalues[i]`` pairs with column ``eigenvectors[:, i]``; columns are
     normalised to unit infinity-norm.  ``matrix`` is the matrix the pairs
-    belong to; it takes no part in comparisons or the repr.
+    belong to, or a function of no arguments that forms it, called on the
+    first read of :attr:`residuals`; it takes no part in comparisons or the
+    repr.
     :attr:`residuals` computes ``|A v - mu v|`` for each pair on first read,
     so the quality of each pair can be asserted against the tolerance
     ``1e-10 * (1 + |mu|) * |v|`` where the caller needs it, and a solve
@@ -133,7 +135,8 @@ class ComplexSpectrum:
     def residuals(self):
         """Per-pair residuals ``|A v - mu v|`` (2-norm over each column)."""
         V = self.eigenvectors
-        return np.linalg.norm(self.matrix @ V - V * self.eigenvalues, axis=0)
+        A = self.matrix() if callable(self.matrix) else self.matrix
+        return np.linalg.norm(A @ V - V * self.eigenvalues, axis=0)
 
     def reconstruct(self):
         """Return ``V diag(mu) V^-1``, which approximates the original matrix."""

@@ -37,7 +37,7 @@ odd ``n``).  The literal propagator-block shoot is kept as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -187,6 +187,17 @@ def build_lq(n, lam, T=1.0):
     return LqProblem(order=int(n), A=A, B=B, W=W, U=float(lam), x0=x0, xf=xf, T=float(T))
 
 
+def _flow_matrix(lq):
+    """``[[A, B U^-1 B^T], [W, -A^T]]`` of the linear-quadratic data ``lq``."""
+    ns = lq.dim
+    H = np.zeros((2 * ns, 2 * ns))
+    H[:ns, :ns] = lq.A
+    H[:ns, ns:] = (lq.B @ lq.B.T) / lq.U
+    H[ns:, :ns] = lq.W
+    H[ns:, ns:] = -lq.A.T
+    return H
+
+
 class PontryaginFlow:
     """The coupled state-adjoint flow ``d/dt (s, p) = H (s, p)``.
 
@@ -197,18 +208,21 @@ class PontryaginFlow:
     is read off the mode ``x = e^(st)`` (see :meth:`spectrum`); this holds
     for the chain problems of :func:`build_lq`.  :meth:`numerical_spectrum` runs the eigensolver on the
     similarity-balanced ``H`` instead and is kept as the cross-check.
+
+    ``H`` itself is formed only where it is read: by :meth:`propagator`,
+    :meth:`numerical_spectrum` and the spectrum's residuals.  A solve never
+    reads it, so a weight whose inverse overflows reaches the modal solve
+    without a floating-point warning.
     """
 
     def __init__(self, lq):
-        ns = lq.dim
-        H = np.zeros((2 * ns, 2 * ns))
-        H[:ns, :ns] = lq.A
-        H[:ns, ns:] = (lq.B @ lq.B.T) / lq.U
-        H[ns:, :ns] = lq.W
-        H[ns:, ns:] = -lq.A.T
         self.lq = lq
-        self.H = H
         self._spectrum = None
+
+    @cached_property
+    def H(self):
+        """The flow matrix ``[[A, B U^-1 B^T], [W, -A^T]]``."""
+        return _flow_matrix(self.lq)
 
     def propagator(self, t):
         """``exp(H t)`` by scaling-and-squaring; raises Overflow when out of range."""
@@ -242,7 +256,9 @@ class PontryaginFlow:
             V[ns + 1 :] = adjoint @ (unit_inv / rho_j)
             V[ns] = U * V[0] * w1 - V[ns + 1]
             V /= np.abs(V).max(axis=0)
-            self._spectrum = ComplexSpectrum(eigenvalues=w, eigenvectors=V, matrix=self.H)
+            self._spectrum = ComplexSpectrum(
+                eigenvalues=w, eigenvectors=V, matrix=partial(_flow_matrix, lq)
+            )
         return self._spectrum
 
     def numerical_spectrum(self):
@@ -354,17 +370,25 @@ def _chain_solution(problem, kind, state, adjoints, control, rates, shifts, impu
         for j in range(1, n):
             rows.append((zero + G[n - j]) - rows[-1])
         # one stack [x, x', .., x^(n), z_0 .. z_{n-1}, v], so each term's
-        # exponential is computed once for the state and the controls
+        # exponential is computed once for the state and the controls, and
+        # the same stack over the adjoints for tables
         X = np.vstack(rows + [G[n:0:-1], control])
+        P = np.asarray(adjoints, dtype=complex)
         x = SumStack(X, rates, shifts)
         cost_rows = SumStack(X[[0, 1, -1]], rates, shifts)  # x, x', v
-        p = SumStack(np.asarray(adjoints, dtype=complex), rates, shifts)
+        p = SumStack(P, rates, shifts)
+        xp = SumStack(np.vstack([X, P]), rates, shifts)
         state_part, deriv_part, ctrl = square_integrals(cost_rows, problem.T)
         p0 = real_values(p, 0.0).tolist()
+
+    def x_and_p(ts):
+        values = real_values(xp, ts)
+        return values[: len(X)], values[len(X) :]
+
     trajectory = Trajectory(
         T=problem.T, n=n, p=partial(real_values, p), x=partial(real_values, x),
         controls=lambda ts, xs: (xs[n + 1 : 2 * n + 1], xs[2 * n + 1]),
-        cost_rows=partial(real_values, cost_rows),
+        cost_rows=partial(real_values, cost_rows), x_and_p=x_and_p,
     )
     breakdown = CostBreakdown(state_part, deriv_part, problem.lam * ctrl if problem.lam else 0.0)
     cost = breakdown.total if cost_override is None else cost_override

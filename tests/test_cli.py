@@ -182,6 +182,19 @@ class TestOctCommand:
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "Overflow"
 
+    def test_subnormal_weight_prints_no_warning(self):
+        # 1/lambda overflows at a subnormal weight; the solve never forms the
+        # flow matrix, so the modal system refuses it without a numpy warning
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lincontrol.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lincontrol", "oct", "higher", "--n", "2",
+             "--lambda", "1e-320", "--T", "1e-79"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "ShootingSingular"
+
     def test_long_horizon_singular_prints_no_warning(self):
         # sinh(800) overflows to inf and the kick area 1/sinh(800) rounds to
         # 0 correctly; -W error turns any numpy warning into a failed exit
@@ -234,6 +247,15 @@ class TestOctCommand:
         text = path.read_text()
         assert text.startswith("t,x,xdot,u,v,y,z0,py,pz\n")
         assert len(text.strip().split("\n")) == 8
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "poly.csv"
+        code, out, err = run_cli(capsys, "sta", "poly", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "FileNotFoundError"
+        assert str(path) in doc["message"]
 
 
 class TestTables:
@@ -306,6 +328,13 @@ class TestSweep:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "lambda,cost_regularized,cost_bare,gap"
         assert len(lines) == 7
+
+    def test_cli_unwritable_out_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "sweep.csv"
+        code, out, err = run_cli(capsys, "sweep-lambda", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "FileNotFoundError"
 
     def test_cli_custom_lambdas_json(self, capsys):
         code, out, _ = run_cli(

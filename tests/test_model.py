@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from lincontrol import expsums, oct as octmod
 from lincontrol.model import (
+    CSV_BLOCK_ROWS,
     ControlProblem,
     CostBreakdown,
     InvalidOrder,
@@ -246,6 +248,25 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_table(singular_solution(1.0), points=1)
 
+    @pytest.mark.parametrize("points", [3.5, 2.0, "5", None, True])
+    def test_non_integer_points(self, points, tmp_path):
+        sol = singular_solution(1.0)
+        for tabulate in (sample_table, csv_text, lambda s, p: write_csv(s, tmp_path / "t.csv", p)):
+            with pytest.raises(ValueError, match="points must be an integer"):
+                tabulate(sol, points)
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("points", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_numpy_integer_points(self, points):
+        sol = solve_sta(build_polynomial(4))
+        assert csv_text(sol, points) == csv_text(sol, 5)
+
+    def test_table_is_one_float_array(self):
+        sol = solve_regular(build_lq(2, 5e-7))
+        header, table = sample_table(sol, 7)
+        assert isinstance(table, np.ndarray) and table.dtype == float
+        assert table.shape == (7, len(header))
+
     def test_header_first_order_with_adjoints(self):
         header, _ = sample_table(singular_solution(1.0), points=2)
         assert header == ["t", "x", "xdot", "u", "v", "y", "z0", "py", "pz"]
@@ -305,6 +326,26 @@ TABLE_KINDS = {
 
 
 class TestTable:
+    def test_oct_table_evaluates_each_exponential_once(self, monkeypatch):
+        # the state stack and the adjoints come from one real_values call;
+        # x alone carries no adjoint rows
+        calls = []
+
+        def spy(sums, t):
+            calls.append(len(sums.gammas))
+            return expsums.real_values(sums, t)
+
+        monkeypatch.setattr(octmod, "real_values", spy)
+        sol = solve_regular(build_lq(2, 5e-7))
+        traj = sol.trajectory
+        calls.clear()
+        cols = traj.table(traj.grid(11))
+        assert calls == [2 * 2 + 2 + 3]  # x, x', x'', z0, z1, v and three adjoints
+        assert set(adjoint_names(2)) <= cols.keys()
+        calls.clear()
+        assert traj.x(np.array([0.0, traj.T])).shape == (2 * 2 + 2, 2)
+        assert calls == [2 * 2 + 2]
+
     @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
     def test_rows_match_samples(self, make):
         traj = make().trajectory
@@ -335,11 +376,31 @@ SPECIAL_CELLS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324, 1.7976
 
 
 class TestCsvBytes:
-    @pytest.mark.parametrize("points", [1001, 2001])
+    @pytest.mark.parametrize(
+        "points", [2, 3, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 1001, 2001]
+    )
     @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
     def test_matches_per_cell_formatting(self, make, points):
         sol = make()
         assert csv_text(sol, points) == per_cell_csv(sol, points)
+
+    def test_equal_but_not_bitwise_equal_columns(self):
+        # +0.0 == -0.0, but the two render differently, so the x and xdot
+        # columns share no text
+        def x(ts):
+            return np.zeros_like(ts), -np.zeros_like(ts)
+
+        traj = Trajectory(
+            T=1.0, n=1, x=x, controls=lambda ts, xs: ((xs[0],), xs[1]),
+            cost_rows=lambda ts: (*x(ts), x(ts)[0]),
+        )
+        sol = ProtocolSolution(
+            problem=ControlProblem(), kind="hand-built", coefficients={}, trajectory=traj,
+            impulses=(), cost=0.0, cost_breakdown=CostBreakdown(0.0, 0.0, 0.0),
+        )
+        text = csv_text(sol, 3)
+        assert text == per_cell_csv(sol, 3)
+        assert text.split("\n")[1].split(",")[1:5] == ["0", "-0", "0", "-0"]
 
     def test_special_values(self):
         def x(ts):

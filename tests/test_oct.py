@@ -125,6 +125,23 @@ class TestFlowSpectrum:
         eager = np.linalg.norm(flow.H @ V - V * w, axis=0)
         assert spec.residuals.tobytes() == eager.tobytes()
 
+    def test_solve_never_forms_flow_matrix(self, monkeypatch):
+        # 1/U overflows at a subnormal weight; the modal system refuses the
+        # problem, and neither solve forms H or raises a floating-point warning
+        flows = []
+        init = PontryaginFlow.__init__
+
+        def spy(self, lq):
+            init(self, lq)
+            flows.append(self)
+
+        monkeypatch.setattr(PontryaginFlow, "__init__", spy)
+        solve_regular(build_lq(2, 1e-2))
+        with pytest.raises(ShootingSingular):
+            solve_regular(build_lq(2, 1e-320, 1e-79))
+        assert len(flows) == 2
+        assert all("H" not in vars(flow) for flow in flows)
+
     def test_propagator_matches_eigenbasis(self):
         # exp(H t) against V exp(D t) V^-1 for the first-order flow
         for lam, t in ((1e-2, 0.3), (1e-4, 1.0)):
