@@ -17,6 +17,7 @@ __version__ = "0.1.0"
 
 from .model import (
     BoundaryReport,
+    BoundaryResidual,
     ControlProblem,
     CostBreakdown,
     Impulse,
@@ -74,6 +75,7 @@ __all__ = [
     "__version__",
     "AnsatzFamily",
     "BoundaryReport",
+    "BoundaryResidual",
     "ComplexSpectrum",
     "ControlProblem",
     "CostBreakdown",

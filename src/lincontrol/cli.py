@@ -22,13 +22,21 @@ endings, so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .model import ControlProblem, InvalidOrder, csv_text, verify_boundaries, write_csv
+from .model import (
+    BoundaryResidual,
+    ControlProblem,
+    InvalidOrder,
+    csv_text,
+    verify_boundaries,
+    write_csv,
+)
 from .numerics import NumericsError
 from .oct import (
     LambdaOutOfRange,
@@ -111,9 +119,14 @@ def _json(obj, indent=0):
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def solution_summary(sol):
-    """JSON-ready summary: coefficients, cost, boundary residuals, impulses."""
-    report = verify_boundaries(sol, tol=1e-8)
+def solution_summary(sol, report=None):
+    """JSON-ready summary: coefficients, cost, boundary residuals, impulses.
+
+    ``report`` is the solution's ``verify_boundaries(sol, tol=1e-8)`` when
+    the caller has already built it.
+    """
+    if report is None:
+        report = verify_boundaries(sol, tol=1e-8)
     return {
         "method": sol.kind,
         "order": sol.problem.n,
@@ -316,13 +329,16 @@ def run_validation():
 
 
 def _emit_solution(sol, args):
+    # a solution that misses a boundary condition is neither printed nor written
+    report = verify_boundaries(sol, tol=1e-8)
+    if not report.passed:
+        raise BoundaryResidual(report)
+    if args.format == "csv" and not args.out:
+        sys.stdout.write(csv_text(sol, points=args.points))
+        return 0
     if args.out:
         write_csv(sol, args.out, points=args.points)
-        sys.stdout.write(_json(solution_summary(sol)) + "\n")
-    elif args.format == "csv":
-        sys.stdout.write(csv_text(sol, points=args.points))
-    else:
-        sys.stdout.write(_json(solution_summary(sol)) + "\n")
+    sys.stdout.write(_json(solution_summary(sol, report)) + "\n")
     return 0
 
 
@@ -458,5 +474,17 @@ def main(argv=None):
         return 2
 
 
+def run():
+    """Entry point of a ``lincontrol`` process: the console script and ``python -m lincontrol``.
+
+    The objects made by the imports (numpy's and the package's, about 22 000)
+    live as long as the process, so they are frozen out of the garbage
+    collector first; the collections of the run and of interpreter shutdown
+    then skip them. :func:`main` itself leaves its host's GC state alone.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

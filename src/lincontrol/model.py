@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import Overflow, integrate
+from .numerics import NumericsError, Overflow, integrate
 
 
 class InvalidOrder(ValueError):
@@ -280,6 +280,17 @@ class BoundaryReport:
     @property
     def passed(self):
         return self.max_residual <= self.tol
+
+
+class BoundaryResidual(NumericsError):
+    """A solution misses one of its boundary conditions by more than the tolerance."""
+
+    def __init__(self, report):
+        name, value = max(report.residuals.items(), key=lambda item: abs(item[1]))
+        super().__init__(
+            f"boundary residual {name} = {value:.3g} exceeds the tolerance {report.tol:g}"
+        )
+        self.report = report
 
 
 def verify_boundaries(sol, tol=1e-8):

@@ -1,5 +1,8 @@
 """End-to-end tests of the command-line interface and its JSON/CSV output."""
 
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -19,6 +22,8 @@ from lincontrol.cli import (
     table1_report,
     table2_report,
 )
+from lincontrol.model import BoundaryReport, BoundaryResidual
+from lincontrol.numerics import NumericsError
 from oracles import json_reference, sta_optimum_mp
 
 COTH1 = 1.0 / np.tanh(1.0)
@@ -356,6 +361,145 @@ class TestValidate:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
+
+
+#: solutions whose largest boundary residual is above 1e-8 (its size in the id)
+FAILING_REPORTS = {
+    "oct-higher-n8-1e-4": ("oct", "higher", "--n", "8", "--lambda", "1e-12"),
+    "oct-higher-n4-9.5e-7": (
+        "oct", "higher", "--n", "4", "--lambda", "7.498942093324552e-06", "--T", "0.17782794100389232",
+    ),
+    "sta-trig-13-1.47e-8": ("sta", "trig", "--order", "13", "--T", "0.1468"),
+}
+
+
+class TestBoundaryRefusal:
+    """No solution that misses a boundary condition by more than 1e-8 is printed or written."""
+
+    @pytest.mark.parametrize("output", [(), ("--format", "csv")], ids=["json", "csv"])
+    @pytest.mark.parametrize("argv", FAILING_REPORTS.values(), ids=FAILING_REPORTS.keys())
+    def test_failing_report_exits_2(self, capsys, argv, output):
+        code, out, err = run_cli(capsys, *argv, *output)
+        assert code == 2
+        assert out == ""
+        # json.loads rejects any text before or after the one document
+        doc = json.loads(err)
+        assert doc["error"] == "BoundaryResidual"
+        assert doc["message"].endswith("exceeds the tolerance 1e-08")
+
+    def test_out_file_is_not_written(self, capsys, tmp_path):
+        path = tmp_path / "trig.csv"
+        code, out, err = run_cli(capsys, *FAILING_REPORTS["sta-trig-13-1.47e-8"], "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "BoundaryResidual"
+        assert not path.exists()
+
+    def test_message_names_largest_residual(self):
+        report = BoundaryReport({"x(0)": 2e-9, "x^(1)(T)": -3e-6, "x(T)-1": 1e-6}, tol=1e-8)
+        exc = BoundaryResidual(report)
+        assert isinstance(exc, NumericsError)
+        assert exc.report is report
+        assert str(exc) == "boundary residual x^(1)(T) = -3e-06 exceeds the tolerance 1e-08"
+
+    @pytest.mark.parametrize("T", [float(T) for T in np.geomspace(0.1, 10.0, 25)])
+    def test_trig_order13_refuses_or_certifies(self, capsys, T):
+        # the sine family's last order below the conditioning gate, where its
+        # residuals come closest to the tolerance
+        code, out, err = run_cli(capsys, "sta", "trig", "--order", "13", "--T", repr(T))
+        if code == 2:
+            assert out == ""
+            assert json.loads(err)["error"] == "BoundaryResidual"
+            return
+        assert code == 0
+        assert err == ""
+        assert max(abs(v) for v in json.loads(out)["boundary_residuals"].values()) <= 1e-8
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(lincontrol.__file__)))
+PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml")
+
+#: stands for a per-route output path in :data:`ENTRY_COMMANDS`
+OUT = "{out}"
+
+#: (argv, exit code) of every command the entry routes must agree on
+ENTRY_COMMANDS = {
+    "version": (("--version",), 0),
+    "sta-poly-7": (("sta", "poly", "--order", "7"), 0),
+    "oct-higher-csv": (("oct", "higher", "--n", "3", "--format", "csv", "--points", "11"), 0),
+    "sta-poly-out": (("sta", "poly", "--out", OUT), 0),
+    "sta-trig-17": (("sta", "trig", "--order", "17"), 2),
+}
+
+
+def console_script_target():
+    """``(module, function)`` that ``[project.scripts]`` installs as ``lincontrol``."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        module, _, function = tomllib.load(fh)["project"]["scripts"]["lincontrol"].partition(":")
+    return module, function
+
+
+def _process(*args):
+    proc = subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's --version
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+class TestEntryPoint:
+    """``python -m lincontrol``, the console script's function and ``cli.main`` agree byte for byte."""
+
+    @pytest.mark.parametrize("argv,code", ENTRY_COMMANDS.values(), ids=ENTRY_COMMANDS.keys())
+    def test_routes_print_the_same_bytes(self, tmp_path, argv, code):
+        module, function = console_script_target()
+        routes = {
+            "python-m": lambda a: _process("-m", "lincontrol", *a),
+            "console-script": lambda a: _process(
+                "-c", f"import sys; from {module} import {function}; sys.exit({function}())", *a
+            ),
+            "in-process": _in_process,
+        }
+        results, files = {}, {}
+        for name, route in routes.items():
+            out = tmp_path / f"{name}.csv"
+            results[name] = route([str(out) if a == OUT else a for a in argv])
+            if OUT in argv:
+                files[name] = out.read_bytes()
+        first = results.pop("python-m")
+        assert first[0] == code
+        assert first[1 if code == 0 else 2]  # empty output would agree trivially
+        assert all(result == first for result in results.values())
+        if files:
+            assert files["python-m"] and len(set(files.values())) == 1
+
+    def test_console_script_is_run(self):
+        assert console_script_target() == ("lincontrol.cli", "run")
+
+    def test_run_freezes_the_import_heap(self):
+        probe = (
+            "import gc, sys; from lincontrol import cli; "
+            "cli.main = lambda: print(gc.get_freeze_count()) or 0; sys.exit(cli.run())"
+        )
+        code, out, err = _process("-c", probe)
+        assert (code, err) == (0, b"")
+        # numpy and the package alone make well over ten thousand objects
+        assert int(out) > 10_000
+
+    def test_main_leaves_the_gc_state_alone(self, capsys):
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        code, _, _ = run_cli(capsys, "sta", "poly", "--order", "7")
+        assert code == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
 
 
 class TestDeterminism:
