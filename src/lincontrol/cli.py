@@ -350,19 +350,14 @@ def _cmd_sta(args):
 
 def _cmd_oct(args):
     if args.mode == "singular":
-        sol = singular_solution(args.T)
-    elif args.mode == "regular":
-        lam = args.lam if args.lam is not None else 1e-4
-        sol = regular_order1_analytic(lam, args.T) if args.n == 1 else solve_regular(
-            build_lq(args.n, lam, args.T)
-        )
-    else:
-        n = args.n
-        lam = args.lam if args.lam is not None else HIGHER_DEFAULT_LAMBDA.get(n)
-        if lam is None:
-            raise LambdaOutOfRange(f"no default weight for order {n}; pass --lambda")
-        sol = solve_regular(build_lq(n, lam, args.T))
-    return _emit_solution(sol, args)
+        return _emit_solution(singular_solution(args.T), args)
+    # regular and higher differ only in their default weight
+    lam = args.lam
+    if lam is None:
+        lam = 1e-4 if args.mode == "regular" else HIGHER_DEFAULT_LAMBDA.get(args.n)
+    if lam is None:
+        raise LambdaOutOfRange(f"no default weight for order {args.n}; pass --lambda")
+    return _emit_solution(solve_regular(build_lq(args.n, lam, args.T)), args)
 
 
 def _cmd_table(report, args):

@@ -16,6 +16,10 @@ lifted to the state chain ``(x_n, z_{n-1}, ..., z_1, z_0)`` where
   growing term is anchored at ``T``, so it stays valid down to
   ``lam ~ 1e-12``, and its controls and adjoints are algebraic in ``x``.
 
+:func:`solve_regular` routes every regular problem by one rule: the
+first-order optimum at ``n = 1`` and ``0 < lam < 1``, the generic solver at
+every other order and weight.
+
 The flow's modes are known in closed form: the Euler-Lagrange operator of
 ``int x^2 + xdot^2 + lam (x^(n+1) + x^(n))^2`` is
 ``(1 - D^2)(1 + lam (-1)^n D^(2n))``, so the rates are ``+-1`` and the
@@ -26,7 +30,7 @@ mixes scales ``exp(+-|mu| T)``.  Solving the shooting system directly on
 that propagator erases the sub-dominant information in float64 once
 ``|mu| T`` exceeds roughly 30; the solver therefore expands the two-point
 problem in these modes, with growing modes anchored at ``t = T``, which
-keeps the linear system's entries O(1); it raises
+keeps the linear system's entries O(1) at any ``|mu| T``; it raises
 :class:`ShootingSingular` where the modes are nearly dependent on
 ``[0, T]``: at small ``|mu| T``, and where rates coincide (``lam = 1`` at
 odd ``n``).  The literal propagator-block shoot is kept as
@@ -175,13 +179,14 @@ def build_lq(n, lam, T=1.0):
     """Assemble the order-``n`` transfer problem as linear-quadratic data.
 
     The matrices come from a per-order cache of read-only arrays, shared by
-    every problem of that order.  A horizon that is not finite and positive
-    raises ``ValueError``, as in :class:`ControlProblem`.
+    every problem of that order.  A weight that is not finite and positive
+    raises :class:`LambdaOutOfRange`; a horizon that is not finite and
+    positive raises ``ValueError``, as in :class:`ControlProblem`.
     """
     if n < 1 or int(n) != n:
         raise InvalidOrder(f"derivative order must be an integer >= 1, got {n}")
-    if not lam > 0:
-        raise LambdaOutOfRange(f"energy weight must be positive, got {lam}")
+    if not 0.0 < lam < np.inf:
+        raise LambdaOutOfRange(f"energy weight must be finite and positive, got {lam}")
     check_horizon(T)
     A, B, W, x0, xf = _chain_structure(int(n))
     return LqProblem(order=int(n), A=A, B=B, W=W, U=float(lam), x0=x0, xf=xf, T=float(T))
@@ -455,41 +460,20 @@ def singular_solution(T=1.0):
     return sol
 
 
-#: below this weight the generic path refuses first-order problems and points
-#: to the exponential family, which owns them.  With numerically computed
-#: rates the modal solve drifted from the 80-digit oracle (3.4e-8 relative at
-#: 1e-8, 3e-4 at 1e-12, T = 1); with the exact rates it is within 2e-16 from
-#: 1e-4 down to 1e-12, and the floor is kept only because it routes requests
-ORDER1_GENERIC_FLOOR = 1e-6
-
-#: fast modes above this rate-times-horizon product are refused outright
-RATE_HORIZON_CAP = 700.0
-
-
 def solve_regular(lq):
     """Solve the fixed-endpoint LQ problem and package the protocol.
 
-    The initial adjoint follows from the two-point mode expansion (see
-    module docstring); all trajectory quantities and the cost are exact
-    exponential sums of the flow modes.
+    This is the one place that chooses the route of a regular problem.  At
+    first order with ``0 < lam < 1`` the optimum is the exponential family,
+    :func:`regular_order1_analytic`.  Every other order and weight takes the
+    two-point mode expansion (see module docstring), whose trajectory
+    quantities and cost are exact exponential sums of the flow modes.
     """
     if lq.U <= 0:
         raise LambdaOutOfRange(f"energy weight must be positive, got {lq.U}")
     n = lq.order
-    if n == 1:
-        if lq.U < ORDER1_GENERIC_FLOOR:
-            raise LambdaOutOfRange(
-                f"generic path refuses weights below {ORDER1_GENERIC_FLOOR}; "
-                "use regular_order1_analytic, the exponential family, which stays "
-                "accurate at small weights"
-            )
-    else:
-        fast_rate = lq.U ** (-1.0 / (2 * n))
-        if fast_rate * lq.T > RATE_HORIZON_CAP:
-            raise LambdaOutOfRange(
-                f"fast-mode rate {fast_rate:.3g} over horizon {lq.T} exceeds the "
-                f"representable range; increase the weight"
-            )
+    if n == 1 and lq.U < 1.0:
+        return regular_order1_analytic(lq.U, lq.T)
     series = _series_from_modes(PontryaginFlow(lq))
     problem = ControlProblem(T=lq.T, n=n, lam=lq.U)
     return _chain_solution(problem, "oct-regular" if n == 1 else "oct-higher", *series)

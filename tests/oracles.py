@@ -4,9 +4,16 @@ import mpmath
 import numpy as np
 
 from lincontrol.expsums import ExpSum, real_values, square_integrals
-from lincontrol.model import CostBreakdown, ProtocolSolution, Trajectory, adjoint_names
+from lincontrol.model import ControlProblem, CostBreakdown, ProtocolSolution, Trajectory, adjoint_names
 from lincontrol.numerics import integrate
-from lincontrol.oct import _x1_row, fit_exponential_arc
+from lincontrol.oct import (
+    PontryaginFlow,
+    _chain_solution,
+    _series_from_modes,
+    _x1_row,
+    build_lq,
+    fit_exponential_arc,
+)
 from lincontrol.sta import DegenerateBasis
 
 
@@ -253,6 +260,19 @@ def chain_solution_per_sum(problem, kind, state_sums, p_sums, v_sum, impulses=()
         problem=problem, kind=kind, coefficients={f"p0_{nm}": p for nm, p in zip(adjoint_names(n), p0)},
         trajectory=trajectory, impulses=tuple(impulses), cost=cost, cost_breakdown=breakdown,
     )
+
+
+def modal_solution(n, lam, T=1.0):
+    """The anchored modal solve of :func:`lincontrol.oct.solve_regular`, without its routing.
+
+    At ``n = 1`` and ``0 < lam < 1`` ``solve_regular`` returns the
+    exponential family; this packages the modal solution of the same
+    problem, so that the two first-order routes stay checked against each
+    other.
+    """
+    lq = build_lq(n, lam, T)
+    series = _series_from_modes(PontryaginFlow(lq))
+    return _chain_solution(ControlProblem(T=lq.T, n=n, lam=lq.U), "oct-regular", *series)
 
 
 def json_reference(obj, indent=0):

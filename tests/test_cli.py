@@ -24,7 +24,7 @@ from lincontrol.cli import (
 )
 from lincontrol.model import BoundaryReport, BoundaryResidual
 from lincontrol.numerics import NumericsError
-from oracles import json_reference, sta_optimum_mp
+from oracles import json_reference, order1_optimum_mp, order_n_optimum_mp, sta_optimum_mp
 
 COTH1 = 1.0 / np.tanh(1.0)
 
@@ -263,6 +263,54 @@ class TestOctCommand:
         assert str(path) in doc["message"]
 
 
+#: well-posed requests that used to exit 2 with LambdaOutOfRange, with their (n, weight, horizon)
+FORMERLY_REFUSED = {
+    "higher-n1-1e-7": (("oct", "higher", "--n", "1", "--lambda", "1e-7"), (1, 1e-7, 1.0)),
+    "regular-2": (("oct", "regular", "--lambda", "2"), (1, 2.0, 1.0)),
+    "higher-n2-1e-9-T5": (("oct", "higher", "--n", "2", "--lambda", "1e-9", "--T", "5"), (2, 1e-9, 5.0)),
+    "higher-n2-1e-12-T10": (("oct", "higher", "--n", "2", "--lambda", "1e-12", "--T", "10"), (2, 1e-12, 10.0)),
+}
+
+
+class TestOneRoute:
+    """``oct regular`` and ``oct higher`` route through ``solve_regular`` alike."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("n,lam", [("1", "1e-4"), ("1", "2"), ("2", "5e-7"), ("3", "5e-9")])
+    def test_regular_and_higher_print_the_same_bytes(self, capsys, n, lam, fmt):
+        outputs = []
+        for mode in ("regular", "higher"):
+            code, out, err = run_cli(capsys, "oct", mode, "--n", n, "--lambda", lam, "--format", fmt, "--points", "51")
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv,problem", FORMERLY_REFUSED.values(), ids=FORMERLY_REFUSED.keys())
+    def test_formerly_refused_request_within_oracle(self, capsys, argv, problem):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        n, lam, T = problem
+        want = order1_optimum_mp(lam, T) if n == 1 else order_n_optimum_mp(n, lam, T)
+        assert doc["cost"] == pytest.approx(want, rel=1e-9)
+        assert max(abs(v) for v in doc["boundary_residuals"].values()) <= 1e-8
+
+    @pytest.mark.parametrize("mode", ["regular", "higher"])
+    def test_near_unit_first_order_weight_exits_2_in_both_modes(self, capsys, mode):
+        # the higher mode used to take the modal path and print a cost 4.7e-3 off
+        code, out, err = run_cli(capsys, "oct", mode, "--n", "1", "--lambda", "0.999999")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "DegenerateBasis"
+
+    @pytest.mark.parametrize("lam", ["inf", "nan", "0", "-1"])
+    def test_weight_that_is_not_finite_and_positive_exits_2(self, capsys, lam):
+        code, out, err = run_cli(capsys, "oct", "regular", "--lambda", lam)
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["error"] == "LambdaOutOfRange"
+        assert doc["message"].startswith("energy weight must be finite and positive")
+
+
 class TestTables:
     def test_cost_table_all_rows_pass(self):
         report = table2_report()
@@ -402,7 +450,9 @@ class TestBoundaryRefusal:
         assert exc.report is report
         assert str(exc) == "boundary residual x^(1)(T) = -3e-06 exceeds the tolerance 1e-08"
 
-    @pytest.mark.parametrize("T", [float(T) for T in np.geomspace(0.1, 10.0, 25)])
+    @pytest.mark.parametrize(
+        "T", list(dict.fromkeys(float(T) for T in [*np.geomspace(0.1, 10.0, 25), *np.linspace(0.1, 0.18, 17)]))
+    )
     def test_trig_order13_refuses_or_certifies(self, capsys, T):
         # the sine family's last order below the conditioning gate, where its
         # residuals come closest to the tolerance
@@ -528,7 +578,7 @@ SUMMARY_SOLVERS = {
     "sta-exp": lambda: sta.solve_sta(sta.build_exponential(100.0, 0.3)),
     "oct-singular": lambda: octmod.singular_solution(1.0),
     "oct-regular-analytic": lambda: octmod.regular_order1_analytic(1e-4),
-    "oct-regular-modal": lambda: octmod.solve_regular(octmod.build_lq(1, 1e-3)),
+    "oct-regular-modal": lambda: octmod.solve_regular(octmod.build_lq(1, 2.0)),
     "oct-higher": lambda: octmod.solve_regular(octmod.build_lq(3, 5e-9)),
 }
 
