@@ -23,7 +23,6 @@ from .model import (
     Impulse,
     InvalidOrder,
     ProtocolSolution,
-    StateSample,
     Trajectory,
     cost_functional,
     csv_text,
@@ -96,7 +95,6 @@ __all__ = [
     "ShootingSingular",
     "ShortHorizon",
     "SingularMatrix",
-    "StateSample",
     "Trajectory",
     "assemble_gram",
     "build_exponential",

@@ -9,16 +9,17 @@ pinned to zero at both endpoints.  Solutions are scored by the running cost
 
 where ``v`` is the auxiliary control (``v = udot`` for ``n = 1`` and
 ``v = u^(n)`` in general).  Trajectories are closed-form series, never
-stored arrays; tabulating them is exact, so no interpolation error enters
-any downstream check.  Impulsive controls are represented symbolically by
-:class:`Impulse` records and excluded from all integrals.
+stored arrays: named rows behind one evaluator, which each check asks for
+the rows it reads.  Tabulating them is exact, so no interpolation error
+enters any downstream check.  Impulsive controls are represented
+symbolically by :class:`Impulse` records and excluded from all integrals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -69,28 +70,6 @@ class Impulse:
     area: float
 
 
-@dataclass(frozen=True)
-class StateSample:
-    """All trajectory quantities at one instant.
-
-    ``z`` stacks the augmented coordinates ``z_0 .. z_{n-1}`` (``z_0`` is the
-    physical control ``u``).  ``x_derivatives`` stacks ``x', x'', ..,
-    x^(n)``, obtained by analytic differentiation, never finite differences.
-    ``p`` carries the adjoint vector for optimal-control solutions and is
-    ``None`` otherwise.
-    """
-
-    t: float
-    x: float
-    xdot: float
-    u: float
-    v: float
-    y: float
-    z: tuple
-    x_derivatives: tuple
-    p: Optional[tuple] = None
-
-
 def adjoint_names(n):
     """Names of the adjoint columns at boundary order ``n``, in chain order."""
     if n == 1:
@@ -98,72 +77,60 @@ def adjoint_names(n):
     return [f"px{n}"] + [f"pz{k}" for k in range(n - 1, -1, -1)]
 
 
+def row_names(n, adjoints=False):
+    """The rows of an order-``n`` trajectory: ``x, x^(1) .. x^(n), z0 .. z{n-1}, v``,
+    then the :func:`adjoint_names` when ``adjoints`` is true."""
+    names = ["x"] + [f"x^({j})" for j in range(1, n + 1)] + [f"z{k}" for k in range(n)] + ["v"]
+    return tuple(names + (adjoint_names(n) if adjoints else []))
+
+
+#: other names of trajectory rows: ``xdot`` and ``y`` are ``x'``, and ``u`` is ``z0``
+ALIASES = {"xdot": "x^(1)", "y": "x^(1)", "u": "z0"}
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Closed-form trajectory on ``[0, T]`` as array-valued series.
+    """Closed-form trajectory on ``[0, T]``: named rows and one evaluator.
 
-    ``x(ts)`` is the stack ``(x, x', .., x^(n))``, which may carry further
-    rows for ``controls``: the basis families add ``x''``, and the
-    optimal-control solutions append ``z_0 .. z_{n-1}, v`` themselves, so
-    one evaluation serves both.  ``controls(ts, xs)`` turns that stack into
-    ``(z, v)``: the augmented coordinates ``z_0 .. z_{n-1}`` (``z_0 = u``)
-    and the auxiliary control.  ``cost_rows(ts)`` gives ``(x, xdot, v)``
-    alone, bitwise the rows that ``x`` and ``controls`` give, so the cost
-    quadrature evaluates no other row.  Any shape of ``ts`` is accepted;
-    every row has that shape.  For optimal-control solutions
-    ``p(ts)`` is the stack of adjoints in :func:`adjoint_names` order; ``p``
-    is ``None`` otherwise.  ``x_and_p(ts)``, when given, is the pair
-    ``(x(ts), p(ts))`` from one evaluation, bitwise what the two give, so a
-    table computes each exponential once; ``x`` alone never evaluates the
-    adjoints.  :meth:`table` evaluates every named column on a whole grid in
-    one call.
+    ``names`` are the rows of :func:`row_names`: ``x`` and its derivatives
+    ``x^(1) .. x^(n)``, the augmented coordinates ``z0 .. z{n-1}`` (``z0``
+    is the physical control ``u``), the auxiliary control ``v`` and, for
+    optimal-control solutions, the adjoints.  ``evaluate(ts, index)``
+    returns the rows at the positions in the list ``index``, stacked as
+    ``(len(index),) + ts.shape`` for any shape of ``ts``; each row holds the
+    same bits whatever else is requested with it, so a caller asks for only
+    the rows it reads.  Calling the trajectory, ``traj(ts, *names)``, does
+    that by name, :data:`ALIASES` included; :meth:`table` evaluates every
+    row on a whole grid in one call.
     """
 
     T: float
     n: int
-    x: Callable
-    controls: Callable
-    cost_rows: Callable
-    p: Optional[Callable] = None
-    x_and_p: Optional[Callable] = None
+    names: tuple
+    evaluate: Callable
+
+    def __call__(self, ts, *names):
+        """The rows ``names`` at the times ``ts``, from one evaluation."""
+        index = [self.names.index(ALIASES.get(name, name)) for name in names]
+        return self.evaluate(np.asarray(ts, dtype=float), index)
 
     def csv_columns(self):
         """The columns a CSV table shows, in order: ``t, x, xdot, u, v``, ``y``
         (first order only), ``z0..``, then the adjoints when present."""
         n = self.n
         names = ["t", "x", "xdot", "u", "v"] + (["y"] if n == 1 else [])
-        names += [f"z{k}" for k in range(n)]
-        return names + (adjoint_names(n) if self.p is not None else [])
+        return names + [f"z{k}" for k in range(n)] + list(self.names[2 * n + 2 :])
 
     def table(self, ts):
-        """Every named column evaluated at the times ``ts`` (array or scalar).
-
-        Besides the :meth:`csv_columns` the table holds ``y`` at every order
-        and the derivatives ``x^(1) .. x^(n)`` under those names.
-        """
+        """Every row and alias, and ``t``, evaluated at the times ``ts`` (array or scalar)."""
         ts = np.asarray(ts, dtype=float)
-        if self.x_and_p is None:
-            xs, ps = self.x(ts), None if self.p is None else self.p(ts)
-        else:
-            xs, ps = self.x_and_p(ts)
-        z, v = self.controls(ts, xs)
-        cols = {"t": ts, "x": xs[0], "xdot": xs[1], "u": z[0], "v": v, "y": xs[1]}
-        cols.update((f"z{k}", zk) for k, zk in enumerate(z))
-        cols.update((f"x^({j})", d) for j, d in enumerate(xs[1 : self.n + 1], 1))
-        if ps is not None:
-            cols.update(zip(adjoint_names(self.n), ps))
+        cols = dict(zip(self.names, self.evaluate(ts, list(range(len(self.names))))))
+        cols.update(t=ts, **{alias: cols[name] for alias, name in ALIASES.items()})
         return cols
 
     def sample(self, t):
-        """All quantities at one instant, as a :meth:`table` at a scalar time."""
-        cols = {k: float(v) for k, v in self.table(float(t)).items()}
-        n = self.n
-        return StateSample(
-            t=cols["t"], x=cols["x"], xdot=cols["xdot"], u=cols["u"], v=cols["v"], y=cols["y"],
-            z=tuple(cols[f"z{k}"] for k in range(n)),
-            x_derivatives=tuple(cols[f"x^({j})"] for j in range(1, n + 1)),
-            p=None if self.p is None else tuple(cols[k] for k in adjoint_names(n)),
-        )
+        """:meth:`table` at one instant, as a dict of floats."""
+        return {k: float(v) for k, v in self.table(float(t)).items()}
 
     def grid(self, points):
         return np.linspace(0.0, self.T, points)
@@ -234,9 +201,9 @@ def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
     an ``nodes``-point Gauss-Legendre rule, so boundary layers of width
     ``1/rate`` are resolved by choosing ``panels ~ rate * T / 16``.  Endpoint
     impulses never contribute: quadrature nodes are interior points.  The
-    trajectory's :attr:`~Trajectory.cost_rows` are evaluated once, on every
-    panel's nodes together, and ``v`` is integrated only for ``lam > 0``;
-    the panel integrals are summed in panel order.
+    trajectory's rows ``x``, ``x^(1)`` and, only for ``lam > 0``, ``v`` are
+    evaluated once, on every panel's nodes together; the panel integrals are
+    summed in panel order.
 
     Returns
     -------
@@ -252,10 +219,11 @@ def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
         raise ValueError(f"panels must be an integer >= 1, got {panels!r}")
     if T is None:
         T = traj.T
-    weights = np.array([1.0, 1.0, lam])[: 3 if lam > 0 else 2]
+    names = ("x", "x^(1)", "v")[: 3 if lam > 0 else 2]
+    weights = np.array([1.0, 1.0, lam])[: len(names)]
 
     def integrand(ts):
-        return [r**2 for r in traj.cost_rows(ts)[: len(weights)]]
+        return traj(ts, *names) ** 2
 
     edges = np.linspace(0.0, T, panels + 1)
     per_panel = integrate(integrand, edges[:-1], edges[1:], nodes)
@@ -296,7 +264,7 @@ class BoundaryResidual(NumericsError):
 def verify_boundaries(sol, tol=1e-8):
     """Residuals of ``x`` and its first ``n`` derivatives at both endpoints.
 
-    Derivatives come from the trajectory's analytic ``x`` stack.  For
+    Derivatives are the trajectory's analytic rows ``x^(1) .. x^(n)``.  For
     impulsive solutions the first-derivative conditions hold across the
     bangs: the kick area is removed from the arc value before comparing,
     since a bang of area ``A`` shifts ``xdot`` by ``A`` instantaneously.
@@ -305,7 +273,7 @@ def verify_boundaries(sol, tol=1e-8):
     T = sol.problem.T
     traj = sol.trajectory
     ends = np.array([0.0, T])
-    x, *derivs = traj.x(ends)
+    x, *derivs = traj(ends, *traj.names[: n + 1])
     jump0 = sum(i.area for i in sol.impulses if i.time == 0.0)
     jumpT = sum(i.area for i in sol.impulses if i.time == T)
     residuals = {

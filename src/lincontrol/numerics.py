@@ -220,9 +220,9 @@ def integrate(f, a, b, nodes=64):
     """Integrate ``f`` over ``[a, b]`` with an ``nodes``-point Gauss rule.
 
     Exact (to roundoff) for polynomials of degree up to ``2 * nodes - 1``.
-    ``f`` may accept arrays; scalar-only callables are looped over.  An
-    array-valued ``f`` may also return a stack of integrands along a leading
-    axis; they are integrated row by row and returned as an array.
+    ``f`` is called once, on the array of nodes, and returns its values
+    there, or a stack of integrands along a leading axis; a stack is
+    integrated row by row and returned as an array.
 
     ``a`` and ``b`` may instead be equal-length 1-D arrays of panel ends.
     ``f`` is then called once, on the flat array of every panel's nodes, and
@@ -233,8 +233,9 @@ def integrate(f, a, b, nodes=64):
     Raises
     ------
     ValueError
-        If ``a < b`` fails on some panel, or the panel arrays are empty or
-        differ in shape.
+        If ``a < b`` fails on some panel, the panel arrays are empty or
+        differ in shape, or ``f`` returns no trailing axis of one value per
+        node.
     NonFiniteSample
         If ``f`` returns NaN or infinity at any node.
     """
@@ -244,12 +245,9 @@ def integrate(f, a, b, nodes=64):
     if not np.all(a < b):
         raise ValueError(f"need a < b, got a={a}, b={b}")
     x, w = gauss_legendre(nodes, a[..., None], b[..., None])
-    try:
-        y = np.asarray(f(x.ravel()), dtype=float)
-        if y.shape[-1:] != (x.size,):
-            raise TypeError
-    except (TypeError, ValueError):
-        y = np.array([float(f(xi)) for xi in x.ravel()])
+    y = np.asarray(f(x.ravel()), dtype=float)
+    if y.shape[-1:] != (x.size,):
+        raise ValueError(f"integrand returned shape {y.shape} on {x.size} nodes")
     if not np.all(np.isfinite(y)):
         raise NonFiniteSample("integrand returned NaN/Inf")
     # one dot product per row and panel, so each integral rounds as it would alone

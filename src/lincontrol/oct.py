@@ -18,7 +18,9 @@ lifted to the state chain ``(x_n, z_{n-1}, ..., z_1, z_0)`` where
 
 :func:`solve_regular` routes every regular problem by one rule: the
 first-order optimum at ``n = 1`` and ``0 < lam < 1``, the generic solver at
-every other order and weight.
+every other order and weight.  All three routes hand their gamma matrices
+to one packaging, whose trajectory keeps every row (state, controls and
+adjoints) in a single gamma matrix and evaluates only the rows requested.
 
 The flow's modes are known in closed form: the Euler-Lagrange operator of
 ``int x^2 + xdot^2 + lam (x^(n+1) + x^(n))^2`` is
@@ -55,6 +57,7 @@ from .model import (
     Trajectory,
     adjoint_names,
     check_horizon,
+    row_names,
 )
 from .numerics import ComplexSpectrum, SingularMatrix, eigendecompose, mat_exp, solve_linear
 
@@ -357,13 +360,20 @@ def _chain_solution(problem, kind, state, adjoints, control, rates, shifts, impu
     the terms ``rates`` and ``shifts``.  The gammas of ``x' = r1 . state``
     (see :func:`_x1_row`), ``x^(j+1) = z_j - x^(j)`` and ``x = z_0 - x'``
     come from the complex state matrix, each row started from a complex
-    zero and taken in chain order.
+    zero and taken in chain order.  Every row of the trajectory, adjoints
+    included, is one row of a single gamma matrix, and the evaluator hands
+    :func:`~lincontrol.expsums.real_values` the requested rows only.
 
     A gamma outside the float range turns the cost or a coefficient into
     NaN or infinity without a warning here, and :class:`ProtocolSolution`
     refuses it with :class:`~lincontrol.numerics.Overflow`.
     """
     n = problem.n
+    names = row_names(n, adjoints=True)
+
+    def evaluate(ts, index):
+        return real_values(SumStack(stack[index], rates, shifts), ts)
+
     with np.errstate(over="ignore", invalid="ignore"):
         G = np.asarray(state, dtype=complex)
         zero = np.zeros(G.shape[1], dtype=complex)
@@ -374,27 +384,14 @@ def _chain_solution(problem, kind, state, adjoints, control, rates, shifts, impu
         rows = [(zero + G[n]) - x1, x1]
         for j in range(1, n):
             rows.append((zero + G[n - j]) - rows[-1])
-        # one stack [x, x', .., x^(n), z_0 .. z_{n-1}, v], so each term's
-        # exponential is computed once for the state and the controls, and
-        # the same stack over the adjoints for tables
-        X = np.vstack(rows + [G[n:0:-1], control])
-        P = np.asarray(adjoints, dtype=complex)
-        x = SumStack(X, rates, shifts)
-        cost_rows = SumStack(X[[0, 1, -1]], rates, shifts)  # x, x', v
-        p = SumStack(P, rates, shifts)
-        xp = SumStack(np.vstack([X, P]), rates, shifts)
-        state_part, deriv_part, ctrl = square_integrals(cost_rows, problem.T)
-        p0 = real_values(p, 0.0).tolist()
-
-    def x_and_p(ts):
-        values = real_values(xp, ts)
-        return values[: len(X)], values[len(X) :]
-
-    trajectory = Trajectory(
-        T=problem.T, n=n, p=partial(real_values, p), x=partial(real_values, x),
-        controls=lambda ts, xs: (xs[n + 1 : 2 * n + 1], xs[2 * n + 1]),
-        cost_rows=partial(real_values, cost_rows), x_and_p=x_and_p,
-    )
+        # the rows of row_names(n, adjoints=True): x, x', .., x^(n), z_0 ..
+        # z_{n-1}, v, then the adjoints
+        stack = np.vstack(rows + [G[n:0:-1], control, np.asarray(adjoints, dtype=complex)])
+        state_part, deriv_part, ctrl = square_integrals(
+            SumStack(stack[[0, 1, 2 * n + 1]], rates, shifts), problem.T  # x, x', v
+        )
+        p0 = evaluate(0.0, list(range(2 * n + 2, len(names)))).tolist()
+    trajectory = Trajectory(T=problem.T, n=n, names=names, evaluate=evaluate)
     breakdown = CostBreakdown(state_part, deriv_part, problem.lam * ctrl if problem.lam else 0.0)
     cost = breakdown.total if cost_override is None else cost_override
     coefficients = {f"p0_{nm}": value for nm, value in zip(adjoint_names(n), p0)}
@@ -536,8 +533,8 @@ def singular_consistency_check(sol, window=None, points=161, profile="auto"):
     itself is fitted; at higher orders it carries enormous oscillatory
     boundary layers (they deliver the extra derivative conditions), so the
     physical control ``u = z_0`` is the meaningful interior representative.
-    Only ``x`` and the controls are evaluated, on ``points >= 2`` evenly
-    spaced times of the window.
+    Only that one row is evaluated, on ``points >= 2`` evenly spaced times
+    of the window.
     """
     T = sol.problem.T
     if window is None:
@@ -552,9 +549,7 @@ def singular_consistency_check(sol, window=None, points=161, profile="auto"):
     if profile not in ("u", "v"):
         raise ValueError(f"profile must be 'auto', 'u' or 'v', got {profile!r}")
     ts = np.linspace(ta, tb, points)
-    traj = sol.trajectory
-    z, v = traj.controls(ts, traj.x(ts))
-    _, dev = fit_exponential_arc(ts, v if profile == "v" else z[0])
+    _, dev = fit_exponential_arc(ts, sol.trajectory(ts, profile)[0])
     return dev
 
 

@@ -20,7 +20,9 @@ coefficients are reproduced to all printed digits, reported under the
 paper's names.
 
 The control is always recovered analytically as ``u = xdot + x``; each
-family knows the derivatives of its own basis functions.
+family knows the derivatives of its own basis functions.  A solution's
+trajectory has one evaluator: it computes ``x, x', x''`` in one pass and
+returns the requested rows of ``x, x', u = x' + x`` and ``v = x'' + x'``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .expsums import ExpSum, real_values, square_integrals
-from .model import ControlProblem, InvalidOrder, ProtocolSolution, CostBreakdown, Trajectory
+from .model import ControlProblem, InvalidOrder, ProtocolSolution, CostBreakdown, Trajectory, row_names
 from .numerics import (
     SOLVE_COND_CAP,
     Overflow,
@@ -475,22 +477,16 @@ def solve_sta(family, problem=None):
     breakdown = CostBreakdown(state, deriv, problem.lam * ctrl)
     cost = gram.value(params)
 
-    def controls(ts, xs):
-        # the dynamics give u = xdot + x, and v = udot at first order
-        return (xs[1] + xs[0],), xs[2] + xs[1]
-
-    def cost_rows(ts):
+    def evaluate(ts, index):
+        # the rows x, x', u = x' + x from the dynamics, and v = u' at first order
         x, xdot, xddot = family.x_stack(coeffs, ts)
-        return x, xdot, xddot + xdot
+        return np.array([x, xdot, xdot + x, xddot + xdot])[index]
 
     return ProtocolSolution(
         problem=problem,
         kind=_KIND_TAGS[family.kind],
         coefficients=family.paper_coefficients(coeffs),
-        trajectory=Trajectory(
-            T=problem.T, n=1, controls=controls, x=lambda ts: family.x_stack(coeffs, ts),
-            cost_rows=cost_rows,
-        ),
+        trajectory=Trajectory(T=problem.T, n=1, names=row_names(1), evaluate=evaluate),
         impulses=(),
         cost=cost,
         cost_breakdown=breakdown,

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 
 from lincontrol.expsums import ExpSum, real_values, square_integrals
-from lincontrol.model import ControlProblem, CostBreakdown, ProtocolSolution, Trajectory, adjoint_names
+from lincontrol.model import ControlProblem, CostBreakdown, ProtocolSolution, Trajectory, adjoint_names, row_names
 from lincontrol.numerics import integrate
 from lincontrol.oct import (
     PontryaginFlow,
@@ -226,9 +226,10 @@ def chain_solution_per_sum(problem, kind, state_sums, p_sums, v_sum, impulses=()
 
     This is the straightforward form of the optimal-control packaging: every
     chain coordinate, adjoint and the control is its own sum, the ``x``
-    stack and its derivatives are built sum by sum, the trajectory evaluates
-    lists of sums, and the cost quadrature reads ``x``, ``xdot`` and ``v``
-    off the full stack.  The package must match it bit for bit.
+    stack and its derivatives are built sum by sum, and the trajectory
+    evaluates the list of every row's sum and then picks the requested rows,
+    so a request for a few rows is checked against the full stack.  The
+    package must match it bit for bit.
     """
     n = problem.n
     rates, shifts = state_sums[0].rates, state_sums[0].shifts
@@ -242,15 +243,10 @@ def chain_solution_per_sum(problem, kind, state_sums, p_sums, v_sum, impulses=()
     for j in range(1, n):
         gammas.append((zero + G[n - j]) - gammas[-1])
     x_sums = [ExpSum(g, rates, shifts) for g in gammas]  # x, x', .., x^(n)
-    stack = x_sums + [state_sums[n - k] for k in range(n)] + [v_sum]
-
-    def cost_rows(ts):
-        xs = real_values(stack, ts)
-        return xs[0], xs[1], xs[2 * n + 1]
-
+    sums = x_sums + [state_sums[n - k] for k in range(n)] + [v_sum] + list(p_sums)
     trajectory = Trajectory(
-        T=problem.T, n=n, p=lambda ts: real_values(p_sums, ts), x=lambda ts: real_values(stack, ts),
-        controls=lambda ts, xs: (xs[n + 1 : 2 * n + 1], xs[2 * n + 1]), cost_rows=cost_rows,
+        T=problem.T, n=n, names=row_names(n, adjoints=True),
+        evaluate=lambda ts, index: real_values(sums, ts)[index],
     )
     state_part, deriv_part, ctrl = square_integrals([x_sums[0], x_sums[1], v_sum], problem.T)
     breakdown = CostBreakdown(state_part, deriv_part, problem.lam * ctrl if problem.lam else 0.0)

@@ -1,5 +1,7 @@
 """Tests for the problem types, cost functional, boundary checks, and CSV."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from lincontrol.model import (
     ProtocolSolution,
     Trajectory,
     adjoint_names,
+    row_names,
     cost_functional,
     csv_text,
     sample_table,
@@ -32,13 +35,14 @@ from oracles import cost_functional_per_panel, singular_consistency_from_table
 COTH1 = 1.0 / np.tanh(1.0)
 
 
+def hand_built(rows):
+    """A first-order trajectory on ``[0, 1]`` whose rows ``x, x', u, v`` are ``rows(ts)``."""
+    return Trajectory(T=1.0, n=1, names=row_names(1), evaluate=lambda ts, index: np.array(rows(ts))[index])
+
+
 def linear_ramp_trajectory():
     """x(t) = t, ignoring boundary validity; for cost arithmetic only."""
-    return Trajectory(
-        T=1.0, n=1, x=lambda ts: (ts, np.ones_like(ts)),
-        controls=lambda ts, xs: ((1.0 + ts,), np.ones_like(ts)),
-        cost_rows=lambda ts: (ts, np.ones_like(ts), np.ones_like(ts)),
-    )
+    return hand_built(lambda ts: (ts, np.ones_like(ts), 1.0 + ts, np.ones_like(ts)))
 
 
 class TestControlProblem:
@@ -204,16 +208,10 @@ class TestVerifyBoundaries:
         assert report.max_residual <= 1e-14
 
     def test_constant_trajectory_fails(self):
-        def zero(ts):
-            return np.zeros_like(ts), np.zeros_like(ts)
-
         sol_like = solve_sta(build_polynomial(3))
         bad = type(sol_like)(
             problem=sol_like.problem, kind="sta-poly", coefficients={},
-            trajectory=Trajectory(
-                T=1.0, n=1, x=zero, controls=lambda ts, xs: ((xs[0],), xs[0]),
-                cost_rows=lambda ts: (*zero(ts), zero(ts)[0]),
-            ),
+            trajectory=hand_built(lambda ts: [np.zeros_like(ts)] * 4),
             impulses=(), cost=0.0, cost_breakdown=sol_like.cost_breakdown,
         )
         report = verify_boundaries(bad, tol=1e-10)
@@ -296,7 +294,7 @@ class TestSampling:
             fields = line.split(",")
             t = float(fields[0])
             assert float(fields[xcol]) == pytest.approx(
-                sol.trajectory.sample(t).x, abs=1e-12
+                sol.trajectory.sample(t)["x"], abs=1e-12
             )
 
     def test_csv_is_lf_and_17_digits(self, tmp_path):
@@ -307,7 +305,7 @@ class TestSampling:
         text = raw.decode()
         value = text.split("\n")[3].split(",")[1]
         # shortest 17-significant-digit rendering must round-trip
-        assert float(value) == singular_solution(1.0).trajectory.sample(0.5).x
+        assert float(value) == singular_solution(1.0).trajectory.sample(0.5)["x"]
 
     def test_byte_identical_reruns(self):
         sol = solve_sta(build_trigonometric(6))
@@ -327,8 +325,7 @@ TABLE_KINDS = {
 
 class TestTable:
     def test_oct_table_evaluates_each_exponential_once(self, monkeypatch):
-        # the state stack and the adjoints come from one real_values call;
-        # x alone carries no adjoint rows
+        # every row, adjoints included, comes from one real_values call
         calls = []
 
         def spy(sums, t):
@@ -343,8 +340,9 @@ class TestTable:
         assert calls == [2 * 2 + 2 + 3]  # x, x', x'', z0, z1, v and three adjoints
         assert set(adjoint_names(2)) <= cols.keys()
         calls.clear()
-        assert traj.x(np.array([0.0, traj.T])).shape == (2 * 2 + 2, 2)
-        assert calls == [2 * 2 + 2]
+        # a request evaluates the rows it names and no others
+        assert traj(np.array([0.0, traj.T]), "x", "x^(1)", "x^(2)").shape == (3, 2)
+        assert calls == [3]
 
     @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
     def test_rows_match_samples(self, make):
@@ -353,15 +351,70 @@ class TestTable:
         cols = traj.table(grid)
         for i, t in enumerate(grid):
             s = traj.sample(t)
-            values = {"t": s.t, "x": s.x, "xdot": s.xdot, "u": s.u, "v": s.v, "y": s.y}
-            values.update({f"z{k}": zk for k, zk in enumerate(s.z)})
-            values.update({f"x^({j})": d for j, d in enumerate(s.x_derivatives, 1)})
-            if s.p is not None:
-                values.update(zip(adjoint_names(traj.n), s.p))
-            assert values.keys() == cols.keys()
-            for name, value in values.items():
+            assert s.keys() == cols.keys() == {"t", "xdot", "y", "u", *traj.names}
+            assert all(type(value) is float for value in s.values())
+            for name, value in s.items():
                 scale = np.abs(cols[name]).max()
                 assert abs(cols[name][i] - value) <= 1e-12 * scale
+
+
+def spied(sol):
+    """``sol`` with an evaluator that records the times' shape and the row names of every call."""
+    calls = []
+    traj = sol.trajectory
+
+    def evaluate(ts, index):
+        calls.append((np.shape(ts), [traj.names[i] for i in index]))
+        return traj.evaluate(ts, index)
+
+    return dataclasses.replace(sol, trajectory=dataclasses.replace(traj, evaluate=evaluate)), calls
+
+
+class TestRowContract:
+    @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
+    def test_each_row_alone_is_bitwise_the_full_request(self, make):
+        # 8 and 9 points straddle the cut between real_values' two summation layouts
+        assert expsums.FEW_POINTS == 8
+        traj = make().trajectory
+        for ts in (0.37 * traj.T, *(traj.grid(points) for points in (1, 8, 9, 2001))):
+            full = traj(ts, *traj.names)
+            assert full.shape == (len(traj.names),) + np.shape(ts)
+            for i, name in enumerate(traj.names):
+                assert traj(ts, name).tobytes() == full[i : i + 1].tobytes(), (name, np.shape(ts))
+
+    def test_aliases(self):
+        traj = regular_order1_analytic(1e-4).trajectory
+        ts = traj.grid(11)
+        assert traj(ts, "xdot", "y", "u").tobytes() == traj(ts, "x^(1)", "x^(1)", "z0").tobytes()
+
+    @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
+    def test_verify_boundaries_reads_the_derivatives_at_two_times(self, make):
+        sol, calls = spied(make())
+        verify_boundaries(sol)
+        n = sol.problem.n
+        assert calls == [((2,), ["x"] + [f"x^({j})" for j in range(1, n + 1)])]
+
+    @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
+    @pytest.mark.parametrize("lam, rows", [(0.0, ["x", "x^(1)"]), (0.5, ["x", "x^(1)", "v"])])
+    def test_cost_functional_reads_its_rows_once(self, make, lam, rows):
+        sol, calls = spied(make())
+        cost_functional(sol.trajectory, lam=lam, nodes=16, panels=3)
+        assert calls == [((48,), rows)]
+
+    @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
+    @pytest.mark.parametrize("profile", ["auto", "u", "v"])
+    def test_consistency_check_reads_one_row(self, make, profile):
+        sol, calls = spied(make())
+        singular_consistency_check(sol, points=161, profile=profile)
+        if profile == "auto":
+            profile = "v" if sol.problem.n == 1 else "u"
+        assert calls == [((161,), ["v" if profile == "v" else "z0"])]
+
+    @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
+    def test_sample_table_reads_every_row_once(self, make):
+        sol, calls = spied(make())
+        sample_table(sol, 101)
+        assert calls == [((101,), list(sol.trajectory.names))]
 
 
 def per_cell_csv(sol, points):
@@ -387,13 +440,7 @@ class TestCsvBytes:
     def test_equal_but_not_bitwise_equal_columns(self):
         # +0.0 == -0.0, but the two render differently, so the x and xdot
         # columns share no text
-        def x(ts):
-            return np.zeros_like(ts), -np.zeros_like(ts)
-
-        traj = Trajectory(
-            T=1.0, n=1, x=x, controls=lambda ts, xs: ((xs[0],), xs[1]),
-            cost_rows=lambda ts: (*x(ts), x(ts)[0]),
-        )
+        traj = hand_built(lambda ts: [np.zeros_like(ts), -np.zeros_like(ts)] * 2)
         sol = ProtocolSolution(
             problem=ControlProblem(), kind="hand-built", coefficients={}, trajectory=traj,
             impulses=(), cost=0.0, cost_breakdown=CostBreakdown(0.0, 0.0, 0.0),
@@ -403,14 +450,11 @@ class TestCsvBytes:
         assert text.split("\n")[1].split(",")[1:5] == ["0", "-0", "0", "-0"]
 
     def test_special_values(self):
-        def x(ts):
+        def rows(ts):
             cells = np.resize(SPECIAL_CELLS, ts.shape)
-            return cells, -cells
+            return cells, -cells, -cells, cells
 
-        traj = Trajectory(
-            T=1.0, n=1, x=x, controls=lambda ts, xs: ((xs[1],), xs[0]),
-            cost_rows=lambda ts: (*x(ts), x(ts)[0]),
-        )
+        traj = hand_built(rows)
         sol = ProtocolSolution(
             problem=ControlProblem(), kind="hand-built", coefficients={}, trajectory=traj,
             impulses=(), cost=0.0, cost_breakdown=CostBreakdown(0.0, 0.0, 0.0),
@@ -431,12 +475,12 @@ class TestFirstOrderIdentities:
         ):
             for t in np.linspace(0.0, 1.0, 17):
                 s = sol.trajectory.sample(t)
-                assert abs(s.x - (s.z[0] - s.y)) <= 1e-10
-                assert abs(s.u - s.z[0]) <= 1e-10
+                assert abs(s["x"] - (s["z0"] - s["y"])) <= 1e-10
+                assert abs(s["u"] - s["z0"]) <= 1e-10
 
     def test_singular_arc_derivative_identity(self):
         # xdot on the arc equals cosh(t)/sinh(1), the analytic derivative
         sol = singular_solution(1.0)
         for t in np.linspace(0.01, 0.99, 25):
             s = sol.trajectory.sample(t)
-            assert abs(s.xdot - np.cosh(t) / np.sinh(1.0)) <= 1e-12
+            assert abs(s["xdot"] - np.cosh(t) / np.sinh(1.0)) <= 1e-12

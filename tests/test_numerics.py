@@ -234,10 +234,23 @@ class TestIntegrate:
         vals = integrate(lambda t: [np.ones_like(t), t, t**2], 0.0, 1.0)
         assert vals == pytest.approx([1.0, 0.5, 1.0 / 3.0], rel=1e-14)
 
-    def test_scalar_only_callable(self):
+    @pytest.mark.parametrize(
+        "f",
+        [lambda t: t.sum(), lambda t: t[:-1], lambda t: np.ones((t.size, 2)), lambda t: [t, t[:-1]]],
+        ids=["scalar", "short", "trailing-axis", "ragged-stack"],
+    )
+    def test_wrong_shape_raises(self, f):
+        with pytest.raises(ValueError):
+            integrate(f, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            integrate(f, [0.0, 0.5], [0.5, 1.0])
+
+    def test_integrand_error_propagates(self):
+        # a scalar-only callable fails on the node array; nothing retries it point by point
         import math
 
-        assert integrate(lambda t: math.exp(t), 0.0, 1.0) == pytest.approx(np.e - 1, rel=1e-14)
+        with pytest.raises(TypeError):
+            integrate(lambda t: math.exp(t), 0.0, 1.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_sample_raises(self):
@@ -274,13 +287,6 @@ class TestIntegrate:
         vals = integrate(f, [0.0, 1.0, 2.0], [1.0, 2.0, 4.0], nodes=5)
         assert calls == [(15,)]
         assert vals == pytest.approx([0.5, 1.5, 6.0], rel=1e-14)
-
-    def test_scalar_only_callable_on_panels(self):
-        import math
-
-        vals = integrate(lambda t: math.exp(t), [0.0, 0.5], [0.5, 1.0])
-        assert vals.shape == (2,)
-        assert vals.sum() == pytest.approx(np.e - 1, rel=1e-14)
 
     @pytest.mark.parametrize(
         "a, b",
@@ -421,12 +427,11 @@ class TestRealValues:
         sol, seen = packaged(monkeypatch, solve)
         n, traj = sol.problem.n, sol.trajectory
         sums = [seen["state"][n - k] for k in range(n)] + [seen["v"]]
+        assert traj.names[n + 1 : 2 * n + 2] == (*(f"z{k}" for k in range(n)), "v")
         for ts in (np.linspace(0.0, sol.problem.T, 101), 0.37):
-            xs = traj.x(ts)
-            assert len(xs) == 2 * n + 2
-            z, v = traj.controls(ts, xs)
-            assert len(z) == n
-            for row, s in zip([*z, v], sums):
+            rows = traj(ts, *traj.names[n + 1 : 2 * n + 2])
+            assert len(rows) == n + 1
+            for row, s in zip(rows, sums):
                 assert np.asarray(row).tobytes() == np.asarray(s.value(ts)).tobytes()
 
     def test_scalar_value_is_a_float(self):

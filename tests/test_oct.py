@@ -272,12 +272,12 @@ class TestSingularSolution:
         sol = singular_solution(1.0)
         for t in np.linspace(0.0, 1.0, 101):
             s = sol.trajectory.sample(t)
-            assert s.x == pytest.approx(np.sinh(t) / np.sinh(1.0), abs=1e-13)
-            assert s.y == pytest.approx(np.cosh(t) / np.sinh(1.0), abs=1e-13)
-            assert s.u == pytest.approx(np.exp(t) / np.sinh(1.0), abs=1e-13)
+            assert s["x"] == pytest.approx(np.sinh(t) / np.sinh(1.0), abs=1e-13)
+            assert s["y"] == pytest.approx(np.cosh(t) / np.sinh(1.0), abs=1e-13)
+            assert s["u"] == pytest.approx(np.exp(t) / np.sinh(1.0), abs=1e-13)
 
     def test_boundary_value_at_horizon(self):
-        assert singular_solution(1.0).trajectory.sample(1.0).x == pytest.approx(1.0, abs=1e-14)
+        assert singular_solution(1.0).trajectory.sample(1.0)["x"] == pytest.approx(1.0, abs=1e-14)
 
     def test_general_horizon_areas(self):
         sol = singular_solution(2.0)
@@ -312,8 +312,8 @@ class TestSingularSolution:
         sol = singular_solution(1.0)
         for t in (0.1, 0.5, 0.9):
             s = sol.trajectory.sample(t)
-            assert abs(s.p[0] + s.p[1]) <= 1e-13
-            assert s.p[0] == pytest.approx(-s.xdot, abs=1e-13)
+            assert abs(s["py"] + s["pz"]) <= 1e-13
+            assert s["py"] == pytest.approx(-s["xdot"], abs=1e-13)
 
 
 class TestSolveRegular:
@@ -323,7 +323,7 @@ class TestSolveRegular:
         closed = regular_order1_analytic(lam)
         ts = np.linspace(0.0, 1.0, 1001)
         gap = max(
-            abs(generic.trajectory.sample(t).x - closed.trajectory.sample(t).x) for t in ts
+            abs(generic.trajectory.sample(t)["x"] - closed.trajectory.sample(t)["x"]) for t in ts
         )
         assert gap <= 1e-9
 
@@ -340,7 +340,7 @@ class TestSolveRegular:
         generic = modal_solution(1, 1e-4)
         basis = solve_sta(build_exponential(100.0))
         gap = max(
-            abs(generic.trajectory.sample(t).x - basis.trajectory.sample(t).x)
+            abs(generic.trajectory.sample(t)["x"] - basis.trajectory.sample(t)["x"])
             for t in np.linspace(0.0, 1.0, 501)
         )
         assert gap <= 1e-8
@@ -362,7 +362,7 @@ class TestSolveRegular:
         )
         for t in np.linspace(0.0, 1.0, 21):
             y, z = ivp.sol(t)[:2]
-            assert z - y == pytest.approx(sol.trajectory.sample(t).x, abs=1e-6)
+            assert z - y == pytest.approx(sol.trajectory.sample(t)["x"], abs=1e-6)
 
     def test_cost_matches_quadrature(self):
         lam = 1e-3
@@ -380,7 +380,7 @@ class TestSolveRegular:
         sol = solve_regular(build_lq(n, lam))
         report = verify_boundaries(sol, tol=1e-6)
         assert report.passed
-        assert abs(sol.trajectory.sample(1.0).x - 1.0) <= 1e-8
+        assert abs(sol.trajectory.sample(1.0)["x"] - 1.0) <= 1e-8
 
     def test_higher_order_kind_tag(self):
         assert solve_regular(build_lq(2, 1e-4)).kind == "oct-higher"
@@ -412,7 +412,7 @@ class TestSolveRegular:
             for t in np.linspace(0.0, 1.0, 11):
                 s = sol.trajectory.sample(t)
                 # reconstructed drive xdot + x equals the z0 coordinate
-                assert abs((s.xdot + s.x) - s.z[0]) <= 1e-9
+                assert abs((s["xdot"] + s["x"]) - s["z0"]) <= 1e-9
 
 
 #: (n, weight, horizon) that one route or another used to refuse: first order
@@ -517,10 +517,10 @@ class TestOrder1Analytic:
             sp = sol.trajectory.sample(t + h)
             sm = sol.trajectory.sample(t - h)
             s = sol.trajectory.sample(t)
-            py_dot = (sp.p[0] - sm.p[0]) / (2 * h)
-            pz_dot = (sp.p[1] - sm.p[1]) / (2 * h)
-            assert abs(py_dot - (s.p[0] - s.z[0] + 2 * s.y)) <= 1e-6
-            assert abs(pz_dot - (s.z[0] - s.y)) <= 1e-6
+            py_dot = (sp["py"] - sm["py"]) / (2 * h)
+            pz_dot = (sp["pz"] - sm["pz"]) / (2 * h)
+            assert abs(py_dot - (s["py"] - s["z0"] + 2 * s["y"])) <= 1e-6
+            assert abs(pz_dot - (s["z0"] - s["y"])) <= 1e-6
 
     def test_state_dynamics_finite_difference(self):
         # state rates: lam y' = py + pz - lam y, lam z' = py + pz
@@ -531,10 +531,10 @@ class TestOrder1Analytic:
             sp = sol.trajectory.sample(t + h)
             sm = sol.trajectory.sample(t - h)
             s = sol.trajectory.sample(t)
-            y_dot = (sp.y - sm.y) / (2 * h)
-            z_dot = (sp.z[0] - sm.z[0]) / (2 * h)
-            assert lam * y_dot == pytest.approx(s.p[0] + s.p[1] - lam * s.y, abs=1e-6)
-            assert lam * z_dot == pytest.approx(s.p[0] + s.p[1], abs=1e-6)
+            y_dot = (sp["y"] - sm["y"]) / (2 * h)
+            z_dot = (sp["z0"] - sm["z0"]) / (2 * h)
+            assert lam * y_dot == pytest.approx(s["py"] + s["pz"] - lam * s["y"], abs=1e-6)
+            assert lam * z_dot == pytest.approx(s["py"] + s["pz"], abs=1e-6)
 
     def test_singular_set_attraction(self):
         # the window max of |p_y + p_z| shrinks monotonically with the weight
@@ -542,7 +542,7 @@ class TestOrder1Analytic:
         for lam in (1e-3, 1e-4, 1e-5):
             sol = regular_order1_analytic(lam)
             vals = [
-                abs(sum(sol.trajectory.sample(t).p)) for t in np.linspace(0.1, 0.9, 81)
+                abs(s["py"] + s["pz"]) for s in map(sol.trajectory.sample, np.linspace(0.1, 0.9, 81))
             ]
             maxima.append(max(vals))
         assert maxima[0] > maxima[1] > maxima[2]
@@ -645,7 +645,7 @@ class TestSingularConsistency:
     def test_amplitude_converges_to_arc_constant(self):
         sol = regular_order1_analytic(1e-8)
         ts = np.linspace(0.1, 0.9, 81)
-        Z, _ = fit_exponential_arc(ts, [sol.trajectory.sample(t).v for t in ts])
+        Z, _ = fit_exponential_arc(ts, [sol.trajectory.sample(t)["v"] for t in ts])
         assert Z == pytest.approx(1.0 / np.sinh(1.0), abs=1e-3)
 
     def test_window_validation(self):
@@ -728,15 +728,16 @@ class TestPackagingBitwise:
     @pytest.mark.parametrize("solve", PACKAGED_SOLVERS.values(), ids=PACKAGED_SOLVERS.keys())
     def test_trajectory_rows(self, monkeypatch, solve):
         sol, ref = self.packaged_with_reference(monkeypatch, solve)
-        T = sol.problem.T
+        T, n, names = sol.problem.T, sol.problem.n, sol.trajectory.names
+        assert names == ref.trajectory.names
         grid = np.linspace(0.0, T, 1001)
         for ts in (0.37 * T, np.array([0.0, T]), grid, grid[:1000].reshape(40, 25)):
-            xs, want = sol.trajectory.x(ts), ref.trajectory.x(ts)
-            assert xs.tobytes() == want.tobytes()
-            (z, v), (z_ref, v_ref) = sol.trajectory.controls(ts, xs), ref.trajectory.controls(ts, want)
-            assert _bits(z) == _bits(z_ref) and _bits(v) == _bits(v_ref)
-            assert sol.trajectory.p(ts).tobytes() == ref.trajectory.p(ts).tobytes()
-            assert _bits(sol.trajectory.cost_rows(ts)) == _bits([want[0], want[1], v_ref])
+            want = ref.trajectory(ts, *names)
+            assert sol.trajectory(ts, *names).tobytes() == want.tobytes()
+            # the rows the cost quadrature reads, and each row on its own
+            assert sol.trajectory(ts, "x", "xdot", "v").tobytes() == want[[0, 1, 2 * n + 1]].tobytes()
+            for i, name in enumerate(names):
+                assert sol.trajectory(ts, name).tobytes() == want[i : i + 1].tobytes()
 
     @pytest.mark.parametrize("solve", PACKAGED_SOLVERS.values(), ids=PACKAGED_SOLVERS.keys())
     def test_cost_functional(self, monkeypatch, solve):

@@ -182,13 +182,14 @@ class TestExponentialFamily:
 
     @pytest.mark.parametrize("k", [3.0, 1200.0])
     def test_trajectory_stack_rows_are_each_derivative(self, k):
-        # one stacked evaluation, each row bitwise the derivative's own value
+        # one stacked evaluation, each row bitwise the derivatives' own values
         fam = build_exponential(k)
         ts = np.linspace(0.0, 1.0, 101)
-        xs = solve_sta(fam).trajectory.x(ts)
-        assert xs.shape == (3, ts.size)
-        for order, row in enumerate(xs):
-            assert row.tobytes() == fam.x.derivative(order).value(ts).tobytes()
+        rows = solve_sta(fam).trajectory(ts, "x", "x^(1)", "u", "v")
+        assert rows.shape == (4, ts.size)
+        x, xd, xdd = (fam.x.derivative(order).value(ts) for order in range(3))
+        for row, want in zip(rows, (x, xd, xd + x, xdd + xd)):
+            assert row.tobytes() == want.tobytes()
 
     def test_rate_100_cost(self):
         sol = solve_sta(build_exponential(100.0))
