@@ -40,7 +40,6 @@ from .numerics import (
     SingularMatrix,
     eigendecompose,
     integrate,
-    mat_exp,
     minimize_quadratic,
     solve_linear,
 )
@@ -54,7 +53,6 @@ from .oct import (
     build_lq,
     equivalence_sta_regular,
     regular_order1_analytic,
-    shoot_adjoint_block,
     singular_consistency_check,
     singular_solution,
     solve_regular,
@@ -106,11 +104,9 @@ __all__ = [
     "eigendecompose",
     "equivalence_sta_regular",
     "integrate",
-    "mat_exp",
     "minimize_quadratic",
     "regular_order1_analytic",
     "sample_table",
-    "shoot_adjoint_block",
     "singular_consistency_check",
     "singular_solution",
     "solve_linear",

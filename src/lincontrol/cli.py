@@ -32,7 +32,6 @@ from . import __version__
 from .model import (
     BoundaryResidual,
     ControlProblem,
-    InvalidOrder,
     csv_text,
     verify_boundaries,
     write_csv,
@@ -49,7 +48,7 @@ from .oct import (
     singular_solution,
     solve_regular,
 )
-from .sta import DegenerateBasis, build_exponential, build_polynomial, build_trigonometric, solve_sta
+from .sta import build_exponential, build_polynomial, build_trigonometric, solve_sta
 
 COTH1 = 1.0 / np.tanh(1.0)
 
@@ -82,6 +81,10 @@ TABLE1_TARGETS = [
 DEFAULT_SWEEP = (1e-4, 5e-5, 2e-5, 1e-5, 5e-6, 2e-6)
 
 HIGHER_DEFAULT_LAMBDA = {1: 1e-5, 2: 5e-7, 3: 5e-9}
+
+#: the typed refusals of a solve, an exit 2 from a command and an error row in
+#: a sweep; InvalidOrder, LambdaOutOfRange and DegenerateBasis are ValueErrors
+_SOLVER_ERRORS = (ValueError, ShootingSingular, NumericsError)
 
 
 def _format(x):
@@ -230,12 +233,27 @@ def table1_report():
     return TableReport(name="coefficient-table", rows=rows, metadata={"version": __version__})
 
 
+def _checked_report(sol):
+    """The solution's boundary report at 1e-8; raises :class:`BoundaryResidual` when it fails."""
+    report = verify_boundaries(sol, tol=1e-8)
+    if not report.passed:
+        raise BoundaryResidual(report)
+    return report
+
+
 def sweep_lambda(lams=DEFAULT_SWEEP):
-    """Regularized cost over a weight sweep plus the power-law gap fit."""
+    """First-order regularized cost over a weight sweep plus the power-law gap fit.
+
+    Each weight is solved by :func:`solve_regular`, the route ``oct regular``
+    takes.  A weight that a solver refuses, or whose solution misses a
+    boundary condition by more than 1e-8, gives an error row and the sweep
+    goes on.
+    """
     rows = []
     for lam in lams:
         try:
-            sol = regular_order1_analytic(lam)
+            sol = solve_regular(build_lq(1, lam))
+            _checked_report(sol)
             rows.append(
                 {
                     "lambda": lam,
@@ -244,7 +262,7 @@ def sweep_lambda(lams=DEFAULT_SWEEP):
                     "gap": sol.cost - COTH1,
                 }
             )
-        except (LambdaOutOfRange, NumericsError) as exc:
+        except _SOLVER_ERRORS as exc:
             rows.append({"lambda": lam, "error": f"{type(exc).__name__}: {exc}"})
     good = [r for r in rows if "gap" in r and r["gap"] > 0]
     fit = {}
@@ -330,9 +348,7 @@ def run_validation():
 
 def _emit_solution(sol, args):
     # a solution that misses a boundary condition is neither printed nor written
-    report = verify_boundaries(sol, tol=1e-8)
-    if not report.passed:
-        raise BoundaryResidual(report)
+    report = _checked_report(sol)
     if args.format == "csv" and not args.out:
         sys.stdout.write(csv_text(sol, points=args.points))
         return 0
@@ -350,6 +366,11 @@ def _cmd_sta(args):
 
 def _cmd_oct(args):
     if args.mode == "singular":
+        # the impulsive optimum is first order at weight 0; refuse rather than ignore
+        if args.n != 1:
+            raise ValueError(f"oct singular is first order, got --n {args.n}")
+        if args.lam not in (None, 0.0):
+            raise ValueError(f"oct singular has weight 0, got --lambda {args.lam}")
         return _emit_solution(singular_solution(args.T), args)
     # regular and higher differ only in their default weight
     lam = args.lam
@@ -445,16 +466,6 @@ def _parser():
     q = sub.add_parser("validate", help="run the validation battery")
     q.set_defaults(fn=_cmd_validate)
     return p
-
-
-_SOLVER_ERRORS = (
-    InvalidOrder,
-    LambdaOutOfRange,
-    ShootingSingular,
-    DegenerateBasis,
-    NumericsError,
-    ValueError,
-)
 
 
 def main(argv=None):

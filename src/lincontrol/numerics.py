@@ -2,18 +2,16 @@
 
 All kernels operate on plain NumPy arrays and are pure functions of their
 inputs, so they are safe to call concurrently.  LAPACK does the heavy
-lifting through ``numpy.linalg`` (``scipy.linalg`` only inside
-:func:`mat_exp`, so importing the package and solving does not load
-scipy); these wrappers pin down input validation,
-deterministic ordering, and failure behaviour so that results are
-reproducible byte-for-byte.
+lifting through ``numpy.linalg``, the package's only runtime dependency;
+these wrappers pin down input validation, deterministic ordering, and
+failure behaviour so that results are reproducible byte-for-byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,35 +115,11 @@ class ComplexSpectrum:
     """Eigen-decomposition with deterministic ordering.
 
     ``eigenvalues[i]`` pairs with column ``eigenvectors[:, i]``; columns are
-    normalised to unit infinity-norm.  ``matrix`` is the matrix the pairs
-    belong to, or a function of no arguments that forms it, called on the
-    first read of :attr:`residuals`; it takes no part in comparisons or the
-    repr.
-    :attr:`residuals` computes ``|A v - mu v|`` for each pair on first read,
-    so the quality of each pair can be asserted against the tolerance
-    ``1e-10 * (1 + |mu|) * |v|`` where the caller needs it, and a solve
-    that never reads them does not pay for them.
+    normalised to unit infinity-norm.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    matrix: np.ndarray = field(compare=False, repr=False)
-
-    @cached_property
-    def residuals(self):
-        """Per-pair residuals ``|A v - mu v|`` (2-norm over each column)."""
-        V = self.eigenvectors
-        A = self.matrix() if callable(self.matrix) else self.matrix
-        return np.linalg.norm(A @ V - V * self.eigenvalues, axis=0)
-
-    def reconstruct(self):
-        """Return ``V diag(mu) V^-1``, which approximates the original matrix."""
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ np.linalg.inv(V)
-
-    def residual_bounds(self):
-        """Per-pair residual tolerances ``1e-10 * (1 + |mu|)`` (unit vectors)."""
-        return 1e-10 * (1.0 + np.abs(self.eigenvalues))
 
 
 def eigendecompose(A):
@@ -175,30 +149,7 @@ def eigendecompose(A):
     cond = _cond(V)
     if not np.isfinite(cond) or cond > EIGVEC_COND_CAP:
         raise DefectiveMatrix(f"eigenvector condition number {cond:.3e}")
-    return ComplexSpectrum(eigenvalues=w, eigenvectors=V, matrix=A)
-
-
-def mat_exp(A, t=1.0):
-    """Matrix exponential ``exp(A t)`` by scaling-and-squaring with Pade.
-
-    Raises
-    ------
-    Overflow
-        If any entry of the result leaves the representable range.  Callers
-        hitting this at small regularization weights should switch to an
-        anchored path (the modal solver or the exponential family) instead
-        of retrying.
-    """
-    import scipy.linalg
-
-    A = _as_square(A)
-    if t == 0.0:
-        return np.eye(A.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        E = scipy.linalg.expm(A * float(t))
-    if not np.all(np.isfinite(E)):
-        raise Overflow(f"exp(A t) entries exceed float range for t={t}")
-    return E
+    return ComplexSpectrum(eigenvalues=w, eigenvectors=V)
 
 
 @lru_cache(maxsize=64)

@@ -35,15 +35,15 @@ problem in these modes, with growing modes anchored at ``t = T``, which
 keeps the linear system's entries O(1) at any ``|mu| T``; it raises
 :class:`ShootingSingular` where the modes are nearly dependent on
 ``[0, T]``: at small ``|mu| T``, and where rates coincide (``lam = 1`` at
-odd ``n``).  The literal propagator-block shoot is kept as
-:func:`shoot_adjoint_block`, and the eigensolver's spectrum as
-:meth:`PontryaginFlow.numerical_spectrum`, for cross-validation.
+odd ``n``).  The eigensolver's spectrum,
+:meth:`PontryaginFlow.numerical_spectrum`, is kept for ``validate``'s
+cross-check of the closed-form rates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from .model import (
     check_horizon,
     row_names,
 )
-from .numerics import ComplexSpectrum, SingularMatrix, eigendecompose, mat_exp, solve_linear
+from .numerics import ComplexSpectrum, SingularMatrix, eigendecompose, solve_linear
 
 
 class LambdaOutOfRange(ValueError):
@@ -195,17 +195,6 @@ def build_lq(n, lam, T=1.0):
     return LqProblem(order=int(n), A=A, B=B, W=W, U=float(lam), x0=x0, xf=xf, T=float(T))
 
 
-def _flow_matrix(lq):
-    """``[[A, B U^-1 B^T], [W, -A^T]]`` of the linear-quadratic data ``lq``."""
-    ns = lq.dim
-    H = np.zeros((2 * ns, 2 * ns))
-    H[:ns, :ns] = lq.A
-    H[:ns, ns:] = (lq.B @ lq.B.T) / lq.U
-    H[ns:, :ns] = lq.W
-    H[ns:, ns:] = -lq.A.T
-    return H
-
-
 class PontryaginFlow:
     """The coupled state-adjoint flow ``d/dt (s, p) = H (s, p)``.
 
@@ -214,27 +203,29 @@ class PontryaginFlow:
     ``(1 - D^2)(1 + U (-1)^n D^(2n))`` on ``x``, so the rates are ``+-1``
     and the ``2n`` roots of ``s^(2n) = (-1)^(n+1)/U``, and each eigenvector
     is read off the mode ``x = e^(st)`` (see :meth:`spectrum`); this holds
-    for the chain problems of :func:`build_lq`.  :meth:`numerical_spectrum` runs the eigensolver on the
-    similarity-balanced ``H`` instead and is kept as the cross-check.
+    for the chain problems of :func:`build_lq`.  :meth:`numerical_spectrum`
+    runs the eigensolver on the similarity-balanced ``H`` instead and is
+    kept as the cross-check.
 
-    ``H`` itself is formed only where it is read: by :meth:`propagator`,
-    :meth:`numerical_spectrum` and the spectrum's residuals.  A solve never
-    reads it, so a weight whose inverse overflows reaches the modal solve
-    without a floating-point warning.
+    ``H`` itself is formed only where it is read, by
+    :meth:`numerical_spectrum`.  A solve never reads it, so a weight whose
+    inverse overflows reaches the modal solve without a floating-point
+    warning.
     """
 
     def __init__(self, lq):
         self.lq = lq
-        self._spectrum = None
 
     @cached_property
     def H(self):
         """The flow matrix ``[[A, B U^-1 B^T], [W, -A^T]]``."""
-        return _flow_matrix(self.lq)
-
-    def propagator(self, t):
-        """``exp(H t)`` by scaling-and-squaring; raises Overflow when out of range."""
-        return mat_exp(self.H, t)
+        lq, ns = self.lq, self.lq.dim
+        H = np.zeros((2 * ns, 2 * ns))
+        H[:ns, :ns] = lq.A
+        H[:ns, ns:] = (lq.B @ lq.B.T) / lq.U
+        H[ns:, :ns] = lq.W
+        H[ns:, ns:] = -lq.A.T
+        return H
 
     def spectrum(self):
         """Exact eigenpairs of ``H``, sorted by real part, then imaginary part.
@@ -249,25 +240,21 @@ class PontryaginFlow:
         max-magnitude.  Coincident rates (``U = 1`` at odd ``n``) give
         repeated columns, which the modal solve refuses.
         """
-        if self._spectrum is None:
-            lq = self.lq
-            n, ns, U = lq.order, lq.dim, lq.U
-            fast, j, unit, unit_inv, adjoint = _mode_tables(n)
-            rho = np.where(fast, U ** (-1.0 / (2 * n)), 1.0)
-            w = rho * unit[1]
-            order = np.lexsort((w.imag, w.real))
-            w, rho, unit, unit_inv = w[order], rho[order], unit[:, order], unit_inv[:, order]
-            rho_j, w1 = rho**j, 1.0 + w
-            V = np.empty((2 * ns, 2 * ns), dtype=complex)
-            V[:ns] = (rho_j * unit)[::-1]  # s^n, s^(n-1), .., 1
-            V[1:ns] *= w1
-            V[ns + 1 :] = adjoint @ (unit_inv / rho_j)
-            V[ns] = U * V[0] * w1 - V[ns + 1]
-            V /= np.abs(V).max(axis=0)
-            self._spectrum = ComplexSpectrum(
-                eigenvalues=w, eigenvectors=V, matrix=partial(_flow_matrix, lq)
-            )
-        return self._spectrum
+        lq = self.lq
+        n, ns, U = lq.order, lq.dim, lq.U
+        fast, j, unit, unit_inv, adjoint = _mode_tables(n)
+        rho = np.where(fast, U ** (-1.0 / (2 * n)), 1.0)
+        w = rho * unit[1]
+        order = np.lexsort((w.imag, w.real))
+        w, rho, unit, unit_inv = w[order], rho[order], unit[:, order], unit_inv[:, order]
+        rho_j, w1 = rho**j, 1.0 + w
+        V = np.empty((2 * ns, 2 * ns), dtype=complex)
+        V[:ns] = (rho_j * unit)[::-1]  # s^n, s^(n-1), .., 1
+        V[1:ns] *= w1
+        V[ns + 1 :] = adjoint @ (unit_inv / rho_j)
+        V[ns] = U * V[0] * w1 - V[ns + 1]
+        V /= np.abs(V).max(axis=0)
+        return ComplexSpectrum(eigenvalues=w, eigenvectors=V)
 
     def numerical_spectrum(self):
         """Eigenpairs from the eigensolver, the cross-check of :meth:`spectrum`.
@@ -284,28 +271,7 @@ class PontryaginFlow:
         spec = eigendecompose(balanced)
         V = spec.eigenvectors * d[:, None]
         V = V / np.abs(V).max(axis=0)
-        return ComplexSpectrum(eigenvalues=spec.eigenvalues, eigenvectors=V, matrix=self.H)
-
-
-def shoot_adjoint_block(flow, horizon=None):
-    """Initial adjoint from a linear solve on the propagator's (s, p) block.
-
-    This is the textbook route: with ``x(0) = x0`` known, the terminal state
-    reads ``x(T) = N_ss(T) x0 + N_sp(T) p(0)``, so ``p(0)`` solves one dense
-    system on the upper-right block of ``N(T) = exp(H T)``.  Float64 limits:
-    the block mixes ``exp(+-|mu| T)`` scales, so results degrade once
-    ``|mu| T`` exceeds roughly 30 (weights below ``~1e-3`` at first order).
-    Use :func:`solve_regular` where accuracy matters; this function is the
-    cross-check in its sound regime.
-    """
-    lq = flow.lq
-    T = lq.T if horizon is None else float(horizon)
-    ns = lq.dim
-    N = flow.propagator(T)
-    try:
-        return solve_linear(N[:ns, ns:], lq.xf - N[:ns, :ns] @ lq.x0)
-    except SingularMatrix as exc:
-        raise ShootingSingular(f"terminal block: {exc}") from exc
+        return ComplexSpectrum(eigenvalues=spec.eigenvalues, eigenvectors=V)
 
 
 def _modal_amplitudes(flow):

@@ -75,10 +75,6 @@ class GramForm:
     b: np.ndarray
     c0: float
 
-    @property
-    def free_dim(self):
-        return self.A.shape[1]
-
     def value(self, p):
         r = self.A @ np.asarray(p, dtype=float).reshape(-1) + self.b
         return float(r @ r + self.c0)
@@ -188,11 +184,6 @@ class AnsatzFamily:
         """(state, derivative, unweighted control-energy) integrals."""
         a = np.asarray(coeffs, dtype=float)
         return tuple(float(r @ r) for r in (a @ table for table in self._cost_tables))
-
-    def boundary_values(self, coeffs):
-        """(x(0), x(T), x'(0), x'(T)) for a coefficient vector."""
-        x, xd = self.x_stack(coeffs, np.array([0.0, self.T]), 1)
-        return (*x, *xd)
 
 
 #: the ends of the horizon-2 reference interval

@@ -2,12 +2,14 @@
 
 import mpmath
 import numpy as np
+import scipy.linalg
 
 from lincontrol.expsums import ExpSum, real_values, square_integrals
 from lincontrol.model import ControlProblem, CostBreakdown, ProtocolSolution, Trajectory, adjoint_names, row_names
-from lincontrol.numerics import integrate
+from lincontrol.numerics import Overflow, SingularMatrix, integrate, solve_linear
 from lincontrol.oct import (
     PontryaginFlow,
+    ShootingSingular,
     _chain_solution,
     _series_from_modes,
     _x1_row,
@@ -15,6 +17,64 @@ from lincontrol.oct import (
     fit_exponential_arc,
 )
 from lincontrol.sta import DegenerateBasis
+
+
+def mat_exp(A, t=1.0):
+    """``exp(A t)`` by scipy's scaling-and-squaring Pade.
+
+    Raises :class:`~lincontrol.numerics.Overflow` when an entry of the
+    result leaves the float range, as the propagator does at small weights.
+    """
+    A = np.asarray(A, dtype=float)
+    if t == 0.0:
+        return np.eye(A.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = scipy.linalg.expm(A * float(t))
+    if not np.all(np.isfinite(E)):
+        raise Overflow(f"exp(A t) entries exceed float range for t={t}")
+    return E
+
+
+def shoot_adjoint_block(flow, horizon=None):
+    """Initial adjoint from a linear solve on the propagator's (s, p) block.
+
+    The textbook route: with ``x(0) = x0`` known, the terminal state reads
+    ``x(T) = N_ss(T) x0 + N_sp(T) p(0)``, so ``p(0)`` solves one dense
+    system on the upper-right block of ``N(T) = exp(H T)``.  The block mixes
+    ``exp(+-|mu| T)`` scales, so it is a sound reference only while ``|mu| T``
+    stays below roughly 30 (weights above ``~1e-3`` at first order).
+    """
+    lq = flow.lq
+    T = lq.T if horizon is None else float(horizon)
+    ns = lq.dim
+    N = mat_exp(flow.H, T)
+    try:
+        return solve_linear(N[:ns, ns:], lq.xf - N[:ns, :ns] @ lq.x0)
+    except SingularMatrix as exc:
+        raise ShootingSingular(f"terminal block: {exc}") from exc
+
+
+def eigen_residuals(A, spec):
+    """Per-pair residuals ``|A v - mu v|`` (2-norm over each column) of a spectrum of ``A``."""
+    V = spec.eigenvectors
+    return np.linalg.norm(A @ V - V * spec.eigenvalues, axis=0)
+
+
+def eigen_residual_bounds(spec):
+    """Per-pair residual tolerances ``1e-10 * (1 + |mu|)`` for unit-max eigenvectors."""
+    return 1e-10 * (1.0 + np.abs(spec.eigenvalues))
+
+
+def eigen_reconstruction(spec):
+    """``V diag(mu) V^-1``, which approximates the decomposed matrix."""
+    V = spec.eigenvectors
+    return (V * spec.eigenvalues) @ np.linalg.inv(V)
+
+
+def boundary_values(family, coeffs):
+    """``(x(0), x(T), x'(0), x'(T))`` of a basis family at a coefficient vector."""
+    x, xd = family.x_stack(coeffs, np.array([0.0, family.T]), 1)
+    return (*x, *xd)
 
 
 def exponential_cofactors(k):

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ import pytest
 import lincontrol
 from lincontrol import oct as octmod, sta
 from lincontrol.cli import (
+    DEFAULT_SWEEP,
     _json,
     main,
     run_validation,
@@ -158,6 +160,19 @@ class TestOctCommand:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "ShootingSingular"
+
+    @pytest.mark.parametrize(
+        "argv", [("--n", "3", "--lambda", "5"), ("--n", "2"), ("--lambda", "1e-4")], ids=["n3-lam5", "n2", "lam"]
+    )
+    def test_singular_refuses_order_and_weight(self, capsys, argv):
+        # the impulsive optimum is first order at weight 0; both flags used to be ignored
+        code, out, err = run_cli(capsys, "oct", "singular", *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+    def test_singular_accepts_its_own_order_and_weight(self, capsys):
+        assert run_cli(capsys, "oct", "singular", "--n", "1", "--lambda", "0") == run_cli(capsys, "oct", "singular")
 
     def test_vanishing_horizon_singular_exits_2(self, capsys):
         # x(T) - 1 = -1 in float64; it used to exit 0
@@ -397,6 +412,49 @@ class TestSweep:
         doc = json.loads(out)
         assert len(doc["rows"]) == 2
 
+    def test_sweep_routes_like_oct_regular(self, capsys):
+        # a weight above 1 takes the modal solve, as oct regular --lambda 2 does
+        rows, _ = sweep_lambda((0.5, 2.0))
+        assert rows[1]["cost_regularized"] == pytest.approx(order1_optimum_mp(2.0, 1.0), rel=0, abs=1e-9)
+        _, out, _ = run_cli(capsys, "oct", "regular", "--lambda", "2")
+        assert rows[1]["cost_regularized"] == json.loads(out)["cost"]
+
+    @pytest.mark.parametrize(
+        "lam,error",
+        [
+            ("0.999999", "DegenerateBasis"),
+            ("1", "ShootingSingular"),
+            ("nan", "LambdaOutOfRange"),
+            ("-1", "LambdaOutOfRange"),
+            ("1e-300", "Overflow"),
+        ],
+    )
+    def test_refused_weight_is_an_error_row(self, capsys, lam, error):
+        good, bad = sweep_lambda((1e-4, float(lam)))[0]
+        assert "gap" in good
+        assert bad["error"].startswith(error + ": ")
+        # the sweep goes on and exits 0; it used to abort on DegenerateBasis
+        code, out, err = run_cli(capsys, "sweep-lambda", "--lambdas", f"1e-4,{lam}")
+        assert code == 0
+        assert out.split("\n")[2].endswith(",error,error,error")
+        assert json.loads(err)["fit"] == {}
+
+    def test_failing_boundary_report_is_an_error_row(self, monkeypatch):
+        # a solution the CLI refuses to print is not tabulated either
+        failing = octmod.solve_regular(octmod.build_lq(8, 1e-12))
+        monkeypatch.setattr("lincontrol.cli.solve_regular", lambda lq: failing)
+        (row,), fit = sweep_lambda((1e-4,))
+        assert row["error"].startswith("BoundaryResidual: ")
+        assert fit == {}
+
+    @pytest.mark.parametrize("lams", [DEFAULT_SWEEP, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)], ids=["default", "bench"])
+    def test_first_order_weights_keep_their_values(self, lams):
+        # below weight 1 the routing takes the exponential family, the sweep's old route
+        rows, _ = sweep_lambda(lams)
+        for row, lam in zip(rows, lams):
+            sol = octmod.regular_order1_analytic(lam)
+            assert (row["cost_regularized"], row["cost_bare"]) == (sol.cost, sol.cost_breakdown.bare)
+
 
 class TestValidate:
     def test_all_checks_pass(self):
@@ -550,6 +608,50 @@ class TestEntryPoint:
         code, _, _ = run_cli(capsys, "sta", "poly", "--order", "7")
         assert code == 0
         assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+
+WORKFLOW = os.path.join(os.path.dirname(PYPROJECT), ".github", "workflows", "tests.yml")
+
+#: runs ``cli.main`` on each argv of ``argv[2]`` (JSON), scipy blocked when ``argv[1]`` says so
+_RUN_COMMANDS = (
+    "import contextlib, io, json, sys\n"
+    "if sys.argv[1] == 'blocked':\n"
+    "    sys.modules['scipy'] = None  # every import of scipy or a submodule raises ImportError\n"
+    "from lincontrol import cli\n"
+    "results = []\n"
+    "for argv in json.loads(sys.argv[2]):\n"
+    "    out, err = io.StringIO(), io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+    "        results.append([argv, cli.main(argv), out.getvalue(), err.getvalue()])\n"
+    "json.dump(results, sys.stdout)\n"
+)
+
+
+def ci_command_lists():
+    """The two lists of commands CI runs on the installed package: exit 0, then exit 2."""
+    with open(WORKFLOW) as fh:
+        blocks = re.findall(r"<<'EOF'\n(.*?)\n\s*EOF", fh.read(), re.S)
+    return [[line.split() for line in block.splitlines()] for block in blocks]
+
+
+def test_commands_run_without_scipy():
+    # numpy is the only runtime dependency: with scipy unimportable every CI
+    # command and the default sweep print what they print with it
+    exit0, exit2 = ci_command_lists()
+    commands = exit0 + exit2 + [["sweep-lambda"]]
+    procs = {
+        mode: subprocess.Popen(
+            [sys.executable, "-c", _RUN_COMMANDS, mode, json.dumps(commands)],
+            env={**os.environ, "PYTHONPATH": SRC}, stdout=subprocess.PIPE, text=True,
+        )
+        for mode in ("blocked", "open")
+    }
+    outputs = {mode: proc.communicate()[0] for mode, proc in procs.items()}
+    assert all(proc.returncode == 0 for proc in procs.values())
+    results = {mode: json.loads(text) for mode, text in outputs.items()}
+    assert results["blocked"] == results["open"]
+    codes = [code for _, code, _, _ in results["blocked"]]
+    assert codes == [0] * len(exit0) + [2] * len(exit2) + [0]
 
 
 class TestDeterminism:

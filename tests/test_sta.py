@@ -22,7 +22,7 @@ from lincontrol.sta import (
     build_trigonometric,
     solve_sta,
 )
-from oracles import exponential_cofactors, sta_optimum_mp
+from oracles import boundary_values, exponential_cofactors, sta_optimum_mp
 
 FAMILIES = {
     "poly4": lambda: build_polynomial(4),
@@ -123,7 +123,7 @@ class TestConstraintElimination:
         for _ in range(1000):
             p = rng.normal(scale=10.0, size=fam.free_dim)
             coeffs = fam.coefficient_vector(p)
-            x0, xT, xd0, xdT = fam.boundary_values(coeffs)
+            x0, xT, xd0, xdT = boundary_values(fam, coeffs)
             assert abs(x0) <= 1e-10
             assert abs(xT - 1.0) <= 1e-10
             assert abs(xd0) <= 1e-10
@@ -132,7 +132,7 @@ class TestConstraintElimination:
     @pytest.mark.parametrize("k", [0.5, 3.0, 10.0, 100.0, 450.0, 800.0, 1.0 + 1e-4, 1.0 - 1e-4])
     def test_exponential_boundary_residuals(self, k):
         fam = build_exponential(k)
-        x0, xT, xd0, xdT = fam.boundary_values(fam.offset)
+        x0, xT, xd0, xdT = boundary_values(fam, fam.offset)
         assert max(abs(x0), abs(xT - 1.0), abs(xd0), abs(xdT)) <= 1e-10
 
 
@@ -208,7 +208,7 @@ class TestAssembleGram:
 
     def test_cubic_constant(self):
         form = assemble_gram(build_polynomial(3))
-        assert form.free_dim == 0
+        assert form.A.shape[1] == 0
         assert form.value(()) == pytest.approx(1.57143, rel=5e-5)
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -241,7 +241,7 @@ class TestAssembleGram:
         for name in FAMILIES:
             fam = FAMILIES[name]()
             form = assemble_gram(fam)
-            if form.free_dim:
+            if form.A.shape[1]:
                 assert np.linalg.svd(form.A, compute_uv=False).min() > 0
 
 
