@@ -398,6 +398,10 @@ def _cmd_table(report, args):
 
 def _cmd_sweep(args):
     lams = DEFAULT_SWEEP if not args.lambdas else tuple(float(x) for x in args.lambdas.split(","))
+    # a row's weight is printed as a number, which a nan or an infinity is not in JSON
+    for lam in lams:
+        if not np.isfinite(lam):
+            raise LambdaOutOfRange(f"energy weight must be finite and positive, got {lam}")
     rows, fit = sweep_lambda(lams)
     if args.format == "json" and not args.out:
         sys.stdout.write(_json({"rows": rows, "fit": fit}) + "\n")

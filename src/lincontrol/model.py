@@ -273,15 +273,15 @@ def verify_boundaries(sol, tol=1e-8):
     T = sol.problem.T
     traj = sol.trajectory
     ends = np.array([0.0, T])
-    x, *derivs = traj(ends, *traj.names[: n + 1])
+    (x0, xT), *derivs = traj(ends, *traj.names[: n + 1]).tolist()
     jump0 = sum(i.area for i in sol.impulses if i.time == 0.0)
     jumpT = sum(i.area for i in sol.impulses if i.time == T)
     residuals = {
-        "x(0)": float(x[0]),
-        "x(T)-1": float(x[1]) - 1.0,
+        "x(0)": x0,
+        "x(T)-1": xT - 1.0,
     }
     for j in range(1, n + 1):
-        r0, rT = (float(v) for v in derivs[j - 1])
+        r0, rT = derivs[j - 1]
         if j == 1:
             r0 -= jump0
             rT += jumpT

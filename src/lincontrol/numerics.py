@@ -55,7 +55,7 @@ def _as_square(A, name="A"):
     A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be a non-empty square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError(f"{name} contains non-finite entries")
     return A
 
@@ -67,7 +67,8 @@ def _cond(A):
     in Python floats, so a zero ``s_min`` or an overflowing ratio reads as
     ``inf`` without a warning.
     """
-    s_max, s_min = np.linalg.svd(A, compute_uv=False)[[0, -1]].tolist()
+    s = np.linalg.svd(A, compute_uv=False)
+    s_max, s_min = float(s[0]), float(s[-1])
     return s_max / s_min if s_min > 0 else math.inf
 
 
@@ -102,7 +103,7 @@ def solve_linear(A, b):
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"b has length {b.shape[0]}, expected {A.shape[0]}")
     scale = np.abs(A).max(axis=0)
-    if not np.all(scale > 0):
+    if not (scale > 0).all():
         raise SingularMatrix(f"column {int(np.argmin(scale))} is zero")
     cond = _cond(A / scale)
     if not cond < SOLVE_COND_CAP:
@@ -225,7 +226,7 @@ def minimize_quadratic(A, b):
     b = np.asarray(b, dtype=float).reshape(-1)
     if A.ndim != 2:
         raise ValueError(f"A must be a matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("A and b must be finite")
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"b has length {b.shape[0]}, expected {A.shape[0]}")

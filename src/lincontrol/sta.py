@@ -12,12 +12,13 @@ rule, which is exact for the polynomials and exact to roundoff for the
 sines.  Both families are dilations of their horizon-2 member,
 ``basis_T(t, k) = (2/T)^k basis_2(2t/T, k)``, so the reference tables on
 the rule's nodes and at the endpoints are built once per family and order
-(an ``lru_cache``) and each horizon only rescales them; the boundary SVD and
-the least-squares solve stay per horizon.  Because ``x`` is affine in the
-free parameters the cost is a linear least-squares problem, so the
-minimisation is one SVD rather than an iterative search; tabulated
-coefficients are reproduced to all printed digits, reported under the
-paper's names.
+(an ``lru_cache``) and each horizon only rescales them.  The boundary
+elimination does not depend on the horizon at all, so its SVD is also run
+once per family and order; only the least-squares solve stays per horizon.
+Because ``x`` is affine in the free parameters the cost is a linear
+least-squares problem, so the minimisation is one SVD rather than an
+iterative search; tabulated coefficients are reproduced to all printed
+digits, reported under the paper's names.
 
 The control is always recovered analytically as ``u = xdot + x``; each
 family knows the derivatives of its own basis functions.  A solution's
@@ -34,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .expsums import ExpSum, real_values, square_integrals
+from .expsums import ExpSum, SumStack, real_values, square_integrals
 from .model import ControlProblem, InvalidOrder, ProtocolSolution, CostBreakdown, Trajectory, row_names
 from .numerics import (
     SOLVE_COND_CAP,
@@ -86,34 +87,27 @@ class AnsatzFamily:
     A family of order ``N`` supplies :meth:`reference_basis`, its basis on
     the horizon-2 reference interval, and :meth:`paper_coefficients`.  The
     basis at horizon ``T`` is that table rescaled, ``basis_T(t, k) = (2/T)^k
-    basis_2(2t/T, k)``, so the boundary rows and the cost tables of every
-    horizon come from one set of horizon-2 tables per ``(family, N)``.  The
-    boundary rows ``x(0), x(T), x'(0), x'(T)`` that vanish identically are
-    dropped and the rest eliminated by one SVD: ``offset`` is their
-    minimum-norm solution and ``free_map`` an orthonormal basis of their
-    null space, so ``coefficient_vector(p) = offset + free_map @ p`` meets
-    all four boundary conditions for every ``p``.
+    basis_2(2t/T, k)``, so the cost tables of every horizon come from one
+    set of horizon-2 tables per ``(family, N)``.  The boundary conditions
+    ``x(0) = 0, x(T) = 1, x'(0) = x'(T) = 0`` are eliminated once per
+    ``(family, N)`` by :func:`_eliminator`, and every horizon shares its
+    read-only arrays: ``offset`` is the minimum-norm coefficient vector that
+    meets them and ``free_map`` an orthonormal basis of the null space of
+    the boundary rows, so ``coefficient_vector(p) = offset + free_map @ p``
+    meets all four conditions for every ``p`` and every ``T``.
 
     Raises
     ------
     SingularMatrix
-        If the boundary rows have condition number ``SOLVE_COND_CAP`` or
-        above.
+        If the row-scaled boundary rows have condition number
+        ``SOLVE_COND_CAP`` or above.
     """
 
     kind = "abstract"
 
     def __init__(self, T):
         self.T = float(T)
-        _, ends = _reference_tables(type(self), self.N)
-        rows = np.vstack([ends[0].T, (2.0 / self.T) * ends[1].T])
-        rhs = np.array([0.0, 1.0, 0.0, 0.0])
-        live = np.any(rows != 0.0, axis=1)
-        U, s, Vt = np.linalg.svd(rows[live])
-        if not s[0] < SOLVE_COND_CAP * s[-1]:
-            raise SingularMatrix(f"boundary rows have condition number >= {SOLVE_COND_CAP:.0e}")
-        self.offset = Vt[: len(s)].T @ ((U.T @ rhs[live]) / s)
-        self.free_map = Vt[len(s):].T
+        self.offset, self.free_map = _eliminator(type(self), self.N)
 
     @property
     def free_dim(self):
@@ -177,7 +171,8 @@ class AnsatzFamily:
 
     def gram(self, lam=0.0):
         x, xd, v = self._cost_tables
-        rows = np.hstack([x, xd, math.sqrt(lam) * v]).T
+        # at lam = 0 the control-energy rows are all zero, so they are left out
+        rows = np.hstack([x, xd, math.sqrt(lam) * v] if lam else [x, xd]).T
         return GramForm(A=rows @ self.free_map, b=rows @ self.offset, c0=0.0)
 
     def cost_parts(self, coeffs):
@@ -205,6 +200,37 @@ def _reference_tables(family, N):
     cost.setflags(write=False)
     ends.setflags(write=False)
     return cost, ends
+
+
+@lru_cache(maxsize=64)
+def _eliminator(family, N):
+    """``(offset, free_map)`` of ``family`` at order ``N``, shared read-only.
+
+    At horizon ``T`` the boundary rows ``x(0), x(T), x'(0), x'(T)`` are the
+    horizon-2 rows with the two ``x'`` rows times ``2/T``.  Those rows have a
+    zero right-hand side, so the constraint set, its minimum-norm point and
+    its null space are the same at every horizon, and one SVD per ``(family,
+    N)`` serves them all.  The rows that vanish identically are dropped and
+    the rest scaled to unit max-magnitude before the SVD.
+
+    Raises
+    ------
+    SingularMatrix
+        If the scaled rows have condition number ``SOLVE_COND_CAP`` or above.
+    """
+    _, ends = _reference_tables(family, N)
+    rows = np.vstack([ends[0].T, ends[1].T])
+    scale = np.abs(rows).max(axis=1)
+    live = scale > 0.0
+    rhs = np.array([0.0, 1.0, 0.0, 0.0])[live] / scale[live]
+    U, s, Vt = np.linalg.svd(rows[live] / scale[live, None])
+    if not s[0] < SOLVE_COND_CAP * s[-1]:
+        raise SingularMatrix(f"boundary rows have condition number >= {SOLVE_COND_CAP:.0e}")
+    offset = Vt[: len(s)].T @ ((U.T @ rhs) / s)
+    free_map = Vt[len(s):].T
+    offset.setflags(write=False)
+    free_map.setflags(write=False)
+    return offset, free_map
 
 
 @lru_cache(maxsize=64)
@@ -347,11 +373,21 @@ class ExponentialAnsatz(AnsatzFamily):
             shifts=(0.0, 0.0, T, 0.0),
         )
 
+    @cached_property
+    def _stack(self):
+        """``x, x', x''`` as one :class:`~lincontrol.expsums.SumStack` (built once).
+
+        Row ``j`` holds the gammas of ``x.derivative(j)``, computed by the
+        same expression, so every evaluation keeps that sum's bits.
+        """
+        x = self.x
+        gammas = [[g * r**j for g, r in zip(x.gammas, x.rates)] for j in range(3)]
+        return SumStack(np.array(gammas), x.rates, x.shifts)
+
     def x_stack(self, coeffs, t, order=2):
         # coeffs is always the stored vector (free_dim = 0); evaluate through
         # the anchored sum so large k cannot overflow, one exponential per term
-        x = self.x
-        return real_values([x] + [x.derivative(k) for k in range(1, order + 1)], t)
+        return real_values(self._stack._replace(gammas=self._stack.gammas[: order + 1]), t)
 
     def paper_coefficients(self, coeffs):
         return {**dict(zip("abcd", map(float, coeffs))), "k": self.k}
@@ -367,15 +403,9 @@ class ExponentialAnsatz(AnsatzFamily):
     @cached_property
     def _squares(self):
         """Exact (state, derivative, unweighted control-energy) integrals (built once)."""
-        x = self.x
-        v = ExpSum(
-            gammas=tuple(
-                g * (r * r + r) for g, r in zip(x.gammas, x.rates)
-            ),
-            rates=x.rates,
-            shifts=x.shifts,
-        )
-        return square_integrals([x, x.derivative(1), v], self.T)
+        (x, xd, _), rates, shifts = self._stack
+        r = np.array(rates)
+        return square_integrals(SumStack(np.array([x, xd, x * (r * r + r)]), rates, shifts), self.T)
 
 
 def exponential_coefficients_by_solve(k, T=1.0):

@@ -425,6 +425,7 @@ class TestSweep:
             ("0.999999", "DegenerateBasis"),
             ("1", "ShootingSingular"),
             ("nan", "LambdaOutOfRange"),
+            ("inf", "LambdaOutOfRange"),
             ("-1", "LambdaOutOfRange"),
             ("1e-300", "Overflow"),
         ],
@@ -433,8 +434,13 @@ class TestSweep:
         good, bad = sweep_lambda((1e-4, float(lam)))[0]
         assert "gap" in good
         assert bad["error"].startswith(error + ": ")
-        # the sweep goes on and exits 0; it used to abort on DegenerateBasis
         code, out, err = run_cli(capsys, "sweep-lambda", "--lambdas", f"1e-4,{lam}")
+        if lam in ("nan", "inf"):
+            # the CLI refuses a non-finite weight before solving: a JSON row could not print it
+            assert (code, out) == (2, "")
+            assert json.loads(err) == {"error": error, "message": f"energy weight must be finite and positive, got {lam}"}
+            return
+        # the sweep goes on and exits 0; it used to abort on DegenerateBasis
         assert code == 0
         assert out.split("\n")[2].endswith(",error,error,error")
         assert json.loads(err)["fit"] == {}
@@ -475,8 +481,10 @@ FAILING_REPORTS = {
     "oct-higher-n4-9.5e-7": (
         "oct", "higher", "--n", "4", "--lambda", "7.498942093324552e-06", "--T", "0.17782794100389232",
     ),
-    "sta-trig-13-1.47e-8": ("sta", "trig", "--order", "13", "--T", "0.1468"),
 }
+
+#: read 1.47e-8 while the sine family's boundary rows were eliminated at each horizon
+TRIG_13_NEAR_TOLERANCE = ("sta", "trig", "--order", "13", "--T", "0.1468")
 
 
 class TestBoundaryRefusal:
@@ -494,12 +502,26 @@ class TestBoundaryRefusal:
         assert doc["message"].endswith("exceeds the tolerance 1e-08")
 
     def test_out_file_is_not_written(self, capsys, tmp_path):
-        path = tmp_path / "trig.csv"
-        code, out, err = run_cli(capsys, *FAILING_REPORTS["sta-trig-13-1.47e-8"], "--out", str(path))
+        path = tmp_path / "higher.csv"
+        code, out, err = run_cli(capsys, *FAILING_REPORTS["oct-higher-n8-1e-4"], "--out", str(path))
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "BoundaryResidual"
         assert not path.exists()
+
+    @pytest.mark.parametrize("output", [(), ("--format", "csv")], ids=["json", "csv"])
+    def test_trig_order13_near_tolerance_certifies(self, capsys, output):
+        code, out, err = run_cli(capsys, *TRIG_13_NEAR_TOLERANCE, *output)
+        assert (code, err) == (0, "")
+        if output:
+            # x and xdot, the CSV's second and third columns, at t = 0 and t = T
+            lines = out.splitlines()
+            assert lines[0].startswith("t,x,xdot,")
+            first, last = (np.array(line.split(",")[1:3], dtype=float) for line in (lines[1], lines[-1]))
+            residuals = [*first, last[0] - 1.0, last[1]]
+        else:
+            residuals = list(json.loads(out)["boundary_residuals"].values())
+        assert max(abs(v) for v in residuals) <= 1e-8
 
     def test_message_names_largest_residual(self):
         report = BoundaryReport({"x(0)": 2e-9, "x^(1)(T)": -3e-6, "x(T)-1": 1e-6}, tol=1e-8)

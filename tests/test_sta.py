@@ -136,6 +136,59 @@ class TestConstraintElimination:
         assert max(abs(x0), abs(xT - 1.0), abs(xd0), abs(xdT)) <= 1e-10
 
 
+ELIMINATOR_ORDERS = [(build_polynomial, N) for N in (3, 4, 12, 30, 47)] + [
+    (build_trigonometric, N) for N in (3, 4, 8, 13, 20)
+]
+
+
+class TestEliminator:
+    """The boundary elimination is built once per (family, N) and serves every horizon."""
+
+    @pytest.mark.parametrize("builder, N", ELIMINATOR_ORDERS, ids=lambda v: getattr(v, "__name__", v))
+    def test_shared_across_horizons_read_only(self, builder, N):
+        short, long = builder(N, 0.1), builder(N, 10.0)
+        assert short.free_map is long.free_map
+        assert short.offset is long.offset
+        assert short.free_map.shape == (short.offset.size, N - 3)
+        for array in (short.offset, short.free_map):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+
+    @pytest.mark.parametrize("T", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("builder, N", ELIMINATOR_ORDERS, ids=lambda v: getattr(v, "__name__", v))
+    def test_end_rows_at_each_horizon(self, builder, N, T):
+        # each of x(0), x(T), x'(0), x'(T) within 1e-13 of that row's largest entry,
+        # times 1 + the 2-norm of the vector it is applied to
+        fam = builder(N, T)
+        ends = np.array([0.0, T])
+        rows = fam.basis(ends, 1).transpose(0, 2, 1).reshape(4, -1)
+        scale = np.abs(rows).max(axis=1)
+        conditions = fam.x_stack(fam.offset, ends, 1).ravel() - [0.0, 1.0, 0.0, 0.0]
+        assert np.all(np.abs(conditions) <= 1e-13 * scale * (1.0 + np.linalg.norm(fam.offset)))
+        # the columns of free_map are orthonormal, so each has 2-norm 1
+        assert np.all(np.abs(rows @ fam.free_map) <= 2e-13 * scale[:, None])
+
+    @pytest.mark.parametrize("builder", [build_polynomial, build_trigonometric])
+    def test_zero_weight_gram_has_no_control_rows(self, builder):
+        fam = builder(8, 0.7)
+        assert fam.gram(0.0).A.shape == (2 * COST_NODES, 5)
+        assert fam.gram(1e-3).A.shape == (3 * COST_NODES, 5)
+
+    @pytest.mark.parametrize("T", [0.1, 0.158])
+    @pytest.mark.parametrize("N", [12, 20, 30])
+    def test_polynomial_cost_short_horizons(self, N, T):
+        want = sta_optimum_mp("polynomial", N, T, dps=150)
+        assert solve_sta(build_polynomial(N, T)).cost == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("T", [0.1, 0.158, 1.0, 6.31, 10.0])
+    @pytest.mark.parametrize("N", [12, 13])
+    def test_trigonometric_cost_near_the_gate(self, N, T):
+        # cond(A) is 9.5e6 and 5.1e7 at these orders; the gap is rounding at that scale
+        want = sta_optimum_mp("trigonometric", N, T)
+        assert solve_sta(build_trigonometric(N, T)).cost == pytest.approx(want, rel=2.7e-10)
+
+
 class TestExponentialFamily:
     @pytest.mark.parametrize("k", [0.5, 3.0, 31.6227766, 100.0, 300.0, 650.0])
     def test_cofactors_match_direct_solve(self, k):
