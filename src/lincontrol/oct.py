@@ -11,14 +11,15 @@ lifted to the state chain ``(x_n, z_{n-1}, ..., z_1, z_0)`` where
 * the generic linear-quadratic solver for any order ``n`` and energy
   weight ``lam > 0``, built on the flow matrix
   ``[[A, B U^-1 B^T], [W, -A^T]]``;
-* the first-order optimum for ``0 < lam < 1``, which is the exponential
-  basis family of :mod:`lincontrol.sta` at rate ``k = 1/sqrt(lam)``; its
-  growing term is anchored at ``T``, so it stays valid down to
-  ``lam ~ 1e-12``, and its controls and adjoints are algebraic in ``x``.
+* the first-order optimum at every weight ``lam > 0``, which is the
+  exponential basis family of :mod:`lincontrol.sta` at rate
+  ``k = 1/sqrt(lam)``; both its growing terms are anchored at ``T``, so it
+  stays valid down to ``lam ~ 1e-12`` and at any horizon, and its controls
+  and adjoints are algebraic in ``x``.
 
 :func:`solve_regular` routes every regular problem by one rule: the
-first-order optimum at ``n = 1`` and ``0 < lam < 1``, the generic solver at
-every other order and weight.  All three routes hand their gamma matrices
+first-order optimum at ``n = 1``, the generic solver at every order
+``n >= 2``.  All three routes hand their gamma matrices
 to one packaging, whose trajectory keeps every row (state, controls and
 adjoints) in a single gamma matrix and evaluates only the rows requested.
 
@@ -427,37 +428,39 @@ def solve_regular(lq):
     """Solve the fixed-endpoint LQ problem and package the protocol.
 
     This is the one place that chooses the route of a regular problem.  At
-    first order with ``0 < lam < 1`` the optimum is the exponential family,
-    :func:`regular_order1_analytic`.  Every other order and weight takes the
+    first order the optimum at every weight is the exponential family,
+    :func:`regular_order1_analytic`.  Every order ``n >= 2`` takes the
     two-point mode expansion (see module docstring), whose trajectory
     quantities and cost are exact exponential sums of the flow modes.
     """
     if lq.U <= 0:
         raise LambdaOutOfRange(f"energy weight must be positive, got {lq.U}")
     n = lq.order
-    if n == 1 and lq.U < 1.0:
+    if n == 1:
         return regular_order1_analytic(lq.U, lq.T)
     series = _series_from_modes(PontryaginFlow(lq))
     problem = ControlProblem(T=lq.T, n=n, lam=lq.U)
-    return _chain_solution(problem, "oct-regular" if n == 1 else "oct-higher", *series)
+    return _chain_solution(problem, "oct-higher", *series)
 
 
 def regular_order1_analytic(lam, T=1.0):
     """First-order optimal protocol: the exponential basis family at ``k = 1/sqrt(lam)``.
 
-    For ``0 < lam < 1`` the optimum is ``x = a e^t + b e^-t + c e^{kt} +
-    d e^-kt``, the member of :func:`lincontrol.sta.build_exponential` that
-    meets the four boundary conditions.  Its growing term is anchored at
-    ``T``, so the evaluation stays in range down to ``lam ~ 1e-12`` where
-    the generic matrix route has long overflowed.  Controls and adjoints are
+    At every weight ``lam > 0`` the fast rates ``+-k`` are real, and the
+    optimum is ``x = a e^t + b e^-t + c e^{kt} + d e^-kt``, the member of
+    :func:`lincontrol.sta.build_exponential` that meets the four boundary
+    conditions.  Both growing terms are anchored at ``T``, so the evaluation
+    stays in range down to ``lam ~ 1e-12`` and at any horizon.  Near
+    ``lam = 1`` the fast rates approach the slow ones and the family raises
+    :class:`~lincontrol.sta.DegenerateBasis`.  Controls and adjoints are
     algebraic in ``x``: ``y = x'``, ``z = x + x'``, ``v = x'' + x'``, and the
     flow (``p_y + p_z = lam v``, ``p_y' = p_y + 2y - z``, ``p_z' = z - y``)
     gives ``p_y = lam (x''' + x'') - x'`` and ``p_z = lam v - p_y``.
     """
     from .sta import build_exponential
 
-    if not 0.0 < lam < 1.0:
-        raise LambdaOutOfRange(f"analytic path needs 0 < weight < 1, got {lam}")
+    if not 0.0 < lam < np.inf:
+        raise LambdaOutOfRange(f"energy weight must be finite and positive, got {lam}")
     problem = ControlProblem(T=T, n=1, lam=lam)
     family = build_exponential(1.0 / np.sqrt(lam), T)
     x = family.x
@@ -469,13 +472,13 @@ def regular_order1_analytic(lam, T=1.0):
     state = g * np.array([r, 1.0 + r])  # y, z
     adjoints = g * np.array([py_factors, lam * (r * r + r) - py_factors])  # p_y, p_z
     sol = _chain_solution(problem, "oct-regular", state, adjoints, g * (r * r + r), x.rates, x.shifts)
-    a, b, c_scaled, d = map(float, x.gammas)
+    a, b, _, d = map(float, family.offset)
     sol.coefficients.update(
         rate_fast=family.k,
         x_coef_slow_neg=b,
         x_coef_slow_pos=a,
         x_coef_fast_neg=d,
-        x_coef_fast_pos_anchored=c_scaled,
+        x_coef_fast_pos_anchored=float(x.gammas[2]),
     )
     return sol
 
@@ -536,13 +539,15 @@ class EquivalenceReport:
 def equivalence_sta_regular(lam, T=1.0, points=1001):
     """Compare the exponential-basis protocol with the modal optimal one.
 
-    At rate ``k = 1/sqrt(lam)`` the two trajectories are the same function:
-    the basis coefficients equal the exponential-sum coefficients of the
-    generic modal solver's ``x = z - y`` term by term.  Returns the max
-    pointwise trajectory gap and the relative residual of each coefficient
-    identity.  Both routes anchor ``e^{kt}`` at ``T``, so that identity stays
-    meaningful at large ``k``; the modal route also anchors ``e^t`` there,
-    so its coefficient is multiplied by ``e^-T`` before comparing with ``a``.
+    :func:`solve_regular` answers every first-order problem with the
+    family; the modal solve of the same problem is kept as its reference
+    here and in ``validate``.  At rate ``k = 1/sqrt(lam)`` the two
+    trajectories are the same function: the basis coefficients equal the
+    exponential-sum coefficients of the generic modal solver's ``x = z -
+    y`` term by term.  Returns the max pointwise trajectory gap and the
+    relative residual of each coefficient identity.  Both routes anchor
+    ``e^t`` and ``e^{kt}`` at ``T``, so the gammas compare directly and the
+    identity stays meaningful at large ``k``.
     """
     from .sta import build_exponential
 
@@ -559,7 +564,6 @@ def equivalence_sta_regular(lam, T=1.0, points=1001):
         mode = int(np.argmin(np.abs(rates - rate)))
         sta[name] = float(gamma)
         reg[name] = float(np.real(x[mode]))
-    reg["a"] *= float(np.exp(-T))
     residuals = {
         name: abs(sta[name] - reg[name]) / max(abs(reg[name]), 1e-300)
         for name in ("a", "b", "c", "d")

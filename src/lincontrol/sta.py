@@ -338,13 +338,14 @@ class ExponentialAnsatz(AnsatzFamily):
 
     The four boundary conditions consume all four coefficients, so there is
     no free parameter.  Coefficients come from
-    :func:`exponential_coefficients_by_solve`, whose rescaled boundary
-    system keeps every intermediate bounded for arbitrarily large ``k``; the
-    growing term is stored in anchored form ``c_scaled * e^{k (t - T)}``
-    with ``c_scaled = c e^{kT}``.  The attribute :attr:`x` is that anchored
-    :class:`~lincontrol.expsums.ExpSum`: gammas ``(a, b, c_scaled, d)`` on
-    rates ``(1, -1, k, -k)``; every derivative of ``x`` is a term-wise
-    rescaling of it.
+    :func:`exponential_coefficients_by_solve`, which anchors both growing
+    terms at ``T``, so every intermediate stays bounded for arbitrarily large
+    ``k`` and ``T``.  The attribute :attr:`x` is that anchored
+    :class:`~lincontrol.expsums.ExpSum`: gammas ``(a_T, b, c_T, d)`` on
+    rates ``(1, -1, k, -k)`` with shifts ``(T, 0, T, 0)``, where ``a_T = a
+    e^T`` and ``c_T = c e^{kT}``; every derivative of ``x`` is a term-wise
+    rescaling of it.  :attr:`offset` reports the un-anchored ``(a, b, c,
+    d)``, whose ``a`` and ``c`` underflow to 0 at large ``T`` or ``kT``.
     The family is symmetric under ``k -> -k`` (``c`` and ``d`` swap), so
     ``k`` is normalised to its absolute value.  Evaluation and the cost go
     through that sum and its exact square integrals, not a basis table,
@@ -360,18 +361,12 @@ class ExponentialAnsatz(AnsatzFamily):
         if not math.isfinite(k * k):
             # derivatives scale terms by powers of k; x'' must stay representable
             raise Overflow(f"rate k={k} is too large: k^2 overflows")
-        a, b, c_scaled, d = exponential_coefficients_by_solve(k, T)
+        a_T, b, c_T, d = exponential_coefficients_by_solve(k, T)
         self.k = k
-        self.c_scaled = c_scaled
-        c = c_scaled * np.exp(-k * T) if k * T < 700 else c_scaled * 0.0
         self.T = float(T)
-        self.offset = np.array([a, b, c, d])
+        self.offset = np.array([a_T * math.exp(-T), b, c_T * math.exp(-k * T), d])
         self.free_map = np.zeros((4, 0))
-        self.x = ExpSum(
-            gammas=(a, b, c_scaled, d),
-            rates=(1.0, -1.0, k, -k),
-            shifts=(0.0, 0.0, T, 0.0),
-        )
+        self.x = ExpSum(gammas=(a_T, b, c_T, d), rates=(1.0, -1.0, k, -k), shifts=(T, 0.0, T, 0.0))
 
     @cached_property
     def _stack(self):
@@ -409,31 +404,27 @@ class ExponentialAnsatz(AnsatzFamily):
 
 
 def exponential_coefficients_by_solve(k, T=1.0):
-    """(a, b, c_scaled, d) by a direct linear solve of the boundary system.
+    """(a_T, b, c_T, d) by a direct linear solve of the boundary system.
 
-    The column multiplying ``c`` is rescaled by ``e^{-kT}`` so the system
-    stays representable at large ``k``; the solved unknown is therefore
-    ``c_scaled = c e^{kT}`` directly.
+    The unknowns are the gammas of ``x = a_T e^{t - T} + b e^{-t} + c_T
+    e^{k (t - T)} + d e^{-kt}``: both growing terms are anchored at ``T``, so
+    every entry of the system is ``1``, ``k``, ``e^{-T}`` or ``e^{-kT}`` and
+    stays representable at any ``k`` and ``T``.  The un-anchored
+    coefficients are ``a = a_T e^{-T}`` and ``c = c_T e^{-kT}``.
 
     Near ``k = 1`` the basis is nearly dependent and the coefficients grow
     like ``1 / |k - 1|``.  :class:`DegenerateBasis` is raised once a boundary
     sum cancels terms above ``1e7``, where rounding alone moves it by about
     ``1e-9``; at ``T = 1`` that is ``|k - 1|`` below about ``1.5e-6``.
-    :class:`~lincontrol.numerics.Overflow` is raised when ``e^T`` itself is
-    not representable (``T`` above about 709).
     """
     k = abs(float(k))
-    with np.errstate(over="ignore"):
-        eT = np.exp(T)
-    if not np.isfinite(eT):
-        raise Overflow(f"e^T overflows for horizon T={T}")
-    ekT = np.exp(-k * T)
+    eT, ekT = np.exp(-T), np.exp(-k * T)
     B = np.array(
         [
-            [1.0, 1.0, ekT, 1.0],
-            [eT, np.exp(-T), 1.0, ekT],
-            [1.0, -1.0, k * ekT, -k],
-            [eT, -np.exp(-T), k, -k * ekT],
+            [eT, 1.0, ekT, 1.0],
+            [1.0, eT, 1.0, ekT],
+            [eT, -1.0, k * ekT, -k],
+            [1.0, -eT, k, -k * ekT],
         ]
     )
     try:

@@ -7,10 +7,10 @@ import scipy.linalg
 from lincontrol.expsums import ExpSum, real_values, square_integrals
 from lincontrol.model import ControlProblem, CostBreakdown, ProtocolSolution, Trajectory, adjoint_names, row_names
 from lincontrol.numerics import Overflow, SingularMatrix, integrate, solve_linear
+from lincontrol import oct as octmod
 from lincontrol.oct import (
     PontryaginFlow,
     ShootingSingular,
-    _chain_solution,
     _series_from_modes,
     _x1_row,
     build_lq,
@@ -321,14 +321,15 @@ def chain_solution_per_sum(problem, kind, state_sums, p_sums, v_sum, impulses=()
 def modal_solution(n, lam, T=1.0):
     """The anchored modal solve of :func:`lincontrol.oct.solve_regular`, without its routing.
 
-    At ``n = 1`` and ``0 < lam < 1`` ``solve_regular`` returns the
-    exponential family; this packages the modal solution of the same
-    problem, so that the two first-order routes stay checked against each
-    other.
+    At ``n = 1`` ``solve_regular`` returns the exponential family at every
+    weight; this packages the modal solution of the same problem, so that
+    the two first-order routes stay checked against each other.  The
+    packaging is looked up on the module at each call, so a test that
+    replaces ``lincontrol.oct._chain_solution`` sees this call too.
     """
     lq = build_lq(n, lam, T)
     series = _series_from_modes(PontryaginFlow(lq))
-    return _chain_solution(ControlProblem(T=lq.T, n=n, lam=lq.U), "oct-regular", *series)
+    return octmod._chain_solution(ControlProblem(T=lq.T, n=n, lam=lq.U), "oct-regular", *series)
 
 
 def json_reference(obj, indent=0):

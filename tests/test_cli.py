@@ -26,7 +26,7 @@ from lincontrol.cli import (
 )
 from lincontrol.model import BoundaryReport, BoundaryResidual
 from lincontrol.numerics import NumericsError
-from oracles import json_reference, order1_optimum_mp, order_n_optimum_mp, sta_optimum_mp
+from oracles import json_reference, modal_solution, order1_optimum_mp, order_n_optimum_mp, sta_optimum_mp
 
 COTH1 = 1.0 / np.tanh(1.0)
 
@@ -155,11 +155,12 @@ class TestOctCommand:
     @pytest.mark.parametrize("n", ["1", "3"])
     def test_unit_weight_odd_order_exits_2(self, capsys, n):
         # at weight 1 and odd n a fast rate coincides with each slow rate +-1,
-        # so the modal system is singular; it used to print a wrong cost
+        # so the modal system is singular, and at n = 1 the exponential
+        # family's basis; it used to print a wrong cost
         code, out, err = run_cli(capsys, "oct", "higher", "--n", n, "--lambda", "1")
         assert code == 2
         assert out == ""
-        assert json.loads(err)["error"] == "ShootingSingular"
+        assert json.loads(err)["error"] == ("DegenerateBasis" if n == "1" else "ShootingSingular")
 
     @pytest.mark.parametrize(
         "argv", [("--n", "3", "--lambda", "5"), ("--n", "2"), ("--lambda", "1e-4")], ids=["n3-lam5", "n2", "lam"]
@@ -190,17 +191,20 @@ class TestOctCommand:
         assert doc["error"] == "ValueError"
         assert doc["message"].startswith("horizon must be finite and positive")
 
-    def test_long_horizon_first_order_stderr_is_one_json_error(self):
-        # e^T is not representable at T = 800; a fresh process, so a numpy
-        # overflow warning printed to stderr would show up
+    def test_long_horizon_first_order_prints_no_stderr(self):
+        # e^T is not representable at T = 800, but every growing term is
+        # anchored at T; a fresh process, so a numpy overflow warning printed
+        # to stderr would show up
         src = os.path.dirname(os.path.dirname(os.path.abspath(lincontrol.__file__)))
         proc = subprocess.run(
             [sys.executable, "-m", "lincontrol", "oct", "regular", "--lambda", "1e-4", "--T", "800"],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert json.loads(proc.stderr)["error"] == "Overflow"
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        assert doc["cost"] == pytest.approx(float(order_n_optimum_mp(1, 1e-4, 800.0)), rel=1e-9)
+        assert max(abs(v) for v in doc["boundary_residuals"].values()) <= 1e-8
 
     def test_subnormal_weight_prints_no_warning(self):
         # 1/lambda overflows at a subnormal weight; the solve never forms the
@@ -413,7 +417,7 @@ class TestSweep:
         assert len(doc["rows"]) == 2
 
     def test_sweep_routes_like_oct_regular(self, capsys):
-        # a weight above 1 takes the modal solve, as oct regular --lambda 2 does
+        # a weight above 1 is the exponential family too, as oct regular --lambda 2 is
         rows, _ = sweep_lambda((0.5, 2.0))
         assert rows[1]["cost_regularized"] == pytest.approx(order1_optimum_mp(2.0, 1.0), rel=0, abs=1e-9)
         _, out, _ = run_cli(capsys, "oct", "regular", "--lambda", "2")
@@ -423,7 +427,7 @@ class TestSweep:
         "lam,error",
         [
             ("0.999999", "DegenerateBasis"),
-            ("1", "ShootingSingular"),
+            ("1", "DegenerateBasis"),
             ("nan", "LambdaOutOfRange"),
             ("inf", "LambdaOutOfRange"),
             ("-1", "LambdaOutOfRange"),
@@ -702,7 +706,7 @@ SUMMARY_SOLVERS = {
     "sta-exp": lambda: sta.solve_sta(sta.build_exponential(100.0, 0.3)),
     "oct-singular": lambda: octmod.singular_solution(1.0),
     "oct-regular-analytic": lambda: octmod.regular_order1_analytic(1e-4),
-    "oct-regular-modal": lambda: octmod.solve_regular(octmod.build_lq(1, 2.0)),
+    "oct-regular-modal": lambda: modal_solution(1, 2.0),
     "oct-higher": lambda: octmod.solve_regular(octmod.build_lq(3, 5e-9)),
 }
 

@@ -22,7 +22,7 @@ from lincontrol.sta import (
     build_trigonometric,
     solve_sta,
 )
-from oracles import boundary_values, exponential_cofactors, sta_optimum_mp
+from oracles import boundary_values, exponential_cofactors, order_n_optimum_mp, sta_optimum_mp
 
 FAMILIES = {
     "poly4": lambda: build_polynomial(4),
@@ -194,7 +194,7 @@ class TestExponentialFamily:
     def test_cofactors_match_direct_solve(self, k):
         fam = build_exponential(k)
         a, b, c_scaled, d = exponential_cofactors(k)
-        got = np.array([fam.offset[0], fam.offset[1], fam.c_scaled, fam.offset[3]])
+        got = np.array([fam.offset[0], fam.offset[1], fam.x.gammas[2], fam.offset[3]])
         want = np.array([a, b, c_scaled, d])
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(np.abs(want), 1e-30))
 
@@ -210,12 +210,17 @@ class TestExponentialFamily:
         with pytest.raises(DegenerateBasis):
             build_exponential(k, T)
 
-    def test_long_horizon_raises_overflow_without_warning(self):
-        # e^T leaves the float range; a numpy RuntimeWarning would fail here
+    def test_long_horizon_without_warning(self):
+        # e^T is not representable, but both growing terms are anchored at T,
+        # so no entry overflows; a numpy RuntimeWarning would fail here
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(Overflow, match="T=800"):
-                build_exponential(100.0, 800.0)
+            fam = build_exponential(100.0, 800.0)
+            sol = solve_sta(fam, ControlProblem(T=800.0, n=1, lam=1e-4))
+        # the un-anchored a and c underflow to 0; at weight k^-2 the family is the optimum
+        assert fam.offset[0] == 0.0 and fam.offset[2] == 0.0
+        assert sol.cost == pytest.approx(float(order_n_optimum_mp(1, 1e-4, 800.0)), rel=1e-9)
+        assert verify_boundaries(sol, tol=1e-8).passed
 
     @pytest.mark.parametrize("k", [1e308, -1e308, 1.35e154])
     def test_rate_with_overflowing_square_raises_overflow(self, k):
@@ -225,7 +230,7 @@ class TestExponentialFamily:
 
     def test_large_rate_no_overflow(self):
         fam = build_exponential(1200.0)
-        assert np.isfinite(fam.c_scaled)
+        assert np.all(np.isfinite(fam.x.gammas))
         sol = solve_sta(fam)
         assert np.isfinite(sol.cost)
         assert sol.cost > 1.0
