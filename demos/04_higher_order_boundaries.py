@@ -28,9 +28,9 @@ os.makedirs(OUT, exist_ok=True)
 CASES = ((1, 1e-5), (2, 5e-7), (3, 5e-9))
 
 for n, lam in CASES:
-    lq = build_lq(n, lam)
-    spec = PontryaginFlow(lq).spectrum()
-    sol = solve_regular(lq)
+    problem = build_lq(n, lam)
+    spec = PontryaginFlow(problem).spectrum()
+    sol = solve_regular(problem)
     report = verify_boundaries(sol, tol=1e-6)
 
     print(f"order n={n}, weight lam={lam:.0e}")

@@ -46,7 +46,6 @@ from .numerics import (
 from .oct import (
     EquivalenceReport,
     LambdaOutOfRange,
-    LqProblem,
     PontryaginFlow,
     ShootingSingular,
     ShortHorizon,
@@ -83,7 +82,6 @@ __all__ = [
     "Impulse",
     "InvalidOrder",
     "LambdaOutOfRange",
-    "LqProblem",
     "NoConvergence",
     "NonFiniteSample",
     "NumericsError",

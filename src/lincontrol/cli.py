@@ -32,6 +32,7 @@ from . import __version__
 from .model import (
     BoundaryResidual,
     ControlProblem,
+    InvalidOrder,
     csv_text,
     verify_boundaries,
     write_csv,
@@ -372,7 +373,10 @@ def _cmd_oct(args):
         if args.lam not in (None, 0.0):
             raise ValueError(f"oct singular has weight 0, got --lambda {args.lam}")
         return _emit_solution(singular_solution(args.T), args)
-    # regular and higher differ only in their default weight
+    # regular and higher differ only in their default weight; an order that
+    # does not exist is refused before its default weight is looked up
+    if args.n < 1:
+        raise InvalidOrder(f"derivative order must be an integer >= 1, got {args.n}")
     lam = args.lam
     if lam is None:
         lam = 1e-4 if args.mode == "regular" else HIGHER_DEFAULT_LAMBDA.get(args.n)

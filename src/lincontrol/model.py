@@ -30,12 +30,6 @@ class InvalidOrder(ValueError):
     """Requested basis size or derivative order is below the minimum."""
 
 
-def check_horizon(T):
-    """Raise ``ValueError`` unless the horizon ``T`` is finite and positive."""
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"horizon must be finite and positive, got {T}")
-
-
 @dataclass(frozen=True)
 class ControlProblem:
     """Full problem statement: horizon, boundary order, regularization.
@@ -55,7 +49,8 @@ class ControlProblem:
     lam: float = 0.0
 
     def __post_init__(self):
-        check_horizon(self.T)
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"horizon must be finite and positive, got {self.T}")
         if self.n < 1 or int(self.n) != self.n:
             raise InvalidOrder(f"derivative order must be an integer >= 1, got {self.n}")
         if not (math.isfinite(self.lam) and self.lam >= 0):

@@ -57,7 +57,6 @@ from .model import (
     ProtocolSolution,
     Trajectory,
     adjoint_names,
-    check_horizon,
     row_names,
 )
 from .numerics import ComplexSpectrum, SingularMatrix, eigendecompose, solve_linear
@@ -75,28 +74,6 @@ class ShortHorizon(ValueError):
     """The horizon is too short for the impulsive arc to meet its endpoints in float64."""
 
 
-@dataclass(frozen=True)
-class LqProblem:
-    """Generic fixed-endpoint linear-quadratic data.
-
-    Dynamics ``sdot = A s + B v`` steered from ``x0`` to ``xf`` over
-    ``[0, T]`` while minimising ``int (s^T W s + U v^2) dt``.
-    """
-
-    order: int
-    A: np.ndarray
-    B: np.ndarray
-    W: np.ndarray
-    U: float
-    x0: np.ndarray
-    xf: np.ndarray
-    T: float
-
-    @property
-    def dim(self):
-        return self.A.shape[0]
-
-
 def _x1_row(n):
     """Row vector expressing x' in the chain coordinates.
 
@@ -112,11 +89,12 @@ def _x1_row(n):
 
 @lru_cache(maxsize=64)
 def _chain_structure(n):
-    """Read-only ``(A, B, W, x0, xf)`` of the order-``n`` chain, built once per order.
+    """Read-only ``(A, B, W)`` of the order-``n`` chain, built once per order.
 
-    The state cost matrix is ``W = r0^T r0 + r1^T r1`` with ``r1`` the row
-    realising ``x'`` and ``r0 = e_{z0} - r1``, so that
-    ``s^T W s = (z_0 - x')^2 + x'^2 = x^2 + xdot^2``.
+    The chain obeys ``sdot = A s + B v`` and costs ``int (s^T W s + lam v^2)
+    dt``; it depends on the order alone.  The state cost matrix is ``W =
+    r0^T r0 + r1^T r1`` with ``r1`` the row realising ``x'`` and ``r0 =
+    e_{z0} - r1``, so that ``s^T W s = (z_0 - x')^2 + x'^2 = x^2 + xdot^2``.
     """
     ns = n + 1
     A = np.zeros((ns, ns))
@@ -130,9 +108,7 @@ def _chain_structure(n):
     r0 = -r1.copy()
     r0[ns - 1] += 1.0
     W = np.outer(r0, r0) + np.outer(r1, r1)
-    xf = np.zeros(ns)
-    xf[ns - 1] = 1.0
-    arrays = (A, B, W, np.zeros(ns), xf)
+    arrays = (A, B, W)
     for a in arrays:
         a.setflags(write=False)
     return arrays
@@ -180,31 +156,30 @@ def _mode_tables(n):
 
 
 def build_lq(n, lam, T=1.0):
-    """Assemble the order-``n`` transfer problem as linear-quadratic data.
+    """The order-``n`` transfer problem as a :class:`ControlProblem` with a positive weight.
 
-    The matrices come from a per-order cache of read-only arrays, shared by
-    every problem of that order.  A weight that is not finite and positive
-    raises :class:`LambdaOutOfRange`; a horizon that is not finite and
-    positive raises ``ValueError``, as in :class:`ControlProblem`.
+    An order that is not an integer ``>= 1`` raises :class:`InvalidOrder`, a
+    weight that is not finite and positive raises
+    :class:`LambdaOutOfRange`, and a horizon that is not finite and positive
+    raises ``ValueError`` from :class:`ControlProblem`.
     """
     if n < 1 or int(n) != n:
         raise InvalidOrder(f"derivative order must be an integer >= 1, got {n}")
     if not 0.0 < lam < np.inf:
         raise LambdaOutOfRange(f"energy weight must be finite and positive, got {lam}")
-    check_horizon(T)
-    A, B, W, x0, xf = _chain_structure(int(n))
-    return LqProblem(order=int(n), A=A, B=B, W=W, U=float(lam), x0=x0, xf=xf, T=float(T))
+    return ControlProblem(T=float(T), n=int(n), lam=float(lam))
 
 
 class PontryaginFlow:
-    """The coupled state-adjoint flow ``d/dt (s, p) = H (s, p)``.
+    """The coupled state-adjoint flow ``d/dt (s, p) = H (s, p)`` of a :class:`ControlProblem`.
 
-    ``H = [[A, B U^-1 B^T], [W, -A^T]]``.  Its eigenpairs are known in
-    closed form: eliminating the adjoint gives the Euler-Lagrange operator
-    ``(1 - D^2)(1 + U (-1)^n D^(2n))`` on ``x``, so the rates are ``+-1``
-    and the ``2n`` roots of ``s^(2n) = (-1)^(n+1)/U``, and each eigenvector
-    is read off the mode ``x = e^(st)`` (see :meth:`spectrum`); this holds
-    for the chain problems of :func:`build_lq`.  :meth:`numerical_spectrum`
+    ``H = [[A, B U^-1 B^T], [W, -A^T]]`` with the chain matrices of
+    :func:`_chain_structure` at the problem's order and ``U`` its weight.
+    Its eigenpairs are known in closed form: eliminating the adjoint gives
+    the Euler-Lagrange operator ``(1 - D^2)(1 + U (-1)^n D^(2n))`` on ``x``,
+    so the rates are ``+-1`` and the ``2n`` roots of ``s^(2n) =
+    (-1)^(n+1)/U``, and each eigenvector is read off the mode ``x = e^(st)``
+    (see :meth:`spectrum`).  :meth:`numerical_spectrum`
     runs the eigensolver on the similarity-balanced ``H`` instead and is
     kept as the cross-check.
 
@@ -214,18 +189,19 @@ class PontryaginFlow:
     warning.
     """
 
-    def __init__(self, lq):
-        self.lq = lq
+    def __init__(self, problem):
+        self.problem = problem
 
     @cached_property
     def H(self):
         """The flow matrix ``[[A, B U^-1 B^T], [W, -A^T]]``."""
-        lq, ns = self.lq, self.lq.dim
+        A, B, W = _chain_structure(self.problem.n)
+        ns = self.problem.n + 1
         H = np.zeros((2 * ns, 2 * ns))
-        H[:ns, :ns] = lq.A
-        H[:ns, ns:] = (lq.B @ lq.B.T) / lq.U
-        H[ns:, :ns] = lq.W
-        H[ns:, ns:] = -lq.A.T
+        H[:ns, :ns] = A
+        H[:ns, ns:] = (B @ B.T) / self.problem.lam
+        H[ns:, :ns] = W
+        H[ns:, ns:] = -A.T
         return H
 
     def spectrum(self):
@@ -241,8 +217,8 @@ class PontryaginFlow:
         max-magnitude.  Coincident rates (``U = 1`` at odd ``n``) give
         repeated columns, which the modal solve refuses.
         """
-        lq = self.lq
-        n, ns, U = lq.order, lq.dim, lq.U
+        n, U = self.problem.n, self.problem.lam
+        ns = n + 1
         fast, j, unit, unit_inv, adjoint = _mode_tables(n)
         rho = np.where(fast, U ** (-1.0 / (2 * n)), 1.0)
         w = rho * unit[1]
@@ -265,9 +241,9 @@ class PontryaginFlow:
         while shrinking the matrix norm from ``1/U`` to ``1/sqrt(U)``; the
         eigenvectors are mapped back and scaled to unit max-magnitude.
         """
-        ns = self.lq.dim
+        ns = self.problem.n + 1
         d = np.ones(2 * ns)
-        d[ns:] = np.sqrt(self.lq.U)
+        d[ns:] = np.sqrt(self.problem.lam)
         balanced = (self.H / d[:, None]) * d[None, :]
         spec = eigendecompose(balanced)
         V = spec.eigenvectors * d[:, None]
@@ -285,9 +261,8 @@ def _modal_amplitudes(flow):
     already lost all significant digits.  Small ``|mu| T`` makes the modes
     nearly dependent instead, and the system fails the conditioning gate.
     """
-    lq = flow.lq
-    ns = lq.dim
-    T = lq.T
+    ns = flow.problem.n + 1
+    T = flow.problem.T
     spec = flow.spectrum()
     w = spec.eigenvalues
     V = spec.eigenvectors
@@ -295,7 +270,9 @@ def _modal_amplitudes(flow):
     grow = w.real > 0
     ends = np.exp(np.where(grow, -w, w) * T)
     M = np.vstack([V[:ns] * np.where(grow, ends, 1.0), V[:ns] * np.where(grow, 1.0, ends)])
-    rhs = np.concatenate([lq.x0, lq.xf]).astype(complex)
+    # the chain starts at rest and ends with z_0 = x + x' = 1, every other coordinate 0
+    rhs = np.zeros(2 * ns, dtype=complex)
+    rhs[-1] = 1.0
     try:
         c = solve_linear(M, rhs)
     except SingularMatrix as exc:
@@ -313,9 +290,9 @@ def _series_from_modes(flow):
     uses the exact mode identity ``v_i = mu_i * (z_{n-1} component)`` from
     ``zdot_{n-1} = v``, avoiding the ``(p_a + p_b)/lam`` cancellation.
     """
-    ns = flow.lq.dim
+    ns = flow.problem.n + 1
     w, V, c = _modal_amplitudes(flow)
-    shifts = np.where(w.real > 0, flow.lq.T, 0.0)
+    shifts = np.where(w.real > 0, flow.problem.T, 0.0)
     return c * V[:ns], c * V[ns:], c * w * V[1], w, shifts
 
 
@@ -393,8 +370,6 @@ def singular_solution(T=1.0):
     more than ``SINGULAR_ENDPOINT_TOL`` (horizons of about ``1e-8`` and
     below), it raises :class:`ShortHorizon`.
     """
-    if not T > 0:
-        raise ValueError(f"horizon must be positive, got {T}")
     problem = ControlProblem(T=T, n=1, lam=0.0)
     with np.errstate(over="ignore"):
         # sinh overflows to inf beyond T ~ 710, where 1/sinh(T) correctly rounds
@@ -424,23 +399,22 @@ def singular_solution(T=1.0):
     return sol
 
 
-def solve_regular(lq):
-    """Solve the fixed-endpoint LQ problem and package the protocol.
+def solve_regular(problem):
+    """Solve a :class:`ControlProblem` of positive weight and package the protocol.
 
     This is the one place that chooses the route of a regular problem.  At
     first order the optimum at every weight is the exponential family,
     :func:`regular_order1_analytic`.  Every order ``n >= 2`` takes the
     two-point mode expansion (see module docstring), whose trajectory
-    quantities and cost are exact exponential sums of the flow modes.
+    quantities and cost are exact exponential sums of the flow modes.  A
+    weight of 0, which a :class:`ControlProblem` may carry, raises
+    :class:`LambdaOutOfRange`.
     """
-    if lq.U <= 0:
-        raise LambdaOutOfRange(f"energy weight must be positive, got {lq.U}")
-    n = lq.order
-    if n == 1:
-        return regular_order1_analytic(lq.U, lq.T)
-    series = _series_from_modes(PontryaginFlow(lq))
-    problem = ControlProblem(T=lq.T, n=n, lam=lq.U)
-    return _chain_solution(problem, "oct-higher", *series)
+    if problem.lam <= 0:
+        raise LambdaOutOfRange(f"energy weight must be positive, got {problem.lam}")
+    if problem.n == 1:
+        return regular_order1_analytic(problem.lam, problem.T)
+    return _chain_solution(problem, "oct-higher", *_series_from_modes(PontryaginFlow(problem)))
 
 
 def regular_order1_analytic(lam, T=1.0):
@@ -459,9 +433,7 @@ def regular_order1_analytic(lam, T=1.0):
     """
     from .sta import build_exponential
 
-    if not 0.0 < lam < np.inf:
-        raise LambdaOutOfRange(f"energy weight must be finite and positive, got {lam}")
-    problem = ControlProblem(T=T, n=1, lam=lam)
+    problem = build_lq(1, lam, T)
     family = build_exponential(1.0 / np.sqrt(lam), T)
     x = family.x
     # each quantity is x with every term scaled by a polynomial in its rate
@@ -536,7 +508,7 @@ class EquivalenceReport:
         return max(self.coefficient_residuals.values())
 
 
-def equivalence_sta_regular(lam, T=1.0, points=1001):
+def equivalence_sta_regular(lam):
     """Compare the exponential-basis protocol with the modal optimal one.
 
     :func:`solve_regular` answers every first-order problem with the
@@ -545,19 +517,19 @@ def equivalence_sta_regular(lam, T=1.0, points=1001):
     trajectories are the same function: the basis coefficients equal the
     exponential-sum coefficients of the generic modal solver's ``x = z -
     y`` term by term.  Returns the max pointwise trajectory gap and the
-    relative residual of each coefficient identity.  Both routes anchor
-    ``e^t`` and ``e^{kt}`` at ``T``, so the gammas compare directly and the
-    identity stays meaningful at large ``k``.
+    relative residual of each coefficient identity, on 1001 points of the
+    unit horizon.  Both routes anchor ``e^t`` and ``e^{kt}`` at ``T``, so the
+    gammas compare directly and the identity stays meaningful at large ``k``.
     """
     from .sta import build_exponential
 
     if not 0.0 < lam < 1.0:
         raise LambdaOutOfRange(f"equivalence check needs 0 < weight < 1, got {lam}")
     k = 1.0 / np.sqrt(lam)
-    family = build_exponential(k, T)
-    (y, z), _, _, rates, shifts = _series_from_modes(PontryaginFlow(build_lq(1, lam, T)))
+    family = build_exponential(k, 1.0)
+    (y, z), _, _, rates, shifts = _series_from_modes(PontryaginFlow(build_lq(1, lam)))
     x = (0.0 + z) - y
-    ts = np.linspace(0.0, T, points)
+    ts = np.linspace(0.0, 1.0, 1001)
     gap = float(np.abs(family.x.value(ts) - real_values(SumStack(x[None], rates, shifts), ts)[0]).max())
     sta, reg = {}, {}
     for name, gamma, rate in zip("abcd", family.x.gammas, family.x.rates):

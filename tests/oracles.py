@@ -5,7 +5,7 @@ import numpy as np
 import scipy.linalg
 
 from lincontrol.expsums import ExpSum, real_values, square_integrals
-from lincontrol.model import ControlProblem, CostBreakdown, ProtocolSolution, Trajectory, adjoint_names, row_names
+from lincontrol.model import CostBreakdown, ProtocolSolution, Trajectory, adjoint_names, row_names
 from lincontrol.numerics import Overflow, SingularMatrix, integrate, solve_linear
 from lincontrol import oct as octmod
 from lincontrol.oct import (
@@ -38,18 +38,20 @@ def mat_exp(A, t=1.0):
 def shoot_adjoint_block(flow, horizon=None):
     """Initial adjoint from a linear solve on the propagator's (s, p) block.
 
-    The textbook route: with ``x(0) = x0`` known, the terminal state reads
-    ``x(T) = N_ss(T) x0 + N_sp(T) p(0)``, so ``p(0)`` solves one dense
-    system on the upper-right block of ``N(T) = exp(H T)``.  The block mixes
+    The textbook route: with ``s(0) = 0`` known, the terminal state reads
+    ``s(T) = N_sp(T) p(0)``, so ``p(0)`` solves one dense system on the
+    upper-right block of ``N(T) = exp(H T)`` against the terminal state
+    ``s(T)``, zero but for ``z_0 = x + x' = 1``.  The block mixes
     ``exp(+-|mu| T)`` scales, so it is a sound reference only while ``|mu| T``
     stays below roughly 30 (weights above ``~1e-3`` at first order).
     """
-    lq = flow.lq
-    T = lq.T if horizon is None else float(horizon)
-    ns = lq.dim
+    T = flow.problem.T if horizon is None else float(horizon)
+    ns = flow.problem.n + 1
     N = mat_exp(flow.H, T)
+    target = np.zeros(ns)
+    target[-1] = 1.0
     try:
-        return solve_linear(N[:ns, ns:], lq.xf - N[:ns, :ns] @ lq.x0)
+        return solve_linear(N[:ns, ns:], target)
     except SingularMatrix as exc:
         raise ShootingSingular(f"terminal block: {exc}") from exc
 
@@ -327,9 +329,8 @@ def modal_solution(n, lam, T=1.0):
     packaging is looked up on the module at each call, so a test that
     replaces ``lincontrol.oct._chain_solution`` sees this call too.
     """
-    lq = build_lq(n, lam, T)
-    series = _series_from_modes(PontryaginFlow(lq))
-    return octmod._chain_solution(ControlProblem(T=lq.T, n=n, lam=lq.U), "oct-regular", *series)
+    problem = build_lq(n, lam, T)
+    return octmod._chain_solution(problem, "oct-regular", *_series_from_modes(PontryaginFlow(problem)))
 
 
 def json_reference(obj, indent=0):

@@ -184,12 +184,32 @@ class TestOctCommand:
 
     @pytest.mark.parametrize("T", ["0", "-1", "inf", "nan"])
     def test_bad_horizon_exits_2_with_value_error(self, capsys, T):
-        code, out, err = run_cli(capsys, "oct", "higher", "--n", "2", "--T", T)
+        # ControlProblem's one check answers every solver; oct singular used
+        # to print its own "horizon must be positive" for nan
+        for argv in (("oct", "higher", "--n", "2"), ("oct", "singular"), ("sta", "poly")):
+            code, out, err = run_cli(capsys, *argv, "--T", T)
+            assert code == 2
+            assert out == ""
+            doc = json.loads(err)
+            assert doc["error"] == "ValueError"
+            assert doc["message"] == f"horizon must be finite and positive, got {float(T)}"
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (("--n", "0"), "InvalidOrder"),
+            (("--n", "-1"), "InvalidOrder"),
+            (("--n", "0", "--lambda", "1e-3"), "InvalidOrder"),
+            (("--n", "4"), "LambdaOutOfRange"),
+        ],
+        ids=["n0", "n-1", "n0-lam", "n4"],
+    )
+    def test_higher_refuses_order_before_default_weight(self, capsys, argv, error):
+        # --n 0 without --lambda used to report the missing default weight
+        code, out, err = run_cli(capsys, "oct", "higher", *argv)
         assert code == 2
         assert out == ""
-        doc = json.loads(err)
-        assert doc["error"] == "ValueError"
-        assert doc["message"].startswith("horizon must be finite and positive")
+        assert json.loads(err)["error"] == error
 
     def test_long_horizon_first_order_prints_no_stderr(self):
         # e^T is not representable at T = 800, but every growing term is

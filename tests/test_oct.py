@@ -10,11 +10,10 @@ from scipy.integrate import solve_ivp
 
 from lincontrol import oct as octmod
 from lincontrol.expsums import ExpSum
-from lincontrol.model import InvalidOrder, adjoint_names, cost_functional, sample_table, verify_boundaries
+from lincontrol.model import ControlProblem, InvalidOrder, adjoint_names, cost_functional, sample_table, verify_boundaries
 from lincontrol.numerics import NumericsError, Overflow
 from lincontrol.oct import (
     LambdaOutOfRange,
-    LqProblem,
     PontryaginFlow,
     ShootingSingular,
     ShortHorizon,
@@ -43,36 +42,40 @@ COTH1 = 1.0 / np.tanh(1.0)
 
 class TestBuildLq:
     def test_first_order_matrices(self):
-        lq = build_lq(1, 0.25)
-        assert np.array_equal(lq.A, [[-1.0, 0.0], [0.0, 0.0]])
-        assert np.array_equal(lq.B.ravel(), [1.0, 1.0])
-        assert np.array_equal(lq.W, [[2.0, -1.0], [-1.0, 1.0]])
-        assert lq.U == 0.25
-        assert np.array_equal(lq.xf, [0.0, 1.0])
+        A, B, W = octmod._chain_structure(1)
+        assert np.array_equal(A, [[-1.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(B.ravel(), [1.0, 1.0])
+        assert np.array_equal(W, [[2.0, -1.0], [-1.0, 1.0]])
 
     def test_state_cost_is_positive(self):
         for n in (1, 2, 3):
-            eigs = np.linalg.eigvalsh(build_lq(n, 1e-3).W)
+            eigs = np.linalg.eigvalsh(octmod._chain_structure(n)[2])
             assert eigs.min() >= -1e-12
         # first order: both eigenvalues strictly positive
-        assert np.linalg.eigvalsh(build_lq(1, 1e-3).W).min() > 0
+        assert np.linalg.eigvalsh(octmod._chain_structure(1)[2]).min() > 0
 
     def test_second_order_cost_expansion(self):
         # at (x2, z1, z0) = (0, 1, 1): x' = z1 - x2 = 1, so the state cost
         # is (z0 - x')^2 + x'^2 = 0 + 1
-        lq = build_lq(2, 1e-3)
+        W = octmod._chain_structure(2)[2]
         s = np.array([0.0, 1.0, 1.0])
-        assert s @ lq.W @ s == pytest.approx(1.0, abs=1e-14)
+        assert s @ W @ s == pytest.approx(1.0, abs=1e-14)
 
     def test_chain_structure(self):
-        lq = build_lq(3, 1e-3)
+        A, B, _ = octmod._chain_structure(3)
         # rows: x3' = -x3 + v, z2' = v, z1' = z2, z0' = z1
         expected = np.zeros((4, 4))
         expected[0, 0] = -1.0
         expected[2, 1] = 1.0
         expected[3, 2] = 1.0
-        assert np.array_equal(lq.A, expected)
-        assert np.array_equal(lq.B.ravel(), [1.0, 1.0, 0.0, 0.0])
+        assert np.array_equal(A, expected)
+        assert np.array_equal(B.ravel(), [1.0, 1.0, 0.0, 0.0])
+
+    def test_returns_the_control_problem(self):
+        problem = build_lq(3, 1e-4, 2.0)
+        assert problem == ControlProblem(T=2.0, n=3, lam=1e-4)
+        assert type(problem.n) is int
+        assert type(build_lq(3.0, 1e-4).n) is int
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidOrder):
@@ -82,10 +85,9 @@ class TestBuildLq:
                 build_lq(1, lam)
 
     def test_structure_is_shared_and_read_only(self):
-        a, b = build_lq(3, 1e-4), build_lq(3, 1e-2, 2.0)
-        for name in ("A", "B", "W", "x0", "xf"):
-            assert getattr(a, name) is getattr(b, name)
-            assert not getattr(a, name).flags.writeable
+        for a, b in zip(octmod._chain_structure(3), octmod._chain_structure(3)):
+            assert a is b
+            assert not a.flags.writeable
 
     @pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
     def test_horizon_must_be_finite_and_positive(self, T):
@@ -259,13 +261,12 @@ class TestShootAdjointBlock:
         assert np.abs(p0 - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_singular_block_raises(self):
-        ns = 2
-        lq = LqProblem(
-            order=1, A=np.zeros((ns, ns)), B=np.zeros((ns, 1)),
-            W=np.eye(ns), U=1.0, x0=np.zeros(ns), xf=np.array([0.0, 1.0]), T=1.0,
-        )
+        # a flow with no control block leaves the terminal state blind to p(0)
+        class NoControlFlow(PontryaginFlow):
+            H = np.block([[np.zeros((2, 2)), np.zeros((2, 2))], [np.eye(2), np.zeros((2, 2))]])
+
         with pytest.raises(ShootingSingular):
-            shoot_adjoint_block(PontryaginFlow(lq))
+            shoot_adjoint_block(NoControlFlow(ControlProblem(T=1.0, n=1, lam=1.0)))
 
 
 class TestSingularSolution:
@@ -489,6 +490,18 @@ class TestRouting:
     @pytest.mark.parametrize("lam", [1e-4, 0.5, 2.0, 5.0])
     def test_first_order_is_the_family_at_every_weight(self, lam):
         assert _solution_bits(solve_regular(build_lq(1, lam))) == _solution_bits(regular_order1_analytic(lam))
+
+    @pytest.mark.parametrize("n,lam", [(1, 1e-4), (2, 5e-7), (3, 5e-9), (8, 1e-16)])
+    def test_hand_built_problem_solves_as_build_lq(self, n, lam):
+        # build_lq only validates; the solve reads nothing but the problem record
+        assert _solution_bits(solve_regular(ControlProblem(T=2.0, n=n, lam=lam))) == _solution_bits(
+            solve_regular(build_lq(n, lam, 2.0))
+        )
+
+    def test_zero_weight_problem_is_refused(self):
+        # a ControlProblem may carry weight 0, the impulsive limit, which no regular route solves
+        with pytest.raises(LambdaOutOfRange, match="energy weight must be positive"):
+            solve_regular(ControlProblem(T=1, n=2, lam=0))
 
 
 class TestOrder1Analytic:
