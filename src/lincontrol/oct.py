@@ -19,9 +19,9 @@ lifted to the state chain ``(x_n, z_{n-1}, ..., z_1, z_0)`` where
 
 :func:`solve_regular` routes every regular problem by one rule: the
 first-order optimum at ``n = 1``, the generic solver at every order
-``n >= 2``.  All three routes hand their gamma matrices
-to one packaging, whose trajectory keeps every row (state, controls and
-adjoints) in a single gamma matrix and evaluates only the rows requested.
+``n >= 2``.  All three routes hand one packaging the gamma rows a solution
+prints (state, controls and adjoints), which its trajectory keeps in a
+single gamma matrix.  Only the modal solve has chain coordinates.
 
 The flow's modes are known in closed form: the Euler-Lagrange operator of
 ``int x^2 + xdot^2 + lam (x^(n+1) + x^(n))^2`` is
@@ -79,6 +79,7 @@ def _x1_row(n):
 
     ``x' = z_1 - z_2 + ... + (-1)^n z_{n-1} - (-1)^n x_n`` with the state
     ordered ``(x_n, z_{n-1}, ..., z_0)``; ``z_j`` sits at index ``n - j``.
+    The modal solve telescopes its chain coordinates into ``x``'s rows with it.
     """
     r1 = np.zeros(n + 1)
     for j in range(1, n):
@@ -281,32 +282,44 @@ def _modal_amplitudes(flow):
 
 
 def _series_from_modes(flow):
-    """Gamma matrices of every trajectory quantity on the flow modes.
+    """Gamma rows of every trajectory quantity on the flow modes.
 
-    Returns ``(state, adjoints, control, rates, shifts)``: row ``j`` of
-    ``state`` holds the gammas of chain coordinate ``j``, row ``j`` of
-    ``adjoints`` those of adjoint ``j``, and ``control`` those of ``v``, all
-    on the mode ``rates`` with growing modes shifted to ``T``.  The control
+    Returns ``(rows, rates, shifts)``: one row per name of
+    ``row_names(n, adjoints=True)``, on the mode ``rates`` with growing
+    modes shifted to ``T``.  Only this route has chain coordinates: the
+    amplitudes give the chain ``x_n, z_{n-1} .. z_0`` and the adjoints, and
+    ``x``'s rows are telescoped from them, ``x' = r1 . state`` (see
+    :func:`_x1_row`), ``x^(j+1) = z_j - x^(j)`` and ``x = z_0 - x'``, each
+    started from a complex zero.  The control
     uses the exact mode identity ``v_i = mu_i * (z_{n-1} component)`` from
     ``zdot_{n-1} = v``, avoiding the ``(p_a + p_b)/lam`` cancellation.
     """
-    ns = flow.problem.n + 1
+    n = flow.problem.n
     w, V, c = _modal_amplitudes(flow)
-    shifts = np.where(w.real > 0, flow.problem.T, 0.0)
-    return c * V[:ns], c * V[ns:], c * w * V[1], w, shifts
+    state = c * V[: n + 1]
+    zero = np.zeros(len(w), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x1 = zero
+        for wt, row in zip(_x1_row(n), state):
+            if wt:
+                x1 = x1 + wt * row
+        xs = [(zero + state[n]) - x1, x1]
+        for j in range(1, n):
+            xs.append((zero + state[n - j]) - xs[-1])
+    rows = np.vstack(xs + [state[n:0:-1], c * w * V[1], c * V[n + 1 :]])
+    return rows, w, np.where(w.real > 0, flow.problem.T, 0.0)
 
 
-def _chain_solution(problem, kind, state, adjoints, control, rates, shifts, impulses=(), cost_override=None):
-    """Package chain-coordinate gamma matrices into a :class:`ProtocolSolution`.
+def _package(problem, kind, rows, rates, shifts, impulses=(), cost_override=None, coefficients=None):
+    """Package gamma rows into a :class:`ProtocolSolution`.
 
-    ``state`` has one row per chain coordinate ``x_n, z_{n-1} .. z_0``,
-    ``adjoints`` one per adjoint and ``control`` is the row of ``v``, all on
-    the terms ``rates`` and ``shifts``.  The gammas of ``x' = r1 . state``
-    (see :func:`_x1_row`), ``x^(j+1) = z_j - x^(j)`` and ``x = z_0 - x'``
-    come from the complex state matrix, each row started from a complex
-    zero and taken in chain order.  Every row of the trajectory, adjoints
-    included, is one row of a single gamma matrix, and the evaluator hands
-    :func:`~lincontrol.expsums.real_values` the requested rows only.
+    ``rows`` holds one gamma row per name of ``row_names(n, adjoints=True)``
+    (``x, x' .. x^(n), z_0 .. z_{n-1}, v``, then the adjoints), all on the
+    terms ``rates`` and ``shifts``; they form a single gamma matrix, and the
+    evaluator hands :func:`~lincontrol.expsums.real_values` the requested
+    rows only.  The cost parts are the exact square integrals of ``x``,
+    ``x'`` and ``v``.  The coefficients are the adjoints at ``t = 0``
+    (``p0_*``), then ``coefficients``.
 
     A gamma outside the float range turns the cost or a coefficient into
     NaN or infinity without a warning here, and :class:`ProtocolSolution`
@@ -314,38 +327,25 @@ def _chain_solution(problem, kind, state, adjoints, control, rates, shifts, impu
     """
     n = problem.n
     names = row_names(n, adjoints=True)
+    stack = np.asarray(rows, dtype=complex)
 
     def evaluate(ts, index):
         return real_values(SumStack(stack[index], rates, shifts), ts)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        G = np.asarray(state, dtype=complex)
-        zero = np.zeros(G.shape[1], dtype=complex)
-        x1 = zero
-        for wt, row in zip(_x1_row(n), G):
-            if wt:
-                x1 = x1 + wt * row
-        rows = [(zero + G[n]) - x1, x1]
-        for j in range(1, n):
-            rows.append((zero + G[n - j]) - rows[-1])
-        # the rows of row_names(n, adjoints=True): x, x', .., x^(n), z_0 ..
-        # z_{n-1}, v, then the adjoints
-        stack = np.vstack(rows + [G[n:0:-1], control, np.asarray(adjoints, dtype=complex)])
         state_part, deriv_part, ctrl = square_integrals(
             SumStack(stack[[0, 1, 2 * n + 1]], rates, shifts), problem.T  # x, x', v
         )
-        p0 = evaluate(0.0, list(range(2 * n + 2, len(names)))).tolist()
-    trajectory = Trajectory(T=problem.T, n=n, names=names, evaluate=evaluate)
+        initial = evaluate(0.0, list(range(2 * n + 2, len(names)))).tolist()
     breakdown = CostBreakdown(state_part, deriv_part, problem.lam * ctrl if problem.lam else 0.0)
-    cost = breakdown.total if cost_override is None else cost_override
-    coefficients = {f"p0_{nm}": value for nm, value in zip(adjoint_names(n), p0)}
+    p0 = {f"p0_{nm}": value for nm, value in zip(adjoint_names(n), initial)}
     return ProtocolSolution(
         problem=problem,
         kind=kind,
-        coefficients=coefficients,
-        trajectory=trajectory,
+        coefficients=p0 | (coefficients or {}),
+        trajectory=Trajectory(T=problem.T, n=n, names=names, evaluate=evaluate),
         impulses=tuple(impulses),
-        cost=cost,
+        cost=breakdown.total if cost_override is None else cost_override,
         cost_breakdown=breakdown,
     )
 
@@ -379,16 +379,18 @@ def singular_solution(T=1.0):
         coth = float(1.0 / np.tanh(T))
         grow = float(1.0 / -np.expm1(-2.0 * T))  # e^T / (2 sinh T), overflow-safe
     decay = grow * np.exp(-T)  # = 1/(2 sinh T); this form cancels exactly in x(0)
-    state = np.array([[grow, decay], [2.0 * grow, 0.0]])  # y, z
-    adjoints = np.array([[-grow, -decay], [grow, decay]])  # p_y, p_z
-    sol = _chain_solution(
-        problem, "oct-singular", state, adjoints, state[1], rates=(1.0, -1.0), shifts=(T, 0.0),
+    # x = grow e^(t-T) - decay e^-t and x' = grow e^(t-T) + decay e^-t; the
+    # zero gamma of z = v = 2 grow e^(t-T) is written out, as a rate factor
+    # 1 + r would form inf * 0 once decay overflows
+    xdot, z = [grow, decay], [2.0 * grow, 0.0]
+    rows = [[grow, -decay], xdot, z, z, [-grow, -decay], xdot]  # x, x', z, v, p_y, p_z
+    sol = _package(
+        problem, "oct-singular", rows, rates=(1.0, -1.0), shifts=(T, 0.0),
         impulses=(Impulse(0.0, a1), Impulse(T, -coth)),
         cost_override=coth,
     )
-    # x = grow e^(t-T) - decay e^-t and x' = grow e^(t-T) + decay e^-t; the
-    # gammas grow like 1/(2T), so x(T) - 1 and the kicked x' lose digits at
-    # short horizons (x(0) = 0 holds exactly)
+    # the gammas grow like 1/(2T), so x(T) - 1 and the kicked x' lose digits
+    # at short horizons (x(0) = 0 holds exactly)
     e = np.exp(-T)
     residual = max(abs(grow - decay * e - 1.0), abs(2.0 * decay - a1), abs(grow + decay * e - coth))
     if not residual <= SINGULAR_ENDPOINT_TOL:
@@ -414,7 +416,7 @@ def solve_regular(problem):
         raise LambdaOutOfRange(f"energy weight must be positive, got {problem.lam}")
     if problem.n == 1:
         return regular_order1_analytic(problem.lam, problem.T)
-    return _chain_solution(problem, "oct-higher", *_series_from_modes(PontryaginFlow(problem)))
+    return _package(problem, "oct-higher", *_series_from_modes(PontryaginFlow(problem)))
 
 
 def regular_order1_analytic(lam, T=1.0):
@@ -436,23 +438,17 @@ def regular_order1_analytic(lam, T=1.0):
     problem = build_lq(1, lam, T)
     family = build_exponential(1.0 / np.sqrt(lam), T)
     x = family.x
-    # each quantity is x with every term scaled by a polynomial in its rate
+    # the rows x, x', z, v, p_y, p_z: x with every term scaled by a polynomial in its rate
     g, r = np.array(x.gammas), np.array(x.rates)
     with np.errstate(over="ignore"):
         # r^3 overflows for weights below about 1e-206; the packaged p_y is then refused
         py_factors = lam * (r * r * r + r * r) - r
-    state = g * np.array([r, 1.0 + r])  # y, z
-    adjoints = g * np.array([py_factors, lam * (r * r + r) - py_factors])  # p_y, p_z
-    sol = _chain_solution(problem, "oct-regular", state, adjoints, g * (r * r + r), x.rates, x.shifts)
+    v_factors = r * r + r
+    rows = g * np.array([np.ones_like(r), r, 1.0 + r, v_factors, py_factors, lam * v_factors - py_factors])
     a, b, _, d = map(float, family.offset)
-    sol.coefficients.update(
-        rate_fast=family.k,
-        x_coef_slow_neg=b,
-        x_coef_slow_pos=a,
-        x_coef_fast_neg=d,
-        x_coef_fast_pos_anchored=float(x.gammas[2]),
-    )
-    return sol
+    fit = dict(rate_fast=family.k, x_coef_slow_neg=b, x_coef_slow_pos=a, x_coef_fast_neg=d,
+               x_coef_fast_pos_anchored=float(x.gammas[2]))
+    return _package(problem, "oct-regular", rows, x.rates, x.shifts, coefficients=fit)
 
 
 def fit_exponential_arc(ts, values):
@@ -515,8 +511,8 @@ def equivalence_sta_regular(lam):
     family; the modal solve of the same problem is kept as its reference
     here and in ``validate``.  At rate ``k = 1/sqrt(lam)`` the two
     trajectories are the same function: the basis coefficients equal the
-    exponential-sum coefficients of the generic modal solver's ``x = z -
-    y`` term by term.  Returns the max pointwise trajectory gap and the
+    exponential-sum coefficients of the generic modal solver's ``x`` row
+    term by term.  Returns the max pointwise trajectory gap and the
     relative residual of each coefficient identity, on 1001 points of the
     unit horizon.  Both routes anchor ``e^t`` and ``e^{kt}`` at ``T``, so the
     gammas compare directly and the identity stays meaningful at large ``k``.
@@ -527,8 +523,8 @@ def equivalence_sta_regular(lam):
         raise LambdaOutOfRange(f"equivalence check needs 0 < weight < 1, got {lam}")
     k = 1.0 / np.sqrt(lam)
     family = build_exponential(k, 1.0)
-    (y, z), _, _, rates, shifts = _series_from_modes(PontryaginFlow(build_lq(1, lam)))
-    x = (0.0 + z) - y
+    rows, rates, shifts = _series_from_modes(PontryaginFlow(build_lq(1, lam)))
+    x = rows[0]
     ts = np.linspace(0.0, 1.0, 1001)
     gap = float(np.abs(family.x.value(ts) - real_values(SumStack(x[None], rates, shifts), ts)[0]).max())
     sta, reg = {}, {}

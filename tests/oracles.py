@@ -283,19 +283,15 @@ def real_values_per_term(sums, t):
     return out
 
 
-def chain_solution_per_sum(problem, kind, state_sums, p_sums, v_sum, impulses=(), cost_override=None):
-    """:func:`lincontrol.oct._chain_solution` on one :class:`ExpSum` per row.
+def telescoped_x_rows(n, state):
+    """The gammas of ``x, x' .. x^(n)`` from the chain rows ``x_n, z_{n-1} .. z_0``.
 
-    This is the straightforward form of the optimal-control packaging: every
-    chain coordinate, adjoint and the control is its own sum, the ``x``
-    stack and its derivatives are built sum by sum, and the trajectory
-    evaluates the list of every row's sum and then picks the requested rows,
-    so a request for a few rows is checked against the full stack.  The
-    package must match it bit for bit.
+    This is the straightforward form of the modal solve's telescoping:
+    ``x' = r1 . state`` (see :func:`lincontrol.oct._x1_row`), ``x^(j+1) = z_j
+    - x^(j)`` and ``x = z_0 - x'``, each row started from a complex zero and
+    taken in chain order.  The package must match it bit for bit.
     """
-    n = problem.n
-    rates, shifts = state_sums[0].rates, state_sums[0].shifts
-    G = np.array([s.gammas for s in state_sums], dtype=complex)  # rows x_n, z_{n-1} .. z_0
+    G = np.array(state, dtype=complex)
     zero = np.zeros(G.shape[1], dtype=complex)
     x1 = zero
     for wt, row in zip(_x1_row(n), G):
@@ -304,18 +300,32 @@ def chain_solution_per_sum(problem, kind, state_sums, p_sums, v_sum, impulses=()
     gammas = [(zero + G[n]) - x1, x1]
     for j in range(1, n):
         gammas.append((zero + G[n - j]) - gammas[-1])
-    x_sums = [ExpSum(g, rates, shifts) for g in gammas]  # x, x', .., x^(n)
-    sums = x_sums + [state_sums[n - k] for k in range(n)] + [v_sum] + list(p_sums)
+    return np.array(gammas)
+
+
+def package_per_sum(problem, kind, rows, rates, shifts, impulses=(), cost_override=None, coefficients=None):
+    """:func:`lincontrol.oct._package` on one :class:`ExpSum` per row.
+
+    This is the straightforward form of the optimal-control packaging: every
+    row of ``row_names(n, adjoints=True)`` is its own sum of complex gammas,
+    and the trajectory evaluates the list of every row's sum and then picks
+    the requested rows, so a request for a few rows is checked against the
+    full stack.  The package must match it bit for bit.
+    """
+    n = problem.n
+    terms = tuple(rates), tuple(np.asarray(shifts, dtype=float).tolist())
+    sums = [ExpSum(np.asarray(row, dtype=complex), *terms) for row in rows]
     trajectory = Trajectory(
         T=problem.T, n=n, names=row_names(n, adjoints=True),
         evaluate=lambda ts, index: real_values(sums, ts)[index],
     )
-    state_part, deriv_part, ctrl = square_integrals([x_sums[0], x_sums[1], v_sum], problem.T)
+    state_part, deriv_part, ctrl = square_integrals([sums[0], sums[1], sums[2 * n + 1]], problem.T)
     breakdown = CostBreakdown(state_part, deriv_part, problem.lam * ctrl if problem.lam else 0.0)
     cost = breakdown.total if cost_override is None else cost_override
-    p0 = real_values(p_sums, 0.0).tolist()
+    p0 = real_values(sums[2 * n + 2 :], 0.0).tolist()
     return ProtocolSolution(
-        problem=problem, kind=kind, coefficients={f"p0_{nm}": p for nm, p in zip(adjoint_names(n), p0)},
+        problem=problem, kind=kind,
+        coefficients={**{f"p0_{nm}": p for nm, p in zip(adjoint_names(n), p0)}, **(coefficients or {})},
         trajectory=trajectory, impulses=tuple(impulses), cost=cost, cost_breakdown=breakdown,
     )
 
@@ -327,10 +337,10 @@ def modal_solution(n, lam, T=1.0):
     weight; this packages the modal solution of the same problem, so that
     the two first-order routes stay checked against each other.  The
     packaging is looked up on the module at each call, so a test that
-    replaces ``lincontrol.oct._chain_solution`` sees this call too.
+    replaces ``lincontrol.oct._package`` sees this call too.
     """
     problem = build_lq(n, lam, T)
-    return octmod._chain_solution(problem, "oct-regular", *_series_from_modes(PontryaginFlow(problem)))
+    return octmod._package(problem, "oct-regular", *_series_from_modes(PontryaginFlow(problem)))
 
 
 def json_reference(obj, indent=0):

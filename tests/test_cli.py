@@ -378,6 +378,16 @@ class TestTables:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    @pytest.mark.parametrize("table,rows", [("table1", 6), ("table2", 10)])
+    def test_csv_cells_are_never_nan(self, capsys, table, rows):
+        # a table1 row keeps its targets per check, so its target cell is empty
+        code, out, _ = run_cli(capsys, table, "--format", "csv")
+        lines = out.splitlines()
+        assert (code, lines[0], len(lines)) == (0, "method,order,cost,target,passed", rows + 1)
+        cells = [line.split(",") for line in lines[1:]]
+        assert all(len(row) == 5 and "nan" not in map(str.lower, row) for row in cells)
+        assert all((row[3] == "") == (table == "table1") for row in cells)
+
     def test_costs_recomputable_from_parameters(self):
         # summary self-check: rebuilding each row's solution reproduces its cost
         from lincontrol.cli import _sta_solution

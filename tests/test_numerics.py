@@ -360,7 +360,7 @@ STACKED_SOLVERS = {
 }
 
 
-#: the oct solvers at every order the chain packaging serves
+#: the oct solvers at every order the packaging serves
 OCT_SOLVERS = {
     "singular": STACKED_SOLVERS["singular"],
     "first-order": STACKED_SOLVERS["first-order"],
@@ -371,30 +371,25 @@ OCT_SOLVERS = {
 def packaged(monkeypatch, solve):
     """A solver's solution and the series it hands to the packaging step.
 
-    The packaging takes gamma matrices; each row is returned as its own
-    :class:`ExpSum` (keys ``state``, ``p``, and ``v``), so that the rows can be
-    checked one sum at a time.
+    The packaging takes one gamma row per trajectory row; each is returned
+    as its own :class:`ExpSum`, in the order of the trajectory's names, so
+    that the rows can be checked one sum at a time.
     """
     seen = {}
-    package = octmod._chain_solution
+    package = octmod._package
 
-    def spy(problem, kind, state, adjoints, control, rates, shifts, **kwargs):
+    def spy(problem, kind, rows, rates, shifts, **kwargs):
         terms = tuple(rates), tuple(np.asarray(shifts, dtype=float).tolist())
-        seen.update(
-            state=[ExpSum(row, *terms) for row in state],
-            p=[ExpSum(row, *terms) for row in adjoints],
-            v=ExpSum(control, *terms),
-        )
-        return package(problem, kind, state, adjoints, control, rates, shifts, **kwargs)
+        seen["rows"] = [ExpSum(np.asarray(row), *terms) for row in rows]
+        return package(problem, kind, rows, rates, shifts, **kwargs)
 
-    monkeypatch.setattr(octmod, "_chain_solution", spy)
-    return solve(), seen
+    monkeypatch.setattr(octmod, "_package", spy)
+    return solve(), seen["rows"]
 
 
 def packaged_series(monkeypatch, solve):
     """Every exponential sum a solver hands to the packaging step."""
-    _, seen = packaged(monkeypatch, solve)
-    return [*seen["state"], *seen["p"], seen["v"]]
+    return packaged(monkeypatch, solve)[1]
 
 
 class TestRealValues:
@@ -423,15 +418,13 @@ class TestRealValues:
 
     @pytest.mark.parametrize("solve", OCT_SOLVERS.values(), ids=OCT_SOLVERS.keys())
     def test_trajectory_control_rows_match_each_sum(self, monkeypatch, solve):
-        # the oct x stack carries z_0 .. z_{n-1} and v; each row rounds as its own sum's value
-        sol, seen = packaged(monkeypatch, solve)
+        # every trajectory row, z_0 .. z_{n-1} and v among them, rounds as its own sum's value
+        sol, sums = packaged(monkeypatch, solve)
         n, traj = sol.problem.n, sol.trajectory
-        sums = [seen["state"][n - k] for k in range(n)] + [seen["v"]]
         assert traj.names[n + 1 : 2 * n + 2] == (*(f"z{k}" for k in range(n)), "v")
+        assert len(sums) == len(traj.names)
         for ts in (np.linspace(0.0, sol.problem.T, 101), 0.37):
-            rows = traj(ts, *traj.names[n + 1 : 2 * n + 2])
-            assert len(rows) == n + 1
-            for row, s in zip(rows, sums):
+            for row, s in zip(traj(ts, *traj.names), sums):
                 assert np.asarray(row).tobytes() == np.asarray(s.value(ts)).tobytes()
 
     def test_scalar_value_is_a_float(self):
@@ -461,9 +454,9 @@ def _real_sums(monkeypatch):
 
 
 def _complex_sums(monkeypatch):
-    # order 8: 18 complex rates and 2 x 9 state and adjoint rows
-    _, seen = packaged(monkeypatch, OCT_SOLVERS["n8"])
-    return [*seen["state"], *seen["p"]]
+    # order 8: 18 complex rates, the 9 rows x .. x^(8) and the 9 adjoint rows
+    _, sums = packaged(monkeypatch, OCT_SOLVERS["n8"])
+    return sums[:9] + sums[18:]
 
 
 #: stacks of sums sharing rates and shifts: real and complex, one row and many

@@ -10,7 +10,9 @@ from scipy.integrate import solve_ivp
 
 from lincontrol import oct as octmod
 from lincontrol.expsums import ExpSum
-from lincontrol.model import ControlProblem, InvalidOrder, adjoint_names, cost_functional, sample_table, verify_boundaries
+from lincontrol.model import (
+    ControlProblem, InvalidOrder, adjoint_names, cost_functional, row_names, sample_table, verify_boundaries,
+)
 from lincontrol.numerics import NumericsError, Overflow
 from lincontrol.oct import (
     LambdaOutOfRange,
@@ -25,16 +27,17 @@ from lincontrol.oct import (
     singular_solution,
     solve_regular,
 )
-from lincontrol.sta import DegenerateBasis, build_exponential
+from lincontrol.sta import DegenerateBasis, build_exponential, solve_sta
 from oracles import (
-    chain_solution_per_sum,
     eigen_residual_bounds,
     eigen_residuals,
     mat_exp,
     modal_solution,
     order1_optimum_mp,
     order_n_optimum_mp,
+    package_per_sum,
     shoot_adjoint_block,
+    telescoped_x_rows,
 )
 
 COTH1 = 1.0 / np.tanh(1.0)
@@ -406,13 +409,13 @@ class TestSolveRegular:
     def test_initial_adjoints_bitwise_per_sum(self, monkeypatch, n):
         # p0_* come from one stacked evaluation; each must round as its own sum's value(0)
         seen = []
-        package = octmod._chain_solution
+        package = octmod._package
 
-        def spy(problem, kind, state, adjoints, control, rates, shifts, **kwargs):
-            seen.append([ExpSum(row, tuple(rates), tuple(shifts)) for row in adjoints])
-            return package(problem, kind, state, adjoints, control, rates, shifts, **kwargs)
+        def spy(problem, kind, rows, rates, shifts, **kwargs):
+            seen.append([ExpSum(row, tuple(rates), tuple(shifts)) for row in rows[2 * n + 2 :]])
+            return package(problem, kind, rows, rates, shifts, **kwargs)
 
-        monkeypatch.setattr(octmod, "_chain_solution", spy)
+        monkeypatch.setattr(octmod, "_package", spy)
         sol = solve_regular(build_lq(n, 10.0 ** (-2 * n)))
         (p_sums,) = seen
         got = [sol.coefficients[f"p0_{name}"] for name in adjoint_names(n)]
@@ -727,7 +730,7 @@ class TestEquivalence:
             equivalence_sta_regular(1.5)
 
 
-#: every solver that hands gamma matrices to the chain packaging
+#: every solver that hands gamma rows to the packaging
 PACKAGED_SOLVERS = {
     "singular": lambda: singular_solution(1.0),
     "first-order": lambda: regular_order1_analytic(1e-4),
@@ -743,24 +746,18 @@ def _bits(values):
 
 
 class TestPackagingBitwise:
-    """The gamma-matrix packaging against one exponential sum per row, byte for byte."""
+    """The gamma-row packaging against one exponential sum per row, byte for byte."""
 
     @staticmethod
     def packaged_with_reference(monkeypatch, solve):
         refs = []
-        package = octmod._chain_solution
+        package = octmod._package
 
-        def spy(problem, kind, state, adjoints, control, rates, shifts, impulses=(), cost_override=None):
-            terms = tuple(rates), tuple(np.asarray(shifts, dtype=float).tolist())
-            refs.append(chain_solution_per_sum(
-                problem, kind, [ExpSum(row, *terms) for row in state],
-                [ExpSum(row, *terms) for row in adjoints], ExpSum(control, *terms),
-                impulses=impulses, cost_override=cost_override,
-            ))
-            return package(problem, kind, state, adjoints, control, rates, shifts,
-                           impulses=impulses, cost_override=cost_override)
+        def spy(problem, kind, rows, rates, shifts, **kwargs):
+            refs.append(package_per_sum(problem, kind, rows, rates, shifts, **kwargs))
+            return package(problem, kind, rows, rates, shifts, **kwargs)
 
-        monkeypatch.setattr(octmod, "_chain_solution", spy)
+        monkeypatch.setattr(octmod, "_package", spy)
         sol = solve()
         (ref,) = refs
         return sol, ref
@@ -768,8 +765,8 @@ class TestPackagingBitwise:
     @pytest.mark.parametrize("solve", PACKAGED_SOLVERS.values(), ids=PACKAGED_SOLVERS.keys())
     def test_coefficients_and_costs(self, monkeypatch, solve):
         sol, ref = self.packaged_with_reference(monkeypatch, solve)
-        # the first-order path adds its exponential coefficients after packaging
-        assert _bits([sol.coefficients[k] for k in ref.coefficients]) == _bits(list(ref.coefficients.values()))
+        assert list(sol.coefficients) == list(ref.coefficients)
+        assert _bits(list(sol.coefficients.values())) == _bits(list(ref.coefficients.values()))
         assert _bits([sol.cost, *sol.cost_breakdown.as_dict().values()]) == _bits(
             [ref.cost, *ref.cost_breakdown.as_dict().values()]
         )
@@ -799,29 +796,46 @@ class TestPackagingBitwise:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_modal_matrices_match_per_row_products(self, n):
         flow = PontryaginFlow(build_lq(n, 10.0 ** (-2 * n)))
-        state, adjoints, control, rates, shifts = octmod._series_from_modes(flow)
+        rows, rates, shifts = octmod._series_from_modes(flow)
         w, V, c = octmod._modal_amplitudes(flow)
-        assert state.tobytes() == np.array([c * V[j] for j in range(n + 1)]).tobytes()
-        assert adjoints.tobytes() == np.array([c * V[n + 1 + j] for j in range(n + 1)]).tobytes()
-        assert control.tobytes() == (c * w * V[1]).tobytes()
+        state = np.array([c * V[j] for j in range(n + 1)])  # x_n, z_{n-1} .. z_0
+        assert rows.shape == (len(row_names(n, adjoints=True)), len(w))
+        assert rows[: n + 1].tobytes() == telescoped_x_rows(n, state).tobytes()  # x .. x^(n)
+        assert rows[n + 1 : 2 * n + 1].tobytes() == state[n:0:-1].tobytes()  # z_0 .. z_{n-1}
+        assert rows[2 * n + 1].tobytes() == (c * w * V[1]).tobytes()  # v
+        assert rows[2 * n + 2 :].tobytes() == np.array([c * V[n + 1 + j] for j in range(n + 1)]).tobytes()
         assert rates.tobytes() == w.tobytes()
         assert shifts.tolist() == [1.0 if r.real > 0 else 0.0 for r in w]
 
     def test_first_order_matrices_match_term_wise_products(self, monkeypatch):
         lam = 1e-4
         seen = []
-        package = octmod._chain_solution
+        package = octmod._package
 
-        def spy(problem, kind, state, adjoints, control, rates, shifts, **kwargs):
-            seen.append((state, adjoints, control))
-            return package(problem, kind, state, adjoints, control, rates, shifts, **kwargs)
+        def spy(problem, kind, rows, rates, shifts, **kwargs):
+            seen.append(rows)
+            return package(problem, kind, rows, rates, shifts, **kwargs)
 
-        monkeypatch.setattr(octmod, "_chain_solution", spy)
+        monkeypatch.setattr(octmod, "_package", spy)
         regular_order1_analytic(lam)
         x = build_exponential(1.0 / np.sqrt(lam)).x
         r = np.array(x.rates)
         py = lam * (r * r * r + r * r) - r
-        factors = [r, 1.0 + r, py, lam * (r * r + r) - py, r * r + r]
+        # x, x', z, v, p_y, p_z: x's own gammas, then term-wise rate polynomials
+        factors = [np.ones(4), r, 1.0 + r, r * r + r, py, lam * (r * r + r) - py]
         want = [[g * f for g, f in zip(x.gammas, row)] for row in factors]
-        ((state, adjoints, control),) = seen
-        assert _bits([*state, *adjoints, control]) == _bits(want)
+        (rows,) = seen
+        assert _bits(rows) == _bits(want)
+
+    @pytest.mark.parametrize("lam,T", [(1e-4, 1.0), (1e-2, 0.3), (2.0, 1.0), (1e-12, 5.0), (0.5, 800.0)])
+    def test_first_order_x_rows_match_exponential_family(self, lam, T):
+        # the first-order optimum is the exponential family: its x and x' rows
+        # carry the family's own gammas, so both solutions print the same bits
+        sol = regular_order1_analytic(lam, T)
+        family = solve_sta(build_exponential(1.0 / np.sqrt(lam), T), ControlProblem(T, 1, lam))
+        ts = np.linspace(0.0, T, 1001)
+        for t in (ts, 0.37 * T, np.array([0.0, T])):
+            assert sol.trajectory(t, "x", "xdot").tobytes() == family.trajectory(t, "x", "xdot").tobytes()
+        got = [sol.cost, *sol.cost_breakdown.as_dict().values()]
+        want = [family.cost, *family.cost_breakdown.as_dict().values()]
+        assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))
