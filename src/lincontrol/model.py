@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -65,18 +66,30 @@ class Impulse:
     area: float
 
 
+@lru_cache(maxsize=64)
 def adjoint_names(n):
-    """Names of the adjoint columns at boundary order ``n``, in chain order."""
+    """Names of the adjoint columns at boundary order ``n``, in chain order.
+
+    The tuple is built once per order and shared by every caller.
+    """
     if n == 1:
-        return ["py", "pz"]
-    return [f"px{n}"] + [f"pz{k}" for k in range(n - 1, -1, -1)]
+        return ("py", "pz")
+    return (f"px{n}",) + tuple(f"pz{k}" for k in range(n - 1, -1, -1))
 
 
 def row_names(n, adjoints=False):
     """The rows of an order-``n`` trajectory: ``x, x^(1) .. x^(n), z0 .. z{n-1}, v``,
-    then the :func:`adjoint_names` when ``adjoints`` is true."""
-    names = ["x"] + [f"x^({j})" for j in range(1, n + 1)] + [f"z{k}" for k in range(n)] + ["v"]
-    return tuple(names + (adjoint_names(n) if adjoints else []))
+    then the :func:`adjoint_names` when ``adjoints`` is true.
+
+    Both tuples are built once per order and shared by every caller.
+    """
+    return _row_tables(n)[bool(adjoints)]
+
+
+@lru_cache(maxsize=64)
+def _row_tables(n):
+    names = ("x",) + tuple(f"x^({j})" for j in range(1, n + 1)) + tuple(f"z{k}" for k in range(n)) + ("v",)
+    return names, names + adjoint_names(n)
 
 
 #: other names of trajectory rows: ``xdot`` and ``y`` are ``x'``, and ``u`` is ``z0``
@@ -97,12 +110,23 @@ class Trajectory:
     the rows it reads.  Calling the trajectory, ``traj(ts, *names)``, does
     that by name, :data:`ALIASES` included; :meth:`table` evaluates every
     row on a whole grid in one call.
+
+    :attr:`ends` is every row at ``t = 0`` and ``t = T``, evaluated on first
+    use and kept on the record, so the boundary report and the packaging's
+    initial adjoints share one evaluation.
     """
 
     T: float
     n: int
     names: tuple
     evaluate: Callable
+
+    @cached_property
+    def ends(self):
+        """Every row at ``t = 0`` and ``t = T``, a read-only ``(rows, 2)`` array."""
+        values = self.evaluate(np.array([0.0, self.T]), list(range(len(self.names))))
+        values.setflags(write=False)
+        return values
 
     def __call__(self, ts, *names):
         """The rows ``names`` at the times ``ts``, from one evaluation."""
@@ -259,16 +283,16 @@ class BoundaryResidual(NumericsError):
 def verify_boundaries(sol, tol=1e-8):
     """Residuals of ``x`` and its first ``n`` derivatives at both endpoints.
 
-    Derivatives are the trajectory's analytic rows ``x^(1) .. x^(n)``.  For
+    Derivatives are the trajectory's analytic rows ``x^(1) .. x^(n)``, read
+    from its end table :attr:`Trajectory.ends`, so a solution whose table is
+    already built costs no evaluation here.  For
     impulsive solutions the first-derivative conditions hold across the
     bangs: the kick area is removed from the arc value before comparing,
     since a bang of area ``A`` shifts ``xdot`` by ``A`` instantaneously.
     """
     n = sol.problem.n
     T = sol.problem.T
-    traj = sol.trajectory
-    ends = np.array([0.0, T])
-    (x0, xT), *derivs = traj(ends, *traj.names[: n + 1]).tolist()
+    (x0, xT), *derivs = sol.trajectory.ends[: n + 1].tolist()
     jump0 = sum(i.area for i in sol.impulses if i.time == 0.0)
     jumpT = sum(i.area for i in sol.impulses if i.time == T)
     residuals = {

@@ -74,8 +74,9 @@ class ShortHorizon(ValueError):
     """The horizon is too short for the impulsive arc to meet its endpoints in float64."""
 
 
+@lru_cache(maxsize=64)
 def _x1_row(n):
-    """Row vector expressing x' in the chain coordinates.
+    """Read-only row vector expressing x' in the chain coordinates, built once per order.
 
     ``x' = z_1 - z_2 + ... + (-1)^n z_{n-1} - (-1)^n x_n`` with the state
     ordered ``(x_n, z_{n-1}, ..., z_0)``; ``z_j`` sits at index ``n - j``.
@@ -85,7 +86,22 @@ def _x1_row(n):
     for j in range(1, n):
         r1[n - j] = (-1.0) ** (j + 1)
     r1[0] += (-1.0) ** (n + 1)
+    r1.setflags(write=False)
     return r1
+
+
+@lru_cache(maxsize=64)
+def _x1_terms(n):
+    """Read-only ``(index, weights)`` of the nonzero entries of :func:`_x1_row`, in chain order.
+
+    ``weights`` is a column, ready to scale the state rows at ``index``.
+    """
+    r1 = _x1_row(n)
+    index = np.flatnonzero(r1)
+    weights = r1[index, None]
+    for a in (index, weights):
+        a.setflags(write=False)
+    return index, weights
 
 
 @lru_cache(maxsize=64)
@@ -289,24 +305,34 @@ def _series_from_modes(flow):
     modes shifted to ``T``.  Only this route has chain coordinates: the
     amplitudes give the chain ``x_n, z_{n-1} .. z_0`` and the adjoints, and
     ``x``'s rows are telescoped from them, ``x' = r1 . state`` (see
-    :func:`_x1_row`), ``x^(j+1) = z_j - x^(j)`` and ``x = z_0 - x'``, each
-    started from a complex zero.  The control
+    :func:`_x1_row`), ``x^(j+1) = z_j - x^(j)`` and ``x = z_0 - x'``.  The
+    rows are written into one preallocated ``(3n + 3, modes)`` array: ``x'``
+    is one running sum from a complex zero over the weighted chain rows, in
+    chain order, and each ``z_j`` enters its difference as ``z_j + 0.0``,
+    which are the operations, in the same order, of adding each term to a
+    complex zero.  The recurrence keeps its subtractions: a product with
+    ``-1`` would turn an infinite gamma into NaN, and a negation can leave
+    ``-0.0``.  The control
     uses the exact mode identity ``v_i = mu_i * (z_{n-1} component)`` from
     ``zdot_{n-1} = v``, avoiding the ``(p_a + p_b)/lam`` cancellation.
     """
     n = flow.problem.n
     w, V, c = _modal_amplitudes(flow)
     state = c * V[: n + 1]
-    zero = np.zeros(len(w), dtype=complex)
+    index, weights = _x1_terms(n)
+    rows = np.empty((3 * n + 3, len(w)), dtype=complex)
+    terms = np.zeros((len(index) + 1, len(w)), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        x1 = zero
-        for wt, row in zip(_x1_row(n), state):
-            if wt:
-                x1 = x1 + wt * row
-        xs = [(zero + state[n]) - x1, x1]
+        np.multiply(weights, state[index], out=terms[1:])
+        rows[1] = np.add.accumulate(terms)[-1]
+        chain = state[n:0:-1]  # z_0 .. z_{n-1}
+        rows[n + 1 : 2 * n + 1] = chain
+        z = chain + 0.0
+        np.subtract(z[0], rows[1], out=rows[0])
         for j in range(1, n):
-            xs.append((zero + state[n - j]) - xs[-1])
-    rows = np.vstack(xs + [state[n:0:-1], c * w * V[1], c * V[n + 1 :]])
+            np.subtract(z[j], rows[j], out=rows[j + 1])
+    np.multiply(c * w, V[1], out=rows[2 * n + 1])
+    np.multiply(c, V[n + 1 :], out=rows[2 * n + 2 :])
     return rows, w, np.where(w.real > 0, flow.problem.T, 0.0)
 
 
@@ -319,7 +345,9 @@ def _package(problem, kind, rows, rates, shifts, impulses=(), cost_override=None
     evaluator hands :func:`~lincontrol.expsums.real_values` the requested
     rows only.  The cost parts are the exact square integrals of ``x``,
     ``x'`` and ``v``.  The coefficients are the adjoints at ``t = 0``
-    (``p0_*``), then ``coefficients``.
+    (``p0_*``), then ``coefficients``; the adjoints are read from the
+    trajectory's end table :attr:`~lincontrol.model.Trajectory.ends`, which
+    is built here once and kept for the boundary report.
 
     A gamma outside the float range turns the cost or a coefficient into
     NaN or infinity without a warning here, and :class:`ProtocolSolution`
@@ -332,18 +360,19 @@ def _package(problem, kind, rows, rates, shifts, impulses=(), cost_override=None
     def evaluate(ts, index):
         return real_values(SumStack(stack[index], rates, shifts), ts)
 
+    trajectory = Trajectory(T=problem.T, n=n, names=names, evaluate=evaluate)
     with np.errstate(over="ignore", invalid="ignore"):
         state_part, deriv_part, ctrl = square_integrals(
             SumStack(stack[[0, 1, 2 * n + 1]], rates, shifts), problem.T  # x, x', v
         )
-        initial = evaluate(0.0, list(range(2 * n + 2, len(names)))).tolist()
+        initial = trajectory.ends[2 * n + 2 :, 0].tolist()
     breakdown = CostBreakdown(state_part, deriv_part, problem.lam * ctrl if problem.lam else 0.0)
     p0 = {f"p0_{nm}": value for nm, value in zip(adjoint_names(n), initial)}
     return ProtocolSolution(
         problem=problem,
         kind=kind,
         coefficients=p0 | (coefficients or {}),
-        trajectory=Trajectory(T=problem.T, n=n, names=names, evaluate=evaluate),
+        trajectory=trajectory,
         impulses=tuple(impulses),
         cost=breakdown.total if cost_override is None else cost_override,
         cost_breakdown=breakdown,

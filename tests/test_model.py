@@ -323,6 +323,10 @@ TABLE_KINDS = {
 }
 
 
+#: the entries of :data:`TABLE_KINDS` that the optimal-control packaging builds
+OCT_TABLE_KINDS = ["singular", "first-order-1e-4", "n2", "n3-5e-9"]
+
+
 class TestTable:
     def test_oct_table_evaluates_each_exponential_once(self, monkeypatch):
         # every row, adjoints included, comes from one real_values call
@@ -358,6 +362,41 @@ class TestTable:
                 assert abs(cols[name][i] - value) <= 1e-12 * scale
 
 
+class TestEndTable:
+    @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
+    def test_ends_are_a_fresh_evaluation_of_every_row(self, make):
+        traj = make().trajectory
+        fresh = dataclasses.replace(traj)
+        want = fresh.evaluate(np.array([0.0, traj.T]), list(range(len(traj.names))))
+        assert traj.ends.shape == (len(traj.names), 2)
+        assert traj.ends.tobytes() == want.tobytes()
+        assert fresh.ends.tobytes() == want.tobytes()
+        assert not traj.ends.flags.writeable
+
+    @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
+    def test_ends_are_the_grid_end_columns(self, make):
+        traj = make().trajectory
+        grid = traj(traj.grid(3), *traj.names)
+        assert traj.ends.tobytes() == np.ascontiguousarray(grid[:, [0, -1]]).tobytes()
+
+    @pytest.mark.parametrize("make", [TABLE_KINDS[k] for k in OCT_TABLE_KINDS], ids=OCT_TABLE_KINDS)
+    def test_boundary_report_of_a_packaged_solution_evaluates_nothing(self, monkeypatch, make):
+        calls = []
+
+        def spy(sums, t):
+            calls.append(np.shape(t))
+            return expsums.real_values(sums, t)
+
+        monkeypatch.setattr(octmod, "real_values", spy)
+        sol = make()
+        assert calls == [(2,)]  # the packaging's end table
+        calls.clear()
+        report = verify_boundaries(sol)
+        assert calls == []
+        fresh = dataclasses.replace(sol, trajectory=dataclasses.replace(sol.trajectory))
+        assert verify_boundaries(fresh).residuals == report.residuals
+
+
 def spied(sol):
     """``sol`` with an evaluator that records the times' shape and the row names of every call."""
     calls = []
@@ -389,10 +428,13 @@ class TestRowContract:
 
     @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
     def test_verify_boundaries_reads_the_derivatives_at_two_times(self, make):
+        # through the end table: every row at t = 0 and T in one call, on first use only
         sol, calls = spied(make())
+        names = list(sol.trajectory.names)
         verify_boundaries(sol)
-        n = sol.problem.n
-        assert calls == [((2,), ["x"] + [f"x^({j})" for j in range(1, n + 1)])]
+        assert calls == [((2,), names)]
+        verify_boundaries(sol)
+        assert calls == [((2,), names)]
 
     @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
     @pytest.mark.parametrize("lam, rows", [(0.0, ["x", "x^(1)"]), (0.5, ["x", "x^(1)", "v"])])

@@ -92,6 +92,23 @@ class TestBuildLq:
             assert a is b
             assert not a.flags.writeable
 
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_name_tables_are_shared_and_read_only(self, n):
+        for adjoints in (False, True):
+            names = row_names(n, adjoints)
+            assert type(names) is tuple
+            assert row_names(n, adjoints=adjoints) is names
+        assert type(adjoint_names(n)) is tuple
+        assert adjoint_names(n) is adjoint_names(n)
+        assert row_names(n, True)[-(n + 1) :] == adjoint_names(n)
+        for a, b in zip((octmod._x1_row(n), *octmod._x1_terms(n)), (octmod._x1_row(n), *octmod._x1_terms(n))):
+            assert a is b
+            assert not a.flags.writeable
+        index, weights = octmod._x1_terms(n)
+        r1 = octmod._x1_row(n)
+        assert index.tolist() == [i for i, wt in enumerate(r1) if wt]
+        assert weights.ravel().tobytes() == r1[index].tobytes()
+
     @pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
     def test_horizon_must_be_finite_and_positive(self, T):
         # refused before the eigen-solve, with ControlProblem's error and message
@@ -806,6 +823,23 @@ class TestPackagingBitwise:
         assert rows[2 * n + 2 :].tobytes() == np.array([c * V[n + 1 + j] for j in range(n + 1)]).tobytes()
         assert rates.tobytes() == w.tobytes()
         assert shifts.tolist() == [1.0 if r.real > 0 else 0.0 for r in w]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_telescoped_x_rows_match_the_loop_reference(self, n):
+        solved = 0
+        for lam in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 2.0):
+            for T in (0.1, 0.5, 1.0, 3.0, 10.0, 50.0):
+                flow = PontryaginFlow(build_lq(n, lam, T))
+                try:
+                    rows, _, _ = octmod._series_from_modes(flow)
+                except ShootingSingular:
+                    continue
+                w, V, c = octmod._modal_amplitudes(flow)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = telescoped_x_rows(n, c * V[: n + 1])
+                assert rows[: n + 1].tobytes() == want.tobytes(), (lam, T)
+                solved += 1
+        assert solved >= 22  # 42 requests solve at n = 2 and 3, 22 at n = 8; the rest are refused
 
     def test_first_order_matrices_match_term_wise_products(self, monkeypatch):
         lam = 1e-4
