@@ -38,13 +38,6 @@ class ExpSum:
         if not len(self.gammas) == len(self.rates) == len(self.shifts):
             raise ValueError("gammas, rates, shifts must have equal length")
 
-    def derivative(self, order=1):
-        """Term-by-term derivative of the given order."""
-        g = tuple(
-            gamma * rate**order for gamma, rate in zip(self.gammas, self.rates)
-        )
-        return ExpSum(g, self.rates, self.shifts)
-
     def value(self, t):
         """Real part at scalar ``t`` (a float) or array ``t`` (an array)."""
         v = real_values([self], t)[0]

@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from .expsums import SumStack, real_values, square_integrals
 from .numerics import NumericsError, Overflow, integrate
 
 
@@ -129,8 +130,13 @@ class Trajectory:
         return values
 
     def __call__(self, ts, *names):
-        """The rows ``names`` at the times ``ts``, from one evaluation."""
-        index = [self.names.index(ALIASES.get(name, name)) for name in names]
+        """The rows ``names`` at the times ``ts``, from one evaluation; ``ValueError`` names an unknown one."""
+        try:
+            index = [self.names.index(ALIASES.get(name, name)) for name in names]
+        except ValueError:
+            name = next(name for name in names if ALIASES.get(name, name) not in self.names)
+            known = ", ".join((*self.names, *ALIASES))
+            raise ValueError(f"no row {name!r}; the rows and aliases are {known}") from None
         return self.evaluate(np.asarray(ts, dtype=float), index)
 
     def csv_columns(self):
@@ -211,6 +217,58 @@ class ProtocolSolution:
         for name, value in {**named, **self.coefficients}.items():
             if not math.isfinite(value):
                 raise Overflow(f"{self.kind} solution has a non-finite {name}: {value}")
+
+
+def exact_cost(problem, rows, rates, shifts):
+    """The :class:`CostBreakdown` of gamma rows in :func:`row_names` order, adjoints optional.
+
+    The parts are the exact square integrals of the rows ``x``, ``x'`` and
+    ``v`` on the terms ``rates`` and ``shifts``, with complex gammas.
+    """
+    n = problem.n
+    stack = np.asarray(rows, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state, deriv, ctrl = square_integrals(SumStack(stack[[0, 1, 2 * n + 1]], rates, shifts), problem.T)
+    return CostBreakdown(state, deriv, problem.lam * ctrl if problem.lam else 0.0)
+
+
+def package_rows(problem, kind, rows, rates, shifts, impulses=(), cost_override=None, coefficients=None):
+    """Package gamma rows into a :class:`ProtocolSolution`.
+
+    ``rows`` holds one gamma row per name of ``row_names(n)`` or, when there
+    are more rows, of ``row_names(n, adjoints=True)``, all on the terms
+    ``rates`` and ``shifts``.  They form a single gamma matrix, and the
+    evaluator hands :func:`~lincontrol.expsums.real_values` the requested
+    rows only.  The cost is :func:`exact_cost`.  The coefficients are the
+    adjoints at ``t = 0`` (``p0_*``), if any, then ``coefficients``; the
+    adjoints are read from :attr:`Trajectory.ends`, which is then built here
+    once and kept for the boundary report.
+
+    A gamma outside the float range turns the cost or a coefficient into
+    NaN or infinity without a warning here, and :class:`ProtocolSolution`
+    refuses it with :class:`~lincontrol.numerics.Overflow`.
+    """
+    n = problem.n
+    stack = np.asarray(rows, dtype=complex)
+    adjoints = len(stack) > len(row_names(n))
+
+    def evaluate(ts, index):
+        return real_values(SumStack(stack[index], rates, shifts), ts)
+
+    trajectory = Trajectory(T=problem.T, n=n, names=row_names(n, adjoints), evaluate=evaluate)
+    breakdown = exact_cost(problem, stack, rates, shifts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        initial = trajectory.ends[2 * n + 2 :, 0].tolist() if adjoints else []
+    p0 = {f"p0_{nm}": value for nm, value in zip(adjoint_names(n), initial)}
+    return ProtocolSolution(
+        problem=problem,
+        kind=kind,
+        coefficients=p0 | (coefficients or {}),
+        trajectory=trajectory,
+        impulses=tuple(impulses),
+        cost=breakdown.total if cost_override is None else cost_override,
+        cost_breakdown=breakdown,
+    )
 
 
 def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):

@@ -19,9 +19,11 @@ lifted to the state chain ``(x_n, z_{n-1}, ..., z_1, z_0)`` where
 
 :func:`solve_regular` routes every regular problem by one rule: the
 first-order optimum at ``n = 1``, the generic solver at every order
-``n >= 2``.  All three routes hand one packaging the gamma rows a solution
-prints (state, controls and adjoints), which its trajectory keeps in a
-single gamma matrix.  Only the modal solve has chain coordinates.
+``n >= 2``.  All three routes hand the gamma rows a solution prints
+(state, controls and adjoints) to :func:`~lincontrol.model.package_rows`,
+which keeps them in a single gamma matrix; the exponential family of
+``sta`` uses the same packaging without the adjoints.  Only the modal
+solve has chain coordinates.
 
 The flow's modes are known in closed form: the Euler-Lagrange operator of
 ``int x^2 + xdot^2 + lam (x^(n+1) + x^(n))^2`` is
@@ -48,17 +50,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .expsums import SumStack, real_values, square_integrals
-from .model import (
-    ControlProblem,
-    CostBreakdown,
-    Impulse,
-    InvalidOrder,
-    ProtocolSolution,
-    Trajectory,
-    adjoint_names,
-    row_names,
-)
+from .expsums import SumStack, real_values
+from .model import ControlProblem, Impulse, InvalidOrder, package_rows
 from .numerics import ComplexSpectrum, SingularMatrix, eigendecompose, solve_linear
 
 
@@ -336,49 +329,6 @@ def _series_from_modes(flow):
     return rows, w, np.where(w.real > 0, flow.problem.T, 0.0)
 
 
-def _package(problem, kind, rows, rates, shifts, impulses=(), cost_override=None, coefficients=None):
-    """Package gamma rows into a :class:`ProtocolSolution`.
-
-    ``rows`` holds one gamma row per name of ``row_names(n, adjoints=True)``
-    (``x, x' .. x^(n), z_0 .. z_{n-1}, v``, then the adjoints), all on the
-    terms ``rates`` and ``shifts``; they form a single gamma matrix, and the
-    evaluator hands :func:`~lincontrol.expsums.real_values` the requested
-    rows only.  The cost parts are the exact square integrals of ``x``,
-    ``x'`` and ``v``.  The coefficients are the adjoints at ``t = 0``
-    (``p0_*``), then ``coefficients``; the adjoints are read from the
-    trajectory's end table :attr:`~lincontrol.model.Trajectory.ends`, which
-    is built here once and kept for the boundary report.
-
-    A gamma outside the float range turns the cost or a coefficient into
-    NaN or infinity without a warning here, and :class:`ProtocolSolution`
-    refuses it with :class:`~lincontrol.numerics.Overflow`.
-    """
-    n = problem.n
-    names = row_names(n, adjoints=True)
-    stack = np.asarray(rows, dtype=complex)
-
-    def evaluate(ts, index):
-        return real_values(SumStack(stack[index], rates, shifts), ts)
-
-    trajectory = Trajectory(T=problem.T, n=n, names=names, evaluate=evaluate)
-    with np.errstate(over="ignore", invalid="ignore"):
-        state_part, deriv_part, ctrl = square_integrals(
-            SumStack(stack[[0, 1, 2 * n + 1]], rates, shifts), problem.T  # x, x', v
-        )
-        initial = trajectory.ends[2 * n + 2 :, 0].tolist()
-    breakdown = CostBreakdown(state_part, deriv_part, problem.lam * ctrl if problem.lam else 0.0)
-    p0 = {f"p0_{nm}": value for nm, value in zip(adjoint_names(n), initial)}
-    return ProtocolSolution(
-        problem=problem,
-        kind=kind,
-        coefficients=p0 | (coefficients or {}),
-        trajectory=trajectory,
-        impulses=tuple(impulses),
-        cost=breakdown.total if cost_override is None else cost_override,
-        cost_breakdown=breakdown,
-    )
-
-
 #: largest endpoint residual :func:`singular_solution` returns, the CLI's boundary tolerance
 SINGULAR_ENDPOINT_TOL = 1e-8
 
@@ -413,7 +363,7 @@ def singular_solution(T=1.0):
     # 1 + r would form inf * 0 once decay overflows
     xdot, z = [grow, decay], [2.0 * grow, 0.0]
     rows = [[grow, -decay], xdot, z, z, [-grow, -decay], xdot]  # x, x', z, v, p_y, p_z
-    sol = _package(
+    sol = package_rows(
         problem, "oct-singular", rows, rates=(1.0, -1.0), shifts=(T, 0.0),
         impulses=(Impulse(0.0, a1), Impulse(T, -coth)),
         cost_override=coth,
@@ -445,7 +395,7 @@ def solve_regular(problem):
         raise LambdaOutOfRange(f"energy weight must be positive, got {problem.lam}")
     if problem.n == 1:
         return regular_order1_analytic(problem.lam, problem.T)
-    return _package(problem, "oct-higher", *_series_from_modes(PontryaginFlow(problem)))
+    return package_rows(problem, "oct-higher", *_series_from_modes(PontryaginFlow(problem)))
 
 
 def regular_order1_analytic(lam, T=1.0):
@@ -458,26 +408,20 @@ def regular_order1_analytic(lam, T=1.0):
     stays in range down to ``lam ~ 1e-12`` and at any horizon.  Near
     ``lam = 1`` the fast rates approach the slow ones and the family raises
     :class:`~lincontrol.sta.DegenerateBasis`.  Controls and adjoints are
-    algebraic in ``x``: ``y = x'``, ``z = x + x'``, ``v = x'' + x'``, and the
-    flow (``p_y + p_z = lam v``, ``p_y' = p_y + 2y - z``, ``p_z' = z - y``)
-    gives ``p_y = lam (x''' + x'') - x'`` and ``p_z = lam v - p_y``.
+    algebraic in ``x``; they are the family's
+    :meth:`~lincontrol.sta.ExponentialAnsatz.rows` at this weight.  ``sta
+    exp`` at the same rate packages the first four of those rows, so both
+    print the same trajectory bits.
     """
     from .sta import build_exponential
 
     problem = build_lq(1, lam, T)
     family = build_exponential(1.0 / np.sqrt(lam), T)
     x = family.x
-    # the rows x, x', z, v, p_y, p_z: x with every term scaled by a polynomial in its rate
-    g, r = np.array(x.gammas), np.array(x.rates)
-    with np.errstate(over="ignore"):
-        # r^3 overflows for weights below about 1e-206; the packaged p_y is then refused
-        py_factors = lam * (r * r * r + r * r) - r
-    v_factors = r * r + r
-    rows = g * np.array([np.ones_like(r), r, 1.0 + r, v_factors, py_factors, lam * v_factors - py_factors])
     a, b, _, d = map(float, family.offset)
     fit = dict(rate_fast=family.k, x_coef_slow_neg=b, x_coef_slow_pos=a, x_coef_fast_neg=d,
                x_coef_fast_pos_anchored=float(x.gammas[2]))
-    return _package(problem, "oct-regular", rows, x.rates, x.shifts, coefficients=fit)
+    return package_rows(problem, "oct-regular", family.rows(lam), x.rates, x.shifts, coefficients=fit)
 
 
 def fit_exponential_arc(ts, values):

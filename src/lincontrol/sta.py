@@ -21,9 +21,11 @@ iterative search; tabulated coefficients are reproduced to all printed
 digits, reported under the paper's names.
 
 The control is always recovered analytically as ``u = xdot + x``; each
-family knows the derivatives of its own basis functions.  A solution's
-trajectory has one evaluator: it computes ``x, x', x''`` in one pass and
-returns the requested rows of ``x, x', u = x' + x`` and ``v = x'' + x'``.
+family knows the derivatives of its own basis functions.  A polynomial or
+sine solution's trajectory has one evaluator: it computes ``x, x', x''``
+in one pass and returns the requested rows of ``x, x', u = x' + x`` and
+``v = x'' + x'``.  The exponential family is the first-order optimum at
+weight ``k^-2``: its rows are gamma rows, packaged as the optimum's are.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .expsums import ExpSum, SumStack, real_values, square_integrals
-from .model import ControlProblem, InvalidOrder, ProtocolSolution, CostBreakdown, Trajectory, row_names
+from .expsums import ExpSum
+from .model import ControlProblem, CostBreakdown, InvalidOrder, ProtocolSolution, Trajectory, row_names
+from .model import exact_cost, package_rows
 from .numerics import (
     SOLVE_COND_CAP,
     Overflow,
@@ -51,11 +54,7 @@ class DegenerateBasis(ValueError):
     """The exponential basis matrix is numerically singular (k near 1)."""
 
 
-_KIND_TAGS = {
-    "polynomial": "sta-poly",
-    "trigonometric": "sta-trig",
-    "exponential": "sta-exp",
-}
+_KIND_TAGS = {"polynomial": "sta-poly", "trigonometric": "sta-trig"}
 
 #: Gauss-Legendre nodes of the cost rule: exact for polynomial families up to
 #: N = 47, exact to roundoff for the sines up to N = 20; a different rule from
@@ -333,23 +332,23 @@ class TrigonometricAnsatz(AnsatzFamily):
         return names
 
 
-class ExponentialAnsatz(AnsatzFamily):
+class ExponentialAnsatz:
     """x(t) = a e^t + b e^{-t} + c e^{kt} + d e^{-kt}, fully determined.
 
     The four boundary conditions consume all four coefficients, so there is
-    no free parameter.  Coefficients come from
+    nothing to minimise: the family is one function, the first-order optimum
+    at weight ``k^-2``.  Coefficients come from
     :func:`exponential_coefficients_by_solve`, which anchors both growing
-    terms at ``T``, so every intermediate stays bounded for arbitrarily large
-    ``k`` and ``T``.  The attribute :attr:`x` is that anchored
+    terms at ``T``, so every intermediate stays bounded for arbitrarily
+    large ``k`` and ``T``.  The attribute :attr:`x` is that anchored
     :class:`~lincontrol.expsums.ExpSum`: gammas ``(a_T, b, c_T, d)`` on
     rates ``(1, -1, k, -k)`` with shifts ``(T, 0, T, 0)``, where ``a_T = a
-    e^T`` and ``c_T = c e^{kT}``; every derivative of ``x`` is a term-wise
-    rescaling of it.  :attr:`offset` reports the un-anchored ``(a, b, c,
-    d)``, whose ``a`` and ``c`` underflow to 0 at large ``T`` or ``kT``.
-    The family is symmetric under ``k -> -k`` (``c`` and ``d`` swap), so
-    ``k`` is normalised to its absolute value.  Evaluation and the cost go
-    through that sum and its exact square integrals, not a basis table,
-    because ``e^{kt}`` alone overflows at large ``k``.
+    e^T`` and ``c_T = c e^{kT}``.  :attr:`offset` reports the un-anchored
+    ``(a, b, c, d)``, whose ``a`` and ``c`` underflow to 0 at large ``T`` or
+    ``kT``.  The family is symmetric under ``k -> -k`` (``c`` and ``d``
+    swap), so ``k`` is normalised to its absolute value.  Its trajectory is
+    the gamma rows of :meth:`rows`, never a basis table, because ``e^{kt}``
+    alone overflows at large ``k``.
     """
 
     kind = "exponential"
@@ -365,42 +364,35 @@ class ExponentialAnsatz(AnsatzFamily):
         self.k = k
         self.T = float(T)
         self.offset = np.array([a_T * math.exp(-T), b, c_T * math.exp(-k * T), d])
-        self.free_map = np.zeros((4, 0))
         self.x = ExpSum(gammas=(a_T, b, c_T, d), rates=(1.0, -1.0, k, -k), shifts=(T, 0.0, T, 0.0))
 
-    @cached_property
-    def _stack(self):
-        """``x, x', x''`` as one :class:`~lincontrol.expsums.SumStack` (built once).
+    def rows(self, adjoint_weight=None):
+        """Gamma rows of ``x, x', u = x' + x, v = x'' + x'`` on the terms of :attr:`x`,
+        then ``p_y, p_z`` of the optimum at weight ``lam = adjoint_weight`` if given.
 
-        Row ``j`` holds the gammas of ``x.derivative(j)``, computed by the
-        same expression, so every evaluation keeps that sum's bits.
+        Every row is ``x``'s gammas times a polynomial in the rates, in one
+        product.  The flow (``p_y + p_z = lam v``, ``p_y' = p_y + 2y - z``,
+        ``p_z' = z - y``) gives ``p_y = lam (x''' + x'') - x'`` and ``p_z =
+        lam v - p_y``.
         """
-        x = self.x
-        gammas = [[g * r**j for g, r in zip(x.gammas, x.rates)] for j in range(3)]
-        return SumStack(np.array(gammas), x.rates, x.shifts)
-
-    def x_stack(self, coeffs, t, order=2):
-        # coeffs is always the stored vector (free_dim = 0); evaluate through
-        # the anchored sum so large k cannot overflow, one exponential per term
-        return real_values(self._stack._replace(gammas=self._stack.gammas[: order + 1]), t)
+        g, r = np.array(self.x.gammas), np.array(self.x.rates)
+        v = r * r + r
+        factors = [np.ones_like(r), r, 1.0 + r, v]
+        if adjoint_weight is not None:
+            with np.errstate(over="ignore"):
+                # r^3 overflows for weights below about 1e-206; the packaged p_y is then refused
+                py = adjoint_weight * (r * r * r + r * r) - r
+            factors += [py, adjoint_weight * v - py]
+        return g * np.array(factors)
 
     def paper_coefficients(self, coeffs):
-        return {**dict(zip("abcd", map(float, coeffs))), "k": self.k}
+        # adding 0.0 reports a coefficient that underflowed to -0.0 as 0
+        return {**dict(zip("abcd", map(float, np.asarray(coeffs) + 0.0))), "k": self.k}
 
     def gram(self, lam=0.0):
-        state, deriv, ctrl = self._squares
-        return GramForm(A=np.zeros((0, 0)), b=np.zeros(0), c0=state + deriv + lam * ctrl)
-
-    def cost_parts(self, coeffs):
-        # coeffs is always the stored vector (free_dim = 0)
-        return self._squares
-
-    @cached_property
-    def _squares(self):
-        """Exact (state, derivative, unweighted control-energy) integrals (built once)."""
-        (x, xd, _), rates, shifts = self._stack
-        r = np.array(rates)
-        return square_integrals(SumStack(np.array([x, xd, x * (r * r + r)]), rates, shifts), self.T)
+        """A form over no parameters whose ``c0`` is the cost :func:`solve_sta` reports, bit for bit."""
+        cost = exact_cost(ControlProblem(T=self.T, n=1, lam=lam), self.rows(), self.x.rates, self.x.shifts)
+        return GramForm(A=np.zeros((0, 0)), b=np.zeros(0), c0=cost.total)
 
 
 def exponential_coefficients_by_solve(k, T=1.0):
@@ -459,8 +451,8 @@ def assemble_gram(family, lam=0.0):
 
     For the polynomial and sine families it is the sum of squares of the
     basis tables on the cost rule, pulled back through the affine
-    constraint map; the exponential family integrates its squares in closed
-    form.  The conditioning gate of
+    constraint map.  The exponential family has no free parameter, and its
+    form is the exact cost of its gamma rows alone.  The conditioning gate of
     :func:`~lincontrol.numerics.minimize_quadratic` is applied at assembly.
     """
     form = family.gram(lam)
@@ -471,9 +463,13 @@ def assemble_gram(family, lam=0.0):
 def solve_sta(family, problem=None):
     """Minimise the cost over the family and package the optimal protocol.
 
-    The minimiser is the least-squares solution of ``A p = -b`` on the Gram
-    form, by one SVD; no iteration is involved, so repeated runs are
-    bit-identical.  It raises ``SingularMatrix`` when cond(A) reaches
+    The exponential family has nothing to minimise: its gamma rows
+    (:meth:`ExponentialAnsatz.rows`) go to the packaging that the
+    optimal-control routes use, :func:`~lincontrol.model.package_rows`.
+    For a polynomial or sine family the minimiser is the least-squares
+    solution of ``A p = -b`` on the Gram form, by one SVD; no iteration is
+    involved, so repeated runs are bit-identical.  It raises
+    ``SingularMatrix`` when cond(A) reaches
     :data:`~lincontrol.numerics.LSQ_COND_CAP` (the sine family from N = 14).
     """
     if problem is None:
@@ -482,6 +478,9 @@ def solve_sta(family, problem=None):
         raise InvalidOrder("basis families implement first-order boundary conditions only")
     if problem.T != family.T:
         raise ValueError(f"family horizon {family.T} != problem horizon {problem.T}")
+    if family.kind == "exponential":
+        x, coefficients = family.x, family.paper_coefficients(family.offset)
+        return package_rows(problem, "sta-exp", family.rows(), x.rates, x.shifts, coefficients=coefficients)
     gram = family.gram(problem.lam)
     params = minimize_quadratic(gram.A, gram.b)
     coeffs = family.coefficient_vector(params)

@@ -304,25 +304,27 @@ def telescoped_x_rows(n, state):
 
 
 def package_per_sum(problem, kind, rows, rates, shifts, impulses=(), cost_override=None, coefficients=None):
-    """:func:`lincontrol.oct._package` on one :class:`ExpSum` per row.
+    """:func:`lincontrol.model.package_rows` on one :class:`ExpSum` per row.
 
-    This is the straightforward form of the optimal-control packaging: every
-    row of ``row_names(n, adjoints=True)`` is its own sum of complex gammas,
-    and the trajectory evaluates the list of every row's sum and then picks
-    the requested rows, so a request for a few rows is checked against the
-    full stack.  The package must match it bit for bit.
+    This is the straightforward form of the packaging: every row of
+    ``row_names(n)``, and of the adjoints when there are more rows, is its
+    own sum of complex gammas, and the trajectory evaluates the list of
+    every row's sum and then picks the requested rows, so a request for a
+    few rows is checked against the full stack.  The package must match it
+    bit for bit.
     """
     n = problem.n
     terms = tuple(rates), tuple(np.asarray(shifts, dtype=float).tolist())
     sums = [ExpSum(np.asarray(row, dtype=complex), *terms) for row in rows]
+    adjoints = len(sums) == len(row_names(n, adjoints=True))
     trajectory = Trajectory(
-        T=problem.T, n=n, names=row_names(n, adjoints=True),
+        T=problem.T, n=n, names=row_names(n, adjoints=adjoints),
         evaluate=lambda ts, index: real_values(sums, ts)[index],
     )
     state_part, deriv_part, ctrl = square_integrals([sums[0], sums[1], sums[2 * n + 1]], problem.T)
     breakdown = CostBreakdown(state_part, deriv_part, problem.lam * ctrl if problem.lam else 0.0)
     cost = breakdown.total if cost_override is None else cost_override
-    p0 = real_values(sums[2 * n + 2 :], 0.0).tolist()
+    p0 = real_values(sums[2 * n + 2 :], 0.0).tolist() if adjoints else []
     return ProtocolSolution(
         problem=problem, kind=kind,
         coefficients={**{f"p0_{nm}": p for nm, p in zip(adjoint_names(n), p0)}, **(coefficients or {})},
@@ -337,10 +339,10 @@ def modal_solution(n, lam, T=1.0):
     weight; this packages the modal solution of the same problem, so that
     the two first-order routes stay checked against each other.  The
     packaging is looked up on the module at each call, so a test that
-    replaces ``lincontrol.oct._package`` sees this call too.
+    replaces ``lincontrol.oct.package_rows`` sees this call too.
     """
     problem = build_lq(n, lam, T)
-    return octmod._package(problem, "oct-regular", *_series_from_modes(PontryaginFlow(problem)))
+    return octmod.package_rows(problem, "oct-regular", *_series_from_modes(PontryaginFlow(problem)))
 
 
 def json_reference(obj, indent=0):

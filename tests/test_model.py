@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lincontrol import expsums, oct as octmod
+from lincontrol import expsums, model as modelmod
 from lincontrol.model import (
+    ALIASES,
     CSV_BLOCK_ROWS,
     ControlProblem,
     CostBreakdown,
@@ -336,7 +337,7 @@ class TestTable:
             calls.append(len(sums.gammas))
             return expsums.real_values(sums, t)
 
-        monkeypatch.setattr(octmod, "real_values", spy)
+        monkeypatch.setattr(modelmod, "real_values", spy)
         sol = solve_regular(build_lq(2, 5e-7))
         traj = sol.trajectory
         calls.clear()
@@ -360,6 +361,22 @@ class TestTable:
             for name, value in s.items():
                 scale = np.abs(cols[name]).max()
                 assert abs(cols[name][i] - value) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (TABLE_KINDS["n2"], "py"),  # a first-order adjoint on a second-order solution
+        (TABLE_KINDS["exp100"], "pz"),  # an adjoint on a solution that has none
+        (TABLE_KINDS["singular"], "zdot"),
+    ],
+    ids=["n2-py", "exp100-pz", "singular-zdot"],
+)
+def test_unknown_row_names_itself_and_the_known_ones(make, name):
+    traj = make().trajectory
+    with pytest.raises(ValueError, match=f"no row '{name}'") as info:
+        traj(np.array([0.0, 0.5]), "x", name)
+    assert all(known in str(info.value) for known in (*traj.names, *ALIASES))
 
 
 class TestEndTable:
@@ -387,7 +404,7 @@ class TestEndTable:
             calls.append(np.shape(t))
             return expsums.real_values(sums, t)
 
-        monkeypatch.setattr(octmod, "real_values", spy)
+        monkeypatch.setattr(modelmod, "real_values", spy)
         sol = make()
         assert calls == [(2,)]  # the packaging's end table
         calls.clear()

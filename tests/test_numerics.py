@@ -376,14 +376,14 @@ def packaged(monkeypatch, solve):
     that the rows can be checked one sum at a time.
     """
     seen = {}
-    package = octmod._package
+    package = octmod.package_rows
 
     def spy(problem, kind, rows, rates, shifts, **kwargs):
         terms = tuple(rates), tuple(np.asarray(shifts, dtype=float).tolist())
         seen["rows"] = [ExpSum(np.asarray(row), *terms) for row in rows]
         return package(problem, kind, rows, rates, shifts, **kwargs)
 
-    monkeypatch.setattr(octmod, "_package", spy)
+    monkeypatch.setattr(octmod, "package_rows", spy)
     return solve(), seen["rows"]
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from lincontrol import oct as octmod
+from lincontrol import oct as octmod, sta as stamod
 from lincontrol.expsums import ExpSum
 from lincontrol.model import (
     ControlProblem, InvalidOrder, adjoint_names, cost_functional, row_names, sample_table, verify_boundaries,
@@ -426,13 +426,13 @@ class TestSolveRegular:
     def test_initial_adjoints_bitwise_per_sum(self, monkeypatch, n):
         # p0_* come from one stacked evaluation; each must round as its own sum's value(0)
         seen = []
-        package = octmod._package
+        package = octmod.package_rows
 
         def spy(problem, kind, rows, rates, shifts, **kwargs):
             seen.append([ExpSum(row, tuple(rates), tuple(shifts)) for row in rows[2 * n + 2 :]])
             return package(problem, kind, rows, rates, shifts, **kwargs)
 
-        monkeypatch.setattr(octmod, "_package", spy)
+        monkeypatch.setattr(octmod, "package_rows", spy)
         sol = solve_regular(build_lq(n, 10.0 ** (-2 * n)))
         (p_sums,) = seen
         got = [sol.coefficients[f"p0_{name}"] for name in adjoint_names(n)]
@@ -755,6 +755,8 @@ PACKAGED_SOLVERS = {
     # the modal solve of the same problem, packaged the same way
     "n1": lambda: modal_solution(1, 2.0),
     **{f"n{n}": (lambda n=n: solve_regular(build_lq(n, 10.0 ** (-2 * n)))) for n in range(2, 9)},
+    # the exponential family of sta: the first-order rows without the adjoints
+    "sta-exp": lambda: solve_sta(build_exponential(100.0, 0.3)),
 }
 
 
@@ -768,13 +770,14 @@ class TestPackagingBitwise:
     @staticmethod
     def packaged_with_reference(monkeypatch, solve):
         refs = []
-        package = octmod._package
+        package = octmod.package_rows
 
         def spy(problem, kind, rows, rates, shifts, **kwargs):
             refs.append(package_per_sum(problem, kind, rows, rates, shifts, **kwargs))
             return package(problem, kind, rows, rates, shifts, **kwargs)
 
-        monkeypatch.setattr(octmod, "_package", spy)
+        monkeypatch.setattr(octmod, "package_rows", spy)
+        monkeypatch.setattr(stamod, "package_rows", spy)
         sol = solve()
         (ref,) = refs
         return sol, ref
@@ -844,13 +847,13 @@ class TestPackagingBitwise:
     def test_first_order_matrices_match_term_wise_products(self, monkeypatch):
         lam = 1e-4
         seen = []
-        package = octmod._package
+        package = octmod.package_rows
 
         def spy(problem, kind, rows, rates, shifts, **kwargs):
             seen.append(rows)
             return package(problem, kind, rows, rates, shifts, **kwargs)
 
-        monkeypatch.setattr(octmod, "_package", spy)
+        monkeypatch.setattr(octmod, "package_rows", spy)
         regular_order1_analytic(lam)
         x = build_exponential(1.0 / np.sqrt(lam)).x
         r = np.array(x.rates)

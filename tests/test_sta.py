@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lincontrol.model import ControlProblem, InvalidOrder, cost_functional, verify_boundaries
 from lincontrol.numerics import NumericsError, Overflow, SingularMatrix, gauss_legendre, minimize_quadratic
+from lincontrol.oct import regular_order1_analytic
 from lincontrol.sta import (
     COST_NODES,
     DegenerateBasis,
@@ -35,6 +36,10 @@ FAMILIES = {
 def paper_names(fam, params):
     """The reported coefficients of the family member at free parameters ``params``."""
     return fam.paper_coefficients(fam.coefficient_vector(params))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
 
 
 def monomials(names, N):
@@ -131,9 +136,7 @@ class TestConstraintElimination:
 
     @pytest.mark.parametrize("k", [0.5, 3.0, 10.0, 100.0, 450.0, 800.0, 1.0 + 1e-4, 1.0 - 1e-4])
     def test_exponential_boundary_residuals(self, k):
-        fam = build_exponential(k)
-        x0, xT, xd0, xdT = boundary_values(fam, fam.offset)
-        assert max(abs(x0), abs(xT - 1.0), abs(xd0), abs(xdT)) <= 1e-10
+        assert verify_boundaries(solve_sta(build_exponential(k)), tol=1e-10).passed
 
 
 ELIMINATOR_ORDERS = [(build_polynomial, N) for N in (3, 4, 12, 30, 47)] + [
@@ -238,16 +241,19 @@ class TestExponentialFamily:
     def test_negative_rate_normalised(self):
         assert build_exponential(-100.0).k == 100.0
 
-    @pytest.mark.parametrize("k", [3.0, 1200.0])
-    def test_trajectory_stack_rows_are_each_derivative(self, k):
-        # one stacked evaluation, each row bitwise the derivatives' own values
-        fam = build_exponential(k)
-        ts = np.linspace(0.0, 1.0, 101)
-        rows = solve_sta(fam).trajectory(ts, "x", "x^(1)", "u", "v")
-        assert rows.shape == (4, ts.size)
-        x, xd, xdd = (fam.x.derivative(order).value(ts) for order in range(3))
-        for row, want in zip(rows, (x, xd, xd + x, xdd + xd)):
-            assert row.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("T", [0.3, 1.0, 800.0])
+    @pytest.mark.parametrize("lam", [1e-2, 1e-4, 1e-6])
+    def test_same_bits_as_the_first_order_optimum(self, lam, T):
+        # the family at rate k is the optimum at weight k^-2, packaged from the same gamma rows
+        family = build_exponential(1.0 / np.sqrt(lam), T)
+        sol, optimum = solve_sta(family), regular_order1_analytic(lam, T)
+        ts = np.linspace(0.0, T, 101)
+        names = ("x", "x^(1)", "u", "v")
+        assert sol.trajectory(ts, *names).tobytes() == optimum.trajectory(ts, *names).tobytes()
+        parts, want = sol.cost_breakdown, optimum.cost_breakdown
+        assert _bits([parts.state, parts.derivative]) == _bits([want.state, want.derivative])
+        weighted = solve_sta(family, ControlProblem(T=T, lam=lam))
+        assert _bits([assemble_gram(family, lam).c0]) == _bits([weighted.cost]) == _bits([optimum.cost])
 
     def test_rate_100_cost(self):
         sol = solve_sta(build_exponential(100.0))
@@ -490,6 +496,24 @@ class TestCertificate:
         assert not refuses
         assert verify_boundaries(sol, tol=1e-8).passed
         assert sol.cost == pytest.approx(sol.cost_breakdown.total, rel=1e-9)
+        assert sol.cost_breakdown.bare >= 1.0 / np.tanh(T) - 1e-6
+        values = [sol.cost, *sol.cost_breakdown.as_dict().values(), *sol.coefficients.values()]
+        values += list(sol.trajectory.table(np.linspace(0.0, T, 201)).values())
+        assert all(np.all(np.isfinite(v)) for v in values)
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(
+        log_k=st.floats(np.log(1.1), np.log(1e3)),
+        T=st.floats(0.1, 10.0),
+        lam=st.sampled_from([0.0, 1e-3]),
+    )
+    def test_exponential_typed_error_or_certified_solution(self, log_k, T, lam):
+        try:
+            sol = solve_sta(build_exponential(float(np.exp(log_k)), T), ControlProblem(T=T, lam=lam))
+        except (DegenerateBasis, NumericsError):
+            return
+        assert verify_boundaries(sol, tol=1e-8).passed
+        assert sol.cost == sol.cost_breakdown.total
         assert sol.cost_breakdown.bare >= 1.0 / np.tanh(T) - 1e-6
         values = [sol.cost, *sol.cost_breakdown.as_dict().values(), *sol.coefficients.values()]
         values += list(sol.trajectory.table(np.linspace(0.0, T, 201)).values())
