@@ -129,11 +129,11 @@ def _json(obj, indent=0):
 def solution_summary(sol, report=None):
     """JSON-ready summary: coefficients, cost, boundary residuals, impulses.
 
-    ``report`` is the solution's ``verify_boundaries(sol, tol=1e-8)`` when
-    the caller has already built it.
+    ``report`` is the solution's ``verify_boundaries(sol)`` when the caller
+    has already built it.
     """
     if report is None:
-        report = verify_boundaries(sol, tol=1e-8)
+        report = verify_boundaries(sol)
     return {
         "method": sol.kind,
         "order": sol.problem.n,
@@ -238,8 +238,8 @@ def table1_report():
 
 
 def _checked_report(sol):
-    """The solution's boundary report at 1e-8; raises :class:`BoundaryResidual` when it fails."""
-    report = verify_boundaries(sol, tol=1e-8)
+    """The solution's boundary report at ``model.BOUNDARY_TOL``; raises :class:`BoundaryResidual` when it fails."""
+    report = verify_boundaries(sol)
     if not report.passed:
         raise BoundaryResidual(report)
     return report
@@ -250,8 +250,8 @@ def sweep_lambda(lams=DEFAULT_SWEEP):
 
     Each weight is solved by :func:`solve_regular`, the route ``oct regular``
     takes.  A weight that a solver refuses, or whose solution misses a
-    boundary condition by more than 1e-8, gives an error row and the sweep
-    goes on.
+    boundary condition by more than ``model.BOUNDARY_TOL``, gives an error
+    row and the sweep goes on.
     """
     rows = []
     for lam in lams:
@@ -317,8 +317,8 @@ def run_validation():
         ("trig-6", _sta_solution("trigonometric", order=6)),
         ("exp-100", _sta_solution("exponential", k=100.0)),
     ]:
-        rep = verify_boundaries(sol, tol=1e-8)
-        add(f"boundaries-{kind}", rep.passed, rep.max_residual, 1e-8)
+        rep = verify_boundaries(sol)
+        add(f"boundaries-{kind}", rep.passed, rep.max_residual, rep.tol)
 
     for lam in (1e-2, 1e-4):
         eq = equivalence_sta_regular(lam)

@@ -192,8 +192,9 @@ class ProtocolSolution:
     ``kind`` is one of ``sta-poly``, ``sta-trig``, ``sta-exp``,
     ``oct-singular``, ``oct-regular``, ``oct-higher``.  ``cost`` always
     matches the quadrature of the running cost over ``(0, T)`` (impulses
-    excluded); ``cost_breakdown.bare`` is the cost without the
-    control-energy term.  A ``cost``, cost part or coefficient that is not
+    excluded), and is ``cost_breakdown.total`` except on the impulsive arc,
+    whose cost is ``coth(T)`` exactly; ``cost_breakdown.bare`` is the cost
+    without the control-energy term.  A ``cost``, cost part or coefficient that is not
     finite raises :class:`~lincontrol.numerics.Overflow` naming it, so no
     solver returns a NaN or infinite number.
     """
@@ -290,8 +291,11 @@ def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
     Raises
     ------
     ValueError
-        If ``panels`` is not an integer ``>= 1``.
+        If ``lam`` is not finite and ``>= 0``, or ``panels`` is not an
+        integer ``>= 1``.
     """
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"regularization weight must be finite and >= 0, got {lam}")
     if not isinstance(panels, (int, np.integer)) or panels < 1:
         raise ValueError(f"panels must be an integer >= 1, got {panels!r}")
     if T is None:
@@ -309,6 +313,10 @@ def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
         parts[: len(weights)] += weights * panel
     breakdown = CostBreakdown(parts[0], parts[1], parts[2])
     return breakdown.total, breakdown
+
+
+#: the one boundary tolerance: of every report the CLI prints and of the impulsive arc
+BOUNDARY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -338,7 +346,7 @@ class BoundaryResidual(NumericsError):
         self.report = report
 
 
-def verify_boundaries(sol, tol=1e-8):
+def verify_boundaries(sol, tol=BOUNDARY_TOL):
     """Residuals of ``x`` and its first ``n`` derivatives at both endpoints.
 
     Derivatives are the trajectory's analytic rows ``x^(1) .. x^(n)``, read

@@ -51,7 +51,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .expsums import SumStack, real_values
-from .model import ControlProblem, Impulse, InvalidOrder, package_rows
+from .model import ControlProblem, Impulse, InvalidOrder, package_rows, verify_boundaries
 from .numerics import ComplexSpectrum, SingularMatrix, eigendecompose, solve_linear
 
 
@@ -73,6 +73,7 @@ def _x1_row(n):
 
     ``x' = z_1 - z_2 + ... + (-1)^n z_{n-1} - (-1)^n x_n`` with the state
     ordered ``(x_n, z_{n-1}, ..., z_0)``; ``z_j`` sits at index ``n - j``.
+    Its first ``n`` entries are all nonzero and the last, ``z_0``'s, is 0.
     The modal solve telescopes its chain coordinates into ``x``'s rows with it.
     """
     r1 = np.zeros(n + 1)
@@ -84,22 +85,8 @@ def _x1_row(n):
 
 
 @lru_cache(maxsize=64)
-def _x1_terms(n):
-    """Read-only ``(index, weights)`` of the nonzero entries of :func:`_x1_row`, in chain order.
-
-    ``weights`` is a column, ready to scale the state rows at ``index``.
-    """
-    r1 = _x1_row(n)
-    index = np.flatnonzero(r1)
-    weights = r1[index, None]
-    for a in (index, weights):
-        a.setflags(write=False)
-    return index, weights
-
-
-@lru_cache(maxsize=64)
 def _chain_structure(n):
-    """Read-only ``(A, B, W)`` of the order-``n`` chain, built once per order.
+    """Read-only ``(A, B, W)`` of the order-``n`` chain, built once per order, for :attr:`PontryaginFlow.H`.
 
     The chain obeys ``sdot = A s + B v`` and costs ``int (s^T W s + lam v^2)
     dt``; it depends on the order alone.  The state cost matrix is ``W =
@@ -140,10 +127,10 @@ def _mode_tables(n):
     ``adjoint[i - 1, m]`` is the coefficient of ``s^-m`` in the adjoint
     ``p_i`` (i = 1..n) of the mode ``x = e^(st)``: rows ``n`` down to 1 of
     ``(s I + A^T) p = W s_vec``, back-substituted through the bidiagonal
-    ``A^T``.  The mode has ``x = 1`` and ``x' = s``, so ``W s_vec = r0 + s
-    r1`` exactly, with the rows ``r0`` and ``r1`` that build ``W``.
+    ``A^T``, whose chain steps ``A[i + 1, i]`` are all 1.  The mode has ``x =
+    1`` and ``x' = s``, so ``W s_vec = r0 + s r1`` exactly, with the rows
+    ``r0`` and ``r1`` that build ``W``.
     """
-    A = _chain_structure(n)[0]
     j = np.arange(n + 1)[:, None]
     upper = np.exp(1j * j * (np.pi / (2 * n) * np.arange(1 + n % 2, 2 * n, 2)))
     real = np.array([-1.0, 1.0, -1.0, 1.0] if n % 2 else [-1.0, 1.0])
@@ -154,11 +141,11 @@ def _mode_tables(n):
     r0[n] += 1.0
     adjoint = np.zeros((n + 1, n + 1))  # row i: p_i, row 0 unused
     for i in range(n, 0, -1):
-        # p_i = ((W s_vec)_i - A[i + 1, i] p_(i+1)) / s
+        # p_i = ((W s_vec)_i - p_(i+1)) / s
         adjoint[i, 0] = r1[i]
         adjoint[i, 1] = r0[i]
         if i < n:
-            adjoint[i, 1:] -= A[i + 1, i] * adjoint[i + 1, :-1]
+            adjoint[i, 1:] -= adjoint[i + 1, :-1]
     arrays = (fast, j, unit, unit.conj(), adjoint[1:])
     for a in arrays:
         a.setflags(write=False)
@@ -312,11 +299,11 @@ def _series_from_modes(flow):
     n = flow.problem.n
     w, V, c = _modal_amplitudes(flow)
     state = c * V[: n + 1]
-    index, weights = _x1_terms(n)
     rows = np.empty((3 * n + 3, len(w)), dtype=complex)
-    terms = np.zeros((len(index) + 1, len(w)), dtype=complex)
+    terms = np.zeros((n + 1, len(w)), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(weights, state[index], out=terms[1:])
+        # x' weighs x_n, z_{n-1} .. z_1; z_0's weight is 0
+        np.multiply(_x1_row(n)[:n, None], state[:n], out=terms[1:])
         rows[1] = np.add.accumulate(terms)[-1]
         chain = state[n:0:-1]  # z_0 .. z_{n-1}
         rows[n + 1 : 2 * n + 1] = chain
@@ -327,10 +314,6 @@ def _series_from_modes(flow):
     np.multiply(c * w, V[1], out=rows[2 * n + 1])
     np.multiply(c, V[n + 1 :], out=rows[2 * n + 2 :])
     return rows, w, np.where(w.real > 0, flow.problem.T, 0.0)
-
-
-#: largest endpoint residual :func:`singular_solution` returns, the CLI's boundary tolerance
-SINGULAR_ENDPOINT_TOL = 1e-8
 
 
 def singular_solution(T=1.0):
@@ -344,10 +327,10 @@ def singular_solution(T=1.0):
     ``coth(T)``; impulses are excluded from the integral.
 
     A non-finite cost or coefficient raises
-    :class:`~lincontrol.numerics.Overflow`.  Otherwise, when ``x(T) - 1`` or
-    ``x'`` against the kicks, evaluated from the arc's two gammas, is off by
-    more than ``SINGULAR_ENDPOINT_TOL`` (horizons of about ``1e-8`` and
-    below), it raises :class:`ShortHorizon`.
+    :class:`~lincontrol.numerics.Overflow`.  Otherwise, when the solution's
+    boundary report (:func:`~lincontrol.model.verify_boundaries`) fails at
+    :data:`~lincontrol.model.BOUNDARY_TOL`, which happens at horizons of
+    about ``1e-8`` and below, it raises :class:`ShortHorizon`.
     """
     problem = ControlProblem(T=T, n=1, lam=0.0)
     with np.errstate(over="ignore"):
@@ -370,12 +353,11 @@ def singular_solution(T=1.0):
     )
     # the gammas grow like 1/(2T), so x(T) - 1 and the kicked x' lose digits
     # at short horizons (x(0) = 0 holds exactly)
-    e = np.exp(-T)
-    residual = max(abs(grow - decay * e - 1.0), abs(2.0 * decay - a1), abs(grow + decay * e - coth))
-    if not residual <= SINGULAR_ENDPOINT_TOL:
+    report = verify_boundaries(sol)
+    if not report.passed:
         raise ShortHorizon(
-            f"impulsive arc misses its endpoints by {residual:.3g} at horizon {T:g} "
-            f"(tolerance {SINGULAR_ENDPOINT_TOL:g})"
+            f"impulsive arc misses its endpoints by {report.max_residual:.3g} at horizon {T:g} "
+            f"(tolerance {report.tol:g})"
         )
     return sol
 

@@ -22,10 +22,12 @@ digits, reported under the paper's names.
 
 The control is always recovered analytically as ``u = xdot + x``; each
 family knows the derivatives of its own basis functions.  A polynomial or
-sine solution's trajectory has one evaluator: it computes ``x, x', x''``
-in one pass and returns the requested rows of ``x, x', u = x' + x`` and
-``v = x'' + x'``.  The exponential family is the first-order optimum at
-weight ``k^-2``: its rows are gamma rows, packaged as the optimum's are.
+sine solution's trajectory has one evaluator: it computes ``x`` and its
+derivatives in one pass, up to the highest order the requested rows of
+``x, x', u = x' + x`` and ``v = x'' + x'`` need, and returns those rows.
+Its cost is the sum of its three parts, as on every route but the
+impulsive arc.  The exponential family is the first-order optimum at weight
+``k^-2``: its rows are gamma rows, packaged as the optimum's are.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ class DegenerateBasis(ValueError):
 
 
 _KIND_TAGS = {"polynomial": "sta-poly", "trigonometric": "sta-trig"}
+
+#: the derivative order of ``x`` each row of ``row_names(1)`` needs: ``x``, ``x'``, ``u``, ``v``
+_ROW_ORDERS = (0, 1, 1, 2)
 
 #: Gauss-Legendre nodes of the cost rule: exact for polynomial families up to
 #: N = 47, exact to roundoff for the sines up to N = 20; a different rule from
@@ -482,16 +487,16 @@ def solve_sta(family, problem=None):
         x, coefficients = family.x, family.paper_coefficients(family.offset)
         return package_rows(problem, "sta-exp", family.rows(), x.rates, x.shifts, coefficients=coefficients)
     gram = family.gram(problem.lam)
-    params = minimize_quadratic(gram.A, gram.b)
-    coeffs = family.coefficient_vector(params)
+    coeffs = family.coefficient_vector(minimize_quadratic(gram.A, gram.b))
     state, deriv, ctrl = family.cost_parts(coeffs)
     breakdown = CostBreakdown(state, deriv, problem.lam * ctrl)
-    cost = gram.value(params)
 
     def evaluate(ts, index):
-        # the rows x, x', u = x' + x from the dynamics, and v = u' at first order
-        x, xdot, xddot = family.x_stack(coeffs, ts)
-        return np.array([x, xdot, xdot + x, xddot + xdot])[index]
+        # the rows x, x', u = x' + x from the dynamics, and v = u' at first
+        # order, from x's derivatives up to the highest order they need; a
+        # slice past that order is empty, and so is the row it would make
+        x = family.x_stack(coeffs, ts, max((_ROW_ORDERS[i] for i in index), default=0))
+        return np.concatenate([x[:2], x[1:2] + x[:1], x[2:] + x[1:2]])[index]
 
     return ProtocolSolution(
         problem=problem,
@@ -499,6 +504,6 @@ def solve_sta(family, problem=None):
         coefficients=family.paper_coefficients(coeffs),
         trajectory=Trajectory(T=problem.T, n=1, names=row_names(1), evaluate=evaluate),
         impulses=(),
-        cost=cost,
+        cost=breakdown.total,
         cost_breakdown=breakdown,
     )

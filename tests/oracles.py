@@ -332,6 +332,23 @@ def package_per_sum(problem, kind, rows, rates, shifts, impulses=(), cost_overri
     )
 
 
+def singular_endpoint_residual(T):
+    """The impulsive arc's largest endpoint miss, by hand from its two gammas.
+
+    The arc is ``x = grow e^(t - T) - decay e^-t`` with ``grow = e^T / (2
+    sinh T)`` and ``decay = grow e^-T``, and its kicks are ``1/sinh T`` and
+    ``-coth T``.  ``x(0) = 0`` holds exactly, so the misses are ``x(T) - 1``
+    and ``x'`` against each kick, in the arithmetic of
+    :func:`lincontrol.oct.singular_solution`.
+    """
+    a1 = float(1.0 / np.sinh(T))
+    coth = float(1.0 / np.tanh(T))
+    grow = float(1.0 / -np.expm1(-2.0 * T))
+    decay = grow * np.exp(-T)
+    e = np.exp(-T)
+    return float(max(abs(grow - decay * e - 1.0), abs(2.0 * decay - a1), abs(grow + decay * e - coth)))
+
+
 def modal_solution(n, lam, T=1.0):
     """The anchored modal solve of :func:`lincontrol.oct.solve_regular`, without its routing.
 

@@ -24,6 +24,7 @@ from lincontrol.model import (
 )
 from lincontrol.numerics import Overflow
 from lincontrol.oct import (
+    ShootingSingular,
     build_lq,
     regular_order1_analytic,
     singular_consistency_check,
@@ -151,6 +152,53 @@ class TestCostFunctional:
     def test_numpy_integer_panels(self):
         traj = singular_solution(1.0).trajectory
         assert cost_functional(traj, panels=np.int64(3)) == cost_functional(traj, panels=3)
+
+    @pytest.mark.parametrize("lam", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+    def test_bad_weight_is_refused(self, lam):
+        # a negative or NaN weight used to give the bare cost, an infinite one a non-finite total
+        traj = solve_regular(build_lq(2, 1e-3)).trajectory
+        with pytest.raises(ValueError, match="regularization weight must be finite and >= 0"):
+            cost_functional(traj, lam=lam)
+
+
+#: the rows of each basis family and order whose cost is checked against its parts
+BASIS_ORDERS = [(build_polynomial, N) for N in (*range(3, 14), 20, 47)] + [
+    (build_trigonometric, N) for N in range(3, 14)
+]
+
+
+class TestCostIsTheSumOfItsParts:
+    """Every route but the impulsive arc prints a cost that is its parts' sum, bit for bit."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    @pytest.mark.parametrize("T", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("builder, N", BASIS_ORDERS, ids=lambda v: getattr(v, "__name__", v))
+    def test_basis_families(self, builder, N, T, lam):
+        sol = solve_sta(builder(N, T), ControlProblem(T=T, lam=lam))
+        assert sol.cost == sol.cost_breakdown.total
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    @pytest.mark.parametrize("k", [10.0, 100.0, 1e4])
+    def test_exponential_family(self, k, lam):
+        sol = solve_sta(build_exponential(k), ControlProblem(lam=lam))
+        assert sol.cost == sol.cost_breakdown.total
+
+    @pytest.mark.parametrize("lam", [1e-2, 1e-6])
+    def test_first_order_optimum(self, lam):
+        sol = solve_regular(build_lq(1, lam))
+        assert sol.cost == sol.cost_breakdown.total
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_modal_route(self, n):
+        answered = 0
+        for lam in (1e-2, 1e-4, 1e-6, 1e-8):
+            try:
+                sol = solve_regular(build_lq(n, lam))
+            except ShootingSingular:
+                continue
+            assert sol.cost == sol.cost_breakdown.total, lam
+            answered += 1
+        assert answered
 
 
 #: one solver of every kind, first-order optima included, and the chain at n = 2..8

@@ -37,6 +37,7 @@ from oracles import (
     order_n_optimum_mp,
     package_per_sum,
     shoot_adjoint_block,
+    singular_endpoint_residual,
     telescoped_x_rows,
 )
 
@@ -65,14 +66,16 @@ class TestBuildLq:
         assert s @ W @ s == pytest.approx(1.0, abs=1e-14)
 
     def test_chain_structure(self):
-        A, B, _ = octmod._chain_structure(3)
-        # rows: x3' = -x3 + v, z2' = v, z1' = z2, z0' = z1
-        expected = np.zeros((4, 4))
-        expected[0, 0] = -1.0
-        expected[2, 1] = 1.0
-        expected[3, 2] = 1.0
-        assert np.array_equal(A, expected)
-        assert np.array_equal(B.ravel(), [1.0, 1.0, 0.0, 0.0])
+        # at n = 3 the rows are x3' = -x3 + v, z2' = v, z1' = z2, z0' = z1; the
+        # unit chain steps A[i + 1, i] are the ones _mode_tables writes as 1
+        for n in range(1, 9):
+            A, B, _ = octmod._chain_structure(n)
+            expected = np.zeros((n + 1, n + 1))
+            expected[0, 0] = -1.0
+            for i in range(1, n):
+                expected[i + 1, i] = 1.0
+            assert np.array_equal(A, expected)
+            assert np.array_equal(B.ravel(), [1.0, 1.0] + [0.0] * (n - 1))
 
     def test_returns_the_control_problem(self):
         problem = build_lq(3, 1e-4, 2.0)
@@ -101,13 +104,12 @@ class TestBuildLq:
         assert type(adjoint_names(n)) is tuple
         assert adjoint_names(n) is adjoint_names(n)
         assert row_names(n, True)[-(n + 1) :] == adjoint_names(n)
-        for a, b in zip((octmod._x1_row(n), *octmod._x1_terms(n)), (octmod._x1_row(n), *octmod._x1_terms(n))):
-            assert a is b
-            assert not a.flags.writeable
-        index, weights = octmod._x1_terms(n)
         r1 = octmod._x1_row(n)
-        assert index.tolist() == [i for i, wt in enumerate(r1) if wt]
-        assert weights.ravel().tobytes() == r1[index].tobytes()
+        assert octmod._x1_row(n) is r1
+        assert not r1.flags.writeable
+        # the modal telescoping weighs the first n chain rows and skips z_0
+        assert np.all(r1[:n] != 0.0)
+        assert r1[n] == 0.0
 
     @pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
     def test_horizon_must_be_finite_and_positive(self, T):
@@ -335,6 +337,22 @@ class TestSingularSolution:
             assert k >= 8
             return
         assert verify_boundaries(sol, tol=1e-8).passed
+
+    @pytest.mark.parametrize("T", [1e-6, 0.5, 1.0, 2.0, 30.0, 800.0])
+    def test_cost_is_coth_bitwise(self, T):
+        assert singular_solution(T).cost == float(1 / np.tanh(T))
+
+    @pytest.mark.parametrize("k", range(81))
+    def test_short_horizon_refusal_is_the_endpoint_oracle(self, k):
+        # the boundary report's residuals are the hand formula's, bit for bit
+        T = 10.0 ** (-k / 4)
+        residual = singular_endpoint_residual(T)
+        if not residual > 1e-8:
+            singular_solution(T)
+            return
+        with pytest.raises(ShortHorizon) as info:
+            singular_solution(T)
+        assert f"misses its endpoints by {residual:.3g} at horizon {T:g}" in str(info.value)
 
     def test_vanishing_horizon_raises_short_horizon(self):
         with pytest.raises(ShortHorizon, match="misses its endpoints by 1"):

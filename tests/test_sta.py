@@ -350,7 +350,7 @@ class TestSolveSta:
             sol = solve_sta(fam)
             p_opt = minimize_quadratic(form.A, form.b)
             base = form.value(p_opt)
-            assert base == sol.cost
+            assert sol.cost == sol.cost_breakdown.total
             for i in range(fam.free_dim):
                 for delta in (-1e-3, 1e-3):
                     p = p_opt.copy()
@@ -436,6 +436,25 @@ class TestReferenceTables:
             want = np.array([coeffs @ rows for rows in table])
             assert fam.x_stack(coeffs, ends, k).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("family, N", TABLE_ORDERS, ids=lambda v: getattr(v, "kind", v))
+    def test_rows_build_only_the_orders_they_need(self, monkeypatch, family, N):
+        traj = solve_sta(family(N, 1.3)).trajectory
+        ts = np.linspace(0.0, 1.3, 7)
+        table = traj.table(ts)
+        orders = []
+        reference_basis = family.reference_basis
+
+        def spy(N, u, order):
+            orders.append(order)
+            return reference_basis(N, u, order)
+
+        monkeypatch.setattr(family, "reference_basis", staticmethod(spy))
+        for name, order in (("x", 0), ("xdot", 1), ("u", 1), ("v", 2)):
+            orders.clear()
+            row = traj(ts, name)[0]
+            assert orders == [order], name
+            assert row.tobytes() == table[name].tobytes(), name
+
     def test_tables_are_shared_read_only(self):
         cost, ends = _reference_tables(PolynomialAnsatz, 5)
         assert _reference_tables(PolynomialAnsatz, 5)[0] is cost
@@ -495,7 +514,7 @@ class TestCertificate:
             return
         assert not refuses
         assert verify_boundaries(sol, tol=1e-8).passed
-        assert sol.cost == pytest.approx(sol.cost_breakdown.total, rel=1e-9)
+        assert sol.cost == sol.cost_breakdown.total
         assert sol.cost_breakdown.bare >= 1.0 / np.tanh(T) - 1e-6
         values = [sol.cost, *sol.cost_breakdown.as_dict().values(), *sol.coefficients.values()]
         values += list(sol.trajectory.table(np.linspace(0.0, T, 201)).values())
