@@ -70,10 +70,18 @@ def _stacked(sums, dtype=None):
     return SumStack(np.array([s.gammas for s in sums], dtype=dtype), rates, shifts)
 
 
-#: :func:`real_values` forms every product of a call at once for at most
-#: this many times; larger tables accumulate one term at a time, which keeps
-#: their memory at one table
+#: :func:`real_values` forms every product of a call in one table for at most
+#: this many times, and for a complex stack of at most :data:`FEW_COMPLEX_CELLS`
+#: rows x times; larger tables accumulate one term at a time, which keeps
+#: their memory at one ``(rows,) + t.shape`` table
 FEW_POINTS = 8
+
+#: rows x times up to which a complex stack takes the one-pass table: the
+#: cost quadrature's ``x, x', v`` on 128 nodes.  On a 2-core x86 host the
+#: one pass wins or ties below it for 6 to 18 terms and 2 to 27 rows, and the
+#: loop wins from about 420 cells at 6 terms and 750 at 18; one product
+#: table then holds at most 384 doubles per term, 54 KiB at 18 terms
+FEW_COMPLEX_CELLS = 384
 
 
 def real_values(sums, t):
@@ -85,15 +93,17 @@ def real_values(sums, t):
     ``(terms,) + t.shape`` array (real when every rate is real).  The terms
     are then added one at a time, in term order and from ``+0.0``, so a
     row's bits do not depend on how many rows are stacked with it or on the
-    shape of ``t``.  For at most :data:`FEW_POINTS` times the products form
-    one ``(terms, rows) + t.shape`` array whose running sum
+    shape of ``t``.  For at most :data:`FEW_POINTS` times, or a complex
+    stack of at most :data:`FEW_COMPLEX_CELLS` rows x times, the products
+    form one ``(terms, rows) + t.shape`` array whose running sum
     (``np.add.accumulate``, never a pairwise reduction) adds them in that
-    same order.  Complex products are written out in real arithmetic so that
-    a value rounds the same for scalar and array ``t``: numpy's vectorised
-    complex multiply may fuse multiply-adds.  When every rate and gamma is
-    real the imaginary products, all exact zeros, are skipped; that leaves
-    every bit alone because ``x - 0.0 == x`` and the sum never becomes
-    ``-0.0``.
+    same order; both kernels give the same bits, and each is the faster one
+    on its side of the limit.  Complex products are written out in real
+    arithmetic so that a value rounds the same for scalar and array ``t``:
+    numpy's vectorised complex multiply may fuse multiply-adds.  When every
+    rate and gamma is real the imaginary products, all exact zeros, are
+    skipped; that leaves every bit alone because ``x - 0.0 == x`` and the
+    sum never becomes ``-0.0``.
     """
     gammas, rates, shifts = _stacked(sums, complex)
     t = np.asarray(t, dtype=float)
@@ -102,7 +112,7 @@ def real_values(sums, t):
     g = np.asarray(gammas, dtype=complex).reshape((rows,) + per_term)
     e = np.exp(np.asarray(rates).reshape(per_term) * (t - np.asarray(shifts).reshape(per_term)))
     real = not np.iscomplexobj(e) and not g.imag.any()
-    if t.size <= FEW_POINTS:
+    if t.size <= FEW_POINTS or (not real and rows * t.size <= FEW_COMPLEX_CELLS):
         g = g.swapaxes(0, 1)
         e = e[:, None]
         terms = g.real * e if real else g.real * e.real - g.imag * e.imag

@@ -80,7 +80,7 @@ def solve_linear(A, b):
     A : (m, m) array_like
         Square coefficient matrix with finite entries, real or complex.
     b : (m,) or (m, k) array_like
-        Right-hand side(s).
+        Right-hand side(s) with finite entries.
 
     Returns
     -------
@@ -89,6 +89,9 @@ def solve_linear(A, b):
 
     Raises
     ------
+    ValueError
+        If ``A`` is not a non-empty square matrix, ``b`` is not of shape
+        ``(m,)`` or ``(m, k)``, or either holds a NaN or an infinity.
     SingularMatrix
         If a column of ``A`` is zero, or if the 2-norm condition number of
         ``A`` with every column scaled to unit max-magnitude is
@@ -100,8 +103,11 @@ def solve_linear(A, b):
     """
     A = _as_square(A)
     b = np.asarray(b)
-    if b.shape[0] != A.shape[0]:
-        raise ValueError(f"b has length {b.shape[0]}, expected {A.shape[0]}")
+    m = A.shape[0]
+    if b.ndim not in (1, 2) or b.shape[0] != m:
+        raise ValueError(f"b must have shape ({m},) or ({m}, k), got {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("b contains non-finite entries")
     scale = np.abs(A).max(axis=0)
     if not (scale > 0).all():
         raise SingularMatrix(f"column {int(np.argmin(scale))} is zero")

@@ -139,6 +139,35 @@ def order1_optimum_mp(lam, T, dps=80):
         return float(cost)
 
 
+def _order_n_parts(n, lam, T):
+    """The state, derivative and control parts of the order-``n`` optimal
+    cost as mpmath numbers, at the working precision; see
+    :func:`order_n_optimum_mp`."""
+    lam, T = mpmath.mpf(lam), mpmath.mpf(T)
+    r = lam ** (-mpmath.mpf(1) / (2 * n))
+    rates = [mpmath.mpf(1), mpmath.mpf(-1)]
+    rates += [r * mpmath.expjpi(mpmath.mpf(n + 1 + 2 * k) / (2 * n)) for k in range(2 * n)]
+    shifts = [T if mpmath.re(s) > 0 else mpmath.mpf(0) for s in rates]
+    rows = [
+        [s**j * mpmath.exp(s * (t - tau)) for s, tau in zip(rates, shifts)]
+        for t in (0, T) for j in range(n + 1)
+    ]
+    rhs = [0] * (n + 1) + [1] + [0] * n
+    coef = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
+    ctrl = [s**n * (s + 1) for s in rates]  # x^(n+1) + x^(n) per unit term
+    state = deriv = control = mpmath.mpc(0)
+    for ci, si, ti, vi in zip(coef, rates, shifts, ctrl):
+        for cj, sj, tj, vj in zip(coef, rates, shifts, ctrl):
+            S, P = si + sj, si * ti + sj * tj
+            # expm1 keeps the pairs whose rates cancel to rounding (S ~ 10^-dps)
+            pair = T * mpmath.exp(-P) if S == 0 else mpmath.exp(-P) * mpmath.expm1(S * T) / S
+            # the pair weight 1 + si sj + lam vi vj, one part at a time
+            state += ci * cj * pair
+            deriv += ci * cj * si * sj * pair
+            control += ci * cj * lam * vi * vj * pair
+    return state, deriv, control
+
+
 def order_n_optimum_mp(n, lam, T, dps=80):
     """Order-``n`` optimal cost at ``dps`` significant digits, from the exact rates.
 
@@ -152,26 +181,18 @@ def order_n_optimum_mp(n, lam, T, dps=80):
     rates (``lam = 1`` at odd ``n``) make the rows singular.
     """
     with mpmath.workdps(dps):
-        lam, T = mpmath.mpf(lam), mpmath.mpf(T)
-        r = lam ** (-mpmath.mpf(1) / (2 * n))
-        rates = [mpmath.mpf(1), mpmath.mpf(-1)]
-        rates += [r * mpmath.expjpi(mpmath.mpf(n + 1 + 2 * k) / (2 * n)) for k in range(2 * n)]
-        shifts = [T if mpmath.re(s) > 0 else mpmath.mpf(0) for s in rates]
-        rows = [
-            [s**j * mpmath.exp(s * (t - tau)) for s, tau in zip(rates, shifts)]
-            for t in (0, T) for j in range(n + 1)
-        ]
-        rhs = [0] * (n + 1) + [1] + [0] * n
-        coef = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
-        ctrl = [s**n * (s + 1) for s in rates]  # x^(n+1) + x^(n) per unit term
-        cost = mpmath.mpc(0)
-        for ci, si, ti, vi in zip(coef, rates, shifts, ctrl):
-            for cj, sj, tj, vj in zip(coef, rates, shifts, ctrl):
-                S, P = si + sj, si * ti + sj * tj
-                # expm1 keeps the pairs whose rates cancel to rounding (S ~ 10^-dps)
-                pair = T * mpmath.exp(-P) if S == 0 else mpmath.exp(-P) * mpmath.expm1(S * T) / S
-                cost += ci * cj * (1 + si * sj + lam * vi * vj) * pair
-        return float(mpmath.re(cost))
+        return float(mpmath.re(sum(_order_n_parts(n, lam, T))))
+
+
+def order_n_parts_mp(n, lam, T, dps=80):
+    """The parts of :func:`order_n_optimum_mp` as ``(state, derivative, control_energy)`` floats.
+
+    They are ``int x^2``, ``int x'^2`` and ``lam int v^2`` of the same
+    optimum, the pair weight ``1 + s_i s_j + lam v_i v_j`` split term by
+    term, as :class:`lincontrol.model.CostBreakdown` prints them.
+    """
+    with mpmath.workdps(dps):
+        return tuple(float(mpmath.re(part)) for part in _order_n_parts(n, lam, T))
 
 
 def sta_optimum_mp(kind, N, T, dps=60):

@@ -3,14 +3,15 @@
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
 import pytest
 
 import lincontrol
-from lincontrol import oct as octmod
-from lincontrol.expsums import FEW_POINTS, ExpSum, product_integral, real_values, square_integrals
+from lincontrol import expsums, oct as octmod
+from lincontrol.expsums import FEW_COMPLEX_CELLS, FEW_POINTS, ExpSum, product_integral, real_values, square_integrals
 from lincontrol.numerics import (
     DefectiveMatrix,
     NonFiniteSample,
@@ -102,6 +103,29 @@ class TestSolveLinear:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             solve_linear([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0])
+
+    @pytest.mark.parametrize("b", [1.0, np.zeros((2, 2, 2)), np.zeros(3), np.zeros((3, 1)), np.zeros(0)],
+                             ids=["scalar", "3-d", "long", "long-columns", "empty"])
+    def test_rejects_right_hand_side_of_wrong_shape(self, b):
+        A = np.eye(1) if np.ndim(b) == 0 else np.eye(2)
+        with pytest.raises(ValueError, match="b must have shape"):
+            solve_linear(A, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_rejects_non_finite_right_hand_side(self, bad):
+        with pytest.raises(ValueError, match="b contains non-finite"):
+            solve_linear(np.eye(2), [bad, 1.0])
+        with pytest.raises(ValueError, match="b contains non-finite"):
+            solve_linear(np.eye(2), [[1.0, 2.0], [bad, 1.0]])
+
+    def test_accepts_vector_and_matrix_right_hand_sides(self):
+        A = np.array([[2.0, 1.0], [1.0, 3.0]])
+        B = np.array([[1.0, 0.0], [2.0, -1.0]])
+        X = solve_linear(A, B)
+        assert X.shape == (2, 2)
+        for k in range(2):
+            assert solve_linear(A, B[:, k]).tobytes() == np.linalg.solve(A, B[:, k]).tobytes()
+        assert np.allclose(A @ X, B)
 
 
 class TestEigendecompose:
@@ -440,12 +464,23 @@ class TestRealValues:
             real_values([a, ExpSum((1.0,), (1.0,), (1.0,))], 0.5)
 
 
-#: evaluation times on both sides of FEW_POINTS, as a scalar, 1-D and 2-D arrays
+#: row counts of the complex stacks below: one row, the cost quadrature's
+#: ``x, x', v`` and a full table of 18 rows
+COMPLEX_ROWS = (1, 3, 18)
+
+#: for each complex stack, the most times that take the one-pass table
+ONE_PASS_POINTS = tuple(FEW_COMPLEX_CELLS // rows for rows in COMPLEX_ROWS)
+
+#: evaluation times on both sides of FEW_POINTS and of each complex stack's
+#: one-pass limit, as a scalar, 1-D and 2-D arrays
 BITWISE_TIMES = {
     "scalar": 0.37,
     **{f"{m}-points": np.linspace(0.0, 1.0, m) for m in (1, 2, FEW_POINTS, FEW_POINTS + 1, 101)},
+    **{f"{m + d}-points": np.linspace(0.0, 1.0, m + d) for m in ONE_PASS_POINTS for d in (0, 1)},
     "2d-few": np.linspace(0.0, 1.0, 6).reshape(2, 3),
     "2d-many": np.linspace(0.0, 1.0, 60).reshape(4, 15).T,
+    "2d-128": np.linspace(0.0, 1.0, 128).reshape(16, 8),
+    "2d-129": np.linspace(0.0, 1.0, 129).reshape(3, 43).T,
 }
 
 
@@ -459,13 +494,37 @@ def _complex_sums(monkeypatch):
     return sums[:9] + sums[18:]
 
 
+def _cost_rows(monkeypatch):
+    # order 8: the rows x, x' and v that the cost quadrature evaluates
+    sums = packaged_series(monkeypatch, OCT_SOLVERS["n8"])
+    return [sums[0], sums[1], sums[17]]
+
+
 #: stacks of sums sharing rates and shifts: real and complex, one row and many
 BITWISE_STACKS = {
     "real-one-row": lambda mp: _real_sums(mp)[:1],
     "real-stack": _real_sums,
     "complex-one-row": lambda mp: _complex_sums(mp)[:1],
+    "complex-3-rows": _cost_rows,
     "complex-18-rows": _complex_sums,
 }
+
+
+def one_pass_tables(monkeypatch):
+    """The shapes of the product tables :func:`real_values` sums in one pass,
+    one per call of ``np.add.accumulate`` in :mod:`lincontrol.expsums`."""
+    shapes = []
+
+    class Add:
+        def accumulate(self, terms):
+            shapes.append(terms.shape)
+            return np.add.accumulate(terms)
+
+    spy = types.ModuleType("numpy")
+    spy.__getattr__ = lambda name: getattr(np, name)
+    spy.add = Add()
+    monkeypatch.setattr(expsums, "np", spy)
+    return shapes
 
 
 class TestRealValuesBitwise:
@@ -479,6 +538,19 @@ class TestRealValuesBitwise:
         assert got.shape == want.shape == (len(sums),) + np.shape(t)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stack,rows", [
+        ("real-stack", 6), ("complex-one-row", 1), ("complex-3-rows", 3), ("complex-18-rows", 18),
+    ])
+    def test_one_pass_up_to_the_limit(self, monkeypatch, stack, rows):
+        # the last times of each stack that take the one pass are in BITWISE_TIMES, and so is one more
+        sums = BITWISE_STACKS[stack](monkeypatch)
+        limit = FEW_POINTS if stack.startswith("real") else FEW_COMPLEX_CELLS // rows
+        assert len(sums) == rows and f"{limit}-points" in BITWISE_TIMES and f"{limit + 1}-points" in BITWISE_TIMES
+        tables = one_pass_tables(monkeypatch)
+        for m in (limit, limit + 1):
+            real_values(sums, np.linspace(0.0, 1.0, m))
+        assert tables == [(len(sums[0].rates), rows, limit)]
 
     def test_stacks_cover_both_kinds_and_18_rows(self, monkeypatch):
         real, complex_ = _real_sums(monkeypatch), _complex_sums(monkeypatch)

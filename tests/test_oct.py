@@ -35,6 +35,7 @@ from oracles import (
     modal_solution,
     order1_optimum_mp,
     order_n_optimum_mp,
+    order_n_parts_mp,
     package_per_sum,
     shoot_adjoint_block,
     singular_endpoint_residual,
@@ -271,6 +272,53 @@ class TestExactRateOracle:
         lam = 2.37137370566166e-11
         cost = solve_regular(build_lq(n, lam, T)).cost
         assert cost == pytest.approx(order_n_optimum_mp(n, lam, T), rel=1e-9)
+
+
+#: (n, lam, T) with fast rate x horizon lam^(-1/2n) T between 40 and 200
+PARTS_REQUESTS = [
+    (2, 1e-6, 2.0),  # fr.T 63
+    (2, 1e-8, 1.5),  # 150
+    (3, 1e-6, 5.0),  # 50
+    (3, 1e-9, 3.0),  # 95
+    (4, 1e-8, 10.0),  # 100
+    (4, 1e-12, 1.5),  # 47
+    (4, 1e-16, 2.0),  # 200
+]
+
+#: (n, lam, T) of the envelope check, the first order and one higher order
+ENVELOPE_REQUESTS = [
+    (1, 1e-2, 1.0),
+    (1, 1e-4, 3.0),
+    (3, 1e-3, 1.0),
+    pytest.param(3, 1e-6, 2.0, marks=pytest.mark.xfail(strict=True, reason=(
+        "measured 1.9e-6: the control part is within 3e-15 of order_n_parts_mp, but the cost at "
+        "lam (1 + 1e-6) is 1.5e-13 off order_n_optimum_mp, and the difference scales that by 1/2h"
+    ))),
+]
+
+
+class TestCostParts:
+    """Each printed cost part, not only their sum, against an oracle."""
+
+    @pytest.mark.parametrize("n,lam,T", PARTS_REQUESTS)
+    def test_parts_match_split_oracle(self, n, lam, T):
+        parts = solve_regular(build_lq(n, lam, T)).cost_breakdown
+        want = order_n_parts_mp(n, lam, T)
+        got = (parts.state, parts.derivative, parts.control_energy)
+        assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("n,lam,T", PARTS_REQUESTS[::3])
+    def test_split_oracle_sums_to_the_cost_oracle(self, n, lam, T):
+        assert sum(order_n_parts_mp(n, lam, T)) == pytest.approx(order_n_optimum_mp(n, lam, T), rel=1e-14)
+
+    @pytest.mark.parametrize("n,lam,T", ENVELOPE_REQUESTS)
+    def test_control_energy_is_the_weight_derivative(self, n, lam, T):
+        # envelope theorem: dJ/dlam = int v^2 at the optimum, so the central
+        # difference in log lam is lam int v^2, the printed control part
+        h = 1e-6
+        up, down = (solve_regular(build_lq(n, lam * (1 + d), T)).cost for d in (h, -h))
+        control = solve_regular(build_lq(n, lam, T)).cost_breakdown.control_energy
+        assert (up - down) / (2 * h) == pytest.approx(control, rel=1e-6)
 
 
 class TestShootAdjointBlock:
