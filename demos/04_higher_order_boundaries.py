@@ -12,7 +12,9 @@ For n > 1 some flow modes are complex, so the optimal trajectory mixes
 exponentials with oscillations; the auxiliary control develops violent
 boundary layers (they deliver the extra derivative conditions) while the
 physical control u still rides the same exponential arc Z e^t in the
-interior, whatever the order.
+interior, whatever the order.  Every solution the solver returns meets
+its boundary conditions at the package's one tolerance, 1e-8; one that
+misses them is refused with BoundaryResidual instead.
 """
 
 import os
@@ -31,7 +33,7 @@ for n, lam in CASES:
     problem = build_lq(n, lam)
     spec = PontryaginFlow(problem).spectrum()
     sol = solve_regular(problem)
-    report = verify_boundaries(sol, tol=1e-6)
+    report = verify_boundaries(sol)
 
     print(f"order n={n}, weight lam={lam:.0e}")
     fast = [mu for mu in spec.eigenvalues if abs(mu) > 2]

@@ -24,6 +24,7 @@ from .model import (
     InvalidOrder,
     ProtocolSolution,
     Trajectory,
+    certify,
     cost_functional,
     csv_text,
     sample_table,
@@ -48,7 +49,6 @@ from .oct import (
     LambdaOutOfRange,
     PontryaginFlow,
     ShootingSingular,
-    ShortHorizon,
     build_lq,
     equivalence_sta_regular,
     regular_order1_analytic,
@@ -89,7 +89,6 @@ __all__ = [
     "PontryaginFlow",
     "ProtocolSolution",
     "ShootingSingular",
-    "ShortHorizon",
     "SingularMatrix",
     "Trajectory",
     "assemble_gram",
@@ -97,6 +96,7 @@ __all__ = [
     "build_lq",
     "build_polynomial",
     "build_trigonometric",
+    "certify",
     "cost_functional",
     "csv_text",
     "eigendecompose",

@@ -53,7 +53,8 @@ class ControlProblem:
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"horizon must be finite and positive, got {self.T}")
-        if self.n < 1 or int(self.n) != self.n:
+        # n % 1 is NaN for a NaN or an infinity, so neither passes as an integer
+        if not (self.n >= 1 and self.n % 1 == 0):
             raise InvalidOrder(f"derivative order must be an integer >= 1, got {self.n}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"regularization weight must be finite and >= 0, got {self.lam}")
@@ -247,7 +248,8 @@ def package_rows(problem, kind, rows, rates, shifts, impulses=(), cost_override=
 
     A gamma outside the float range turns the cost or a coefficient into
     NaN or infinity without a warning here, and :class:`ProtocolSolution`
-    refuses it with :class:`~lincontrol.numerics.Overflow`.
+    refuses it with :class:`~lincontrol.numerics.Overflow`; :func:`certify`
+    then refuses a solution that misses a boundary condition.
     """
     n = problem.n
     stack = np.asarray(rows, dtype=complex)
@@ -261,7 +263,7 @@ def package_rows(problem, kind, rows, rates, shifts, impulses=(), cost_override=
     with np.errstate(over="ignore", invalid="ignore"):
         initial = trajectory.ends[2 * n + 2 :, 0].tolist() if adjoints else []
     p0 = {f"p0_{nm}": value for nm, value in zip(adjoint_names(n), initial)}
-    return ProtocolSolution(
+    return certify(ProtocolSolution(
         problem=problem,
         kind=kind,
         coefficients=p0 | (coefficients or {}),
@@ -269,7 +271,7 @@ def package_rows(problem, kind, rows, rates, shifts, impulses=(), cost_override=
         impulses=tuple(impulses),
         cost=breakdown.total if cost_override is None else cost_override,
         cost_breakdown=breakdown,
-    )
+    ))
 
 
 def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
@@ -315,7 +317,7 @@ def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
     return breakdown.total, breakdown
 
 
-#: the one boundary tolerance: of every report the CLI prints and of the impulsive arc
+#: the one boundary tolerance: of :func:`certify`, and so of every solution a solver returns
 BOUNDARY_TOL = 1e-8
 
 
@@ -327,19 +329,25 @@ class BoundaryReport:
     tol: float
 
     @property
+    def worst(self):
+        """``(name, value)`` of the largest residual in magnitude; a NaN ranks above every number."""
+        return max(self.residuals.items(), key=lambda item: (math.isnan(item[1]), abs(item[1])))
+
+    @property
     def max_residual(self):
-        return max(abs(v) for v in self.residuals.values())
+        return abs(self.worst[1])
 
     @property
     def passed(self):
-        return self.max_residual <= self.tol
+        # max_residual <= tol, without ranking: a NaN compares false and fails
+        return all(abs(v) <= self.tol for v in self.residuals.values())
 
 
 class BoundaryResidual(NumericsError):
     """A solution misses one of its boundary conditions by more than the tolerance."""
 
     def __init__(self, report):
-        name, value = max(report.residuals.items(), key=lambda item: abs(item[1]))
+        name, value = report.worst
         super().__init__(
             f"boundary residual {name} = {value:.3g} exceeds the tolerance {report.tol:g}"
         )
@@ -373,6 +381,19 @@ def verify_boundaries(sol, tol=BOUNDARY_TOL):
         residuals[f"x^({j})(0)"] = r0
         residuals[f"x^({j})(T)"] = rT
     return BoundaryReport(residuals=residuals, tol=tol)
+
+
+def certify(sol):
+    """``sol``, or :class:`BoundaryResidual` when its report fails at :data:`BOUNDARY_TOL`.
+
+    The one boundary certificate: :func:`package_rows` and the polynomial
+    and sine branch of :func:`~lincontrol.sta.solve_sta` return every
+    solution through it, so no solver returns one that misses its ends.
+    """
+    report = verify_boundaries(sol)
+    if not report.passed:
+        raise BoundaryResidual(report)
+    return sol
 
 
 def sample_table(sol, points):

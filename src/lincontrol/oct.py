@@ -23,7 +23,9 @@ first-order optimum at ``n = 1``, the generic solver at every order
 (state, controls and adjoints) to :func:`~lincontrol.model.package_rows`,
 which keeps them in a single gamma matrix; the exponential family of
 ``sta`` uses the same packaging without the adjoints.  Only the modal
-solve has chain coordinates.
+solve has chain coordinates.  The packaging certifies each solution, so
+every route meets its ``2n + 2`` boundary conditions or raises
+:class:`~lincontrol.model.BoundaryResidual`.
 
 The flow's modes are known in closed form: the Euler-Lagrange operator of
 ``int x^2 + xdot^2 + lam (x^(n+1) + x^(n))^2`` is
@@ -51,7 +53,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .expsums import SumStack, real_values
-from .model import ControlProblem, Impulse, InvalidOrder, package_rows, verify_boundaries
+from .model import ControlProblem, Impulse, InvalidOrder, package_rows
 from .numerics import ComplexSpectrum, SingularMatrix, eigendecompose, solve_linear
 
 
@@ -61,10 +63,6 @@ class LambdaOutOfRange(ValueError):
 
 class ShootingSingular(RuntimeError):
     """The terminal shooting system is numerically singular."""
-
-
-class ShortHorizon(ValueError):
-    """The horizon is too short for the impulsive arc to meet its endpoints in float64."""
 
 
 @lru_cache(maxsize=64)
@@ -160,7 +158,7 @@ def build_lq(n, lam, T=1.0):
     :class:`LambdaOutOfRange`, and a horizon that is not finite and positive
     raises ``ValueError`` from :class:`ControlProblem`.
     """
-    if n < 1 or int(n) != n:
+    if not (n >= 1 and n % 1 == 0):
         raise InvalidOrder(f"derivative order must be an integer >= 1, got {n}")
     if not 0.0 < lam < np.inf:
         raise LambdaOutOfRange(f"energy weight must be finite and positive, got {lam}")
@@ -327,10 +325,11 @@ def singular_solution(T=1.0):
     ``coth(T)``; impulses are excluded from the integral.
 
     A non-finite cost or coefficient raises
-    :class:`~lincontrol.numerics.Overflow`.  Otherwise, when the solution's
-    boundary report (:func:`~lincontrol.model.verify_boundaries`) fails at
-    :data:`~lincontrol.model.BOUNDARY_TOL`, which happens at horizons of
-    about ``1e-8`` and below, it raises :class:`ShortHorizon`.
+    :class:`~lincontrol.numerics.Overflow`.  The gammas grow like ``1/(2T)``,
+    so ``x(T) - 1`` and the kicked ``x'`` lose digits at short horizons
+    (``x(0) = 0`` holds exactly); from horizons of about ``1e-8`` down the
+    packaging's certificate refuses the arc with
+    :class:`~lincontrol.model.BoundaryResidual`.
     """
     problem = ControlProblem(T=T, n=1, lam=0.0)
     with np.errstate(over="ignore"):
@@ -346,20 +345,11 @@ def singular_solution(T=1.0):
     # 1 + r would form inf * 0 once decay overflows
     xdot, z = [grow, decay], [2.0 * grow, 0.0]
     rows = [[grow, -decay], xdot, z, z, [-grow, -decay], xdot]  # x, x', z, v, p_y, p_z
-    sol = package_rows(
+    return package_rows(
         problem, "oct-singular", rows, rates=(1.0, -1.0), shifts=(T, 0.0),
         impulses=(Impulse(0.0, a1), Impulse(T, -coth)),
         cost_override=coth,
     )
-    # the gammas grow like 1/(2T), so x(T) - 1 and the kicked x' lose digits
-    # at short horizons (x(0) = 0 holds exactly)
-    report = verify_boundaries(sol)
-    if not report.passed:
-        raise ShortHorizon(
-            f"impulsive arc misses its endpoints by {report.max_residual:.3g} at horizon {T:g} "
-            f"(tolerance {report.tol:g})"
-        )
-    return sol
 
 
 def solve_regular(problem):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .expsums import ExpSum
 from .model import ControlProblem, CostBreakdown, InvalidOrder, ProtocolSolution, Trajectory, row_names
-from .model import exact_cost, package_rows
+from .model import certify, exact_cost, package_rows
 from .numerics import (
     SOLVE_COND_CAP,
     Overflow,
@@ -271,8 +271,9 @@ class PolynomialAnsatz(AnsatzFamily):
     kind = "polynomial"
 
     def __init__(self, N, T=1.0):
-        if not 3 <= N < COST_NODES:
-            raise InvalidOrder(f"polynomial family needs 3 <= N <= {COST_NODES - 1}, got {N}")
+        # N % 1 is NaN for a NaN or an infinity, so neither passes as an integer
+        if not (3 <= N < COST_NODES and N % 1 == 0):
+            raise InvalidOrder(f"polynomial order must be an integer 3 <= N <= {COST_NODES - 1}, got {N}")
         self.N = int(N)
         super().__init__(T)
 
@@ -311,8 +312,8 @@ class TrigonometricAnsatz(AnsatzFamily):
     kind = "trigonometric"
 
     def __init__(self, N, T=1.0):
-        if N < 3:
-            raise InvalidOrder(f"trigonometric family needs N >= 3, got {N}")
+        if not (N >= 3 and N % 1 == 0):
+            raise InvalidOrder(f"trigonometric order must be an integer >= 3, got {N}")
         self.N = int(N)
         super().__init__(T)
 
@@ -476,6 +477,7 @@ def solve_sta(family, problem=None):
     involved, so repeated runs are bit-identical.  It raises
     ``SingularMatrix`` when cond(A) reaches
     :data:`~lincontrol.numerics.LSQ_COND_CAP` (the sine family from N = 14).
+    Both branches return through :func:`~lincontrol.model.certify`.
     """
     if problem is None:
         problem = ControlProblem(T=family.T, n=1, lam=0.0)
@@ -498,7 +500,7 @@ def solve_sta(family, problem=None):
         x = family.x_stack(coeffs, ts, max((_ROW_ORDERS[i] for i in index), default=0))
         return np.concatenate([x[:2], x[1:2] + x[:1], x[2:] + x[1:2]])[index]
 
-    return ProtocolSolution(
+    return certify(ProtocolSolution(
         problem=problem,
         kind=_KIND_TAGS[family.kind],
         coefficients=family.paper_coefficients(coeffs),
@@ -506,4 +508,4 @@ def solve_sta(family, problem=None):
         impulses=(),
         cost=breakdown.total,
         cost_breakdown=breakdown,
-    )
+    ))

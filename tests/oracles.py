@@ -370,6 +370,17 @@ def singular_endpoint_residual(T):
     return float(max(abs(grow - decay * e - 1.0), abs(2.0 * decay - a1), abs(grow + decay * e - coth)))
 
 
+#: ``(n, lam, T)`` of one answered modal problem per order 2..8: weight
+#: ``10^(-2n)`` at ``T = 1``, a fast rate of 10.  There the modal solve misses
+#: the ends of orders 7 and 8 by 2.4e-8 and 2.7e-6 and is refused, so those two
+#: run at weight 1e-10 and ``T = 5`` (residuals 1.3e-11 and 4.4e-11)
+CHAIN_PROBLEMS = {
+    **{n: (n, 10.0 ** (-2 * n), 1.0) for n in range(2, 7)},
+    7: (7, 1e-10, 5.0),
+    8: (8, 1e-10, 5.0),
+}
+
+
 def modal_solution(n, lam, T=1.0):
     """The anchored modal solve of :func:`lincontrol.oct.solve_regular`, without its routing.
 

@@ -176,11 +176,14 @@ class TestOctCommand:
         assert run_cli(capsys, "oct", "singular", "--n", "1", "--lambda", "0") == run_cli(capsys, "oct", "singular")
 
     def test_vanishing_horizon_singular_exits_2(self, capsys):
-        # x(T) - 1 = -1 in float64; it used to exit 0
+        # x(T) - 1 = -1 in float64; it used to exit 0.  The library refuses the
+        # arc, and the CLI prints the refusal as it prints every other
         code, out, err = run_cli(capsys, "oct", "singular", "--T", "1e-200")
         assert code == 2
         assert out == ""
-        assert json.loads(err)["error"] == "ShortHorizon"
+        assert json.loads(err) == {
+            "error": "BoundaryResidual", "message": "boundary residual x(T)-1 = -1 exceeds the tolerance 1e-08",
+        }
 
     @pytest.mark.parametrize("T", ["0", "-1", "inf", "nan"])
     def test_bad_horizon_exits_2_with_value_error(self, capsys, T):
@@ -480,11 +483,13 @@ class TestSweep:
         assert json.loads(err)["fit"] == {}
 
     def test_failing_boundary_report_is_an_error_row(self, monkeypatch):
-        # a solution the CLI refuses to print is not tabulated either
-        failing = octmod.solve_regular(octmod.build_lq(8, 1e-12))
-        monkeypatch.setattr("lincontrol.cli.solve_regular", lambda lq: failing)
+        # the sweep's solver refuses a solution that misses its ends, and the
+        # refusal is a row; order 8 at weight 1e-12 misses x^(8) by 1e-4
+        monkeypatch.setattr(
+            "lincontrol.cli.solve_regular", lambda lq: octmod.solve_regular(octmod.build_lq(8, 1e-12))
+        )
         (row,), fit = sweep_lambda((1e-4,))
-        assert row["error"].startswith("BoundaryResidual: ")
+        assert re.fullmatch(r"BoundaryResidual: boundary residual \S+ = \S+ exceeds the tolerance 1e-08", row["error"])
         assert fit == {}
 
     @pytest.mark.parametrize("lams", [DEFAULT_SWEEP, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)], ids=["default", "bench"])
@@ -534,6 +539,16 @@ class TestBoundaryRefusal:
         doc = json.loads(err)
         assert doc["error"] == "BoundaryResidual"
         assert doc["message"].endswith("exceeds the tolerance 1e-08")
+
+    @pytest.mark.parametrize("argv", FAILING_REPORTS.values(), ids=FAILING_REPORTS.keys())
+    def test_library_refuses_the_solution(self, argv):
+        # the refusal is the solver's own, not the command's
+        options = dict(zip(argv[2::2], argv[3::2]))
+        problem = octmod.build_lq(int(options["--n"]), float(options["--lambda"]), float(options.get("--T", 1.0)))
+        with pytest.raises(BoundaryResidual) as info:
+            octmod.solve_regular(problem)
+        assert not info.value.report.passed
+        assert info.value.report.tol == 1e-8
 
     def test_out_file_is_not_written(self, capsys, tmp_path):
         path = tmp_path / "higher.csv"

@@ -9,6 +9,8 @@ from lincontrol import expsums, model as modelmod
 from lincontrol.model import (
     ALIASES,
     CSV_BLOCK_ROWS,
+    BoundaryReport,
+    BoundaryResidual,
     ControlProblem,
     CostBreakdown,
     InvalidOrder,
@@ -32,7 +34,7 @@ from lincontrol.oct import (
     solve_regular,
 )
 from lincontrol.sta import build_exponential, build_polynomial, build_trigonometric, solve_sta
-from oracles import cost_functional_per_panel, singular_consistency_from_table
+from oracles import CHAIN_PROBLEMS, cost_functional_per_panel, singular_consistency_from_table
 
 COTH1 = 1.0 / np.tanh(1.0)
 
@@ -63,6 +65,12 @@ class TestControlProblem:
     def test_invalid_order(self):
         with pytest.raises(InvalidOrder):
             ControlProblem(n=0)
+
+    @pytest.mark.parametrize("n", [2.5, float("nan"), float("inf")])
+    def test_non_integer_order(self, n):
+        # nan and inf used to raise int()'s own ValueError and OverflowError
+        with pytest.raises(InvalidOrder, match=f"^derivative order must be an integer >= 1, got {n}$"):
+            ControlProblem(n=n)
 
 
 class TestProtocolSolution:
@@ -194,7 +202,7 @@ class TestCostIsTheSumOfItsParts:
         for lam in (1e-2, 1e-4, 1e-6, 1e-8):
             try:
                 sol = solve_regular(build_lq(n, lam))
-            except ShootingSingular:
+            except (ShootingSingular, BoundaryResidual):
                 continue
             assert sol.cost == sol.cost_breakdown.total, lam
             answered += 1
@@ -209,7 +217,7 @@ SOLVER_KINDS = {
     "exp100": lambda: solve_sta(build_exponential(100.0)),
     "singular": lambda: singular_solution(1.0),
     "first-order": lambda: regular_order1_analytic(1e-4),
-    **{f"n{n}": (lambda n=n: solve_regular(build_lq(n, 10.0 ** (-2 * n)))) for n in range(2, 9)},
+    **{f"n{n}": (lambda args=args: solve_regular(build_lq(*args))) for n, args in CHAIN_PROBLEMS.items()},
 }
 
 
@@ -276,6 +284,96 @@ class TestVerifyBoundaries:
         report = verify_boundaries(sol, tol=1e-6)
         assert report.passed
         assert len(report.residuals) == 8  # x plus three derivatives, both ends
+
+
+NAN = float("nan")
+
+
+class TestBoundaryReport:
+    @pytest.mark.parametrize("residuals,name", [
+        ({"a": 0.0, "b": NAN}, "b"),
+        ({"a": NAN, "b": 0.0}, "a"),
+        ({"a": 1e-9, "b": NAN, "c": -2.0, "d": NAN}, "b"),
+    ])
+    def test_nan_residual_fails_and_is_named(self, residuals, name):
+        # max() over abs values used to drop a NaN that was not the first entry
+        report = BoundaryReport(residuals, tol=1e-8)
+        assert not report.passed
+        assert np.isnan(report.max_residual)
+        assert report.worst[0] == name
+        assert str(BoundaryResidual(report)) == f"boundary residual {name} = nan exceeds the tolerance 1e-08"
+
+    def test_worst_is_the_first_largest(self):
+        report = BoundaryReport({"a": 1e-9, "b": -3e-6, "c": 3e-6}, tol=1e-8)
+        assert report.worst == ("b", -3e-6)
+        assert report.max_residual == 3e-6
+
+
+def _scaled_last(original):
+    """``original`` with the last entry of its result times ``1 + 1e-6``."""
+    def perturbed(*args, **kwargs):
+        values = np.array(original(*args, **kwargs), dtype=float)
+        values[-1] *= 1.0 + 1e-6
+        return values
+    return perturbed
+
+
+class TestCertify:
+    """Every solver refuses a solution that misses a boundary condition by more than 1e-8."""
+
+    def test_returns_the_solution_it_passes(self):
+        sol = solve_sta(build_polynomial(5))
+        assert modelmod.certify(sol) is sol
+
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_sta(build_polynomial(6)),
+        lambda: solve_sta(build_trigonometric(6)),
+    ], ids=["poly", "trig"])
+    def test_planted_basis_coefficient(self, monkeypatch, solve):
+        from lincontrol import sta
+
+        monkeypatch.setattr(sta.AnsatzFamily, "coefficient_vector",
+                            _scaled_last(sta.AnsatzFamily.coefficient_vector))
+        with pytest.raises(BoundaryResidual):
+            solve()
+
+    def test_planted_modal_amplitude(self, monkeypatch):
+        from lincontrol import oct as octmod
+
+        original = octmod._modal_amplitudes
+
+        def perturbed(flow):
+            w, V, c = original(flow)
+            c = c.copy()
+            c[0] *= 1.0 + 1e-6
+            return w, V, c
+
+        monkeypatch.setattr(octmod, "_modal_amplitudes", perturbed)
+        with pytest.raises(BoundaryResidual):
+            solve_regular(build_lq(2, 1e-4))
+
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_sta(build_exponential(100.0)),
+        lambda: regular_order1_analytic(1e-4),
+    ], ids=["sta-exp", "first-order"])
+    def test_planted_exponential_coefficient(self, monkeypatch, solve):
+        from lincontrol import sta
+
+        monkeypatch.setattr(sta, "exponential_coefficients_by_solve",
+                            _scaled_last(sta.exponential_coefficients_by_solve))
+        with pytest.raises(BoundaryResidual):
+            solve()
+
+    def test_vanishing_impulsive_horizon(self):
+        with pytest.raises(BoundaryResidual) as info:
+            singular_solution(1e-200)
+        assert info.value.report.residuals["x(T)-1"] == -1.0
+
+    @pytest.mark.parametrize("n,lam", [(7, 1e-14), (8, 1e-16)])
+    def test_long_chains_at_unit_horizon(self, n, lam):
+        # the fast rate is 10 and the ends are missed by 2.4e-8 and 2.7e-6
+        with pytest.raises(BoundaryResidual):
+            solve_regular(build_lq(n, lam))
 
 
 class TestSampling:

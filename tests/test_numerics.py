@@ -24,6 +24,7 @@ from lincontrol.numerics import (
 )
 from lincontrol.oct import PontryaginFlow, build_lq
 from oracles import (
+    CHAIN_PROBLEMS,
     eigen_reconstruction,
     eigen_residual_bounds,
     eigen_residuals,
@@ -388,7 +389,7 @@ STACKED_SOLVERS = {
 OCT_SOLVERS = {
     "singular": STACKED_SOLVERS["singular"],
     "first-order": STACKED_SOLVERS["first-order"],
-    **{f"n{n}": (lambda n=n: octmod.solve_regular(build_lq(n, 10.0 ** (-2 * n)))) for n in range(2, 9)},
+    **{f"n{n}": (lambda args=args: octmod.solve_regular(build_lq(*args))) for n, args in CHAIN_PROBLEMS.items()},
 }
 
 

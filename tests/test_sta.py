@@ -88,6 +88,20 @@ class TestPolynomialFamily:
         assert "a30" in names
 
 
+class TestOrderDomain:
+    @pytest.mark.parametrize("N", [3.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("build,family", [(build_polynomial, "polynomial"), (build_trigonometric, "trigonometric")],
+                             ids=["poly", "trig"])
+    def test_non_integer_order_is_refused(self, build, family, N):
+        # 3.5 used to build N = 3, and nan raised numpy's bare conversion error
+        with pytest.raises(InvalidOrder, match=f"^{family} order must be an integer .*, got {N}$"):
+            build(N)
+
+    @pytest.mark.parametrize("build", [build_polynomial, build_trigonometric], ids=["poly", "trig"])
+    def test_integral_float_order_is_the_integer_order(self, build):
+        assert build(5.0).N == 5 and type(build(5.0).N) is int
+
+
 class TestTrigonometricFamily:
     def test_unique_n3(self):
         fam = build_trigonometric(3)
