@@ -45,7 +45,6 @@ from .numerics import (
     solve_linear,
 )
 from .oct import (
-    EquivalenceReport,
     LambdaOutOfRange,
     PontryaginFlow,
     ShootingSingular,
@@ -77,7 +76,6 @@ __all__ = [
     "CostBreakdown",
     "DefectiveMatrix",
     "DegenerateBasis",
-    "EquivalenceReport",
     "GramForm",
     "Impulse",
     "InvalidOrder",

@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -220,6 +221,33 @@ class ProtocolSolution:
             if not math.isfinite(value):
                 raise Overflow(f"{self.kind} solution has a non-finite {name}: {value}")
 
+    @cached_property
+    def boundary_residuals(self):
+        """Residuals of ``x`` and its first ``n`` derivatives at both endpoints, a read-only mapping.
+
+        Derivatives are the trajectory's analytic rows ``x^(1) .. x^(n)``,
+        read from its end table :attr:`Trajectory.ends`, so a solution whose
+        table is already built costs no evaluation here.  For impulsive
+        solutions the first-derivative conditions hold across the bangs: the
+        kick area is removed from the arc value before comparing, since a
+        bang of area ``A`` shifts ``xdot`` by ``A`` instantaneously.  Built
+        on first use and kept, so every report and summary of the solution
+        reads the same mapping.
+        """
+        n = self.problem.n
+        T = self.problem.T
+        (x0, xT), *derivs = self.trajectory.ends[: n + 1].tolist()
+        jump0 = sum(i.area for i in self.impulses if i.time == 0.0)
+        jumpT = sum(i.area for i in self.impulses if i.time == T)
+        residuals = {"x(0)": x0, "x(T)-1": xT - 1.0}
+        for j, (r0, rT) in enumerate(derivs, 1):
+            if j == 1:
+                r0 -= jump0
+                rT += jumpT
+            residuals[f"x^({j})(0)"] = r0
+            residuals[f"x^({j})(T)"] = rT
+        return MappingProxyType(residuals)
+
 
 def exact_cost(problem, rows, rates, shifts):
     """The :class:`CostBreakdown` of gamma rows in :func:`row_names` order, adjoints optional.
@@ -293,8 +321,8 @@ def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
     Raises
     ------
     ValueError
-        If ``lam`` is not finite and ``>= 0``, or ``panels`` is not an
-        integer ``>= 1``.
+        If ``lam`` is not finite and ``>= 0``, ``panels`` is not an integer
+        ``>= 1``, or ``nodes`` is not an integer ``>= 2``.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"regularization weight must be finite and >= 0, got {lam}")
@@ -325,7 +353,7 @@ BOUNDARY_TOL = 1e-8
 class BoundaryReport:
     """Residuals of every boundary condition, checked against one tolerance."""
 
-    residuals: dict
+    residuals: Mapping
     tol: float
 
     @property
@@ -355,32 +383,8 @@ class BoundaryResidual(NumericsError):
 
 
 def verify_boundaries(sol, tol=BOUNDARY_TOL):
-    """Residuals of ``x`` and its first ``n`` derivatives at both endpoints.
-
-    Derivatives are the trajectory's analytic rows ``x^(1) .. x^(n)``, read
-    from its end table :attr:`Trajectory.ends`, so a solution whose table is
-    already built costs no evaluation here.  For
-    impulsive solutions the first-derivative conditions hold across the
-    bangs: the kick area is removed from the arc value before comparing,
-    since a bang of area ``A`` shifts ``xdot`` by ``A`` instantaneously.
-    """
-    n = sol.problem.n
-    T = sol.problem.T
-    (x0, xT), *derivs = sol.trajectory.ends[: n + 1].tolist()
-    jump0 = sum(i.area for i in sol.impulses if i.time == 0.0)
-    jumpT = sum(i.area for i in sol.impulses if i.time == T)
-    residuals = {
-        "x(0)": x0,
-        "x(T)-1": xT - 1.0,
-    }
-    for j in range(1, n + 1):
-        r0, rT = derivs[j - 1]
-        if j == 1:
-            r0 -= jump0
-            rT += jumpT
-        residuals[f"x^({j})(0)"] = r0
-        residuals[f"x^({j})(T)"] = rT
-    return BoundaryReport(residuals=residuals, tol=tol)
+    """The :class:`BoundaryReport` of :attr:`ProtocolSolution.boundary_residuals` at ``tol``."""
+    return BoundaryReport(residuals=sol.boundary_residuals, tol=tol)
 
 
 def certify(sol):

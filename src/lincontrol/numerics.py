@@ -165,9 +165,13 @@ def _leggauss(nodes):
 
 
 def gauss_legendre(nodes, a=-1.0, b=1.0):
-    """Gauss-Legendre abscissae and weights mapped to ``[a, b]``."""
-    if nodes < 2:
-        raise ValueError(f"need at least 2 nodes, got {nodes}")
+    """Gauss-Legendre abscissae and weights mapped to ``[a, b]``.
+
+    ``nodes`` must be an integer ``>= 2`` (a numpy integer counts; a bool,
+    which is below 2, does not), or ``ValueError`` is raised.
+    """
+    if not isinstance(nodes, (int, np.integer)) or nodes < 2:
+        raise ValueError(f"nodes must be an integer >= 2, got {nodes!r}")
     x, w = _leggauss(int(nodes))
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -192,8 +196,8 @@ def integrate(f, a, b, nodes=64):
     ------
     ValueError
         If ``a < b`` fails on some panel, the panel arrays are empty or
-        differ in shape, or ``f`` returns no trailing axis of one value per
-        node.
+        differ in shape, ``nodes`` is not an integer ``>= 2``, or ``f``
+        returns no trailing axis of one value per node.
     NonFiniteSample
         If ``f`` returns NaN or infinity at any node.
     """

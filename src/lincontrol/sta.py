@@ -66,6 +66,9 @@ _ROW_ORDERS = (0, 1, 1, 2)
 #: the 64-node quadrature that checks the cost
 COST_NODES = 48
 
+#: the last sine order whose cost the rule integrates exactly to roundoff
+SINE_MAX_ORDER = 20
+
 
 @dataclass(frozen=True)
 class GramForm:
@@ -306,14 +309,15 @@ class TrigonometricAnsatz(AnsatzFamily):
     remaining boundary conditions are eliminated.  The free tail ``a_4 ..
     a_N`` is named ``a, b, ..``, except that the two-parameter family
     (N = 5) is reported as ``a_4 = a - b``, ``a_5 = b``, the conventional
-    names.
+    names.  ``N`` stops at 20, the last order for which the cost rule is
+    exact to roundoff.
     """
 
     kind = "trigonometric"
 
     def __init__(self, N, T=1.0):
-        if not (N >= 3 and N % 1 == 0):
-            raise InvalidOrder(f"trigonometric order must be an integer >= 3, got {N}")
+        if not (3 <= N <= SINE_MAX_ORDER and N % 1 == 0):
+            raise InvalidOrder(f"trigonometric order must be an integer 3 <= N <= {SINE_MAX_ORDER}, got {N}")
         self.N = int(N)
         super().__init__(T)
 

@@ -275,14 +275,12 @@ def cost_functional_per_panel(traj, lam=0.0, T=None, nodes=64, panels=1):
     return breakdown.total, breakdown
 
 
-def singular_consistency_from_table(sol, window=None, points=161, profile="auto"):
+def singular_consistency_from_table(sol, window=None):
     """:func:`lincontrol.oct.singular_consistency_check` read off the full column table."""
     T = sol.problem.T
     ta, tb = (0.1 * T, 0.9 * T) if window is None else window
-    if profile == "auto":
-        profile = "v" if sol.problem.n == 1 else "u"
-    ts = np.linspace(ta, tb, points)
-    return fit_exponential_arc(ts, sol.trajectory.table(ts)[profile])[1]
+    ts = np.linspace(ta, tb, 161)
+    return fit_exponential_arc(ts, sol.trajectory.table(ts)["v" if sol.problem.n == 1 else "u"])[1]
 
 
 def real_values_per_term(sums, t):

@@ -356,17 +356,17 @@ class TestOneRoute:
 class TestTables:
     def test_cost_table_all_rows_pass(self):
         report = table2_report()
-        assert len(report.rows) == 10
-        assert report.passed
-        optimal = report.rows[0]
+        assert len(report["rows"]) == 10
+        assert report["passed"] is True
+        optimal = report["rows"][0]
         assert optimal["cost"] == pytest.approx(1.3130, abs=1e-4)
-        poly5 = next(r for r in report.rows if r["method"] == "polynomial" and r["order"] == 5)
+        poly5 = next(r for r in report["rows"] if r["method"] == "polynomial" and r["order"] == 5)
         assert poly5["cost"] == pytest.approx(1.40276, rel=5e-5)
 
     def test_coefficient_table_all_rows_pass(self):
         report = table1_report()
-        assert report.passed
-        trig4 = next(r for r in report.rows if r["method"] == "trigonometric" and r["order"] == 4)
+        assert report["passed"] is True
+        trig4 = next(r for r in report["rows"] if r["method"] == "trigonometric" and r["order"] == 4)
         assert trig4["checks"]["a"]["value"] == pytest.approx(0.0202, abs=1e-3)
 
     def test_table2_cli_exit_zero(self, capsys):
@@ -396,7 +396,7 @@ class TestTables:
         from lincontrol.cli import _sta_solution
 
         report = table2_report()
-        for row in report.rows:
+        for row in report["rows"]:
             if row["method"] == "optimal":
                 continue
             sol = _sta_solution(row["method"], order=row["order"], k=100.0)
@@ -765,7 +765,7 @@ class TestJsonRendering:
         assert _json(doc) == json_reference(doc)
 
     def test_table_and_validation_documents(self):
-        docs = [table1_report().as_dict(), table2_report().as_dict()]
+        docs = [table1_report(), table2_report()]
         docs.append({"passed": True, "checks": run_validation()})
         for doc in docs:
             assert _json(doc) == json_reference(doc)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lincontrol import expsums, model as modelmod
+from lincontrol.cli import solution_summary
 from lincontrol.model import (
     ALIASES,
     CSV_BLOCK_ROWS,
@@ -250,11 +251,9 @@ class TestBatchedEvaluation:
     @pytest.mark.parametrize("make", SOLVER_KINDS.values(), ids=SOLVER_KINDS.keys())
     def test_consistency_check_matches_table_reference(self, make):
         sol = make()
-        for points in (2, 161):
-            for profile in ("auto", "u", "v"):
-                got = singular_consistency_check(sol, points=points, profile=profile)
-                want = singular_consistency_from_table(sol, points=points, profile=profile)
-                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        got = singular_consistency_check(sol)
+        want = singular_consistency_from_table(sol)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestVerifyBoundaries:
@@ -284,6 +283,18 @@ class TestVerifyBoundaries:
         report = verify_boundaries(sol, tol=1e-6)
         assert report.passed
         assert len(report.residuals) == 8  # x plus three derivatives, both ends
+
+    @pytest.mark.parametrize("make", [lambda: solve_sta(build_polynomial(6)), lambda: singular_solution(1.0),
+                                      lambda: solve_regular(build_lq(3, 5e-9))], ids=["poly6", "singular", "n3"])
+    def test_reports_share_one_read_only_residual_table(self, make):
+        # the table is built once per solution, not once per report or summary
+        sol = make()
+        summary = solution_summary(sol)["boundary_residuals"]
+        first, second = verify_boundaries(sol), verify_boundaries(sol, tol=1e-12)
+        assert first.residuals is second.residuals is sol.boundary_residuals
+        with pytest.raises(TypeError):
+            first.residuals["x(0)"] = 1.0
+        assert solution_summary(sol)["boundary_residuals"] == summary == dict(first.residuals)
 
 
 NAN = float("nan")
@@ -606,14 +617,12 @@ class TestRowContract:
         cost_functional(sol.trajectory, lam=lam, nodes=16, panels=3)
         assert calls == [((48,), rows)]
 
-    @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
-    @pytest.mark.parametrize("profile", ["auto", "u", "v"])
-    def test_consistency_check_reads_one_row(self, make, profile):
+    @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=[f"auto-{k}" for k in TABLE_KINDS])
+    def test_consistency_check_reads_one_row(self, make):
+        # the profile the check picks by itself: v at first order, u = z0 above
         sol, calls = spied(make())
-        singular_consistency_check(sol, points=161, profile=profile)
-        if profile == "auto":
-            profile = "v" if sol.problem.n == 1 else "u"
-        assert calls == [((161,), ["v" if profile == "v" else "z0"])]
+        singular_consistency_check(sol)
+        assert calls == [((161,), ["v" if sol.problem.n == 1 else "z0"])]
 
     @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
     def test_sample_table_reads_every_row_once(self, make):

@@ -18,6 +18,7 @@ from lincontrol.numerics import (
     Overflow,
     SingularMatrix,
     eigendecompose,
+    gauss_legendre,
     integrate,
     minimize_quadratic,
     solve_linear,
@@ -254,6 +255,19 @@ class TestIntegrate:
         for degree in range(0, 2 * nodes, max(1, nodes // 2)):
             val = integrate(lambda t, d=degree: t**d, 0.0, 1.0, nodes=nodes)
             assert val == pytest.approx(1.0 / (degree + 1), rel=1e-13)
+
+    @pytest.mark.parametrize("nodes", [64.9, 2.0, float("nan"), float("inf"), True, 1])
+    def test_node_count_must_be_an_integer_of_two_or_more(self, nodes):
+        # 64.9 used to integrate on 64 nodes, and nan and inf raised int()'s own errors
+        with pytest.raises(ValueError, match=r"^nodes must be an integer >= 2, got "):
+            gauss_legendre(nodes)
+        with pytest.raises(ValueError, match=r"^nodes must be an integer >= 2, got "):
+            integrate(np.exp, 0.0, 1.0, nodes)
+
+    def test_numpy_integer_node_count(self):
+        want = gauss_legendre(5, 0.0, 2.0)
+        for got, ref in zip(gauss_legendre(np.int64(5), 0.0, 2.0), want):
+            assert got.tobytes() == ref.tobytes()
 
     def test_stacked_integrands(self):
         vals = integrate(lambda t: [np.ones_like(t), t, t**2], 0.0, 1.0)

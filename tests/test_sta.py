@@ -97,6 +97,12 @@ class TestOrderDomain:
         with pytest.raises(InvalidOrder, match=f"^{family} order must be an integer .*, got {N}$"):
             build(N)
 
+    def test_sine_order_above_20_is_refused(self):
+        # the cost rule is exact to roundoff for the sines only up to N = 20
+        assert build_trigonometric(20).N == 20
+        with pytest.raises(InvalidOrder, match=r"^trigonometric order must be an integer 3 <= N <= 20, got 21$"):
+            build_trigonometric(21)
+
     @pytest.mark.parametrize("build", [build_polynomial, build_trigonometric], ids=["poly", "trig"])
     def test_integral_float_order_is_the_integer_order(self, build):
         assert build(5.0).N == 5 and type(build(5.0).N) is int
