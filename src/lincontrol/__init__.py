@@ -32,7 +32,6 @@ from .model import (
     write_csv,
 )
 from .numerics import (
-    ComplexSpectrum,
     DefectiveMatrix,
     NoConvergence,
     NonFiniteSample,
@@ -71,7 +70,6 @@ __all__ = [
     "AnsatzFamily",
     "BoundaryReport",
     "BoundaryResidual",
-    "ComplexSpectrum",
     "ControlProblem",
     "CostBreakdown",
     "DefectiveMatrix",

@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__
 from .model import (
     ControlProblem,
-    InvalidOrder,
     csv_text,
     verify_boundaries,
     write_csv,
@@ -301,11 +300,11 @@ def run_validation():
     for n in (1, 2, 3):
         lam = 1e-4
         flow = PontryaginFlow(build_lq(n, lam))
-        w = flow.spectrum().eigenvalues
+        w, _ = flow.spectrum()
         resid = max(min(abs(mu + nu) for nu in w) for mu in w)
         add(f"spectral-pairing-n{n}", resid <= 1e-9, resid, 1e-9)
         # the closed-form rates against the eigensolver's, relative to 1 + |mu|
-        numerical = flow.numerical_spectrum().eigenvalues
+        numerical, _ = flow.numerical_spectrum()
         gap = max(min(abs(mu - nu) for nu in numerical) / (1 + abs(mu)) for mu in w)
         add(f"spectrum-agreement-n{n}", gap <= 1e-9, gap, 1e-9)
 
@@ -342,10 +341,9 @@ def _cmd_oct(args):
         if args.lam not in (None, 0.0):
             raise ValueError(f"oct singular has weight 0, got --lambda {args.lam}")
         return _emit_solution(singular_solution(args.T), args)
-    # regular and higher differ only in their default weight; an order that
-    # does not exist is refused before its default weight is looked up
-    if args.n < 1:
-        raise InvalidOrder(f"derivative order must be an integer >= 1, got {args.n}")
+    # regular and higher differ only in their default weight; the problem
+    # record refuses an order that does not exist before that is looked up
+    ControlProblem(n=args.n)
     lam = args.lam
     if lam is None:
         lam = 1e-4 if args.mode == "regular" else HIGHER_DEFAULT_LAMBDA.get(args.n)

@@ -37,6 +37,10 @@ class InvalidOrder(ValueError):
 class ControlProblem:
     """Full problem statement: horizon, boundary order, regularization.
 
+    The one owner of a request's rules.  A field may be any real number,
+    numpy scalars included, and is stored as a Python ``float`` (``T``,
+    ``lam``) or ``int`` (``n``); a bool or a non-real is refused.
+
     Parameters
     ----------
     T : float
@@ -52,13 +56,28 @@ class ControlProblem:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T > 0):
+        T, n, lam = map(_real, (self.T, self.n, self.lam))
+        if not (math.isfinite(T) and T > 0):
             raise ValueError(f"horizon must be finite and positive, got {self.T}")
         # n % 1 is NaN for a NaN or an infinity, so neither passes as an integer
-        if not (self.n >= 1 and self.n % 1 == 0):
+        if not (n >= 1 and n % 1 == 0):
             raise InvalidOrder(f"derivative order must be an integer >= 1, got {self.n}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
+        if not (math.isfinite(lam) and lam >= 0):
             raise ValueError(f"regularization weight must be finite and >= 0, got {self.lam}")
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "lam", lam)
+
+
+def _real(value):
+    """``value`` as a Python float; NaN, which every field refuses, for a bool
+    (numpy's too), a non-real or an integer past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
 
 
 @dataclass(frozen=True)
@@ -322,11 +341,12 @@ def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
     ------
     ValueError
         If ``lam`` is not finite and ``>= 0``, ``panels`` is not an integer
-        ``>= 1``, or ``nodes`` is not an integer ``>= 2``.
+        ``>= 1`` (a numpy integer counts, a bool does not), or ``nodes`` is
+        not an integer ``>= 2``.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"regularization weight must be finite and >= 0, got {lam}")
-    if not isinstance(panels, (int, np.integer)) or panels < 1:
+    if isinstance(panels, bool) or not isinstance(panels, (int, np.integer)) or panels < 1:
         raise ValueError(f"panels must be an integer >= 1, got {panels!r}")
     if T is None:
         T = traj.T

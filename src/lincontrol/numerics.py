@@ -10,7 +10,6 @@ failure behaviour so that results are reproducible byte-for-byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -117,23 +116,12 @@ def solve_linear(A, b):
     return np.linalg.solve(A, b)
 
 
-@dataclass(frozen=True)
-class ComplexSpectrum:
-    """Eigen-decomposition with deterministic ordering.
-
-    ``eigenvalues[i]`` pairs with column ``eigenvectors[:, i]``; columns are
-    normalised to unit infinity-norm.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def eigendecompose(A):
-    """Eigenvalues and eigenvectors of a square diagonalizable matrix.
+    """Eigenvalues and eigenvectors of a square diagonalizable matrix, as ``(w, V)``.
 
-    Pairs are sorted by real part, then imaginary part, so output is
-    reproducible across runs and platforms.
+    ``w[i]`` pairs with column ``V[:, i]``, and the columns are normalised to
+    unit infinity-norm.  Pairs are sorted by real part, then imaginary part,
+    so output is reproducible across runs and platforms.
 
     Raises
     ------
@@ -156,7 +144,7 @@ def eigendecompose(A):
     cond = _cond(V)
     if not np.isfinite(cond) or cond > EIGVEC_COND_CAP:
         raise DefectiveMatrix(f"eigenvector condition number {cond:.3e}")
-    return ComplexSpectrum(eigenvalues=w, eigenvectors=V)
+    return w, V
 
 
 @lru_cache(maxsize=64)

@@ -52,8 +52,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .expsums import SumStack, real_values
-from .model import ControlProblem, Impulse, InvalidOrder, package_rows
-from .numerics import ComplexSpectrum, NumericsError, SingularMatrix, eigendecompose, solve_linear
+from .model import ControlProblem, Impulse, package_rows
+from .numerics import NumericsError, SingularMatrix, eigendecompose, solve_linear
 
 
 class LambdaOutOfRange(ValueError):
@@ -152,16 +152,12 @@ def _mode_tables(n):
 def build_lq(n, lam, T=1.0):
     """The order-``n`` transfer problem as a :class:`ControlProblem` with a positive weight.
 
-    An order that is not an integer ``>= 1`` raises :class:`InvalidOrder`, a
-    weight that is not finite and positive raises
-    :class:`LambdaOutOfRange`, and a horizon that is not finite and positive
-    raises ``ValueError`` from :class:`ControlProblem`.
+    A weight that is not finite and positive raises :class:`LambdaOutOfRange`;
+    the record refuses an order or a horizon that it does not accept.
     """
-    if not (n >= 1 and n % 1 == 0):
-        raise InvalidOrder(f"derivative order must be an integer >= 1, got {n}")
     if not 0.0 < lam < np.inf:
         raise LambdaOutOfRange(f"energy weight must be finite and positive, got {lam}")
-    return ControlProblem(T=float(T), n=int(n), lam=float(lam))
+    return ControlProblem(T=T, n=n, lam=lam)
 
 
 class PontryaginFlow:
@@ -199,7 +195,7 @@ class PontryaginFlow:
         return H
 
     def spectrum(self):
-        """Exact eigenpairs of ``H``, sorted by real part, then imaginary part.
+        """Exact eigenpairs ``(w, V)`` of ``H``, sorted by real part, then imaginary part.
 
         Mode ``i`` is ``x = e^(s_i t)`` at the rates of :func:`_mode_tables`,
         with ``s^(+-j) = rho^(+-j) e^(+-i j theta)``.  Its state column is
@@ -225,10 +221,10 @@ class PontryaginFlow:
         V[ns + 1 :] = adjoint @ (unit_inv / rho_j)
         V[ns] = U * V[0] * w1 - V[ns + 1]
         V /= np.abs(V).max(axis=0)
-        return ComplexSpectrum(eigenvalues=w, eigenvectors=V)
+        return w, V
 
     def numerical_spectrum(self):
-        """Eigenpairs from the eigensolver, the cross-check of :meth:`spectrum`.
+        """Eigenpairs ``(w, V)`` from the eigensolver, the cross-check of :meth:`spectrum`.
 
         The decomposition runs on the similarity-balanced matrix (adjoint
         block scaled by ``sqrt(U)``), which leaves the eigenvalues untouched
@@ -239,10 +235,9 @@ class PontryaginFlow:
         d = np.ones(2 * ns)
         d[ns:] = np.sqrt(self.problem.lam)
         balanced = (self.H / d[:, None]) * d[None, :]
-        spec = eigendecompose(balanced)
-        V = spec.eigenvectors * d[:, None]
-        V = V / np.abs(V).max(axis=0)
-        return ComplexSpectrum(eigenvalues=spec.eigenvalues, eigenvectors=V)
+        w, V = eigendecompose(balanced)
+        V = V * d[:, None]
+        return w, V / np.abs(V).max(axis=0)
 
 
 def _modal_amplitudes(flow):
@@ -257,9 +252,7 @@ def _modal_amplitudes(flow):
     """
     ns = flow.problem.n + 1
     T = flow.problem.T
-    spec = flow.spectrum()
-    w = spec.eigenvalues
-    V = spec.eigenvectors
+    w, V = flow.spectrum()
     # growing modes carry exp(-w T) at t = 0, the rest exp(w T) at t = T
     grow = w.real > 0
     ends = np.exp(np.where(grow, -w, w) * T)
@@ -331,6 +324,7 @@ def singular_solution(T=1.0):
     :class:`~lincontrol.model.BoundaryResidual`.
     """
     problem = ControlProblem(T=T, n=1, lam=0.0)
+    T = problem.T
     with np.errstate(over="ignore"):
         # sinh overflows to inf beyond T ~ 710, where 1/sinh(T) correctly rounds
         # to 0; below T ~ 1e-308 the kicks and the cost overflow, and the
@@ -387,12 +381,12 @@ def regular_order1_analytic(lam, T=1.0):
     from .sta import build_exponential
 
     problem = build_lq(1, lam, T)
-    family = build_exponential(1.0 / np.sqrt(lam), T)
+    family = build_exponential(1.0 / np.sqrt(problem.lam), problem.T)
     x = family.x
     a, b, _, d = map(float, family.offset)
     fit = dict(rate_fast=family.k, x_coef_slow_neg=b, x_coef_slow_pos=a, x_coef_fast_neg=d,
                x_coef_fast_pos_anchored=float(x.gammas[2]))
-    return package_rows(problem, "oct-regular", family.rows(lam), x.rates, x.shifts, coefficients=fit)
+    return package_rows(problem, "oct-regular", family.rows(problem.lam), x.rates, x.shifts, coefficients=fit)
 
 
 def fit_exponential_arc(ts, values):
@@ -448,8 +442,9 @@ def equivalence_sta_regular(lam):
 
     if not 0.0 < lam < 1.0:
         raise LambdaOutOfRange(f"equivalence check needs 0 < weight < 1, got {lam}")
-    family = build_exponential(1.0 / np.sqrt(lam), 1.0)
-    rows, rates, shifts = _series_from_modes(PontryaginFlow(build_lq(1, lam)))
+    problem = build_lq(1, lam)
+    family = build_exponential(1.0 / np.sqrt(problem.lam), problem.T)
+    rows, rates, shifts = _series_from_modes(PontryaginFlow(problem))
     x = rows[0]
     ts = np.linspace(0.0, 1.0, 1001)
     gap = float(np.abs(family.x.value(ts) - real_values(SumStack(x[None], rates, shifts), ts)[0]).max())

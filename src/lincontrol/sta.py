@@ -364,7 +364,7 @@ class ExponentialAnsatz:
     kind = "exponential"
 
     def __init__(self, k, T=1.0):
-        k = abs(float(k))
+        k, T = abs(float(k)), float(T)
         if not np.isfinite(k) or k == 0.0:
             raise ValueError(f"k must be finite and nonzero, got {k}")
         if not math.isfinite(k * k):
@@ -372,7 +372,7 @@ class ExponentialAnsatz:
             raise Overflow(f"rate k={k} is too large: k^2 overflows")
         a_T, b, c_T, d = exponential_coefficients_by_solve(k, T)
         self.k = k
-        self.T = float(T)
+        self.T = T
         self.offset = np.array([a_T * math.exp(-T), b, c_T * math.exp(-k * T), d])
         self.x = ExpSum(gammas=(a_T, b, c_T, d), rates=(1.0, -1.0, k, -k), shifts=(T, 0.0, T, 0.0))
 

@@ -57,20 +57,20 @@ def shoot_adjoint_block(flow, horizon=None):
 
 
 def eigen_residuals(A, spec):
-    """Per-pair residuals ``|A v - mu v|`` (2-norm over each column) of a spectrum of ``A``."""
-    V = spec.eigenvectors
-    return np.linalg.norm(A @ V - V * spec.eigenvalues, axis=0)
+    """Per-pair residuals ``|A v - mu v|`` (2-norm over each column) of a spectrum ``(w, V)`` of ``A``."""
+    w, V = spec
+    return np.linalg.norm(A @ V - V * w, axis=0)
 
 
 def eigen_residual_bounds(spec):
     """Per-pair residual tolerances ``1e-10 * (1 + |mu|)`` for unit-max eigenvectors."""
-    return 1e-10 * (1.0 + np.abs(spec.eigenvalues))
+    return 1e-10 * (1.0 + np.abs(spec[0]))
 
 
 def eigen_reconstruction(spec):
     """``V diag(mu) V^-1``, which approximates the decomposed matrix."""
-    V = spec.eigenvectors
-    return (V * spec.eigenvalues) @ np.linalg.inv(V)
+    w, V = spec
+    return (V * w) @ np.linalg.inv(V)
 
 
 def boundary_values(family, coeffs):

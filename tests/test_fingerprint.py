@@ -7,6 +7,7 @@ import fingerprint
 import ops
 import workloads
 from lincontrol import cli
+from lincontrol.numerics import NumericsError
 
 
 def test_lines_name_each_op_once(capsys):
@@ -36,3 +37,17 @@ def test_every_workload_renders(capsys):
     fingerprint.main(["--seed", "2", "--limit", "1"])
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:3] for line in lines] == [[w, "2", "0"] for w in workloads.WORKLOADS]
+
+
+def test_every_op_answers_or_raises_a_typed_error():
+    # the benchmark's own inputs: a certified answer or a refusal a caller can
+    # catch, never an untyped error; cli-mix ops return their exit code
+    for workload in workloads.WORKLOADS:
+        for seed in fingerprint.SEEDS:
+            for i, op in enumerate(workloads.pool(workload, seed)):
+                try:
+                    fingerprint.RENDER[workload](op)
+                except (ValueError, NumericsError):
+                    pass
+                except Exception as exc:
+                    raise AssertionError(f"{workload} seed {seed} op {i}: {op}") from exc

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lincontrol import expsums, model as modelmod
-from lincontrol.cli import solution_summary
+from lincontrol.cli import _json, solution_summary
 from lincontrol.model import (
     ALIASES,
     CSV_BLOCK_ROWS,
@@ -25,7 +25,7 @@ from lincontrol.model import (
     verify_boundaries,
     write_csv,
 )
-from lincontrol.numerics import Overflow
+from lincontrol.numerics import NumericsError, Overflow
 from lincontrol.oct import (
     ShootingSingular,
     build_lq,
@@ -72,6 +72,86 @@ class TestControlProblem:
         # nan and inf used to raise int()'s own ValueError and OverflowError
         with pytest.raises(InvalidOrder, match=f"^derivative order must be an integer >= 1, got {n}$"):
             ControlProblem(n=n)
+
+    def test_fields_are_stored_as_python_numbers(self):
+        p = ControlProblem(T=np.float32(0.5), n=np.int64(2), lam=np.float16(0.25))
+        assert (type(p.T), type(p.n), type(p.lam)) == (float, int, float)
+        assert (p.T, p.n, p.lam) == (0.5, 2, 0.25)
+        assert type(ControlProblem(n=3.0).n) is int
+        assert ControlProblem(T=2, n=np.float64(3), lam=1) == ControlProblem(T=2.0, n=3, lam=1.0)
+
+    @pytest.mark.parametrize("field", ["T", "n", "lam"])
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_, "1", None, 1j], ids=repr)
+    def test_a_bool_or_a_non_real_is_refused(self, field, value):
+        # True was taken as 1 and False as a weight of 0; a string raised a TypeError
+        with pytest.raises(InvalidOrder if field == "n" else ValueError, match=f"got {value}$"):
+            ControlProblem(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value", [("T", 10**400), ("n", 10**400), ("lam", -(10**400))], ids=["T", "n", "lam"]
+    )
+    def test_an_integer_past_the_float_range_is_refused(self, field, value):
+        # T and lam raised an OverflowError, and the order was accepted
+        with pytest.raises(InvalidOrder if field == "n" else ValueError):
+            ControlProblem(**{field: value})
+
+
+#: five routes, each a function of the request fields it reads, and its plain request
+REQUEST_ROUTES = {
+    "singular": (lambda T: singular_solution(T), {"T": 1.0}),
+    "order1": (lambda T, lam: regular_order1_analytic(lam, T), {"T": 1.0, "lam": 1e-4}),
+    "sta-exp": (
+        lambda T, n, lam: solve_sta(build_exponential(100.0, T), ControlProblem(T=T, n=n, lam=lam)),
+        {"T": 1.0, "n": 1, "lam": 0.0},
+    ),
+    "sta-poly6": (
+        lambda T, n, lam: solve_sta(build_polynomial(6, T), ControlProblem(T=T, n=n, lam=lam)),
+        {"T": 1.0, "n": 1, "lam": 0.0},
+    ),
+    "modal-n3": (lambda T, n, lam: solve_regular(build_lq(n, lam, T)), {"T": 1.0, "n": 3, "lam": 1e-4}),
+}
+
+#: (field, value) requests of other types; the plain request converts the value with PLAIN_TYPES
+REQUEST_VALUES = [
+    ("T", 1), ("T", np.float32(0.3)), ("T", np.float16(1)), ("T", True),
+    ("n", 1.0), ("n", 2.0), ("n", np.int64(2)), ("n", True),
+    ("lam", np.float32(1e-4)),
+]
+PLAIN_TYPES = {"T": float, "n": int, "lam": float}
+
+
+def _request_outcome(route, fields):
+    """The summary JSON and the 101-point table of a request, or its raised type and message."""
+    try:
+        sol = route(**fields)
+    except (ValueError, NumericsError) as exc:
+        return type(exc).__name__, str(exc)
+    return _json(solution_summary(sol)), csv_text(sol, 101)
+
+
+class TestRequestTypes:
+    """A request takes one numeric path whatever the types of its fields."""
+
+    @pytest.mark.parametrize(
+        "route,field,value",
+        [
+            pytest.param(r, f, v, id=f"{r}-{f}={v!r}")
+            for r, (_, plain) in REQUEST_ROUTES.items()
+            for f, v in REQUEST_VALUES
+            if f in plain
+        ],
+    )
+    def test_same_bytes_as_the_plain_request_or_a_typed_error(self, route, field, value):
+        # a float order raised a TypeError; a float32 or float16 horizon made the
+        # exponential routes compute in that precision and miss their ends, and a
+        # float32 weight printed the first-order rate_fast in float32
+        solve, plain = REQUEST_ROUTES[route]
+        if isinstance(value, bool):
+            with pytest.raises(InvalidOrder if field == "n" else ValueError, match="got True$"):
+                solve(**{**plain, field: value})
+            return
+        want = _request_outcome(solve, {**plain, field: PLAIN_TYPES[field](value)})
+        assert _request_outcome(solve, {**plain, field: value}) == want
 
 
 class TestProtocolSolution:
@@ -152,7 +232,7 @@ class TestCostFunctional:
         for sol in solutions:
             assert sol.cost_breakdown.bare >= COTH1 - 1e-6
 
-    @pytest.mark.parametrize("panels", [0, -1, 1.5, 2.0, "2"])
+    @pytest.mark.parametrize("panels", [0, -1, 1.5, 2.0, "2", True])
     def test_bad_panel_counts_raise(self, panels):
         # zero panels used to return a silent cost of 0.0
         with pytest.raises(ValueError):
