@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .expsums import SumStack, real_values, square_integrals
+from .expsums import ExpSum, real_values, square_integrals
 from .numerics import NumericsError, Overflow, integrate
 
 
@@ -249,7 +249,7 @@ class ProtocolSolution:
         table is already built costs no evaluation here.  For impulsive
         solutions the first-derivative conditions hold across the bangs: the
         kick area is removed from the arc value before comparing, since a
-        bang of area ``A`` shifts ``xdot`` by ``A`` instantaneously.  Built
+        bang of area ``A`` moves ``xdot`` by ``A`` instantaneously.  Built
         on first use and kept, so every report and summary of the solution
         reads the same mapping.
         """
@@ -268,30 +268,32 @@ class ProtocolSolution:
         return MappingProxyType(residuals)
 
 
-def exact_cost(problem, rows, rates, shifts):
+def exact_cost(problem, rows, rates):
     """The :class:`CostBreakdown` of gamma rows in :func:`row_names` order, adjoints optional.
 
     The parts are the exact square integrals of the rows ``x``, ``x'`` and
-    ``v`` on the terms ``rates`` and ``shifts``, with complex gammas.
+    ``v`` on the terms ``rates`` over the problem's horizon, with complex
+    gammas.
     """
     n = problem.n
     stack = np.asarray(rows, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        state, deriv, ctrl = square_integrals(SumStack(stack[[0, 1, 2 * n + 1]], rates, shifts), problem.T)
+        state, deriv, ctrl = square_integrals(ExpSum(stack[[0, 1, 2 * n + 1]], rates, problem.T))
     return CostBreakdown(state, deriv, problem.lam * ctrl if problem.lam else 0.0)
 
 
-def package_rows(problem, kind, rows, rates, shifts, impulses=(), cost_override=None, coefficients=None):
+def package_rows(problem, kind, rows, rates, impulses=(), cost_override=None, coefficients=None):
     """Package gamma rows into a :class:`ProtocolSolution`.
 
     ``rows`` holds one gamma row per name of ``row_names(n)`` or, when there
     are more rows, of ``row_names(n, adjoints=True)``, all on the terms
-    ``rates`` and ``shifts``.  They form a single gamma matrix, and the
-    evaluator hands :func:`~lincontrol.expsums.real_values` the requested
-    rows only.  The cost is :func:`exact_cost`.  The coefficients are the
-    adjoints at ``t = 0`` (``p0_*``), if any, then ``coefficients``; the
-    adjoints are read from :attr:`Trajectory.ends`, which is then built here
-    once and kept for the boundary report.
+    ``rates``, anchored by the problem's horizon as every
+    :class:`~lincontrol.expsums.ExpSum` is.  They form a single gamma
+    matrix, and the evaluator hands :func:`~lincontrol.expsums.real_values`
+    the requested rows only.  The cost is :func:`exact_cost`.  The
+    coefficients are the adjoints at ``t = 0`` (``p0_*``), if any, then
+    ``coefficients``; the adjoints are read from :attr:`Trajectory.ends`,
+    which is then built here once and kept for the boundary report.
 
     A gamma outside the float range turns the cost or a coefficient into
     NaN or infinity without a warning here, and :class:`ProtocolSolution`
@@ -303,10 +305,10 @@ def package_rows(problem, kind, rows, rates, shifts, impulses=(), cost_override=
     adjoints = len(stack) > len(row_names(n))
 
     def evaluate(ts, index):
-        return real_values(SumStack(stack[index], rates, shifts), ts)
+        return real_values(ExpSum(stack[index], rates, problem.T), ts)
 
     trajectory = Trajectory(T=problem.T, n=n, names=row_names(n, adjoints), evaluate=evaluate)
-    breakdown = exact_cost(problem, stack, rates, shifts)
+    breakdown = exact_cost(problem, stack, rates)
     with np.errstate(over="ignore", invalid="ignore"):
         initial = trajectory.ends[2 * n + 2 :, 0].tolist() if adjoints else []
     p0 = {f"p0_{nm}": value for nm, value in zip(adjoint_names(n), initial)}

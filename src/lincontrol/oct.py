@@ -51,8 +51,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .expsums import SumStack, real_values
-from .model import ControlProblem, Impulse, package_rows
+from .expsums import ExpSum, anchors
+from .model import ControlProblem, Impulse, _real, package_rows
 from .numerics import NumericsError, SingularMatrix, eigendecompose, solve_linear
 
 
@@ -152,10 +152,11 @@ def _mode_tables(n):
 def build_lq(n, lam, T=1.0):
     """The order-``n`` transfer problem as a :class:`ControlProblem` with a positive weight.
 
-    A weight that is not finite and positive raises :class:`LambdaOutOfRange`;
-    the record refuses an order or a horizon that it does not accept.
+    A weight that is not a finite positive real (a bool, a string or a
+    complex number is none) raises :class:`LambdaOutOfRange`; the record
+    refuses an order or a horizon that it does not accept.
     """
-    if not 0.0 < lam < np.inf:
+    if not 0.0 < _real(lam) < np.inf:
         raise LambdaOutOfRange(f"energy weight must be finite and positive, got {lam}")
     return ControlProblem(T=T, n=n, lam=lam)
 
@@ -243,8 +244,10 @@ class PontryaginFlow:
 def _modal_amplitudes(flow):
     """Two-point mode amplitudes with growth-safe anchoring.
 
-    Unknowns are the amplitudes of the ``2 ns`` flow modes, with growing
-    modes parametrised by their value at ``t = T`` instead of ``t = 0``.
+    Unknowns are the amplitudes of the ``2 ns`` flow modes, each mode
+    parametrised by its value at its :func:`~lincontrol.expsums.anchors`
+    time: ``t = T`` for a growing mode, ``t = 0`` for the rest, so the
+    amplitudes are the gammas of an :class:`~lincontrol.expsums.ExpSum`.
     The resulting linear system has O(1) entries regardless of the weight,
     so it stays solvable exactly where the naive terminal-block solve has
     already lost all significant digits.  Small ``|mu| T`` makes the modes
@@ -253,10 +256,9 @@ def _modal_amplitudes(flow):
     ns = flow.problem.n + 1
     T = flow.problem.T
     w, V = flow.spectrum()
-    # growing modes carry exp(-w T) at t = 0, the rest exp(w T) at t = T
-    grow = w.real > 0
-    ends = np.exp(np.where(grow, -w, w) * T)
-    M = np.vstack([V[:ns] * np.where(grow, ends, 1.0), V[:ns] * np.where(grow, 1.0, ends)])
+    # a mode anchored at tau carries exp(-w tau) at t = 0 and exp(w (T - tau)) at t = T
+    tau = anchors(w, T)
+    M = np.vstack([V[:ns] * np.exp(-w * tau), V[:ns] * np.exp(w * (T - tau))])
     # the chain starts at rest and ends with z_0 = x + x' = 1, every other coordinate 0
     rhs = np.zeros(2 * ns, dtype=complex)
     rhs[-1] = 1.0
@@ -270,21 +272,22 @@ def _modal_amplitudes(flow):
 def _series_from_modes(flow):
     """Gamma rows of every trajectory quantity on the flow modes.
 
-    Returns ``(rows, rates, shifts)``: one row per name of
-    ``row_names(n, adjoints=True)``, on the mode ``rates`` with growing
-    modes shifted to ``T``.  Only this route has chain coordinates: the
-    amplitudes give the chain ``x_n, z_{n-1} .. z_0`` and the adjoints, and
-    ``x``'s rows are telescoped from them, ``x' = r1 . state`` (see
-    :func:`_x1_row`), ``x^(j+1) = z_j - x^(j)`` and ``x = z_0 - x'``.  The
-    rows are written into one preallocated ``(3n + 3, modes)`` array: ``x'``
-    is one running sum from a complex zero over the weighted chain rows, in
-    chain order, and each ``z_j`` enters its difference as ``z_j + 0.0``,
-    which are the operations, in the same order, of adding each term to a
-    complex zero.  The recurrence keeps its subtractions: a product with
-    ``-1`` would turn an infinite gamma into NaN, and a negation can leave
-    ``-0.0``.  The control
-    uses the exact mode identity ``v_i = mu_i * (z_{n-1} component)`` from
-    ``zdot_{n-1} = v``, avoiding the ``(p_a + p_b)/lam`` cancellation.
+    Returns ``(rows, rates)``: one row per name of ``row_names(n,
+    adjoints=True)`` on the mode ``rates``, each gamma the mode's value at
+    the anchor :class:`~lincontrol.expsums.ExpSum` gives its rate, as
+    :func:`_modal_amplitudes` parametrises the modes.  Only this route has
+    chain coordinates: the amplitudes give the chain ``x_n, z_{n-1} ..
+    z_0`` and the adjoints, and ``x``'s rows are telescoped from them, ``x'
+    = r1 . state`` (see :func:`_x1_row`), ``x^(j+1) = z_j - x^(j)`` and ``x
+    = z_0 - x'``.  The rows are written into one preallocated ``(3n + 3,
+    modes)`` array: ``x'`` is one running sum from a complex zero over the
+    weighted chain rows, in chain order, and each ``z_j`` enters its
+    difference as ``z_j + 0.0``, which are the operations, in the same
+    order, of adding each term to a complex zero.  The recurrence keeps its
+    subtractions: a product with ``-1`` would turn an infinite gamma into
+    NaN, and a negation can leave ``-0.0``.  The control uses the exact mode
+    identity ``v_i = mu_i * (z_{n-1} component)`` from ``zdot_{n-1} = v``,
+    avoiding the ``(p_a + p_b)/lam`` cancellation.
     """
     n = flow.problem.n
     w, V, c = _modal_amplitudes(flow)
@@ -303,7 +306,7 @@ def _series_from_modes(flow):
             np.subtract(z[j], rows[j], out=rows[j + 1])
     np.multiply(c * w, V[1], out=rows[2 * n + 1])
     np.multiply(c, V[n + 1 :], out=rows[2 * n + 2 :])
-    return rows, w, np.where(w.real > 0, flow.problem.T, 0.0)
+    return rows, w
 
 
 def singular_solution(T=1.0):
@@ -339,8 +342,7 @@ def singular_solution(T=1.0):
     xdot, z = [grow, decay], [2.0 * grow, 0.0]
     rows = [[grow, -decay], xdot, z, z, [-grow, -decay], xdot]  # x, x', z, v, p_y, p_z
     return package_rows(
-        problem, "oct-singular", rows, rates=(1.0, -1.0), shifts=(T, 0.0),
-        impulses=(Impulse(0.0, a1), Impulse(T, -coth)),
+        problem, "oct-singular", rows, rates=(1.0, -1.0), impulses=(Impulse(0.0, a1), Impulse(T, -coth)),
         cost_override=coth,
     )
 
@@ -386,7 +388,7 @@ def regular_order1_analytic(lam, T=1.0):
     a, b, _, d = map(float, family.offset)
     fit = dict(rate_fast=family.k, x_coef_slow_neg=b, x_coef_slow_pos=a, x_coef_fast_neg=d,
                x_coef_fast_pos_anchored=float(x.gammas[2]))
-    return package_rows(problem, "oct-regular", family.rows(problem.lam), x.rates, x.shifts, coefficients=fit)
+    return package_rows(problem, "oct-regular", family.rows(problem.lam), x.rates, coefficients=fit)
 
 
 def fit_exponential_arc(ts, values):
@@ -444,10 +446,10 @@ def equivalence_sta_regular(lam):
         raise LambdaOutOfRange(f"equivalence check needs 0 < weight < 1, got {lam}")
     problem = build_lq(1, lam)
     family = build_exponential(1.0 / np.sqrt(problem.lam), problem.T)
-    rows, rates, shifts = _series_from_modes(PontryaginFlow(problem))
+    rows, rates = _series_from_modes(PontryaginFlow(problem))
     x = rows[0]
     ts = np.linspace(0.0, 1.0, 1001)
-    gap = float(np.abs(family.x.value(ts) - real_values(SumStack(x[None], rates, shifts), ts)[0]).max())
+    gap = float(np.abs(family.x.value(ts) - ExpSum(x, rates, problem.T).value(ts)).max())
     modes = np.abs(rates[None, :] - np.array(family.x.rates)[:, None]).argmin(axis=1)
     modal = x[modes].real
     residuals = np.abs(np.array(family.x.gammas) - modal) / np.maximum(np.abs(modal), 1e-300)

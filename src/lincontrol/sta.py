@@ -105,6 +105,8 @@ class AnsatzFamily:
 
     Raises
     ------
+    ValueError
+        If :class:`ControlProblem` refuses the horizon (a bool included).
     SingularMatrix
         If the row-scaled boundary rows have condition number
         ``SOLVE_COND_CAP`` or above.
@@ -113,7 +115,7 @@ class AnsatzFamily:
     kind = "abstract"
 
     def __init__(self, T):
-        self.T = float(T)
+        self.T = ControlProblem(T=T).T
         self.offset, self.free_map = _eliminator(type(self), self.N)
 
     @property
@@ -352,19 +354,21 @@ class ExponentialAnsatz:
     terms at ``T``, so every intermediate stays bounded for arbitrarily
     large ``k`` and ``T``.  The attribute :attr:`x` is that anchored
     :class:`~lincontrol.expsums.ExpSum`: gammas ``(a_T, b, c_T, d)`` on
-    rates ``(1, -1, k, -k)`` with shifts ``(T, 0, T, 0)``, where ``a_T = a
-    e^T`` and ``c_T = c e^{kT}``.  :attr:`offset` reports the un-anchored
-    ``(a, b, c, d)``, whose ``a`` and ``c`` underflow to 0 at large ``T`` or
-    ``kT``.  The family is symmetric under ``k -> -k`` (``c`` and ``d``
-    swap), so ``k`` is normalised to its absolute value.  Its trajectory is
-    the gamma rows of :meth:`rows`, never a basis table, because ``e^{kt}``
-    alone overflows at large ``k``.
+    rates ``(1, -1, k, -k)`` over the horizon ``T``, which anchors ``e^t``
+    and ``e^{kt}`` at ``T``, so ``a_T = a e^T`` and ``c_T = c e^{kT}``.
+    :attr:`offset` reports the un-anchored ``(a, b, c, d)``, whose ``a``
+    and ``c`` underflow to 0 at large ``T`` or ``kT``.  The family is
+    symmetric under ``k -> -k`` (``c`` and ``d`` swap), so ``k`` is
+    normalised to its absolute value.  Its trajectory is the gamma rows of
+    :meth:`rows`, never a basis table, because ``e^{kt}`` alone overflows at
+    large ``k``.  The horizon is normalised by :class:`ControlProblem`'s
+    rule, which refuses a bool.
     """
 
     kind = "exponential"
 
     def __init__(self, k, T=1.0):
-        k, T = abs(float(k)), float(T)
+        k, T = abs(float(k)), ControlProblem(T=T).T
         if not np.isfinite(k) or k == 0.0:
             raise ValueError(f"k must be finite and nonzero, got {k}")
         if not math.isfinite(k * k):
@@ -374,7 +378,7 @@ class ExponentialAnsatz:
         self.k = k
         self.T = T
         self.offset = np.array([a_T * math.exp(-T), b, c_T * math.exp(-k * T), d])
-        self.x = ExpSum(gammas=(a_T, b, c_T, d), rates=(1.0, -1.0, k, -k), shifts=(T, 0.0, T, 0.0))
+        self.x = ExpSum(gammas=(a_T, b, c_T, d), rates=(1.0, -1.0, k, -k), T=T)
 
     def rows(self, adjoint_weight=None):
         """Gamma rows of ``x, x', u = x' + x, v = x'' + x'`` on the terms of :attr:`x`,
@@ -401,7 +405,7 @@ class ExponentialAnsatz:
 
     def gram(self, lam=0.0):
         """A form over no parameters whose ``c0`` is the cost :func:`solve_sta` reports, bit for bit."""
-        cost = exact_cost(ControlProblem(T=self.T, n=1, lam=lam), self.rows(), self.x.rates, self.x.shifts)
+        cost = exact_cost(ControlProblem(T=self.T, n=1, lam=lam), self.rows(), self.x.rates)
         return GramForm(A=np.zeros((0, 0)), b=np.zeros(0), c0=cost.total)
 
 
@@ -491,7 +495,7 @@ def solve_sta(family, problem=None):
         raise ValueError(f"family horizon {family.T} != problem horizon {problem.T}")
     if family.kind == "exponential":
         x, coefficients = family.x, family.paper_coefficients(family.offset)
-        return package_rows(problem, "sta-exp", family.rows(), x.rates, x.shifts, coefficients=coefficients)
+        return package_rows(problem, "sta-exp", family.rows(), x.rates, coefficients=coefficients)
     gram = family.gram(problem.lam)
     coeffs = family.coefficient_vector(minimize_quadratic(gram.A, gram.b))
     state, deriv, ctrl = family.cost_parts(coeffs)

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
-from lincontrol.expsums import ExpSum, real_values, square_integrals
+from lincontrol.expsums import ExpSum, square_integrals
 from lincontrol.model import CostBreakdown, ProtocolSolution, Trajectory, adjoint_names, row_names
 from lincontrol.numerics import Overflow, SingularMatrix, integrate, solve_linear
 from lincontrol import oct as octmod
@@ -232,19 +232,22 @@ def sta_optimum_mp(kind, N, T, dps=60):
         return float(sum(c[i] * G[i][j] * c[j] for i in range(n) for j in range(n)))
 
 
-def product_integral_mp(f, g, T, dps=50):
-    """``int_0^T f g dt`` of two exponential sums at ``dps`` digits, one term pair at a time.
+def product_integral_mp(f, g, dps=50):
+    """``int_0^T f g dt`` of two single exponential sums at ``dps`` digits, one term pair at a time.
 
-    The float gammas, rates and shifts are taken as exact, so the result is
-    the integral of the very sums the package integrates.
+    The float gammas and rates and the horizon ``T`` of ``f`` are taken as
+    exact, and each term is anchored here, at ``T`` for a rate with positive
+    real part and at 0 otherwise, so the result is the integral of the very
+    sums the package integrates.
     """
     with mpmath.workdps(dps):
-        T = mpmath.mpf(T)
+        T = mpmath.mpf(f.T)
         total = mpmath.mpc(0)
-        for gi, si, ti in zip(f.gammas, f.rates, f.shifts):
-            for gj, sj, tj in zip(g.gammas, g.rates, g.shifts):
-                S = mpmath.mpc(si) + mpmath.mpc(sj)
-                P = mpmath.mpc(si) * mpmath.mpf(ti) + mpmath.mpc(sj) * mpmath.mpf(tj)
+        for gi, si in zip(f.gammas, f.rates):
+            for gj, sj in zip(g.gammas, g.rates):
+                si, sj = mpmath.mpc(si), mpmath.mpc(sj)
+                P = sum(s * T for s in (si, sj) if mpmath.re(s) > 0)
+                S = si + sj
                 pair = T * mpmath.exp(-P) if S == 0 else (mpmath.exp(S * T - P) - mpmath.exp(-P)) / S
                 total += mpmath.mpc(gi) * mpmath.mpc(gj) * pair
         return complex(total)
@@ -283,23 +286,55 @@ def singular_consistency_from_table(sol, window=None):
     return fit_exponential_arc(ts, sol.trajectory.table(ts)["v" if sol.problem.n == 1 else "u"])[1]
 
 
-def real_values_per_term(sums, t):
-    """Real parts of stacked exponential sums, accumulated one term at a time.
+def values_at_anchors(gammas, rates, anchors, t):
+    """Real parts of gamma rows on ``rates``, term ``i`` anchored at ``anchors[i]``, one term at a time.
 
     This is the straightforward form of :func:`lincontrol.expsums.real_values`:
     every term's product is written out in real arithmetic, with its
     imaginary product even when that is an exact zero, and added to a
-    ``+0.0`` start in term order.  The package must match it bit for bit.
+    ``+0.0`` start in term order.  Returns ``(rows,) + t.shape``.
     """
-    rates, shifts = sums[0].rates, sums[0].shifts
     t = np.asarray(t, dtype=float)
     per_term = (-1,) + (1,) * t.ndim
-    g = np.array([s.gammas for s in sums], dtype=complex).reshape((len(sums),) + per_term)
-    e = np.exp(np.asarray(rates).reshape(per_term) * (t - np.asarray(shifts).reshape(per_term)))
-    out = np.zeros((len(sums),) + t.shape)
+    g = np.asarray(gammas, dtype=complex)
+    g = g.reshape((len(g),) + per_term)
+    e = np.exp(np.asarray(rates).reshape(per_term) * (t - np.asarray(anchors).reshape(per_term)))
+    out = np.zeros((len(g),) + t.shape)
     for i in range(len(rates)):
         out += g.real[:, i] * e.real[i] - g.imag[:, i] * e.imag[i]
     return out
+
+
+def real_values_per_term(s, t):
+    """:func:`values_at_anchors` of the rows of the :class:`ExpSum` ``s``.
+
+    The anchors are derived here from the rates and the horizon: ``s.T``
+    for a rate with positive real part, 0 otherwise.  The package must
+    match it bit for bit.
+    """
+    rates = np.asarray(s.rates)
+    return values_at_anchors(s.gammas, rates, np.where(rates.real > 0, s.T, 0.0), t)
+
+
+def square_integrals_at_anchors(gammas, rates, anchors, T):
+    """``int_0^T f^2 dt`` of each gamma row, term ``i`` anchored at ``anchors[i]``.
+
+    The pair integrals ``exp(-P) (exp(S T) - 1) / S`` (``S = si + sj``, ``P =
+    si taui + sj tauj``; the series ``exp(-P) T (1 + S T/2 + (S T)^2/6)``
+    where ``|S| T < 1e-8``) in the arithmetic of
+    :func:`lincontrol.expsums.product_integral`, as a quadratic form per row.
+    """
+    s = np.asarray(rates)
+    tau = np.asarray(anchors)
+    S = s[:, None] + s[None, :]
+    P = (s * tau)[:, None] + (s * tau)[None, :]
+    ST = S * T
+    near = np.abs(S) * T < 1e-8
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        K = np.where(near, np.exp(-P) * T * (1.0 + ST / 2.0 + ST * ST / 6.0),
+                     (np.exp(ST - P) - np.exp(-P)) / np.where(near, 1.0, S))
+    g = np.asarray(gammas, dtype=complex)
+    return ((g @ K) * g).sum(axis=1).real
 
 
 def telescoped_x_rows(n, state):
@@ -322,28 +357,29 @@ def telescoped_x_rows(n, state):
     return np.array(gammas)
 
 
-def package_per_sum(problem, kind, rows, rates, shifts, impulses=(), cost_override=None, coefficients=None):
+def package_per_sum(problem, kind, rows, rates, impulses=(), cost_override=None, coefficients=None):
     """:func:`lincontrol.model.package_rows` on one :class:`ExpSum` per row.
 
     This is the straightforward form of the packaging: every row of
     ``row_names(n)``, and of the adjoints when there are more rows, is its
-    own sum of complex gammas, and the trajectory evaluates the list of
-    every row's sum and then picks the requested rows, so a request for a
-    few rows is checked against the full stack.  The package must match it
-    bit for bit.
+    own sum of complex gammas over the problem's horizon, and the
+    trajectory evaluates every row's sum and then picks the requested rows,
+    so a request for a few rows is checked against the full stack.  The
+    package must match it bit for bit.
     """
     n = problem.n
-    terms = tuple(rates), tuple(np.asarray(shifts, dtype=float).tolist())
-    sums = [ExpSum(np.asarray(row, dtype=complex), *terms) for row in rows]
+    sums = [ExpSum(np.asarray(row, dtype=complex), tuple(rates), problem.T) for row in rows]
     adjoints = len(sums) == len(row_names(n, adjoints=True))
-    trajectory = Trajectory(
-        T=problem.T, n=n, names=row_names(n, adjoints=adjoints),
-        evaluate=lambda ts, index: real_values(sums, ts)[index],
-    )
-    state_part, deriv_part, ctrl = square_integrals([sums[0], sums[1], sums[2 * n + 1]], problem.T)
+
+    def evaluate(ts, index):
+        return np.array([s.value(ts) for s in sums])[index]
+
+    trajectory = Trajectory(T=problem.T, n=n, names=row_names(n, adjoints=adjoints), evaluate=evaluate)
+    cost_rows = np.array([sums[i].gammas for i in (0, 1, 2 * n + 1)])
+    state_part, deriv_part, ctrl = square_integrals(ExpSum(cost_rows, tuple(rates), problem.T))
     breakdown = CostBreakdown(state_part, deriv_part, problem.lam * ctrl if problem.lam else 0.0)
     cost = breakdown.total if cost_override is None else cost_override
-    p0 = real_values(sums[2 * n + 2 :], 0.0).tolist() if adjoints else []
+    p0 = [s.value(0.0) for s in sums[2 * n + 2 :]] if adjoints else []
     return ProtocolSolution(
         problem=problem, kind=kind,
         coefficients={**{f"p0_{nm}": p for nm, p in zip(adjoint_names(n), p0)}, **(coefficients or {})},

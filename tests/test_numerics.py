@@ -389,7 +389,7 @@ class TestMinimizeQuadratic:
             minimize_quadratic(np.eye(2), np.ones(3))
 
 
-#: solvers whose series share one rates/shifts tuple per solution
+#: solvers whose series share one set of rates per solution
 STACKED_SOLVERS = {
     "singular": lambda: octmod.singular_solution(1.0),
     "first-order": lambda: octmod.regular_order1_analytic(1e-4),
@@ -407,41 +407,51 @@ OCT_SOLVERS = {
 
 
 def packaged(monkeypatch, solve):
-    """A solver's solution and the series it hands to the packaging step.
+    """A solver's solution and the gamma rows it hands to the packaging step.
 
-    The packaging takes one gamma row per trajectory row; each is returned
-    as its own :class:`ExpSum`, in the order of the trajectory's names, so
-    that the rows can be checked one sum at a time.
+    The rows, one per trajectory row in the order of the trajectory's
+    names, are returned as one :class:`ExpSum` over the problem's horizon.
     """
     seen = {}
     package = octmod.package_rows
 
-    def spy(problem, kind, rows, rates, shifts, **kwargs):
-        terms = tuple(rates), tuple(np.asarray(shifts, dtype=float).tolist())
-        seen["rows"] = [ExpSum(np.asarray(row), *terms) for row in rows]
-        return package(problem, kind, rows, rates, shifts, **kwargs)
+    def spy(problem, kind, rows, rates, **kwargs):
+        seen["sum"] = ExpSum(np.asarray(rows), tuple(rates), problem.T)
+        return package(problem, kind, rows, rates, **kwargs)
 
     monkeypatch.setattr(octmod, "package_rows", spy)
-    return solve(), seen["rows"]
+    return solve(), seen["sum"]
 
 
 def packaged_series(monkeypatch, solve):
-    """Every exponential sum a solver hands to the packaging step."""
+    """The gamma rows a solver hands to the packaging step, as one :class:`ExpSum`."""
     return packaged(monkeypatch, solve)[1]
+
+
+def single_sums(s):
+    """Each row of the :class:`ExpSum` ``s`` as a sum of its own, 1-D gammas on the same terms."""
+    return [ExpSum(g, s.rates, s.T) for g in s.gammas]
+
+
+def rows(s, index):
+    """The rows ``index`` of the :class:`ExpSum` ``s``, on the same terms."""
+    return ExpSum(s.gammas[index], s.rates, s.T)
 
 
 class TestRealValues:
     @pytest.mark.parametrize("solve", STACKED_SOLVERS.values(), ids=STACKED_SOLVERS.keys())
     def test_rows_match_each_sum(self, monkeypatch, solve):
         sums = packaged_series(monkeypatch, solve)
+        T = sums.T
         ts = np.linspace(0.0, 1.0, 101)
         stack = real_values(sums, ts)
-        assert stack.shape == (len(sums), ts.size)
-        for s, row in zip(sums, stack):
+        assert stack.shape == (len(sums.gammas), ts.size)
+        anchors = np.where(np.real(sums.rates) > 0, T, 0.0)
+        for s, row in zip(single_sums(sums), stack):
             assert row.tobytes() == s.value(ts).tobytes()
             assert all(np.float64(s.value(float(t))).tobytes() == v.tobytes() for t, v in zip(ts, row))
             naive = np.real(sum(
-                g * np.exp(r * (ts - sh)) for g, r, sh in zip(s.gammas, s.rates, s.shifts)
+                g * np.exp(r * (ts - tau)) for g, r, tau in zip(s.gammas, s.rates, anchors)
             ))
             assert np.abs(row - naive).max() <= 1e-14 * np.abs(naive).max()
 
@@ -451,7 +461,7 @@ class TestRealValues:
         grid = np.linspace(0.0, 1.0, 60).reshape(4, 15)
         for ts in (grid, grid.T):
             got = real_values(sums, ts)
-            assert got.shape == (len(sums),) + ts.shape
+            assert got.shape == (len(sums.gammas),) + ts.shape
             assert got.tobytes() == real_values(sums, ts.ravel()).reshape(got.shape).tobytes()
 
     @pytest.mark.parametrize("solve", OCT_SOLVERS.values(), ids=OCT_SOLVERS.keys())
@@ -460,22 +470,21 @@ class TestRealValues:
         sol, sums = packaged(monkeypatch, solve)
         n, traj = sol.problem.n, sol.trajectory
         assert traj.names[n + 1 : 2 * n + 2] == (*(f"z{k}" for k in range(n)), "v")
-        assert len(sums) == len(traj.names)
+        assert len(sums.gammas) == len(traj.names)
         for ts in (np.linspace(0.0, sol.problem.T, 101), 0.37):
-            for row, s in zip(traj(ts, *traj.names), sums):
+            for row, s in zip(traj(ts, *traj.names), single_sums(sums)):
                 assert np.asarray(row).tobytes() == np.asarray(s.value(ts)).tobytes()
 
     def test_scalar_value_is_a_float(self):
-        s = ExpSum((1.0, 2.0 + 1.0j), (1.0, -1.0j), (0.0, 0.0))
+        s = ExpSum((1.0, 2.0 + 1.0j), (1.0, -1.0j), 1.0)
         assert type(s.value(0.5)) is float
-        assert real_values([s, s], 0.5).shape == (2,)
+        assert real_values(ExpSum(np.array([s.gammas, s.gammas]), s.rates, s.T), 0.5).shape == (2,)
 
     def test_different_rates_or_shifts_raise(self):
-        a = ExpSum((1.0,), (1.0,), (0.0,))
-        with pytest.raises(ValueError):
-            real_values([a, ExpSum((1.0,), (2.0,), (0.0,))], 0.5)
-        with pytest.raises(ValueError):
-            real_values([a, ExpSum((1.0,), (1.0,), (1.0,))], 0.5)
+        # gamma rows whose length is not the number of rates
+        for gammas in ((1.0,), np.ones((2, 1)), np.ones((2, 3))):
+            with pytest.raises(ValueError):
+                real_values(ExpSum(gammas, (1.0, 2.0), 1.0), 0.5)
 
 
 #: row counts of the complex stacks below: one row, the cost quadrature's
@@ -505,20 +514,19 @@ def _real_sums(monkeypatch):
 def _complex_sums(monkeypatch):
     # order 8: 18 complex rates, the 9 rows x .. x^(8) and the 9 adjoint rows
     _, sums = packaged(monkeypatch, OCT_SOLVERS["n8"])
-    return sums[:9] + sums[18:]
+    return rows(sums, list(range(9)) + list(range(18, 27)))
 
 
 def _cost_rows(monkeypatch):
     # order 8: the rows x, x' and v that the cost quadrature evaluates
-    sums = packaged_series(monkeypatch, OCT_SOLVERS["n8"])
-    return [sums[0], sums[1], sums[17]]
+    return rows(packaged_series(monkeypatch, OCT_SOLVERS["n8"]), [0, 1, 17])
 
 
-#: stacks of sums sharing rates and shifts: real and complex, one row and many
+#: stacks of sums sharing their rates: real and complex, one row and many
 BITWISE_STACKS = {
-    "real-one-row": lambda mp: _real_sums(mp)[:1],
+    "real-one-row": lambda mp: rows(_real_sums(mp), slice(1)),
     "real-stack": _real_sums,
-    "complex-one-row": lambda mp: _complex_sums(mp)[:1],
+    "complex-one-row": lambda mp: rows(_complex_sums(mp), slice(1)),
     "complex-3-rows": _cost_rows,
     "complex-18-rows": _complex_sums,
 }
@@ -549,7 +557,7 @@ class TestRealValuesBitwise:
     def test_matches_per_term_loop(self, monkeypatch, stack, t):
         sums = stack(monkeypatch)
         got, want = real_values(sums, t), real_values_per_term(sums, t)
-        assert got.shape == want.shape == (len(sums),) + np.shape(t)
+        assert got.shape == want.shape == (len(sums.gammas),) + np.shape(t)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -560,111 +568,111 @@ class TestRealValuesBitwise:
         # the last times of each stack that take the one pass are in BITWISE_TIMES, and so is one more
         sums = BITWISE_STACKS[stack](monkeypatch)
         limit = FEW_POINTS if stack.startswith("real") else FEW_COMPLEX_CELLS // rows
-        assert len(sums) == rows and f"{limit}-points" in BITWISE_TIMES and f"{limit + 1}-points" in BITWISE_TIMES
+        assert len(sums.gammas) == rows and f"{limit}-points" in BITWISE_TIMES and f"{limit + 1}-points" in BITWISE_TIMES
         tables = one_pass_tables(monkeypatch)
         for m in (limit, limit + 1):
             real_values(sums, np.linspace(0.0, 1.0, m))
-        assert tables == [(len(sums[0].rates), rows, limit)]
+        assert tables == [(len(sums.rates), rows, limit)]
 
     def test_stacks_cover_both_kinds_and_18_rows(self, monkeypatch):
         real, complex_ = _real_sums(monkeypatch), _complex_sums(monkeypatch)
-        assert all(np.isrealobj(s.rates) and not np.imag(s.gammas).any() for s in real)
-        assert len(complex_) == 18 and np.iscomplexobj(complex_[0].rates)
+        assert np.isrealobj(real.rates) and not np.imag(real.gammas).any()
+        assert len(complex_.gammas) == 18 and np.iscomplexobj(complex_.rates)
 
     @pytest.mark.parametrize("t", [0.3, np.array([0.3])], ids=["scalar", "one-point"])
     def test_single_row_sums_terms_in_order(self, t):
         # twelve terms whose sum depends on the order of addition: in term
         # order each 1 is lost against 1e16 (sum 0), a pairwise reduction keeps 8
         gammas = (1e16,) + (1.0,) * 10 + (-1e16,)
-        s = ExpSum(gammas, (0.0,) * 12, (0.0,) * 12)
-        want = real_values_per_term([s], t)
+        s = ExpSum(np.array([gammas]), (0.0,) * 12, 1.0)
+        want = real_values_per_term(s, t)
         assert not want.any() and np.add.reduce(np.array(gammas)[:, None])[0] == 8.0
-        assert real_values([s], t).tobytes() == want.tobytes()
+        assert real_values(s, t).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("t", [0.5, np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 50)],
                              ids=["scalar", "few", "many"])
     def test_negative_zero_gammas_give_positive_zero(self, t):
-        rates, shifts = (1.0, -1.0, 2.0 + 1.0j, 2.0 - 1.0j), (1.0, 0.0, 1.0, 1.0)
-        zero_row = ExpSum((-0.0, -0.0, -0.0, -0.0), rates, shifts)
-        real_rates = ExpSum((-0.0, -0.0), (1.0, -1.0), (1.0, 0.0))
-        for sums in ([zero_row, ExpSum((1.0, 2.0, 1j, -1j), rates, shifts)], [real_rates]):
+        zero_row = (-0.0, -0.0, -0.0, -0.0)
+        stacks = (
+            ExpSum(np.array([zero_row, (1.0, 2.0, 1j, -1j)]), (1.0, -1.0, 2.0 + 1.0j, 2.0 - 1.0j), 1.0),
+            ExpSum(np.array([(-0.0, -0.0)]), (1.0, -1.0), 1.0),
+        )
+        for sums in stacks:
             got = real_values(sums, t)
             assert got.tobytes() == real_values_per_term(sums, t).tobytes()
             assert not np.signbit(got[0]).any() and not got[0].any()
 
 
-def _anchored(gammas, rates, horizon):
-    """A sum whose growing terms are anchored at ``t = horizon``."""
-    return ExpSum(gammas, rates, tuple(horizon if np.real(r) > 0 else 0.0 for r in rates))
-
-
-#: stacks of sums sharing rates and shifts, each exercising one branch of the pair kernel
+#: sums sharing their rates, each exercising one branch of the pair kernel:
+#: (horizon, rates, gamma rows)
 KERNEL_STACKS = {
     # (1, -1 + 1e-10) and (1, -1) pairs take the near-cancelling series
-    "near-cancelling": (1.0, [
-        ExpSum((0.7, -1.3, 0.4), (1.0, -1.0 + 1e-10, -1.0), (0.0, 0.0, 0.0)),
-        ExpSum((0.2, 0.9, -0.5), (1.0, -1.0 + 1e-10, -1.0), (0.0, 0.0, 0.0)),
-    ]),
+    "near-cancelling": ExpSum(
+        np.array([(0.7, -1.3, 0.4), (0.2, 0.9, -0.5)]), (1.0, -1.0 + 1e-10, -1.0), 1.0,
+    ),
     # conjugate pairs of gammas on conjugate rates: real-valued sums
-    "complex-conjugate": (2.0, [
-        _anchored((0.3 + 0.4j, 0.3 - 0.4j, 1.1, -0.6), (-0.5 + 3j, -0.5 - 3j, 2.0, -2.0), 2.0),
-        _anchored((-1.2 + 0.1j, -1.2 - 0.1j, 0.5, 0.8), (-0.5 + 3j, -0.5 - 3j, 2.0, -2.0), 2.0),
-    ]),
+    "complex-conjugate": ExpSum(
+        np.array([(0.3 + 0.4j, 0.3 - 0.4j, 1.1, -0.6), (-1.2 + 0.1j, -1.2 - 0.1j, 0.5, 0.8)]),
+        (-0.5 + 3j, -0.5 - 3j, 2.0, -2.0), 2.0,
+    ),
     # growing rates anchored at T, |s| T = 700: e^{700} itself is never formed
-    "anchored-fast": (0.5, [
-        _anchored((0.25, -0.5, 1.5, 2.0), (1400.0, -1400.0, 1.0, -1.0), 0.5),
-        _anchored((1.0, 1.0, -0.75, 0.5), (1400.0, -1400.0, 1.0, -1.0), 0.5),
-    ]),
-    "anchored-fast-complex": (1.0, [
-        _anchored((0.5 + 0.5j, 0.5 - 0.5j, 0.3 - 0.2j, 0.3 + 0.2j),
-                  (600.0 + 360.0j, 600.0 - 360.0j, -600.0 + 360.0j, -600.0 - 360.0j), 1.0),
-        _anchored((1.0j, -1.0j, 2.0, 2.0),
-                  (600.0 + 360.0j, 600.0 - 360.0j, -600.0 + 360.0j, -600.0 - 360.0j), 1.0),
-    ]),
+    "anchored-fast": ExpSum(
+        np.array([(0.25, -0.5, 1.5, 2.0), (1.0, 1.0, -0.75, 0.5)]), (1400.0, -1400.0, 1.0, -1.0), 0.5,
+    ),
+    "anchored-fast-complex": ExpSum(
+        np.array([(0.5 + 0.5j, 0.5 - 0.5j, 0.3 - 0.2j, 0.3 + 0.2j), (1.0j, -1.0j, 2.0, 2.0)]),
+        (600.0 + 360.0j, 600.0 - 360.0j, -600.0 + 360.0j, -600.0 - 360.0j), 1.0,
+    ),
 }
 
 
 class TestPairKernel:
-    @pytest.mark.parametrize("T, sums", KERNEL_STACKS.values(), ids=KERNEL_STACKS.keys())
-    def test_matches_extended_precision(self, T, sums):
+    @pytest.mark.parametrize("sums", KERNEL_STACKS.values(), ids=KERNEL_STACKS.keys())
+    def test_matches_extended_precision(self, sums):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for f in sums:
-                for g in sums:
-                    got = complex(product_integral(f, g, T))
-                    want = product_integral_mp(f, g, T)
+            for f in single_sums(sums):
+                for g in single_sums(sums):
+                    got = complex(product_integral(f, g))
+                    want = product_integral_mp(f, g)
                     assert abs(got - want) <= 1e-13 * abs(want)
-            squares = square_integrals(sums, T)
-        for f, got in zip(sums, squares):
-            want = product_integral_mp(f, f, T).real
+            squares = square_integrals(sums)
+        for f, got in zip(single_sums(sums), squares):
+            want = product_integral_mp(f, f).real
             assert type(got) is float and abs(got - want) <= 1e-13 * abs(want)
 
-    @pytest.mark.parametrize("T, sums", KERNEL_STACKS.values(), ids=KERNEL_STACKS.keys())
-    def test_stacked_rows_match_single_sums(self, T, sums):
-        g = sums[::-1]
-        stacked = product_integral(sums, g, T)
-        assert stacked.shape == (len(sums),)
-        for a, b, row in zip(sums, g, stacked):
-            single = product_integral(a, b, T)
+    @pytest.mark.parametrize("sums", KERNEL_STACKS.values(), ids=KERNEL_STACKS.keys())
+    def test_stacked_rows_match_single_sums(self, sums):
+        g = rows(sums, slice(None, None, -1))
+        stacked = product_integral(sums, g)
+        assert stacked.shape == (len(sums.gammas),)
+        for a, b, row in zip(single_sums(sums), single_sums(g), stacked):
+            single = product_integral(a, b)
             assert abs(row - single) <= 1e-15 * abs(single)
-        for s, sq in zip(sums, square_integrals(sums, T)):
-            assert sq == pytest.approx(square_integrals([s], T)[0], rel=1e-15)
+        for i, sq in enumerate(square_integrals(sums)):
+            assert sq == pytest.approx(square_integrals(rows(sums, [i]))[0], rel=1e-15)
 
     @pytest.mark.parametrize("solve", STACKED_SOLVERS.values(), ids=STACKED_SOLVERS.keys())
     def test_solution_integrals_match_extended_precision(self, monkeypatch, solve):
         # the state, adjoint and control sums of real solutions, stacked as packaged
         sums = packaged_series(monkeypatch, solve)
-        for s, got in zip(sums, square_integrals(sums, 1.0)):
-            want = product_integral_mp(s, s, 1.0).real
+        for s, got in zip(single_sums(sums), square_integrals(sums)):
+            want = product_integral_mp(s, s).real
             assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_mismatched_stacks_raise(self):
-        a = ExpSum((1.0,), (1.0,), (0.0,))
-        b = ExpSum((1.0,), (2.0,), (0.0,))
-        with pytest.raises(ValueError):
-            product_integral([a, b], [a, a], 1.0)
-        with pytest.raises(ValueError):
-            product_integral([a, a], [a], 1.0)
+        # two row counts, or gamma rows that do not match the rates on either side
+        a = ExpSum(np.ones((2, 2)), (1.0, -1.0), 1.0)
+        for f, g in ((a, rows(a, [0])), (a, a._replace(gammas=np.ones((2, 1)))), (a._replace(rates=(1.0,)), a)):
+            with pytest.raises(ValueError, match="^gamma rows of shapes"):
+                product_integral(f, g)
+
+    def test_sums_on_different_horizons_raise(self):
+        # the horizon anchors the growing terms, so a pair on two horizons has no one integral
+        a = ExpSum(np.ones((1, 2)), (1.0, -1.0), 1.0)
+        with pytest.raises(ValueError, match="horizons 1.0 and 2.0"):
+            product_integral(a, a._replace(T=2.0))
+        assert product_integral(a, a._replace(T=1)).shape == (1,)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from lincontrol import oct as octmod, sta as stamod
-from lincontrol.expsums import ExpSum
+from lincontrol.expsums import ExpSum, anchors
 from lincontrol.model import (
     BoundaryResidual, ControlProblem, InvalidOrder, adjoint_names, cost_functional, row_names, sample_table,
     verify_boundaries,
@@ -38,7 +38,9 @@ from oracles import (
     package_per_sum,
     shoot_adjoint_block,
     singular_endpoint_residual,
+    square_integrals_at_anchors,
     telescoped_x_rows,
+    values_at_anchors,
 )
 
 COTH1 = 1.0 / np.tanh(1.0)
@@ -91,7 +93,8 @@ class TestBuildLq:
     def test_invalid_inputs(self):
         with pytest.raises(InvalidOrder):
             build_lq(0, 1e-3)
-        for lam in (0.0, -1e-3, np.inf, np.nan):
+        # a string, None or a complex weight used to raise an untyped TypeError
+        for lam in (0.0, -1e-3, np.inf, np.nan, "1e-3", None, 1j):
             with pytest.raises(LambdaOutOfRange, match="finite and positive"):
                 build_lq(1, lam)
 
@@ -501,9 +504,9 @@ class TestSolveRegular:
         seen = []
         package = octmod.package_rows
 
-        def spy(problem, kind, rows, rates, shifts, **kwargs):
-            seen.append([ExpSum(row, tuple(rates), tuple(shifts)) for row in rows[2 * n + 2 :]])
-            return package(problem, kind, rows, rates, shifts, **kwargs)
+        def spy(problem, kind, rows, rates, **kwargs):
+            seen.append([ExpSum(row, tuple(rates), problem.T) for row in rows[2 * n + 2 :]])
+            return package(problem, kind, rows, rates, **kwargs)
 
         monkeypatch.setattr(octmod, "package_rows", spy)
         sol = solve_regular(build_lq(*CHAIN_PROBLEMS[n]))
@@ -846,9 +849,9 @@ class TestPackagingBitwise:
         refs = []
         package = octmod.package_rows
 
-        def spy(problem, kind, rows, rates, shifts, **kwargs):
-            refs.append(package_per_sum(problem, kind, rows, rates, shifts, **kwargs))
-            return package(problem, kind, rows, rates, shifts, **kwargs)
+        def spy(problem, kind, rows, rates, **kwargs):
+            refs.append(package_per_sum(problem, kind, rows, rates, **kwargs))
+            return package(problem, kind, rows, rates, **kwargs)
 
         monkeypatch.setattr(octmod, "package_rows", spy)
         monkeypatch.setattr(stamod, "package_rows", spy)
@@ -887,10 +890,36 @@ class TestPackagingBitwise:
             want, want_parts = cost_functional(ref.trajectory, lam=lam, panels=panels)
             assert _bits([got, *got_parts.as_dict().values()]) == _bits([want, *want_parts.as_dict().values()])
 
+    @pytest.mark.parametrize("solve", PACKAGED_SOLVERS.values(), ids=PACKAGED_SOLVERS.keys())
+    def test_rows_and_costs_at_the_written_out_anchors(self, monkeypatch, solve):
+        # the producers hand over rows and rates only; every term is anchored
+        # here by hand, at T where its rate grows and at 0 otherwise
+        seen = []
+        package = octmod.package_rows
+
+        def spy(problem, kind, rows, rates, **kwargs):
+            seen.append((problem, np.asarray(rows, dtype=complex), np.asarray(rates)))
+            return package(problem, kind, rows, rates, **kwargs)
+
+        monkeypatch.setattr(octmod, "package_rows", spy)
+        monkeypatch.setattr(stamod, "package_rows", spy)
+        sol = solve()
+        ((problem, rows, rates),) = seen
+        T, n, names = problem.T, problem.n, sol.trajectory.names
+        tau = np.where(rates.real > 0, T, 0.0)
+        assert tau.any() and not tau.all()
+        for ts in (np.linspace(0.0, T, 101), np.array([0.0, T])):
+            assert sol.trajectory(ts, *names).tobytes() == values_at_anchors(rows, rates, tau, ts).tobytes()
+        state, deriv, ctrl = square_integrals_at_anchors(rows[[0, 1, 2 * n + 1]], rates, tau, T)
+        got = sol.cost_breakdown
+        assert _bits([got.state, got.derivative, got.control_energy]) == _bits(
+            [state, deriv, problem.lam * ctrl if problem.lam else 0.0]
+        )
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_modal_matrices_match_per_row_products(self, n):
         flow = PontryaginFlow(build_lq(n, 10.0 ** (-2 * n)))
-        rows, rates, shifts = octmod._series_from_modes(flow)
+        rows, rates = octmod._series_from_modes(flow)
         w, V, c = octmod._modal_amplitudes(flow)
         state = np.array([c * V[j] for j in range(n + 1)])  # x_n, z_{n-1} .. z_0
         assert rows.shape == (len(row_names(n, adjoints=True)), len(w))
@@ -899,7 +928,7 @@ class TestPackagingBitwise:
         assert rows[2 * n + 1].tobytes() == (c * w * V[1]).tobytes()  # v
         assert rows[2 * n + 2 :].tobytes() == np.array([c * V[n + 1 + j] for j in range(n + 1)]).tobytes()
         assert rates.tobytes() == w.tobytes()
-        assert shifts.tolist() == [1.0 if r.real > 0 else 0.0 for r in w]
+        assert anchors(rates, 1.0).tolist() == [1.0 if r.real > 0 else 0.0 for r in w]
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_telescoped_x_rows_match_the_loop_reference(self, n):
@@ -908,7 +937,7 @@ class TestPackagingBitwise:
             for T in (0.1, 0.5, 1.0, 3.0, 10.0, 50.0):
                 flow = PontryaginFlow(build_lq(n, lam, T))
                 try:
-                    rows, _, _ = octmod._series_from_modes(flow)
+                    rows, _ = octmod._series_from_modes(flow)
                 except ShootingSingular:
                     continue
                 w, V, c = octmod._modal_amplitudes(flow)
@@ -923,9 +952,9 @@ class TestPackagingBitwise:
         seen = []
         package = octmod.package_rows
 
-        def spy(problem, kind, rows, rates, shifts, **kwargs):
+        def spy(problem, kind, rows, rates, **kwargs):
             seen.append(rows)
-            return package(problem, kind, rows, rates, shifts, **kwargs)
+            return package(problem, kind, rows, rates, **kwargs)
 
         monkeypatch.setattr(octmod, "package_rows", spy)
         regular_order1_analytic(lam)

@@ -108,6 +108,15 @@ class TestOrderDomain:
         assert build(5.0).N == 5 and type(build(5.0).N) is int
 
 
+@pytest.mark.parametrize("T", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("build,first", [(build_polynomial, 6), (build_trigonometric, 6), (build_exponential, 100.0)],
+                         ids=["poly", "trig", "exp"])
+def test_bool_horizon_is_refused(build, first, T):
+    # a bool horizon used to build the family at T = 1.0; the problem record refuses it
+    with pytest.raises(ValueError, match=r"^horizon must be finite and positive, got True$"):
+        build(first, T)
+
+
 class TestTrigonometricFamily:
     def test_unique_n3(self):
         fam = build_trigonometric(3)
