@@ -22,6 +22,7 @@ from .model import (
     CostBreakdown,
     Impulse,
     InvalidOrder,
+    NegativeCostPart,
     ProtocolSolution,
     Trajectory,
     certify,
@@ -78,6 +79,7 @@ __all__ = [
     "Impulse",
     "InvalidOrder",
     "LambdaOutOfRange",
+    "NegativeCostPart",
     "NoConvergence",
     "NonFiniteSample",
     "NumericsError",

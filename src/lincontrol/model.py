@@ -13,15 +13,20 @@ stored arrays: named rows behind one evaluator, which each check asks for
 the rows it reads.  Tabulating them is exact, so no interpolation error
 enters any downstream check.  Impulsive controls are represented
 symbolically by :class:`Impulse` records and excluded from all integrals.
+
+The value records (:class:`ControlProblem`, :class:`Impulse`,
+:class:`CostBreakdown`, :class:`BoundaryReport`) are named tuples, and
+:class:`Trajectory` and :class:`ProtocolSolution` are plain classes that
+keep their fields and cached results in the instance dict.  Every record
+refuses field assignment with ``AttributeError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,13 +38,20 @@ class InvalidOrder(ValueError):
     """Requested basis size or derivative order is below the minimum."""
 
 
-@dataclass(frozen=True)
-class ControlProblem:
+class _ProblemFields(NamedTuple):
+    T: float
+    n: int
+    lam: float
+
+
+class ControlProblem(_ProblemFields):
     """Full problem statement: horizon, boundary order, regularization.
 
     The one owner of a request's rules.  A field may be any real number,
     numpy scalars included, and is stored as a Python ``float`` (``T``,
-    ``lam``) or ``int`` (``n``); a bool or a non-real is refused.
+    ``lam``) or ``int`` (``n``); a bool or a non-real is refused.  A named
+    tuple, equal and hashed by value; every way of making one, ``_make``,
+    ``_replace`` and unpickling included, runs the checks.
 
     Parameters
     ----------
@@ -51,22 +63,24 @@ class ControlProblem:
         Weight of the control-energy term; 0 selects the singular limit.
     """
 
-    T: float = 1.0
-    n: int = 1
-    lam: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        T, n, lam = map(_real, (self.T, self.n, self.lam))
-        if not (math.isfinite(T) and T > 0):
-            raise ValueError(f"horizon must be finite and positive, got {self.T}")
+    def __new__(cls, T=1.0, n=1, lam=0.0):
+        T_, n_, lam_ = _real(T), _real(n), _real(lam)
+        if not (math.isfinite(T_) and T_ > 0):
+            raise ValueError(f"horizon must be finite and positive, got {T}")
         # n % 1 is NaN for a NaN or an infinity, so neither passes as an integer
-        if not (n >= 1 and n % 1 == 0):
-            raise InvalidOrder(f"derivative order must be an integer >= 1, got {self.n}")
-        if not (math.isfinite(lam) and lam >= 0):
-            raise ValueError(f"regularization weight must be finite and >= 0, got {self.lam}")
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "lam", lam)
+        if not (n_ >= 1 and n_ % 1 == 0):
+            raise InvalidOrder(f"derivative order must be an integer >= 1, got {n}")
+        if not (math.isfinite(lam_) and lam_ >= 0):
+            raise ValueError(f"regularization weight must be finite and >= 0, got {lam}")
+        return tuple.__new__(cls, (T_, int(n), lam_))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the named tuple's own _make, and _replace through it, would skip __new__
+        T, n, lam = iterable
+        return cls(T, n, lam)
 
 
 def _real(value):
@@ -80,8 +94,7 @@ def _real(value):
         return math.nan
 
 
-@dataclass(frozen=True)
-class Impulse:
+class Impulse(NamedTuple):
     """Instantaneous control kick of finite signed area at ``t = time``."""
 
     time: float
@@ -118,8 +131,18 @@ def _row_tables(n):
 ALIASES = {"xdot": "x^(1)", "y": "x^(1)", "u": "z0"}
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class _Record:
+    """A plain record: its ``__init__`` fills the instance dict, and then no
+    attribute may be assigned or deleted."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+
+class Trajectory(_Record):
     """Closed-form trajectory on ``[0, T]``: named rows and one evaluator.
 
     ``names`` are the rows of :func:`row_names`: ``x`` and its derivatives
@@ -138,10 +161,8 @@ class Trajectory:
     initial adjoints share one evaluation.
     """
 
-    T: float
-    n: int
-    names: tuple
-    evaluate: Callable
+    def __init__(self, T, n, names, evaluate):
+        self.__dict__.update(T=T, n=n, names=names, evaluate=evaluate)
 
     @cached_property
     def ends(self):
@@ -182,8 +203,7 @@ class Trajectory:
         return np.linspace(0.0, self.T, points)
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(NamedTuple):
     """The three integrand parts of the regularized cost."""
 
     state: float
@@ -206,8 +226,7 @@ class CostBreakdown:
         }
 
 
-@dataclass(frozen=True)
-class ProtocolSolution:
+class ProtocolSolution(_Record):
     """A solved protocol: coefficients, trajectory, impulses, and cost.
 
     ``kind`` is one of ``sta-poly``, ``sta-trig``, ``sta-exp``,
@@ -220,25 +239,18 @@ class ProtocolSolution:
     solver returns a NaN or infinite number.
     """
 
-    problem: ControlProblem
-    kind: str
-    coefficients: dict
-    trajectory: Trajectory
-    impulses: tuple
-    cost: float
-    cost_breakdown: CostBreakdown
-
-    def __post_init__(self):
-        parts = self.cost_breakdown
+    def __init__(self, problem, kind, coefficients, trajectory, impulses, cost, cost_breakdown):
         # a NaN or an infinity anywhere makes the sum non-finite; when only
         # the sum overflows, the loop below finds nothing to refuse
-        values = (self.cost, parts.state, parts.derivative, parts.control_energy, *self.coefficients.values())
-        if math.isfinite(sum(values)):
-            return
-        named = {"cost": self.cost, **{f"cost part {k}": v for k, v in parts.as_dict().items()}}
-        for name, value in {**named, **self.coefficients}.items():
-            if not math.isfinite(value):
-                raise Overflow(f"{self.kind} solution has a non-finite {name}: {value}")
+        if not math.isfinite(sum((cost, *cost_breakdown, *coefficients.values()))):
+            named = {"cost": cost, **{f"cost part {k}": v for k, v in cost_breakdown.as_dict().items()}}
+            for name, value in {**named, **coefficients}.items():
+                if not math.isfinite(value):
+                    raise Overflow(f"{kind} solution has a non-finite {name}: {value}")
+        self.__dict__.update(
+            problem=problem, kind=kind, coefficients=coefficients, trajectory=trajectory,
+            impulses=impulses, cost=cost, cost_breakdown=cost_breakdown,
+        )
 
     @cached_property
     def boundary_residuals(self):
@@ -371,11 +383,10 @@ def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
 BOUNDARY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(NamedTuple):
     """Residuals of every boundary condition, checked against one tolerance."""
 
-    residuals: Mapping
+    residuals: MappingProxyType
     tol: float
 
     @property
@@ -404,21 +415,33 @@ class BoundaryResidual(NumericsError):
         self.report = report
 
 
+class NegativeCostPart(NumericsError):
+    """A cost part, the integral of a square, came out negative: its exact
+    integral lost its digits to cancellation."""
+
+
 def verify_boundaries(sol, tol=BOUNDARY_TOL):
     """The :class:`BoundaryReport` of :attr:`ProtocolSolution.boundary_residuals` at ``tol``."""
     return BoundaryReport(residuals=sol.boundary_residuals, tol=tol)
 
 
 def certify(sol):
-    """``sol``, or :class:`BoundaryResidual` when its report fails at :data:`BOUNDARY_TOL`.
+    """``sol``, or its typed refusal: :class:`BoundaryResidual` when its report
+    fails at :data:`BOUNDARY_TOL`, then :class:`NegativeCostPart` when a cost
+    part is below 0.
 
-    The one boundary certificate: :func:`package_rows` and the polynomial
-    and sine branch of :func:`~lincontrol.sta.solve_sta` return every
-    solution through it, so no solver returns one that misses its ends.
+    The one certificate: :func:`package_rows` and the polynomial and sine
+    branch of :func:`~lincontrol.sta.solve_sta` return every solution through
+    it, so no solver returns one that misses its ends or prints a negative
+    integral of a square.
     """
     report = verify_boundaries(sol)
     if not report.passed:
         raise BoundaryResidual(report)
+    parts = sol.cost_breakdown
+    if not min(parts) >= 0:
+        name, value = min(parts.as_dict().items(), key=lambda item: item[1])
+        raise NegativeCostPart(f"cost part {name} = {value:.3g} is negative, but it is the integral of a square")
     return sol
 
 

@@ -33,9 +33,8 @@ impulsive arc.  The exponential family is the first-order optimum at weight
 from __future__ import annotations
 
 import math
-import string
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,9 +68,11 @@ COST_NODES = 48
 #: the last sine order whose cost the rule integrates exactly to roundoff
 SINE_MAX_ORDER = 20
 
+#: the names of a family's free tail, in order
+_TAIL_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
-@dataclass(frozen=True)
-class GramForm:
+
+class GramForm(NamedTuple):
     """Cost as a sum of squares ``C(p) = |A p + b|^2 + c0``.
 
     :meth:`value` sums the squares, and
@@ -299,7 +300,7 @@ class PolynomialAnsatz(AnsatzFamily):
         N = self.N
         to_monomial = _monomial_matrix(N) / self.T ** np.arange(N + 1)[:, None]
         a = (to_monomial @ coeffs).tolist()
-        names = dict(zip(string.ascii_lowercase, a[4:]))
+        names = dict(zip(_TAIL_NAMES, a[4:]))
         names.update((f"a{k}", a[k]) for k in range(2, N + 1))
         return names
 
@@ -339,7 +340,7 @@ class TrigonometricAnsatz(AnsatzFamily):
         tail = a[3:]
         if self.N == 5:
             tail[0] = a[3] + a[4]
-        names = dict(zip(string.ascii_lowercase, tail))
+        names = dict(zip(_TAIL_NAMES, tail))
         names.update((f"a{k}", c) for k, c in enumerate(a, 1))
         return names
 

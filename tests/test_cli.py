@@ -24,7 +24,7 @@ from lincontrol.cli import (
     table1_report,
     table2_report,
 )
-from lincontrol.model import BoundaryReport, BoundaryResidual
+from lincontrol.model import BoundaryReport, BoundaryResidual, NegativeCostPart
 from lincontrol.numerics import NumericsError
 from oracles import json_reference, modal_solution, order1_optimum_mp, order_n_optimum_mp, sta_optimum_mp
 
@@ -593,6 +593,43 @@ class TestBoundaryRefusal:
         assert code == 0
         assert err == ""
         assert max(abs(v) for v in json.loads(out)["boundary_residuals"].values()) <= 1e-8
+
+
+#: requests whose exact cost integral cancels below 0 in one part: (argv, the library's solve, the part)
+NEGATIVE_PARTS = {
+    "sta-exp-0.99999": (("sta", "exp", "--k", "0.99999"), lambda: sta.solve_sta(sta.build_exponential(0.99999)), "state"),
+    "sta-exp-1.00001": (("sta", "exp", "--k", "1.00001"), lambda: sta.solve_sta(sta.build_exponential(1.00001)), "state"),
+    "oct-regular-0.99999": (
+        ("oct", "regular", "--lambda", "0.99999"), lambda: octmod.solve_regular(octmod.build_lq(1, 0.99999)),
+        "derivative",
+    ),
+    "oct-singular-1e-6": (("oct", "singular", "--T", "1e-6"), lambda: octmod.singular_solution(1e-6), "state"),
+}
+
+
+class TestNegativeCostPart:
+    """No command prints a cost part below 0: each part is the integral of a square."""
+
+    @pytest.mark.parametrize("output", [(), ("--format", "csv")], ids=["json", "csv"])
+    @pytest.mark.parametrize("argv,solve,part", NEGATIVE_PARTS.values(), ids=NEGATIVE_PARTS.keys())
+    def test_exits_2_naming_the_part(self, capsys, argv, solve, part, output):
+        code, out, err = run_cli(capsys, *argv, *output)
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["error"] == "NegativeCostPart"
+        assert re.fullmatch(rf"cost part {part} = -\S+ is negative, but it is the integral of a square", doc["message"])
+
+    @pytest.mark.parametrize("argv,solve,part", NEGATIVE_PARTS.values(), ids=NEGATIVE_PARTS.keys())
+    def test_library_refuses_the_solution(self, argv, solve, part):
+        # the refusal is the solver's own certificate, a NumericsError
+        with pytest.raises(NegativeCostPart, match=f"^cost part {part} = -"):
+            solve()
+        assert issubclass(NegativeCostPart, NumericsError)
+
+    def test_ci_exits_2_on_three_of_them(self):
+        _, exit2 = ci_command_lists()
+        listed = [key for key, (argv, _, _) in NEGATIVE_PARTS.items() if list(argv) in exit2]
+        assert listed == ["sta-exp-0.99999", "oct-regular-0.99999", "oct-singular-1e-6"]
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lincontrol.__file__)))

@@ -1,6 +1,6 @@
 """Tests for the problem types, cost functional, boundary checks, and CSV."""
 
-import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +14,9 @@ from lincontrol.model import (
     BoundaryResidual,
     ControlProblem,
     CostBreakdown,
+    Impulse,
     InvalidOrder,
+    NegativeCostPart,
     ProtocolSolution,
     Trajectory,
     adjoint_names,
@@ -43,6 +45,31 @@ COTH1 = 1.0 / np.tanh(1.0)
 def hand_built(rows):
     """A first-order trajectory on ``[0, 1]`` whose rows ``x, x', u, v`` are ``rows(ts)``."""
     return Trajectory(T=1.0, n=1, names=row_names(1), evaluate=lambda ts, index: np.array(rows(ts))[index])
+
+
+def fresh_trajectory(traj, evaluate=None):
+    """A new :class:`Trajectory` with ``traj``'s fields, ``evaluate`` if given; its end table is not built."""
+    return Trajectory(T=traj.T, n=traj.n, names=traj.names, evaluate=evaluate or traj.evaluate)
+
+
+def fresh_solution(sol, trajectory):
+    """A new :class:`ProtocolSolution` with ``sol``'s fields on ``trajectory``; its residuals are not built."""
+    return ProtocolSolution(
+        problem=sol.problem, kind=sol.kind, coefficients=sol.coefficients, trajectory=trajectory,
+        impulses=sol.impulses, cost=sol.cost, cost_breakdown=sol.cost_breakdown,
+    )
+
+
+def smoothstep_solution(cost_breakdown):
+    """``x = 3t^2 - 2t^3`` on ``[0, 1]``, which meets the first-order ends, with the parts ``cost_breakdown``."""
+    traj = hand_built(lambda ts: (
+        3 * ts**2 - 2 * ts**3, 6 * ts - 6 * ts**2, 3 * ts**2 - 2 * ts**3 + 6 * ts - 6 * ts**2,
+        6 - 6 * ts - 6 * ts**2,
+    ))
+    return ProtocolSolution(
+        problem=ControlProblem(), kind="hand-built", coefficients={}, trajectory=traj, impulses=(),
+        cost=sum(cost_breakdown), cost_breakdown=cost_breakdown,
+    )
 
 
 def linear_ramp_trajectory():
@@ -94,6 +121,93 @@ class TestControlProblem:
         # T and lam raised an OverflowError, and the order was accepted
         with pytest.raises(InvalidOrder if field == "n" else ValueError):
             ControlProblem(**{field: value})
+
+
+def record_fields():
+    """One instance of every record of the package, and its field names in order."""
+    sol = regular_order1_analytic(1e-4)
+    return {
+        "ControlProblem": (ControlProblem(T=2.0, n=3, lam=0.5), ("T", "n", "lam")),
+        "Impulse": (Impulse(time=0.0, area=1.5), ("time", "area")),
+        "Trajectory": (sol.trajectory, ("T", "n", "names", "evaluate")),
+        "CostBreakdown": (sol.cost_breakdown, ("state", "derivative", "control_energy")),
+        "ProtocolSolution": (
+            sol, ("problem", "kind", "coefficients", "trajectory", "impulses", "cost", "cost_breakdown"),
+        ),
+        "BoundaryReport": (verify_boundaries(sol), ("residuals", "tol")),
+        "GramForm": (build_polynomial(5).gram(), ("A", "b", "c0")),
+    }
+
+
+def unpickled_problem(T):
+    """What unpickling a :class:`ControlProblem` calls, with the horizon ``T``."""
+    newobj, (cls, _, n, lam) = ControlProblem().__reduce_ex__(2)[:2]
+    return newobj(cls, T, n, lam)
+
+
+RECORDS = ("ControlProblem", "Impulse", "Trajectory", "CostBreakdown", "ProtocolSolution", "BoundaryReport", "GramForm")
+
+
+class TestRecords:
+    """Every record keeps its field names, keyword construction and immutability."""
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_keyword_construction_keeps_every_field(self, name):
+        record, fields = record_fields()[name]
+        rebuilt = type(record)(**{field: getattr(record, field) for field in fields})
+        assert type(rebuilt).__name__ == name
+        assert all(getattr(rebuilt, field) is getattr(record, field) for field in fields)
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_no_field_can_be_assigned_or_deleted(self, name):
+        record, fields = record_fields()[name]
+        cached = {"Trajectory": ("ends",), "ProtocolSolution": ("boundary_residuals",)}.get(name, ())
+        for field in (*fields, *cached, "extra"):
+            before = getattr(record, field, None)
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0.0)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+            assert getattr(record, field, None) is before
+
+    def test_problem_equality_and_hash_are_by_value(self):
+        a = ControlProblem(T=2, n=np.int64(3), lam=np.float32(0.5))
+        b = ControlProblem(2.0, 3, 0.5)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, ControlProblem(T=2.0, n=3, lam=0.25)}) == 2
+        assert a != ControlProblem(T=2.0, n=2, lam=0.5)
+        assert repr(a) == "ControlProblem(T=2.0, n=3, lam=0.5)"
+
+    @pytest.mark.parametrize("build", [
+        lambda: ControlProblem(T=-1.0),
+        lambda: ControlProblem._make((-1.0, 1, 0.0)),
+        lambda: ControlProblem()._replace(T=-1.0),
+        lambda: ControlProblem()._replace(lam=True),
+        lambda: ControlProblem()._replace(n=0),
+        lambda: unpickled_problem(T=np.nan),
+    ], ids=["call", "make", "replace-T", "replace-lam", "replace-n", "unpickle"])
+    def test_no_construction_path_skips_the_checks(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_every_construction_path_normalises(self):
+        want = ControlProblem(T=2.0, n=3, lam=0.5)
+        for p in (
+            ControlProblem._make((2, 3.0, np.float64(0.5))),
+            ControlProblem(T=2.0)._replace(n=np.int64(3), lam=0.5),
+            pickle.loads(pickle.dumps(want)),
+        ):
+            assert p == want and type(p) is ControlProblem
+            assert (type(p.T), type(p.n), type(p.lam)) == (float, int, float)
+        with pytest.raises(ValueError):
+            ControlProblem._make((2.0, 3))
+
+    def test_ends_and_residuals_are_built_once(self):
+        sol, calls = spied(solve_sta(build_polynomial(5)))
+        ends, residuals = sol.trajectory.ends, sol.boundary_residuals
+        assert sol.trajectory.ends is ends and sol.boundary_residuals is residuals
+        assert len(calls) == 1
+        assert vars(sol.trajectory)["ends"] is ends and vars(sol)["boundary_residuals"] is residuals
 
 
 #: five routes, each a function of the request fields it reads, and its plain request
@@ -466,6 +580,27 @@ class TestCertify:
         with pytest.raises(BoundaryResidual):
             solve_regular(build_lq(n, lam))
 
+    @pytest.mark.parametrize("parts,name", [
+        ((-1e-300, 1.2, 0.0), "state"),
+        ((0.1, -2.0, 0.5), "derivative"),
+        ((0.1, 1.2, -3e-17), "control_energy"),
+        ((-1.0, -2.0, 0.0), "derivative"),
+    ])
+    def test_a_negative_part_is_refused_by_name(self, parts, name):
+        sol = smoothstep_solution(CostBreakdown(*parts))
+        assert verify_boundaries(sol).passed
+        with pytest.raises(NegativeCostPart, match=rf"^cost part {name} = -\S+ is negative, but it is the integral of a square$"):
+            modelmod.certify(sol)
+
+    def test_zero_parts_pass(self):
+        sol = smoothstep_solution(CostBreakdown(0.0, -0.0, 0.0))
+        assert modelmod.certify(sol) is sol
+
+    def test_the_boundary_report_is_checked_first(self):
+        sol = fresh_solution(smoothstep_solution(CostBreakdown(-1.0, 1.0, 0.0)), linear_ramp_trajectory())
+        with pytest.raises(BoundaryResidual):
+            modelmod.certify(sol)
+
 
 class TestSampling:
     def test_singular_midpoint_row(self):
@@ -620,7 +755,7 @@ class TestEndTable:
     @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
     def test_ends_are_a_fresh_evaluation_of_every_row(self, make):
         traj = make().trajectory
-        fresh = dataclasses.replace(traj)
+        fresh = fresh_trajectory(traj)
         want = fresh.evaluate(np.array([0.0, traj.T]), list(range(len(traj.names))))
         assert traj.ends.shape == (len(traj.names), 2)
         assert traj.ends.tobytes() == want.tobytes()
@@ -647,7 +782,7 @@ class TestEndTable:
         calls.clear()
         report = verify_boundaries(sol)
         assert calls == []
-        fresh = dataclasses.replace(sol, trajectory=dataclasses.replace(sol.trajectory))
+        fresh = fresh_solution(sol, fresh_trajectory(sol.trajectory))
         assert verify_boundaries(fresh).residuals == report.residuals
 
 
@@ -660,7 +795,7 @@ def spied(sol):
         calls.append((np.shape(ts), [traj.names[i] for i in index]))
         return traj.evaluate(ts, index)
 
-    return dataclasses.replace(sol, trajectory=dataclasses.replace(traj, evaluate=evaluate)), calls
+    return fresh_solution(sol, fresh_trajectory(traj, evaluate)), calls
 
 
 class TestRowContract:

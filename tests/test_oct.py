@@ -9,8 +9,8 @@ from scipy.integrate import solve_ivp
 from lincontrol import oct as octmod, sta as stamod
 from lincontrol.expsums import ExpSum, anchors
 from lincontrol.model import (
-    BoundaryResidual, ControlProblem, InvalidOrder, adjoint_names, cost_functional, row_names, sample_table,
-    verify_boundaries,
+    BoundaryResidual, ControlProblem, InvalidOrder, NegativeCostPart, adjoint_names, cost_functional, row_names,
+    sample_table, verify_boundaries,
 )
 from lincontrol.numerics import NumericsError, Overflow
 from lincontrol.oct import (
@@ -349,6 +349,21 @@ class TestShootAdjointBlock:
             shoot_adjoint_block(NoControlFlow(ControlProblem(T=1.0, n=1, lam=1.0)))
 
 
+def certified_or_refused(T):
+    """``singular_solution(T)`` with every cost part >= 0, or None where it raises :class:`NegativeCostPart`.
+
+    The arc's gammas grow like ``1/(2T)``, so only a short arc's exact state
+    integral cancels below 0; a horizon of 1e-3 or more is never refused.
+    """
+    try:
+        sol = singular_solution(T)
+    except NegativeCostPart as exc:
+        assert T < 1e-3 and "is negative, but it is the integral of a square" in str(exc)
+        return None
+    assert min(sol.cost_breakdown) >= 0
+    return sol
+
+
 class TestSingularSolution:
     def test_impulse_areas(self):
         sol = singular_solution(1.0)
@@ -390,15 +405,18 @@ class TestSingularSolution:
         # the gammas grow like 1/(2T), so the arc loses its endpoints in float64
         T = 10.0**-k
         try:
-            sol = singular_solution(T)
+            sol = certified_or_refused(T)
         except BoundaryResidual:
             assert k >= 8
             return
-        assert verify_boundaries(sol, tol=1e-8).passed
+        if sol is not None:
+            assert verify_boundaries(sol, tol=1e-8).passed
 
     @pytest.mark.parametrize("T", [1e-6, 0.5, 1.0, 2.0, 30.0, 800.0])
     def test_cost_is_coth_bitwise(self, T):
-        assert singular_solution(T).cost == float(1 / np.tanh(T))
+        sol = certified_or_refused(T)
+        if sol is not None:
+            assert sol.cost == float(1 / np.tanh(T))
 
     @pytest.mark.parametrize("k", range(81))
     def test_short_horizon_refusal_is_the_endpoint_oracle(self, k):
@@ -406,7 +424,7 @@ class TestSingularSolution:
         T = 10.0 ** (-k / 4)
         residual = singular_endpoint_residual(T)
         if not residual > 1e-8:
-            singular_solution(T)
+            certified_or_refused(T)
             return
         with pytest.raises(BoundaryResidual) as info:
             singular_solution(T)
