@@ -46,7 +46,7 @@ class ExpSum(NamedTuple):
 def anchors(rates, T):
     """Each term's anchor on the horizon ``T``, the package's one anchoring rule:
     ``T`` where the rate (of the array ``rates``) has positive real part, else 0."""
-    return np.where(rates.real > 0, T, 0.0)
+    return T * (rates.real > 0)
 
 
 #: :func:`real_values` forms every product of a call in one table for at most

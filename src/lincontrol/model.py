@@ -344,7 +344,7 @@ def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
     impulses never contribute: quadrature nodes are interior points.  The
     trajectory's rows ``x``, ``x^(1)`` and, only for ``lam > 0``, ``v`` are
     evaluated once, on every panel's nodes together; the panel integrals are
-    summed in panel order.
+    summed in panel order, from 0, by one ``np.add.accumulate``.
 
     Returns
     -------
@@ -354,27 +354,28 @@ def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
     Raises
     ------
     ValueError
-        If ``lam`` is not finite and ``>= 0``, ``panels`` is not an integer
-        ``>= 1`` (a numpy integer counts, a bool does not), or ``nodes`` is
-        not an integer ``>= 2``.
+        If ``lam`` is not finite and ``>= 0`` or ``T`` not finite and ``> 0``
+        (a bool, numpy's too, is neither), ``panels`` not an integer ``>= 1``
+        (a numpy integer counts, a bool does not), or ``nodes`` not one ``>= 2``.
     """
-    if not (math.isfinite(lam) and lam >= 0):
+    lam_, T_ = _real(lam), traj.T if T is None else _real(T)
+    if not 0 <= lam_ < math.inf:
         raise ValueError(f"regularization weight must be finite and >= 0, got {lam}")
+    if not 0 < T_ < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {T}")
     if isinstance(panels, bool) or not isinstance(panels, (int, np.integer)) or panels < 1:
         raise ValueError(f"panels must be an integer >= 1, got {panels!r}")
-    if T is None:
-        T = traj.T
-    names = ("x", "x^(1)", "v")[: 3 if lam > 0 else 2]
-    weights = np.array([1.0, 1.0, lam])[: len(names)]
+    names = ("x", "x^(1)", "v")[: 3 if lam_ > 0 else 2]
 
     def integrand(ts):
         return traj(ts, *names) ** 2
 
-    edges = np.linspace(0.0, T, panels + 1)
-    per_panel = integrate(integrand, edges[:-1], edges[1:], nodes)
+    edges = np.linspace(0.0, T_, panels + 1)
+    terms = integrate(integrand, edges[:-1], edges[1:], nodes)
+    terms[2:] *= lam_  # the row v, there only at a positive weight
+    terms[:, 0] += 0.0
     parts = np.zeros(3)
-    for panel in per_panel.T:
-        parts[: len(weights)] += weights * panel
+    parts[: len(names)] = np.add.accumulate(terms, axis=1)[:, -1]
     breakdown = CostBreakdown(parts[0], parts[1], parts[2])
     return breakdown.total, breakdown
 

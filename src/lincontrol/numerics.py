@@ -177,8 +177,8 @@ def integrate(f, a, b, nodes=64):
     ``a`` and ``b`` may instead be equal-length 1-D arrays of panel ends.
     ``f`` is then called once, on the flat array of every panel's nodes, and
     the result gains a trailing panel axis: ``(panels,)``, or ``(rows,
-    panels)`` for a stack.  Each panel's integral is its own dot product, so
-    it rounds exactly as a call on that panel alone.
+    panels)`` for a stack.  Each row and panel is one dot product of a single
+    stacked ``matmul``, so it rounds exactly as ``np.dot`` on that panel alone.
 
     Raises
     ------
@@ -192,18 +192,16 @@ def integrate(f, a, b, nodes=64):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim > 1 or a.size == 0:
         raise ValueError(f"need scalar or equal-length 1-D panel ends, got shapes {a.shape} and {b.shape}")
-    if not np.all(a < b):
+    if not (a < b).all():
         raise ValueError(f"need a < b, got a={a}, b={b}")
     x, w = gauss_legendre(nodes, a[..., None], b[..., None])
     y = np.asarray(f(x.ravel()), dtype=float)
     if y.shape[-1:] != (x.size,):
         raise ValueError(f"integrand returned shape {y.shape} on {x.size} nodes")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteSample("integrand returned NaN/Inf")
-    # one dot product per row and panel, so each integral rounds as it would alone
-    w = w.reshape(-1, w.shape[-1])
-    vals = np.array([[wp @ yp for wp, yp in zip(w, row)] for row in y.reshape((-1,) + w.shape)])
-    vals = vals.reshape(y.shape[:-1] + a.shape)
+    # (rows, panels, 1, nodes) @ (panels, nodes, 1): one dot product per row and panel
+    vals = (y.reshape(y.shape[:-1] + w.shape)[..., None, :] @ w[..., None])[..., 0, 0]
     return float(vals) if vals.ndim == 0 else vals
 
 

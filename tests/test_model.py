@@ -356,12 +356,40 @@ class TestCostFunctional:
         traj = singular_solution(1.0).trajectory
         assert cost_functional(traj, panels=np.int64(3)) == cost_functional(traj, panels=3)
 
-    @pytest.mark.parametrize("lam", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "lam",
+        [-1.0, -1e-300, np.nan, np.inf, -np.inf, True, np.True_, "1e-3", 1e-3 + 0j,
+         pytest.param(10**400, id="past-float-range")],
+    )
     def test_bad_weight_is_refused(self, lam):
-        # a negative or NaN weight used to give the bare cost, an infinite one a non-finite total
+        # a negative or NaN weight used to give the bare cost, an infinite one a non-finite total;
+        # True used to weigh v by 1, and a string or a complex weight raised TypeError
         traj = solve_regular(build_lq(2, 1e-3)).trajectory
         with pytest.raises(ValueError, match="regularization weight must be finite and >= 0"):
             cost_functional(traj, lam=lam)
+
+    @pytest.mark.parametrize(
+        "T",
+        [True, np.True_, "1", 1.0 + 0j, 0.0, -0.0, -1.0, np.nan, np.inf,
+         pytest.param(10**400, id="past-float-range")],
+    )
+    def test_bad_horizon_is_refused(self, T):
+        # T=True used to integrate over [0, 1]
+        traj = solve_regular(build_lq(2, 1e-3)).trajectory
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            cost_functional(traj, lam=1e-3, T=T)
+
+    def test_numeric_types_give_the_same_bits(self):
+        traj = solve_regular(build_lq(2, 1e-3)).trajectory
+
+        def bits(lam, T):
+            total, parts = cost_functional(traj, lam=lam, T=T, panels=3)
+            return np.array([total, *parts.as_dict().values()]).tobytes()
+
+        want = bits(1e-3, 1.0)
+        assert bits(np.float64(1e-3), np.float64(1.0)) == want
+        assert bits(1e-3, 1) == bits(1e-3, np.int64(1)) == bits(1e-3, None) == want
+        assert bits(0, 1.0) == bits(np.int64(0), 1.0) == bits(0.0, 1.0)
 
 
 #: the rows of each basis family and order whose cost is checked against its parts

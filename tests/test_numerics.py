@@ -315,6 +315,24 @@ class TestIntegrate:
             assert got[:, p].tobytes() == integrate(stacked, a, b, nodes=16).tobytes()
             assert one[p].tobytes() == np.float64(integrate(single, a, b, nodes=16)).tobytes()
 
+    @pytest.mark.parametrize("nodes", [16, 64])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_each_panel_rounds_as_one_dot_product(self, rows, nodes):
+        # against np.dot on each panel's own rule, not against integrate itself,
+        # so a contraction that rounds otherwise fails whatever path it takes
+        def stacked(t):
+            return np.array([np.exp(t) * np.sin(3.0 * t), t**7 - 0.3 * t, np.cosh(t) / (1.0 + t)][:rows])
+
+        for panels in range(1, 9):
+            edges = np.linspace(0.0, 2.5, panels + 1)
+            got = integrate(stacked, edges[:-1], edges[1:], nodes=nodes)
+            assert got.shape == (rows, panels) and got.dtype == np.float64
+            for p, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+                x, w = gauss_legendre(nodes, a, b)
+                y = stacked(x)
+                for r in range(rows):
+                    assert got[r, p].tobytes() == np.dot(w, y[r]).tobytes(), (panels, p, r)
+
     def test_panels_evaluate_f_once(self):
         calls = []
 
@@ -624,6 +642,24 @@ KERNEL_STACKS = {
         (600.0 + 360.0j, 600.0 - 360.0j, -600.0 + 360.0j, -600.0 - 360.0j), 1.0,
     ),
 }
+
+
+class TestAnchors:
+    @pytest.mark.parametrize("T", [5e-324, 1e-300, 1.0, 1.7976931348623157e308])
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            np.array([2.0, -3.0, 0.0, -0.0, 1e-300, -5e-324]),
+            np.array([1 + 2j, -1 + 2j, 0j, complex(0.0, 3.0), complex(-0.0, 3.0), complex(-0.0, -3.0), 5e-324 - 1j]),
+        ],
+        ids=["real", "complex"],
+    )
+    def test_bitwise_the_where_rule(self, rates, T):
+        # +0.0 and -0.0 real parts, purely imaginary rates among them, anchor at 0
+        got = expsums.anchors(rates, T)
+        want = np.where(rates.real > 0, T, 0.0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPairKernel:
