@@ -297,16 +297,18 @@ def run_validation():
         add(f"equivalence-gap-{lam:g}", gap <= 1e-8, gap, 1e-8)
         add(f"equivalence-coefficients-{lam:g}", residual <= 1e-9, residual, 1e-9)
 
-    for n in (1, 2, 3):
-        lam = 1e-4
-        flow = PontryaginFlow(build_lq(n, lam))
-        w, _ = flow.spectrum()
-        resid = max(min(abs(mu + nu) for nu in w) for mu in w)
-        add(f"spectral-pairing-n{n}", resid <= 1e-9, resid, 1e-9)
-        # the closed-form rates against the eigensolver's, relative to 1 + |mu|
-        numerical, _ = flow.numerical_spectrum()
-        gap = max(min(abs(mu - nu) for nu in numerical) / (1 + abs(mu)) for mu in w)
-        add(f"spectrum-agreement-n{n}", gap <= 1e-9, gap, 1e-9)
+    # the closed-form rates pair as +- and are the roots of chi(s) = (1 - s^2)(1 +
+    # lam (-1)^n s^(2n)), each way round; both relative to 1 + |mu|
+    lam = 1e-4
+    for n in range(1, 9):
+        w, _ = PontryaginFlow(build_lq(n, lam)).spectrum()
+        pairing = (np.abs(w[:, None] + w).min(axis=1) / (1 + np.abs(w))).max()
+        add(f"spectral-pairing-n{n}", pairing <= 1e-12, pairing, 1e-12)
+        chi = np.polymul([-1.0, 0.0, 1.0], np.r_[lam * (-1.0) ** n, np.zeros(2 * n - 1), 1.0])
+        roots = np.roots(chi)
+        gap = np.abs(w[:, None] - roots)
+        agreement = max((gap.min(axis=1) / (1 + np.abs(w))).max(), (gap.min(axis=0) / (1 + np.abs(roots))).max())
+        add(f"spectrum-agreement-n{n}", agreement <= 1e-12, agreement, 1e-12)
 
     dev = singular_consistency_check(regular_order1_analytic(1e-5))
     add("singular-consistency", dev <= 0.05, dev, 0.05)
@@ -367,7 +369,7 @@ def _cmd_table(doc, args):
 
 
 def _cmd_sweep(args):
-    lams = DEFAULT_SWEEP if not args.lambdas else tuple(float(x) for x in args.lambdas.split(","))
+    lams = DEFAULT_SWEEP if args.lambdas is None else tuple(float(x) for x in args.lambdas.split(","))
     # a row's weight is printed as a number, which a nan or an infinity is not in JSON
     for lam in lams:
         if not np.isfinite(lam):

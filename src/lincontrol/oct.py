@@ -9,8 +9,8 @@ lifted to the state chain ``(x_n, z_{n-1}, ..., z_1, z_0)`` where
   ``x(t) = sinh(t)/sinh(T)``, whose bare cost is ``coth(T)``, the global
   minimum of the problem;
 * the generic linear-quadratic solver for any order ``n`` and energy
-  weight ``lam > 0``, built on the flow matrix
-  ``[[A, B U^-1 B^T], [W, -A^T]]``;
+  weight ``lam > 0``, built on the closed-form modes of the state-adjoint
+  flow;
 * the first-order optimum at every weight ``lam > 0``, which is the
   exponential basis family of :mod:`lincontrol.sta` at rate
   ``k = 1/sqrt(lam)``; both its growing terms are anchored at ``T``, so it
@@ -40,19 +40,18 @@ problem in these modes, with growing modes anchored at ``t = T``, which
 keeps the linear system's entries O(1) at any ``|mu| T``; it raises
 :class:`ShootingSingular` where the modes are nearly dependent on
 ``[0, T]``: at small ``|mu| T``, and where rates coincide (``lam = 1`` at
-odd ``n``).  The eigensolver's spectrum,
-:meth:`PontryaginFlow.numerical_spectrum`, is kept for ``validate``'s
-cross-check of the closed-form rates.
+odd ``n``).
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .expsums import ExpSum, anchors
 from .model import ControlProblem, Impulse, _real, package_rows
+# no solve calls eigendecompose; the benchmark's span table binds it on this module
 from .numerics import NumericsError, SingularMatrix, eigendecompose, solve_linear
 
 
@@ -79,33 +78,6 @@ def _x1_row(n):
     r1[0] += (-1.0) ** (n + 1)
     r1.setflags(write=False)
     return r1
-
-
-@lru_cache(maxsize=64)
-def _chain_structure(n):
-    """Read-only ``(A, B, W)`` of the order-``n`` chain, built once per order, for :attr:`PontryaginFlow.H`.
-
-    The chain obeys ``sdot = A s + B v`` and costs ``int (s^T W s + lam v^2)
-    dt``; it depends on the order alone.  The state cost matrix is ``W =
-    r0^T r0 + r1^T r1`` with ``r1`` the row realising ``x'`` and ``r0 =
-    e_{z0} - r1``, so that ``s^T W s = (z_0 - x')^2 + x'^2 = x^2 + xdot^2``.
-    """
-    ns = n + 1
-    A = np.zeros((ns, ns))
-    A[0, 0] = -1.0
-    for i in range(2, ns):
-        A[i, i - 1] = 1.0
-    B = np.zeros((ns, 1))
-    B[0, 0] = 1.0
-    B[1, 0] = 1.0
-    r1 = _x1_row(n)
-    r0 = -r1.copy()
-    r0[ns - 1] += 1.0
-    W = np.outer(r0, r0) + np.outer(r1, r1)
-    arrays = (A, B, W)
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
 
 
 @lru_cache(maxsize=64)
@@ -162,20 +134,17 @@ def build_lq(n, lam, T=1.0):
 
 
 class PontryaginFlow:
-    """The coupled state-adjoint flow ``d/dt (s, p) = H (s, p)`` of a :class:`ControlProblem`.
+    """The coupled state-adjoint flow of a :class:`ControlProblem`, known by its modes.
 
-    ``H = [[A, B U^-1 B^T], [W, -A^T]]`` with the chain matrices of
-    :func:`_chain_structure` at the problem's order and ``U`` its weight.
-    Its eigenpairs are known in closed form: eliminating the adjoint gives
-    the Euler-Lagrange operator ``(1 - D^2)(1 + U (-1)^n D^(2n))`` on ``x``,
-    so the rates are ``+-1`` and the ``2n`` roots of ``s^(2n) =
+    The order-``n`` chain obeys ``sdot = A s + B v`` and costs ``int (s^T W s
+    + U v^2) dt`` at the weight ``U``; the adjoint obeys ``pdot = W s - A^T
+    p`` and ``v = B^T p / U``.  The state cost is ``W = r0^T r0 + r1^T r1``
+    with ``r1`` the row realising ``x'`` (:func:`_x1_row`) and ``r0 = e_{z0}
+    - r1``, so that ``s^T W s = x^2 + xdot^2``.  Eliminating the adjoint
+    gives the Euler-Lagrange operator ``(1 - D^2)(1 + U (-1)^n D^(2n))`` on
+    ``x``, so the rates are ``+-1`` and the ``2n`` roots of ``s^(2n) =
     (-1)^(n+1)/U``, and each eigenvector is read off the mode ``x = e^(st)``
-    (see :meth:`spectrum`).  :meth:`numerical_spectrum`
-    runs the eigensolver on the similarity-balanced ``H`` instead and is
-    kept as the cross-check.
-
-    ``H`` itself is formed only where it is read, by
-    :meth:`numerical_spectrum`.  A solve never reads it, so a weight whose
+    (see :meth:`spectrum`).  No flow matrix is formed, so a weight whose
     inverse overflows reaches the modal solve without a floating-point
     warning.
     """
@@ -183,20 +152,8 @@ class PontryaginFlow:
     def __init__(self, problem):
         self.problem = problem
 
-    @cached_property
-    def H(self):
-        """The flow matrix ``[[A, B U^-1 B^T], [W, -A^T]]``."""
-        A, B, W = _chain_structure(self.problem.n)
-        ns = self.problem.n + 1
-        H = np.zeros((2 * ns, 2 * ns))
-        H[:ns, :ns] = A
-        H[:ns, ns:] = (B @ B.T) / self.problem.lam
-        H[ns:, :ns] = W
-        H[ns:, ns:] = -A.T
-        return H
-
     def spectrum(self):
-        """Exact eigenpairs ``(w, V)`` of ``H``, sorted by real part, then imaginary part.
+        """Exact eigenpairs ``(w, V)`` of the flow, sorted by real part, then imaginary part.
 
         Mode ``i`` is ``x = e^(s_i t)`` at the rates of :func:`_mode_tables`,
         with ``s^(+-j) = rho^(+-j) e^(+-i j theta)``.  Its state column is
@@ -223,22 +180,6 @@ class PontryaginFlow:
         V[ns] = U * V[0] * w1 - V[ns + 1]
         V /= np.abs(V).max(axis=0)
         return w, V
-
-    def numerical_spectrum(self):
-        """Eigenpairs ``(w, V)`` from the eigensolver, the cross-check of :meth:`spectrum`.
-
-        The decomposition runs on the similarity-balanced matrix (adjoint
-        block scaled by ``sqrt(U)``), which leaves the eigenvalues untouched
-        while shrinking the matrix norm from ``1/U`` to ``1/sqrt(U)``; the
-        eigenvectors are mapped back and scaled to unit max-magnitude.
-        """
-        ns = self.problem.n + 1
-        d = np.ones(2 * ns)
-        d[ns:] = np.sqrt(self.problem.lam)
-        balanced = (self.H / d[:, None]) * d[None, :]
-        w, V = eigendecompose(balanced)
-        V = V * d[:, None]
-        return w, V / np.abs(V).max(axis=0)
 
 
 def _modal_amplitudes(flow):

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .expsums import ExpSum
-from .model import ControlProblem, CostBreakdown, InvalidOrder, ProtocolSolution, Trajectory, row_names
+from .model import ControlProblem, CostBreakdown, InvalidOrder, ProtocolSolution, Trajectory, _real, row_names
 from .model import certify, exact_cost, package_rows
 from .numerics import (
     SOLVE_COND_CAP,
@@ -277,10 +277,12 @@ class PolynomialAnsatz(AnsatzFamily):
     kind = "polynomial"
 
     def __init__(self, N, T=1.0):
-        # N % 1 is NaN for a NaN or an infinity, so neither passes as an integer
-        if not (3 <= N < COST_NODES and N % 1 == 0):
+        # a non-real reads as NaN, and order % 1 is NaN for a NaN or an
+        # infinity, so none of them passes as an integer
+        order = _real(N)
+        if not (3 <= order < COST_NODES and order % 1 == 0):
             raise InvalidOrder(f"polynomial order must be an integer 3 <= N <= {COST_NODES - 1}, got {N}")
-        self.N = int(N)
+        self.N = int(order)
         super().__init__(T)
 
     @staticmethod
@@ -319,9 +321,10 @@ class TrigonometricAnsatz(AnsatzFamily):
     kind = "trigonometric"
 
     def __init__(self, N, T=1.0):
-        if not (3 <= N <= SINE_MAX_ORDER and N % 1 == 0):
+        order = _real(N)
+        if not (3 <= order <= SINE_MAX_ORDER and order % 1 == 0):
             raise InvalidOrder(f"trigonometric order must be an integer 3 <= N <= {SINE_MAX_ORDER}, got {N}")
-        self.N = int(N)
+        self.N = int(order)
         super().__init__(T)
 
     @staticmethod
@@ -362,16 +365,18 @@ class ExponentialAnsatz:
     symmetric under ``k -> -k`` (``c`` and ``d`` swap), so ``k`` is
     normalised to its absolute value.  Its trajectory is the gamma rows of
     :meth:`rows`, never a basis table, because ``e^{kt}`` alone overflows at
-    large ``k``.  The horizon is normalised by :class:`ControlProblem`'s
-    rule, which refuses a bool.
+    large ``k``.  The rate and the horizon are read by
+    :class:`ControlProblem`'s rule, which refuses a bool, a string or a
+    complex number.
     """
 
     kind = "exponential"
 
     def __init__(self, k, T=1.0):
-        k, T = abs(float(k)), ControlProblem(T=T).T
-        if not np.isfinite(k) or k == 0.0:
+        rate, T = abs(_real(k)), ControlProblem(T=T).T
+        if not np.isfinite(rate) or rate == 0.0:
             raise ValueError(f"k must be finite and nonzero, got {k}")
+        k = rate
         if not math.isfinite(k * k):
             # derivatives scale terms by powers of k; x'' must stay representable
             raise Overflow(f"rate k={k} is too large: k^2 overflows")

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from lincontrol.expsums import ExpSum, square_integrals
 from lincontrol.model import CostBreakdown, ProtocolSolution, Trajectory, adjoint_names, row_names
-from lincontrol.numerics import Overflow, SingularMatrix, integrate, solve_linear
+from lincontrol.numerics import Overflow, SingularMatrix, eigendecompose, integrate, solve_linear
 from lincontrol import oct as octmod
 from lincontrol.oct import (
     PontryaginFlow,
@@ -35,8 +35,60 @@ def mat_exp(A, t=1.0):
     return E
 
 
-def shoot_adjoint_block(flow, horizon=None):
-    """Initial adjoint from a linear solve on the propagator's (s, p) block.
+def chain_structure(n):
+    """``(A, B, W)`` of the order-``n`` chain.
+
+    The chain obeys ``sdot = A s + B v`` and costs ``int (s^T W s + lam v^2)
+    dt``; it depends on the order alone.  The state cost matrix is ``W =
+    r0^T r0 + r1^T r1`` with ``r1`` the row realising ``x'`` and ``r0 =
+    e_{z0} - r1``, so that ``s^T W s = (z_0 - x')^2 + x'^2 = x^2 + xdot^2``.
+    """
+    ns = n + 1
+    A = np.zeros((ns, ns))
+    A[0, 0] = -1.0
+    for i in range(2, ns):
+        A[i, i - 1] = 1.0
+    B = np.zeros((ns, 1))
+    B[0, 0] = 1.0
+    B[1, 0] = 1.0
+    r1 = _x1_row(n)
+    r0 = -r1.copy()
+    r0[ns - 1] += 1.0
+    W = np.outer(r0, r0) + np.outer(r1, r1)
+    return A, B, W
+
+
+def flow_matrix(problem):
+    """The state-adjoint flow matrix ``H = [[A, B lam^-1 B^T], [W, -A^T]]`` of a problem of positive weight."""
+    A, B, W = chain_structure(problem.n)
+    ns = problem.n + 1
+    H = np.zeros((2 * ns, 2 * ns))
+    H[:ns, :ns] = A
+    H[:ns, ns:] = (B @ B.T) / problem.lam
+    H[ns:, :ns] = W
+    H[ns:, ns:] = -A.T
+    return H
+
+
+def numerical_spectrum(problem):
+    """Eigenpairs ``(w, V)`` of :func:`flow_matrix` from the eigensolver, the reference of ``PontryaginFlow.spectrum``.
+
+    The decomposition runs on the similarity-balanced matrix (adjoint
+    block scaled by ``sqrt(lam)``), which leaves the eigenvalues untouched
+    while shrinking the matrix norm from ``1/lam`` to ``1/sqrt(lam)``; the
+    eigenvectors are mapped back and scaled to unit max-magnitude.
+    """
+    ns = problem.n + 1
+    d = np.ones(2 * ns)
+    d[ns:] = np.sqrt(problem.lam)
+    balanced = (flow_matrix(problem) / d[:, None]) * d[None, :]
+    w, V = eigendecompose(balanced)
+    V = V * d[:, None]
+    return w, V / np.abs(V).max(axis=0)
+
+
+def shoot_adjoint_block(H, T):
+    """Initial adjoint from a linear solve on the (s, p) block of the propagator of the flow matrix ``H``.
 
     The textbook route: with ``s(0) = 0`` known, the terminal state reads
     ``s(T) = N_sp(T) p(0)``, so ``p(0)`` solves one dense system on the
@@ -45,9 +97,8 @@ def shoot_adjoint_block(flow, horizon=None):
     ``exp(+-|mu| T)`` scales, so it is a sound reference only while ``|mu| T``
     stays below roughly 30 (weights above ``~1e-3`` at first order).
     """
-    T = flow.problem.T if horizon is None else float(horizon)
-    ns = flow.problem.n + 1
-    N = mat_exp(flow.H, T)
+    ns = len(H) // 2
+    N = mat_exp(H, T)
     target = np.zeros(ns)
     target[-1] = 1.0
     try:

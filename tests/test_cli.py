@@ -230,8 +230,8 @@ class TestOctCommand:
         assert max(abs(v) for v in doc["boundary_residuals"].values()) <= 1e-8
 
     def test_subnormal_weight_prints_no_warning(self):
-        # 1/lambda overflows at a subnormal weight; the solve never forms the
-        # flow matrix, so the modal system refuses it without a numpy warning
+        # 1/lambda overflows at a subnormal weight; the modal solve never
+        # divides by it, so it refuses the problem without a numpy warning
         src = os.path.dirname(os.path.dirname(os.path.abspath(lincontrol.__file__)))
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "lincontrol", "oct", "higher", "--n", "2",
@@ -449,6 +449,14 @@ class TestSweep:
         doc = json.loads(out)
         assert len(doc["rows"]) == 2
 
+    @pytest.mark.parametrize("lams", ["", ","], ids=["empty", "comma"])
+    def test_cli_empty_weight_list_exits_2(self, capsys, lams):
+        # an empty --lambdas used to print the default sweep and exit 0; only
+        # a missing --lambdas selects it
+        code, out, err = run_cli(capsys, "sweep-lambda", "--lambdas", lams)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "ValueError", "message": "could not convert string to float: ''"}
+
     def test_sweep_routes_like_oct_regular(self, capsys):
         # a weight above 1 is the exponential family too, as oct regular --lambda 2 is
         rows, _ = sweep_lambda((0.5, 2.0))
@@ -512,6 +520,48 @@ class TestValidate:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
+
+    def test_spectral_checks_cover_every_order_at_1e_12(self):
+        rows = {c["check"]: c for c in run_validation()}
+        for n in range(1, 9):
+            for name in (f"spectral-pairing-n{n}", f"spectrum-agreement-n{n}"):
+                assert rows[name]["passed"] and rows[name]["threshold"] == 1e-12
+
+    @staticmethod
+    def _planted(monkeypatch, plant):
+        spectrum = octmod.PontryaginFlow.spectrum
+
+        def planted(self):
+            w, V = spectrum(self)
+            w = w.copy()
+            plant(w)
+            return w, V
+
+        monkeypatch.setattr(octmod.PontryaginFlow, "spectrum", planted)
+
+    def test_scaled_fast_pair_fails_the_agreement(self, monkeypatch, capsys):
+        # one fast conjugate pair 1e-10 off its roots: the old 1e-9 gate passed it
+        def scale(w):
+            upper = np.flatnonzero(w.imag > 0)
+            if upper.size:  # order 1 has no complex rate
+                w[[upper[0], np.flatnonzero(w == w[upper[0]].conj())[0]]] *= 1 + 1e-10
+
+        self._planted(monkeypatch, scale)
+        rows = {c["check"]: c for c in run_validation()}
+        for n in range(2, 9):
+            row = rows[f"spectrum-agreement-n{n}"]
+            assert not row["passed"] and 1e-12 < row["value"] <= 1e-9
+        assert run_cli(capsys, "validate")[0] == 1
+
+    def test_flipped_real_rate_fails_the_pairing(self, monkeypatch, capsys):
+        def flip(w):
+            i = np.flatnonzero(w.imag == 0)[0]
+            w[i] = -w[i]
+
+        self._planted(monkeypatch, flip)
+        rows = {c["check"]: c for c in run_validation()}
+        assert not any(rows[f"spectral-pairing-n{n}"]["passed"] for n in range(1, 9))
+        assert run_cli(capsys, "validate")[0] == 1
 
 
 #: solutions whose largest boundary residual is above 1e-8 (its size in the id)

@@ -30,6 +30,7 @@ from oracles import (
     eigen_residual_bounds,
     eigen_residuals,
     exponential_cofactors,
+    flow_matrix,
     mat_exp,
     product_integral_mp,
     real_values_per_term,
@@ -37,7 +38,7 @@ from oracles import (
 
 
 def order1_flow_matrix(lam):
-    return PontryaginFlow(build_lq(1, lam)).H
+    return flow_matrix(build_lq(1, lam))
 
 
 def exp_boundary_matrix(k, T=1.0):

@@ -1,5 +1,7 @@
 """Tests for the optimal-control solvers: impulsive, generic, and closed form."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -28,10 +30,13 @@ from lincontrol.oct import (
 from lincontrol.sta import DegenerateBasis, build_exponential, solve_sta
 from oracles import (
     CHAIN_PROBLEMS,
+    chain_structure,
     eigen_residual_bounds,
     eigen_residuals,
+    flow_matrix,
     mat_exp,
     modal_solution,
+    numerical_spectrum,
     order1_optimum_mp,
     order_n_optimum_mp,
     order_n_parts_mp,
@@ -48,22 +53,22 @@ COTH1 = 1.0 / np.tanh(1.0)
 
 class TestBuildLq:
     def test_first_order_matrices(self):
-        A, B, W = octmod._chain_structure(1)
+        A, B, W = chain_structure(1)
         assert np.array_equal(A, [[-1.0, 0.0], [0.0, 0.0]])
         assert np.array_equal(B.ravel(), [1.0, 1.0])
         assert np.array_equal(W, [[2.0, -1.0], [-1.0, 1.0]])
 
     def test_state_cost_is_positive(self):
         for n in (1, 2, 3):
-            eigs = np.linalg.eigvalsh(octmod._chain_structure(n)[2])
+            eigs = np.linalg.eigvalsh(chain_structure(n)[2])
             assert eigs.min() >= -1e-12
         # first order: both eigenvalues strictly positive
-        assert np.linalg.eigvalsh(octmod._chain_structure(1)[2]).min() > 0
+        assert np.linalg.eigvalsh(chain_structure(1)[2]).min() > 0
 
     def test_second_order_cost_expansion(self):
         # at (x2, z1, z0) = (0, 1, 1): x' = z1 - x2 = 1, so the state cost
         # is (z0 - x')^2 + x'^2 = 0 + 1
-        W = octmod._chain_structure(2)[2]
+        W = chain_structure(2)[2]
         s = np.array([0.0, 1.0, 1.0])
         assert s @ W @ s == pytest.approx(1.0, abs=1e-14)
 
@@ -71,7 +76,7 @@ class TestBuildLq:
         # at n = 3 the rows are x3' = -x3 + v, z2' = v, z1' = z2, z0' = z1; the
         # unit chain steps A[i + 1, i] are the ones _mode_tables writes as 1
         for n in range(1, 9):
-            A, B, _ = octmod._chain_structure(n)
+            A, B, _ = chain_structure(n)
             expected = np.zeros((n + 1, n + 1))
             expected[0, 0] = -1.0
             for i in range(1, n):
@@ -98,11 +103,6 @@ class TestBuildLq:
             with pytest.raises(LambdaOutOfRange, match="finite and positive"):
                 build_lq(1, lam)
 
-    def test_structure_is_shared_and_read_only(self):
-        for a, b in zip(octmod._chain_structure(3), octmod._chain_structure(3)):
-            assert a is b
-            assert not a.flags.writeable
-
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_name_tables_are_shared_and_read_only(self, n):
         for adjoints in (False, True):
@@ -121,7 +121,7 @@ class TestBuildLq:
 
     @pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
     def test_horizon_must_be_finite_and_positive(self, T):
-        # refused before the eigen-solve, with ControlProblem's error and message
+        # refused before the modal solve, with ControlProblem's error and message
         with pytest.raises(ValueError, match="horizon must be finite and positive") as info:
             build_lq(2, 1e-3, T)
         assert type(info.value) is ValueError
@@ -158,47 +158,36 @@ class TestFlowSpectrum:
         for n in (1, 2, 3):
             flow = PontryaginFlow(build_lq(n, 1e-4))
             spec = flow.spectrum()
-            assert np.all(eigen_residuals(flow.H, spec) <= eigen_residual_bounds(spec))
+            assert np.all(eigen_residuals(flow_matrix(flow.problem), spec) <= eigen_residual_bounds(spec))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_spectrum_is_the_pair_alone(self, n):
-        # the closed-form spectrum carries its two arrays and nothing that forms H
-        flow = PontryaginFlow(build_lq(n, 10.0 ** (-2 * n)))
-        spec = flow.spectrum()
+        # the closed-form spectrum carries its two arrays
+        spec = PontryaginFlow(build_lq(n, 10.0 ** (-2 * n))).spectrum()
         assert type(spec) is tuple and len(spec) == 2
         m = 2 * n + 2
         assert (spec[0].shape, spec[1].shape) == ((m,), (m, m))
-        assert "H" not in vars(flow)
 
-    def test_solve_never_forms_flow_matrix(self, monkeypatch):
+    def test_subnormal_weight_is_refused_without_warning(self):
         # 1/U overflows at a subnormal weight; the modal system refuses the
-        # problem, and neither solve forms H or raises a floating-point warning
-        flows = []
-        init = PontryaginFlow.__init__
-
-        def spy(self, lq):
-            init(self, lq)
-            flows.append(self)
-
-        monkeypatch.setattr(PontryaginFlow, "__init__", spy)
-        solve_regular(build_lq(2, 1e-2))
-        with pytest.raises(ShootingSingular):
-            solve_regular(build_lq(2, 1e-320, 1e-79))
-        assert len(flows) == 2
-        assert all("H" not in vars(flow) for flow in flows)
+        # problem without a floating-point warning, which would fail here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShootingSingular):
+                solve_regular(build_lq(2, 1e-320, 1e-79))
 
     def test_propagator_matches_eigenbasis(self):
         # exp(H t) against V exp(D t) V^-1 for the first-order flow
         for lam, t in ((1e-2, 0.3), (1e-4, 1.0)):
-            flow = PontryaginFlow(build_lq(1, lam))
-            E = mat_exp(flow.H, t)
-            w, V = flow.spectrum()
+            problem = build_lq(1, lam)
+            E = mat_exp(flow_matrix(problem), t)
+            w, V = PontryaginFlow(problem).spectrum()
             E2 = (V * np.exp(w * t)) @ np.linalg.inv(V)
             assert np.abs(E - E2.real).max() <= 1e-9 * np.abs(E).max()
 
     def test_propagator_overflow_guidance(self):
         with pytest.raises(Overflow):
-            mat_exp(PontryaginFlow(build_lq(1, 1e-8)).H, 1.0)
+            mat_exp(flow_matrix(build_lq(1, 1e-8)), 1.0)
 
 
 class TestExactSpectrum:
@@ -207,8 +196,8 @@ class TestExactSpectrum:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("lam", [1e-1, 1e-2, 1e-4])
     def test_matches_numerical_spectrum(self, n, lam):
-        flow = PontryaginFlow(build_lq(n, lam))
-        (exact, _), (numerical, _) = flow.spectrum(), flow.numerical_spectrum()
+        problem = build_lq(n, lam)
+        (exact, _), (numerical, _) = PontryaginFlow(problem).spectrum(), numerical_spectrum(problem)
         gap = np.abs(exact[:, None] - numerical[None, :])
         assert np.all(gap.min(axis=1) <= 1e-9 * (1 + np.abs(exact)))
         assert np.all(gap.min(axis=0) <= 1e-9 * (1 + np.abs(numerical)))
@@ -237,8 +226,8 @@ class TestExactSpectrum:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("lam", [10.0, 1e-2, 1e-4])
     def test_eigenvectors_match_numerical_directions(self, n, lam):
-        flow = PontryaginFlow(build_lq(n, lam))
-        (w, V), (w_num, V_num) = flow.spectrum(), flow.numerical_spectrum()
+        problem = build_lq(n, lam)
+        (w, V), (w_num, V_num) = PontryaginFlow(problem).spectrum(), numerical_spectrum(problem)
         for i, mu in enumerate(w):
             u = V[:, i]
             v = V_num[:, np.argmin(np.abs(w_num - mu))]
@@ -334,19 +323,16 @@ def test_shooting_singular_is_a_numerics_error():
 class TestShootAdjointBlock:
     def test_matches_closed_form_at_moderate_weight(self):
         lam = 1e-2
-        flow = PontryaginFlow(build_lq(1, lam))
-        p0 = shoot_adjoint_block(flow)
+        p0 = shoot_adjoint_block(flow_matrix(build_lq(1, lam)), 1.0)
         sol = regular_order1_analytic(lam)
         want = np.array([sol.coefficients["p0_py"], sol.coefficients["p0_pz"]])
         assert np.abs(p0 - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_singular_block_raises(self):
         # a flow with no control block leaves the terminal state blind to p(0)
-        class NoControlFlow(PontryaginFlow):
-            H = np.block([[np.zeros((2, 2)), np.zeros((2, 2))], [np.eye(2), np.zeros((2, 2))]])
-
+        H = np.block([[np.zeros((2, 2)), np.zeros((2, 2))], [np.eye(2), np.zeros((2, 2))]])
         with pytest.raises(ShootingSingular):
-            shoot_adjoint_block(NoControlFlow(ControlProblem(T=1.0, n=1, lam=1.0)))
+            shoot_adjoint_block(H, 1.0)
 
 
 def certified_or_refused(T):
@@ -477,11 +463,11 @@ class TestSolveRegular:
         # independent check: integrate the flow from (0, p0) with tight
         # tolerances at a moderate weight and compare x(t) pointwise
         lam = 1e-2
-        flow = PontryaginFlow(build_lq(1, lam))
+        H = flow_matrix(build_lq(1, lam))
         sol = solve_regular(build_lq(1, lam))
         p0 = [sol.coefficients["p0_py"], sol.coefficients["p0_pz"]]
         ivp = solve_ivp(
-            lambda t, X: flow.H @ X,
+            lambda t, X: H @ X,
             (0.0, 1.0),
             np.concatenate([np.zeros(2), p0]),
             rtol=1e-12,

@@ -1,5 +1,6 @@
 """Tests for the basis families, constraint elimination, and Gram minimisation."""
 
+import re
 import warnings
 
 import numpy as np
@@ -106,6 +107,24 @@ class TestOrderDomain:
     @pytest.mark.parametrize("build", [build_polynomial, build_trigonometric], ids=["poly", "trig"])
     def test_integral_float_order_is_the_integer_order(self, build):
         assert build(5.0).N == 5 and type(build(5.0).N) is int
+
+    @pytest.mark.parametrize("N", ["5", None, 1j, 5 + 0j, True, np.True_, 10**400],
+                             ids=["str", "none", "complex", "real-complex", "bool", "numpy-bool", "huge"])
+    @pytest.mark.parametrize("build,family", [(build_polynomial, "polynomial"), (build_trigonometric, "trigonometric")],
+                             ids=["poly", "trig"])
+    def test_order_that_is_not_a_number_is_refused(self, build, family, N):
+        # a string, None or a complex used to raise an untyped TypeError from a comparison
+        with pytest.raises(InvalidOrder, match=f"^{family} order must be an integer .*, got {re.escape(str(N))}$"):
+            build(N)
+
+    @pytest.mark.parametrize("N", [5, 5.0, np.int64(5), np.int32(5), np.float64(5.0), np.float32(5.0)],
+                             ids=["int", "float", "int64", "int32", "float64", "float32"])
+    @pytest.mark.parametrize("build", [build_polynomial, build_trigonometric], ids=["poly", "trig"])
+    def test_numeric_order_types_give_the_same_bits(self, build, N):
+        family = build(N)
+        assert family.N == 5 and type(family.N) is int
+        sol, want = solve_sta(family), solve_sta(build(5))
+        assert _bits([sol.cost, *sol.coefficients.values()]) == _bits([want.cost, *want.coefficients.values()])
 
 
 @pytest.mark.parametrize("T", [True, np.True_], ids=["bool", "numpy-bool"])
@@ -269,6 +288,24 @@ class TestExponentialFamily:
 
     def test_negative_rate_normalised(self):
         assert build_exponential(-100.0).k == 100.0
+
+    @pytest.mark.parametrize("k", ["100", True, np.True_, None, 1j, 100 + 0j, 10**400, 0, -0.0, np.inf, np.nan],
+                             ids=["str", "bool", "numpy-bool", "none", "complex", "real-complex", "huge", "zero",
+                                  "negative-zero", "inf", "nan"])
+    def test_rate_that_is_not_a_finite_nonzero_real_is_refused(self, k):
+        # "100" used to build rate 100, True to reach the boundary solve and
+        # fail as DegenerateBasis, None and 1j to raise TypeError and 10**400
+        # OverflowError; the message shows the rate as given
+        with pytest.raises(ValueError, match=f"^k must be finite and nonzero, got {re.escape(str(k))}$") as info:
+            build_exponential(k)
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("k", [100, -100, np.int64(100), np.float64(100.0), np.float32(100.0)],
+                             ids=["int", "negative-int", "int64", "float64", "float32"])
+    def test_numeric_rate_types_give_the_same_bits(self, k):
+        family = build_exponential(k)
+        assert family.k == 100.0 and type(family.k) is float
+        assert _bits(family.x.gammas) == _bits(build_exponential(100.0).x.gammas)
 
     @pytest.mark.parametrize("T", [0.3, 1.0, 800.0])
     @pytest.mark.parametrize("lam", [1e-2, 1e-4, 1e-6])
