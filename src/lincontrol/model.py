@@ -127,6 +127,20 @@ def _row_tables(n):
     return names, names + adjoint_names(n)
 
 
+@lru_cache(maxsize=64)
+def _cost_index(n):
+    """The read-only index of the rows ``x``, ``x'`` and ``v`` in :func:`row_names` order, built once per order."""
+    index = np.array([0, 1, 2 * n + 1])
+    index.setflags(write=False)
+    return index
+
+
+@lru_cache(maxsize=64)
+def _residual_names(n):
+    """The names of the order-``n`` boundary residuals, in report order, built once per order."""
+    return ("x(0)", "x(T)-1") + tuple(f"x^({j})({end})" for j in range(1, n + 1) for end in "0T")
+
+
 #: other names of trajectory rows: ``xdot`` and ``y`` are ``x'``, and ``u`` is ``z0``
 ALIASES = {"xdot": "x^(1)", "y": "x^(1)", "u": "z0"}
 
@@ -156,13 +170,17 @@ class Trajectory(_Record):
     that by name, :data:`ALIASES` included; :meth:`table` evaluates every
     row on a whole grid in one call.
 
-    :attr:`ends` is every row at ``t = 0`` and ``t = T``, evaluated on first
-    use and kept on the record, so the boundary report and the packaging's
-    initial adjoints share one evaluation.
+    :attr:`ends` is every row at ``t = 0`` and ``t = T``: handed in by the
+    packaging, from the pass that builds the solution, and kept read-only,
+    else evaluated on first use and kept, so the boundary report and the
+    packaging's initial adjoints share one evaluation.
     """
 
-    def __init__(self, T, n, names, evaluate):
+    def __init__(self, T, n, names, evaluate, ends=None):
         self.__dict__.update(T=T, n=n, names=names, evaluate=evaluate)
+        if ends is not None:
+            ends.setflags(write=False)
+            self.__dict__["ends"] = ends
 
     @cached_property
     def ends(self):
@@ -267,17 +285,11 @@ class ProtocolSolution(_Record):
         """
         n = self.problem.n
         T = self.problem.T
-        (x0, xT), *derivs = self.trajectory.ends[: n + 1].tolist()
-        jump0 = sum(i.area for i in self.impulses if i.time == 0.0)
-        jumpT = sum(i.area for i in self.impulses if i.time == T)
-        residuals = {"x(0)": x0, "x(T)-1": xT - 1.0}
-        for j, (r0, rT) in enumerate(derivs, 1):
-            if j == 1:
-                r0 -= jump0
-                rT += jumpT
-            residuals[f"x^({j})(0)"] = r0
-            residuals[f"x^({j})(T)"] = rT
-        return MappingProxyType(residuals)
+        values = self.trajectory.ends[: n + 1].ravel().tolist()
+        values[1] -= 1.0
+        values[2] -= sum(i.area for i in self.impulses if i.time == 0.0)
+        values[3] += sum(i.area for i in self.impulses if i.time == T)
+        return MappingProxyType(dict(zip(_residual_names(n), values)))
 
 
 def exact_cost(problem, rows, rates):
@@ -287,10 +299,9 @@ def exact_cost(problem, rows, rates):
     ``v`` on the terms ``rates`` over the problem's horizon, with complex
     gammas.
     """
-    n = problem.n
     stack = np.asarray(rows, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        state, deriv, ctrl = square_integrals(ExpSum(stack[[0, 1, 2 * n + 1]], rates, problem.T))
+        state, deriv, ctrl = square_integrals(ExpSum(stack[_cost_index(problem.n)], rates, problem.T))
     return CostBreakdown(state, deriv, problem.lam * ctrl if problem.lam else 0.0)
 
 
@@ -302,33 +313,34 @@ def package_rows(problem, kind, rows, rates, impulses=(), cost_override=None, co
     ``rates``, anchored by the problem's horizon as every
     :class:`~lincontrol.expsums.ExpSum` is.  They form a single gamma
     matrix, and the evaluator hands :func:`~lincontrol.expsums.real_values`
-    the requested rows only.  The cost is :func:`exact_cost`.  The
-    coefficients are the adjoints at ``t = 0`` (``p0_*``), if any, then
-    ``coefficients``; the adjoints are read from :attr:`Trajectory.ends`,
-    which is then built here once and kept for the boundary report.
+    the requested rows only.  The cost is :func:`exact_cost`.  Every row at
+    ``t = 0`` and ``T`` comes from one ``real_values`` call on the whole
+    stack, handed to the trajectory as its :attr:`Trajectory.ends` for the
+    boundary report.  The coefficients are the adjoints at ``t = 0``
+    (``p0_*``) read from that table, if any, then ``coefficients``.
 
     A gamma outside the float range turns the cost or a coefficient into
     NaN or infinity without a warning here, and :class:`ProtocolSolution`
     refuses it with :class:`~lincontrol.numerics.Overflow`; :func:`certify`
     then refuses a solution that misses a boundary condition.
     """
-    n = problem.n
+    n, T = problem.n, problem.T
     stack = np.asarray(rows, dtype=complex)
-    adjoints = len(stack) > len(row_names(n))
-
-    def evaluate(ts, index):
-        return real_values(ExpSum(stack[index], rates, problem.T), ts)
-
-    trajectory = Trajectory(T=problem.T, n=n, names=row_names(n, adjoints), evaluate=evaluate)
     breakdown = exact_cost(problem, stack, rates)
     with np.errstate(over="ignore", invalid="ignore"):
-        initial = trajectory.ends[2 * n + 2 :, 0].tolist() if adjoints else []
+        ends = real_values(ExpSum(stack, rates, T), np.array([0.0, T]))
+
+    def evaluate(ts, index):
+        return real_values(ExpSum(stack[index], rates, T), ts)
+
+    names = row_names(n, len(stack) > len(row_names(n)))
+    initial = ends[2 * n + 2 :, 0].tolist()
     p0 = {f"p0_{nm}": value for nm, value in zip(adjoint_names(n), initial)}
     return certify(ProtocolSolution(
         problem=problem,
         kind=kind,
         coefficients=p0 | (coefficients or {}),
-        trajectory=trajectory,
+        trajectory=Trajectory(T=T, n=n, names=names, evaluate=evaluate, ends=ends),
         impulses=tuple(impulses),
         cost=breakdown.total if cost_override is None else cost_override,
         cost_breakdown=breakdown,
@@ -422,7 +434,14 @@ class NegativeCostPart(NumericsError):
 
 
 def verify_boundaries(sol, tol=BOUNDARY_TOL):
-    """The :class:`BoundaryReport` of :attr:`ProtocolSolution.boundary_residuals` at ``tol``."""
+    """The :class:`BoundaryReport` of :attr:`ProtocolSolution.boundary_residuals` at ``tol``.
+
+    A tolerance that is not a finite real ``>= 0``, read by
+    :class:`ControlProblem`'s rule (a bool, numpy's too, a string, ``None``
+    or a complex number is none), raises ``ValueError``.
+    """
+    if not 0 <= _real(tol) < math.inf:
+        raise ValueError(f"boundary tolerance must be a finite real >= 0, got {tol!r}")
     return BoundaryReport(residuals=sol.boundary_residuals, tol=tol)
 
 

@@ -50,12 +50,11 @@ EIGVEC_COND_CAP = 1e12
 LSQ_COND_CAP = 1e8
 
 
-def _as_square(A, name="A"):
+def _as_square(A):
+    """``A`` as a float or complex array, refused with ``ValueError`` unless it is a non-empty square matrix."""
     A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"{name} must be a non-empty square matrix, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError(f"A must be a non-empty square matrix, got shape {A.shape}")
     return A
 
 
@@ -101,14 +100,19 @@ def solve_linear(A, b):
         ``np.linalg.cond``); a zero ``s[-1]`` reads as ``inf``.
     """
     A = _as_square(A)
+    scale = np.abs(A).max(axis=0)
+    # a NaN or an infinity in A reaches its column's scale; so does a finite
+    # complex entry whose modulus overflows, which only the entries tell apart
+    if not math.isfinite(scale.max()) and not np.isfinite(A).all():
+        raise ValueError("A contains non-finite entries")
     b = np.asarray(b)
     m = A.shape[0]
     if b.ndim not in (1, 2) or b.shape[0] != m:
         raise ValueError(f"b must have shape ({m},) or ({m}, k), got {b.shape}")
     if not np.isfinite(b).all():
         raise ValueError("b contains non-finite entries")
-    scale = np.abs(A).max(axis=0)
-    if not (scale > 0).all():
+    # no scale is NaN here, so the smallest is positive exactly when every one is
+    if not scale.min() > 0:
         raise SingularMatrix(f"column {int(np.argmin(scale))} is zero")
     cond = _cond(A / scale)
     if not cond < SOLVE_COND_CAP:
@@ -132,6 +136,8 @@ def eigendecompose(A):
         ``EIGVEC_COND_CAP``.
     """
     A = _as_square(A)
+    if not np.isfinite(A).all():
+        raise ValueError("A contains non-finite entries")
     try:
         w, V = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:

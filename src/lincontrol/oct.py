@@ -352,12 +352,15 @@ def singular_consistency_check(sol, window=None):
     (they deliver the extra derivative conditions), so the physical control
     ``u = z_0`` is the meaningful interior representative.  Only that one
     row is evaluated, on 161 evenly spaced times of the window, which
-    defaults to ``(0.1 T, 0.9 T)``.
+    defaults to ``(0.1 T, 0.9 T)``.  Its ends are read by
+    :class:`~lincontrol.model.ControlProblem`'s rule, so a window that is
+    not two reals (a string, ``None`` or a complex number) raises
+    ``ValueError`` naming it, as a window outside ``(0, T)`` does.
     """
     T = sol.problem.T
     if window is None:
         window = (0.1 * T, 0.9 * T)
-    ta, tb = window
+    ta, tb = map(_real, window)
     if not 0.0 < ta < tb < T:
         raise ValueError(f"window {window} must lie inside (0, {T})")
     ts = np.linspace(ta, tb, 161)
@@ -379,11 +382,13 @@ def equivalence_sta_regular(lam):
     1e-300)`` of the four coefficient identities, each against the mode of
     the nearest rate.  Both routes anchor ``e^t`` and ``e^{kt}`` at ``T``,
     so the gammas compare directly and the identity stays meaningful at
-    large ``k``.
+    large ``k``.  A weight that is not a real in ``(0, 1)`` (a bool, a
+    string, ``None`` or a complex number included) raises
+    :class:`LambdaOutOfRange`.
     """
     from .sta import build_exponential
 
-    if not 0.0 < lam < 1.0:
+    if not 0.0 < _real(lam) < 1.0:
         raise LambdaOutOfRange(f"equivalence check needs 0 < weight < 1, got {lam}")
     problem = build_lq(1, lam)
     family = build_exponential(1.0 / np.sqrt(problem.lam), problem.T)

@@ -480,6 +480,13 @@ def assemble_gram(family, lam=0.0):
     return form
 
 
+def _first_order_rows(x):
+    """The rows ``x, x', u = x' + x`` from the dynamics and ``v = u'`` at first
+    order, from the stack ``x, .., x^(order)``; a slice past that order is
+    empty, and so is the row it would make."""
+    return np.concatenate([x[:2], x[1:2] + x[:1], x[2:] + x[1:2]])
+
+
 def solve_sta(family, problem=None):
     """Minimise the cost over the family and package the optimal protocol.
 
@@ -491,7 +498,9 @@ def solve_sta(family, problem=None):
     involved, so repeated runs are bit-identical.  It raises
     ``SingularMatrix`` when cond(A) reaches
     :data:`~lincontrol.numerics.LSQ_COND_CAP` (the sine family from N = 14).
-    Both branches return through :func:`~lincontrol.model.certify`.
+    Its trajectory's end table is every row at ``t = 0`` and ``T`` from one
+    :meth:`~AnsatzFamily.x_stack` call.  Both branches return through
+    :func:`~lincontrol.model.certify`.
     """
     if problem is None:
         problem = ControlProblem(T=family.T, n=1, lam=0.0)
@@ -508,17 +517,15 @@ def solve_sta(family, problem=None):
     breakdown = CostBreakdown(state, deriv, problem.lam * ctrl)
 
     def evaluate(ts, index):
-        # the rows x, x', u = x' + x from the dynamics, and v = u' at first
-        # order, from x's derivatives up to the highest order they need; a
-        # slice past that order is empty, and so is the row it would make
-        x = family.x_stack(coeffs, ts, max((_ROW_ORDERS[i] for i in index), default=0))
-        return np.concatenate([x[:2], x[1:2] + x[:1], x[2:] + x[1:2]])[index]
+        order = max((_ROW_ORDERS[i] for i in index), default=0)
+        return _first_order_rows(family.x_stack(coeffs, ts, order))[index]
 
+    ends = _first_order_rows(family.x_stack(coeffs, np.array([0.0, problem.T]), 2))
     return certify(ProtocolSolution(
         problem=problem,
         kind=_KIND_TAGS[family.kind],
         coefficients=family.paper_coefficients(coeffs),
-        trajectory=Trajectory(T=problem.T, n=1, names=row_names(1), evaluate=evaluate),
+        trajectory=Trajectory(T=problem.T, n=1, names=row_names(1), evaluate=evaluate, ends=ends),
         impulses=(),
         cost=breakdown.total,
         cost_breakdown=breakdown,

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from lincontrol import expsums, model as modelmod
+from lincontrol import expsums, model as modelmod, sta as stamod
 from lincontrol.cli import _json, solution_summary
 from lincontrol.model import (
     ALIASES,
@@ -518,6 +518,21 @@ class TestVerifyBoundaries:
             first.residuals["x(0)"] = 1.0
         assert solution_summary(sol)["boundary_residuals"] == summary == dict(first.residuals)
 
+    @pytest.mark.parametrize("tol", [True, np.True_, "1e-8", None, 1e-8 + 0j, float("nan"), -1.0, float("inf")],
+                             ids=["True", "np.True_", "str", "None", "complex", "nan", "negative", "inf"])
+    def test_tolerance_that_is_not_a_finite_real_is_refused_at_the_call(self, tol):
+        # True used to certify at 1.0, and a string or None to raise TypeError only when passed was read
+        with pytest.raises(ValueError, match="boundary tolerance must be a finite real >= 0"):
+            verify_boundaries(singular_solution(1.0), tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-8, np.float64(1e-8), 0], ids=["float", "np.float64", "zero"])
+    def test_real_tolerances_give_the_report(self, tol):
+        sol = singular_solution(1.0)
+        report = verify_boundaries(sol, tol=tol)
+        assert report == BoundaryReport(sol.boundary_residuals, tol)
+        assert type(report.tol) is type(tol)
+        assert report.passed == (report.max_residual <= tol)
+
 
 NAN = float("nan")
 
@@ -812,6 +827,61 @@ class TestEndTable:
         assert calls == []
         fresh = fresh_solution(sol, fresh_trajectory(sol.trajectory))
         assert verify_boundaries(fresh).residuals == report.residuals
+
+
+    @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
+    def test_the_packaging_builds_the_end_table_in_one_pass(self, monkeypatch, make):
+        # one evaluation of every row at [0, T], before the certificate, handed to the record;
+        # certify, verify_boundaries and the summary then evaluate nothing
+        events, handed = [], []
+        real_values, x_stack, init, certify = (
+            modelmod.real_values, stamod.AnsatzFamily.x_stack, Trajectory.__init__, modelmod.certify,
+        )
+
+        def spy_real_values(sums, t):
+            events.append(("real_values", np.shape(t), len(sums.gammas)))
+            return real_values(sums, t)
+
+        def spy_x_stack(family, coeffs, t, order=2):
+            events.append(("x_stack", np.asarray(t).tolist(), order))
+            return x_stack(family, coeffs, t, order)
+
+        def spy_init(traj, *args, **kwargs):
+            init(traj, *args, **kwargs)
+            handed.append(kwargs.get("ends"))
+
+        def spy_certify(sol):
+            events.append("certify")
+            certify(sol)
+            events.append("certified")
+            return sol
+
+        monkeypatch.setattr(modelmod, "real_values", spy_real_values)
+        monkeypatch.setattr(stamod.AnsatzFamily, "x_stack", spy_x_stack)
+        monkeypatch.setattr(Trajectory, "__init__", spy_init)
+        monkeypatch.setattr(modelmod, "certify", spy_certify)
+        monkeypatch.setattr(stamod, "certify", spy_certify)
+        sol = make()
+        traj = sol.trajectory
+        if sol.kind in ("sta-poly", "sta-trig"):
+            evaluation = ("x_stack", [0.0, traj.T], 2)
+        else:
+            evaluation = ("real_values", (2,), len(traj.names))
+        assert events == [evaluation, "certify", "certified"]
+        assert len(handed) == 1 and handed[0] is traj.ends
+        assert not traj.ends.flags.writeable
+        fresh = traj.evaluate(np.array([0.0, traj.T]), list(range(len(traj.names))))
+        assert traj.ends.tobytes() == fresh.tobytes()
+        events.clear()
+        verify_boundaries(sol)
+        solution_summary(sol)
+        assert events == []
+
+    def test_a_handed_table_is_kept_read_only(self):
+        ends = np.zeros((4, 2))
+        traj = Trajectory(T=1.0, n=1, names=row_names(1), evaluate=None, ends=ends)
+        assert traj.ends is ends
+        assert not ends.flags.writeable
 
 
 def spied(sol):

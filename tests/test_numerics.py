@@ -103,9 +103,26 @@ class TestSolveLinear:
             x = solve_linear(A, b)
             assert np.linalg.norm(A @ x - b) <= 1e-12 * (1 + np.linalg.norm(b))
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            solve_linear([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(1.0, -np.inf)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+            solve_linear([[bad, 0.0], [0.0, 1.0]], [1.0, 1.0])
+
+    @pytest.mark.parametrize("b", [[np.nan, 1.0], np.zeros(3)], ids=["non-finite", "wrong-shape"])
+    def test_non_finite_matrix_is_named_before_a_bad_right_hand_side(self, b):
+        with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+            solve_linear([[np.nan, 0.0], [0.0, 1.0]], b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_named_before_a_zero_column(self, bad):
+        with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+            solve_linear([[bad, 0.0], [1.0, 0.0]], [1.0, 1.0])
+
+    def test_finite_entry_whose_modulus_overflows_is_solved(self):
+        # |1e308 (1 + i)| overflows to inf in the column scale, but the entry is finite
+        A = np.array([[1e308 + 1e308j, 1.0], [1.0, 1.0]])
+        b = np.array([1.0, 1.0])
+        assert solve_linear(A, b).tobytes() == np.linalg.solve(A, b).tobytes()
 
     @pytest.mark.parametrize("b", [1.0, np.zeros((2, 2, 2)), np.zeros(3), np.zeros((3, 1)), np.zeros(0)],
                              ids=["scalar", "3-d", "long", "long-columns", "empty"])

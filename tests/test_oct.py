@@ -805,6 +805,19 @@ class TestSingularConsistency:
         with pytest.raises(ValueError):
             singular_consistency_check(singular_solution(1.0), window=(0.5, 1.5))
 
+    @pytest.mark.parametrize("window", [("0.1", "0.9"), (None, None), (0.1 + 0j, 0.9 + 0j), (0.1, "0.9")],
+                             ids=["strings", "None", "complex", "mixed"])
+    def test_window_that_is_not_two_reals_is_refused(self, window):
+        # compared as given, these used to raise an untyped TypeError
+        with pytest.raises(ValueError, match=r"^window .* must lie inside \(0, 1\.0\)$"):
+            singular_consistency_check(singular_solution(1.0), window=window)
+
+    def test_numpy_window_reads_as_its_floats(self):
+        sol = regular_order1_analytic(1e-4)
+        window = (np.float32(0.25), np.int64(1) / 2)
+        assert singular_consistency_check(sol, window=window) == singular_consistency_check(
+            sol, window=tuple(map(float, window)))
+
 
 class TestEquivalence:
     @pytest.mark.parametrize("lam", [1e-2, 1e-4])
@@ -820,6 +833,13 @@ class TestEquivalence:
     def test_weight_domain(self):
         with pytest.raises(LambdaOutOfRange):
             equivalence_sta_regular(1.5)
+
+    @pytest.mark.parametrize("lam", ["1e-2", None, 1e-2 + 0j, True, np.True_], ids=["str", "None", "complex",
+                                                                                  "True", "np.True_"])
+    def test_weight_that_is_not_a_real_is_refused(self, lam):
+        # compared as given, a string, None or a complex weight used to raise an untyped TypeError
+        with pytest.raises(LambdaOutOfRange, match="needs 0 < weight < 1"):
+            equivalence_sta_regular(lam)
 
     def test_float32_weight_compares_one_problem(self):
         # the family's rate was computed in float32 and the modal solve's in
