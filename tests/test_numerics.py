@@ -103,8 +103,12 @@ class TestSolveLinear:
             x = solve_linear(A, b)
             assert np.linalg.norm(A @ x - b) <= 1e-12 * (1 + np.linalg.norm(b))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+            solve_linear([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(1.0, -np.inf)])
-    def test_rejects_non_finite(self, bad):
+    def test_rejects_each_kind_of_non_finite_entry(self, bad):
         with pytest.raises(ValueError, match="^A contains non-finite entries$"):
             solve_linear([[bad, 0.0], [0.0, 1.0]], [1.0, 1.0])
 
