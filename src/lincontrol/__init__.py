@@ -49,7 +49,6 @@ from .oct import (
     PontryaginFlow,
     ShootingSingular,
     build_lq,
-    equivalence_sta_regular,
     regular_order1_analytic,
     singular_consistency_check,
     singular_solution,
@@ -98,7 +97,6 @@ __all__ = [
     "cost_functional",
     "csv_text",
     "eigendecompose",
-    "equivalence_sta_regular",
     "integrate",
     "minimize_quadratic",
     "regular_order1_analytic",

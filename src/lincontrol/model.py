@@ -170,24 +170,15 @@ class Trajectory(_Record):
     that by name, :data:`ALIASES` included; :meth:`table` evaluates every
     row on a whole grid in one call.
 
-    :attr:`ends` is every row at ``t = 0`` and ``t = T``: handed in by the
-    packaging, from the pass that builds the solution, and kept read-only,
-    else evaluated on first use and kept, so the boundary report and the
-    packaging's initial adjoints share one evaluation.
+    :attr:`ends` is every row at ``t = 0`` and ``t = T``, a ``(rows, 2)``
+    array handed in by the pass that builds the solution and kept
+    read-only, so the boundary report and the packaging's initial adjoints
+    share one evaluation.
     """
 
-    def __init__(self, T, n, names, evaluate, ends=None):
-        self.__dict__.update(T=T, n=n, names=names, evaluate=evaluate)
-        if ends is not None:
-            ends.setflags(write=False)
-            self.__dict__["ends"] = ends
-
-    @cached_property
-    def ends(self):
-        """Every row at ``t = 0`` and ``t = T``, a read-only ``(rows, 2)`` array."""
-        values = self.evaluate(np.array([0.0, self.T]), list(range(len(self.names))))
-        values.setflags(write=False)
-        return values
+    def __init__(self, T, n, names, evaluate, ends):
+        ends.setflags(write=False)
+        self.__dict__.update(T=T, n=n, names=names, evaluate=evaluate, ends=ends)
 
     def __call__(self, ts, *names):
         """The rows ``names`` at the times ``ts``, from one evaluation; ``ValueError`` names an unknown one."""
@@ -275,13 +266,12 @@ class ProtocolSolution(_Record):
         """Residuals of ``x`` and its first ``n`` derivatives at both endpoints, a read-only mapping.
 
         Derivatives are the trajectory's analytic rows ``x^(1) .. x^(n)``,
-        read from its end table :attr:`Trajectory.ends`, so a solution whose
-        table is already built costs no evaluation here.  For impulsive
-        solutions the first-derivative conditions hold across the bangs: the
-        kick area is removed from the arc value before comparing, since a
-        bang of area ``A`` moves ``xdot`` by ``A`` instantaneously.  Built
-        on first use and kept, so every report and summary of the solution
-        reads the same mapping.
+        read from its end table :attr:`Trajectory.ends`, so the report
+        costs no evaluation.  For impulsive solutions the first-derivative
+        conditions hold across the bangs: the kick area is removed from the
+        arc value before comparing, since a bang of area ``A`` moves
+        ``xdot`` by ``A`` instantaneously.  Built on first use and kept, so
+        every report and summary of the solution reads the same mapping.
         """
         n = self.problem.n
         T = self.problem.T

@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expsums import ExpSum, anchors
+from .expsums import anchors
 from .model import ControlProblem, Impulse, _real, package_rows
 # no solve calls eigendecompose; the benchmark's span table binds it on this module
 from .numerics import NumericsError, SingularMatrix, eigendecompose, solve_linear
@@ -366,37 +366,3 @@ def singular_consistency_check(sol, window=None):
     ts = np.linspace(ta, tb, 161)
     _, dev = fit_exponential_arc(ts, sol.trajectory(ts, "v" if sol.problem.n == 1 else "u")[0])
     return dev
-
-
-def equivalence_sta_regular(lam):
-    """Compare the exponential-basis protocol with the modal optimal one.
-
-    :func:`solve_regular` answers every first-order problem with the
-    family; the modal solve of the same problem is kept as its reference
-    here and in ``validate``.  At rate ``k = 1/sqrt(lam)`` the two
-    trajectories are the same function: the basis coefficients equal the
-    exponential-sum coefficients of the generic modal solver's ``x`` row
-    term by term.  Returns ``(max_gap, max_coefficient_residual)``: the max
-    pointwise trajectory gap on 1001 points of the unit horizon, and the
-    largest relative residual ``|gamma_sta - gamma_modal| / max(|gamma_modal|,
-    1e-300)`` of the four coefficient identities, each against the mode of
-    the nearest rate.  Both routes anchor ``e^t`` and ``e^{kt}`` at ``T``,
-    so the gammas compare directly and the identity stays meaningful at
-    large ``k``.  A weight that is not a real in ``(0, 1)`` (a bool, a
-    string, ``None`` or a complex number included) raises
-    :class:`LambdaOutOfRange`.
-    """
-    from .sta import build_exponential
-
-    if not 0.0 < _real(lam) < 1.0:
-        raise LambdaOutOfRange(f"equivalence check needs 0 < weight < 1, got {lam}")
-    problem = build_lq(1, lam)
-    family = build_exponential(1.0 / np.sqrt(problem.lam), problem.T)
-    rows, rates = _series_from_modes(PontryaginFlow(problem))
-    x = rows[0]
-    ts = np.linspace(0.0, 1.0, 1001)
-    gap = float(np.abs(family.x.value(ts) - ExpSum(x, rates, problem.T).value(ts)).max())
-    modes = np.abs(rates[None, :] - np.array(family.x.rates)[:, None]).argmin(axis=1)
-    modal = x[modes].real
-    residuals = np.abs(np.array(family.x.gammas) - modal) / np.maximum(np.abs(modal), 1e-300)
-    return gap, float(residuals.max())

@@ -246,6 +246,18 @@ def order_n_parts_mp(n, lam, T, dps=80):
         return tuple(float(mpmath.re(part)) for part in _order_n_parts(n, lam, T))
 
 
+def arc_parts_mp(T, dps=80):
+    """The impulsive arc's ``(state, derivative, control_energy)`` at ``dps`` digits, in closed form.
+
+    On ``x = sinh t / sinh T`` the parts are ``(sinh 2T / 4 -+ T/2) /
+    sinh^2 T``, which sum to ``coth T``; the weight is 0.
+    """
+    with mpmath.workdps(dps):
+        T = mpmath.mpf(T)
+        quarter, half, s2 = mpmath.sinh(2 * T) / 4, T / 2, mpmath.sinh(T) ** 2
+        return float((quarter - half) / s2), float((quarter + half) / s2), 0.0
+
+
 def sta_optimum_mp(kind, N, T, dps=60):
     """Bare optimal cost of the ``"polynomial"`` or ``"trigonometric"`` family at ``dps`` digits.
 
@@ -425,7 +437,9 @@ def package_per_sum(problem, kind, rows, rates, impulses=(), cost_override=None,
     def evaluate(ts, index):
         return np.array([s.value(ts) for s in sums])[index]
 
-    trajectory = Trajectory(T=problem.T, n=n, names=row_names(n, adjoints=adjoints), evaluate=evaluate)
+    names = row_names(n, adjoints=adjoints)
+    ends = evaluate(np.array([0.0, problem.T]), list(range(len(names))))
+    trajectory = Trajectory(T=problem.T, n=n, names=names, evaluate=evaluate, ends=ends)
     cost_rows = np.array([sums[i].gammas for i in (0, 1, 2 * n + 1)])
     state_part, deriv_part, ctrl = square_integrals(ExpSum(cost_rows, tuple(rates), problem.T))
     breakdown = CostBreakdown(state_part, deriv_part, problem.lam * ctrl if problem.lam else 0.0)

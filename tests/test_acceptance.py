@@ -4,7 +4,9 @@
  2. Reference coefficient table, with the five-parameter polynomial row
     validated through its cost.
  3. Impulsive solution closed forms: kick areas, arc profile, bare cost.
- 4. Exponential-basis / optimal-trajectory equivalence at 1e-2 and 1e-4.
+ 4. True optima: ``validate``'s reference-optimum rows at every order 1..8
+    and the impulsive arc, total and parts within 1e-10, the exponential
+    basis at rate lambda^(-1/2) meeting the first-order rows.
  5. Cost convergence: monotone gap with square-root exponent, computable
     at the smallest tabulated weight.
  6. Interior control collapses onto the exponential arc as the weight
@@ -24,13 +26,12 @@ criterion.
 import numpy as np
 import pytest
 
-from lincontrol.cli import main, sweep_lambda, table1_report, table2_report
+from lincontrol.cli import REFERENCE_OPTIMA, main, run_validation, sweep_lambda, table1_report, table2_report
 from lincontrol.model import cost_functional, csv_text, verify_boundaries
 from lincontrol.numerics import integrate
 from lincontrol.oct import (
     PontryaginFlow,
     build_lq,
-    equivalence_sta_regular,
     regular_order1_analytic,
     singular_consistency_check,
     singular_solution,
@@ -80,12 +81,14 @@ def test_criterion_3_impulsive_closed_form():
 
 
 def test_criterion_4_equivalence():
-    ok = True
-    for lam in (1e-2, 1e-4):
-        gap, residual = equivalence_sta_regular(lam)
-        ok &= gap <= 1e-8
-        ok &= residual <= 1e-9
-    report(4, "basis/optimal equivalence", ok)
+    rows = {c["check"]: c for c in run_validation() if c["check"].startswith("reference-optimum-")}
+    want = {f"reference-optimum-n{n}-{lam:g}-T{T:g}" for n, lam, T, *_ in REFERENCE_OPTIMA if lam}
+    want |= {f"reference-optimum-sta-exp-{lam:g}-T{T:g}" for n, lam, T, *_ in REFERENCE_OPTIMA if lam and n == 1}
+    want |= {"reference-optimum-arc-T1"}
+    ok = set(rows) == want
+    ok &= {n for n, *_ in REFERENCE_OPTIMA} == set(range(1, 9))
+    ok &= all(r["passed"] and r["value"] <= 1e-10 and r["threshold"] == 1e-10 for r in rows.values())
+    report(4, "basis and optimal costs meet the true optima", ok)
 
 
 def test_criterion_5_convergence():

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import lincontrol
-from lincontrol import oct as octmod, sta
+from lincontrol import model as modelmod, oct as octmod, sta
 from lincontrol.cli import (
     DEFAULT_SWEEP,
+    REFERENCE_OPTIMA,
     _json,
     main,
     run_validation,
@@ -24,9 +25,12 @@ from lincontrol.cli import (
     table1_report,
     table2_report,
 )
-from lincontrol.model import BoundaryReport, BoundaryResidual, NegativeCostPart
+from lincontrol.model import BoundaryReport, BoundaryResidual, CostBreakdown, NegativeCostPart
 from lincontrol.numerics import NumericsError
-from oracles import json_reference, modal_solution, order1_optimum_mp, order_n_optimum_mp, sta_optimum_mp
+from oracles import (
+    arc_parts_mp, json_reference, modal_solution, order1_optimum_mp, order_n_optimum_mp, order_n_parts_mp,
+    sta_optimum_mp,
+)
 
 COTH1 = 1.0 / np.tanh(1.0)
 
@@ -527,6 +531,29 @@ class TestValidate:
             for name in (f"spectral-pairing-n{n}", f"spectrum-agreement-n{n}"):
                 assert rows[name]["passed"] and rows[name]["threshold"] == 1e-12
 
+    @pytest.mark.parametrize("row", REFERENCE_OPTIMA, ids=lambda r: f"n{r[0]}-{r[1]:g}-T{r[2]:g}")
+    def test_reference_optimum_is_the_oracle_to_the_last_digit(self, row):
+        # 17 significant digits round-trip a float, so each printed part is float() of the oracle exactly
+        n, lam, T, *parts = row
+        want = order_n_parts_mp(n, lam, T, dps=80) if lam else arc_parts_mp(T, dps=80)
+        assert tuple(parts) == want
+
+    def test_scaled_cost_parts_fail_every_reference_row(self, monkeypatch, capsys):
+        # parts 1e-9 off the truth, which every other row passes
+        exact_cost = modelmod.exact_cost
+
+        def planted(problem, rows, rates):
+            state, derivative, control_energy = exact_cost(problem, rows, rates)
+            return CostBreakdown(state * (1 + 1e-9), derivative, control_energy * (1 + 1e-9))
+
+        monkeypatch.setattr(modelmod, "exact_cost", planted)
+        checks = run_validation()
+        rows = [c for c in checks if c["check"].startswith("reference-optimum-")]
+        assert len(rows) == len(REFERENCE_OPTIMA) + 2
+        assert not any(c["passed"] for c in rows)
+        assert all(c["passed"] for c in checks if c not in rows)
+        assert run_cli(capsys, "validate")[0] == 1
+
     @staticmethod
     def _planted(monkeypatch, plant):
         spectrum = octmod.PontryaginFlow.spectrum
@@ -786,9 +813,13 @@ _RUN_COMMANDS = (
 
 
 def ci_command_lists():
-    """The two lists of commands CI runs on the installed package: exit 0, then exit 2."""
+    """The two lists of commands CI runs on the installed package: exit 0, then exit 2.
+
+    Each is the heredoc named by its exit code, ``<<'EXIT0'`` and ``<<'EXIT2'``.
+    """
     with open(WORKFLOW) as fh:
-        blocks = re.findall(r"<<'EOF'\n(.*?)\n\s*EOF", fh.read(), re.S)
+        text = fh.read()
+    blocks = [re.search(rf"<<'{name}'\n(.*?)\n\s*{name}\n", text, re.S).group(1) for name in ("EXIT0", "EXIT2")]
     return [[line.split() for line in block.splitlines()] for block in blocks]
 
 

@@ -20,7 +20,6 @@ from lincontrol.oct import (
     PontryaginFlow,
     ShootingSingular,
     build_lq,
-    equivalence_sta_regular,
     fit_exponential_arc,
     regular_order1_analytic,
     singular_consistency_check,
@@ -817,35 +816,6 @@ class TestSingularConsistency:
         window = (np.float32(0.25), np.int64(1) / 2)
         assert singular_consistency_check(sol, window=window) == singular_consistency_check(
             sol, window=tuple(map(float, window)))
-
-
-class TestEquivalence:
-    @pytest.mark.parametrize("lam", [1e-2, 1e-4])
-    def test_pointwise_gap(self, lam):
-        gap, _ = equivalence_sta_regular(lam)
-        assert gap <= 1e-8
-
-    @pytest.mark.parametrize("lam", [1e-2, 1e-4])
-    def test_coefficient_identities(self, lam):
-        _, residual = equivalence_sta_regular(lam)
-        assert residual <= 1e-9
-
-    def test_weight_domain(self):
-        with pytest.raises(LambdaOutOfRange):
-            equivalence_sta_regular(1.5)
-
-    @pytest.mark.parametrize("lam", ["1e-2", None, 1e-2 + 0j, True, np.True_], ids=["str", "None", "complex",
-                                                                                  "True", "np.True_"])
-    def test_weight_that_is_not_a_real_is_refused(self, lam):
-        # compared as given, a string, None or a complex weight used to raise an untyped TypeError
-        with pytest.raises(LambdaOutOfRange, match="needs 0 < weight < 1"):
-            equivalence_sta_regular(lam)
-
-    def test_float32_weight_compares_one_problem(self):
-        # the family's rate was computed in float32 and the modal solve's in
-        # float64, so the two routes solved different problems (gap 1.5e-10)
-        lam = np.float32(1e-4)
-        assert equivalence_sta_regular(lam) == equivalence_sta_regular(float(lam))
 
 
 #: every solver that hands gamma rows to the packaging
