@@ -11,8 +11,10 @@ where ``v`` is the auxiliary control (``v = udot`` for ``n = 1`` and
 ``v = u^(n)`` in general).  Trajectories are closed-form series, never
 stored arrays: named rows behind one evaluator, which each check asks for
 the rows it reads.  Tabulating them is exact, so no interpolation error
-enters any downstream check.  Impulsive controls are represented
-symbolically by :class:`Impulse` records and excluded from all integrals.
+enters any downstream check.  CSV text is ``'%.17g'`` of every cell, byte
+for byte, from the exact numpy kernel of :mod:`lincontrol.floattext`.
+Impulsive controls are represented symbolically by :class:`Impulse`
+records and excluded from all integrals.
 
 The value records (:class:`ControlProblem`, :class:`Impulse`,
 :class:`CostBreakdown`, :class:`BoundaryReport`) are named tuples, and
@@ -475,49 +477,44 @@ def sample_table(sol, points):
     return header, np.column_stack([cols[name] for name in header])
 
 
-#: :func:`csv_text` formats this many rows with one ``%`` template, so it
-#: holds the cells of one block as Python objects, whatever the table's
-#: length.  Blocks of 128 to 512 rows format equally fast; 512 grew the
-#: process's malloc heap least over repeated tables
+#: :func:`csv_text` formats this many rows at a time.  A block's temporaries
+#: take about 160 bytes per distinct cell in :mod:`lincontrol.floattext` and
+#: 100 per printed cell after it: about 1 MB at 512 rows of 11 distinct
+#: columns, whatever the table's length.  In 4 s trajectory-csv runs, peak RSS
+#: rose over ``%`` formatting by 1.0 MB at 512 rows and 0.6 MB at 384 or
+#: 256, whose ops were 5 and 10 % slower
 CSV_BLOCK_ROWS = 512
-
-
-def _bitwise_equal_columns(table):
-    """Index lists of the columns of ``table`` that share their bits, two or more each."""
-    by_bits = {}
-    for j in range(table.shape[1]):
-        by_bits.setdefault(table[:, j].tobytes(), []).append(j)
-    return [columns for columns in by_bits.values() if len(columns) > 1]
 
 
 def csv_text(sol, points=1001):
     """Render the sample table as CSV: 17 significant digits, LF endings.
 
-    The table is formatted a block of :data:`CSV_BLOCK_ROWS` rows at a
-    time, with one ``%`` template that repeats the row template once per
-    row.  Columns that are bitwise equal (``u`` and ``z0``, and ``xdot``
-    and ``y`` at first order) are formatted once per block, and every copy
-    takes that text through ``%s``.  The bytes are those of formatting each
-    cell on its own.
+    Every cell is ``'%.17g' % value``, byte for byte.  The digits come from
+    :func:`lincontrol.floattext.cells`, an exact numpy kernel that leaves
+    zeros, subnormals, non-finite values and near-ties to ``%`` itself.
+    Columns that name one trajectory row (``u`` and ``z0``, and ``xdot``
+    and ``y`` at first order, by :data:`ALIASES`) are formatted once and
+    their text is copied into place.  The table is formatted a block of
+    :data:`CSV_BLOCK_ROWS` rows at a time.
     """
+    from . import floattext
+
     header, table = sample_table(sol, points)
-    k = len(header)
-    copies = _bitwise_equal_columns(table)
-    specs = ["%.17g"] * k
-    for columns in copies:
-        for j in columns:
-            specs[j] = "%s"
-    row = ",".join(specs) + "\n"
-    block = row * CSV_BLOCK_ROWS
+    names = [ALIASES.get(name, name) for name in header]
+    distinct = list(dict.fromkeys(names))
+    first = [names.index(name) for name in distinct]
+    copies = [distinct.index(name) for name in names]
+    separators = np.full(len(header), ord(","), dtype=np.uint8)
+    separators[-1] = ord("\n")
+    words = floattext.WIDTH // 8
     parts = [",".join(header) + "\n"]
     for start in range(0, points, CSV_BLOCK_ROWS):
-        rows = table[start : start + CSV_BLOCK_ROWS]
-        cells = rows.ravel().tolist()
-        for columns in copies:
-            text = ["%.17g" % v for v in cells[columns[0] :: k]]
-            for j in columns:
-                cells[j::k] = text
-        parts.append((block if len(rows) == CSV_BLOCK_ROWS else row * len(rows)) % tuple(cells))
+        block = table[start : start + CSV_BLOCK_ROWS, first]
+        cells = floattext.cells(block).view(np.uint64).reshape(len(block), len(distinct), words)
+        text = cells[:, copies].view(np.uint8)
+        # the last byte of a cell's row is always NUL: it takes the separator
+        text[:, :, -1] = separators
+        parts.append(text.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)
 
 

@@ -38,6 +38,7 @@ from lincontrol.oct import (
 )
 from lincontrol.sta import build_exponential, build_polynomial, build_trigonometric, solve_sta
 from oracles import CHAIN_PROBLEMS, cost_functional_per_panel, singular_consistency_from_table
+from fingerprint import ops, workloads
 
 COTH1 = 1.0 / np.tanh(1.0)
 
@@ -970,6 +971,18 @@ class TestCsvBytes:
     def test_matches_per_cell_formatting(self, make, points):
         sol = make()
         assert csv_text(sol, points) == per_cell_csv(sol, points)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_trajectory_csv_op(self, seed):
+        solved = 0
+        for op in workloads.pool("trajectory-csv", seed):
+            try:
+                sol = ops.solve(op)
+            except NumericsError:
+                continue
+            solved += 1
+            assert csv_text(sol, op["points"]) == per_cell_csv(sol, op["points"]), op
+        assert solved >= 40
 
     def test_equal_but_not_bitwise_equal_columns(self):
         # +0.0 == -0.0, but the two render differently, so the x and xdot
