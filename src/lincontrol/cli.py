@@ -165,10 +165,21 @@ def _sta_solution(method, order=None, k=100.0, T=1.0, lam=0.0):
     raise ValueError(f"unknown method {method}")
 
 
+def _parameters(sol):
+    """The free coefficients ``a, b, c`` that a solution has, for a table row."""
+    return {n: sol.coefficients[n] for n in ("a", "b", "c") if n in sol.coefficients}
+
+
+def _table_document(table, rows, **metadata):
+    """A table's document: its name, ``passed`` (every row passed), the rows and the metadata."""
+    passed = all(r["passed"] for r in rows)
+    return {"table": table, "passed": passed, "rows": rows, "metadata": {"version": __version__, **metadata}}
+
+
 def table2_report():
     """Recompute all ten reference costs and compare to the frozen targets.
 
-    Returns the table document: its name, ``passed`` (every row passed), the rows and the metadata.
+    Returns the table document of :func:`_table_document`.
     """
     rows = []
     for method, order, target, mode, tol in TABLE2_TARGETS:
@@ -178,9 +189,7 @@ def table2_report():
         else:
             sol = _sta_solution(method, order=order, k=TABLE2_K)
             cost = sol.cost
-            params = {n: sol.coefficients[n] for n in ("a", "b", "c") if n in sol.coefficients}
-            if method == "exponential":
-                params = {"k": TABLE2_K}
+            params = {"k": TABLE2_K} if method == "exponential" else _parameters(sol)
         err = abs(cost - target) / (abs(target) if mode == "rel" else 1.0)
         rows.append(
             {
@@ -195,16 +204,11 @@ def table2_report():
                 "passed": err <= tol,
             }
         )
-    return {
-        "table": "cost-table",
-        "passed": all(r["passed"] for r in rows),
-        "rows": rows,
-        "metadata": {"version": __version__, "k_exponential": TABLE2_K},
-    }
+    return _table_document("cost-table", rows, k_exponential=TABLE2_K)
 
 
 def table1_report():
-    """Recompute the free coefficients and compare to the frozen targets; a document as :func:`table2_report`'s."""
+    """Recompute the free coefficients and compare to the frozen targets; a document of :func:`_table_document`."""
     rows = []
     for method, order, targets in TABLE1_TARGETS:
         sol = _sta_solution(method, order=order)
@@ -216,23 +220,17 @@ def table1_report():
             passed = err <= tol
             ok = ok and passed
             checks[name] = {"value": value, "target": target, "tolerance": tol, "passed": passed}
-        params = {n: sol.coefficients[n] for n in ("a", "b", "c") if n in sol.coefficients}
         rows.append(
             {
                 "method": method,
                 "order": order,
-                "parameters": params,
+                "parameters": _parameters(sol),
                 "cost": sol.cost,
                 "checks": checks,
                 "passed": ok,
             }
         )
-    return {
-        "table": "coefficient-table",
-        "passed": all(r["passed"] for r in rows),
-        "rows": rows,
-        "metadata": {"version": __version__},
-    }
+    return _table_document("coefficient-table", rows)
 
 
 def sweep_lambda(lams=DEFAULT_SWEEP):

@@ -49,6 +49,12 @@ def anchors(rates, T):
     return T * (rates.real > 0)
 
 
+def end_values(rates, T):
+    """Each term's value per unit gamma at ``t = 0`` and ``t = T``: ``exp(-s tau)``, ``exp(s (T - tau))``."""
+    tau = anchors(rates, T)
+    return np.exp(-rates * tau), np.exp(rates * (T - tau))
+
+
 #: :func:`real_values` forms every product of a call in one table for at most
 #: this many times, and for a complex stack of at most :data:`FEW_COMPLEX_CELLS`
 #: rows x times; larger tables accumulate one term at a time, which keeps

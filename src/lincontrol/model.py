@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .expsums import ExpSum, real_values, square_integrals
-from .numerics import NumericsError, Overflow, integrate
+from .numerics import NumericsError, Overflow, _count, integrate
 
 
 class InvalidOrder(ValueError):
@@ -230,11 +230,7 @@ class CostBreakdown(NamedTuple):
         return self.state + self.derivative
 
     def as_dict(self):
-        return {
-            "state": self.state,
-            "derivative": self.derivative,
-            "control_energy": self.control_energy,
-        }
+        return self._asdict()
 
 
 class ProtocolSolution(_Record):
@@ -340,9 +336,10 @@ def package_rows(problem, kind, rows, rates, impulses=(), cost_override=None, co
 
 
 def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
-    """Quadrature of the running cost along a trajectory.
+    """Quadrature of the running cost along a trajectory, over its own horizon.
 
-    The integral is split into ``panels`` equal panels, each integrated with
+    ``T`` may be passed, and must then be the trajectory's horizon.  The
+    integral is split into ``panels`` equal panels, each integrated with
     an ``nodes``-point Gauss-Legendre rule, so boundary layers of width
     ``1/rate`` are resolved by choosing ``panels ~ rate * T / 16``.  Endpoint
     impulses never contribute: quadrature nodes are interior points.  The
@@ -358,29 +355,33 @@ def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
     Raises
     ------
     ValueError
-        If ``lam`` is not finite and ``>= 0`` or ``T`` not finite and ``> 0``
-        (a bool, numpy's too, is neither), ``panels`` not an integer ``>= 1``
-        (a numpy integer counts, a bool does not), or ``nodes`` not one ``>= 2``.
+        If :class:`ControlProblem` refuses ``lam`` or ``T``, ``T`` is not the
+        trajectory's horizon, ``panels`` is not an integer ``>= 1`` or
+        ``nodes`` not one ``>= 2`` (a numpy integer counts, a bool does not).
+    ~lincontrol.numerics.Overflow
+        If a part or the total is not finite, naming it.
     """
-    lam_, T_ = _real(lam), traj.T if T is None else _real(T)
-    if not 0 <= lam_ < math.inf:
-        raise ValueError(f"regularization weight must be finite and >= 0, got {lam}")
-    if not 0 < T_ < math.inf:
-        raise ValueError(f"horizon must be finite and positive, got {T}")
-    if isinstance(panels, bool) or not isinstance(panels, (int, np.integer)) or panels < 1:
-        raise ValueError(f"panels must be an integer >= 1, got {panels!r}")
-    names = ("x", "x^(1)", "v")[: 3 if lam_ > 0 else 2]
+    problem = ControlProblem(T=traj.T if T is None else T, lam=lam)
+    if problem.T != traj.T:
+        raise ValueError(f"horizon {problem.T} is not the trajectory's horizon {traj.T}")
+    names = ("x", "x^(1)", "v")[: 3 if problem.lam > 0 else 2]
 
     def integrand(ts):
         return traj(ts, *names) ** 2
 
-    edges = np.linspace(0.0, T_, panels + 1)
+    edges = np.linspace(0.0, problem.T, _count(panels, "panels", 1) + 1)
     terms = integrate(integrand, edges[:-1], edges[1:], nodes)
-    terms[2:] *= lam_  # the row v, there only at a positive weight
-    terms[:, 0] += 0.0
     parts = np.zeros(3)
-    parts[: len(names)] = np.add.accumulate(terms, axis=1)[:, -1]
+    with np.errstate(over="ignore"):  # a part that overflows is refused below
+        terms[2:] *= problem.lam  # the row v, there only at a positive weight
+        terms[:, 0] += 0.0
+        parts[: len(names)] = np.add.accumulate(terms, axis=1)[:, -1]
     breakdown = CostBreakdown(parts[0], parts[1], parts[2])
+    if not math.isfinite(breakdown.total):
+        # a part that is not finite is named; when none is, only their sum overflowed
+        named = {**{f"cost part {k}": v for k, v in breakdown.as_dict().items()}, "cost": breakdown.total}
+        name, value = next(item for item in named.items() if not math.isfinite(item[1]))
+        raise Overflow(f"the quadrature has a non-finite {name}: {value}")
     return breakdown.total, breakdown
 
 
@@ -467,13 +468,11 @@ def sample_table(sol, points):
     Raises
     ------
     ValueError
-        If ``points`` is not an integer ``>= 2`` (a numpy integer counts).
+        If ``points`` is not an integer ``>= 2`` (a numpy integer counts, a bool does not).
     """
-    if not isinstance(points, (int, np.integer)) or points < 2:
-        raise ValueError(f"points must be an integer >= 2, got {points!r}")
     traj = sol.trajectory
     header = traj.csv_columns()
-    cols = traj.table(traj.grid(points))
+    cols = traj.table(traj.grid(_count(points, "points", 2)))
     return header, np.column_stack([cols[name] for name in header])
 
 

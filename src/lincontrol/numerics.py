@@ -58,6 +58,14 @@ def _as_square(A):
     return A
 
 
+def _count(value, name, least):
+    """``value`` as an ``int`` if it is an integer ``>= least`` (numpy's counts, a bool does not),
+    else ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _cond(A):
     """2-norm condition number ``s_max/s_min`` of a finite, non-zero matrix.
 
@@ -161,12 +169,10 @@ def _leggauss(nodes):
 def gauss_legendre(nodes, a=-1.0, b=1.0):
     """Gauss-Legendre abscissae and weights mapped to ``[a, b]``.
 
-    ``nodes`` must be an integer ``>= 2`` (a numpy integer counts; a bool,
-    which is below 2, does not), or ``ValueError`` is raised.
+    ``nodes`` must be an integer ``>= 2`` (a numpy integer counts, a bool
+    does not), or ``ValueError`` is raised.
     """
-    if not isinstance(nodes, (int, np.integer)) or nodes < 2:
-        raise ValueError(f"nodes must be an integer >= 2, got {nodes!r}")
-    x, w = _leggauss(int(nodes))
+    x, w = _leggauss(_count(nodes, "nodes", 2))
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return mid + half * x, half * w

@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expsums import anchors
+from .expsums import end_values
 from .model import ControlProblem, Impulse, _real, package_rows
 # no solve calls eigendecompose; the benchmark's span table binds it on this module
 from .numerics import NumericsError, SingularMatrix, eigendecompose, solve_linear
@@ -195,11 +195,8 @@ def _modal_amplitudes(flow):
     nearly dependent instead, and the system fails the conditioning gate.
     """
     ns = flow.problem.n + 1
-    T = flow.problem.T
     w, V = flow.spectrum()
-    # a mode anchored at tau carries exp(-w tau) at t = 0 and exp(w (T - tau)) at t = T
-    tau = anchors(w, T)
-    M = np.vstack([V[:ns] * np.exp(-w * tau), V[:ns] * np.exp(w * (T - tau))])
+    M = np.vstack([V[:ns] * end for end in end_values(w, flow.problem.T)])
     # the chain starts at rest and ends with z_0 = x + x' = 1, every other coordinate 0
     rhs = np.zeros(2 * ns, dtype=complex)
     rhs[-1] = 1.0
@@ -333,9 +330,12 @@ def regular_order1_analytic(lam, T=1.0):
 
 
 def fit_exponential_arc(ts, values):
-    """Least-squares amplitude of ``Z e^t`` plus the max relative deviation."""
+    """Least-squares amplitude of ``Z e^t`` plus the max relative deviation; times
+    and values of different shapes raise ``ValueError`` naming both."""
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
+    if ts.shape != values.shape:
+        raise ValueError(f"times of shape {ts.shape} and values of shape {values.shape} differ")
     e = np.exp(ts)
     Z = float(values @ e / (e @ e))
     dev = float(np.abs(values - Z * e).max() / np.abs(Z * e).max())
@@ -354,13 +354,17 @@ def singular_consistency_check(sol, window=None):
     row is evaluated, on 161 evenly spaced times of the window, which
     defaults to ``(0.1 T, 0.9 T)``.  Its ends are read by
     :class:`~lincontrol.model.ControlProblem`'s rule, so a window that is
-    not two reals (a string, ``None`` or a complex number) raises
-    ``ValueError`` naming it, as a window outside ``(0, T)`` does.
+    not two reals (a string, ``None``, a complex number, a scalar or a
+    sequence of another length) raises ``ValueError`` naming it, as a window
+    outside ``(0, T)`` does.
     """
     T = sol.problem.T
     if window is None:
         window = (0.1 * T, 0.9 * T)
-    ta, tb = map(_real, window)
+    try:
+        ta, tb = map(_real, window)
+    except (TypeError, ValueError):  # not iterable, or not two items
+        ta = tb = np.nan
     if not 0.0 < ta < tb < T:
         raise ValueError(f"window {window} must lie inside (0, {T})")
     ts = np.linspace(ta, tb, 161)

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expsums import ExpSum
+from .expsums import ExpSum, end_values
 from .model import ControlProblem, CostBreakdown, InvalidOrder, ProtocolSolution, Trajectory, _real, row_names
 from .model import certify, exact_cost, package_rows
 from .numerics import (
@@ -106,6 +106,8 @@ class AnsatzFamily:
 
     Raises
     ------
+    InvalidOrder
+        If ``N`` is not an integer ``3 <= N <= MAX_ORDER``.
     ValueError
         If :class:`ControlProblem` refuses the horizon (a bool included).
     SingularMatrix
@@ -114,8 +116,16 @@ class AnsatzFamily:
     """
 
     kind = "abstract"
+    #: the last order at which the family's cost rule is exact
+    MAX_ORDER = 0
 
-    def __init__(self, T):
+    def __init__(self, N, T=1.0):
+        # a non-real reads as NaN, and order % 1 is NaN for a NaN or an
+        # infinity, so none of them passes as an integer
+        order = _real(N)
+        if not (3 <= order <= self.MAX_ORDER and order % 1 == 0):
+            raise InvalidOrder(f"{self.kind} order must be an integer 3 <= N <= {self.MAX_ORDER}, got {N}")
+        self.N = int(order)
         self.T = ControlProblem(T=T).T
         self.offset, self.free_map = _eliminator(type(self), self.N)
 
@@ -180,6 +190,8 @@ class AnsatzFamily:
         return x, xd, xdd + xd
 
     def gram(self, lam=0.0):
+        """The cost's :class:`GramForm` at the weight ``lam``, read by :class:`ControlProblem`'s rule."""
+        lam = ControlProblem(T=self.T, lam=lam).lam
         x, xd, v = self._cost_tables
         # at lam = 0 the control-energy rows are all zero, so they are left out
         rows = np.hstack([x, xd, math.sqrt(lam) * v] if lam else [x, xd]).T
@@ -275,15 +287,7 @@ class PolynomialAnsatz(AnsatzFamily):
     """
 
     kind = "polynomial"
-
-    def __init__(self, N, T=1.0):
-        # a non-real reads as NaN, and order % 1 is NaN for a NaN or an
-        # infinity, so none of them passes as an integer
-        order = _real(N)
-        if not (3 <= order < COST_NODES and order % 1 == 0):
-            raise InvalidOrder(f"polynomial order must be an integer 3 <= N <= {COST_NODES - 1}, got {N}")
-        self.N = int(order)
-        super().__init__(T)
+    MAX_ORDER = COST_NODES - 1
 
     @staticmethod
     def reference_basis(N, u, order):
@@ -319,13 +323,7 @@ class TrigonometricAnsatz(AnsatzFamily):
     """
 
     kind = "trigonometric"
-
-    def __init__(self, N, T=1.0):
-        order = _real(N)
-        if not (3 <= order <= SINE_MAX_ORDER and order % 1 == 0):
-            raise InvalidOrder(f"trigonometric order must be an integer 3 <= N <= {SINE_MAX_ORDER}, got {N}")
-        self.N = int(order)
-        super().__init__(T)
+    MAX_ORDER = SINE_MAX_ORDER
 
     @staticmethod
     def reference_basis(N, u, order):
@@ -420,9 +418,9 @@ def exponential_coefficients_by_solve(k, T=1.0):
 
     The unknowns are the gammas of ``x = a_T e^{t - T} + b e^{-t} + c_T
     e^{k (t - T)} + d e^{-kt}``: both growing terms are anchored at ``T``, so
-    every entry of the system is ``1``, ``k``, ``e^{-T}`` or ``e^{-kT}`` and
-    stays representable at any ``k`` and ``T``.  The un-anchored
-    coefficients are ``a = a_T e^{-T}`` and ``c = c_T e^{-kT}``.
+    every entry of the system, the :func:`~lincontrol.expsums.end_values`
+    and those times the rates, stays representable at any ``k`` and ``T``.
+    The un-anchored coefficients are ``a = a_T e^{-T}`` and ``c = c_T e^{-kT}``.
 
     Near ``k = 1`` the basis is nearly dependent and the coefficients grow
     like ``1 / |k - 1|``.  :class:`DegenerateBasis` is raised once a boundary
@@ -430,15 +428,9 @@ def exponential_coefficients_by_solve(k, T=1.0):
     ``1e-9``; at ``T = 1`` that is ``|k - 1|`` below about ``1.5e-6``.
     """
     k = abs(float(k))
-    eT, ekT = np.exp(-T), np.exp(-k * T)
-    B = np.array(
-        [
-            [eT, 1.0, ekT, 1.0],
-            [1.0, eT, 1.0, ekT],
-            [eT, -1.0, k * ekT, -k],
-            [1.0, -eT, k, -k * ekT],
-        ]
-    )
+    rates = np.array([1.0, -1.0, k, -k])
+    at0, atT = end_values(rates, T)
+    B = np.array([at0, atT, rates * at0, rates * atT])
     try:
         sol = solve_linear(B, np.array([0.0, 1.0, 0.0, 0.0]))
     except SingularMatrix as exc:

@@ -159,6 +159,11 @@ RECORDS = ("ControlProblem", "Impulse", "Trajectory", "CostBreakdown", "Protocol
 class TestRecords:
     """Every record keeps its field names, keyword construction and immutability."""
 
+    def test_cost_breakdown_as_dict_keeps_its_keys_in_order(self):
+        parts = CostBreakdown(1.0, 2.0, 3.0).as_dict()
+        assert type(parts) is dict
+        assert list(parts.items()) == [("state", 1.0), ("derivative", 2.0), ("control_energy", 3.0)]
+
     @pytest.mark.parametrize("name", RECORDS)
     def test_keyword_construction_keeps_every_field(self, name):
         record, fields = record_fields()[name]
@@ -386,6 +391,23 @@ class TestCostFunctional:
         traj = solve_regular(build_lq(2, 1e-3)).trajectory
         with pytest.raises(ValueError, match="horizon must be finite and positive"):
             cost_functional(traj, lam=1e-3, T=T)
+
+    @pytest.mark.parametrize("T", [2.0, 0.5])
+    def test_another_horizon_is_refused(self, T):
+        # T=2.0 used to return 157637.69 from the sums evaluated past their
+        # horizon, and T=0.5 a cost of 0.588 against 1.764
+        traj = solve_regular(build_lq(2, 1e-4)).trajectory
+        with pytest.raises(ValueError, match=rf"^horizon {T} is not the trajectory's horizon 1\.0$"):
+            cost_functional(traj, lam=1e-4, T=T)
+
+    @pytest.mark.parametrize("lam,panels", [(1e308, 1), (2.15e305, 4)], ids=["panel", "panel-sum"])
+    def test_overflowing_part_is_refused_and_named(self, lam, panels):
+        # lam=1e308 used to warn of an overflow in multiply and return an
+        # infinite total; at 2.15e305 every panel of v^2 is finite, and their
+        # sum, 1466 lam, overflows in the accumulate
+        traj = solve_regular(build_lq(2, 1e-4)).trajectory
+        with pytest.raises(Overflow, match="^the quadrature has a non-finite cost part control_energy: inf$"):
+            cost_functional(traj, lam=lam, panels=panels)
 
     def test_numeric_types_give_the_same_bits(self):
         traj = solve_regular(build_lq(2, 1e-3)).trajectory

@@ -804,12 +804,19 @@ class TestSingularConsistency:
         with pytest.raises(ValueError):
             singular_consistency_check(singular_solution(1.0), window=(0.5, 1.5))
 
-    @pytest.mark.parametrize("window", [("0.1", "0.9"), (None, None), (0.1 + 0j, 0.9 + 0j), (0.1, "0.9")],
-                             ids=["strings", "None", "complex", "mixed"])
+    @pytest.mark.parametrize("window", [("0.1", "0.9"), (None, None), (0.1 + 0j, 0.9 + 0j), (0.1, "0.9"),
+                                        (0.1, 0.2, 0.3), (0.5,), 0.5],
+                             ids=["strings", "None", "complex", "mixed", "three", "one", "scalar"])
     def test_window_that_is_not_two_reals_is_refused(self, window):
-        # compared as given, these used to raise an untyped TypeError
+        # compared as given, these used to raise an untyped TypeError; three
+        # ends or one raised an unpacking error, and a scalar a TypeError
         with pytest.raises(ValueError, match=r"^window .* must lie inside \(0, 1\.0\)$"):
             singular_consistency_check(singular_solution(1.0), window=window)
+
+    def test_arc_fit_refuses_times_and_values_of_different_lengths(self):
+        # used to raise numpy's matmul error
+        with pytest.raises(ValueError, match=r"^times of shape \(3,\) and values of shape \(2,\) differ$"):
+            fit_exponential_arc([0.1, 0.2, 0.3], [1.0, 2.0])
 
     def test_numpy_window_reads_as_its_floats(self):
         sol = regular_order1_analytic(1e-4)
@@ -923,6 +930,19 @@ class TestPackagingBitwise:
         assert rows[2 * n + 2 :].tobytes() == np.array([c * V[n + 1 + j] for j in range(n + 1)]).tobytes()
         assert rates.tobytes() == w.tobytes()
         assert anchors(rates, 1.0).tolist() == [1.0 if r.real > 0 else 0.0 for r in w]
+
+    @pytest.mark.parametrize("T", [0.5, 1.0, 30.0])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_modal_system_is_the_written_out_end_values(self, monkeypatch, n, T):
+        # a mode anchored at tau carries exp(-w tau) at t = 0 and exp(w (T - tau)) at t = T
+        seen = []
+        monkeypatch.setattr(octmod, "solve_linear", lambda A, b: seen.append(np.array(A)) or np.ones(len(b)))
+        flow = PontryaginFlow(build_lq(n, 1e-4, T))
+        octmod._modal_amplitudes(flow)
+        w, V = flow.spectrum()
+        tau = np.where(w.real > 0, T, 0.0)
+        want = np.vstack([V[: n + 1] * np.exp(-w * tau), V[: n + 1] * np.exp(w * (T - tau))])
+        assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_telescoped_x_rows_match_the_loop_reference(self, n):

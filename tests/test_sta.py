@@ -9,8 +9,16 @@ from hypothesis import given, settings
 from numpy.polynomial import Legendre
 from hypothesis import strategies as st
 
+from lincontrol import sta as stamod
 from lincontrol.model import ControlProblem, InvalidOrder, cost_functional, verify_boundaries
-from lincontrol.numerics import NumericsError, Overflow, SingularMatrix, gauss_legendre, minimize_quadratic
+from lincontrol.numerics import (
+    NumericsError,
+    Overflow,
+    SingularMatrix,
+    gauss_legendre,
+    minimize_quadratic,
+    solve_linear,
+)
 from lincontrol.oct import regular_order1_analytic
 from lincontrol.sta import (
     COST_NODES,
@@ -22,6 +30,7 @@ from lincontrol.sta import (
     build_exponential,
     build_polynomial,
     build_trigonometric,
+    exponential_coefficients_by_solve,
     solve_sta,
 )
 from oracles import boundary_values, exponential_cofactors, order_n_optimum_mp, sta_optimum_mp
@@ -325,6 +334,28 @@ class TestExponentialFamily:
         sol = solve_sta(build_exponential(100.0))
         assert sol.cost == pytest.approx(1.325271, rel=5e-5)
 
+    @pytest.mark.parametrize("T", [1e-3, 1.0, 30.0, 800.0])
+    @pytest.mark.parametrize("k", [0.5, 2.0, 100.0, 1e3, 1e6])
+    def test_boundary_system_is_the_written_out_matrix(self, monkeypatch, k, T):
+        # the rows x(0), x(T), x'(0), x'(T) come from expsums.end_values; the
+        # reference is the matrix written out by hand, and its solve
+        eT, ekT = np.exp(-T), np.exp(-k * T)
+        B = np.array([[eT, 1.0, ekT, 1.0], [1.0, eT, 1.0, ekT], [eT, -1.0, k * ekT, -k], [1.0, -eT, k, -k * ekT]])
+        seen = []
+
+        def spy(A, b):
+            seen.append(np.array(A))
+            return solve_linear(A, b)
+
+        monkeypatch.setattr(stamod, "solve_linear", spy)
+        want = solve_linear(B, np.array([0.0, 1.0, 0.0, 0.0]))
+        if np.abs(B * want).sum(axis=1).max() <= 1e7:
+            assert _bits(exponential_coefficients_by_solve(k, T)) == _bits(want)
+        else:  # k = 0.5 and 2 at T = 1e-3
+            with pytest.raises(DegenerateBasis, match="terms of .* cancel"):
+                exponential_coefficients_by_solve(k, T)
+        assert len(seen) == 1 and seen[0].tobytes() == B.tobytes()
+
 
 class TestAssembleGram:
     def test_quartic_coefficients(self):
@@ -366,6 +397,18 @@ class TestAssembleGram:
         form = assemble_gram(fam)
         total, _ = cost_functional(solve_sta(fam).trajectory, lam=0.0, panels=8)
         assert abs(form.c0 - total) <= 1e-10
+
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf, True, np.True_, "1e-3"],
+                             ids=["negative", "nan", "inf", "bool", "numpy-bool", "str"])
+    @pytest.mark.parametrize("build,first", [(build_polynomial, 5), (build_trigonometric, 6), (build_exponential, 100.0)],
+                             ids=["poly", "trig", "exp"])
+    def test_bad_weight_is_refused(self, build, first, lam):
+        # -1.0 used to raise a bare "math domain error", nan to give control
+        # rows of NaN, True to weigh v by 1 and "1e-3" to raise TypeError
+        fam = build(first)
+        for gram in (fam.gram, lambda lam: assemble_gram(fam, lam)):
+            with pytest.raises(ValueError, match=f"^regularization weight must be finite and >= 0, got {lam}$"):
+                gram(lam)
 
     def test_positive_definite_enforced(self):
         for name in FAMILIES:
