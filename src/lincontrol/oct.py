@@ -331,11 +331,14 @@ def regular_order1_analytic(lam, T=1.0):
 
 def fit_exponential_arc(ts, values):
     """Least-squares amplitude of ``Z e^t`` plus the max relative deviation; times
-    and values of different shapes raise ``ValueError`` naming both."""
+    and values of different shapes raise ``ValueError`` naming both shapes, and
+    values with no nonzero entry, none at all included, which fit no arc, name theirs."""
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     if ts.shape != values.shape:
         raise ValueError(f"times of shape {ts.shape} and values of shape {values.shape} differ")
+    if not values.any():
+        raise ValueError(f"values of shape {values.shape} have no nonzero entry to fit")
     e = np.exp(ts)
     Z = float(values @ e / (e @ e))
     dev = float(np.abs(values - Z * e).max() / np.abs(Z * e).max())

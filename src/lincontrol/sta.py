@@ -75,8 +75,7 @@ _TAIL_NAMES = "abcdefghijklmnopqrstuvwxyz"
 class GramForm(NamedTuple):
     """Cost as a sum of squares ``C(p) = |A p + b|^2 + c0``.
 
-    :meth:`value` sums the squares, and
-    :func:`~lincontrol.numerics.minimize_quadratic` minimises them from ``A``
+    :func:`~lincontrol.numerics.minimize_quadratic` minimises it from ``A``
     and ``b`` directly.
     """
 
@@ -84,18 +83,16 @@ class GramForm(NamedTuple):
     b: np.ndarray
     c0: float
 
-    def value(self, p):
-        r = self.A @ np.asarray(p, dtype=float).reshape(-1) + self.b
-        return float(r @ r + self.c0)
-
 
 class AnsatzFamily:
     """A basis table plus an affine map from free parameters to coefficients.
 
-    A family of order ``N`` supplies :meth:`reference_basis`, its basis on
-    the horizon-2 reference interval, and :meth:`paper_coefficients`.  The
-    basis at horizon ``T`` is that table rescaled, ``basis_T(t, k) = (2/T)^k
-    basis_2(2t/T, k)``, so the cost tables of every horizon come from one
+    A family of order ``N`` supplies the static ``reference_basis(N, u,
+    order)``, the derivatives of orders ``0 .. order`` of its horizon-2
+    basis at the array ``u``, shaped ``(order + 1, basis) + u.shape``, and
+    ``paper_coefficients(coeffs)``, which names coefficients as the paper
+    does.  The basis at horizon ``T`` is that table rescaled,
+    ``basis_T(t, k) = (2/T)^k basis_2(2t/T, k)``, so the cost tables of every horizon come from one
     set of horizon-2 tables per ``(family, N)``.  The boundary conditions
     ``x(0) = 0, x(T) = 1, x'(0) = x'(T) = 0`` are eliminated once per
     ``(family, N)`` by :func:`_eliminator`, and every horizon shares its
@@ -139,12 +136,6 @@ class AnsatzFamily:
             raise ValueError(f"expected {self.free_dim} free parameters, got {p.size}")
         return self.offset + self.free_map @ p
 
-    @staticmethod
-    def reference_basis(N, u, order):
-        """Derivatives of orders ``0 .. order`` of every basis function of the
-        horizon-2 family at the array ``u``, shaped (order + 1, basis) + u.shape."""
-        raise NotImplementedError
-
     def basis(self, ts, order):
         """Derivatives of orders ``0 .. order`` of every basis function at ``ts``,
         shaped (order + 1, basis) + ts.shape.
@@ -162,10 +153,6 @@ class AnsatzFamily:
         table = self.reference_basis(self.N, u, order)
         table *= scale
         return table
-
-    def paper_coefficients(self, coeffs):
-        """The coefficient vector under the paper's names, for reporting."""
-        raise NotImplementedError
 
     def x_stack(self, coeffs, t, order=2):
         """``(x, x', .., x^(order))`` at ``t``, stacked along a leading axis.
@@ -302,9 +289,11 @@ class PolynomialAnsatz(AnsatzFamily):
         return out
 
     def paper_coefficients(self, coeffs):
-        # the t^k coefficient of P_j(2t/T - 1) is (-1)^(j+k) C(j,k) C(j+k,k) / T^k
+        # the t^k coefficient of P_j(2t/T - 1) is (-1)^(j+k) C(j,k) C(j+k,k) / T^k;
+        # a T^k past the float range makes that coefficient 0, its right rounding
         N = self.N
-        to_monomial = _monomial_matrix(N) / self.T ** np.arange(N + 1)[:, None]
+        with np.errstate(over="ignore"):
+            to_monomial = _monomial_matrix(N) / self.T ** np.arange(N + 1)[:, None]
         a = (to_monomial @ coeffs).tolist()
         names = dict(zip(_TAIL_NAMES, a[4:]))
         names.update((f"a{k}", a[k]) for k in range(2, N + 1))
@@ -351,21 +340,22 @@ class ExponentialAnsatz:
 
     The four boundary conditions consume all four coefficients, so there is
     nothing to minimise: the family is one function, the first-order optimum
-    at weight ``k^-2``.  Coefficients come from
-    :func:`exponential_coefficients_by_solve`, which anchors both growing
-    terms at ``T``, so every intermediate stays bounded for arbitrarily
-    large ``k`` and ``T``.  The attribute :attr:`x` is that anchored
-    :class:`~lincontrol.expsums.ExpSum`: gammas ``(a_T, b, c_T, d)`` on
-    rates ``(1, -1, k, -k)`` over the horizon ``T``, which anchors ``e^t``
-    and ``e^{kt}`` at ``T``, so ``a_T = a e^T`` and ``c_T = c e^{kT}``.
-    :attr:`offset` reports the un-anchored ``(a, b, c, d)``, whose ``a``
-    and ``c`` underflow to 0 at large ``T`` or ``kT``.  The family is
-    symmetric under ``k -> -k`` (``c`` and ``d`` swap), so ``k`` is
-    normalised to its absolute value.  Its trajectory is the gamma rows of
-    :meth:`rows`, never a basis table, because ``e^{kt}`` alone overflows at
-    large ``k``.  The rate and the horizon are read by
-    :class:`ControlProblem`'s rule, which refuses a bool, a string or a
-    complex number.
+    at weight ``k^-2``.  The constructor solves its boundary system on the
+    :func:`~lincontrol.expsums.end_values` of the rates ``(1, -1, k, -k)``
+    over ``T``, which anchor both growing terms at ``T``, so every entry
+    stays representable at any ``k`` and ``T``.  :attr:`x` is the anchored
+    :class:`~lincontrol.expsums.ExpSum`, with gammas ``(a_T, b, c_T, d)``,
+    and :attr:`offset` the un-anchored ``(a, b, c, d)``: each gamma times
+    its ``t = 0`` end value, so ``a = a_T e^{-T}`` and ``c = c_T e^{-kT}``
+    underflow to 0 at large ``T`` or ``kT``.  Near ``k = 1`` the basis is
+    nearly dependent: :class:`DegenerateBasis` is raised once a boundary sum
+    cancels terms above ``1e7``, where rounding alone moves it by about
+    ``1e-9`` (at ``T = 1``, ``|k - 1|`` below about ``1.5e-6``).  The family
+    is symmetric under ``k -> -k``, so ``k`` is normalised to its absolute
+    value.  Its trajectory is the gamma rows of :meth:`rows`, never a basis
+    table, because ``e^{kt}`` alone overflows at large ``k``.  The rate and
+    the horizon are read by :class:`ControlProblem`'s rule, which refuses a
+    bool, a string or a complex number.
     """
 
     kind = "exponential"
@@ -378,11 +368,22 @@ class ExponentialAnsatz:
         if not math.isfinite(k * k):
             # derivatives scale terms by powers of k; x'' must stay representable
             raise Overflow(f"rate k={k} is too large: k^2 overflows")
-        a_T, b, c_T, d = exponential_coefficients_by_solve(k, T)
+        rates = np.array([1.0, -1.0, k, -k])
+        at0, atT = end_values(rates, T)
+        B = np.array([at0, atT, rates * at0, rates * atT])
+        try:
+            gammas = solve_linear(B, np.array([0.0, 1.0, 0.0, 0.0]))
+        except SingularMatrix as exc:
+            raise DegenerateBasis(f"boundary system singular at k={k}: {exc}") from exc
+        cancellation = np.abs(B * gammas).sum(axis=1).max()
+        if not cancellation <= 1e7:
+            raise DegenerateBasis(
+                f"boundary system near-singular at k={k}, T={T}: terms of {cancellation:.3g} cancel"
+            )
         self.k = k
         self.T = T
-        self.offset = np.array([a_T * math.exp(-T), b, c_T * math.exp(-k * T), d])
-        self.x = ExpSum(gammas=(a_T, b, c_T, d), rates=(1.0, -1.0, k, -k), T=T)
+        self.offset = gammas * at0
+        self.x = ExpSum(gammas=tuple(gammas), rates=(1.0, -1.0, k, -k), T=T)
 
     def rows(self, adjoint_weight=None):
         """Gamma rows of ``x, x', u = x' + x, v = x'' + x'`` on the terms of :attr:`x`,
@@ -411,36 +412,6 @@ class ExponentialAnsatz:
         """A form over no parameters whose ``c0`` is the cost :func:`solve_sta` reports, bit for bit."""
         cost = exact_cost(ControlProblem(T=self.T, n=1, lam=lam), self.rows(), self.x.rates)
         return GramForm(A=np.zeros((0, 0)), b=np.zeros(0), c0=cost.total)
-
-
-def exponential_coefficients_by_solve(k, T=1.0):
-    """(a_T, b, c_T, d) by a direct linear solve of the boundary system.
-
-    The unknowns are the gammas of ``x = a_T e^{t - T} + b e^{-t} + c_T
-    e^{k (t - T)} + d e^{-kt}``: both growing terms are anchored at ``T``, so
-    every entry of the system, the :func:`~lincontrol.expsums.end_values`
-    and those times the rates, stays representable at any ``k`` and ``T``.
-    The un-anchored coefficients are ``a = a_T e^{-T}`` and ``c = c_T e^{-kT}``.
-
-    Near ``k = 1`` the basis is nearly dependent and the coefficients grow
-    like ``1 / |k - 1|``.  :class:`DegenerateBasis` is raised once a boundary
-    sum cancels terms above ``1e7``, where rounding alone moves it by about
-    ``1e-9``; at ``T = 1`` that is ``|k - 1|`` below about ``1.5e-6``.
-    """
-    k = abs(float(k))
-    rates = np.array([1.0, -1.0, k, -k])
-    at0, atT = end_values(rates, T)
-    B = np.array([at0, atT, rates * at0, rates * atT])
-    try:
-        sol = solve_linear(B, np.array([0.0, 1.0, 0.0, 0.0]))
-    except SingularMatrix as exc:
-        raise DegenerateBasis(f"boundary system singular at k={k}: {exc}") from exc
-    cancellation = np.abs(B * sol).sum(axis=1).max()
-    if not cancellation <= 1e7:
-        raise DegenerateBasis(
-            f"boundary system near-singular at k={k}, T={T}: terms of {cancellation:.3g} cancel"
-        )
-    return tuple(sol)
 
 
 def build_polynomial(N, T=1.0):

@@ -637,8 +637,8 @@ class TestCertify:
     def test_planted_exponential_coefficient(self, monkeypatch, solve):
         from lincontrol import sta
 
-        monkeypatch.setattr(sta, "exponential_coefficients_by_solve",
-                            _scaled_last(sta.exponential_coefficients_by_solve))
+        # the exponential family's one linear solve is its boundary system
+        monkeypatch.setattr(sta, "solve_linear", _scaled_last(sta.solve_linear))
         with pytest.raises(BoundaryResidual):
             solve()
 

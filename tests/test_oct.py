@@ -818,6 +818,16 @@ class TestSingularConsistency:
         with pytest.raises(ValueError, match=r"^times of shape \(3,\) and values of shape \(2,\) differ$"):
             fit_exponential_arc([0.1, 0.2, 0.3], [1.0, 2.0])
 
+    @pytest.mark.parametrize("ts,values,shape", [([0.1, 0.2], [0.0, 0.0], r"\(2,\)"), ([], [], r"\(0,\)")],
+                             ids=["all-zero", "empty"])
+    def test_arc_fit_refuses_values_with_no_nonzero_entry(self, ts, values, shape):
+        # all-zero values used to warn on 0 / 0 and return a NaN deviation, and
+        # empty ones to warn the same way and raise numpy's zero-size error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^values of shape {shape} have no nonzero entry to fit$"):
+                fit_exponential_arc(ts, values)
+
     def test_numpy_window_reads_as_its_floats(self):
         sol = regular_order1_analytic(1e-4)
         window = (np.float32(0.25), np.int64(1) / 2)

@@ -10,6 +10,7 @@ from numpy.polynomial import Legendre
 from hypothesis import strategies as st
 
 from lincontrol import sta as stamod
+from lincontrol.expsums import end_values
 from lincontrol.model import ControlProblem, InvalidOrder, cost_functional, verify_boundaries
 from lincontrol.numerics import (
     NumericsError,
@@ -30,7 +31,6 @@ from lincontrol.sta import (
     build_exponential,
     build_polynomial,
     build_trigonometric,
-    exponential_coefficients_by_solve,
     solve_sta,
 )
 from oracles import boundary_values, exponential_cofactors, order_n_optimum_mp, sta_optimum_mp
@@ -46,6 +46,12 @@ FAMILIES = {
 def paper_names(fam, params):
     """The reported coefficients of the family member at free parameters ``params``."""
     return fam.paper_coefficients(fam.coefficient_vector(params))
+
+
+def gram_value(form, p):
+    """The cost ``|A p + b|^2 + c0`` of the Gram form ``form`` at the free parameters ``p``."""
+    r = form.A @ np.asarray(p, dtype=float).reshape(-1) + form.b
+    return float(r @ r + form.c0)
 
 
 def _bits(values):
@@ -350,11 +356,24 @@ class TestExponentialFamily:
         monkeypatch.setattr(stamod, "solve_linear", spy)
         want = solve_linear(B, np.array([0.0, 1.0, 0.0, 0.0]))
         if np.abs(B * want).sum(axis=1).max() <= 1e7:
-            assert _bits(exponential_coefficients_by_solve(k, T)) == _bits(want)
+            assert _bits(build_exponential(k, T).x.gammas) == _bits(want)
         else:  # k = 0.5 and 2 at T = 1e-3
             with pytest.raises(DegenerateBasis, match="terms of .* cancel"):
-                exponential_coefficients_by_solve(k, T)
+                build_exponential(k, T)
         assert len(seen) == 1 and seen[0].tobytes() == B.tobytes()
+
+    @pytest.mark.parametrize("k,T", [
+        (6.551855340272074, 0.5922908908066409),
+        (20.342849891070017, 0.15489643554561094),
+        (4.032248337006658, 6.924541451868035),
+    ])
+    def test_unanchored_coefficients_come_from_the_system_end_table(self, k, T):
+        # a = a_T e^{-T} and c = c_T e^{-kT} are read off the t = 0 row of the
+        # boundary system; at these inputs math.exp and np.exp differ in the
+        # last bit of e^{-T} or e^{-kT}, which moved a or c by one bit
+        family = build_exponential(k, T)
+        want = np.array(family.x.gammas) * end_values(np.array(family.x.rates), T)[0]
+        assert _bits(family.offset) == _bits(want)
 
 
 class TestAssembleGram:
@@ -365,12 +384,12 @@ class TestAssembleGram:
         for p in (-3.0, -0.5, 0.0, 0.7, 4.0):
             a = paper_names(fam, [p])["a"]
             expected = 13.0 / 630.0 * a * a + 2.0 / 60.0 * a + 2 * 11.0 / 14.0
-            assert form.value([p]) == pytest.approx(expected, rel=1e-12)
+            assert gram_value(form, [p]) == pytest.approx(expected, rel=1e-12)
 
     def test_cubic_constant(self):
         form = assemble_gram(build_polynomial(3))
         assert form.A.shape[1] == 0
-        assert form.value(()) == pytest.approx(1.57143, rel=5e-5)
+        assert gram_value(form, ()) == pytest.approx(1.57143, rel=5e-5)
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     @pytest.mark.parametrize("lam", [0.0, 1e-3])
@@ -390,7 +409,7 @@ class TestAssembleGram:
             from lincontrol.numerics import integrate
 
             oracle = integrate(f, 0.0, 1.0, nodes=64)
-            assert abs(form.value(p) - oracle) <= 1e-10
+            assert abs(gram_value(form, p) - oracle) <= 1e-10
 
     def test_exponential_gram_matches_quadrature(self):
         fam = build_exponential(100.0)
@@ -458,13 +477,13 @@ class TestSolveSta:
             form = assemble_gram(fam)
             sol = solve_sta(fam)
             p_opt = minimize_quadratic(form.A, form.b)
-            base = form.value(p_opt)
+            base = gram_value(form, p_opt)
             assert sol.cost == sol.cost_breakdown.total
             for i in range(fam.free_dim):
                 for delta in (-1e-3, 1e-3):
                     p = p_opt.copy()
                     p[i] += delta
-                    assert form.value(p) >= base
+                    assert gram_value(form, p) >= base
 
     def test_exponential_cost_decreases_toward_singular_limit(self):
         costs = [solve_sta(build_exponential(1 / np.sqrt(lam))).cost for lam in (1e-2, 1e-3, 1e-4)]
