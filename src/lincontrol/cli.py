@@ -105,7 +105,7 @@ _SOLVER_ERRORS = (ValueError, NumericsError)
 
 
 def _format(x):
-    return format(float(x), ".17g")
+    return "%.17g" % float(x)
 
 
 def _json(obj, indent=0):
@@ -114,20 +114,19 @@ def _json(obj, indent=0):
     A ``float`` (``np.float64`` included) that is a dict value is formatted
     in place rather than through a recursive call; it is the commonest leaf.
     """
-    pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {format(v, ".17g") if isinstance(v, float) else _json(v, indent + 1)}'
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
+        pad = "  " * indent
+        items = [f'{pad}  "{k}": {"%.17g" % v if isinstance(v, float) else _json(v, indent + 1)}'
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(f"{pad}  {_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
+        pad = "  " * indent
+        items = [f"{pad}  {_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:

@@ -89,13 +89,17 @@ def real_values(s, t):
     complex multiply may fuse multiply-adds.  When every rate and gamma is
     real the imaginary products, all exact zeros, are skipped; that leaves
     every bit alone because ``x - 0.0 == x`` and the sum never becomes
-    ``-0.0``.  Gamma rows whose length is not the number of rates raise
-    ``ValueError``.
+    ``-0.0``.  Real gammas are read as real, and complex ones are checked
+    for a nonzero imaginary part.  Gamma rows whose length is not the
+    number of rates raise ``ValueError``.
     """
     gammas, rates, T = s
     rates = np.asarray(rates)
     t = np.asarray(t, dtype=float)
-    g = np.asarray(gammas, dtype=complex)
+    g = np.asarray(gammas)
+    # real gammas stay real: their imaginary parts would all be +0.0
+    complex_gammas = g.dtype.kind == "c"
+    g = np.asarray(g, dtype=complex if complex_gammas else float)
     if g.shape[-1:] != rates.shape:
         raise ValueError(f"gamma rows of shape {g.shape} on {rates.shape} rates")
     lead = g.shape[:-1]
@@ -103,7 +107,7 @@ def real_values(s, t):
     g = g.reshape((-1,) + rates.shape + per_term[1:])
     rows = len(g)
     e = np.exp(rates.reshape(per_term) * (t - anchors(rates, T).reshape(per_term)))
-    real = not np.iscomplexobj(e) and not g.imag.any()
+    real = e.dtype.kind != "c" and not (complex_gammas and g.imag.any())
     if t.size <= FEW_POINTS or (not real and rows * t.size <= FEW_COMPLEX_CELLS):
         g = g.swapaxes(0, 1)
         e = e[:, None]
@@ -135,11 +139,12 @@ def _pair_kernel(f, g):
     ST = S * T
     near = np.abs(S) * T < 1e-8
     decay = np.exp(-P)
-    # near-cancelling rate pairs take the series for (exp(S T) - 1)/S; the
-    # divisor of the other branch is made safe there
-    series = decay * T * (1.0 + ST / 2.0 + ST * ST / 6.0)
-    exact = (np.exp(ST - P) - decay) / np.where(near, 1.0, S)
-    return np.where(near, series, exact)
+    # near-cancelling rate pairs take the series for (exp(S T) - 1)/S, and
+    # every other pair the exact quotient, written over the series, so no
+    # near-zero S is a divisor
+    K = decay * T * (1.0 + ST / 2.0 + ST * ST / 6.0)
+    np.divide(np.exp(ST - P) - decay, S, out=K, where=~near)
+    return K
 
 
 def product_integral(f, g):

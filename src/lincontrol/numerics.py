@@ -52,7 +52,9 @@ LSQ_COND_CAP = 1e8
 
 def _as_square(A):
     """``A`` as a float or complex array, refused with ``ValueError`` unless it is a non-empty square matrix."""
-    A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
+    A = np.asarray(A)
+    # complex exactly when np.iscomplexobj(A) is, read off the dtype
+    A = np.asarray(A, dtype=complex if A.dtype.kind == "c" else float)
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[0] != A.shape[1]:
         raise ValueError(f"A must be a non-empty square matrix, got shape {A.shape}")
     return A
@@ -109,9 +111,12 @@ def solve_linear(A, b):
     """
     A = _as_square(A)
     scale = np.abs(A).max(axis=0)
-    # a NaN or an infinity in A reaches its column's scale; so does a finite
-    # complex entry whose modulus overflows, which only the entries tell apart
-    if not math.isfinite(scale.max()) and not np.isfinite(A).all():
+    columns = scale.tolist()
+    # a NaN or an infinity in A reaches its column's scale, and so the sum of
+    # the scales, none of which is negative; so do a finite complex entry
+    # whose modulus overflows and finite scales whose sum overflows, which
+    # only the entries tell apart
+    if not math.isfinite(sum(columns)) and not np.isfinite(A).all():
         raise ValueError("A contains non-finite entries")
     b = np.asarray(b)
     m = A.shape[0]
@@ -120,7 +125,7 @@ def solve_linear(A, b):
     if not np.isfinite(b).all():
         raise ValueError("b contains non-finite entries")
     # no scale is NaN here, so the smallest is positive exactly when every one is
-    if not scale.min() > 0:
+    if not min(columns) > 0:
         raise SingularMatrix(f"column {int(np.argmin(scale))} is zero")
     cond = _cond(A / scale)
     if not cond < SOLVE_COND_CAP:

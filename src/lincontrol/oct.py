@@ -45,6 +45,7 @@ odd ``n``).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -52,7 +53,7 @@ import numpy as np
 from .expsums import end_values
 from .model import ControlProblem, Impulse, _real, package_rows
 # no solve calls eigendecompose; the benchmark's span table binds it on this module
-from .numerics import NumericsError, SingularMatrix, eigendecompose, solve_linear
+from .numerics import NumericsError, Overflow, SingularMatrix, eigendecompose, solve_linear
 
 
 class LambdaOutOfRange(ValueError):
@@ -166,6 +167,9 @@ class PontryaginFlow:
         repeated columns, which the modal solve refuses.
         """
         n, U = self.problem.n, self.problem.lam
+        if not math.isfinite(2.0 * U):
+            # the slow mode s = 1 has p_0 = U s^n (1 + s) = 2 U
+            raise Overflow(f"energy weight {U} is too large: the adjoint 2 lam of the mode s = 1 overflows")
         ns = n + 1
         fast, j, unit, unit_inv, adjoint = _mode_tables(n)
         rho = np.where(fast, U ** (-1.0 / (2 * n)), 1.0)
@@ -194,9 +198,13 @@ def _modal_amplitudes(flow):
     already lost all significant digits.  Small ``|mu| T`` makes the modes
     nearly dependent instead, and the system fails the conditioning gate.
     """
-    ns = flow.problem.n + 1
+    T, n, lam = flow.problem
+    ns = n + 1
+    if not math.isfinite(max(1.0, lam ** (-1.0 / (2 * n))) * T):
+        # the end values are exponentials of rate x horizon, and the fastest rate has modulus lam^(-1/2n)
+        raise Overflow(f"rate x horizon of the modes overflows at weight {lam} and horizon T={T}")
     w, V = flow.spectrum()
-    M = np.vstack([V[:ns] * end for end in end_values(w, flow.problem.T)])
+    M = np.vstack([V[:ns] * end for end in end_values(w, T)])
     # the chain starts at rest and ends with z_0 = x + x' = 1, every other coordinate 0
     rhs = np.zeros(2 * ns, dtype=complex)
     rhs[-1] = 1.0
@@ -321,9 +329,9 @@ def regular_order1_analytic(lam, T=1.0):
     from .sta import build_exponential
 
     problem = build_lq(1, lam, T)
-    family = build_exponential(1.0 / np.sqrt(problem.lam), problem.T)
+    family = build_exponential(1.0 / math.sqrt(problem.lam), problem.T)
     x = family.x
-    a, b, _, d = map(float, family.offset)
+    a, b, _, d = family.offset.tolist()
     fit = dict(rate_fast=family.k, x_coef_slow_neg=b, x_coef_slow_pos=a, x_coef_fast_neg=d,
                x_coef_fast_pos_anchored=float(x.gammas[2]))
     return package_rows(problem, "oct-regular", family.rows(problem.lam), x.rates, coefficients=fit)

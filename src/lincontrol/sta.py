@@ -107,6 +107,9 @@ class AnsatzFamily:
         If ``N`` is not an integer ``3 <= N <= MAX_ORDER``.
     ValueError
         If :class:`ControlProblem` refuses the horizon (a bool included).
+    ~lincontrol.numerics.Overflow
+        If ``2T`` or ``(2/T)^2`` overflows, so the horizon-2 tables do not
+        rescale to ``T``.
     SingularMatrix
         If the row-scaled boundary rows have condition number
         ``SOLVE_COND_CAP`` or above.
@@ -124,6 +127,12 @@ class AnsatzFamily:
             raise InvalidOrder(f"{self.kind} order must be an integer 3 <= N <= {self.MAX_ORDER}, got {N}")
         self.N = int(order)
         self.T = ControlProblem(T=T).T
+        # the tables map t to u = 2t/T and scale the derivatives of order k <= 2 by (2/T)^k
+        if not math.isfinite(2.0 * self.T):
+            raise Overflow(f"horizon T={T} is too large: 2T overflows")
+        inverse = 2.0 / self.T
+        if not math.isfinite(inverse * inverse):
+            raise Overflow(f"horizon T={T} is too small: (2/T)^2 overflows")
         self.offset, self.free_map = _eliminator(type(self), self.N)
 
     @property
@@ -335,6 +344,11 @@ class TrigonometricAnsatz(AnsatzFamily):
         return names
 
 
+#: the right-hand side of the exponential family's boundary system: x(0), x(T), x'(0), x'(T)
+_EXP_RHS = np.array([0.0, 1.0, 0.0, 0.0])
+_EXP_RHS.setflags(write=False)
+
+
 class ExponentialAnsatz:
     """x(t) = a e^t + b e^{-t} + c e^{kt} + d e^{-kt}, fully determined.
 
@@ -343,7 +357,9 @@ class ExponentialAnsatz:
     at weight ``k^-2``.  The constructor solves its boundary system on the
     :func:`~lincontrol.expsums.end_values` of the rates ``(1, -1, k, -k)``
     over ``T``, which anchor both growing terms at ``T``, so every entry
-    stays representable at any ``k`` and ``T``.  :attr:`x` is the anchored
+    stays representable at any ``k`` and ``T`` whose ``k^2`` and ``k T`` are
+    finite; past them :class:`~lincontrol.numerics.Overflow` is raised
+    before any array is formed.  :attr:`x` is the anchored
     :class:`~lincontrol.expsums.ExpSum`, with gammas ``(a_T, b, c_T, d)``,
     and :attr:`offset` the un-anchored ``(a, b, c, d)``: each gamma times
     its ``t = 0`` end value, so ``a = a_T e^{-T}`` and ``c = c_T e^{-kT}``
@@ -362,17 +378,20 @@ class ExponentialAnsatz:
 
     def __init__(self, k, T=1.0):
         rate, T = abs(_real(k)), ControlProblem(T=T).T
-        if not np.isfinite(rate) or rate == 0.0:
+        if not math.isfinite(rate) or rate == 0.0:
             raise ValueError(f"k must be finite and nonzero, got {k}")
         k = rate
         if not math.isfinite(k * k):
             # derivatives scale terms by powers of k; x'' must stay representable
             raise Overflow(f"rate k={k} is too large: k^2 overflows")
+        if not math.isfinite(k * T):
+            # the end values are exponentials of -k T
+            raise Overflow(f"rate k={k} at horizon T={T} is too large: k T overflows")
         rates = np.array([1.0, -1.0, k, -k])
         at0, atT = end_values(rates, T)
         B = np.array([at0, atT, rates * at0, rates * atT])
         try:
-            gammas = solve_linear(B, np.array([0.0, 1.0, 0.0, 0.0]))
+            gammas = solve_linear(B, _EXP_RHS)
         except SingularMatrix as exc:
             raise DegenerateBasis(f"boundary system singular at k={k}: {exc}") from exc
         cancellation = np.abs(B * gammas).sum(axis=1).max()
@@ -383,7 +402,9 @@ class ExponentialAnsatz:
         self.k = k
         self.T = T
         self.offset = gammas * at0
-        self.x = ExpSum(gammas=tuple(gammas), rates=(1.0, -1.0, k, -k), T=T)
+        gammas.setflags(write=False)
+        rates.setflags(write=False)
+        self.x = ExpSum(gammas=gammas, rates=rates, T=T)
 
     def rows(self, adjoint_weight=None):
         """Gamma rows of ``x, x', u = x' + x, v = x'' + x'`` on the terms of :attr:`x`,
@@ -394,19 +415,23 @@ class ExponentialAnsatz:
         ``p_z' = z - y``) gives ``p_y = lam (x''' + x'') - x'`` and ``p_z =
         lam v - p_y``.
         """
-        g, r = np.array(self.x.gammas), np.array(self.x.rates)
-        v = r * r + r
-        factors = [np.ones_like(r), r, 1.0 + r, v]
+        r = self.x.rates
+        F = np.empty((4 if adjoint_weight is None else 6, len(r)))
+        F[0] = 1.0
+        F[1] = r
+        F[2] = 1.0 + r
+        F[3] = r * r + r
         if adjoint_weight is not None:
             with np.errstate(over="ignore"):
                 # r^3 overflows for weights below about 1e-206; the packaged p_y is then refused
-                py = adjoint_weight * (r * r * r + r * r) - r
-            factors += [py, adjoint_weight * v - py]
-        return g * np.array(factors)
+                F[4] = adjoint_weight * (r * r * r + r * r) - r
+            F[5] = adjoint_weight * F[3] - F[4]
+        F *= self.x.gammas
+        return F
 
     def paper_coefficients(self, coeffs):
         # adding 0.0 reports a coefficient that underflowed to -0.0 as 0
-        return {**dict(zip("abcd", map(float, np.asarray(coeffs) + 0.0))), "k": self.k}
+        return {**dict(zip("abcd", (np.asarray(coeffs) + 0.0).tolist())), "k": self.k}
 
     def gram(self, lam=0.0):
         """A form over no parameters whose ``c0`` is the cost :func:`solve_sta` reports, bit for bit."""

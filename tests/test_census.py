@@ -47,6 +47,8 @@ UNREACHED = {
     "expsums.ExpSum.value": f"real_values of one sum; {_BENCHMARK}",
     "sta.assemble_gram": f"gram behind a conditioning check; {_BENCHMARK}",
     "sta.ExponentialAnsatz.gram": f"the exponential family's cost as a form; {_BENCHMARK}",
+    "model.exact_cost": "public: the exact cost of gamma rows in its own np.errstate block; the packaging "
+                        "runs its body, _cost_parts, inside the one block it shares with the end table",
 }
 
 _CENSUS = (

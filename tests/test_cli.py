@@ -539,14 +539,15 @@ class TestValidate:
         assert tuple(parts) == want
 
     def test_scaled_cost_parts_fail_every_reference_row(self, monkeypatch, capsys):
-        # parts 1e-9 off the truth, which every other row passes
-        exact_cost = modelmod.exact_cost
+        # parts 1e-9 off the truth, which every other row passes, planted in
+        # the exact cost that the packaging and exact_cost share
+        cost_parts = modelmod._cost_parts
 
-        def planted(problem, rows, rates):
-            state, derivative, control_energy = exact_cost(problem, rows, rates)
+        def planted(problem, stack, rates):
+            state, derivative, control_energy = cost_parts(problem, stack, rates)
             return CostBreakdown(state * (1 + 1e-9), derivative, control_energy * (1 + 1e-9))
 
-        monkeypatch.setattr(modelmod, "exact_cost", planted)
+        monkeypatch.setattr(modelmod, "_cost_parts", planted)
         checks = run_validation()
         rows = [c for c in checks if c["check"].startswith("reference-optimum-")]
         assert len(rows) == len(REFERENCE_OPTIMA) + 2
@@ -707,6 +708,56 @@ class TestNegativeCostPart:
         _, exit2 = ci_command_lists()
         listed = [key for key, (argv, _, _) in NEGATIVE_PARTS.items() if list(argv) in exit2]
         assert listed == ["sta-exp-0.99999", "oct-regular-0.99999", "oct-singular-1e-6"]
+
+
+#: requests past the float range of the basis tables, the end values or the
+#: modes, with the message of their refusal; each used to print numpy warnings
+#: ahead of its error
+OUT_OF_RANGE = {
+    "sta-poly-T1e-300": (("sta", "poly", "--T", "1e-300"), "horizon T=1e-300 is too small: (2/T)^2 overflows"),
+    "sta-poly-T1e-320": (("sta", "poly", "--T", "1e-320"), "horizon T=1e-320 is too small: (2/T)^2 overflows"),
+    "sta-poly-T1e308": (("sta", "poly", "--T", "1e308"), "horizon T=1e+308 is too large: 2T overflows"),
+    "sta-trig-T1e-300": (("sta", "trig", "--order", "5", "--T", "1e-300"),
+                         "horizon T=1e-300 is too small: (2/T)^2 overflows"),
+    "sta-trig-T1e308": (("sta", "trig", "--order", "5", "--T", "1e308"), "horizon T=1e+308 is too large: 2T overflows"),
+    "sta-exp-T1e308": (("sta", "exp", "--T", "1e308"),
+                       "rate k=100.0 at horizon T=1e+308 is too large: k T overflows"),
+    "oct-higher-n3-T1e308": (("oct", "higher", "--n", "3", "--T", "1e308"),
+                             "rate x horizon of the modes overflows at weight 5e-09 and horizon T=1e+308"),
+    "oct-higher-n2-lambda1e308": (("oct", "higher", "--n", "2", "--lambda", "1e308"),
+                                  "energy weight 1e+308 is too large: the adjoint 2 lam of the mode s = 1 overflows"),
+}
+
+
+class TestOutOfRange:
+    """A request past the float range is a typed refusal, with no numpy warning ahead of it."""
+
+    @pytest.mark.parametrize("argv,message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+    def test_exits_2_with_one_error_document(self, capsys, argv, message):
+        # the suite turns a RuntimeWarning into an error, so a warning fails the command
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == json_reference({"error": "Overflow", "message": message}) + "\n"
+
+    def test_ci_exits_2_on_every_one(self):
+        _, exit2 = ci_command_lists()
+        assert [key for key, (argv, _) in OUT_OF_RANGE.items() if list(argv) not in exit2] == []
+
+    @pytest.mark.parametrize("solve", [
+        lambda: sta.build_polynomial(4, 1e-300),
+        lambda: sta.build_trigonometric(5, 1e308),
+        lambda: sta.build_exponential(100.0, 1e308),
+        lambda: octmod.solve_regular(octmod.build_lq(3, 5e-9, 1e308)),
+        lambda: octmod.solve_regular(octmod.build_lq(2, 1e308)),
+    ], ids=["poly-small-T", "trig-large-T", "exp-kT", "modal-rate-T", "modal-weight"])
+    def test_refused_before_any_array_is_formed(self, monkeypatch, solve):
+        def refused(*args, **kwargs):
+            raise AssertionError("an array was formed")
+
+        for module, name in [(sta, "_eliminator"), (sta, "end_values"), (octmod, "end_values"), (octmod, "_mode_tables")]:
+            monkeypatch.setattr(module, name, refused)
+        with pytest.raises(lincontrol.Overflow):
+            solve()
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lincontrol.__file__)))

@@ -674,6 +674,35 @@ class TestCertify:
         with pytest.raises(BoundaryResidual):
             modelmod.certify(sol)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_verdict_and_residuals_are_verify_boundaries_on_the_solve_sweep_pool(self, monkeypatch, seed):
+        # certify builds its report at BOUNDARY_TOL without verify_boundaries'
+        # check of the tolerance; on every op that packages a solution both
+        # give the same verdict on the same residual mapping
+        certify = modelmod.certify
+        monkeypatch.setattr(modelmod, "certify", lambda sol: sol)
+        monkeypatch.setattr(stamod, "certify", lambda sol: sol)
+        verdicts = []
+        for op in workloads.pool("solve-sweep", seed):
+            try:
+                sol = ops.solve(op)
+            except (ValueError, NumericsError):  # refused before the packaging
+                continue
+            report = verify_boundaries(sol)
+            try:
+                certify(sol)
+                passed, residuals = True, sol.boundary_residuals
+            except BoundaryResidual as exc:
+                assert exc.report.tol == modelmod.BOUNDARY_TOL
+                passed, residuals = exc.report.passed, exc.report.residuals
+            except NegativeCostPart:
+                passed, residuals = True, sol.boundary_residuals
+            assert passed == report.passed
+            assert residuals is report.residuals
+            verdicts.append(passed)
+        # both verdicts occur on the pool
+        assert len(verdicts) > 300 and not all(verdicts) and any(verdicts)
+
 
 class TestSampling:
     def test_singular_midpoint_row(self):

@@ -684,7 +684,61 @@ class TestAnchors:
         assert got.tobytes() == want.tobytes()
 
 
+def where_kernel(f, g):
+    """The pair kernel as the two ``np.where`` calls it used to make, written out."""
+    T = f.T
+    si, sj = np.asarray(f.rates), np.asarray(g.rates)
+    pi, pj = si * expsums.anchors(si, T), sj * expsums.anchors(sj, T)
+    S = si[:, None] + sj[None, :]
+    P = pi[:, None] + pj[None, :]
+    ST = S * T
+    near = np.abs(S) * T < 1e-8
+    decay = np.exp(-P)
+    series = decay * T * (1.0 + ST / 2.0 + ST * ST / 6.0)
+    exact = (np.exp(ST - P) - decay) / np.where(near, 1.0, S)
+    return np.where(near, series, exact)
+
+
+def kernel_rate_sets():
+    """``{name: (rates, T)}``: random real and complex sets, exact and near +-s pairs, modal rates."""
+    rng = np.random.default_rng(42)
+    sets = {}
+    for i in range(12):
+        T = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+        m = int(rng.integers(2, 10))
+        scale = 30.0 / T  # every rate x horizon stays below about 150, so no exponential overflows
+        real = rng.normal(size=m) * scale
+        cplx = real + 1j * rng.normal(size=m) * scale
+        sets[f"real-{i}"] = (real, T)
+        sets[f"complex-{i}"] = (cplx, T)
+        sets[f"pairs-real-{i}"] = (np.concatenate([real, -real]), T)
+        sets[f"pairs-complex-{i}"] = (np.concatenate([cplx, -cplx, cplx.conj()]), T)
+        # |S| T of 1e-9 down to 1e-14, below the series cut at 1e-8
+        tiny = 10.0 ** rng.uniform(-14, -9, size=m) / T
+        sets[f"near-real-{i}"] = (np.concatenate([real, -real + tiny]), T)
+        sets[f"near-complex-{i}"] = (np.concatenate([cplx, -cplx + tiny * (1 - 1j)]), T)
+    for n in range(2, 9):
+        for lam, T in ((1e-4, 1.0), (5e-9, 3.0), (1e-12, 0.5)):
+            sets[f"modal-n{n}-{lam:g}"] = (PontryaginFlow(build_lq(n, lam, T)).spectrum()[0], T)
+    return sets
+
+
+KERNEL_RATE_SETS = kernel_rate_sets()
+
+
 class TestPairKernel:
+    @pytest.mark.parametrize("rates,T", KERNEL_RATE_SETS.values(), ids=KERNEL_RATE_SETS.keys())
+    def test_bitwise_the_where_formula(self, rates, T):
+        # the exact quotient is written over the series where no pair is near,
+        # which leaves every entry's bits as the two np.where calls had them
+        f = ExpSum(np.ones(len(rates)), rates, T)
+        others = [f, ExpSum(np.ones(3), np.array([1.0, -1.0, 2.5]), T), ExpSum(np.ones(2), (0.5 + 3j, -0.5 + 3j), T)]
+        for g in others:
+            for a, b in ((f, g), (g, f)):
+                got, want = expsums._pair_kernel(a, b), where_kernel(a, b)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("sums", KERNEL_STACKS.values(), ids=KERNEL_STACKS.keys())
     def test_matches_extended_precision(self, sums):
         with warnings.catch_warnings():

@@ -264,6 +264,19 @@ class TestExponentialFamily:
         want = np.array([a, b, c_scaled, d])
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(np.abs(want), 1e-30))
 
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_sta(build_exponential(37.5, 2.25), ControlProblem(T=2.25, n=1, lam=0.0)),
+        lambda: regular_order1_analytic(3e-6, 0.75),
+    ], ids=["sta-exp", "first-order"])
+    def test_a_fresh_solve_forms_and_solves_its_system_once(self, monkeypatch, solve):
+        # one end table and one linear solve per solution, however it is packaged
+        calls = []
+        for name in ("end_values", "solve_linear"):
+            original = getattr(stamod, name)
+            monkeypatch.setattr(stamod, name, lambda *args, _f=original, _name=name: calls.append(_name) or _f(*args))
+        solve()
+        assert calls == ["end_values", "solve_linear"]
+
     def test_degenerate_at_unit_rate(self):
         with pytest.raises(DegenerateBasis):
             build_exponential(1.0)
