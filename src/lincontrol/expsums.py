@@ -18,6 +18,7 @@ gamma_g``, so rows that share their terms (a trajectory's ``x``, ``x'`` and
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -50,9 +51,14 @@ def anchors(rates, T):
 
 
 def end_values(rates, T):
-    """Each term's value per unit gamma at ``t = 0`` and ``t = T``: ``exp(-s tau)``, ``exp(s (T - tau))``."""
-    tau = anchors(rates, T)
-    return np.exp(-rates * tau), np.exp(rates * (T - tau))
+    """Each term's value per unit gamma at ``t = 0`` and ``t = T``, as the two rows of a ``(2, terms)`` array.
+
+    The array is the transpose of the ``(terms, 2)`` table ``exp(s (t - tau))``
+    that :func:`real_values` forms at ``t = (0, T)``, in its arithmetic, so
+    :func:`term_sums` of gamma rows on ``end_values(rates, T).T`` gives the
+    bits of :func:`real_values` at the two ends without a second ``np.exp``.
+    """
+    return np.exp(rates[:, None] * (np.array([0.0, T]) - anchors(rates, T)[:, None])).T
 
 
 #: :func:`real_values` forms every product of a call in one table for at most
@@ -74,54 +80,64 @@ def real_values(s, t):
     (``t.shape`` for a single sum).
 
     Every term's exponential is computed for all rows in one ``np.exp`` call
-    over a ``(terms,) + t.shape`` array (real when every rate is real).  The
-    terms are then added one at a time, in term order and from ``+0.0``, so
-    a row's bits do not depend on how many rows are stacked with it or on
-    the shape of ``t``.  For at most :data:`FEW_POINTS` times, or a complex
-    stack of at most :data:`FEW_COMPLEX_CELLS` rows x times, the products
-    form one ``(terms, rows) + t.shape`` array whose running sum
+    over a ``(terms,) + t.shape`` array (real when every rate is real), and
+    :func:`term_sums` adds the rows' terms on it.
+    """
+    gammas, rates, T = s
+    rates = np.asarray(rates)
+    t = np.asarray(t, dtype=float)
+    per_term = (-1,) + (1,) * t.ndim
+    return term_sums(gammas, np.exp(rates.reshape(per_term) * (t - anchors(rates, T).reshape(per_term))))
+
+
+def term_sums(gammas, e):
+    """Real parts of the gamma rows ``gammas`` on the term table ``e``, shaped ``(rows,) + e.shape[1:]``
+    (``e.shape[1:]`` for a single row).
+
+    ``e[i]`` holds term ``i``'s exponential at every time, as
+    :func:`real_values` forms it; ``e`` is only read.  The terms are added
+    one at a time, in term order and from ``+0.0``, so a row's bits do not
+    depend on how many rows are stacked with it or on the shape of the
+    times.  For at most :data:`FEW_POINTS` times, or a complex stack of at
+    most :data:`FEW_COMPLEX_CELLS` rows x times, the products form one
+    ``(terms, rows) + times`` array whose running sum
     (``np.add.accumulate``, never a pairwise reduction) adds them in that
     same order; larger tables form each term's products in two
     preallocated buffers and add them to the result.  Both kernels
     give the same bits, and each is the faster one on its side of the
     limit.  Complex products are written out in real arithmetic so that a
-    value rounds the same for scalar and array ``t``: numpy's vectorised
-    complex multiply may fuse multiply-adds.  When every rate and gamma is
+    value rounds the same for scalar and array times: numpy's vectorised
+    complex multiply may fuse multiply-adds.  When every term and gamma is
     real the imaginary products, all exact zeros, are skipped; that leaves
     every bit alone because ``x - 0.0 == x`` and the sum never becomes
     ``-0.0``.  Real gammas are read as real, and complex ones are checked
     for a nonzero imaginary part.  Gamma rows whose length is not the
-    number of rates raise ``ValueError``.
+    number of terms raise ``ValueError``.
     """
-    gammas, rates, T = s
-    rates = np.asarray(rates)
-    t = np.asarray(t, dtype=float)
     g = np.asarray(gammas)
     # real gammas stay real: their imaginary parts would all be +0.0
     complex_gammas = g.dtype.kind == "c"
     g = np.asarray(g, dtype=complex if complex_gammas else float)
-    if g.shape[-1:] != rates.shape:
-        raise ValueError(f"gamma rows of shape {g.shape} on {rates.shape} rates")
-    lead = g.shape[:-1]
-    per_term = (-1,) + (1,) * t.ndim
-    g = g.reshape((-1,) + rates.shape + per_term[1:])
-    rows = len(g)
-    e = np.exp(rates.reshape(per_term) * (t - anchors(rates, T).reshape(per_term)))
+    if g.shape[-1:] != e.shape[:1]:
+        raise ValueError(f"gamma rows of shape {g.shape} on {e.shape[:1]} rates")
+    lead, times = g.shape[:-1], e.shape[1:]
+    g = g.reshape((-1,) + e.shape[:1] + (1,) * len(times))
+    rows, points = len(g), math.prod(times)
     real = e.dtype.kind != "c" and not (complex_gammas and g.imag.any())
-    if t.size <= FEW_POINTS or (not real and rows * t.size <= FEW_COMPLEX_CELLS):
+    if points <= FEW_POINTS or (not real and rows * points <= FEW_COMPLEX_CELLS):
         g = g.swapaxes(0, 1)
         e = e[:, None]
         terms = g.real * e if real else g.real * e.real - g.imag * e.imag
         terms[0] += 0.0
-        return np.add.accumulate(terms)[-1].reshape(lead + t.shape)
-    shape = (rows,) + t.shape
+        return np.add.accumulate(terms)[-1].reshape(lead + times)
+    shape = (rows,) + times
     out, product, imag = np.zeros(shape), np.empty(shape), np.empty(shape)
-    for i in range(len(rates)):
+    for i in range(len(e)):
         np.multiply(g.real[:, i], e.real[i], out=product)
         if not real:
             product -= np.multiply(g.imag[:, i], e.imag[i], out=imag)
         out += product
-    return out.reshape(lead + t.shape)
+    return out.reshape(lead + times)
 
 
 def _pair_kernel(f, g):
@@ -164,5 +180,11 @@ def product_integral(f, g):
 
 
 def square_integrals(s):
-    """Exact ``\\int_0^T f(t)^2 dt`` of each row ``f`` of the :class:`ExpSum` ``s``, as a tuple of floats."""
-    return tuple(np.real(product_integral(s, s)).tolist())
+    """Exact ``\\int_0^T f(t)^2 dt`` of each row ``f`` of the :class:`ExpSum` ``s``, as a tuple of floats.
+
+    The quadratic form of :func:`product_integral` with ``s`` as both
+    operands, in its arithmetic, without its operand checks: a sum shares
+    its horizon, rows and rates with itself.
+    """
+    g = np.asarray(s.gammas)
+    return tuple(np.real(((g @ _pair_kernel(s, s)) * g).sum(axis=-1)).tolist())

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expsums import ExpSum, real_values, square_integrals
+from .expsums import ExpSum, real_values, square_integrals, term_sums
 from .numerics import NumericsError, Overflow, _count, integrate
 
 
@@ -303,18 +303,21 @@ def _cost_parts(problem, stack, rates):
     return CostBreakdown(state, deriv, problem.lam * ctrl if problem.lam else 0.0)
 
 
-def package_rows(problem, kind, rows, rates, impulses=(), cost_override=None, coefficients=None):
+def package_rows(problem, kind, rows, rates, *, term_ends, impulses=(), cost_override=None, coefficients=None):
     """Package gamma rows into a :class:`ProtocolSolution`.
 
     ``rows`` holds one gamma row per name of ``row_names(n)`` or, when there
     are more rows, of ``row_names(n, adjoints=True)``, all on the terms
     ``rates``, anchored by the problem's horizon as every
-    :class:`~lincontrol.expsums.ExpSum` is.  They form a single gamma
-    matrix, real when every row is, and the evaluator hands
-    :func:`~lincontrol.expsums.real_values` the requested rows only.  The
-    cost is :func:`exact_cost`'s, and it and every row at ``t = 0`` and
+    :class:`~lincontrol.expsums.ExpSum` is.  ``term_ends`` is each term's
+    value at ``t = 0`` and ``T``, the :func:`~lincontrol.expsums.end_values`
+    of ``rates`` that the route built for its own boundary system.  The rows
+    form a single gamma matrix, real when every row is, and the evaluator
+    hands :func:`~lincontrol.expsums.real_values` the requested rows only.
+    The cost is :func:`exact_cost`'s, and it and every row at ``t = 0`` and
     ``T`` are formed inside one ``np.errstate`` block; the rows at the ends
-    come from one ``real_values`` call on the whole stack, handed to the
+    are one :func:`~lincontrol.expsums.term_sums` of the whole stack on
+    ``term_ends``, the bits of ``real_values`` there, handed to the
     trajectory as its :attr:`Trajectory.ends` for the boundary report.  The
     coefficients are the adjoints at ``t = 0`` (``p0_*``) read from that
     table, if any, then ``coefficients``.
@@ -328,7 +331,7 @@ def package_rows(problem, kind, rows, rates, impulses=(), cost_override=None, co
     stack = np.asarray(rows)
     with np.errstate(over="ignore", invalid="ignore"):
         breakdown = _cost_parts(problem, stack, rates)
-        ends = real_values(ExpSum(stack, rates, T), np.array([0.0, T]))
+        ends = term_sums(stack, term_ends.T)
 
     def evaluate(ts, index):
         return real_values(ExpSum(stack[index], rates, T), ts)

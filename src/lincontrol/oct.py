@@ -85,14 +85,14 @@ def _x1_row(n):
 def _mode_tables(n):
     """Read-only tables of the order-``n`` flow's exact modes, built once per order.
 
-    Returns ``(fast, j, unit, unit_inv, adjoint)``.  Mode ``i`` has the rate
+    Returns ``(fast, j, units, adjoint)``.  Mode ``i`` has the rate
     ``s_i = rho_i e^(i theta_i)``: ``rho_i = 1`` for the slow rates ``-1``
     and ``1`` (the first two), and ``rho_i = U^(-1/2n)`` where ``fast[i]``,
     whose angles give the ``2n`` roots of ``s^(2n) = (-1)^(n+1)/U``.  Each
     complex pair is built with ``conj``, and the real roots of odd ``n`` are
-    exactly real.  ``unit[j, i] = e^(i j theta_i)`` for the column ``j =
-    0..n`` and ``unit_inv`` is its conjugate, so ``s^(+-j) = rho^(+-j)
-    unit(_inv)[j]``.
+    exactly real.  ``units[0, j, i] = e^(i j theta_i)`` for the column ``j =
+    0..n`` and ``units[1]`` is its conjugate, so ``s^(+-j) = rho^(+-j)
+    units[0 or 1, j]``; the two are one array, so one gather sorts both.
 
     ``adjoint[i - 1, m]`` is the coefficient of ``s^-m`` in the adjoint
     ``p_i`` (i = 1..n) of the mode ``x = e^(st)``: rows ``n`` down to 1 of
@@ -116,7 +116,7 @@ def _mode_tables(n):
         adjoint[i, 1] = r0[i]
         if i < n:
             adjoint[i, 1:] -= adjoint[i + 1, :-1]
-    arrays = (fast, j, unit, unit.conj(), adjoint[1:])
+    arrays = (fast, j, np.stack([unit, unit.conj()]), adjoint[1:])
     for a in arrays:
         a.setflags(write=False)
     return arrays
@@ -147,11 +147,14 @@ class PontryaginFlow:
     (-1)^(n+1)/U``, and each eigenvector is read off the mode ``x = e^(st)``
     (see :meth:`spectrum`).  No flow matrix is formed, so a weight whose
     inverse overflows reaches the modal solve without a floating-point
-    warning.
+    warning.  :attr:`term_ends` is ``None`` until a modal system is built on
+    the flow, and then the modes' :func:`~lincontrol.expsums.end_values`
+    that it was built from, which the packaging reads.
     """
 
     def __init__(self, problem):
         self.problem = problem
+        self.term_ends = None
 
     def spectrum(self):
         """Exact eigenpairs ``(w, V)`` of the flow, sorted by real part, then imaginary part.
@@ -171,19 +174,29 @@ class PontryaginFlow:
             # the slow mode s = 1 has p_0 = U s^n (1 + s) = 2 U
             raise Overflow(f"energy weight {U} is too large: the adjoint 2 lam of the mode s = 1 overflows")
         ns = n + 1
-        fast, j, unit, unit_inv, adjoint = _mode_tables(n)
+        fast, j, units, adjoint = _mode_tables(n)
         rho = np.where(fast, U ** (-1.0 / (2 * n)), 1.0)
-        w = rho * unit[1]
+        w = rho * units[0, 1]
         order = np.lexsort((w.imag, w.real))
-        w, rho, unit, unit_inv = w[order], rho[order], unit[:, order], unit_inv[:, order]
+        w, rho, (unit, unit_inv) = w[order], rho[order], units[:, :, order]
         rho_j, w1 = rho**j, 1.0 + w
         V = np.empty((2 * ns, 2 * ns), dtype=complex)
-        V[:ns] = (rho_j * unit)[::-1]  # s^n, s^(n-1), .., 1
+        np.multiply(rho_j[::-1], unit[::-1], out=V[:ns])  # s^n, s^(n-1), .., 1
         V[1:ns] *= w1
-        V[ns + 1 :] = adjoint @ (unit_inv / rho_j)
+        np.matmul(adjoint, unit_inv / rho_j, out=V[ns + 1 :])
         V[ns] = U * V[0] * w1 - V[ns + 1]
         V /= np.abs(V).max(axis=0)
         return w, V
+
+
+@lru_cache(maxsize=64)
+def _modal_rhs(n):
+    """The read-only right-hand side of the order-``n`` modal system, built once per order:
+    the chain starts at rest and ends with ``z_0 = x + x' = 1``, every other coordinate 0."""
+    rhs = np.zeros(2 * n + 2, dtype=complex)
+    rhs[-1] = 1.0
+    rhs.setflags(write=False)
+    return rhs
 
 
 def _modal_amplitudes(flow):
@@ -197,6 +210,10 @@ def _modal_amplitudes(flow):
     so it stays solvable exactly where the naive terminal-block solve has
     already lost all significant digits.  Small ``|mu| T`` makes the modes
     nearly dependent instead, and the system fails the conditioning gate.
+    The system's rows are the state columns times the modes'
+    :func:`~lincontrol.expsums.end_values`, written into one array; those
+    end values are kept on the flow as :attr:`PontryaginFlow.term_ends`,
+    for the packaging.
     """
     T, n, lam = flow.problem
     ns = n + 1
@@ -204,12 +221,12 @@ def _modal_amplitudes(flow):
         # the end values are exponentials of rate x horizon, and the fastest rate has modulus lam^(-1/2n)
         raise Overflow(f"rate x horizon of the modes overflows at weight {lam} and horizon T={T}")
     w, V = flow.spectrum()
-    M = np.vstack([V[:ns] * end for end in end_values(w, T)])
-    # the chain starts at rest and ends with z_0 = x + x' = 1, every other coordinate 0
-    rhs = np.zeros(2 * ns, dtype=complex)
-    rhs[-1] = 1.0
+    at0, atT = flow.term_ends = end_values(w, T)
+    M = np.empty((2 * ns, 2 * ns), dtype=complex)
+    np.multiply(V[:ns], at0, out=M[:ns])
+    np.multiply(V[:ns], atT, out=M[ns:])
     try:
-        c = solve_linear(M, rhs)
+        c = solve_linear(M, _modal_rhs(n))
     except SingularMatrix as exc:
         raise ShootingSingular(f"modal system: {exc}") from exc
     return w, V, c
@@ -255,6 +272,11 @@ def _series_from_modes(flow):
     return rows, w
 
 
+#: the rates of the impulsive arc's terms, ``e^(t - T)`` and ``e^-t``
+_ARC_RATES = np.array([1.0, -1.0])
+_ARC_RATES.setflags(write=False)
+
+
 def singular_solution(T=1.0):
     """Impulsive global optimum: kick, exponential arc, kick.
 
@@ -288,8 +310,8 @@ def singular_solution(T=1.0):
     xdot, z = [grow, decay], [2.0 * grow, 0.0]
     rows = [[grow, -decay], xdot, z, z, [-grow, -decay], xdot]  # x, x', z, v, p_y, p_z
     return package_rows(
-        problem, "oct-singular", rows, rates=(1.0, -1.0), impulses=(Impulse(0.0, a1), Impulse(T, -coth)),
-        cost_override=coth,
+        problem, "oct-singular", rows, rates=_ARC_RATES, term_ends=end_values(_ARC_RATES, T),
+        impulses=(Impulse(0.0, a1), Impulse(T, -coth)), cost_override=coth,
     )
 
 
@@ -308,7 +330,9 @@ def solve_regular(problem):
         raise LambdaOutOfRange(f"energy weight must be positive, got {problem.lam}")
     if problem.n == 1:
         return regular_order1_analytic(problem.lam, problem.T)
-    return package_rows(problem, "oct-higher", *_series_from_modes(PontryaginFlow(problem)))
+    flow = PontryaginFlow(problem)
+    rows, rates = _series_from_modes(flow)
+    return package_rows(problem, "oct-higher", rows, rates, term_ends=flow.term_ends)
 
 
 def regular_order1_analytic(lam, T=1.0):
@@ -334,7 +358,8 @@ def regular_order1_analytic(lam, T=1.0):
     a, b, _, d = family.offset.tolist()
     fit = dict(rate_fast=family.k, x_coef_slow_neg=b, x_coef_slow_pos=a, x_coef_fast_neg=d,
                x_coef_fast_pos_anchored=float(x.gammas[2]))
-    return package_rows(problem, "oct-regular", family.rows(problem.lam), x.rates, coefficients=fit)
+    return package_rows(problem, "oct-regular", family.rows(problem.lam), x.rates, term_ends=family.term_ends,
+                        coefficients=fit)
 
 
 def fit_exponential_arc(ts, values):

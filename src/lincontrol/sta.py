@@ -167,36 +167,53 @@ class AnsatzFamily:
         """``(x, x', .., x^(order))`` at ``t``, stacked along a leading axis.
 
         A ``t`` of two or more dimensions is evaluated flattened, so the basis
-        axis is the one contracted, and reshaped back.
+        axis is the one contracted, and reshaped back.  Every derivative is
+        contracted in one stacked ``matmul``.
         """
         t = np.asarray(t, dtype=float)
         tables = self.basis(t.ravel() if t.ndim > 1 else t, order)
-        return np.array([coeffs @ table for table in tables]).reshape((order + 1,) + t.shape)
+        # one stacked product, which rounds as each table's own vector product;
+        # a scalar t's tables gain a times axis of length 1 for it
+        return (coeffs @ tables.reshape(tables.shape[:2] + (-1,))).reshape((order + 1,) + t.shape)
 
     @cached_property
     def _cost_tables(self):
-        """The basis tables of x, x' and v = x'' + x' on the cost rule, times sqrt(weight) (built once).
+        """The basis tables of x, x' and v = x'' + x' on the cost rule, times sqrt(weight) (built once),
+        stacked as ``(3, basis, node)``.
 
         The rule on ``[0, T]`` is the horizon-2 rule stretched by ``T/2``, so
         each table is the cached horizon-2 one times ``(2/T)^k sqrt(T/2)``.
+        The stack is a view of one ``(basis, 3, node)`` array, in which each
+        basis function's three rows are the row of the cost's sum of squares
+        that :meth:`gram` reads.
         """
         cost, _ = _reference_tables(type(self), self.N)
         scale = (2.0 / self.T) ** np.arange(3) * math.sqrt(self.T / 2.0)
-        x, xd, xdd = cost * scale[:, None, None]
-        return x, xd, xdd + xd
+        tables = cost * scale[:, None]
+        tables[:, 2] += tables[:, 1]
+        return tables.transpose(1, 0, 2)
 
     def gram(self, lam=0.0):
-        """The cost's :class:`GramForm` at the weight ``lam``, read by :class:`ControlProblem`'s rule."""
+        """The cost's :class:`GramForm` at the weight ``lam``, read by :class:`ControlProblem`'s rule.
+
+        Its rows are the cost tables' nodes, ``x``, then ``x'``, then
+        ``sqrt(lam) v``.
+        """
         lam = ControlProblem(T=self.T, lam=lam).lam
-        x, xd, v = self._cost_tables
-        # at lam = 0 the control-energy rows are all zero, so they are left out
-        rows = np.hstack([x, xd, math.sqrt(lam) * v] if lam else [x, xd]).T
+        tables = self._cost_tables.transpose(1, 0, 2)
+        if lam:
+            rows = tables.copy()
+            rows[:, 2] *= math.sqrt(lam)
+        else:  # the control-energy rows are all zero, so they are left out
+            rows = tables[:, :2]
+        rows = rows.reshape(len(rows), -1).T
         return GramForm(A=rows @ self.free_map, b=rows @ self.offset, c0=0.0)
 
     def cost_parts(self, coeffs):
-        """(state, derivative, unweighted control-energy) integrals."""
-        a = np.asarray(coeffs, dtype=float)
-        return tuple(float(r @ r) for r in (a @ table for table in self._cost_tables))
+        """(state, derivative, unweighted control-energy) integrals: the coefficients' product with
+        the three cost tables in one stacked ``matmul``, then each product's dot with itself."""
+        r = np.asarray(coeffs, dtype=float) @ self._cost_tables
+        return tuple((r[:, None] @ r[..., None]).ravel().tolist())
 
 
 #: the ends of the horizon-2 reference interval
@@ -209,11 +226,11 @@ def _reference_tables(family, N):
     """Horizon-2 basis tables of ``family`` at order ``N``, shared read-only.
 
     Returns ``(cost, ends)``: orders 0-2 on the cost rule of ``[0, 2]``, each
-    node times sqrt(weight), shaped (order, basis, node); and orders 0-2 at
+    node times sqrt(weight), shaped (basis, order, node); and orders 0-2 at
     ``u = 0`` and ``u = 2``, shaped (order, basis, 2).
     """
     u, w = gauss_legendre(COST_NODES, 0.0, 2.0)
-    cost = family.reference_basis(N, u, 2) * np.sqrt(w)
+    cost = np.ascontiguousarray((family.reference_basis(N, u, 2) * np.sqrt(w)).transpose(1, 0, 2))
     ends = family.reference_basis(N, _ENDS, 2)
     cost.setflags(write=False)
     ends.setflags(write=False)
@@ -271,6 +288,12 @@ def _monomial_matrix(N):
     return M
 
 
+@lru_cache(maxsize=128)
+def _coefficient_names(first, N):
+    """The paper's names ``a{first} .. aN`` of a family's coefficients, built once per order."""
+    return tuple(f"a{k}" for k in range(first, N + 1))
+
+
 class PolynomialAnsatz(AnsatzFamily):
     """x(t) = sum_{j=0}^N c_j P_j(2t/T - 1) in shifted Legendre polynomials.
 
@@ -299,13 +322,13 @@ class PolynomialAnsatz(AnsatzFamily):
 
     def paper_coefficients(self, coeffs):
         # the t^k coefficient of P_j(2t/T - 1) is (-1)^(j+k) C(j,k) C(j+k,k) / T^k;
-        # a T^k past the float range makes that coefficient 0, its right rounding
+        # a T^k past the float range makes that coefficient 0, its right rounding,
+        # without a warning inside solve_sta's np.errstate block
         N = self.N
-        with np.errstate(over="ignore"):
-            to_monomial = _monomial_matrix(N) / self.T ** np.arange(N + 1)[:, None]
+        to_monomial = _monomial_matrix(N) / self.T ** np.arange(N + 1)[:, None]
         a = (to_monomial @ coeffs).tolist()
         names = dict(zip(_TAIL_NAMES, a[4:]))
-        names.update((f"a{k}", a[k]) for k in range(2, N + 1))
+        names.update(zip(_coefficient_names(2, N), a[2:]))
         return names
 
 
@@ -335,12 +358,12 @@ class TrigonometricAnsatz(AnsatzFamily):
         return out
 
     def paper_coefficients(self, coeffs):
-        a = [float(c) for c in coeffs]
+        a = np.asarray(coeffs, dtype=float).tolist()
         tail = a[3:]
         if self.N == 5:
             tail[0] = a[3] + a[4]
         names = dict(zip(_TAIL_NAMES, tail))
-        names.update((f"a{k}", c) for k, c in enumerate(a, 1))
+        names.update(zip(_coefficient_names(1, len(a)), a))
         return names
 
 
@@ -363,7 +386,8 @@ class ExponentialAnsatz:
     :class:`~lincontrol.expsums.ExpSum`, with gammas ``(a_T, b, c_T, d)``,
     and :attr:`offset` the un-anchored ``(a, b, c, d)``: each gamma times
     its ``t = 0`` end value, so ``a = a_T e^{-T}`` and ``c = c_T e^{-kT}``
-    underflow to 0 at large ``T`` or ``kT``.  Near ``k = 1`` the basis is
+    underflow to 0 at large ``T`` or ``kT``; those end values are kept, read-only,
+    as :attr:`term_ends`, for the packaging.  Near ``k = 1`` the basis is
     nearly dependent: :class:`DegenerateBasis` is raised once a boundary sum
     cancels terms above ``1e7``, where rounding alone moves it by about
     ``1e-9`` (at ``T = 1``, ``|k - 1|`` below about ``1.5e-6``).  The family
@@ -388,7 +412,7 @@ class ExponentialAnsatz:
             # the end values are exponentials of -k T
             raise Overflow(f"rate k={k} at horizon T={T} is too large: k T overflows")
         rates = np.array([1.0, -1.0, k, -k])
-        at0, atT = end_values(rates, T)
+        at0, atT = term_ends = end_values(rates, T)
         B = np.array([at0, atT, rates * at0, rates * atT])
         try:
             gammas = solve_linear(B, _EXP_RHS)
@@ -404,7 +428,9 @@ class ExponentialAnsatz:
         self.offset = gammas * at0
         gammas.setflags(write=False)
         rates.setflags(write=False)
+        term_ends.setflags(write=False)
         self.x = ExpSum(gammas=gammas, rates=rates, T=T)
+        self.term_ends = term_ends
 
     def rows(self, adjoint_weight=None):
         """Gamma rows of ``x, x', u = x' + x, v = x'' + x'`` on the terms of :attr:`x`,
@@ -487,7 +513,11 @@ def solve_sta(family, problem=None):
     ``SingularMatrix`` when cond(A) reaches
     :data:`~lincontrol.numerics.LSQ_COND_CAP` (the sine family from N = 14).
     Its trajectory's end table is every row at ``t = 0`` and ``T`` from one
-    :meth:`~AnsatzFamily.x_stack` call.  Both branches return through
+    :meth:`~AnsatzFamily.x_stack` call.  The Gram form, the minimiser, the
+    cost, the end table and the paper's coefficients are formed in one
+    ``np.errstate`` block, so a horizon whose tables, cost or monomial
+    coefficients leave the float range is refused with its typed error and
+    no numpy warning.  Both branches return through
     :func:`~lincontrol.model.certify`.
     """
     if problem is None:
@@ -498,21 +528,24 @@ def solve_sta(family, problem=None):
         raise ValueError(f"family horizon {family.T} != problem horizon {problem.T}")
     if family.kind == "exponential":
         x, coefficients = family.x, family.paper_coefficients(family.offset)
-        return package_rows(problem, "sta-exp", family.rows(), x.rates, coefficients=coefficients)
-    gram = family.gram(problem.lam)
-    coeffs = family.coefficient_vector(minimize_quadratic(gram.A, gram.b))
-    state, deriv, ctrl = family.cost_parts(coeffs)
+        return package_rows(problem, "sta-exp", family.rows(), x.rates, term_ends=family.term_ends,
+                            coefficients=coefficients)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gram = family.gram(problem.lam)
+        coeffs = family.coefficient_vector(minimize_quadratic(gram.A, gram.b))
+        state, deriv, ctrl = family.cost_parts(coeffs)
+        ends = _first_order_rows(family.x_stack(coeffs, np.array([0.0, problem.T]), 2))
+        coefficients = family.paper_coefficients(coeffs)
     breakdown = CostBreakdown(state, deriv, problem.lam * ctrl)
 
     def evaluate(ts, index):
         order = max((_ROW_ORDERS[i] for i in index), default=0)
         return _first_order_rows(family.x_stack(coeffs, ts, order))[index]
 
-    ends = _first_order_rows(family.x_stack(coeffs, np.array([0.0, problem.T]), 2))
     return certify(ProtocolSolution(
         problem=problem,
         kind=_KIND_TAGS[family.kind],
-        coefficients=family.paper_coefficients(coeffs),
+        coefficients=coefficients,
         trajectory=Trajectory(T=problem.T, n=1, names=row_names(1), evaluate=evaluate, ends=ends),
         impulses=(),
         cost=breakdown.total,

@@ -20,7 +20,7 @@ on a side is the median over the rounds, and the report is that of
 ``benchmarks/worker.py``: ``latency_p50_ms`` and ``latency_p90_ms`` over the
 distinct ops, the pass time (the summed latencies), per op kind the
 median of B's latency over A's, and per side the kinds of the ops within
-15 % of its median, the ops that set it.  The JSON line also holds every
+15 % of its median and within 10 % of its p90, the ops that set each.  The JSON line also holds every
 op's latency on each side and its kind, in pool order.  The last line of standard output is one
 JSON object with all of them.
 
@@ -50,6 +50,9 @@ import workloads  # noqa: E402
 
 #: the ops whose latency is within this fraction of the median are counted by kind
 MEDIAN_BAND = 0.15
+
+#: the ops whose latency is within this fraction of the p90 are counted by kind
+P90_BAND = 0.10
 
 
 class _Quiet:
@@ -99,6 +102,15 @@ def label(op):
     return " ".join(["cli", *op["argv"][:2]]) if op["kind"] == "cli" else op["kind"]
 
 
+def near_kinds(pool, latency, level, band):
+    """``{kind: count}`` of the ops whose latency is within ``band`` of ``level``, commonest first."""
+    near = {}
+    for op, t in zip(pool, latency):
+        if abs(t - level) <= band * level:
+            near[label(op)] = near.get(label(op), 0) + 1
+    return dict(sorted(near.items(), key=lambda item: -item[1]))
+
+
 def run(trees, workload, seed, rounds, limit=None):
     """Time the pool on both trees; return the report as a dict."""
     sides = [load_ops(load_tree(tree, f"lincontrol_{tag}"), f"ops_{tag}") for tree, tag in zip(trees, "ab")]
@@ -125,21 +137,20 @@ def run(trees, workload, seed, rounds, limit=None):
     report = {"workload": workload, "seed": seed, "rounds": rounds, "ops": len(pool), "wall_s": wall,
               "trees": [str(package_root(tree)) for tree in trees]}
     for tag, lat, out in zip("ab", latency, outcomes):
+        # the linear-interpolated percentiles of worker.py
         p50 = statistics.median(lat)
-        near = {}
-        for op, t in zip(pool, lat):
-            if abs(t - p50) <= MEDIAN_BAND * p50:
-                near[label(op)] = near.get(label(op), 0) + 1
+        p90 = statistics.quantiles(lat, n=10, method="inclusive")[8]
         report[tag] = {
-            # the linear-interpolated percentiles of worker.py
             "latency_p50_ms": p50 * 1e3,
-            "latency_p90_ms": statistics.quantiles(lat, n=10, method="inclusive")[8] * 1e3,
+            "latency_p90_ms": p90 * 1e3,
             "pass_ms": sum(lat) * 1e3,
             "failed": sum(1 for o in out if o),
-            "near_median": dict(sorted(near.items(), key=lambda item: -item[1])),
+            "near_median": near_kinds(pool, lat, p50, MEDIAN_BAND),
+            "near_p90": near_kinds(pool, lat, p90, P90_BAND),
             "latency_ms": [t * 1e3 for t in lat],
         }
     report["p50_ratio"] = report["b"]["latency_p50_ms"] / report["a"]["latency_p50_ms"]
+    report["p90_ratio"] = report["b"]["latency_p90_ms"] / report["a"]["latency_p90_ms"]
     report["pass_ratio"] = report["b"]["pass_ms"] / report["a"]["pass_ms"]
     report["kind_ratio"] = {k: statistics.median(v) for k, v in sorted(kinds.items())}
     report["outcomes_differ"] = sum(1 for a, b in zip(*outcomes) if a != b)
@@ -162,12 +173,14 @@ def main(argv=None):
     print(f"{report['workload']} seed {report['seed']}: {report['ops']} ops x {report['rounds']} rounds "
           f"in {report['wall_s']:.1f} s")
     print(f"p50 {a['latency_p50_ms']:.4f} -> {b['latency_p50_ms']:.4f} ms ({report['p50_ratio'] - 1:+.2%}); "
+          f"p90 {a['latency_p90_ms']:.4f} -> {b['latency_p90_ms']:.4f} ms ({report['p90_ratio'] - 1:+.2%}); "
           f"pass {a['pass_ms']:.2f} -> {b['pass_ms']:.2f} ms ({report['pass_ratio'] - 1:+.2%})")
     for kind, ratio in report["kind_ratio"].items():
         print(f"  {kind:20s} {ratio - 1:+.2%}")
-    for tag in "ab":
-        near = ", ".join(f"{kind} {count}" for kind, count in report[tag]["near_median"].items())
-        print(f"{tag}: ops within {MEDIAN_BAND:.0%} of the median: {near}")
+    for key, what in (("near_median", f"{MEDIAN_BAND:.0%} of the median"), ("near_p90", f"{P90_BAND:.0%} of p90")):
+        for tag in "ab":
+            near = ", ".join(f"{kind} {count}" for kind, count in report[tag][key].items())
+            print(f"{tag}: ops within {what}: {near}")
     print(json.dumps(report), flush=True)
     return 0
 

@@ -420,7 +420,8 @@ def telescoped_x_rows(n, state):
     return np.array(gammas)
 
 
-def package_per_sum(problem, kind, rows, rates, impulses=(), cost_override=None, coefficients=None):
+def package_per_sum(problem, kind, rows, rates, *, term_ends=None, impulses=(), cost_override=None,
+                    coefficients=None):
     """:func:`lincontrol.model.package_rows` on one :class:`ExpSum` per row.
 
     This is the straightforward form of the packaging: every row of
@@ -428,7 +429,8 @@ def package_per_sum(problem, kind, rows, rates, impulses=(), cost_override=None,
     own sum of complex gammas over the problem's horizon, and the
     trajectory evaluates every row's sum and then picks the requested rows,
     so a request for a few rows is checked against the full stack.  The
-    package must match it bit for bit.
+    package must match it bit for bit.  The route's ``term_ends`` are not
+    read: every value here comes from the rows' own sums.
     """
     n = problem.n
     sums = [ExpSum(np.asarray(row, dtype=complex), tuple(rates), problem.T) for row in rows]
@@ -490,7 +492,9 @@ def modal_solution(n, lam, T=1.0):
     replaces ``lincontrol.oct.package_rows`` sees this call too.
     """
     problem = build_lq(n, lam, T)
-    return octmod.package_rows(problem, "oct-regular", *_series_from_modes(PontryaginFlow(problem)))
+    flow = PontryaginFlow(problem)
+    rows, rates = _series_from_modes(flow)
+    return octmod.package_rows(problem, "oct-regular", rows, rates, term_ends=flow.term_ends)
 
 
 def json_reference(obj, indent=0):

@@ -47,6 +47,9 @@ UNREACHED = {
     "expsums.ExpSum.value": f"real_values of one sum; {_BENCHMARK}",
     "sta.assemble_gram": f"gram behind a conditioning check; {_BENCHMARK}",
     "sta.ExponentialAnsatz.gram": f"the exponential family's cost as a form; {_BENCHMARK}",
+    "expsums.product_integral": "public: the exact integral of the products of two sums' rows, behind its operand "
+                                "checks; the packaging's squares take square_integrals, the same quadratic form "
+                                "on one operand without those checks",
     "model.exact_cost": "public: the exact cost of gamma rows in its own np.errstate block; the packaging "
                         "runs its body, _cost_parts, inside the one block it shares with the end table",
 }

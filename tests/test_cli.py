@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -728,6 +729,16 @@ OUT_OF_RANGE = {
                                   "energy weight 1e+308 is too large: the adjoint 2 lam of the mode s = 1 overflows"),
 }
 
+#: short horizons inside the range the horizon checks accept, where the
+#: polynomial tables, the cost or the monomial conversion leave the float range;
+#: each is refused with a typed error, and each used to print numpy warnings ahead of it
+SHORT_HORIZONS = {
+    "sta-poly-T1e-100": (("sta", "poly", "--T", "1e-100"), "sta-poly solution has a non-finite a: nan"),
+    "sta-poly-T1e-153": (("sta", "poly", "--T", "1e-153"), "sta-poly solution has a non-finite cost: nan"),
+    "sta-trig-T1e-120": (("sta", "trig", "--order", "5", "--T", "1e-120"),
+                         "sta-trig solution has a non-finite cost: nan"),
+}
+
 
 class TestOutOfRange:
     """A request past the float range is a typed refusal, with no numpy warning ahead of it."""
@@ -742,6 +753,23 @@ class TestOutOfRange:
     def test_ci_exits_2_on_every_one(self):
         _, exit2 = ci_command_lists()
         assert [key for key, (argv, _) in OUT_OF_RANGE.items() if list(argv) not in exit2] == []
+        assert [key for key, (argv, _) in SHORT_HORIZONS.items() if list(argv) not in exit2] == []
+
+    @pytest.mark.parametrize("argv,message", SHORT_HORIZONS.values(), ids=SHORT_HORIZONS.keys())
+    def test_short_horizon_exits_2_with_one_error_document(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == json_reference({"error": "Overflow", "message": message}) + "\n"
+
+    @pytest.mark.parametrize("argv", [("sta", "poly"), ("sta", "trig", "--order", "5")], ids=["poly", "trig-5"])
+    def test_every_short_horizon_is_refused_without_a_warning(self, capsys, argv):
+        # T = 1e-61 .. 1e-160 in decades: 73 polynomial and 51 sine requests used to warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for k in range(61, 161):
+                code, out, err = run_cli(capsys, *argv, "--T", f"1e-{k}")
+                assert (code, out) == (2, ""), k
+                assert json.loads(err)["error"] in ("Overflow", "BoundaryResidual"), k
 
     @pytest.mark.parametrize("solve", [
         lambda: sta.build_polynomial(4, 1e-300),
@@ -758,6 +786,44 @@ class TestOutOfRange:
             monkeypatch.setattr(module, name, refused)
         with pytest.raises(lincontrol.Overflow):
             solve()
+
+
+#: the residue of :func:`lincontrol.expsums._pair_kernel`'s exponent, the cause of every ledger entry below
+_PAIR_KERNEL_RESIDUE = (
+    "expsums._pair_kernel forms the exponent of two growing rates as S*T - P, two separately rounded products "
+    "whose exact difference is 0; past |S| T of about 1e16 the residue is an ulp of S T"
+)
+
+#: ``{key: (long request, shorter request, the shorter one's printed cost, measured failure)}``: at
+#: these horizons the optimum no longer depends on T, so the longer request should print the
+#: shorter one's cost; the pair kernel's exponent residue makes each fail as measured
+LONG_HORIZONS = {
+    "sta-exp-T1e26": (("sta", "exp", "--T", "1e26"), ("sta", "exp", "--T", "1e25"), 1.0050000000000001,
+                      "exits 2 with Overflow: sta-exp solution has a non-finite cost: nan"),
+    "oct-higher-n3-T1e30": (("oct", "higher", "--n", "3", "--T", "1e30"), ("oct", "higher", "--n", "3", "--T", "1e20"),
+                            1.0827037108394151, "exits 2 with Overflow: oct-higher solution has a non-finite cost: nan"),
+    "sta-exp-T1e29": (("sta", "exp", "--T", "1e29"), ("sta", "exp", "--T", "1e25"), 1.0050000000000001,
+                      "exits 0 with the cost 1.0254060810121417, 2 % too high"),
+}
+
+
+class TestLongHorizons:
+    """The pair kernel's exponent residue, a ledger entry: requests refused or answered wrongly where the cost is known."""
+
+    @pytest.mark.parametrize("argv,reference,cost,failure", LONG_HORIZONS.values(), ids=LONG_HORIZONS.keys())
+    def test_the_shorter_horizon_prints_the_cost(self, capsys, argv, reference, cost, failure):
+        code, out, _ = run_cli(capsys, *reference)
+        assert code == 0 and json.loads(out)["cost"] == cost
+
+    @pytest.mark.parametrize("argv,reference,cost,failure", [
+        pytest.param(*entry, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                                     reason=f"{entry[3]}. {_PAIR_KERNEL_RESIDUE}"))
+        for entry in LONG_HORIZONS.values()
+    ], ids=LONG_HORIZONS.keys())
+    def test_the_long_horizon_prints_the_same_cost(self, capsys, argv, reference, cost, failure):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out)["cost"] == pytest.approx(cost, rel=1e-12, abs=0.0)
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lincontrol.__file__)))

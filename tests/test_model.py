@@ -873,12 +873,17 @@ class TestEndTable:
         calls = []
 
         def spy(sums, t):
-            calls.append(np.shape(t))
+            calls.append(("real_values", np.shape(t)))
             return expsums.real_values(sums, t)
 
+        def spy_term_sums(gammas, e):
+            calls.append(("term_sums", np.shape(e)[1:]))
+            return expsums.term_sums(gammas, e)
+
         monkeypatch.setattr(modelmod, "real_values", spy)
+        monkeypatch.setattr(modelmod, "term_sums", spy_term_sums)
         sol = make()
-        assert calls == [(2,)]  # the packaging's end table
+        assert calls == [("term_sums", (2,))]  # the packaging's end table, on the route's term ends
         calls.clear()
         report = verify_boundaries(sol)
         assert calls == []
@@ -891,13 +896,18 @@ class TestEndTable:
         # one evaluation of every row at [0, T], before the certificate, handed to the record;
         # certify, verify_boundaries and the summary then evaluate nothing
         events, handed = [], []
-        real_values, x_stack, init, certify = (
-            modelmod.real_values, stamod.AnsatzFamily.x_stack, Trajectory.__init__, modelmod.certify,
+        real_values, term_sums, x_stack, init, certify = (
+            modelmod.real_values, modelmod.term_sums, stamod.AnsatzFamily.x_stack, Trajectory.__init__,
+            modelmod.certify,
         )
 
         def spy_real_values(sums, t):
             events.append(("real_values", np.shape(t), len(sums.gammas)))
             return real_values(sums, t)
+
+        def spy_term_sums(gammas, e):
+            events.append(("term_sums", np.shape(e)[1:], len(gammas)))
+            return term_sums(gammas, e)
 
         def spy_x_stack(family, coeffs, t, order=2):
             events.append(("x_stack", np.asarray(t).tolist(), order))
@@ -914,6 +924,7 @@ class TestEndTable:
             return sol
 
         monkeypatch.setattr(modelmod, "real_values", spy_real_values)
+        monkeypatch.setattr(modelmod, "term_sums", spy_term_sums)
         monkeypatch.setattr(stamod.AnsatzFamily, "x_stack", spy_x_stack)
         monkeypatch.setattr(Trajectory, "__init__", spy_init)
         monkeypatch.setattr(modelmod, "certify", spy_certify)
@@ -922,8 +933,8 @@ class TestEndTable:
         traj = sol.trajectory
         if sol.kind in ("sta-poly", "sta-trig"):
             evaluation = ("x_stack", [0.0, traj.T], 2)
-        else:
-            evaluation = ("real_values", (2,), len(traj.names))
+        else:  # every row on the term ends the route built for its boundary system
+            evaluation = ("term_sums", (2,), len(traj.names))
         assert events == [evaluation, "certify", "certified"]
         assert len(handed) == 1 and handed[0] is traj.ends
         assert not traj.ends.flags.writeable

@@ -753,6 +753,18 @@ class TestPairKernel:
             want = product_integral_mp(f, f).real
             assert type(got) is float and abs(got - want) <= 1e-13 * abs(want)
 
+    @pytest.mark.parametrize("rates,T", KERNEL_RATE_SETS.values(), ids=KERNEL_RATE_SETS.keys())
+    def test_squares_are_the_product_integral_of_a_sum_with_itself(self, rates, T):
+        # square_integrals leaves out product_integral's operand checks, not its arithmetic
+        rng = np.random.default_rng(len(rates))
+        for gammas in (rng.normal(size=(3, len(rates))),
+                       rng.normal(size=(2, len(rates))) + 1j * rng.normal(size=(2, len(rates)))):
+            s = ExpSum(gammas, rates, T)
+            want = np.real(product_integral(s, s))
+            got = square_integrals(s)
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("sums", KERNEL_STACKS.values(), ids=KERNEL_STACKS.keys())
     def test_stacked_rows_match_single_sums(self, sums):
         g = rows(sums, slice(None, None, -1))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from lincontrol import oct as octmod, sta as stamod
-from lincontrol.expsums import ExpSum, anchors
+from lincontrol.expsums import ExpSum, anchors, real_values, term_sums
 from lincontrol.model import (
     BoundaryResidual, ControlProblem, InvalidOrder, NegativeCostPart, adjoint_names, cost_functional, row_names,
     sample_table, verify_boundaries,
@@ -850,6 +850,58 @@ PACKAGED_SOLVERS = {
 
 def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
+
+
+class TestTermEnds:
+    """Each route's term end values: its boundary system's, and the packaging's end table."""
+
+    @staticmethod
+    def handed(monkeypatch, solve):
+        seen = []
+        package = octmod.package_rows
+
+        def spy(problem, kind, rows, rates, **kwargs):
+            seen.append((problem.T, np.asarray(rows), np.asarray(rates), kwargs["term_ends"]))
+            return package(problem, kind, rows, rates, **kwargs)
+
+        monkeypatch.setattr(octmod, "package_rows", spy)
+        monkeypatch.setattr(stamod, "package_rows", spy)
+        sol = solve()
+        (handed,) = seen
+        return sol, handed
+
+    @pytest.mark.parametrize("solve", PACKAGED_SOLVERS.values(), ids=PACKAGED_SOLVERS.keys())
+    def test_the_end_table_is_real_values_at_the_ends(self, monkeypatch, solve):
+        sol, (T, rows, rates, term_ends) = self.handed(monkeypatch, solve)
+        t = np.array([0.0, T])
+        # real_values' own table at t = (0, T), in its layout and arithmetic
+        tau = np.where(rates.real > 0, T, 0.0)
+        assert term_ends.shape == (2, len(rates))
+        assert term_ends.T.tobytes() == np.exp(rates[:, None] * (t - tau[:, None])).tobytes()
+        want = real_values(ExpSum(rows, rates, T), t)
+        assert term_sums(rows, term_ends.T).tobytes() == want.tobytes()
+        assert sol.trajectory.ends.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("args", CHAIN_PROBLEMS.values(), ids=[f"n{n}" for n in CHAIN_PROBLEMS])
+    def test_a_modal_solve_forms_one_end_table(self, monkeypatch, args):
+        # the modal system and the packaging read the same end values
+        made = []
+        end_values = octmod.end_values
+        monkeypatch.setattr(octmod, "end_values", lambda w, T: made.append(end_values(w, T)) or made[-1])
+        _, (_, _, _, term_ends) = self.handed(monkeypatch, lambda: solve_regular(build_lq(*args)))
+        assert len(made) == 1 and term_ends is made[0]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_the_modal_right_hand_side_is_read_only(self, monkeypatch, n):
+        seen = []
+        monkeypatch.setattr(octmod, "solve_linear", lambda A, b: seen.append(b) or np.ones(len(b)))
+        for _ in range(2):
+            octmod._modal_amplitudes(PontryaginFlow(build_lq(n, 1e-4, 2.0)))
+        first, second = seen
+        assert first is second and not first.flags.writeable
+        want = np.zeros(2 * n + 2, dtype=complex)
+        want[-1] = 1.0  # at rest at t = 0, and z_0 = x + x' = 1 at t = T
+        assert first.tobytes() == want.tobytes()
 
 
 class TestPackagingBitwise:

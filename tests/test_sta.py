@@ -533,6 +533,24 @@ TABLE_ORDERS = [(PolynomialAnsatz, N) for N in (3, 12, 20, 47)] + [
 ]
 
 
+class TestXStack:
+    """``x_stack`` contracts every derivative in one stacked product, with each product's own bits."""
+
+    @pytest.mark.parametrize("points", [2, 64, 2001])
+    @pytest.mark.parametrize("family", [PolynomialAnsatz, TrigonometricAnsatz], ids=["poly", "trig"])
+    def test_stacked_product_is_the_per_derivative_products(self, family, points):
+        rng = np.random.default_rng(points)
+        for N in range(3, 21):
+            fam = family(N, 1.7)
+            grid = np.linspace(0.0, 1.7, points)  # two points are the ends, the cached endpoint table
+            for ts in (grid, grid[1:2].reshape(()), grid[: points // 2 * 2].reshape(2, -1)):
+                for order in range(3):
+                    coeffs = rng.normal(size=fam.offset.size) * 10.0 ** rng.uniform(-3.0, 3.0)
+                    tables = fam.basis(ts.ravel() if ts.ndim > 1 else ts, order)
+                    want = np.array([coeffs @ table for table in tables]).reshape((order + 1,) + ts.shape)
+                    assert fam.x_stack(coeffs, ts, order).tobytes() == want.tobytes(), (N, ts.shape, order)
+
+
 class TestReferenceTables:
     """The horizon-2 tables, rescaled, against each basis evaluated directly at horizon T."""
 
