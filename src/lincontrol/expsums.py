@@ -50,15 +50,22 @@ def anchors(rates, T):
     return T * (rates.real > 0)
 
 
+def _term_table(rates, T, t):
+    # the one term table exp(s (t - tau)) of the array rates at the float array t,
+    # shaped (terms,) + t.shape: real_values sums it, and end_values is its view at t = (0, T)
+    per_term = (-1,) + (1,) * t.ndim
+    return np.exp(rates.reshape(per_term) * (t - anchors(rates, T).reshape(per_term)))
+
+
 def end_values(rates, T):
     """Each term's value per unit gamma at ``t = 0`` and ``t = T``, as the two rows of a ``(2, terms)`` array.
 
-    The array is the transpose of the ``(terms, 2)`` table ``exp(s (t - tau))``
-    that :func:`real_values` forms at ``t = (0, T)``, in its arithmetic, so
+    The array is the transpose of the ``(terms, 2)`` term table that
+    :func:`real_values` sums at ``t = (0, T)``, the same expression, so
     :func:`term_sums` of gamma rows on ``end_values(rates, T).T`` gives the
     bits of :func:`real_values` at the two ends without a second ``np.exp``.
     """
-    return np.exp(rates[:, None] * (np.array([0.0, T]) - anchors(rates, T)[:, None])).T
+    return _term_table(rates, T, np.array([0.0, T])).T
 
 
 #: :func:`real_values` forms every product of a call in one table for at most
@@ -80,14 +87,12 @@ def real_values(s, t):
     (``t.shape`` for a single sum).
 
     Every term's exponential is computed for all rows in one ``np.exp`` call
-    over a ``(terms,) + t.shape`` array (real when every rate is real), and
-    :func:`term_sums` adds the rows' terms on it.
+    over a ``(terms,) + t.shape`` table (real when every rate is real), the
+    one that :func:`end_values` views at the two ends, and :func:`term_sums`
+    adds the rows' terms on it.
     """
     gammas, rates, T = s
-    rates = np.asarray(rates)
-    t = np.asarray(t, dtype=float)
-    per_term = (-1,) + (1,) * t.ndim
-    return term_sums(gammas, np.exp(rates.reshape(per_term) * (t - anchors(rates, T).reshape(per_term))))
+    return term_sums(gammas, _term_table(np.asarray(rates), T, np.asarray(t, dtype=float)))
 
 
 def term_sums(gammas, e):

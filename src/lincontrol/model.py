@@ -131,6 +131,29 @@ def _row_tables(n):
     return names, names + adjoint_names(n)
 
 
+def row_factors(rates, adjoint_weight=None):
+    """The factors that turn ``x``'s gammas on the array ``rates`` into the gamma rows of ``row_names(1)``.
+
+    Row ``a`` of the ``(rows, terms)`` array is the polynomial in the rates
+    that multiplies ``x``'s gammas into row ``a``: ``1, r, 1 + r, r^2 + r``
+    for ``x, x', u = x' + x, v = x'' + x'``, then ``p_y, p_z`` of the
+    optimum at weight ``lam = adjoint_weight`` if given.  The flow (``p_y +
+    p_z = lam v``, ``p_y' = p_y + 2y - z``, ``p_z' = z - y``) gives ``p_y =
+    lam (x''' + x'') - x'`` and ``p_z = lam v - p_y``.  The one table of
+    these factors: the exponential family multiplies it by its gammas, and
+    the impulsive arc, the optimum at weight 0 on the rates ``+-1``, by its
+    two.
+    """
+    F = np.empty((4 if adjoint_weight is None else 6, len(rates)))
+    F[0], F[1], F[2], F[3] = 1.0, rates, 1.0 + rates, rates * rates + rates
+    if adjoint_weight is not None:
+        with np.errstate(over="ignore"):
+            # r^3 overflows for weights below about 1e-206; the packaged p_y is then refused
+            F[4] = adjoint_weight * (rates * rates * rates + rates * rates) - rates
+        F[5] = adjoint_weight * F[3] - F[4]
+    return F
+
+
 @lru_cache(maxsize=64)
 def _cost_index(n):
     """The read-only index of the rows ``x``, ``x'`` and ``v`` in :func:`row_names` order, built once per order."""
@@ -290,15 +313,12 @@ def exact_cost(problem, rows, rates):
 
     The parts are the exact square integrals of the rows ``x``, ``x'`` and
     ``v`` on the terms ``rates`` over the problem's horizon, with complex
-    gammas.
+    gammas.  The package's one exact cost: :func:`package_rows` and
+    :meth:`~lincontrol.sta.ExponentialAnsatz.gram` call it inside their own
+    ``np.errstate`` block, which keeps a gamma outside the float range
+    silent here; a caller without one sees numpy's warning.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _cost_parts(problem, np.asarray(rows), rates)
-
-
-def _cost_parts(problem, stack, rates):
-    """:func:`exact_cost` of the gamma array ``stack``, inside the caller's ``np.errstate``."""
-    cost_rows = np.asarray(stack[_cost_index(problem.n)], dtype=complex)
+    cost_rows = np.asarray(rows, dtype=complex)[_cost_index(problem.n)]
     state, deriv, ctrl = square_integrals(ExpSum(cost_rows, rates, problem.T))
     return CostBreakdown(state, deriv, problem.lam * ctrl if problem.lam else 0.0)
 
@@ -330,7 +350,7 @@ def package_rows(problem, kind, rows, rates, *, term_ends, impulses=(), cost_ove
     n, T = problem.n, problem.T
     stack = np.asarray(rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        breakdown = _cost_parts(problem, stack, rates)
+        breakdown = exact_cost(problem, stack, rates)
         ends = term_sums(stack, term_ends.T)
 
     def evaluate(ts, index):

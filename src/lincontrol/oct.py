@@ -51,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .expsums import end_values
-from .model import ControlProblem, Impulse, _real, package_rows
+from .model import ControlProblem, Impulse, _real, package_rows, row_factors
 # no solve calls eigendecompose; the benchmark's span table binds it on this module
 from .numerics import NumericsError, Overflow, SingularMatrix, eigendecompose, solve_linear
 
@@ -274,7 +274,10 @@ def _series_from_modes(flow):
 
 #: the rates of the impulsive arc's terms, ``e^(t - T)`` and ``e^-t``
 _ARC_RATES = np.array([1.0, -1.0])
+#: the arc's row factors, the first-order optimum's at weight 0 on those rates
+_ARC_FACTORS = row_factors(_ARC_RATES, 0.0)
 _ARC_RATES.setflags(write=False)
+_ARC_FACTORS.setflags(write=False)
 
 
 def singular_solution(T=1.0):
@@ -287,7 +290,10 @@ def singular_solution(T=1.0):
     ``p_y = -xdot`` and ``p_z = +xdot``.  The bare cost is exactly
     ``coth(T)``; impulses are excluded from the integral.
 
-    A non-finite cost or coefficient raises
+    Its gamma rows are the first-order optimum's
+    :func:`~lincontrol.model.row_factors` at weight 0 on the rates ``+-1``
+    times ``x``'s gammas ``(grow, -decay)``, ``grow = e^T / (2 sinh T)``
+    and ``decay = grow e^-T``.  A non-finite cost or coefficient raises
     :class:`~lincontrol.numerics.Overflow`.  The gammas grow like ``1/(2T)``,
     so ``x(T) - 1`` and the kicked ``x'`` lose digits at short horizons
     (``x(0) = 0`` holds exactly); from horizons of about ``1e-8`` down the
@@ -296,19 +302,16 @@ def singular_solution(T=1.0):
     """
     problem = ControlProblem(T=T, n=1, lam=0.0)
     T = problem.T
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         # sinh overflows to inf beyond T ~ 710, where 1/sinh(T) correctly rounds
-        # to 0; below T ~ 1e-308 the kicks and the cost overflow, and the
-        # packaged solution is refused as non-finite
+        # to 0; below T ~ 5.6e-309 the kicks, the cost and 2 grow overflow, and
+        # below T ~ 2.8e-309 grow and decay do, and the factor 0 times decay is
+        # NaN: the packaged solution is then refused for its non-finite cost
         a1 = float(1.0 / np.sinh(T))
         coth = float(1.0 / np.tanh(T))
         grow = float(1.0 / -np.expm1(-2.0 * T))  # e^T / (2 sinh T), overflow-safe
-    decay = grow * np.exp(-T)  # = 1/(2 sinh T); this form cancels exactly in x(0)
-    # x = grow e^(t-T) - decay e^-t and x' = grow e^(t-T) + decay e^-t; the
-    # zero gamma of z = v = 2 grow e^(t-T) is written out, as a rate factor
-    # 1 + r would form inf * 0 once decay overflows
-    xdot, z = [grow, decay], [2.0 * grow, 0.0]
-    rows = [[grow, -decay], xdot, z, z, [-grow, -decay], xdot]  # x, x', z, v, p_y, p_z
+        decay = grow * np.exp(-T)  # = 1/(2 sinh T); this form cancels exactly in x(0)
+        rows = _ARC_FACTORS * (grow, -decay)  # x, x', z, v, p_y, p_z
     return package_rows(
         problem, "oct-singular", rows, rates=_ARC_RATES, term_ends=end_values(_ARC_RATES, T),
         impulses=(Impulse(0.0, a1), Impulse(T, -coth)), cost_override=coth,

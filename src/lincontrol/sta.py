@@ -40,7 +40,7 @@ import numpy as np
 
 from .expsums import ExpSum, end_values
 from .model import ControlProblem, CostBreakdown, InvalidOrder, ProtocolSolution, Trajectory, _real, row_names
-from .model import certify, exact_cost, package_rows
+from .model import certify, exact_cost, package_rows, row_factors
 from .numerics import (
     SOLVE_COND_CAP,
     Overflow,
@@ -436,24 +436,10 @@ class ExponentialAnsatz:
         """Gamma rows of ``x, x', u = x' + x, v = x'' + x'`` on the terms of :attr:`x`,
         then ``p_y, p_z`` of the optimum at weight ``lam = adjoint_weight`` if given.
 
-        Every row is ``x``'s gammas times a polynomial in the rates, in one
-        product.  The flow (``p_y + p_z = lam v``, ``p_y' = p_y + 2y - z``,
-        ``p_z' = z - y``) gives ``p_y = lam (x''' + x'') - x'`` and ``p_z =
-        lam v - p_y``.
+        The :func:`~lincontrol.model.row_factors` of the rates times ``x``'s
+        gammas, in one product.
         """
-        r = self.x.rates
-        F = np.empty((4 if adjoint_weight is None else 6, len(r)))
-        F[0] = 1.0
-        F[1] = r
-        F[2] = 1.0 + r
-        F[3] = r * r + r
-        if adjoint_weight is not None:
-            with np.errstate(over="ignore"):
-                # r^3 overflows for weights below about 1e-206; the packaged p_y is then refused
-                F[4] = adjoint_weight * (r * r * r + r * r) - r
-            F[5] = adjoint_weight * F[3] - F[4]
-        F *= self.x.gammas
-        return F
+        return row_factors(self.x.rates, adjoint_weight) * self.x.gammas
 
     def paper_coefficients(self, coeffs):
         # adding 0.0 reports a coefficient that underflowed to -0.0 as 0
@@ -461,7 +447,8 @@ class ExponentialAnsatz:
 
     def gram(self, lam=0.0):
         """A form over no parameters whose ``c0`` is the cost :func:`solve_sta` reports, bit for bit."""
-        cost = exact_cost(ControlProblem(T=self.T, n=1, lam=lam), self.rows(), self.x.rates)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cost = exact_cost(ControlProblem(T=self.T, n=1, lam=lam), self.rows(), self.x.rates)
         return GramForm(A=np.zeros((0, 0)), b=np.zeros(0), c0=cost.total)
 
 

@@ -1,11 +1,15 @@
 """Independent closed forms that the tests compare the package against."""
 
+import json
+
 import mpmath
 import numpy as np
 import scipy.linalg
 
-from lincontrol.expsums import ExpSum, square_integrals
-from lincontrol.model import CostBreakdown, ProtocolSolution, Trajectory, adjoint_names, row_names
+from lincontrol.expsums import ExpSum, end_values, square_integrals
+from lincontrol.model import (
+    ControlProblem, CostBreakdown, Impulse, ProtocolSolution, Trajectory, adjoint_names, row_names,
+)
 from lincontrol.numerics import Overflow, SingularMatrix, eigendecompose, integrate, solve_linear
 from lincontrol import oct as octmod
 from lincontrol.oct import (
@@ -471,6 +475,32 @@ def singular_endpoint_residual(T):
     return float(max(abs(grow - decay * e - 1.0), abs(2.0 * decay - a1), abs(grow + decay * e - coth)))
 
 
+def singular_solution_by_hand(T):
+    """The impulsive arc packaged from gamma rows written out by hand.
+
+    ``x = grow e^(t - T) - decay e^-t``, ``x' = p_z = grow e^(t - T) + decay
+    e^-t``, ``z = v = 2 grow e^(t - T)`` with its zero gamma written out,
+    and ``p_y = -x'``, in Python float arithmetic.  This is the reference of
+    :func:`lincontrol.oct.singular_solution`, which forms the rows as the
+    first-order optimum's row factors times ``(grow, -decay)``; the two must
+    package the same solution, or be refused alike.
+    """
+    problem = ControlProblem(T=T, n=1, lam=0.0)
+    T = problem.T
+    with np.errstate(over="ignore"):
+        a1 = float(1.0 / np.sinh(T))
+        coth = float(1.0 / np.tanh(T))
+        grow = float(1.0 / -np.expm1(-2.0 * T))
+    decay = grow * np.exp(-T)
+    xdot, z = [grow, decay], [2.0 * grow, 0.0]
+    rows = [[grow, -decay], xdot, z, z, [-grow, -decay], xdot]
+    rates = np.array([1.0, -1.0])
+    return octmod.package_rows(
+        problem, "oct-singular", rows, rates=rates, term_ends=end_values(rates, T),
+        impulses=(Impulse(0.0, a1), Impulse(T, -coth)), cost_override=coth,
+    )
+
+
 #: ``(n, lam, T)`` of one answered modal problem per order 2..8: weight
 #: ``10^(-2n)`` at ``T = 1``, a fast rate of 10.  There the modal solve misses
 #: the ends of orders 7 and 8 by 2.4e-8 and 2.7e-6 and is refused, so those two
@@ -522,4 +552,4 @@ def json_reference(obj, indent=0):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return format(float(obj), ".17g")
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return json.dumps(str(obj), ensure_ascii=False)

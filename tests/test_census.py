@@ -50,8 +50,6 @@ UNREACHED = {
     "expsums.product_integral": "public: the exact integral of the products of two sums' rows, behind its operand "
                                 "checks; the packaging's squares take square_integrals, the same quadratic form "
                                 "on one operand without those checks",
-    "model.exact_cost": "public: the exact cost of gamma rows in its own np.errstate block; the packaging "
-                        "runs its body, _cost_parts, inside the one block it shares with the end table",
 }
 
 _CENSUS = (

@@ -541,20 +541,34 @@ class TestValidate:
 
     def test_scaled_cost_parts_fail_every_reference_row(self, monkeypatch, capsys):
         # parts 1e-9 off the truth, which every other row passes, planted in
-        # the exact cost that the packaging and exact_cost share
-        cost_parts = modelmod._cost_parts
+        # the exact cost that the packaging calls
+        cost_parts = modelmod.exact_cost
 
         def planted(problem, stack, rates):
             state, derivative, control_energy = cost_parts(problem, stack, rates)
             return CostBreakdown(state * (1 + 1e-9), derivative, control_energy * (1 + 1e-9))
 
-        monkeypatch.setattr(modelmod, "_cost_parts", planted)
+        monkeypatch.setattr(modelmod, "exact_cost", planted)
         checks = run_validation()
         rows = [c for c in checks if c["check"].startswith("reference-optimum-")]
         assert len(rows) == len(REFERENCE_OPTIMA) + 2
         assert not any(c["passed"] for c in rows)
         assert all(c["passed"] for c in checks if c not in rows)
         assert run_cli(capsys, "validate")[0] == 1
+
+    @pytest.mark.parametrize("argv", [("sta", "exp"), ("oct", "regular"), ("oct", "higher", "--n", "3"),
+                                      ("oct", "singular")], ids=" ".join)
+    def test_planted_exact_cost_moves_the_printed_parts(self, monkeypatch, capsys, argv):
+        # every route's printed parts come from the one exact cost
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        exact_cost = modelmod.exact_cost
+        monkeypatch.setattr(modelmod, "exact_cost", lambda *args: CostBreakdown(*(2.0 * p for p in exact_cost(*args))))
+        code, planted, _ = run_cli(capsys, *argv)
+        assert code == 0
+        parts, moved = json.loads(out)["cost_breakdown"], json.loads(planted)["cost_breakdown"]
+        assert moved == {name: 2.0 * value for name, value in parts.items()}
+        assert moved["state"] > 0
 
     @staticmethod
     def _planted(monkeypatch, plant):
@@ -1024,3 +1038,20 @@ class TestJsonRendering:
         for obj in (doc, [doc, doc["list"]], np.float64(1e300), np.float32(3.0), -0.0, {}, [], None):
             assert _json(obj) == json_reference(obj)
         assert _json(doc, indent=3) == json_reference(doc, indent=3)
+
+    @pytest.mark.parametrize("char", [chr(c) for c in range(32)] + ['"', "\\"], ids=lambda c: f"U+{ord(c):04X}")
+    def test_escaped_string_round_trips(self, char):
+        text = f"a{char}b{char}"
+        assert _json(text) == json_reference(text)
+        assert json.loads(_json(text)) == text
+        doc = {"path": text, "rows": [text]}
+        assert _json(doc) == json_reference(doc)
+        assert json.loads(_json(doc)) == doc
+
+    def test_sweep_receipt_with_a_tab_in_its_path_parses(self, capsys, tmp_path):
+        path = str(tmp_path / "a\tb.csv")
+        code, out, _ = run_cli(capsys, "sweep-lambda", "--lambdas", "1e-4,1e-5", "--out", path)
+        assert code == 0
+        receipt = json.loads(out)
+        assert receipt["path"] == path and receipt["rows_written"] == 2
+        assert os.path.exists(path)

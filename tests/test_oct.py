@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from lincontrol import oct as octmod, sta as stamod
+from lincontrol.cli import _json, solution_summary
 from lincontrol.expsums import ExpSum, anchors, real_values, term_sums
 from lincontrol.model import (
     BoundaryResidual, ControlProblem, InvalidOrder, NegativeCostPart, adjoint_names, cost_functional, row_names,
@@ -42,6 +43,7 @@ from oracles import (
     package_per_sum,
     shoot_adjoint_block,
     singular_endpoint_residual,
+    singular_solution_by_hand,
     square_integrals_at_anchors,
     telescoped_x_rows,
     values_at_anchors,
@@ -419,6 +421,30 @@ class TestSingularSolution:
         # x(T) - 1 = -1 in float64: the packaging's certificate refuses the arc
         with pytest.raises(BoundaryResidual, match=r"^boundary residual x\(T\)-1 = -1 exceeds the tolerance 1e-08$"):
             singular_solution(1e-200)
+
+    def test_factor_table_is_the_optimum_at_weight_0(self):
+        # x, x', z, v, p_y, p_z on the rates 1 and -1, shared read-only by every arc
+        assert octmod._ARC_FACTORS.tolist() == [[1, 1], [1, -1], [2, 0], [2, 0], [-1, 1], [1, -1]]
+        assert not octmod._ARC_FACTORS.flags.writeable
+
+    def test_factor_rows_package_the_hand_written_rows(self):
+        # horizons 10^(-k/4) down to 1e-310: the same summary bytes, or the same
+        # refusal, with every RuntimeWarning an error
+        def outcome(solve, T):
+            try:
+                return _json(solution_summary(solve(T)))
+            except (NumericsError, ValueError) as exc:
+                return type(exc).__name__, str(exc)
+
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for k in range(1241):
+                T = 10.0 ** (-k / 4)
+                got = outcome(singular_solution, T)
+                assert got == outcome(singular_solution_by_hand, T), T
+                outcomes.add(got[0] if isinstance(got, tuple) else "answered")
+        assert outcomes == {"answered", "NegativeCostPart", "BoundaryResidual", "Overflow"}
 
     def test_adjoints_on_singular_set(self):
         # p_y + p_z = 0 and p_y = -xdot hold identically on the arc
