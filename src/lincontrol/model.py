@@ -16,6 +16,12 @@ for byte, from the exact numpy kernel of :mod:`lincontrol.floattext`.
 Impulsive controls are represented symbolically by :class:`Impulse`
 records and excluded from all integrals.
 
+The names and indices of a boundary order (its rows, adjoints, cost rows
+and boundary residuals) are one read-only table, built once per order;
+:func:`row_names` and :func:`adjoint_names` read it.  Every route builds
+its solution record with one assembler, :func:`assemble_solution`, which
+returns it through :func:`certify`.
+
 The value records (:class:`ControlProblem`, :class:`Impulse`,
 :class:`CostBreakdown`, :class:`BoundaryReport`) are named tuples, and
 :class:`Trajectory` and :class:`ProtocolSolution` are plain classes that
@@ -105,15 +111,34 @@ class Impulse(NamedTuple):
     area: float
 
 
+#: the tables :func:`_order_table` builds once per boundary order
+_OrderTable = NamedTuple("_OrderTable", [("rows", tuple), ("adjoints", tuple), ("cost_index", np.ndarray),
+                                          ("residuals", tuple)])
+
+
 @lru_cache(maxsize=64)
+def _order_table(n):
+    """The names and the index of boundary order ``n``, built once and shared read-only.
+
+    ``rows`` is :func:`row_names` without and with the adjoints,
+    ``adjoints`` the :func:`adjoint_names`, ``cost_index`` the read-only
+    index of the rows ``x``, ``x'`` and ``v`` that :func:`exact_cost` reads,
+    and ``residuals`` the names of the boundary residuals in report order.
+    """
+    names = ("x",) + tuple(f"x^({j})" for j in range(1, n + 1)) + tuple(f"z{k}" for k in range(n)) + ("v",)
+    adjoints = ("py", "pz") if n == 1 else (f"px{n}",) + tuple(f"pz{k}" for k in range(n - 1, -1, -1))
+    cost_index = np.array([0, 1, 2 * n + 1])
+    cost_index.setflags(write=False)
+    residuals = ("x(0)", "x(T)-1") + tuple(f"x^({j})({end})" for j in range(1, n + 1) for end in "0T")
+    return _OrderTable((names, names + adjoints), adjoints, cost_index, residuals)
+
+
 def adjoint_names(n):
     """Names of the adjoint columns at boundary order ``n``, in chain order.
 
     The tuple is built once per order and shared by every caller.
     """
-    if n == 1:
-        return ("py", "pz")
-    return (f"px{n}",) + tuple(f"pz{k}" for k in range(n - 1, -1, -1))
+    return _order_table(n).adjoints
 
 
 def row_names(n, adjoints=False):
@@ -122,13 +147,7 @@ def row_names(n, adjoints=False):
 
     Both tuples are built once per order and shared by every caller.
     """
-    return _row_tables(n)[bool(adjoints)]
-
-
-@lru_cache(maxsize=64)
-def _row_tables(n):
-    names = ("x",) + tuple(f"x^({j})" for j in range(1, n + 1)) + tuple(f"z{k}" for k in range(n)) + ("v",)
-    return names, names + adjoint_names(n)
+    return _order_table(n).rows[bool(adjoints)]
 
 
 def row_factors(rates, adjoint_weight=None):
@@ -152,20 +171,6 @@ def row_factors(rates, adjoint_weight=None):
             F[4] = adjoint_weight * (rates * rates * rates + rates * rates) - rates
         F[5] = adjoint_weight * F[3] - F[4]
     return F
-
-
-@lru_cache(maxsize=64)
-def _cost_index(n):
-    """The read-only index of the rows ``x``, ``x'`` and ``v`` in :func:`row_names` order, built once per order."""
-    index = np.array([0, 1, 2 * n + 1])
-    index.setflags(write=False)
-    return index
-
-
-@lru_cache(maxsize=64)
-def _residual_names(n):
-    """The names of the order-``n`` boundary residuals, in report order, built once per order."""
-    return ("x(0)", "x(T)-1") + tuple(f"x^({j})({end})" for j in range(1, n + 1) for end in "0T")
 
 
 #: other names of trajectory rows: ``xdot`` and ``y`` are ``x'``, and ``u`` is ``z0``
@@ -305,7 +310,7 @@ class ProtocolSolution(_Record):
             values[3] += sum(i.area for i in self.impulses if i.time == T)
         else:
             values[3] += 0.0  # as adding no kick area does: an x'(T) of -0.0 reports 0
-        return MappingProxyType(dict(zip(_residual_names(n), values)))
+        return MappingProxyType(dict(zip(_order_table(n).residuals, values)))
 
 
 def exact_cost(problem, rows, rates):
@@ -318,7 +323,7 @@ def exact_cost(problem, rows, rates):
     ``np.errstate`` block, which keeps a gamma outside the float range
     silent here; a caller without one sees numpy's warning.
     """
-    cost_rows = np.asarray(rows, dtype=complex)[_cost_index(problem.n)]
+    cost_rows = np.asarray(rows, dtype=complex)[_order_table(problem.n).cost_index]
     state, deriv, ctrl = square_integrals(ExpSum(cost_rows, rates, problem.T))
     return CostBreakdown(state, deriv, problem.lam * ctrl if problem.lam else 0.0)
 
@@ -337,37 +342,47 @@ def package_rows(problem, kind, rows, rates, *, term_ends, impulses=(), cost_ove
     The cost is :func:`exact_cost`'s, and it and every row at ``t = 0`` and
     ``T`` are formed inside one ``np.errstate`` block; the rows at the ends
     are one :func:`~lincontrol.expsums.term_sums` of the whole stack on
-    ``term_ends``, the bits of ``real_values`` there, handed to the
-    trajectory as its :attr:`Trajectory.ends` for the boundary report.  The
-    coefficients are the adjoints at ``t = 0`` (``p0_*``) read from that
-    table, if any, then ``coefficients``.
+    ``term_ends``, the bits of ``real_values`` there.
+    :func:`assemble_solution` builds the record from them.
 
     A gamma outside the float range turns the cost or a coefficient into
     NaN or infinity without a warning here, and :class:`ProtocolSolution`
     refuses it with :class:`~lincontrol.numerics.Overflow`; :func:`certify`
     then refuses a solution that misses a boundary condition.
     """
-    n, T = problem.n, problem.T
     stack = np.asarray(rows)
     with np.errstate(over="ignore", invalid="ignore"):
         breakdown = exact_cost(problem, stack, rates)
         ends = term_sums(stack, term_ends.T)
 
     def evaluate(ts, index):
-        return real_values(ExpSum(stack[index], rates, T), ts)
+        return real_values(ExpSum(stack[index], rates, problem.T), ts)
 
-    names = row_names(n, len(stack) > len(row_names(n)))
-    initial = ends[2 * n + 2 :, 0].tolist()
-    p0 = {f"p0_{nm}": value for nm, value in zip(adjoint_names(n), initial)}
-    return certify(ProtocolSolution(
-        problem=problem,
-        kind=kind,
-        coefficients=p0 | (coefficients or {}),
-        trajectory=Trajectory(T=T, n=n, names=names, evaluate=evaluate, ends=ends),
-        impulses=tuple(impulses),
-        cost=breakdown.total if cost_override is None else cost_override,
-        cost_breakdown=breakdown,
-    ))
+    return assemble_solution(problem, kind, evaluate, ends, breakdown, impulses=impulses, cost=cost_override,
+                             coefficients=coefficients)
+
+
+def assemble_solution(problem, kind, evaluate, ends, breakdown, *, impulses=(), cost=None, coefficients=None):
+    """The certified :class:`ProtocolSolution` of a trajectory's evaluator and end table.
+
+    The one assembler of a solution record: :func:`package_rows` and the
+    polynomial and sine branch of :func:`~lincontrol.sta.solve_sta` call
+    it.  ``ends`` is every row at ``t = 0`` and ``T``, in the order of
+    ``row_names(n)`` or, when there are more rows, of ``row_names(n,
+    adjoints=True)``; it becomes the trajectory's :attr:`Trajectory.ends`.
+    The coefficients are the adjoints at ``t = 0`` (``p0_*``) read from it,
+    if any, then ``coefficients``.  ``cost`` defaults to the breakdown's
+    total.  The record is returned through :func:`certify`.
+    """
+    n = problem.n
+    adjoints = len(ends) > 2 * n + 2  # more rows than the 2n + 2 of row_names(n)
+    coefficients = coefficients or {}
+    if adjoints:  # the adjoints at t = 0 lead the coefficients
+        initial = ends[2 * n + 2 :, 0].tolist()
+        coefficients = {f"p0_{nm}": value for nm, value in zip(adjoint_names(n), initial)} | coefficients
+    trajectory = Trajectory(T=problem.T, n=n, names=row_names(n, adjoints), evaluate=evaluate, ends=ends)
+    cost = breakdown.total if cost is None else cost
+    return certify(ProtocolSolution(problem, kind, coefficients, trajectory, tuple(impulses), cost, breakdown))
 
 
 def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
@@ -478,11 +493,11 @@ def certify(sol):
     fails at :data:`BOUNDARY_TOL`, then :class:`NegativeCostPart` when a cost
     part is below 0.
 
-    The one certificate: :func:`package_rows` and the polynomial and sine
-    branch of :func:`~lincontrol.sta.solve_sta` return every solution through
-    it, so no solver returns one that misses its ends or prints a negative
-    integral of a square.  Its report is :func:`verify_boundaries`' at the
-    default tolerance, built directly: the constant tolerance needs no check.
+    The one certificate: :func:`assemble_solution` returns every solution
+    through it, so no solver returns one that misses its ends or prints a
+    negative integral of a square.  Its report is :func:`verify_boundaries`'
+    at the default tolerance, built directly: the constant tolerance needs
+    no check.
     """
     report = BoundaryReport(residuals=sol.boundary_residuals, tol=BOUNDARY_TOL)
     if not report.passed:

@@ -23,8 +23,11 @@ first-order optimum at ``n = 1``, the generic solver at every order
 (state, controls and adjoints) to :func:`~lincontrol.model.package_rows`,
 which keeps them in a single gamma matrix; the exponential family of
 ``sta`` uses the same packaging without the adjoints.  Only the modal
-solve has chain coordinates.  The packaging certifies each solution, so
-every route meets its ``2n + 2`` boundary conditions or raises
+solve has chain coordinates, and everything it needs that depends on the
+order alone (the unit roots, the adjoint coefficients, the row realising
+``x'`` and the modal system's right-hand side) is one read-only table per
+order.  The packaging certifies each solution, so every route meets its
+``2n + 2`` boundary conditions or raises
 :class:`~lincontrol.model.BoundaryResidual`.
 
 The flow's modes are known in closed form: the Euler-Lagrange operator of
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,49 +68,45 @@ class ShootingSingular(NumericsError):
     """The terminal shooting system is numerically singular."""
 
 
-@lru_cache(maxsize=64)
-def _x1_row(n):
-    """Read-only row vector expressing x' in the chain coordinates, built once per order.
-
-    ``x' = z_1 - z_2 + ... + (-1)^n z_{n-1} - (-1)^n x_n`` with the state
-    ordered ``(x_n, z_{n-1}, ..., z_0)``; ``z_j`` sits at index ``n - j``.
-    Its first ``n`` entries are all nonzero and the last, ``z_0``'s, is 0.
-    The modal solve telescopes its chain coordinates into ``x``'s rows with it.
-    """
-    r1 = np.zeros(n + 1)
-    for j in range(1, n):
-        r1[n - j] = (-1.0) ** (j + 1)
-    r1[0] += (-1.0) ** (n + 1)
-    r1.setflags(write=False)
-    return r1
+#: the read-only tables :func:`_mode_tables` builds once per order
+_ModeTables = NamedTuple("_ModeTables", [(name, np.ndarray) for name in "fast j units adjoint x1_row rhs".split()])
 
 
 @lru_cache(maxsize=64)
 def _mode_tables(n):
-    """Read-only tables of the order-``n`` flow's exact modes, built once per order.
+    """Read-only tables of the order-``n`` flow's exact modes and modal system, built once per order.
 
-    Returns ``(fast, j, units, adjoint)``.  Mode ``i`` has the rate
-    ``s_i = rho_i e^(i theta_i)``: ``rho_i = 1`` for the slow rates ``-1``
-    and ``1`` (the first two), and ``rho_i = U^(-1/2n)`` where ``fast[i]``,
-    whose angles give the ``2n`` roots of ``s^(2n) = (-1)^(n+1)/U``.  Each
-    complex pair is built with ``conj``, and the real roots of odd ``n`` are
-    exactly real.  ``units[0, j, i] = e^(i j theta_i)`` for the column ``j =
-    0..n`` and ``units[1]`` is its conjugate, so ``s^(+-j) = rho^(+-j)
-    units[0 or 1, j]``; the two are one array, so one gather sorts both.
+    Mode ``i`` has the rate ``s_i = rho_i e^(i theta_i)``: ``rho_i = 1`` for
+    the slow rates ``-1`` and ``1`` (the first two), and ``rho_i =
+    U^(-1/2n)`` where ``fast[i]``, whose angles give the ``2n`` roots of
+    ``s^(2n) = (-1)^(n+1)/U``.  Each complex pair is built with ``conj``,
+    and the real roots of odd ``n`` are exactly real.  ``units[0, j, i] =
+    e^(i j theta_i)`` for the column ``j = 0..n`` and ``units[1]`` is its
+    conjugate, so ``s^(+-j) = rho^(+-j) units[0 or 1, j]``; the two are one
+    array, so one gather sorts both.
+
+    ``x1_row`` expresses ``x'`` in the chain coordinates: ``x' = z_1 - z_2 +
+    ... + (-1)^n z_{n-1} - (-1)^n x_n`` with the state ordered ``(x_n,
+    z_{n-1}, ..., z_0)``, ``z_j`` at index ``n - j``.  Its first ``n``
+    entries are all nonzero and the last, ``z_0``'s, is 0.  The modal solve
+    telescopes its chain coordinates into ``x``'s rows with it.
 
     ``adjoint[i - 1, m]`` is the coefficient of ``s^-m`` in the adjoint
     ``p_i`` (i = 1..n) of the mode ``x = e^(st)``: rows ``n`` down to 1 of
     ``(s I + A^T) p = W s_vec``, back-substituted through the bidiagonal
     ``A^T``, whose chain steps ``A[i + 1, i]`` are all 1.  The mode has ``x =
-    1`` and ``x' = s``, so ``W s_vec = r0 + s r1`` exactly, with the rows
-    ``r0`` and ``r1`` that build ``W``.
+    1`` and ``x' = s``, so ``W s_vec = r0 + s r1`` exactly, with ``r1 =
+    x1_row`` and the row ``r0`` that build ``W``.
+
+    ``rhs`` is the right-hand side of the modal system: the chain starts at
+    rest and ends with ``z_0 = x + x' = 1``, every other coordinate 0.
     """
     j = np.arange(n + 1)[:, None]
     upper = np.exp(1j * j * (np.pi / (2 * n) * np.arange(1 + n % 2, 2 * n, 2)))
     real = np.array([-1.0, 1.0, -1.0, 1.0] if n % 2 else [-1.0, 1.0])
     unit = np.hstack([real**j, upper, upper.conj()])
     fast = np.arange(unit.shape[1]) >= 2
-    r1 = _x1_row(n)
+    r1 = np.append((-1.0) ** (n + 1 - np.arange(n)), 0.0)  # entry n - j is (-1)^(j+1), x_n's (j = n) too
     r0 = -r1
     r0[n] += 1.0
     adjoint = np.zeros((n + 1, n + 1))  # row i: p_i, row 0 unused
@@ -116,10 +116,12 @@ def _mode_tables(n):
         adjoint[i, 1] = r0[i]
         if i < n:
             adjoint[i, 1:] -= adjoint[i + 1, :-1]
-    arrays = (fast, j, np.stack([unit, unit.conj()]), adjoint[1:])
-    for a in arrays:
+    rhs = np.zeros(2 * n + 2, dtype=complex)
+    rhs[-1] = 1.0
+    tables = _ModeTables(fast, j, np.stack([unit, unit.conj()]), adjoint[1:], r1, rhs)
+    for a in tables:
         a.setflags(write=False)
-    return arrays
+    return tables
 
 
 def build_lq(n, lam, T=1.0):
@@ -140,9 +142,9 @@ class PontryaginFlow:
     The order-``n`` chain obeys ``sdot = A s + B v`` and costs ``int (s^T W s
     + U v^2) dt`` at the weight ``U``; the adjoint obeys ``pdot = W s - A^T
     p`` and ``v = B^T p / U``.  The state cost is ``W = r0^T r0 + r1^T r1``
-    with ``r1`` the row realising ``x'`` (:func:`_x1_row`) and ``r0 = e_{z0}
-    - r1``, so that ``s^T W s = x^2 + xdot^2``.  Eliminating the adjoint
-    gives the Euler-Lagrange operator ``(1 - D^2)(1 + U (-1)^n D^(2n))`` on
+    with ``r1`` the row realising ``x'`` (see :func:`_mode_tables`) and
+    ``r0 = e_{z0} - r1``, so that ``s^T W s = x^2 + xdot^2``.  Eliminating
+    the adjoint gives the Euler-Lagrange operator ``(1 - D^2)(1 + U (-1)^n D^(2n))`` on
     ``x``, so the rates are ``+-1`` and the ``2n`` roots of ``s^(2n) =
     (-1)^(n+1)/U``, and each eigenvector is read off the mode ``x = e^(st)``
     (see :meth:`spectrum`).  No flow matrix is formed, so a weight whose
@@ -174,7 +176,7 @@ class PontryaginFlow:
             # the slow mode s = 1 has p_0 = U s^n (1 + s) = 2 U
             raise Overflow(f"energy weight {U} is too large: the adjoint 2 lam of the mode s = 1 overflows")
         ns = n + 1
-        fast, j, units, adjoint = _mode_tables(n)
+        fast, j, units, adjoint, _, _ = _mode_tables(n)
         rho = np.where(fast, U ** (-1.0 / (2 * n)), 1.0)
         w = rho * units[0, 1]
         order = np.lexsort((w.imag, w.real))
@@ -187,16 +189,6 @@ class PontryaginFlow:
         V[ns] = U * V[0] * w1 - V[ns + 1]
         V /= np.abs(V).max(axis=0)
         return w, V
-
-
-@lru_cache(maxsize=64)
-def _modal_rhs(n):
-    """The read-only right-hand side of the order-``n`` modal system, built once per order:
-    the chain starts at rest and ends with ``z_0 = x + x' = 1``, every other coordinate 0."""
-    rhs = np.zeros(2 * n + 2, dtype=complex)
-    rhs[-1] = 1.0
-    rhs.setflags(write=False)
-    return rhs
 
 
 def _modal_amplitudes(flow):
@@ -226,7 +218,7 @@ def _modal_amplitudes(flow):
     np.multiply(V[:ns], at0, out=M[:ns])
     np.multiply(V[:ns], atT, out=M[ns:])
     try:
-        c = solve_linear(M, _modal_rhs(n))
+        c = solve_linear(M, _mode_tables(n).rhs)
     except SingularMatrix as exc:
         raise ShootingSingular(f"modal system: {exc}") from exc
     return w, V, c
@@ -241,9 +233,9 @@ def _series_from_modes(flow):
     :func:`_modal_amplitudes` parametrises the modes.  Only this route has
     chain coordinates: the amplitudes give the chain ``x_n, z_{n-1} ..
     z_0`` and the adjoints, and ``x``'s rows are telescoped from them, ``x'
-    = r1 . state`` (see :func:`_x1_row`), ``x^(j+1) = z_j - x^(j)`` and ``x
-    = z_0 - x'``.  The rows are written into one preallocated ``(3n + 3,
-    modes)`` array: ``x'`` is one running sum from a complex zero over the
+    = r1 . state`` with the ``x1_row`` of :func:`_mode_tables`, ``x^(j+1) =
+    z_j - x^(j)`` and ``x = z_0 - x'``.  The rows are written into one
+    preallocated ``(3n + 3, modes)`` array: ``x'`` is one running sum from a complex zero over the
     weighted chain rows, in chain order, and each ``z_j`` enters its
     difference as ``z_j + 0.0``, which are the operations, in the same
     order, of adding each term to a complex zero.  The recurrence keeps its
@@ -259,7 +251,7 @@ def _series_from_modes(flow):
     terms = np.zeros((n + 1, len(w)), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         # x' weighs x_n, z_{n-1} .. z_1; z_0's weight is 0
-        np.multiply(_x1_row(n)[:n, None], state[:n], out=terms[1:])
+        np.multiply(_mode_tables(n).x1_row[:n, None], state[:n], out=terms[1:])
         rows[1] = np.add.accumulate(terms)[-1]
         chain = state[n:0:-1]  # z_0 .. z_{n-1}
         rows[n + 1 : 2 * n + 1] = chain

@@ -12,9 +12,10 @@ rule, which is exact for the polynomials and exact to roundoff for the
 sines.  Both families are dilations of their horizon-2 member,
 ``basis_T(t, k) = (2/T)^k basis_2(2t/T, k)``, so the reference tables on
 the rule's nodes and at the endpoints are built once per family and order
-(an ``lru_cache``) and each horizon only rescales them.  The boundary
-elimination does not depend on the horizon at all, so its SVD is also run
-once per family and order; only the least-squares solve stays per horizon.
+(one ``lru_cache`` table) and each horizon only rescales them.  The
+boundary elimination does not depend on the horizon at all, so its SVD is
+run once with them, into the same table; only the least-squares solve
+stays per horizon.
 Because ``x`` is affine in the free parameters the cost is a linear
 least-squares problem, so the minimisation is one SVD rather than an
 iterative search; tabulated coefficients are reproduced to all printed
@@ -26,8 +27,11 @@ sine solution's trajectory has one evaluator: it computes ``x`` and its
 derivatives in one pass, up to the highest order the requested rows of
 ``x, x', u = x' + x`` and ``v = x'' + x'`` need, and returns those rows.
 Its cost is the sum of its three parts, as on every route but the
-impulsive arc.  The exponential family is the first-order optimum at weight
-``k^-2``: its rows are gamma rows, packaged as the optimum's are.
+impulsive arc, and :func:`~lincontrol.model.assemble_solution` builds its
+record, as it builds every route's.  The exponential family is the
+first-order optimum at weight ``k^-2``: its rows are gamma rows, packaged
+as the optimum's are.  Each family class carries the ``tag`` that is the
+``kind`` of its solutions.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .expsums import ExpSum, end_values
-from .model import ControlProblem, CostBreakdown, InvalidOrder, ProtocolSolution, Trajectory, _real, row_names
-from .model import certify, exact_cost, package_rows, row_factors
+from .model import ControlProblem, CostBreakdown, InvalidOrder, _real, assemble_solution, exact_cost, package_rows
+from .model import row_factors
 from .numerics import (
     SOLVE_COND_CAP,
     Overflow,
@@ -54,8 +58,6 @@ from .numerics import (
 class DegenerateBasis(ValueError):
     """The exponential basis matrix is numerically singular (k near 1)."""
 
-
-_KIND_TAGS = {"polynomial": "sta-poly", "trigonometric": "sta-trig"}
 
 #: the derivative order of ``x`` each row of ``row_names(1)`` needs: ``x``, ``x'``, ``u``, ``v``
 _ROW_ORDERS = (0, 1, 1, 2)
@@ -95,11 +97,12 @@ class AnsatzFamily:
     ``basis_T(t, k) = (2/T)^k basis_2(2t/T, k)``, so the cost tables of every horizon come from one
     set of horizon-2 tables per ``(family, N)``.  The boundary conditions
     ``x(0) = 0, x(T) = 1, x'(0) = x'(T) = 0`` are eliminated once per
-    ``(family, N)`` by :func:`_eliminator`, and every horizon shares its
-    read-only arrays: ``offset`` is the minimum-norm coefficient vector that
-    meets them and ``free_map`` an orthonormal basis of the null space of
-    the boundary rows, so ``coefficient_vector(p) = offset + free_map @ p``
-    meets all four conditions for every ``p`` and every ``T``.
+    ``(family, N)`` in :func:`_reference_tables`, and every horizon shares
+    its read-only arrays: ``offset`` is the minimum-norm coefficient vector
+    that meets them and ``free_map`` an orthonormal basis of the null space
+    of the boundary rows, so ``coefficient_vector(p) = offset + free_map @
+    p`` meets all four conditions for every ``p`` and every ``T``.  Each
+    family class names itself in ``kind`` and its solutions in ``tag``.
 
     Raises
     ------
@@ -133,7 +136,7 @@ class AnsatzFamily:
         inverse = 2.0 / self.T
         if not math.isfinite(inverse * inverse):
             raise Overflow(f"horizon T={T} is too small: (2/T)^2 overflows")
-        self.offset, self.free_map = _eliminator(type(self), self.N)
+        _, _, self.offset, self.free_map = _reference_tables(type(self), self.N)
 
     @property
     def free_dim(self):
@@ -187,7 +190,7 @@ class AnsatzFamily:
         basis function's three rows are the row of the cost's sum of squares
         that :meth:`gram` reads.
         """
-        cost, _ = _reference_tables(type(self), self.N)
+        cost = _reference_tables(type(self), self.N)[0]
         scale = (2.0 / self.T) ** np.arange(3) * math.sqrt(self.T / 2.0)
         tables = cost * scale[:, None]
         tables[:, 2] += tables[:, 1]
@@ -223,23 +226,13 @@ _ENDS.setflags(write=False)
 
 @lru_cache(maxsize=64)
 def _reference_tables(family, N):
-    """Horizon-2 basis tables of ``family`` at order ``N``, shared read-only.
+    """Horizon-2 basis tables and boundary elimination of ``family`` at order ``N``, shared read-only.
 
-    Returns ``(cost, ends)``: orders 0-2 on the cost rule of ``[0, 2]``, each
-    node times sqrt(weight), shaped (basis, order, node); and orders 0-2 at
-    ``u = 0`` and ``u = 2``, shaped (order, basis, 2).
-    """
-    u, w = gauss_legendre(COST_NODES, 0.0, 2.0)
-    cost = np.ascontiguousarray((family.reference_basis(N, u, 2) * np.sqrt(w)).transpose(1, 0, 2))
-    ends = family.reference_basis(N, _ENDS, 2)
-    cost.setflags(write=False)
-    ends.setflags(write=False)
-    return cost, ends
-
-
-@lru_cache(maxsize=64)
-def _eliminator(family, N):
-    """``(offset, free_map)`` of ``family`` at order ``N``, shared read-only.
+    Returns ``(cost, ends, offset, free_map)``: orders 0-2 on the cost rule
+    of ``[0, 2]``, each node times sqrt(weight), shaped (basis, order,
+    node); orders 0-2 at ``u = 0`` and ``u = 2``, shaped (order, basis, 2);
+    and the minimum-norm coefficients that meet the boundary conditions and
+    an orthonormal basis of the null space of the boundary rows.
 
     At horizon ``T`` the boundary rows ``x(0), x(T), x'(0), x'(T)`` are the
     horizon-2 rows with the two ``x'`` rows times ``2/T``.  Those rows have a
@@ -253,7 +246,9 @@ def _eliminator(family, N):
     SingularMatrix
         If the scaled rows have condition number ``SOLVE_COND_CAP`` or above.
     """
-    _, ends = _reference_tables(family, N)
+    u, w = gauss_legendre(COST_NODES, 0.0, 2.0)
+    cost = np.ascontiguousarray((family.reference_basis(N, u, 2) * np.sqrt(w)).transpose(1, 0, 2))
+    ends = family.reference_basis(N, _ENDS, 2)
     rows = np.vstack([ends[0].T, ends[1].T])
     scale = np.abs(rows).max(axis=1)
     live = scale > 0.0
@@ -261,11 +256,10 @@ def _eliminator(family, N):
     U, s, Vt = np.linalg.svd(rows[live] / scale[live, None])
     if not s[0] < SOLVE_COND_CAP * s[-1]:
         raise SingularMatrix(f"boundary rows have condition number >= {SOLVE_COND_CAP:.0e}")
-    offset = Vt[: len(s)].T @ ((U.T @ rhs) / s)
-    free_map = Vt[len(s):].T
-    offset.setflags(write=False)
-    free_map.setflags(write=False)
-    return offset, free_map
+    tables = (cost, ends, Vt[: len(s)].T @ ((U.T @ rhs) / s), Vt[len(s):].T)
+    for a in tables:
+        a.setflags(write=False)
+    return tables
 
 
 @lru_cache(maxsize=64)
@@ -305,7 +299,7 @@ class PolynomialAnsatz(AnsatzFamily):
     which the cost rule is exact.
     """
 
-    kind = "polynomial"
+    kind, tag = "polynomial", "sta-poly"
     MAX_ORDER = COST_NODES - 1
 
     @staticmethod
@@ -343,7 +337,7 @@ class TrigonometricAnsatz(AnsatzFamily):
     exact to roundoff.
     """
 
-    kind = "trigonometric"
+    kind, tag = "trigonometric", "sta-trig"
     MAX_ORDER = SINE_MAX_ORDER
 
     @staticmethod
@@ -398,7 +392,7 @@ class ExponentialAnsatz:
     bool, a string or a complex number.
     """
 
-    kind = "exponential"
+    kind, tag = "exponential", "sta-exp"
 
     def __init__(self, k, T=1.0):
         rate, T = abs(_real(k)), ControlProblem(T=T).T
@@ -504,8 +498,9 @@ def solve_sta(family, problem=None):
     cost, the end table and the paper's coefficients are formed in one
     ``np.errstate`` block, so a horizon whose tables, cost or monomial
     coefficients leave the float range is refused with its typed error and
-    no numpy warning.  Both branches return through
-    :func:`~lincontrol.model.certify`.
+    no numpy warning.  Both branches build their record with the one
+    assembler, :func:`~lincontrol.model.assemble_solution`, which returns
+    it through :func:`~lincontrol.model.certify`.
     """
     if problem is None:
         problem = ControlProblem(T=family.T, n=1, lam=0.0)
@@ -514,9 +509,8 @@ def solve_sta(family, problem=None):
     if problem.T != family.T:
         raise ValueError(f"family horizon {family.T} != problem horizon {problem.T}")
     if family.kind == "exponential":
-        x, coefficients = family.x, family.paper_coefficients(family.offset)
-        return package_rows(problem, "sta-exp", family.rows(), x.rates, term_ends=family.term_ends,
-                            coefficients=coefficients)
+        return package_rows(problem, family.tag, family.rows(), family.x.rates, term_ends=family.term_ends,
+                            coefficients=family.paper_coefficients(family.offset))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         gram = family.gram(problem.lam)
         coeffs = family.coefficient_vector(minimize_quadratic(gram.A, gram.b))
@@ -529,12 +523,4 @@ def solve_sta(family, problem=None):
         order = max((_ROW_ORDERS[i] for i in index), default=0)
         return _first_order_rows(family.x_stack(coeffs, ts, order))[index]
 
-    return certify(ProtocolSolution(
-        problem=problem,
-        kind=_KIND_TAGS[family.kind],
-        coefficients=coefficients,
-        trajectory=Trajectory(T=problem.T, n=1, names=row_names(1), evaluate=evaluate, ends=ends),
-        impulses=(),
-        cost=breakdown.total,
-        cost_breakdown=breakdown,
-    ))
+    return assemble_solution(problem, family.tag, evaluate, ends, breakdown, coefficients=coefficients)

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
-from lincontrol.expsums import ExpSum, end_values, square_integrals
+from lincontrol.expsums import ExpSum, end_values, real_values, square_integrals
 from lincontrol.model import (
     ControlProblem, CostBreakdown, Impulse, ProtocolSolution, Trajectory, adjoint_names, row_names,
 )
@@ -15,8 +15,8 @@ from lincontrol import oct as octmod
 from lincontrol.oct import (
     PontryaginFlow,
     ShootingSingular,
+    _mode_tables,
     _series_from_modes,
-    _x1_row,
     build_lq,
     fit_exponential_arc,
 )
@@ -55,7 +55,7 @@ def chain_structure(n):
     B = np.zeros((ns, 1))
     B[0, 0] = 1.0
     B[1, 0] = 1.0
-    r1 = _x1_row(n)
+    r1 = _mode_tables(n).x1_row
     r0 = -r1.copy()
     r0[ns - 1] += 1.0
     W = np.outer(r0, r0) + np.outer(r1, r1)
@@ -408,14 +408,15 @@ def telescoped_x_rows(n, state):
     """The gammas of ``x, x' .. x^(n)`` from the chain rows ``x_n, z_{n-1} .. z_0``.
 
     This is the straightforward form of the modal solve's telescoping:
-    ``x' = r1 . state`` (see :func:`lincontrol.oct._x1_row`), ``x^(j+1) = z_j
-    - x^(j)`` and ``x = z_0 - x'``, each row started from a complex zero and
-    taken in chain order.  The package must match it bit for bit.
+    ``x' = r1 . state`` with ``r1`` the ``x1_row`` of
+    :func:`lincontrol.oct._mode_tables`, ``x^(j+1) = z_j - x^(j)`` and ``x =
+    z_0 - x'``, each row started from a complex zero and taken in chain
+    order.  The package must match it bit for bit.
     """
     G = np.array(state, dtype=complex)
     zero = np.zeros(G.shape[1], dtype=complex)
     x1 = zero
-    for wt, row in zip(_x1_row(n), G):
+    for wt, row in zip(_mode_tables(n).x1_row, G):
         if wt:
             x1 = x1 + wt * row
     gammas = [(zero + G[n]) - x1, x1]
@@ -441,7 +442,7 @@ def package_per_sum(problem, kind, rows, rates, *, term_ends=None, impulses=(), 
     adjoints = len(sums) == len(row_names(n, adjoints=True))
 
     def evaluate(ts, index):
-        return np.array([s.value(ts) for s in sums])[index]
+        return np.array([real_values(s, ts) for s in sums])[index]
 
     names = row_names(n, adjoints=adjoints)
     ends = evaluate(np.array([0.0, problem.T]), list(range(len(names))))
@@ -450,7 +451,7 @@ def package_per_sum(problem, kind, rows, rates, *, term_ends=None, impulses=(), 
     state_part, deriv_part, ctrl = square_integrals(ExpSum(cost_rows, tuple(rates), problem.T))
     breakdown = CostBreakdown(state_part, deriv_part, problem.lam * ctrl if problem.lam else 0.0)
     cost = breakdown.total if cost_override is None else cost_override
-    p0 = [s.value(0.0) for s in sums[2 * n + 2 :]] if adjoints else []
+    p0 = [float(real_values(s, 0.0)) for s in sums[2 * n + 2 :]] if adjoints else []
     return ProtocolSolution(
         problem=problem, kind=kind,
         coefficients={**{f"p0_{nm}": p for nm, p in zip(adjoint_names(n), p0)}, **(coefficients or {})},

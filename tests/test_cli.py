@@ -796,7 +796,8 @@ class TestOutOfRange:
         def refused(*args, **kwargs):
             raise AssertionError("an array was formed")
 
-        for module, name in [(sta, "_eliminator"), (sta, "end_values"), (octmod, "end_values"), (octmod, "_mode_tables")]:
+        tables = [(sta, "_reference_tables"), (sta, "end_values"), (octmod, "end_values"), (octmod, "_mode_tables")]
+        for module, name in tables:
             monkeypatch.setattr(module, name, refused)
         with pytest.raises(lincontrol.Overflow):
             solve()

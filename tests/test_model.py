@@ -30,14 +30,23 @@ from lincontrol.model import (
 from lincontrol.numerics import NumericsError, Overflow
 from lincontrol.oct import (
     ShootingSingular,
+    _mode_tables,
     build_lq,
     regular_order1_analytic,
     singular_consistency_check,
     singular_solution,
     solve_regular,
 )
-from lincontrol.sta import build_exponential, build_polynomial, build_trigonometric, solve_sta
-from oracles import CHAIN_PROBLEMS, cost_functional_per_panel, singular_consistency_from_table
+from lincontrol.sta import (
+    PolynomialAnsatz,
+    TrigonometricAnsatz,
+    _reference_tables,
+    build_exponential,
+    build_polynomial,
+    build_trigonometric,
+    solve_sta,
+)
+from oracles import CHAIN_PROBLEMS, cost_functional_per_panel, modal_solution, singular_consistency_from_table
 from fingerprint import ops, workloads
 
 COTH1 = 1.0 / np.tanh(1.0)
@@ -681,7 +690,6 @@ class TestCertify:
         # give the same verdict on the same residual mapping
         certify = modelmod.certify
         monkeypatch.setattr(modelmod, "certify", lambda sol: sol)
-        monkeypatch.setattr(stamod, "certify", lambda sol: sol)
         verdicts = []
         for op in workloads.pool("solve-sweep", seed):
             try:
@@ -702,6 +710,42 @@ class TestCertify:
             verdicts.append(passed)
         # both verdicts occur on the pool
         assert len(verdicts) > 300 and not all(verdicts) and any(verdicts)
+
+
+#: one solution per route and order: the basis families, the impulsive arc and the first-order
+#: optimum at n = 1, and the modal solve at every order 1..8
+HEADER_ROUTES = {
+    "sta-poly-n1": lambda: solve_sta(build_polynomial(4)),
+    "sta-trig-n1": lambda: solve_sta(build_trigonometric(6)),
+    "sta-exp-n1": lambda: solve_sta(build_exponential(100.0)),
+    "oct-singular-n1": lambda: singular_solution(1.0),
+    "first-order-n1": lambda: regular_order1_analytic(1e-4),
+    "modal-n1": lambda: modal_solution(1, 2.0),
+    **{f"modal-n{n}": (lambda n=n: solve_regular(build_lq(*CHAIN_PROBLEMS[n]))) for n in range(2, 9)},
+}
+
+
+#: each cached table of the package, by a call that builds it
+CACHED_TABLES = {
+    **{f"order-n{n}": (lambda n=n: modelmod._order_table(n)) for n in (1, 2, 8)},
+    **{f"modes-n{n}": (lambda n=n: _mode_tables(n)) for n in (1, 2, 8)},
+    "reference-poly5": lambda: _reference_tables(PolynomialAnsatz, 5),
+    "reference-trig8": lambda: _reference_tables(TrigonometricAnsatz, 8),
+}
+
+
+@pytest.mark.parametrize("build", CACHED_TABLES.values(), ids=CACHED_TABLES.keys())
+def test_cached_tables_are_shared_and_read_only(build):
+    # one table per order or per family and order: a second call returns the same objects,
+    # and no caller can write to a shared array
+    table = build()
+    assert build() is table
+    arrays = [part for part in table if isinstance(part, np.ndarray)]
+    assert arrays
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flat[0] = 1.0
 
 
 class TestSampling:
@@ -758,6 +802,14 @@ class TestSampling:
         assert header == [
             "t", "x", "xdot", "u", "v", "z0", "z1", "z2", "px3", "pz2", "pz1", "pz0",
         ]
+
+    @pytest.mark.parametrize("route", HEADER_ROUTES.values(), ids=HEADER_ROUTES.keys())
+    def test_header_is_the_benchmarks_expected_header(self, route):
+        # the package's column names and the header the benchmark's CSV check expects are one list
+        sol = route()
+        header = sol.trajectory.csv_columns()
+        assert header == ops.expected_header(sol.kind, sol.problem.n)
+        assert sample_table(sol, points=2)[0] == header
 
     def test_csv_round_trip_matches_evaluator(self):
         sol = regular_order1_analytic(1e-4)
@@ -928,7 +980,6 @@ class TestEndTable:
         monkeypatch.setattr(stamod.AnsatzFamily, "x_stack", spy_x_stack)
         monkeypatch.setattr(Trajectory, "__init__", spy_init)
         monkeypatch.setattr(modelmod, "certify", spy_certify)
-        monkeypatch.setattr(stamod, "certify", spy_certify)
         sol = make()
         traj = sol.trajectory
         if sol.kind in ("sta-poly", "sta-trig"):
