@@ -77,6 +77,8 @@ def flow_matrix(problem):
 def numerical_spectrum(problem):
     """Eigenpairs ``(w, V)`` of :func:`flow_matrix` from the eigensolver, the reference of ``PontryaginFlow.spectrum``.
 
+    Pins :meth:`lincontrol.oct.PontryaginFlow.spectrum`; ROADMAP item 22c retires it.
+
     The decomposition runs on the similarity-balanced matrix (adjoint
     block scaled by ``sqrt(lam)``), which leaves the eigenvalues untouched
     while shrinking the matrix norm from ``1/lam`` to ``1/sqrt(lam)``; the
@@ -93,6 +95,8 @@ def numerical_spectrum(problem):
 
 def shoot_adjoint_block(H, T):
     """Initial adjoint from a linear solve on the (s, p) block of the propagator of the flow matrix ``H``.
+
+    Pins the modal adjoints of :func:`lincontrol.oct.solve_regular`; ROADMAP item 22c retires it.
 
     The textbook route: with ``s(0) = 0`` known, the terminal state reads
     ``s(T) = N_sp(T) p(0)``, so ``p(0)`` solves one dense system on the
@@ -136,6 +140,8 @@ def boundary_values(family, coeffs):
 
 def exponential_cofactors(k):
     """Exponential-family boundary coefficients ``(a, b, c_scaled, d)`` at T = 1.
+
+    Pins the boundary solve of :func:`lincontrol.sta.build_exponential`; ROADMAP item 18a retires it.
 
     Closed-form cofactor expressions of the 4x4 boundary matrix with the
     common ``e^k`` factor divided out of numerator and denominator, so every
@@ -323,6 +329,8 @@ def product_integral_mp(f, g, dps=50):
 def cost_functional_per_panel(traj, lam=0.0, T=None, nodes=64, panels=1):
     """The running-cost quadrature one panel at a time, from the full column table.
 
+    Pins :func:`lincontrol.model.cost_functional`; ROADMAP item 21 retires it.
+
     This is the straightforward form of :func:`lincontrol.model.cost_functional`:
     one scalar-interval :func:`~lincontrol.numerics.integrate` call per panel,
     each evaluating every column of :meth:`~lincontrol.model.Trajectory.table`,
@@ -346,66 +354,94 @@ def cost_functional_per_panel(traj, lam=0.0, T=None, nodes=64, panels=1):
 
 
 def singular_consistency_from_table(sol, window=None):
-    """:func:`lincontrol.oct.singular_consistency_check` read off the full column table."""
+    """:func:`lincontrol.oct.singular_consistency_check` read off the full column table.
+
+    Pins :func:`lincontrol.oct.singular_consistency_check`; no ROADMAP item retires it.
+    """
     T = sol.problem.T
     ta, tb = (0.1 * T, 0.9 * T) if window is None else window
     ts = np.linspace(ta, tb, 161)
     return fit_exponential_arc(ts, sol.trajectory.table(ts)["v" if sol.problem.n == 1 else "u"])[1]
 
 
-def values_at_anchors(gammas, rates, anchors, t):
-    """Real parts of gamma rows on ``rates``, term ``i`` anchored at ``anchors[i]``, one term at a time.
+def bits(values):
+    """The float64 bytes of ``values``, so that two lists of floats compare bit for bit."""
+    return np.asarray(values, dtype=float).tobytes()
 
-    This is the straightforward form of :func:`lincontrol.expsums.real_values`:
-    every term's product is written out in real arithmetic, with its
-    imaginary product even when that is an exact zero, and added to a
-    ``+0.0`` start in term order.  Returns ``(rows,) + t.shape``.
+
+def anchors_by_rule(rates, T):
+    """Each term's anchor, ``T`` where the rate has positive real part and 0 elsewhere, as one ``np.where``.
+
+    Pins :func:`lincontrol.expsums.anchors`; no ROADMAP item retires it.
+    """
+    return np.where(np.asarray(rates).real > 0, T, 0.0)
+
+
+def term_table(rates, T, t):
+    """``exp(s (t - tau))`` of each term at the times ``t``, at :func:`anchors_by_rule`, shaped ``(terms,) + t.shape``.
+
+    Pins :func:`lincontrol.expsums._term_table`; no ROADMAP item retires it.
     """
     t = np.asarray(t, dtype=float)
     per_term = (-1,) + (1,) * t.ndim
-    g = np.asarray(gammas, dtype=complex)
-    g = g.reshape((len(g),) + per_term)
-    e = np.exp(np.asarray(rates).reshape(per_term) * (t - np.asarray(anchors).reshape(per_term)))
+    tau = anchors_by_rule(rates, T)
+    return np.exp(np.asarray(rates).reshape(per_term) * (t - tau.reshape(per_term)))
+
+
+def real_values_per_term(s, t):
+    """Real parts of the rows of the :class:`ExpSum` ``s`` at ``t``, one term at a time, shaped ``(rows,) + t.shape``.
+
+    Pins :func:`lincontrol.expsums.real_values`; no ROADMAP item retires it.
+
+    Every term's product on :func:`term_table` is written out in real
+    arithmetic, with its imaginary product even when that is an exact zero,
+    and added to a ``+0.0`` start in term order.
+    """
+    t = np.asarray(t, dtype=float)
+    g = np.asarray(s.gammas, dtype=complex)
+    g = g.reshape((len(g), -1) + (1,) * t.ndim)
+    e = term_table(s.rates, s.T, t)
     out = np.zeros((len(g),) + t.shape)
-    for i in range(len(rates)):
+    for i in range(len(s.rates)):
         out += g.real[:, i] * e.real[i] - g.imag[:, i] * e.imag[i]
     return out
 
 
-def real_values_per_term(s, t):
-    """:func:`values_at_anchors` of the rows of the :class:`ExpSum` ``s``.
+def pair_kernel(si, sj, T):
+    """``K[i, j] = int_0^T exp(si (t - taui)) exp(sj (t - tauj)) dt`` at :func:`anchors_by_rule`, written out.
 
-    The anchors are derived here from the rates and the horizon: ``s.T``
-    for a rate with positive real part, 0 otherwise.  The package must
-    match it bit for bit.
+    Pins :func:`lincontrol.expsums._pair_kernel`; no ROADMAP item retires it.
+
+    With ``S = si + sj`` and ``P = si taui + sj tauj`` the entry is ``(exp(S
+    T - P) - exp(-P)) / S``, or the series ``exp(-P) T (1 + S T/2 + (S
+    T)^2/6)`` where ``|S| T < 1e-8``, each branch formed in full and picked
+    by one ``np.where``.
     """
-    rates = np.asarray(s.rates)
-    return values_at_anchors(s.gammas, rates, np.where(rates.real > 0, s.T, 0.0), t)
-
-
-def square_integrals_at_anchors(gammas, rates, anchors, T):
-    """``int_0^T f^2 dt`` of each gamma row, term ``i`` anchored at ``anchors[i]``.
-
-    The pair integrals ``exp(-P) (exp(S T) - 1) / S`` (``S = si + sj``, ``P =
-    si taui + sj tauj``; the series ``exp(-P) T (1 + S T/2 + (S T)^2/6)``
-    where ``|S| T < 1e-8``) in the arithmetic of
-    :func:`lincontrol.expsums.product_integral`, as a quadratic form per row.
-    """
-    s = np.asarray(rates)
-    tau = np.asarray(anchors)
-    S = s[:, None] + s[None, :]
-    P = (s * tau)[:, None] + (s * tau)[None, :]
+    si, sj = np.asarray(si), np.asarray(sj)
+    S = si[:, None] + sj[None, :]
+    P = (si * anchors_by_rule(si, T))[:, None] + (sj * anchors_by_rule(sj, T))[None, :]
     ST = S * T
     near = np.abs(S) * T < 1e-8
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        K = np.where(near, np.exp(-P) * T * (1.0 + ST / 2.0 + ST * ST / 6.0),
-                     (np.exp(ST - P) - np.exp(-P)) / np.where(near, 1.0, S))
+        decay = np.exp(-P)
+        series = decay * T * (1.0 + ST / 2.0 + ST * ST / 6.0)
+        exact = (np.exp(ST - P) - decay) / np.where(near, 1.0, S)
+    return np.where(near, series, exact)
+
+
+def square_integrals_per_pair(gammas, rates, T):
+    """``int_0^T f^2 dt`` of each gamma row on ``rates`` over ``[0, T]``, as its quadratic form on :func:`pair_kernel`.
+
+    Pins :func:`lincontrol.expsums.square_integrals`; no ROADMAP item retires it.
+    """
     g = np.asarray(gammas, dtype=complex)
-    return ((g @ K) * g).sum(axis=1).real
+    return ((g @ pair_kernel(rates, rates, T)) * g).sum(axis=1).real
 
 
 def telescoped_x_rows(n, state):
     """The gammas of ``x, x' .. x^(n)`` from the chain rows ``x_n, z_{n-1} .. z_0``.
+
+    Pins the telescoping of :func:`lincontrol.oct._series_from_modes`; ROADMAP item 22c retires it.
 
     This is the straightforward form of the modal solve's telescoping:
     ``x' = r1 . state`` with ``r1`` the ``x1_row`` of
@@ -428,6 +464,8 @@ def telescoped_x_rows(n, state):
 def package_per_sum(problem, kind, rows, rates, *, term_ends=None, impulses=(), cost_override=None,
                     coefficients=None):
     """:func:`lincontrol.model.package_rows` on one :class:`ExpSum` per row.
+
+    Pins :func:`lincontrol.model.package_rows`; no ROADMAP item retires it.
 
     This is the straightforward form of the packaging: every row of
     ``row_names(n)``, and of the adjoints when there are more rows, is its
@@ -459,19 +497,31 @@ def package_per_sum(problem, kind, rows, rates, *, term_ends=None, impulses=(), 
     )
 
 
+def arc_constants(T):
+    """The impulsive arc's kicks and gammas ``(a1, coth, grow, decay)`` at the horizon ``T``, in Python floats.
+
+    Pins the constants of :func:`lincontrol.oct.singular_solution`; ROADMAP item 18a retires it.
+
+    The arc is ``x = grow e^(t - T) - decay e^-t`` with ``grow = e^T / (2
+    sinh T)`` and ``decay = grow e^-T``, and its kicks are ``a1 = 1/sinh T``
+    and ``-coth T``.  Past the float range they overflow to inf, silently.
+    """
+    with np.errstate(over="ignore"):
+        a1 = float(1.0 / np.sinh(T))
+        coth = float(1.0 / np.tanh(T))
+        grow = float(1.0 / -np.expm1(-2.0 * T))
+    return a1, coth, grow, grow * np.exp(-T)
+
+
 def singular_endpoint_residual(T):
     """The impulsive arc's largest endpoint miss, by hand from its two gammas.
 
-    The arc is ``x = grow e^(t - T) - decay e^-t`` with ``grow = e^T / (2
-    sinh T)`` and ``decay = grow e^-T``, and its kicks are ``1/sinh T`` and
-    ``-coth T``.  ``x(0) = 0`` holds exactly, so the misses are ``x(T) - 1``
-    and ``x'`` against each kick, in the arithmetic of
-    :func:`lincontrol.oct.singular_solution`.
+    Pins the boundary report of :func:`lincontrol.oct.singular_solution`; ROADMAP item 18a retires it.
+
+    ``x(0) = 0`` holds exactly, so the misses are ``x(T) - 1`` and ``x'``
+    against each kick of :func:`arc_constants`.
     """
-    a1 = float(1.0 / np.sinh(T))
-    coth = float(1.0 / np.tanh(T))
-    grow = float(1.0 / -np.expm1(-2.0 * T))
-    decay = grow * np.exp(-T)
+    a1, coth, grow, decay = arc_constants(T)
     e = np.exp(-T)
     return float(max(abs(grow - decay * e - 1.0), abs(2.0 * decay - a1), abs(grow + decay * e - coth)))
 
@@ -479,20 +529,18 @@ def singular_endpoint_residual(T):
 def singular_solution_by_hand(T):
     """The impulsive arc packaged from gamma rows written out by hand.
 
-    ``x = grow e^(t - T) - decay e^-t``, ``x' = p_z = grow e^(t - T) + decay
-    e^-t``, ``z = v = 2 grow e^(t - T)`` with its zero gamma written out,
-    and ``p_y = -x'``, in Python float arithmetic.  This is the reference of
-    :func:`lincontrol.oct.singular_solution`, which forms the rows as the
-    first-order optimum's row factors times ``(grow, -decay)``; the two must
-    package the same solution, or be refused alike.
+    Pins :func:`lincontrol.oct.singular_solution`; ROADMAP item 18a retires it.
+
+    On :func:`arc_constants`, ``x = grow e^(t - T) - decay e^-t``, ``x' =
+    p_z = grow e^(t - T) + decay e^-t``, ``z = v = 2 grow e^(t - T)`` with
+    its zero gamma written out, and ``p_y = -x'``, in Python float
+    arithmetic.  The package forms the rows as the first-order optimum's
+    row factors times ``(grow, -decay)``; the two must package the same
+    solution, or be refused alike.
     """
     problem = ControlProblem(T=T, n=1, lam=0.0)
     T = problem.T
-    with np.errstate(over="ignore"):
-        a1 = float(1.0 / np.sinh(T))
-        coth = float(1.0 / np.tanh(T))
-        grow = float(1.0 / -np.expm1(-2.0 * T))
-    decay = grow * np.exp(-T)
+    a1, coth, grow, decay = arc_constants(T)
     xdot, z = [grow, decay], [2.0 * grow, 0.0]
     rows = [[grow, -decay], xdot, z, z, [-grow, -decay], xdot]
     rates = np.array([1.0, -1.0])
@@ -516,6 +564,8 @@ CHAIN_PROBLEMS = {
 def modal_solution(n, lam, T=1.0):
     """The anchored modal solve of :func:`lincontrol.oct.solve_regular`, without its routing.
 
+    Pins the modal route of :func:`lincontrol.oct.solve_regular`; ROADMAP item 22c retires it.
+
     At ``n = 1`` ``solve_regular`` returns the exponential family at every
     weight; this packages the modal solution of the same problem, so that
     the two first-order routes stay checked against each other.  The
@@ -530,6 +580,8 @@ def modal_solution(n, lam, T=1.0):
 
 def json_reference(obj, indent=0):
     """Deterministic JSON with floats at 17 significant digits, one recursive call per value.
+
+    Pins :func:`lincontrol.cli._json`; no ROADMAP item retires it.
 
     This is the straightforward form of :func:`lincontrol.cli._json`; the
     package must print the same bytes.

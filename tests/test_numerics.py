@@ -26,19 +26,18 @@ from lincontrol.numerics import (
 from lincontrol.oct import PontryaginFlow, build_lq
 from oracles import (
     CHAIN_PROBLEMS,
+    anchors_by_rule,
     eigen_reconstruction,
     eigen_residual_bounds,
     eigen_residuals,
     exponential_cofactors,
     flow_matrix,
     mat_exp,
+    pair_kernel,
     product_integral_mp,
     real_values_per_term,
+    term_table,
 )
-
-
-def order1_flow_matrix(lam):
-    return flow_matrix(build_lq(1, lam))
 
 
 def exp_boundary_matrix(k, T=1.0):
@@ -159,7 +158,7 @@ class TestEigendecompose:
 
     def test_order1_flow_eigenvalues_quarter(self):
         # weight 0.25 puts the fast pair exactly at +-2
-        w, _ = eigendecompose(order1_flow_matrix(0.25))
+        w, _ = eigendecompose(flow_matrix(build_lq(1, 0.25)))
         assert np.allclose(sorted(w.real), [-2.0, -1.0, 1.0, 2.0], atol=1e-12)
         assert np.abs(w.imag).max() < 1e-12
 
@@ -183,13 +182,13 @@ class TestEigendecompose:
         assert w[0].imag < w[1].imag
 
     def test_residual_invariant_at_use_sites(self):
-        for A in (order1_flow_matrix(0.25), order1_flow_matrix(1e-2), np.diag([3.0, 5.0])):
+        for A in (flow_matrix(build_lq(1, 0.25)), flow_matrix(build_lq(1, 1e-2)), np.diag([3.0, 5.0])):
             spec = eigendecompose(A)
             assert np.all(eigen_residuals(A, spec) <= eigen_residual_bounds(spec))
 
     def test_reconstruction_property(self):
         for lam in (0.25, 1e-2, 1e-4):
-            A = order1_flow_matrix(lam)
+            A = flow_matrix(build_lq(1, lam))
             spec = eigendecompose(A)
             err = np.linalg.norm(A - eigen_reconstruction(spec).real)
             assert err <= 1e-9 * np.linalg.norm(A)
@@ -211,7 +210,7 @@ class TestMatExp:
     def test_matches_eigenbasis_reconstruction(self):
         # exp(M t) must equal V exp(D t) V^-1 assembled from the spectrum
         for lam, t in ((1e-2, 0.3), (1e-2, 1.0), (1e-4, 1.0)):
-            M = order1_flow_matrix(lam)
+            M = flow_matrix(build_lq(1, lam))
             E = mat_exp(M, t)
             w, V = eigendecompose(M)
             E2 = (V * np.exp(w * t)) @ np.linalg.inv(V)
@@ -232,12 +231,12 @@ class TestMatExp:
         )
         D = np.diag(np.exp(np.array([-1.0, 1.0, -1.0 / s, 1.0 / s]) * t))
         expected = P @ D @ np.linalg.inv(P)
-        E = mat_exp(order1_flow_matrix(lam), t)
+        E = mat_exp(flow_matrix(build_lq(1, lam)), t)
         assert np.abs(E - expected).max() <= 1e-9 * np.abs(E).max()
 
     def test_overflow_raises(self):
         with pytest.raises(Overflow):
-            mat_exp(order1_flow_matrix(1e-8), 1.0)
+            mat_exp(flow_matrix(build_lq(1, 1e-8)), 1.0)
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(42)
@@ -463,11 +462,6 @@ def packaged(monkeypatch, solve):
     return solve(), seen["sum"]
 
 
-def packaged_series(monkeypatch, solve):
-    """The gamma rows a solver hands to the packaging step, as one :class:`ExpSum`."""
-    return packaged(monkeypatch, solve)[1]
-
-
 def single_sums(s):
     """Each row of the :class:`ExpSum` ``s`` as a sum of its own, 1-D gammas on the same terms."""
     return [ExpSum(g, s.rates, s.T) for g in s.gammas]
@@ -481,23 +475,20 @@ def rows(s, index):
 class TestRealValues:
     @pytest.mark.parametrize("solve", STACKED_SOLVERS.values(), ids=STACKED_SOLVERS.keys())
     def test_rows_match_each_sum(self, monkeypatch, solve):
-        sums = packaged_series(monkeypatch, solve)
+        sums = packaged(monkeypatch, solve)[1]
         T = sums.T
         ts = np.linspace(0.0, 1.0, 101)
         stack = real_values(sums, ts)
         assert stack.shape == (len(sums.gammas), ts.size)
-        anchors = np.where(np.real(sums.rates) > 0, T, 0.0)
         for s, row in zip(single_sums(sums), stack):
             assert row.tobytes() == s.value(ts).tobytes()
             assert all(np.float64(s.value(float(t))).tobytes() == v.tobytes() for t, v in zip(ts, row))
-            naive = np.real(sum(
-                g * np.exp(r * (ts - tau)) for g, r, tau in zip(s.gammas, s.rates, anchors)
-            ))
+            naive = np.real(sum(g * e for g, e in zip(s.gammas, term_table(s.rates, T, ts))))
             assert np.abs(row - naive).max() <= 1e-14 * np.abs(naive).max()
 
     @pytest.mark.parametrize("solve", STACKED_SOLVERS.values(), ids=STACKED_SOLVERS.keys())
     def test_2d_times_match_flattened(self, monkeypatch, solve):
-        sums = packaged_series(monkeypatch, solve)
+        sums = packaged(monkeypatch, solve)[1]
         grid = np.linspace(0.0, 1.0, 60).reshape(4, 15)
         for ts in (grid, grid.T):
             got = real_values(sums, ts)
@@ -548,7 +539,7 @@ BITWISE_TIMES = {
 
 
 def _real_sums(monkeypatch):
-    return packaged_series(monkeypatch, STACKED_SOLVERS["first-order"])
+    return packaged(monkeypatch, STACKED_SOLVERS["first-order"])[1]
 
 
 def _complex_sums(monkeypatch):
@@ -559,7 +550,7 @@ def _complex_sums(monkeypatch):
 
 def _cost_rows(monkeypatch):
     # order 8: the rows x, x' and v that the cost quadrature evaluates
-    return rows(packaged_series(monkeypatch, OCT_SOLVERS["n8"]), [0, 1, 17])
+    return rows(packaged(monkeypatch, OCT_SOLVERS["n8"])[1], [0, 1, 17])
 
 
 #: stacks of sums sharing their rates: real and complex, one row and many
@@ -679,24 +670,9 @@ class TestAnchors:
     def test_bitwise_the_where_rule(self, rates, T):
         # +0.0 and -0.0 real parts, purely imaginary rates among them, anchor at 0
         got = expsums.anchors(rates, T)
-        want = np.where(rates.real > 0, T, 0.0)
+        want = anchors_by_rule(rates, T)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-
-
-def where_kernel(f, g):
-    """The pair kernel as the two ``np.where`` calls it used to make, written out."""
-    T = f.T
-    si, sj = np.asarray(f.rates), np.asarray(g.rates)
-    pi, pj = si * expsums.anchors(si, T), sj * expsums.anchors(sj, T)
-    S = si[:, None] + sj[None, :]
-    P = pi[:, None] + pj[None, :]
-    ST = S * T
-    near = np.abs(S) * T < 1e-8
-    decay = np.exp(-P)
-    series = decay * T * (1.0 + ST / 2.0 + ST * ST / 6.0)
-    exact = (np.exp(ST - P) - decay) / np.where(near, 1.0, S)
-    return np.where(near, series, exact)
 
 
 def kernel_rate_sets():
@@ -735,7 +711,7 @@ class TestPairKernel:
         others = [f, ExpSum(np.ones(3), np.array([1.0, -1.0, 2.5]), T), ExpSum(np.ones(2), (0.5 + 3j, -0.5 + 3j), T)]
         for g in others:
             for a, b in ((f, g), (g, f)):
-                got, want = expsums._pair_kernel(a, b), where_kernel(a, b)
+                got, want = expsums._pair_kernel(a, b), pair_kernel(a.rates, b.rates, a.T)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
@@ -779,7 +755,7 @@ class TestPairKernel:
     @pytest.mark.parametrize("solve", STACKED_SOLVERS.values(), ids=STACKED_SOLVERS.keys())
     def test_solution_integrals_match_extended_precision(self, monkeypatch, solve):
         # the state, adjoint and control sums of real solutions, stacked as packaged
-        sums = packaged_series(monkeypatch, solve)
+        sums = packaged(monkeypatch, solve)[1]
         for s, got in zip(single_sums(sums), square_integrals(sums)):
             want = product_integral_mp(s, s).real
             assert abs(got - want) <= 1e-13 * abs(want)

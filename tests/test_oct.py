@@ -30,6 +30,8 @@ from lincontrol.oct import (
 from lincontrol.sta import DegenerateBasis, build_exponential, solve_sta
 from oracles import (
     CHAIN_PROBLEMS,
+    anchors_by_rule,
+    bits,
     chain_structure,
     eigen_residual_bounds,
     eigen_residuals,
@@ -41,12 +43,13 @@ from oracles import (
     order_n_optimum_mp,
     order_n_parts_mp,
     package_per_sum,
+    real_values_per_term,
     shoot_adjoint_block,
     singular_endpoint_residual,
     singular_solution_by_hand,
-    square_integrals_at_anchors,
+    square_integrals_per_pair,
     telescoped_x_rows,
-    values_at_anchors,
+    term_table,
 )
 
 COTH1 = 1.0 / np.tanh(1.0)
@@ -586,8 +589,8 @@ def _solution_bits(sol):
     """Every field of a solution, the trajectory as its 101-point table, as comparable values."""
     header, table = sample_table(sol, points=101)
     return (
-        sol.kind, sol.problem, list(sol.coefficients), _bits(list(sol.coefficients.values())),
-        _bits([sol.cost, *sol.cost_breakdown.as_dict().values()]), sol.impulses, header, table.tobytes(),
+        sol.kind, sol.problem, list(sol.coefficients), bits(list(sol.coefficients.values())),
+        bits([sol.cost, *sol.cost_breakdown.as_dict().values()]), sol.impulses, header, table.tobytes(),
     )
 
 
@@ -754,7 +757,7 @@ class TestOrder1Analytic:
         assert regular_order1_analytic(lam, T).cost == pytest.approx(want, rel=1e-12)
 
     # both weight bands stop 0.01 short of 1, where the fast rates meet the
-    # slow ones and the family's answers are known to be off (ROADMAP item 3)
+    # slow ones and the family's answers are known to be off (ROADMAP item 18, coincident rates)
     @settings(derandomize=True, deadline=None, max_examples=300, database=None)
     @given(
         log_lam=st.floats(np.log(1e-12), np.log(0.99)) | st.floats(np.log(1.01), np.log(100.0)),
@@ -878,10 +881,6 @@ PACKAGED_SOLVERS = {
 }
 
 
-def _bits(values):
-    return np.asarray(values, dtype=float).tobytes()
-
-
 class TestTermEnds:
     """Each route's term end values: its boundary system's, and the packaging's end table."""
 
@@ -905,9 +904,8 @@ class TestTermEnds:
         sol, (T, rows, rates, term_ends) = self.handed(monkeypatch, solve)
         t = np.array([0.0, T])
         # real_values' own table at t = (0, T), in its layout and arithmetic
-        tau = np.where(rates.real > 0, T, 0.0)
         assert term_ends.shape == (2, len(rates))
-        assert term_ends.T.tobytes() == np.exp(rates[:, None] * (t - tau[:, None])).tobytes()
+        assert term_ends.T.tobytes() == term_table(rates, T, t).tobytes()
         want = real_values(ExpSum(rows, rates, T), t)
         assert term_sums(rows, term_ends.T).tobytes() == want.tobytes()
         assert sol.trajectory.ends.tobytes() == want.tobytes()
@@ -956,8 +954,8 @@ class TestPackagingBitwise:
     def test_coefficients_and_costs(self, monkeypatch, solve):
         sol, ref = self.packaged_with_reference(monkeypatch, solve)
         assert list(sol.coefficients) == list(ref.coefficients)
-        assert _bits(list(sol.coefficients.values())) == _bits(list(ref.coefficients.values()))
-        assert _bits([sol.cost, *sol.cost_breakdown.as_dict().values()]) == _bits(
+        assert bits(list(sol.coefficients.values())) == bits(list(ref.coefficients.values()))
+        assert bits([sol.cost, *sol.cost_breakdown.as_dict().values()]) == bits(
             [ref.cost, *ref.cost_breakdown.as_dict().values()]
         )
 
@@ -981,7 +979,7 @@ class TestPackagingBitwise:
         for lam, panels in ((0.0, 1), (sol.problem.lam, 3)):
             got, got_parts = cost_functional(sol.trajectory, lam=lam, panels=panels)
             want, want_parts = cost_functional(ref.trajectory, lam=lam, panels=panels)
-            assert _bits([got, *got_parts.as_dict().values()]) == _bits([want, *want_parts.as_dict().values()])
+            assert bits([got, *got_parts.as_dict().values()]) == bits([want, *want_parts.as_dict().values()])
 
     @pytest.mark.parametrize("solve", PACKAGED_SOLVERS.values(), ids=PACKAGED_SOLVERS.keys())
     def test_rows_and_costs_at_the_written_out_anchors(self, monkeypatch, solve):
@@ -999,13 +997,12 @@ class TestPackagingBitwise:
         sol = solve()
         ((problem, rows, rates),) = seen
         T, n, names = problem.T, problem.n, sol.trajectory.names
-        tau = np.where(rates.real > 0, T, 0.0)
-        assert tau.any() and not tau.all()
+        assert anchors_by_rule(rates, T).any() and not anchors_by_rule(rates, T).all()
         for ts in (np.linspace(0.0, T, 101), np.array([0.0, T])):
-            assert sol.trajectory(ts, *names).tobytes() == values_at_anchors(rows, rates, tau, ts).tobytes()
-        state, deriv, ctrl = square_integrals_at_anchors(rows[[0, 1, 2 * n + 1]], rates, tau, T)
+            assert sol.trajectory(ts, *names).tobytes() == real_values_per_term(ExpSum(rows, rates, T), ts).tobytes()
+        state, deriv, ctrl = square_integrals_per_pair(rows[[0, 1, 2 * n + 1]], rates, T)
         got = sol.cost_breakdown
-        assert _bits([got.state, got.derivative, got.control_energy]) == _bits(
+        assert bits([got.state, got.derivative, got.control_energy]) == bits(
             [state, deriv, problem.lam * ctrl if problem.lam else 0.0]
         )
 
@@ -1021,7 +1018,7 @@ class TestPackagingBitwise:
         assert rows[2 * n + 1].tobytes() == (c * w * V[1]).tobytes()  # v
         assert rows[2 * n + 2 :].tobytes() == np.array([c * V[n + 1 + j] for j in range(n + 1)]).tobytes()
         assert rates.tobytes() == w.tobytes()
-        assert anchors(rates, 1.0).tolist() == [1.0 if r.real > 0 else 0.0 for r in w]
+        assert anchors(rates, 1.0).tolist() == anchors_by_rule(w, 1.0).tolist()
 
     @pytest.mark.parametrize("T", [0.5, 1.0, 30.0])
     @pytest.mark.parametrize("n", range(2, 9))
@@ -1032,8 +1029,8 @@ class TestPackagingBitwise:
         flow = PontryaginFlow(build_lq(n, 1e-4, T))
         octmod._modal_amplitudes(flow)
         w, V = flow.spectrum()
-        tau = np.where(w.real > 0, T, 0.0)
-        want = np.vstack([V[: n + 1] * np.exp(-w * tau), V[: n + 1] * np.exp(w * (T - tau))])
+        at0, atT = term_table(w, T, np.array([0.0, T])).T
+        want = np.vstack([V[: n + 1] * at0, V[: n + 1] * atT])
         assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -1071,7 +1068,7 @@ class TestPackagingBitwise:
         factors = [np.ones(4), r, 1.0 + r, r * r + r, py, lam * (r * r + r) - py]
         want = [[g * f for g, f in zip(x.gammas, row)] for row in factors]
         (rows,) = seen
-        assert _bits(rows) == _bits(want)
+        assert bits(rows) == bits(want)
 
     @pytest.mark.parametrize("lam,T", [(1e-4, 1.0), (1e-2, 0.3), (2.0, 1.0), (1e-12, 5.0), (0.5, 800.0)])
     def test_first_order_x_rows_match_exponential_family(self, lam, T):

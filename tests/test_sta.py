@@ -33,7 +33,7 @@ from lincontrol.sta import (
     build_trigonometric,
     solve_sta,
 )
-from oracles import boundary_values, exponential_cofactors, order_n_optimum_mp, sta_optimum_mp
+from oracles import bits, boundary_values, exponential_cofactors, order_n_optimum_mp, sta_optimum_mp
 
 FAMILIES = {
     "poly4": lambda: build_polynomial(4),
@@ -52,10 +52,6 @@ def gram_value(form, p):
     """The cost ``|A p + b|^2 + c0`` of the Gram form ``form`` at the free parameters ``p``."""
     r = form.A @ np.asarray(p, dtype=float).reshape(-1) + form.b
     return float(r @ r + form.c0)
-
-
-def _bits(values):
-    return np.asarray(values, dtype=float).tobytes()
 
 
 def monomials(names, N):
@@ -139,7 +135,7 @@ class TestOrderDomain:
         family = build(N)
         assert family.N == 5 and type(family.N) is int
         sol, want = solve_sta(family), solve_sta(build(5))
-        assert _bits([sol.cost, *sol.coefficients.values()]) == _bits([want.cost, *want.coefficients.values()])
+        assert bits([sol.cost, *sol.coefficients.values()]) == bits([want.cost, *want.coefficients.values()])
 
 
 @pytest.mark.parametrize("T", [True, np.True_], ids=["bool", "numpy-bool"])
@@ -333,7 +329,7 @@ class TestExponentialFamily:
     def test_numeric_rate_types_give_the_same_bits(self, k):
         family = build_exponential(k)
         assert family.k == 100.0 and type(family.k) is float
-        assert _bits(family.x.gammas) == _bits(build_exponential(100.0).x.gammas)
+        assert bits(family.x.gammas) == bits(build_exponential(100.0).x.gammas)
 
     @pytest.mark.parametrize("T", [0.3, 1.0, 800.0])
     @pytest.mark.parametrize("lam", [1e-2, 1e-4, 1e-6])
@@ -345,9 +341,9 @@ class TestExponentialFamily:
         names = ("x", "x^(1)", "u", "v")
         assert sol.trajectory(ts, *names).tobytes() == optimum.trajectory(ts, *names).tobytes()
         parts, want = sol.cost_breakdown, optimum.cost_breakdown
-        assert _bits([parts.state, parts.derivative]) == _bits([want.state, want.derivative])
+        assert bits([parts.state, parts.derivative]) == bits([want.state, want.derivative])
         weighted = solve_sta(family, ControlProblem(T=T, lam=lam))
-        assert _bits([assemble_gram(family, lam).c0]) == _bits([weighted.cost]) == _bits([optimum.cost])
+        assert bits([assemble_gram(family, lam).c0]) == bits([weighted.cost]) == bits([optimum.cost])
 
     def test_rate_100_cost(self):
         sol = solve_sta(build_exponential(100.0))
@@ -369,7 +365,7 @@ class TestExponentialFamily:
         monkeypatch.setattr(stamod, "solve_linear", spy)
         want = solve_linear(B, np.array([0.0, 1.0, 0.0, 0.0]))
         if np.abs(B * want).sum(axis=1).max() <= 1e7:
-            assert _bits(build_exponential(k, T).x.gammas) == _bits(want)
+            assert bits(build_exponential(k, T).x.gammas) == bits(want)
         else:  # k = 0.5 and 2 at T = 1e-3
             with pytest.raises(DegenerateBasis, match="terms of .* cancel"):
                 build_exponential(k, T)
@@ -386,7 +382,7 @@ class TestExponentialFamily:
         # last bit of e^{-T} or e^{-kT}, which moved a or c by one bit
         family = build_exponential(k, T)
         want = np.array(family.x.gammas) * end_values(np.array(family.x.rates), T)[0]
-        assert _bits(family.offset) == _bits(want)
+        assert bits(family.offset) == bits(want)
 
 
 class TestAssembleGram:
