@@ -147,14 +147,19 @@ def term_sums(gammas, e):
 
 def _pair_kernel(f, g):
     # K[i, j] = \int_0^T exp(si (t - taui)) exp(sj (t - tauj)) dt over the
-    # terms of f and g on f's horizon T.  The combined exponents S T - P and
-    # -P (P = si taui + sj tauj) stay bounded because anchors() gives every
-    # growing rate tau = T.
+    # terms of f and g on f's horizon T: (exp(qi + qj) - exp(-P)) / (si + sj)
+    # with P = si taui + sj tauj and each term's own exponent at T, q = s T -
+    # s tau = s (T - tau).  Both stay bounded because anchors() gives every
+    # growing rate tau = T, where q is exactly 0.  The pair's exponent is the
+    # sum of the two q, not S T - P: that difference of two rounded products
+    # leaves a residue of an ulp of S T, which overflows np.exp past |S| T ~ 1e16.
     T = f.T
     si, sj = np.asarray(f.rates), np.asarray(g.rates)
     pi = si * anchors(si, T)
-    # the two operands of a square share their rates, and so their anchors
+    qi = si * T - pi
+    # the two operands of a square share their rates, and so their anchors and exponents
     pj = pi if g.rates is f.rates else sj * anchors(sj, T)
+    qj = qi if g.rates is f.rates else sj * T - pj
     S = si[:, None] + sj[None, :]
     P = pi[:, None] + pj[None, :]
     ST = S * T
@@ -164,7 +169,7 @@ def _pair_kernel(f, g):
     # every other pair the exact quotient, written over the series, so no
     # near-zero S is a divisor
     K = decay * T * (1.0 + ST / 2.0 + ST * ST / 6.0)
-    np.divide(np.exp(ST - P) - decay, S, out=K, where=~near)
+    np.divide(np.exp(qi[:, None] + qj[None, :]) - decay, S, out=K, where=~near)
     return K
 
 

@@ -412,20 +412,22 @@ def pair_kernel(si, sj, T):
 
     Pins :func:`lincontrol.expsums._pair_kernel`; no ROADMAP item retires it.
 
-    With ``S = si + sj`` and ``P = si taui + sj tauj`` the entry is ``(exp(S
-    T - P) - exp(-P)) / S``, or the series ``exp(-P) T (1 + S T/2 + (S
-    T)^2/6)`` where ``|S| T < 1e-8``, each branch formed in full and picked
-    by one ``np.where``.
+    With ``S = si + sj``, ``P = si taui + sj tauj`` and ``Q = si (T - taui)
+    + sj (T - tauj)`` the entry is ``(exp(Q) - exp(-P)) / S``, or the series
+    ``exp(-P) T (1 + S T/2 + (S T)^2/6)`` where ``|S| T < 1e-8``, each branch
+    formed in full and picked by one ``np.where``.
     """
     si, sj = np.asarray(si), np.asarray(sj)
+    taui, tauj = anchors_by_rule(si, T), anchors_by_rule(sj, T)
     S = si[:, None] + sj[None, :]
-    P = (si * anchors_by_rule(si, T))[:, None] + (sj * anchors_by_rule(sj, T))[None, :]
+    P = (si * taui)[:, None] + (sj * tauj)[None, :]
+    Q = (si * (T - taui))[:, None] + (sj * (T - tauj))[None, :]
     ST = S * T
     near = np.abs(S) * T < 1e-8
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         decay = np.exp(-P)
         series = decay * T * (1.0 + ST / 2.0 + ST * ST / 6.0)
-        exact = (np.exp(ST - P) - decay) / np.where(near, 1.0, S)
+        exact = (np.exp(Q) - decay) / np.where(near, 1.0, S)
     return np.where(near, series, exact)
 
 
