@@ -997,7 +997,8 @@ class TestPackagingBitwise:
         sol = solve()
         ((problem, rows, rates),) = seen
         T, n, names = problem.T, problem.n, sol.trajectory.names
-        assert anchors_by_rule(rates, T).any() and not anchors_by_rule(rates, T).all()
+        tau = anchors_by_rule(rates, T)
+        assert tau.any() and not tau.all()
         for ts in (np.linspace(0.0, T, 101), np.array([0.0, T])):
             assert sol.trajectory(ts, *names).tobytes() == real_values_per_term(ExpSum(rows, rates, T), ts).tobytes()
         state, deriv, ctrl = square_integrals_per_pair(rows[[0, 1, 2 * n + 1]], rates, T)
