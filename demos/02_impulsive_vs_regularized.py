@@ -19,8 +19,7 @@ import os
 
 import numpy as np
 
-from lincontrol import regular_order1_analytic, singular_solution, write_csv
-from lincontrol.oct import fit_exponential_arc
+from lincontrol import fit_exponential_arc, regular_order1_analytic, singular_solution, write_csv
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)

@@ -14,21 +14,23 @@ import os
 
 import numpy as np
 
-from lincontrol.cli import sweep_lambda
-from lincontrol.oct import regular_order1_analytic
+from lincontrol import build_lq, regular_order1_analytic, solve_regular
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
 
 coth1 = 1.0 / np.tanh(1.0)
 
-lams = tuple(np.geomspace(1e-4, 2e-6, 12))
-rows, fit = sweep_lambda(lams)
+lams = np.geomspace(1e-4, 2e-6, 12)
+sols = [solve_regular(build_lq(1, lam)) for lam in lams]
+gaps = [sol.cost - coth1 for sol in sols]
 
 print(f"{'lam':>10} {'C_R':>12} {'bare':>12} {'gap':>12}")
-for r in rows:
-    print(f"{r['lambda']:>10.2e} {r['cost_regularized']:>12.8f} {r['cost_bare']:>12.8f} {r['gap']:>12.4e}")
-print(f"\npower-law fit: gap = {fit['prefactor']:.4f} * lam^{fit['exponent']:.4f}")
+for lam, sol, gap in zip(lams, sols, gaps):
+    print(f"{lam:>10.2e} {sol.cost:>12.8f} {sol.cost_breakdown.bare:>12.8f} {gap:>12.4e}")
+# a straight line through the logs: log gap = exponent * log lam + log prefactor
+exponent, log_prefactor = np.polyfit(np.log(lams), np.log(gaps), 1)
+print(f"\npower-law fit: gap = {np.exp(log_prefactor):.4f} * lam^{exponent:.4f}")
 
 # the anchored evaluation keeps working far beyond the naive overflow point
 print("\nfar below the naive floating-point floor:")
@@ -39,9 +41,6 @@ for lam in (1e-8, 1e-10, 1e-12):
 path = os.path.join(OUT, "weight_sweep.csv")
 with open(path, "w", newline="") as fh:
     fh.write("lambda,cost_regularized,cost_bare,gap\n")
-    for r in rows:
-        fh.write(
-            f"{r['lambda']:.17g},{r['cost_regularized']:.17g},"
-            f"{r['cost_bare']:.17g},{r['gap']:.17g}\n"
-        )
+    for lam, sol, gap in zip(lams, sols, gaps):
+        fh.write(f"{lam:.17g},{sol.cost:.17g},{sol.cost_breakdown.bare:.17g},{gap:.17g}\n")
 print(f"\nsweep written to {path}")

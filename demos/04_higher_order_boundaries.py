@@ -21,23 +21,31 @@ import os
 
 import numpy as np
 
-from lincontrol import PontryaginFlow, build_lq, solve_regular, verify_boundaries, write_csv
-from lincontrol.oct import fit_exponential_arc
+from lincontrol import build_lq, fit_exponential_arc, solve_regular, verify_boundaries, write_csv
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
 
 CASES = ((1, 1e-5), (2, 5e-7), (3, 5e-9))
 
+
+def fast_rates(n, lam):
+    """The 2n roots of s^(2n) = (-1)^(n+1)/lam, lam^(-1/2n) e^(i pi m/2n) with m = n+1+2k.
+
+    Taking m in (-2n, 2n] makes each complex pair exact conjugates, so they
+    sort by real part, then imaginary part, with no rounding tie-break.
+    """
+    m = np.arange(1 - 2 * n, 2 * n + 1)
+    m = m[m % 2 != n % 2]
+    return sorted(lam ** (-1 / (2 * n)) * np.exp(1j * np.pi * m / (2 * n)), key=lambda s: (s.real, s.imag))
+
+
 for n, lam in CASES:
-    problem = build_lq(n, lam)
-    rates, _ = PontryaginFlow(problem).spectrum()
-    sol = solve_regular(problem)
+    sol = solve_regular(build_lq(n, lam))
     report = verify_boundaries(sol)
 
     print(f"order n={n}, weight lam={lam:.0e}")
-    fast = [mu for mu in rates if abs(mu) > 2]
-    print(f"  fast modes: {', '.join(f'{mu:.2f}' for mu in fast)}")
+    print(f"  fast modes: {', '.join(f'{mu:.2f}' for mu in fast_rates(n, lam))}")
     print(f"  boundary residuals: max {report.max_residual:.2e} ({'ok' if report.passed else 'FAIL'})")
 
     ts = np.linspace(0.2, 0.8, 121)

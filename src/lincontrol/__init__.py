@@ -11,6 +11,10 @@ against each other:
   optimum and the energy-regularized linear-quadratic solver at any
   boundary order; at first order the regularized optimum is the
   exponential basis family at rate ``1/sqrt(lambda)``.
+
+``__all__`` is the declared public surface, and the README's "Public API"
+section lists the same names.  Every other name lives in its module only
+and may change without notice.
 """
 
 __version__ = "0.1.0"
@@ -26,86 +30,56 @@ from .model import (
     ProtocolSolution,
     Trajectory,
     certify,
-    cost_functional,
     csv_text,
-    sample_table,
     verify_boundaries,
     write_csv,
 )
-from .numerics import (
-    DefectiveMatrix,
-    NoConvergence,
-    NonFiniteSample,
-    NumericsError,
-    Overflow,
-    SingularMatrix,
-    eigendecompose,
-    integrate,
-    minimize_quadratic,
-    solve_linear,
-)
+from .numerics import NumericsError, Overflow, SingularMatrix
 from .oct import (
     LambdaOutOfRange,
-    PontryaginFlow,
     ShootingSingular,
     build_lq,
+    fit_exponential_arc,
     regular_order1_analytic,
     singular_consistency_check,
     singular_solution,
     solve_regular,
 )
-from .sta import (
-    AnsatzFamily,
-    DegenerateBasis,
-    GramForm,
-    assemble_gram,
-    build_exponential,
-    build_polynomial,
-    build_trigonometric,
-    solve_sta,
-)
+from .sta import DegenerateBasis, build_exponential, build_polynomial, build_trigonometric, solve_sta
 
 __all__ = [
-    "__version__",
-    "AnsatzFamily",
-    "BoundaryReport",
-    "BoundaryResidual",
+    # records
     "ControlProblem",
-    "CostBreakdown",
-    "DefectiveMatrix",
-    "DegenerateBasis",
-    "GramForm",
-    "Impulse",
-    "InvalidOrder",
-    "LambdaOutOfRange",
-    "NegativeCostPart",
-    "NoConvergence",
-    "NonFiniteSample",
-    "NumericsError",
-    "Overflow",
-    "PontryaginFlow",
     "ProtocolSolution",
-    "ShootingSingular",
-    "SingularMatrix",
     "Trajectory",
-    "assemble_gram",
-    "build_exponential",
-    "build_lq",
+    "CostBreakdown",
+    "Impulse",
+    "BoundaryReport",
+    # builders and solvers
     "build_polynomial",
     "build_trigonometric",
-    "certify",
-    "cost_functional",
-    "csv_text",
-    "eigendecompose",
-    "integrate",
-    "minimize_quadratic",
-    "regular_order1_analytic",
-    "sample_table",
-    "singular_consistency_check",
-    "singular_solution",
-    "solve_linear",
-    "solve_regular",
+    "build_exponential",
     "solve_sta",
+    "build_lq",
+    "solve_regular",
+    "regular_order1_analytic",
+    "singular_solution",
+    # checks and output
+    "certify",
     "verify_boundaries",
+    "singular_consistency_check",
+    "csv_text",
     "write_csv",
+    "fit_exponential_arc",
+    # the errors a command prints
+    "NumericsError",
+    "Overflow",
+    "SingularMatrix",
+    "ShootingSingular",
+    "BoundaryResidual",
+    "NegativeCostPart",
+    "InvalidOrder",
+    "LambdaOutOfRange",
+    "DegenerateBasis",
+    "__version__",
 ]

@@ -158,7 +158,7 @@ def solution_summary(sol):
         "T": sol.problem.T,
         "coefficients": {k: float(v) for k, v in sol.coefficients.items()},
         "cost": sol.cost,
-        "cost_breakdown": sol.cost_breakdown.as_dict(),
+        "cost_breakdown": sol.cost_breakdown._asdict(),
         "boundary_residuals": dict(sol.boundary_residuals),
         "impulses": [{"time": i.time, "area": i.area} for i in sol.impulses],
     }

@@ -240,9 +240,6 @@ class Trajectory(_Record):
         """:meth:`table` at one instant, as a dict of floats."""
         return {k: float(v) for k, v in self.table(float(t)).items()}
 
-    def grid(self, points):
-        return np.linspace(0.0, self.T, points)
-
 
 class CostBreakdown(NamedTuple):
     """The three integrand parts of the regularized cost."""
@@ -258,9 +255,6 @@ class CostBreakdown(NamedTuple):
     @property
     def bare(self):
         return self.state + self.derivative
-
-    def as_dict(self):
-        return self._asdict()
 
 
 class ProtocolSolution(_Record):
@@ -280,7 +274,7 @@ class ProtocolSolution(_Record):
         # a NaN or an infinity anywhere makes the sum non-finite; when only
         # the sum overflows, the loop below finds nothing to refuse
         if not math.isfinite(sum((cost, *cost_breakdown, *coefficients.values()))):
-            named = {"cost": cost, **{f"cost part {k}": v for k, v in cost_breakdown.as_dict().items()}}
+            named = {"cost": cost, **{f"cost part {k}": v for k, v in cost_breakdown._asdict().items()}}
             for name, value in {**named, **coefficients}.items():
                 if not math.isfinite(value):
                     raise Overflow(f"{kind} solution has a non-finite {name}: {value}")
@@ -429,7 +423,7 @@ def cost_functional(traj, lam=0.0, T=None, nodes=64, panels=1):
     breakdown = CostBreakdown(parts[0], parts[1], parts[2])
     if not math.isfinite(breakdown.total):
         # a part that is not finite is named; when none is, only their sum overflowed
-        named = {**{f"cost part {k}": v for k, v in breakdown.as_dict().items()}, "cost": breakdown.total}
+        named = {**{f"cost part {k}": v for k, v in breakdown._asdict().items()}, "cost": breakdown.total}
         name, value = next(item for item in named.items() if not math.isfinite(item[1]))
         raise Overflow(f"the quadrature has a non-finite {name}: {value}")
     return breakdown.total, breakdown
@@ -504,7 +498,7 @@ def certify(sol):
         raise BoundaryResidual(report)
     parts = sol.cost_breakdown
     if not min(parts) >= 0:
-        name, value = min(parts.as_dict().items(), key=lambda item: item[1])
+        name, value = min(parts._asdict().items(), key=lambda item: item[1])
         raise NegativeCostPart(f"cost part {name} = {value:.3g} is negative, but it is the integral of a square")
     return sol
 
@@ -523,7 +517,7 @@ def sample_table(sol, points):
     """
     traj = sol.trajectory
     header = traj.csv_columns()
-    cols = traj.table(traj.grid(_count(points, "points", 2)))
+    cols = traj.table(np.linspace(0.0, traj.T, _count(points, "points", 2)))
     return header, np.column_stack([cols[name] for name in header])
 
 

@@ -58,7 +58,7 @@ def _oracle_check(op):
     quad, parts = model.cost_functional(sol.trajectory, lam=sol.problem.lam, T=sol.problem.T,
                                         nodes=64, panels=op["panels"])
     report = model.verify_boundaries(sol, tol=ops.BOUNDARY_TOL)
-    lines = [f"quadrature {_hex([quad, *parts.as_dict().values()])}"]
+    lines = [f"quadrature {_hex([quad, *parts])}"]
     lines += [f"{name} {_hex([value])}" for name, value in report.residuals.items()]
     if op["kind"] in ("oct-singular", "oct-order1"):
         lines.append(f"arc-fit {_hex([octmod.singular_consistency_check(sol)])}")

@@ -9,10 +9,12 @@ comprehensions are not defs here.  The interpreter is fresh so that no
 ``lru_cache`` filled by another test stands in for a call, and the profile
 is set before the package is imported, so a def that runs at import counts.
 A def no command enters is either deleted or named in :data:`UNREACHED`
-with the reason it stays.
+with the reason it stays, and no function of ``lincontrol.__all__`` may be
+one of them.
 """
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -47,9 +49,9 @@ UNREACHED = {
     "expsums.ExpSum.value": f"real_values of one sum; {_BENCHMARK}",
     "sta.assemble_gram": f"gram behind a conditioning check; {_BENCHMARK}",
     "sta.ExponentialAnsatz.gram": f"the exponential family's cost as a form; {_BENCHMARK}",
-    "expsums.product_integral": "public: the exact integral of the products of two sums' rows, behind its operand "
-                                "checks; the packaging's squares take square_integrals, the same quadratic form "
-                                "on one operand without those checks",
+    "expsums.product_integral": "undeclared, and no command or op calls it: the packaging's squares take "
+                                "square_integrals; benchmarks/spans.py binds it, so it goes with its span in "
+                                "ROADMAP item 4a",
 }
 
 _CENSUS = (
@@ -129,3 +131,11 @@ def test_no_def_on_the_allow_list_is_entered(census):
 def test_every_def_on_the_allow_list_exists(census):
     names, _ = census
     assert sorted(set(UNREACHED) - names) == []
+
+
+def test_every_declared_function_is_entered(census):
+    _, reached = census
+    declared = [getattr(lincontrol, name) for name in lincontrol.__all__]
+    functions = [f"{f.__module__.rpartition('.')[2]}.{f.__qualname__}" for f in declared if inspect.isfunction(f)]
+    assert len(functions) == 14
+    assert sorted(set(functions) - reached) == []

@@ -168,8 +168,8 @@ RECORDS = ("ControlProblem", "Impulse", "Trajectory", "CostBreakdown", "Protocol
 class TestRecords:
     """Every record keeps its field names, keyword construction and immutability."""
 
-    def test_cost_breakdown_as_dict_keeps_its_keys_in_order(self):
-        parts = CostBreakdown(1.0, 2.0, 3.0).as_dict()
+    def test_cost_breakdown_keys_keep_their_order(self):
+        parts = CostBreakdown(1.0, 2.0, 3.0)._asdict()
         assert type(parts) is dict
         assert list(parts.items()) == [("state", 1.0), ("derivative", 2.0), ("control_energy", 3.0)]
 
@@ -423,7 +423,7 @@ class TestCostFunctional:
 
         def bits(lam, T):
             total, parts = cost_functional(traj, lam=lam, T=T, panels=3)
-            return np.array([total, *parts.as_dict().values()]).tobytes()
+            return np.array([total, *parts]).tobytes()
 
         want = bits(1e-3, 1.0)
         assert bits(np.float64(1e-3), np.float64(1.0)) == want
@@ -490,7 +490,7 @@ class TestBatchedEvaluation:
         for lam in sorted({0.0, sol.problem.lam}):
             for panels in range(1, 9):
                 got, want = (
-                    np.array([total, *parts.as_dict().values()])
+                    np.array([total, *parts])
                     for total, parts in (
                         cost_functional(sol.trajectory, lam=lam, panels=panels),
                         cost_functional_per_panel(sol.trajectory, lam=lam, panels=panels),
@@ -867,7 +867,7 @@ class TestTable:
         sol = solve_regular(build_lq(2, 5e-7))
         traj = sol.trajectory
         calls.clear()
-        cols = traj.table(traj.grid(11))
+        cols = traj.table(np.linspace(0.0, traj.T, 11))
         assert calls == [2 * 2 + 2 + 3]  # x, x', x'', z0, z1, v and three adjoints
         assert set(adjoint_names(2)) <= cols.keys()
         calls.clear()
@@ -878,7 +878,7 @@ class TestTable:
     @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
     def test_rows_match_samples(self, make):
         traj = make().trajectory
-        grid = traj.grid(101)
+        grid = np.linspace(0.0, traj.T, 101)
         cols = traj.table(grid)
         for i, t in enumerate(grid):
             s = traj.sample(t)
@@ -917,7 +917,7 @@ class TestEndTable:
     @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())
     def test_ends_are_the_grid_end_columns(self, make):
         traj = make().trajectory
-        grid = traj(traj.grid(3), *traj.names)
+        grid = traj(np.linspace(0.0, traj.T, 3), *traj.names)
         assert traj.ends.tobytes() == np.ascontiguousarray(grid[:, [0, -1]]).tobytes()
 
     @pytest.mark.parametrize("make", [TABLE_KINDS[k] for k in OCT_TABLE_KINDS], ids=OCT_TABLE_KINDS)
@@ -1025,7 +1025,7 @@ class TestRowContract:
         # 8 and 9 points straddle the cut between real_values' two summation layouts
         assert expsums.FEW_POINTS == 8
         traj = make().trajectory
-        for ts in (0.37 * traj.T, *(traj.grid(points) for points in (1, 8, 9, 2001))):
+        for ts in (0.37 * traj.T, *(np.linspace(0.0, traj.T, points) for points in (1, 8, 9, 2001))):
             full = traj(ts, *traj.names)
             assert full.shape == (len(traj.names),) + np.shape(ts)
             for i, name in enumerate(traj.names):
@@ -1033,7 +1033,7 @@ class TestRowContract:
 
     def test_aliases(self):
         traj = regular_order1_analytic(1e-4).trajectory
-        ts = traj.grid(11)
+        ts = np.linspace(0.0, traj.T, 11)
         assert traj(ts, "xdot", "y", "u").tobytes() == traj(ts, "x^(1)", "x^(1)", "z0").tobytes()
 
     @pytest.mark.parametrize("make", TABLE_KINDS.values(), ids=TABLE_KINDS.keys())

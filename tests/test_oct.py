@@ -590,7 +590,7 @@ def _solution_bits(sol):
     header, table = sample_table(sol, points=101)
     return (
         sol.kind, sol.problem, list(sol.coefficients), bits(list(sol.coefficients.values())),
-        bits([sol.cost, *sol.cost_breakdown.as_dict().values()]), sol.impulses, header, table.tobytes(),
+        bits([sol.cost, *sol.cost_breakdown]), sol.impulses, header, table.tobytes(),
     )
 
 
@@ -775,7 +775,7 @@ class TestOrder1Analytic:
         assert verify_boundaries(sol, tol=1e-8).passed
         assert sol.cost == pytest.approx(sol.cost_breakdown.total, rel=1e-9)
         assert sol.cost_breakdown.bare >= 1.0 / np.tanh(T) - 1e-6
-        values = [sol.cost, *sol.cost_breakdown.as_dict().values(), *sol.coefficients.values()]
+        values = [sol.cost, *sol.cost_breakdown, *sol.coefficients.values()]
         values += list(sol.trajectory.table(np.linspace(0.0, T, 201)).values())
         assert all(np.all(np.isfinite(v)) for v in values)
 
@@ -955,9 +955,7 @@ class TestPackagingBitwise:
         sol, ref = self.packaged_with_reference(monkeypatch, solve)
         assert list(sol.coefficients) == list(ref.coefficients)
         assert bits(list(sol.coefficients.values())) == bits(list(ref.coefficients.values()))
-        assert bits([sol.cost, *sol.cost_breakdown.as_dict().values()]) == bits(
-            [ref.cost, *ref.cost_breakdown.as_dict().values()]
-        )
+        assert bits([sol.cost, *sol.cost_breakdown]) == bits([ref.cost, *ref.cost_breakdown])
 
     @pytest.mark.parametrize("solve", PACKAGED_SOLVERS.values(), ids=PACKAGED_SOLVERS.keys())
     def test_trajectory_rows(self, monkeypatch, solve):
@@ -979,7 +977,7 @@ class TestPackagingBitwise:
         for lam, panels in ((0.0, 1), (sol.problem.lam, 3)):
             got, got_parts = cost_functional(sol.trajectory, lam=lam, panels=panels)
             want, want_parts = cost_functional(ref.trajectory, lam=lam, panels=panels)
-            assert bits([got, *got_parts.as_dict().values()]) == bits([want, *want_parts.as_dict().values()])
+            assert bits([got, *got_parts]) == bits([want, *want_parts])
 
     @pytest.mark.parametrize("solve", PACKAGED_SOLVERS.values(), ids=PACKAGED_SOLVERS.keys())
     def test_rows_and_costs_at_the_written_out_anchors(self, monkeypatch, solve):
@@ -1080,6 +1078,6 @@ class TestPackagingBitwise:
         ts = np.linspace(0.0, T, 1001)
         for t in (ts, 0.37 * T, np.array([0.0, T])):
             assert sol.trajectory(t, "x", "xdot").tobytes() == family.trajectory(t, "x", "xdot").tobytes()
-        got = [sol.cost, *sol.cost_breakdown.as_dict().values()]
-        want = [family.cost, *family.cost_breakdown.as_dict().values()]
+        got = [sol.cost, *sol.cost_breakdown]
+        want = [family.cost, *family.cost_breakdown]
         assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))

@@ -665,7 +665,7 @@ class TestCertificate:
         assert verify_boundaries(sol, tol=1e-8).passed
         assert sol.cost == sol.cost_breakdown.total
         assert sol.cost_breakdown.bare >= 1.0 / np.tanh(T) - 1e-6
-        values = [sol.cost, *sol.cost_breakdown.as_dict().values(), *sol.coefficients.values()]
+        values = [sol.cost, *sol.cost_breakdown, *sol.coefficients.values()]
         values += list(sol.trajectory.table(np.linspace(0.0, T, 201)).values())
         assert all(np.all(np.isfinite(v)) for v in values)
 
@@ -683,6 +683,6 @@ class TestCertificate:
         assert verify_boundaries(sol, tol=1e-8).passed
         assert sol.cost == sol.cost_breakdown.total
         assert sol.cost_breakdown.bare >= 1.0 / np.tanh(T) - 1e-6
-        values = [sol.cost, *sol.cost_breakdown.as_dict().values(), *sol.coefficients.values()]
+        values = [sol.cost, *sol.cost_breakdown, *sol.coefficients.values()]
         values += list(sol.trajectory.table(np.linspace(0.0, T, 201)).values())
         assert all(np.all(np.isfinite(v)) for v in values)
