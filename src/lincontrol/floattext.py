@@ -38,14 +38,13 @@ a time from a ``(10000, 8)`` table of digit-and-slot pairs read as one
 half of the table holds each group with its trailing zeros as holes, used
 for the groups after the last non-zero one.
 
-The tables are built on first use by vectorised numpy calls, and the powers
-of ten one exponent at a time as cells need them.  ``np.longdouble`` is not
+The tables are built by vectorised numpy calls when the module is imported,
+which :func:`lincontrol.model.csv_text` does on its first call, and the
+powers of ten one exponent at a time as cells need them.  ``np.longdouble`` is not
 used: its width differs by platform.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,7 +62,6 @@ _E_MIN, _E_MAX = -310, 310
 _DIGIT = 6
 
 
-@lru_cache(maxsize=1)
 def _digit_words():
     """``(20000,)`` uint64: the bytes ``d0 _ d1 _ d2 _ d3 _`` (``_`` a NUL slot)
     of each of 0..9999, then the same with the trailing zero digits as NULs."""
@@ -73,10 +71,10 @@ def _digit_words():
     pairs = np.zeros((2, 10000, 8), dtype=np.uint8)
     pairs[0, :, ::2] = digits
     pairs[1, :, ::2] = np.where(trailing, 0, digits)
+    pairs.setflags(write=False)  # and so the view returned
     return pairs.reshape(20000, 8).view(np.uint64).ravel()
 
 
-@lru_cache(maxsize=1)
 def _layouts():
     """``(first, last, whole, point)`` per decimal exponent ``E = _E_MIN .. _E_MAX``.
 
@@ -105,7 +103,15 @@ def _layouts():
     first, last = ends.view(np.uint64).reshape(E.size, 2).T
     whole = np.where(fixed & (E > 0), _DIGIT + 2 * E, _DIGIT)
     point = np.where(scientific, _DIGIT + 1, np.where((E >= 0) & (E < 16), _DIGIT + 1 + 2 * E, WIDTH - 2))
-    return first.copy(), last.copy(), whole, point
+    tables = first.copy(), last.copy(), whole, point
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
+#: the tables of :func:`_digit_words` and :func:`_layouts`, shared read-only
+_DIGIT_WORDS = _digit_words()
+_FIRST, _LAST, _WHOLE, _POINT = _layouts()
 
 
 class _Powers:
@@ -144,9 +150,8 @@ class _Powers:
             self.known[slot] = True
 
 
-@lru_cache(maxsize=1)
-def _powers():
-    return _Powers()
+#: the powers of ten of the exponents met so far, filled in place by every call
+_POWERS = _Powers()
 
 
 def _digits(a, E):
@@ -155,20 +160,19 @@ def _digits(a, E):
     mask of the cells left to ``%``: in the tie band, or whose estimate left
     ``floor(s)`` outside ``[10^16, 10^17)``."""
     slot = E - _E_MIN
-    powers = _powers()
-    present = np.zeros(powers.known.size, dtype=bool)
+    present = np.zeros(_POWERS.known.size, dtype=bool)
     present[slot] = True
-    powers.fill(present)
+    _POWERS.fill(present)
     # s = a 10^(16-E) = (a down)(hi + lo) up, with (a down) hi exact as p + low by Dekker's product
-    a = a * powers.down[slot]
-    hh, hl = powers.hi_hi[slot], powers.hi_lo[slot]
-    p = a * powers.hi[slot]
+    a = a * _POWERS.down[slot]
+    hh, hl = _POWERS.hi_hi[slot], _POWERS.hi_lo[slot]
+    p = a * _POWERS.hi[slot]
     t = a * _SPLIT
     ah = t - (t - a)
     al = a - ah
     low = al * hl - (((p - ah * hh) - al * hh) - ah * hl)
-    low += a * powers.lo[slot]
-    up = powers.up[slot]
+    low += a * _POWERS.lo[slot]
+    up = _POWERS.up[slot]
     p *= up
     low *= up
     below = np.floor(low)
@@ -196,11 +200,10 @@ def fast_cells(values):
     slow |= special
 
     layout = E - _E_MIN
-    first, last, whole_column, point_column = _layouts()
     rows = np.zeros((n, WIDTH), dtype=np.uint8)
     words = rows.view(np.uint64)
-    words[:, 0] = first[layout]
-    words[:, -1] = last[layout]
+    words[:, 0] = _FIRST[layout]
+    words[:, -1] = _LAST[layout]
     rows[:, 0] = np.signbit(x) * np.uint8(ord("-"))
     # D = lead 10^16 + g1 10^12 + g2 10^8 + g3 10^4 + g4
     head = D // 10**8
@@ -213,22 +216,21 @@ def fast_cells(values):
     g2 = head - g1 * 10**4
     g4 = tail - g3 * 10**4
     # a group is read from the stripped half of the table when every group after it is 0
-    table = _digit_words()
-    words[:, 1] = table[g1 + 10000 * ((g2 == 0) & (tail == 0))]
-    words[:, 2] = table[g2 + 10000 * (tail == 0)]
-    words[:, 3] = table[g3 + 10000 * (g4 == 0)]
-    words[:, 4] = table[g4 + 10000]
+    words[:, 1] = _DIGIT_WORDS[g1 + 10000 * ((g2 == 0) & (tail == 0))]
+    words[:, 2] = _DIGIT_WORDS[g2 + 10000 * (tail == 0)]
+    words[:, 3] = _DIGIT_WORDS[g3 + 10000 * (g4 == 0)]
+    words[:, 4] = _DIGIT_WORDS[g4 + 10000]
 
     flat = rows.ravel()
     base = np.arange(0, n * WIDTH, WIDTH)
     # in fixed notation the digits up to E are integer digits: restore the zeros stripped among them
-    short = np.flatnonzero(flat[base + whole_column[layout]] == 0)
+    short = np.flatnonzero(flat[base + _WHOLE[layout]] == 0)
     if short.size:
         digits = rows[short, _DIGIT : _DIGIT + 34 : 2]
         digits[(digits == 0) & (np.arange(17) <= E[short, None])] = ord("0")
         rows[short, _DIGIT : _DIGIT + 34 : 2] = digits
     # the point, when a digit follows it
-    at = base + point_column[layout]
+    at = base + _POINT[layout]
     flat[at] = (flat[at + 1] != 0) * np.uint8(ord("."))
     return rows, slow
 

@@ -168,7 +168,10 @@ def eigendecompose(A):
 
 @lru_cache(maxsize=64)
 def _leggauss(nodes):
-    return np.polynomial.legendre.leggauss(nodes)
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def gauss_legendre(nodes, a=-1.0, b=1.0):

@@ -62,6 +62,10 @@ class DegenerateBasis(ValueError):
 #: the derivative order of ``x`` each row of ``row_names(1)`` needs: ``x``, ``x'``, ``u``, ``v``
 _ROW_ORDERS = (0, 1, 1, 2)
 
+#: the right-hand side of the first-order boundary system: x(0), x(T), x'(0), x'(T)
+_BOUNDARY_RHS = np.array([0.0, 1.0, 0.0, 0.0])
+_BOUNDARY_RHS.setflags(write=False)
+
 #: Gauss-Legendre nodes of the cost rule: exact for polynomial families up to
 #: N = 47, exact to roundoff for the sines up to N = 20; a different rule from
 #: the 64-node quadrature that checks the cost
@@ -102,7 +106,8 @@ class AnsatzFamily:
     that meets them and ``free_map`` an orthonormal basis of the null space
     of the boundary rows, so ``coefficient_vector(p) = offset + free_map @
     p`` meets all four conditions for every ``p`` and every ``T``.  Each
-    family class names itself in ``kind`` and its solutions in ``tag``.
+    family class names itself in ``kind`` and its solutions in ``tag``, and
+    sets ``MAX_ORDER``, the last order at which its cost rule is exact.
 
     Raises
     ------
@@ -118,10 +123,6 @@ class AnsatzFamily:
         ``SOLVE_COND_CAP`` or above.
     """
 
-    kind = "abstract"
-    #: the last order at which the family's cost rule is exact
-    MAX_ORDER = 0
-
     def __init__(self, N, T=1.0):
         # a non-real reads as NaN, and order % 1 is NaN for a NaN or an
         # infinity, so none of them passes as an integer
@@ -136,7 +137,7 @@ class AnsatzFamily:
         inverse = 2.0 / self.T
         if not math.isfinite(inverse * inverse):
             raise Overflow(f"horizon T={T} is too small: (2/T)^2 overflows")
-        _, _, self.offset, self.free_map = _reference_tables(type(self), self.N)
+        self.offset, self.free_map = _reference_tables(type(self), self.N)[2:4]
 
     @property
     def free_dim(self):
@@ -153,17 +154,10 @@ class AnsatzFamily:
         shaped (order + 1, basis) + ts.shape.
 
         The horizon-2 table at ``u = 2 ts / T`` is rescaled by ``(2/T)^k``.
-        When ``u`` is exactly ``(0, 2)``, as it is for ``ts = (0, T)``, and
-        ``order <= 2``, the cached endpoint table stands in for a new one; it
-        holds the same bits.
         """
         ts = np.asarray(ts, dtype=float)
-        u = 2.0 * ts / self.T
-        scale = ((2.0 / self.T) ** np.arange(order + 1)).reshape((-1, 1) + (1,) * ts.ndim)
-        if order <= 2 and u.shape == _ENDS.shape and u.tobytes() == _ENDS.tobytes():
-            return _reference_tables(type(self), self.N)[1][: order + 1] * scale
-        table = self.reference_basis(self.N, u, order)
-        table *= scale
+        table = self.reference_basis(self.N, 2.0 * ts / self.T, order)
+        table *= ((2.0 / self.T) ** np.arange(order + 1)).reshape((-1, 1) + (1,) * ts.ndim)
         return table
 
     def x_stack(self, coeffs, t, order=2):
@@ -180,21 +174,29 @@ class AnsatzFamily:
         return (coeffs @ tables.reshape(tables.shape[:2] + (-1,))).reshape((order + 1,) + t.shape)
 
     @cached_property
-    def _cost_tables(self):
-        """The basis tables of x, x' and v = x'' + x' on the cost rule, times sqrt(weight) (built once),
-        stacked as ``(3, basis, node)``.
+    def _scaled_tables(self):
+        """``(cost, ends)``, the cached horizon-2 tables rescaled to this horizon once.
 
-        The rule on ``[0, T]`` is the horizon-2 rule stretched by ``T/2``, so
-        each table is the cached horizon-2 one times ``(2/T)^k sqrt(T/2)``.
-        The stack is a view of one ``(basis, 3, node)`` array, in which each
-        basis function's three rows are the row of the cost's sum of squares
-        that :meth:`gram` reads.
+        ``cost`` holds the basis tables of x, x' and v = x'' + x' on the cost
+        rule, times sqrt(weight), stacked as ``(3, basis, node)``.  The rule on
+        ``[0, T]`` is the horizon-2 rule stretched by ``T/2``, so each table is
+        the cached horizon-2 one times ``(2/T)^k sqrt(T/2)``.  The stack is a
+        view of one ``(basis, 3, node)`` array, in which each basis function's
+        three rows are the row of the cost's sum of squares that :meth:`gram`
+        reads.  ``ends`` holds orders 0-2 at ``t = 0`` and ``T``, the horizon-2
+        end table times ``(2/T)^k``, shaped ``(order, basis, 2)``: the bits
+        :meth:`basis` gives at ``(0, T)``.
         """
-        cost = _reference_tables(type(self), self.N)[0]
-        scale = (2.0 / self.T) ** np.arange(3) * math.sqrt(self.T / 2.0)
-        tables = cost * scale[:, None]
+        cost, ends = _reference_tables(type(self), self.N)[:2]
+        scale = (2.0 / self.T) ** np.arange(3)
+        tables = cost * (scale * math.sqrt(self.T / 2.0))[:, None]
         tables[:, 2] += tables[:, 1]
-        return tables.transpose(1, 0, 2)
+        # near the smallest horizon __init__ accepts, x'' at the ends can leave the float range
+        # where the cost tables, times sqrt(T/2), do not: gram stays silent there, and
+        # solve_sta refuses the non-finite result
+        with np.errstate(over="ignore"):
+            ends = ends * scale[:, None, None]
+        return tables.transpose(1, 0, 2), ends
 
     def gram(self, lam=0.0):
         """The cost's :class:`GramForm` at the weight ``lam``, read by :class:`ControlProblem`'s rule.
@@ -203,7 +205,7 @@ class AnsatzFamily:
         ``sqrt(lam) v``.
         """
         lam = ControlProblem(T=self.T, lam=lam).lam
-        tables = self._cost_tables.transpose(1, 0, 2)
+        tables = self._scaled_tables[0].transpose(1, 0, 2)
         if lam:
             rows = tables.copy()
             rows[:, 2] *= math.sqrt(lam)
@@ -215,24 +217,21 @@ class AnsatzFamily:
     def cost_parts(self, coeffs):
         """(state, derivative, unweighted control-energy) integrals: the coefficients' product with
         the three cost tables in one stacked ``matmul``, then each product's dot with itself."""
-        r = np.asarray(coeffs, dtype=float) @ self._cost_tables
+        r = np.asarray(coeffs, dtype=float) @ self._scaled_tables[0]
         return tuple((r[:, None] @ r[..., None]).ravel().tolist())
-
-
-#: the ends of the horizon-2 reference interval
-_ENDS = np.array([0.0, 2.0])
-_ENDS.setflags(write=False)
 
 
 @lru_cache(maxsize=64)
 def _reference_tables(family, N):
     """Horizon-2 basis tables and boundary elimination of ``family`` at order ``N``, shared read-only.
 
-    Returns ``(cost, ends, offset, free_map)``: orders 0-2 on the cost rule
-    of ``[0, 2]``, each node times sqrt(weight), shaped (basis, order,
-    node); orders 0-2 at ``u = 0`` and ``u = 2``, shaped (order, basis, 2);
-    and the minimum-norm coefficients that meet the boundary conditions and
-    an orthonormal basis of the null space of the boundary rows.
+    Returns ``(cost, ends, offset, free_map, names)``: orders 0-2 on the
+    cost rule of ``[0, 2]``, each node times sqrt(weight), shaped (basis,
+    order, node); orders 0-2 at ``u = 0`` and ``u = 2``, shaped (order,
+    basis, 2); the minimum-norm coefficients that meet the boundary
+    conditions and an orthonormal basis of the null space of the boundary
+    rows; and the paper's coefficient names ``a0 .. aN``, of which each
+    family reads its own.  The arrays are read-only.
 
     At horizon ``T`` the boundary rows ``x(0), x(T), x'(0), x'(T)`` are the
     horizon-2 rows with the two ``x'`` rows times ``2/T``.  Those rows have a
@@ -248,18 +247,18 @@ def _reference_tables(family, N):
     """
     u, w = gauss_legendre(COST_NODES, 0.0, 2.0)
     cost = np.ascontiguousarray((family.reference_basis(N, u, 2) * np.sqrt(w)).transpose(1, 0, 2))
-    ends = family.reference_basis(N, _ENDS, 2)
+    ends = family.reference_basis(N, np.array([0.0, 2.0]), 2)
     rows = np.vstack([ends[0].T, ends[1].T])
     scale = np.abs(rows).max(axis=1)
     live = scale > 0.0
-    rhs = np.array([0.0, 1.0, 0.0, 0.0])[live] / scale[live]
+    rhs = _BOUNDARY_RHS[live] / scale[live]
     U, s, Vt = np.linalg.svd(rows[live] / scale[live, None])
     if not s[0] < SOLVE_COND_CAP * s[-1]:
         raise SingularMatrix(f"boundary rows have condition number >= {SOLVE_COND_CAP:.0e}")
     tables = (cost, ends, Vt[: len(s)].T @ ((U.T @ rhs) / s), Vt[len(s):].T)
     for a in tables:
         a.setflags(write=False)
-    return tables
+    return (*tables, tuple(f"a{k}" for k in range(N + 1)))
 
 
 @lru_cache(maxsize=64)
@@ -280,12 +279,6 @@ def _monomial_matrix(N):
     )
     M.setflags(write=False)
     return M
-
-
-@lru_cache(maxsize=128)
-def _coefficient_names(first, N):
-    """The paper's names ``a{first} .. aN`` of a family's coefficients, built once per order."""
-    return tuple(f"a{k}" for k in range(first, N + 1))
 
 
 class PolynomialAnsatz(AnsatzFamily):
@@ -322,7 +315,7 @@ class PolynomialAnsatz(AnsatzFamily):
         to_monomial = _monomial_matrix(N) / self.T ** np.arange(N + 1)[:, None]
         a = (to_monomial @ coeffs).tolist()
         names = dict(zip(_TAIL_NAMES, a[4:]))
-        names.update(zip(_coefficient_names(2, N), a[2:]))
+        names.update(zip(_reference_tables(type(self), N)[4][2:], a[2:]))
         return names
 
 
@@ -357,13 +350,8 @@ class TrigonometricAnsatz(AnsatzFamily):
         if self.N == 5:
             tail[0] = a[3] + a[4]
         names = dict(zip(_TAIL_NAMES, tail))
-        names.update(zip(_coefficient_names(1, len(a)), a))
+        names.update(zip(_reference_tables(type(self), self.N)[4][1:], a))
         return names
-
-
-#: the right-hand side of the exponential family's boundary system: x(0), x(T), x'(0), x'(T)
-_EXP_RHS = np.array([0.0, 1.0, 0.0, 0.0])
-_EXP_RHS.setflags(write=False)
 
 
 class ExponentialAnsatz:
@@ -409,7 +397,7 @@ class ExponentialAnsatz:
         at0, atT = term_ends = end_values(rates, T)
         B = np.array([at0, atT, rates * at0, rates * atT])
         try:
-            gammas = solve_linear(B, _EXP_RHS)
+            gammas = solve_linear(B, _BOUNDARY_RHS)
         except SingularMatrix as exc:
             raise DegenerateBasis(f"boundary system singular at k={k}: {exc}") from exc
         cancellation = np.abs(B * gammas).sum(axis=1).max()
@@ -494,13 +482,14 @@ def solve_sta(family, problem=None):
     ``SingularMatrix`` when cond(A) reaches
     :data:`~lincontrol.numerics.LSQ_COND_CAP` (the sine family from N = 14).
     Its trajectory's end table is every row at ``t = 0`` and ``T`` from one
-    :meth:`~AnsatzFamily.x_stack` call.  The Gram form, the minimiser, the
-    cost, the end table and the paper's coefficients are formed in one
-    ``np.errstate`` block, so a horizon whose tables, cost or monomial
-    coefficients leave the float range is refused with its typed error and
-    no numpy warning.  Both branches build their record with the one
-    assembler, :func:`~lincontrol.model.assemble_solution`, which returns
-    it through :func:`~lincontrol.model.certify`.
+    product of the coefficients with the family's scaled end table.  The
+    Gram form, the minimiser, the cost, the end table and the paper's
+    coefficients are formed in one ``np.errstate`` block, so a horizon whose
+    tables, cost or monomial coefficients leave the float range is refused
+    with its typed error and no numpy warning.  Both branches build their
+    record with the one assembler,
+    :func:`~lincontrol.model.assemble_solution`, which returns it through
+    :func:`~lincontrol.model.certify`.
     """
     if problem is None:
         problem = ControlProblem(T=family.T, n=1, lam=0.0)
@@ -515,7 +504,7 @@ def solve_sta(family, problem=None):
         gram = family.gram(problem.lam)
         coeffs = family.coefficient_vector(minimize_quadratic(gram.A, gram.b))
         state, deriv, ctrl = family.cost_parts(coeffs)
-        ends = _first_order_rows(family.x_stack(coeffs, np.array([0.0, problem.T]), 2))
+        ends = _first_order_rows(coeffs @ family._scaled_tables[1])
         coefficients = family.paper_coefficients(coeffs)
     breakdown = CostBreakdown(state, deriv, problem.lam * ctrl)
 

@@ -1,11 +1,12 @@
 """Tests for the problem types, cost functional, boundary checks, and CSV."""
 
 import pickle
+import sys
 
 import numpy as np
 import pytest
 
-from lincontrol import expsums, model as modelmod, sta as stamod
+from lincontrol import expsums, floattext, model as modelmod, numerics, sta as stamod
 from lincontrol.cli import _json, solution_summary
 from lincontrol.model import (
     ALIASES,
@@ -725,12 +726,17 @@ HEADER_ROUTES = {
 }
 
 
-#: each cached table of the package, by a call that builds it
+#: each cached table of the package, by a call that builds it, and each table built at import
 CACHED_TABLES = {
     **{f"order-n{n}": (lambda n=n: modelmod._order_table(n)) for n in (1, 2, 8)},
     **{f"modes-n{n}": (lambda n=n: _mode_tables(n)) for n in (1, 2, 8)},
     "reference-poly5": lambda: _reference_tables(PolynomialAnsatz, 5),
     "reference-trig8": lambda: _reference_tables(TrigonometricAnsatz, 8),
+    **{f"legendre-derivative-{N}": (lambda N=N: stamod._legendre_derivative(N)) for N in (3, 47)},
+    **{f"monomial-matrix-{N}": (lambda N=N: stamod._monomial_matrix(N)) for N in (3, 47)},
+    **{f"leggauss-{nodes}": (lambda nodes=nodes: numerics._leggauss(nodes)) for nodes in (48, 64)},
+    **{f"floattext.{name}": (lambda name=name: getattr(floattext, name))
+       for name in ("_DIGIT_WORDS", "_FIRST", "_LAST", "_WHOLE", "_POINT")},
 }
 
 
@@ -740,7 +746,7 @@ def test_cached_tables_are_shared_and_read_only(build):
     # and no caller can write to a shared array
     table = build()
     assert build() is table
-    arrays = [part for part in table if isinstance(part, np.ndarray)]
+    arrays = [table] if isinstance(table, np.ndarray) else [part for part in table if isinstance(part, np.ndarray)]
     assert arrays
     for array in arrays:
         assert not array.flags.writeable
@@ -948,9 +954,9 @@ class TestEndTable:
         # one evaluation of every row at [0, T], before the certificate, handed to the record;
         # certify, verify_boundaries and the summary then evaluate nothing
         events, handed = [], []
-        real_values, term_sums, x_stack, init, certify = (
-            modelmod.real_values, modelmod.term_sums, stamod.AnsatzFamily.x_stack, Trajectory.__init__,
-            modelmod.certify,
+        real_values, term_sums, x_stack, scaled_tables, init, certify = (
+            modelmod.real_values, modelmod.term_sums, stamod.AnsatzFamily.x_stack,
+            stamod.AnsatzFamily._scaled_tables, Trajectory.__init__, modelmod.certify,
         )
 
         def spy_real_values(sums, t):
@@ -965,6 +971,12 @@ class TestEndTable:
             events.append(("x_stack", np.asarray(t).tolist(), order))
             return x_stack(family, coeffs, t, order)
 
+        def spy_scaled_tables(family):
+            # gram and cost_parts read the cost tables; solve_sta reads the end table
+            if sys._getframe(1).f_code.co_name == "solve_sta":
+                events.append(("end table", family.T))
+            return scaled_tables.__get__(family, type(family))
+
         def spy_init(traj, *args, **kwargs):
             init(traj, *args, **kwargs)
             handed.append(kwargs.get("ends"))
@@ -978,12 +990,13 @@ class TestEndTable:
         monkeypatch.setattr(modelmod, "real_values", spy_real_values)
         monkeypatch.setattr(modelmod, "term_sums", spy_term_sums)
         monkeypatch.setattr(stamod.AnsatzFamily, "x_stack", spy_x_stack)
+        monkeypatch.setattr(stamod.AnsatzFamily, "_scaled_tables", property(spy_scaled_tables))
         monkeypatch.setattr(Trajectory, "__init__", spy_init)
         monkeypatch.setattr(modelmod, "certify", spy_certify)
         sol = make()
         traj = sol.trajectory
-        if sol.kind in ("sta-poly", "sta-trig"):
-            evaluation = ("x_stack", [0.0, traj.T], 2)
+        if sol.kind in ("sta-poly", "sta-trig"):  # the family's cached end table, read once
+            evaluation = ("end table", traj.T)
         else:  # every row on the term ends the route built for its boundary system
             evaluation = ("term_sums", (2,), len(traj.names))
         assert events == [evaluation, "certify", "certified"]

@@ -446,6 +446,12 @@ class TestAssembleGram:
                 assert np.linalg.svd(form.A, compute_uv=False).min() > 0
 
 
+#: the basis families solved at a positive weight, each below the order where its Gram form is refused
+WEIGHTED_FAMILIES = [(build_polynomial, N) for N in (4, 8, 12, 16, 24)] + [
+    (build_trigonometric, N) for N in (4, 6, 8, 10, 13)
+]
+
+
 class TestSolveSta:
     def test_polynomial_table(self):
         sol4 = solve_sta(build_polynomial(4))
@@ -512,6 +518,19 @@ class TestSolveSta:
         assert sol.cost_breakdown.control_energy > 0
         assert sol.cost == pytest.approx(sol.cost_breakdown.total, abs=1e-12)
 
+    @pytest.mark.parametrize("T", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("lam", [1e-2, 1e-4, 0.25])
+    @pytest.mark.parametrize("builder, N", WEIGHTED_FAMILIES, ids=lambda v: getattr(v, "__name__", v))
+    def test_weighted_family_bounds_the_first_order_optimum(self, builder, N, lam, T):
+        # every member meets the first-order boundary conditions, so no weighted cost is below the
+        # first-order optimum's (ROADMAP item 16); where the fast rate lam^-1/2 is at most 10,
+        # the polynomials of order 24 reach it (item 9 at n = 1)
+        optimum = regular_order1_analytic(lam, T).cost
+        cost = solve_sta(builder(N, T), ControlProblem(T=T, lam=lam)).cost
+        assert cost >= optimum * (1.0 - 1e-12)
+        if builder is build_polynomial and N == 24 and lam >= 1e-2:
+            assert cost == pytest.approx(optimum, rel=1e-9)
+
 
 ORACLE_HORIZONS = [0.1, 1.0, 6.31, 10.0]
 
@@ -538,7 +557,7 @@ class TestXStack:
         rng = np.random.default_rng(points)
         for N in range(3, 21):
             fam = family(N, 1.7)
-            grid = np.linspace(0.0, 1.7, points)  # two points are the ends, the cached endpoint table
+            grid = np.linspace(0.0, 1.7, points)  # two points are the ends
             for ts in (grid, grid[1:2].reshape(()), grid[: points // 2 * 2].reshape(2, -1)):
                 for order in range(3):
                     coeffs = rng.normal(size=fam.offset.size) * 10.0 ** rng.uniform(-3.0, 3.0)
@@ -559,7 +578,7 @@ class TestReferenceTables:
     def test_cost_tables(self, family, N, T):
         ts, ws = gauss_legendre(COST_NODES, 0.0, T)
         x, xd, xdd = (direct_basis(family, N, T, ts, k) * np.sqrt(ws) for k in range(3))
-        for got, want in zip(family(N, T)._cost_tables, (x, xd, xdd + xd)):
+        for got, want in zip(family(N, T)._scaled_tables[0], (x, xd, xdd + xd)):
             self.assert_close(got, want)
 
     @pytest.mark.parametrize("T", ORACLE_HORIZONS)
@@ -574,22 +593,12 @@ class TestReferenceTables:
 
     @pytest.mark.parametrize("T", ORACLE_HORIZONS)
     @pytest.mark.parametrize("family, N", TABLE_ORDERS, ids=lambda v: getattr(v, "kind", v))
-    def test_endpoint_path_matches_a_new_table(self, monkeypatch, family, N, T):
-        # at ts = (0, T) the cached endpoint table stands in for reference_basis, bit for bit
-        fam = family(N, T)
-        coeffs = fam.coefficient_vector(np.linspace(-1.0, 1.0, fam.free_dim))
-        ends = np.array([0.0, T])
-        tables = [fam.reference_basis(N, 2.0 * ends / T, k) for k in range(3)]
-
-        def unused(*args):
-            raise AssertionError("the endpoint path builds no new table")
-
-        monkeypatch.setattr(family, "reference_basis", staticmethod(unused))
-        for k, table in enumerate(tables):
-            table *= ((2.0 / T) ** np.arange(k + 1)).reshape(-1, 1, 1)
-            assert fam.basis(ends, k).tobytes() == table.tobytes()
-            want = np.array([coeffs @ rows for rows in table])
-            assert fam.x_stack(coeffs, ends, k).tobytes() == want.tobytes()
+    def test_endpoint_path_matches_a_new_table(self, family, N, T):
+        # the solution's end table, read from the family's scaled horizon-2 end table, holds the
+        # bits of a new evaluation of every row at (0, T)
+        traj = solve_sta(family(N, T)).trajectory
+        fresh = traj.evaluate(np.array([0.0, T]), list(range(len(traj.names))))
+        assert traj.ends.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("family, N", TABLE_ORDERS, ids=lambda v: getattr(v, "kind", v))
     def test_rows_build_only_the_orders_they_need(self, monkeypatch, family, N):
@@ -610,14 +619,24 @@ class TestReferenceTables:
             assert orders == [order], name
             assert row.tobytes() == table[name].tobytes(), name
 
+    @pytest.mark.parametrize("family", [PolynomialAnsatz, TrigonometricAnsatz], ids=["poly", "trig"])
+    def test_gram_is_silent_where_the_end_table_overflows(self, family):
+        # at T = 1e-153 x'' at the ends leaves the float range and the cost tables do not;
+        # the suite turns a RuntimeWarning into an error
+        fam = family(13, 1e-153)
+        fam.gram()
+        cost, ends = fam._scaled_tables
+        assert np.isfinite(cost).all() and not np.isfinite(ends).all()
+
     def test_the_endpoint_path_hands_out_a_copy(self):
         # the tables are shared read-only (tests/test_model.py::test_cached_tables_are_shared_and_read_only)
         ends = _reference_tables(PolynomialAnsatz, 5)[1]
         assert ends.shape == (3, 6, 2)
-        # the endpoint path hands out a scaled copy, never the cached table
-        table = PolynomialAnsatz(5, 1.0).basis(np.array([0.0, 1.0]), 2)
-        table[...] = 0.0
-        assert ends.any()
+        # the basis at the ends and the family's scaled end table are copies, never the cached table
+        family = PolynomialAnsatz(5, 1.0)
+        for table in (family.basis(np.array([0.0, 1.0]), 2), family._scaled_tables[1]):
+            table[...] = 0.0
+            assert ends.any()
 
 
 class TestExtendedPrecisionOracle:
