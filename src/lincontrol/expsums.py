@@ -115,9 +115,10 @@ def term_sums(gammas, e):
     complex multiply may fuse multiply-adds.  When every term and gamma is
     real the imaginary products, all exact zeros, are skipped; that leaves
     every bit alone because ``x - 0.0 == x`` and the sum never becomes
-    ``-0.0``.  Real gammas are read as real, and complex ones are checked
-    for a nonzero imaginary part.  Gamma rows whose length is not the
-    number of terms raise ``ValueError``.
+    ``-0.0``.  A stack is real when the dtypes of both are: complex gammas
+    with zero imaginary parts on a real table take the complex kernel, whose
+    imaginary products are exact zeros too, and give the same bits.  Gamma
+    rows whose length is not the number of terms raise ``ValueError``.
     """
     g = np.asarray(gammas)
     # real gammas stay real: their imaginary parts would all be +0.0
@@ -128,7 +129,7 @@ def term_sums(gammas, e):
     lead, times = g.shape[:-1], e.shape[1:]
     g = g.reshape((-1,) + e.shape[:1] + (1,) * len(times))
     rows, points = len(g), math.prod(times)
-    real = e.dtype.kind != "c" and not (complex_gammas and g.imag.any())
+    real = e.dtype.kind != "c" and not complex_gammas
     if points <= FEW_POINTS or (not real and rows * points <= FEW_COMPLEX_CELLS):
         g = g.swapaxes(0, 1)
         e = e[:, None]

@@ -23,8 +23,9 @@ half.
 whose fraction lies within :data:`TIE_BAND` of one half (every tie
 included), or whose estimate of ``E`` (``np.log10``, off by one only
 within about an ulp of a power of ten) left ``floor(s)`` outside ``[10^16,
-10^17)``.  Every other cell rounds to nearest, and ``D = 10^17`` becomes
-``10^16`` at ``E + 1``.  So each cell's bytes equal ``'%.17g' % value`` by
+10^17)`` or rounded it up to ``10^17``.  Every other cell rounds to nearest,
+and its digits and ``E`` are final.  The layout below leaves one more kind
+of cell to ``%``.  So each cell's bytes equal ``'%.17g' % value`` by
 construction.
 
 **Layout.**  ``%g`` prints fixed notation when ``-4 <= E < 17`` and
@@ -36,7 +37,10 @@ exponent.  Every dropped character is a NUL hole.  The digits come four at
 a time from a ``(10000, 8)`` table of digit-and-slot pairs read as one
 ``uint64`` per entry, which needs no assumption on byte order; a second
 half of the table holds each group with its trailing zeros as holes, used
-for the groups after the last non-zero one.
+for the groups after the last non-zero one.  In fixed notation such a hole
+can fall on an integer digit, which ``%`` prints (10, 120, 1000, 1e16); a
+cell whose last integer digit is a hole is left to ``%``, so no byte is
+written after the layout but the point.
 
 The tables are built by vectorised numpy calls when the module is imported,
 which :func:`lincontrol.model.csv_text` does on its first call, and the
@@ -158,7 +162,9 @@ def _digits(a, E):
     """``(D, E, slow)``: the 17 digits ``D`` of each normal ``a > 0`` and its
     decimal exponent, from the estimate ``E`` of ``floor(log10 a)``, and the
     mask of the cells left to ``%``: in the tie band, or whose estimate left
-    ``floor(s)`` outside ``[10^16, 10^17)``."""
+    ``floor(s)`` outside ``[10^16, 10^17)`` or rounded it up to ``10^17``.
+    ``E`` is the estimate itself: a cell whose digits carry into the next
+    decade is left to ``%``, not moved there."""
     slot = E - _E_MIN
     present = np.zeros(_POWERS.known.size, dtype=bool)
     present[slot] = True
@@ -180,16 +186,19 @@ def _digits(a, E):
     D = p.astype(np.int64) + below.astype(np.int64)
     slow = (np.abs(fraction - 0.5) < TIE_BAND) | (D < 10**16) | (D >= 10**17)
     D += fraction > 0.5
-    carry = D == 10**17
-    D[carry] = 10**16
-    return D, E + carry, slow
+    slow |= D == 10**17
+    return D, E, slow
 
 
 def fast_cells(values):
     """``(rows, slow)``: the ``'%.17g'`` row of each of ``values`` (read flat)
     and the mask of the cells left to ``%``, whose rows hold nothing meaningful.
 
-    ``rows`` is ``(size, WIDTH)`` uint8 with NUL holes.
+    ``rows`` is ``(size, WIDTH)`` uint8 with NUL holes.  A row is laid out
+    from the tables alone; the only byte written after is the point.  The
+    cells left to ``%`` are those of :func:`_digits`, the zero, subnormal and
+    non-finite ones, and the fixed-notation ones whose last integer digit
+    the stripped table half left as a hole (10, 120, -2000, 1.2e15).
     """
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     n = x.size
@@ -223,12 +232,8 @@ def fast_cells(values):
 
     flat = rows.ravel()
     base = np.arange(0, n * WIDTH, WIDTH)
-    # in fixed notation the digits up to E are integer digits: restore the zeros stripped among them
-    short = np.flatnonzero(flat[base + _WHOLE[layout]] == 0)
-    if short.size:
-        digits = rows[short, _DIGIT : _DIGIT + 34 : 2]
-        digits[(digits == 0) & (np.arange(17) <= E[short, None])] = ord("0")
-        rows[short, _DIGIT : _DIGIT + 34 : 2] = digits
+    # in fixed notation the digits up to E are integer digits: a stripped zero among them is left to %
+    slow |= flat[base + _WHOLE[layout]] == 0
     # the point, when a digit follows it
     at = base + _POINT[layout]
     flat[at] = (flat[at + 1] != 0) * np.uint8(ord("."))

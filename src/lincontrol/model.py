@@ -535,7 +535,8 @@ def csv_text(sol, points=1001):
 
     Every cell is ``'%.17g' % value``, byte for byte.  The digits come from
     :func:`lincontrol.floattext.cells`, an exact numpy kernel that leaves
-    zeros, subnormals, non-finite values and near-ties to ``%`` itself.
+    zeros, subnormals, non-finite values, near-ties and integers ending in
+    zero to ``%`` itself.
     Columns that name one trajectory row (``u`` and ``z0``, and ``xdot``
     and ``y`` at first order, by :data:`ALIASES`) are formatted once and
     their text is copied into place.  The table is formatted a block of

@@ -67,7 +67,8 @@ def fallback_band(values):
     scaled value ``s = |x| 10^(16-E)`` (``E`` the kernel's ``np.log10``
     estimate) has a fraction within :data:`~lincontrol.floattext.TIE_BAND` of
     one half, or when ``floor(s)`` is outside ``[10^16, 10^17)``.  It may
-    when that holds within the kernel's error, 1e-12.
+    when that holds within the kernel's error, 1e-12.  A cell that ``%``
+    prints as an integer ending in zero (10, 120, 1e16) must go to ``%`` too.
     """
     required, allowed = [], []
     slack = Fraction(1, 10**12)
@@ -82,8 +83,10 @@ def fallback_band(values):
         s = Fraction(a) * Fraction(10) ** (16 - E)
         half = abs(s - math.floor(s) - Fraction(1, 2))
         low, high = 10**16, 10**17
-        required.append(half < band - slack or s < low - slack or s >= high + slack)
-        allowed.append(half < band + slack or s < low + slack or s >= high - slack)
+        text = "%.17g" % a
+        hole = "e" not in text and "." not in text and text.endswith("0")
+        required.append(half < band - slack or s < low - slack or s >= high + slack or hole)
+        allowed.append(half < band + slack or s < low + slack or s >= high - slack or hole)
     return np.array(required), np.array(allowed)
 
 
@@ -116,15 +119,26 @@ class TestEdgeValues:
 
     def test_a_round_up_to_the_next_decade_carries(self):
         # each of these doubles lies within 5e-18 below 10^k and prints as 1e+k;
-        # the log10 estimate reads k, so the kernel leaves them to %, but from
-        # the estimate k - 1 their 17 digits round up to 10^17
+        # the log10 estimate reads k, so the kernel leaves them to %; from the
+        # estimate k - 1 their 17 digits round up to 10^17, which _digits also
+        # leaves to % rather than carry into the next decade
         ks = np.array([-305, -243, -176, -175, -174, -79, -78, -73, -70, -14, 98, 129, 153, 220])
         values = np.array([float(f"1e{k}") for k in ks.tolist()])
         assert all(Fraction(x) < Fraction(10) ** k for x, k in zip(values.tolist(), ks.tolist()))
         assert text(values) == reference(values) == [f"1e{k:+03d}" for k in ks.tolist()]
         assert floattext.fast_cells(values)[1].all()
-        D, E, slow = floattext._digits(values, ks - 1)
-        assert (D == 10**16).all() and (E == ks).all() and not slow.any()
+        assert floattext._digits(values, ks - 1)[2].all()
+
+    def test_a_zero_integer_digit_falls_back(self):
+        # in fixed notation the stripped table half would leave a hole where %
+        # prints a zero integer digit: the kernel leaves such a cell to %
+        holes = np.array([10.0, 20.0, 120.0, 1000.0, -2000.0, 1.2e15, 1e16])
+        kept = np.array([12.5, 100.5, 123456789.0])
+        _, slow = floattext.fast_cells(np.concatenate([holes, kept]))
+        assert slow.tolist() == [True] * holes.size + [False] * kept.size
+        assert text(holes) == reference(holes) == ["10", "20", "120", "1000", "-2000", "1200000000000000",
+                                                   "10000000000000000"]
+        assert text(kept) == reference(kept) == ["12.5", "100.5", "123456789"]
 
     def test_specials_fall_back(self):
         values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072009e-308])

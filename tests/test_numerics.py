@@ -605,6 +605,22 @@ class TestRealValuesBitwise:
             real_values(sums, np.linspace(0.0, 1.0, m))
         assert tables == [(len(sums.rates), rows, limit)]
 
+    @pytest.mark.parametrize("t", BITWISE_TIMES.values(), ids=BITWISE_TIMES.keys())
+    def test_complex_gammas_with_zero_imaginary_parts_give_the_real_bits(self, monkeypatch, t):
+        # term_sums reads a stack as real from the dtypes alone: these gammas
+        # take the complex kernel, whose imaginary products are exact zeros,
+        # so the bits are those of the same gammas as floats
+        sums = _real_sums(monkeypatch)
+        e = expsums._term_table(np.asarray(sums.rates), sums.T, np.asarray(t, dtype=float))
+        gammas = np.asarray(sums.gammas, dtype=float)
+        assert e.dtype == gammas.dtype == np.float64
+        real = np.vstack([gammas, -gammas, np.full_like(gammas, -0.0)])
+        want = expsums.term_sums(real, e)
+        for imag in (0.0, -0.0):
+            complex_ = real.astype(complex)
+            complex_.imag = imag
+            assert expsums.term_sums(complex_, e).tobytes() == want.tobytes()
+
     def test_stacks_cover_both_kinds_and_18_rows(self, monkeypatch):
         real, complex_ = _real_sums(monkeypatch), _complex_sums(monkeypatch)
         assert np.isrealobj(real.rates) and not np.imag(real.gammas).any()
