@@ -42,10 +42,9 @@ can fall on an integer digit, which ``%`` prints (10, 120, 1000, 1e16); a
 cell whose last integer digit is a hole is left to ``%``, so no byte is
 written after the layout but the point.
 
-The tables are built by vectorised numpy calls when the module is imported,
-which :func:`lincontrol.model.csv_text` does on its first call, and the
-powers of ten one exponent at a time as cells need them.  ``np.longdouble`` is not
-used: its width differs by platform.
+Every table, the powers of ten included, is built when the module is
+imported, which :func:`lincontrol.model.csv_text` does on its first call.
+``np.longdouble`` is not used: its width differs by platform.
 """
 
 from __future__ import annotations
@@ -113,72 +112,56 @@ def _layouts():
     return tables
 
 
-#: the tables of :func:`_digit_words` and :func:`_layouts`, shared read-only
-_DIGIT_WORDS = _digit_words()
-_FIRST, _LAST, _WHOLE, _POINT = _layouts()
-
-
-class _Powers:
-    """``10^(16-E)`` for each decimal exponent ``E``, filled as cells need it.
+def _powers():
+    """``(down, hi, hi_hi, hi_lo, lo, up)``: ``10^(16-E)`` per decimal exponent
+    ``E = _E_MIN .. _E_MAX``, one array each.
 
     ``down = 2^-c`` brings ``10^E`` near 1; ``hi`` (also kept as Dekker
-    halves ``hi_hi + hi_lo``) is the integer in ``[2^52, 2^53]`` nearest
+    halves ``hi_hi + hi_lo``) is the integer in ``[2^51, 2^53]`` nearest
     ``10^(16-E) / 2^b``, ``lo`` the remainder rounded to a double, and ``up
     = 2^(b + c)``, so that ``|x| 10^(16-E) = (|x| down)(hi + lo) up``.
     """
-
-    def __init__(self):
-        size = _E_MAX - _E_MIN + 1
-        self.known = np.zeros(size, dtype=bool)
-        self.down, self.hi, self.hi_hi, self.hi_lo, self.lo, self.up = (np.ones(size) for _ in range(6))
-
-    def fill(self, slots):
-        """Compute the constants of the exponent slots in the mask ``slots`` not yet known."""
-        for slot in np.flatnonzero(slots & ~self.known).tolist():
-            E = slot + _E_MIN
-            num, den = (10 ** (16 - E), 1) if E <= 16 else (1, 10 ** (E - 16))
-            # b with num / den / 2^b in [2^52, 2^53)
-            b = num.bit_length() - den.bit_length() - 52
-            num, den = (num, den << b) if b >= 0 else (num << -b, den)
-            if num >= den << 53:
-                den, b = den << 1, b + 1
-            q = (2 * num + den) // (2 * den)
-            hi = float(q)
-            t = hi * _SPLIT
-            hi_hi = t - (t - hi)
-            # 2^c near 10^E, inside the exponent range of a double
-            c = max(-1022, min(1023, (E * 3402) // 1024))
-            self.down[slot], self.up[slot] = 2.0**-c, 2.0 ** (b + c)
-            self.hi[slot], self.hi_hi[slot], self.hi_lo[slot] = hi, hi_hi, hi - hi_hi
-            self.lo[slot] = (num - q * den) / den
-            self.known[slot] = True
+    rows = []
+    for E in range(_E_MIN, _E_MAX + 1):
+        num, den = (10 ** (16 - E), 1) if E <= 16 else (1, 10 ** (E - 16))
+        # b with num / den / 2^b in (2^51, 2^53), read from their bit lengths
+        b = num.bit_length() - den.bit_length() - 52
+        num, den = (num, den << b) if b >= 0 else (num << -b, den)
+        q = (2 * num + den) // (2 * den)
+        hi = float(q)
+        t = hi * _SPLIT
+        hi_hi = t - (t - hi)
+        # 2^c near 10^E, inside the exponent range of a double
+        c = max(-1022, min(1023, (E * 3402) // 1024))
+        rows.append((2.0**-c, hi, hi_hi, hi - hi_hi, (num - q * den) / den, 2.0 ** (b + c)))
+    tables = np.array(rows).T.copy()
+    tables.setflags(write=False)  # and so each row returned
+    return tuple(tables)
 
 
-#: the powers of ten of the exponents met so far, filled in place by every call
-_POWERS = _Powers()
+#: the tables of :func:`_digit_words`, :func:`_layouts` and :func:`_powers`, shared read-only
+_DIGIT_WORDS = _digit_words()
+_FIRST, _LAST, _WHOLE, _POINT = _layouts()
+_POWERS = _powers()
 
 
 def _digits(a, E):
-    """``(D, E, slow)``: the 17 digits ``D`` of each normal ``a > 0`` and its
-    decimal exponent, from the estimate ``E`` of ``floor(log10 a)``, and the
-    mask of the cells left to ``%``: in the tie band, or whose estimate left
-    ``floor(s)`` outside ``[10^16, 10^17)`` or rounded it up to ``10^17``.
-    ``E`` is the estimate itself: a cell whose digits carry into the next
-    decade is left to ``%``, not moved there."""
+    """``(D, slow)``: the 17 digits ``D`` of each normal ``a > 0`` from the
+    estimate ``E`` of ``floor(log10 a)``, and the mask of the cells left to
+    ``%``: in the tie band, or whose estimate left ``floor(s)`` outside
+    ``[10^16, 10^17)`` or rounded it up to ``10^17``.  A cell whose digits
+    carry into the next decade is left to ``%``, not moved there, so ``E``
+    is the decimal exponent of every other cell."""
     slot = E - _E_MIN
-    present = np.zeros(_POWERS.known.size, dtype=bool)
-    present[slot] = True
-    _POWERS.fill(present)
+    down, hi, hi_hi, hi_lo, lo, up = (column[slot] for column in _POWERS)
     # s = a 10^(16-E) = (a down)(hi + lo) up, with (a down) hi exact as p + low by Dekker's product
-    a = a * _POWERS.down[slot]
-    hh, hl = _POWERS.hi_hi[slot], _POWERS.hi_lo[slot]
-    p = a * _POWERS.hi[slot]
+    a = a * down
+    p = a * hi
     t = a * _SPLIT
     ah = t - (t - a)
     al = a - ah
-    low = al * hl - (((p - ah * hh) - al * hh) - ah * hl)
-    low += a * _POWERS.lo[slot]
-    up = _POWERS.up[slot]
+    low = al * hi_lo - (((p - ah * hi_hi) - al * hi_hi) - ah * hi_lo)
+    low += a * lo
     p *= up
     low *= up
     below = np.floor(low)
@@ -187,7 +170,7 @@ def _digits(a, E):
     slow = (np.abs(fraction - 0.5) < TIE_BAND) | (D < 10**16) | (D >= 10**17)
     D += fraction > 0.5
     slow |= D == 10**17
-    return D, E, slow
+    return D, slow
 
 
 def fast_cells(values):
@@ -205,7 +188,8 @@ def fast_cells(values):
     a = np.abs(x)
     special = ~(a >= _MIN_NORMAL) | (a == np.inf)
     a[special] = 1.0
-    D, E, slow = _digits(a, np.floor(np.log10(a)).astype(np.int64))
+    E = np.floor(np.log10(a)).astype(np.int64)
+    D, slow = _digits(a, E)
     slow |= special
 
     layout = E - _E_MIN

@@ -127,7 +127,7 @@ class TestEdgeValues:
         assert all(Fraction(x) < Fraction(10) ** k for x, k in zip(values.tolist(), ks.tolist()))
         assert text(values) == reference(values) == [f"1e{k:+03d}" for k in ks.tolist()]
         assert floattext.fast_cells(values)[1].all()
-        assert floattext._digits(values, ks - 1)[2].all()
+        assert floattext._digits(values, ks - 1)[1].all()
 
     def test_a_zero_integer_digit_falls_back(self):
         # in fixed notation the stripped table half would leave a hole where %
@@ -170,18 +170,16 @@ def test_the_check_script_passes():
     assert check(cells=20000, seed=3, chunk=7000) == (20000, 0)
 
 
-def test_powers_are_built_per_exponent_on_first_use():
-    powers = floattext._Powers()
-    slots = np.zeros(powers.known.size, dtype=bool)
-    slots[[0, 300, -1]] = True
-    powers.fill(slots)
-    assert np.array_equal(powers.known, slots)
-    for slot in np.flatnonzero(slots).tolist():
-        E = slot + floattext._E_MIN
-        exact = Fraction(10) ** (16 - E)
-        held = (Fraction(powers.hi[slot]) + Fraction(powers.lo[slot])) * Fraction(powers.up[slot]) * Fraction(powers.down[slot])
-        assert abs(held / exact - 1) < Fraction(1, 2**105)
-        assert powers.hi_hi[slot] + powers.hi_lo[slot] == powers.hi[slot]
+def test_every_power_of_ten_is_held_within_2_to_the_minus_106():
+    down, hi, hi_hi, hi_lo, lo, up = floattext._POWERS
+    for column in floattext._POWERS:
+        assert column.shape == (floattext._E_MAX - floattext._E_MIN + 1,) and not column.flags.writeable
+    for slot, E in enumerate(range(floattext._E_MIN, floattext._E_MAX + 1)):
+        assert hi[slot] == int(hi[slot]) and 2**51 <= hi[slot] <= 2**53, E
+        assert hi_hi[slot] + hi_lo[slot] == hi[slot]
+        held = (Fraction(hi[slot]) + Fraction(lo[slot])) * Fraction(up[slot]) * Fraction(down[slot])
+        # within 2^-106 of exact, as the module docstring states
+        assert abs(held / Fraction(10) ** (16 - E) - 1) < Fraction(1, 2**106), E
 
 
 def test_importing_the_package_leaves_the_kernel_unloaded():

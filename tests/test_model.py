@@ -1,7 +1,9 @@
 """Tests for the problem types, cost functional, boundary checks, and CSV."""
 
+import importlib
 import pickle
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -752,6 +754,33 @@ def test_cached_tables_are_shared_and_read_only(build):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array.flat[0] = 1.0
+
+
+def module_arrays():
+    """``{name: array}`` of every numpy array the package's modules hold at module level: a global, an
+    item of a global tuple, or an attribute of a global object whose class the package defines."""
+    found = {}
+    for path in sorted(Path(modelmod.__file__).parent.glob("*.py")):
+        if path.stem == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module("lincontrol" if path.stem == "__init__" else f"lincontrol.{path.stem}")
+        for name, value in vars(module).items():
+            held = {name: value}
+            if isinstance(value, tuple):
+                held.update((f"{name}[{i}]", item) for i, item in enumerate(value))
+            elif type(value).__module__.startswith("lincontrol.") and hasattr(value, "__dict__"):
+                held.update((f"{name}.{attr}", item) for attr, item in vars(value).items())
+            found.update((f"{module.__name__}.{key}", item) for key, item in held.items()
+                         if isinstance(item, np.ndarray))
+    return found
+
+
+def test_no_module_level_array_is_writable():
+    # module-level state is shared by every caller in a process, so none of it may be written
+    arrays = module_arrays()
+    assert {"lincontrol.floattext._DIGIT_WORDS", "lincontrol.floattext._POWERS[5]", "lincontrol.oct._ARC_RATES",
+            "lincontrol.sta._BOUNDARY_RHS"} <= arrays.keys()
+    assert [name for name, array in arrays.items() if array.flags.writeable] == []
 
 
 class TestSampling:
